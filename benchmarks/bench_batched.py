@@ -1,18 +1,21 @@
-"""Throughput benchmark: threaded native kernels vs per-trial sequential.
+"""Throughput benchmark: threaded native kernels vs one replica at a time.
 
 The acceptance scale is ``R = 4096`` replicas and ``n = 1024`` bins for the
-compiled kernels.  Per-trial sequential execution is embarrassingly linear
-in the replica count, so its baseline is *sampled* at a small replica count
-(``R = 64`` at full scale) and extrapolated linearly — timing 4096 Python
-replicas directly would add minutes of wall clock without changing the
-answer.
+compiled kernels.  The baseline runs each single-replica simulator's own
+``run()`` (``RepeatedBallsIntoBins``, ``DChoicesProcess``,
+``FaultyProcess``, ``ConstrainedParallelWalks``) once per replica, one seed
+per replica.  That is embarrassingly linear in the replica count, so the
+baseline is *sampled* at a small replica count (``R = 64`` at full scale)
+and extrapolated linearly — timing 4096 Python replicas directly would add
+minutes of wall clock without changing the answer.  The baseline cases keep
+their historical ``*_sequential_baseline`` ledger names.
 
 Scenarios:
 
 ``rbb`` (plain)
     The repeated balls-into-bins process over 2000 rounds through the
-    threaded native kernel.  Headline target: **100x** over per-trial
-    sequential execution.  The kernel parallelizes across replicas, so the
+    threaded native kernel.  Headline target: **100x** over the
+    single-replica baseline.  The kernel parallelizes across replicas, so the
     target is pro-rated on small machines: the enforced floor is
     ``min(100, 12.5 * visible_cores)`` — a box with >= 8 cores must deliver
     the full 100x, a 1-core box must still deliver 12.5x single-threaded.
@@ -26,7 +29,7 @@ Scenarios:
     The pure-numpy batched kernel, compared at ``R = 256`` (the historic
     acceptance scale; at ``R = 4096`` the numpy kernel's 32 MB working set
     thrashes cache and the comparison stops measuring the engine).  It
-    must still beat sequential by 1.2x.
+    must still beat the single-replica baseline by 1.2x.
 ``greedy_d``
     The repeated Greedy[d] allocator (``d = 2``, numpy-only): >= 10x.
 ``adversarial``
@@ -64,13 +67,20 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
+from repro.adversary.faulty_process import FaultSchedule, FaultyProcess
+from repro.baselines.d_choices import DChoicesProcess
 from repro.core.native import (
     available_cpu_count,
     native_available,
     native_status,
     native_threading,
 )
+from repro.core.process import RepeatedBallsIntoBins
+from repro.graphs import ConstrainedParallelWalks, resolve_topology
 from repro.parallel.ensemble import EnsembleSpec, run_ensemble
+from repro.parallel.seeding import trial_seed
 
 N_BINS = 1024
 SEED = 0
@@ -85,7 +95,7 @@ RBB_PER_CORE_FLOOR = 12.5
 #: The threaded walk kernel's raised floor (was 10x) and per-core pro-rate.
 WALKS_TARGET = 50.0
 WALKS_PER_CORE_FLOOR = 10.0
-#: Numpy-kernel comparisons (at the numpy scale) must beat sequential.
+#: Numpy-kernel comparisons (at the numpy scale) must beat the baseline.
 NUMPY_TARGET = 1.2
 #: Batched Greedy[2] / adversarial ensembles keep their 10x floors.
 DCHOICES_TARGET = 10.0
@@ -110,7 +120,7 @@ class Scale:
     """One benchmark size: full acceptance scale or the CI smoke scale."""
 
     name: str
-    baseline_replicas: int  #: sequential sample size (extrapolated linearly)
+    baseline_replicas: int  #: single-replica sample size (extrapolated linearly)
     native_replicas: int  #: replica count for native-kernel scenarios
     numpy_replicas: int  #: replica count for numpy-kernel scenarios
     rounds: int
@@ -244,9 +254,35 @@ def _timed_hand_segmented(scale: Scale, n_replicas: int, kernel: str) -> float:
     return max(time.perf_counter() - start, 1e-9)
 
 
-def _timed(spec: EnsembleSpec, engine: str, kernel: str = "auto") -> float:
+def _single_replica(scale: Scale, process: str, seed):
+    """One replica of ``process`` as its single-replica simulator."""
+    rng = np.random.default_rng(seed)
+    if process == "d_choices":
+        return DChoicesProcess(N_BINS, d=2, seed=rng)
+    if process == "faulty":
+        return FaultyProcess(
+            N_BINS,
+            adversary="concentrate",
+            schedule=FaultSchedule.every(scale.fault_period),
+            seed=rng,
+        )
+    if process == "graph_walks":
+        return ConstrainedParallelWalks(resolve_topology(WALKS_TOPOLOGY), seed=rng)
+    return RepeatedBallsIntoBins(N_BINS, seed=rng)
+
+
+def _timed_single_replicas(scale: Scale, process: str, rounds: int) -> float:
+    """Run ``baseline_replicas`` replicas one at a time, one seed each."""
     start = time.perf_counter()
-    result = run_ensemble(spec, seed=SEED, engine=engine, kernel=kernel)
+    for replica in range(scale.baseline_replicas):
+        simulator = _single_replica(scale, process, trial_seed(SEED, replica))
+        assert simulator.run(rounds).rounds == rounds
+    return max(time.perf_counter() - start, 1e-9)
+
+
+def _timed(spec: EnsembleSpec, kernel: str = "auto") -> float:
+    start = time.perf_counter()
+    result = run_ensemble(spec, seed=SEED, kernel=kernel)
     elapsed = time.perf_counter() - start
     assert result.n_replicas == spec.n_replicas
     assert (result.rounds == spec.rounds).all()
@@ -262,7 +298,7 @@ def _case(seconds: float, replicas: int, rounds: int, speedup: float) -> dict:
 
 
 def measure(scale: Scale = FULL) -> Dict[str, dict]:
-    """Time every scenario and derive speedups vs extrapolated sequential.
+    """Time every scenario and derive speedups vs the extrapolated baseline.
 
     Returns a ``case name -> {seconds, replica_rounds_per_s, speedup}``
     mapping (the shape ``benchmarks/record.py`` commits to the ledger).
@@ -273,8 +309,8 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
     base_R = scale.baseline_replicas
 
     def baseline(process: str, rounds: int) -> float:
-        """Per-replica sequential seconds, from a small sampled run."""
-        sample = _timed(_spec(scale, base_R, process), "sequential")
+        """Per-replica single-replica seconds, from a small sampled run."""
+        sample = _timed_single_replicas(scale, process, rounds)
         cases[f"{process}_sequential_baseline"] = _case(
             sample, base_R, rounds, 1.0
         )
@@ -282,7 +318,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
 
     # --- repeated balls-into-bins -----------------------------------
     seq_per_replica = baseline("rbb", scale.rounds)
-    npy = _timed(_spec(scale, scale.numpy_replicas), "batched", "numpy")
+    npy = _timed(_spec(scale, scale.numpy_replicas), "numpy")
     cases["rbb_numpy"] = _case(
         npy,
         scale.numpy_replicas,
@@ -290,18 +326,14 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
         seq_per_replica * scale.numpy_replicas / npy,
     )
     if native_available():
-        nat = _timed(_spec(scale, scale.native_replicas), "batched", "native")
+        nat = _timed(_spec(scale, scale.native_replicas), "native")
         cases["rbb_native"] = _case(
             nat,
             scale.native_replicas,
             scale.rounds,
             seq_per_replica * scale.native_replicas / nat,
         )
-        obs = _timed(
-            _spec(scale, scale.native_replicas, "rbb_observed"),
-            "batched",
-            "native",
-        )
+        obs = _timed(_spec(scale, scale.native_replicas, "rbb_observed"), "native")
         cases["rbb_native_observed"] = _case(
             obs,
             scale.native_replicas,
@@ -311,9 +343,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
 
     # --- Greedy[2] (numpy-only) -------------------------------------
     d_per_replica = baseline("d_choices", scale.dchoices_rounds)
-    db = _timed(
-        _spec(scale, scale.native_replicas, "d_choices"), "batched"
-    )
+    db = _timed(_spec(scale, scale.native_replicas, "d_choices"))
     cases["greedy2_batched"] = _case(
         db,
         scale.native_replicas,
@@ -323,7 +353,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
 
     # --- adversarial -------------------------------------------------
     f_per_replica = baseline("faulty", scale.faulty_rounds)
-    fb = _timed(_spec(scale, scale.native_replicas, "faulty"), "batched")
+    fb = _timed(_spec(scale, scale.native_replicas, "faulty"))
     cases["adversarial_batched"] = _case(
         fb,
         scale.native_replicas,
@@ -333,9 +363,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
 
     # --- graph walks -------------------------------------------------
     w_per_replica = baseline("graph_walks", scale.walks_rounds)
-    wn = _timed(
-        _spec(scale, scale.numpy_replicas, "graph_walks"), "batched", "numpy"
-    )
+    wn = _timed(_spec(scale, scale.numpy_replicas, "graph_walks"), "numpy")
     cases["walks_numpy"] = _case(
         wn,
         scale.numpy_replicas,
@@ -343,11 +371,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
         w_per_replica * scale.numpy_replicas / wn,
     )
     if native_available("walks"):
-        wnat = _timed(
-            _spec(scale, scale.native_replicas, "graph_walks"),
-            "batched",
-            "native",
-        )
+        wnat = _timed(_spec(scale, scale.native_replicas, "graph_walks"), "native")
         cases["walks_native"] = _case(
             wnat,
             scale.native_replicas,
@@ -367,7 +391,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
     for _ in range(5 if scale.enforce else 2):
         hand_times.append(_timed_hand_segmented(scale, scen_R, kernel))
         scen_times.append(
-            _timed(_spec(scale, scen_R, "scenario"), "batched", kernel)
+            _timed(_spec(scale, scen_R, "scenario"), kernel)
         )
     hand, scen = min(hand_times), min(scen_times)
     cases["scenario_hand_segmented"] = _case(hand, scen_R, scale.rounds, 1.0)
@@ -438,7 +462,7 @@ def main(scale: Scale = FULL) -> int:
     print(
         f"scale={scale.name}: R={scale.native_replicas} native / "
         f"R={scale.numpy_replicas} numpy / R={scale.baseline_replicas} "
-        f"sequential sample, n={N_BINS} bins; {cores} visible core(s)"
+        f"single-replica sample, n={N_BINS} bins; {cores} visible core(s)"
     )
     print(
         f"native rbb kernel  : {native_status()} "

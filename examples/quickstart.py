@@ -19,10 +19,10 @@ import math
 import sys
 
 from repro import (
-    EmptyBinsTracker,
-    LegitimacyTracker,
+    BatchedEmptyBinsTracker,
+    BatchedLegitimacyTracker,
+    BatchedMaxLoadTracker,
     LoadConfiguration,
-    MaxLoadTracker,
     RepeatedBallsIntoBins,
     legitimacy_threshold,
 )
@@ -32,16 +32,18 @@ from repro.experiments import format_table
 def stability_demo(n: int, seed: int = 0) -> dict:
     """Run the process from a balanced start and report the window maximum."""
     process = RepeatedBallsIntoBins(n, seed=seed)
-    max_load = MaxLoadTracker(record_series=False)
-    empty_bins = EmptyBinsTracker(record_series=False)
+    # a single-replica simulator feeds the trackers its 1-D load vector,
+    # the R == 1 view: every per-replica result sits at index 0
+    max_load = BatchedMaxLoadTracker(record_series=False)
+    empty_bins = BatchedEmptyBinsTracker(record_series=False)
     rounds = 8 * n
     process.run(rounds, observers=[max_load, empty_bins])
     return {
         "scenario": "stability (balanced start)",
         "rounds": rounds,
-        "window_max_load": max_load.window_max,
+        "window_max_load": int(max_load.window_max[0]),
         "legitimacy_threshold": round(legitimacy_threshold(n), 1),
-        "min_empty_fraction": round(empty_bins.min_fraction, 3),
+        "min_empty_fraction": round(float(empty_bins.min_fraction[0]), 3),
         "log_n": round(math.log(n), 2),
     }
 
@@ -49,16 +51,17 @@ def stability_demo(n: int, seed: int = 0) -> dict:
 def self_stabilization_demo(n: int, seed: int = 1) -> dict:
     """Run the process from the all-in-one-bin start and time the recovery."""
     process = RepeatedBallsIntoBins(n, initial=LoadConfiguration.all_in_one(n), seed=seed)
-    legitimacy = LegitimacyTracker()
+    legitimacy = BatchedLegitimacyTracker()
     process.run(8 * n, observers=[legitimacy])
+    first_legitimate = int(legitimacy.first_legitimate_round[0])
     return {
         "scenario": "self-stabilization (all balls in one bin)",
         "rounds": 8 * n,
         "window_max_load": n,  # the initial pile dominates the window max
         "legitimacy_threshold": round(legitimacy_threshold(n), 1),
-        "convergence_round": legitimacy.first_legitimate_round,
-        "convergence_over_n": round(legitimacy.first_legitimate_round / n, 2),
-        "stable_afterwards": legitimacy.stable_after_convergence,
+        "convergence_round": first_legitimate,
+        "convergence_over_n": round(first_legitimate / n, 2),
+        "stable_afterwards": bool(legitimacy.stable_after_convergence[0]),
     }
 
 

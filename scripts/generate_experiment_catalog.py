@@ -2,9 +2,9 @@
 """Render ``docs/EXPERIMENTS.md`` from the experiment registry.
 
 The catalog is *generated*: every registered experiment contributes its id,
-claim, expected shape, default parameters, report-scale overrides, and
-engine support, so the document can never drift from the code — CI runs
-``--check`` and fails when the checked-in file is stale.
+claim, expected shape, default parameters, and report-scale overrides, so
+the document can never drift from the code — CI runs ``--check`` and
+fails when the checked-in file is stale.
 
 Usage::
 
@@ -38,26 +38,17 @@ HEADER = """\
 
 Every quantitative claim of the paper is registered as an experiment; this
 catalog is rendered from that registry
-(`repro.experiments.registry`), so ids, parameters, and engine support are
-always in sync with the code.  Run any experiment with:
+(`repro.experiments.registry`), so ids and parameters are always in sync
+with the code.  Run any experiment with:
 
 ```bash
-PYTHONPATH=src python -m repro run <ID> [-p KEY=VALUE ...] [--engine batched|sequential]
+PYTHONPATH=src python -m repro run <ID> [-p KEY=VALUE ...]
 ```
 
 `python -m repro report` runs experiments at *report scale* (the overrides
 listed per experiment below) and writes their measured tables; this file
 documents what exists, not one run's numbers.
 """
-
-
-def _engine_support(spec) -> str:
-    if "engine" in spec.default_params:
-        return (
-            "batched & sequential (`--engine` / `-p engine=...`; "
-            f"default `{spec.default_params['engine']}`)"
-        )
-    return "per-trial only (no `engine` parameter)"
 
 
 def _format_value(value) -> str:
@@ -69,18 +60,11 @@ def render_catalog() -> str:
     out.write(HEADER)
     ids = registry.all_ids()
     out.write("\n## Index\n\n")
-    out.write("| id | claim | title | engines |\n")
-    out.write("|---|---|---|---|\n")
+    out.write("| id | claim | title |\n")
+    out.write("|---|---|---|\n")
     for experiment_id in ids:
         spec = registry.get(experiment_id).spec
-        engines = (
-            "batched, sequential"
-            if "engine" in spec.default_params
-            else "per-trial"
-        )
-        out.write(
-            f"| {spec.experiment_id} | {spec.claim} | {spec.title} | {engines} |\n"
-        )
+        out.write(f"| {spec.experiment_id} | {spec.claim} | {spec.title} |\n")
 
     for experiment_id in ids:
         spec = registry.get(experiment_id).spec
@@ -88,7 +72,6 @@ def render_catalog() -> str:
         out.write(f"- **Claim:** {spec.claim}\n")
         if spec.expected_shape:
             out.write(f"- **Expected shape:** {spec.expected_shape}\n")
-        out.write(f"- **Engine support:** {_engine_support(spec)}\n")
         out.write("\n### Default parameters\n\n")
         out.write("| parameter | default |\n")
         out.write("|---|---|\n")

@@ -41,11 +41,8 @@ from .core import (
     BatchedRepeatedBallsIntoBins,
     CoupledRun,
     CouplingResult,
-    EmptyBinsTracker,
     EnsembleResult,
-    LegitimacyTracker,
     LoadConfiguration,
-    MaxLoadTracker,
     ProbabilisticTetris,
     RepeatedBallsIntoBins,
     SimulationResult,
@@ -126,9 +123,6 @@ __all__ = [
     "CoupledRun",
     "CouplingResult",
     "TokenRepeatedBallsIntoBins",
-    "MaxLoadTracker",
-    "EmptyBinsTracker",
-    "LegitimacyTracker",
     # metrics (unified observation layer)
     "METRIC_NAMES",
     "MetricPayload",

@@ -146,7 +146,7 @@ class BatchedFaultyProcess:
         (``seed`` also feeds the adversary's own stream).  Passing an
         existing :class:`numpy.random.Generator` makes the adversary and
         the process share that one stream — the convention of the
-        sequential :class:`~repro.adversary.faulty_process.FaultyProcess`,
+        single-replica :class:`~repro.adversary.faulty_process.FaultyProcess`,
         which (with the numpy kernel, ``R == 1`` and a deterministic-draw
         adversary) makes the two fault injectors stream-compatible.
     process:

@@ -19,9 +19,9 @@ from typing import Optional, Union
 import numpy as np
 
 from ..core.config import LoadConfiguration
-from ..core.metrics import LoadHistogramTracker
 from ..core.process import RepeatedBallsIntoBins
 from ..errors import ConfigurationError
+from ..metrics.trackers import BatchedLoadHistogramTracker
 from ..types import SeedLike
 
 __all__ = [
@@ -120,9 +120,9 @@ def empirical_occupancy(
         raise ConfigurationError(f"warmup must be >= 0, got {warmup_rounds}")
     if warmup_rounds:
         process.run(warmup_rounds)
-    tracker = LoadHistogramTracker(max_tracked_load=max_tracked_load)
+    tracker = BatchedLoadHistogramTracker(max_tracked_load=max_tracked_load)
     process.run(rounds, observers=[tracker])
-    return OccupancyDistribution(tracker.counts)
+    return OccupancyDistribution(tracker.counts[0])
 
 
 def poisson_occupancy(mean: float = 1.0, support: int = 64) -> OccupancyDistribution:

@@ -25,8 +25,8 @@ from typing import Optional, Union
 import numpy as np
 
 from ..core.config import LoadConfiguration
-from ..core.observers import ObserverList
 from ..errors import ConfigurationError
+from ..metrics.base import BatchedObserverList
 from ..rng import as_generator
 from ..types import LoadVector, SeedLike
 
@@ -121,7 +121,7 @@ class IndependentThrowsProcess:
         """Simulate ``rounds`` rounds."""
         if rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-        obs = ObserverList.coerce(observers)
+        obs = BatchedObserverList.coerce(observers)
         max_load_seen = self.max_load
         executed = 0
         for _ in range(rounds):

@@ -16,7 +16,7 @@ matrix — placements stay sequential *within* each replica (that is the
 Greedy[d] semantics) but the ``k``-th placement of every replica happens in
 one vectorized operation, so the Python-level loop count drops from
 ``sum_r h_r`` to ``max_r h_r`` per round.  With ``R == 1`` and the same
-seed the batched process is stream-compatible with the sequential one.
+seed the batched process is stream-compatible with the single-replica one.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from ..core.batched import BatchedLoadProcess, one_choice_arrivals
 from ..core.config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
-from ..core.observers import ObserverList
 from ..errors import ConfigurationError
+from ..metrics.base import BatchedObserverList
 from ..rng import as_generator
 from ..types import LoadVector, SeedLike
 
@@ -237,7 +237,7 @@ class DChoicesProcess:
         """Simulate ``rounds`` rounds collecting the standard load metrics."""
         if rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-        obs = ObserverList.coerce(observers)
+        obs = BatchedObserverList.coerce(observers)
         max_load_seen = self.max_load
         min_empty = int(np.count_nonzero(self._loads == 0))
         executed = 0

@@ -17,7 +17,7 @@ Sub-commands
     and query stored point summaries as tables.
 ``verify``
     Exact-chain conformance harness: drive every engine coordinate
-    (engine x kernel x threads x fusion x workers) at small ``n`` and
+    (kernel x threads x fusion x workers) at small ``n`` and
     gate its empirical distributions against the exactly enumerated
     Markov chains of ``repro.markov``.  Failures write replayable
     counterexample artifacts; ``--replay`` re-runs one from its file.
@@ -81,17 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--markdown", action="store_true", help="print a markdown table instead of plain text"
     )
-    run.add_argument(
-        "--engine",
-        choices=["batched", "sequential"],
-        default=None,
-        help=(
-            "Monte-Carlo engine for ensemble experiments: 'batched' advances "
-            "all replicas as one vectorized (R x n) state, 'sequential' runs "
-            "one replica per trial (ignored by experiments without an "
-            "'engine' parameter)"
-        ),
-    )
 
     report = sub.add_parser(
         "report", help="run a set of experiments and write a markdown report (EXPERIMENTS.md style)"
@@ -104,12 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ID",
         help="restrict to a subset of experiment ids (default: all)",
-    )
-    report.add_argument(
-        "--engine",
-        choices=["batched", "sequential"],
-        default=None,
-        help="Monte-Carlo engine for the ensemble experiments in the report",
     )
 
     sweep = sub.add_parser(
@@ -139,16 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_run.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     sweep_run.add_argument(
-        "--engine",
-        choices=["auto", "batched", "sequential"],
-        default="auto",
-        help="ensemble engine per point (default auto = batched)",
-    )
-    sweep_run.add_argument(
         "--kernel",
         choices=["auto", "numpy", "native"],
         default="auto",
-        help="batched-engine kernel (default auto)",
+        help="ensemble-engine kernel (default auto)",
     )
     sweep_run.add_argument(
         "--workers",
@@ -302,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="observation stride (default 1)",
     )
     scenario_run.add_argument(
-        "--engine", choices=["batched", "sequential"], default="batched"
-    )
-    scenario_run.add_argument(
         "--kernel", choices=["auto", "numpy", "native"], default="auto"
     )
     scenario_run.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
@@ -314,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
-        help="conformance-check every engine against the exact small-n chains",
+        help="conformance-check every engine coordinate against the exact small-n chains",
     )
     verify.add_argument(
         "--level",
@@ -421,16 +395,6 @@ def _cmd_describe(experiment_id: str) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     overrides = _parse_overrides(args.param)
-    if args.engine is not None:
-        spec = get_experiment(args.experiment_id)
-        if "engine" in spec.default_params:
-            overrides["engine"] = args.engine
-        else:
-            print(
-                f"note: {spec.experiment_id} does not run through the ensemble "
-                "engine; --engine ignored",
-                file=sys.stderr,
-            )
     result = run_experiment(args.experiment_id, params=overrides or None, seed=args.seed)
     style = "markdown" if args.markdown else "text"
     title = f"{result.spec.experiment_id}: {result.spec.title} ({result.spec.claim})"
@@ -549,7 +513,6 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
         spec,
         store_dir,
         seed=args.seed,
-        engine=args.engine,
         kernel=args.kernel,
         n_workers=args.workers,
         n_threads=args.threads,
@@ -678,9 +641,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         config["metrics"] = args.metrics
     spec = EnsembleSpec(**config)
     scenario = spec.resolved_scenario()
-    result = run_ensemble(
-        spec, seed=args.seed, engine=args.engine, kernel=args.kernel
-    )
+    result = run_ensemble(spec, seed=args.seed, kernel=args.kernel)
     label = scenario.name or "(inline)"
     summary = {
         "scenario": label,
@@ -768,9 +729,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .experiments.report import generate_full_report
 
-    report = generate_full_report(
-        experiment_ids=args.only, seed=args.seed, engine=args.engine
-    )
+    report = generate_full_report(experiment_ids=args.only, seed=args.seed)
     Path(args.out).write_text(report)
     print(f"wrote {args.out}")
     return 0

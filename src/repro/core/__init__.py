@@ -4,9 +4,9 @@ This package implements the repeated balls-into-bins process (the paper's
 subject), the batched ensemble engine that simulates R replicas of it as a
 single vectorized ``(R, n)`` state (with an optional compiled native
 kernel), the auxiliary Tetris process used in its analysis, the coupling
-between the two (Lemma 3), the identity-tracking token-level variant used
-for traversal/cover-time experiments (Section 4), and the metric/observer
-machinery shared by all of them.
+between the two (Lemma 3), and the identity-tracking token-level variant
+used for traversal/cover-time experiments (Section 4).  The metric/observer
+machinery they all share lives in :mod:`repro.metrics`.
 """
 
 from .batched import (
@@ -19,14 +19,6 @@ from .batched import (
 from .config import LoadConfiguration, legitimacy_threshold
 from .coupling import CoupledRun, CouplingResult
 from .native import native_available, native_status
-from .metrics import (
-    EmptyBinsTracker,
-    LegitimacyTracker,
-    LoadHistogramTracker,
-    MaxLoadTracker,
-    TraceRecorder,
-)
-from .observers import ObserverList, CallbackObserver
 from .process import RepeatedBallsIntoBins, SimulationResult
 from .queueing import (
     FIFODiscipline,
@@ -63,11 +55,4 @@ __all__ = [
     "RandomDiscipline",
     "SmallestIDDiscipline",
     "get_discipline",
-    "MaxLoadTracker",
-    "EmptyBinsTracker",
-    "LegitimacyTracker",
-    "LoadHistogramTracker",
-    "TraceRecorder",
-    "ObserverList",
-    "CallbackObserver",
 ]

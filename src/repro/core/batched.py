@@ -28,7 +28,7 @@ Two kernels drive the repeated balls-into-bins update:
     Pure-numpy, and **stream-compatible** with
     :class:`~repro.core.process.RepeatedBallsIntoBins`: with ``R == 1`` and
     the same seed it consumes the generator identically and reproduces the
-    sequential trajectory step for step.
+    single-replica trajectory step for step.
 ``native`` (fast)
     A small C kernel (see ``rbb_kernel.c``) compiled on demand and driven
     through :mod:`ctypes`; each replica owns an independent xoshiro256++
@@ -151,7 +151,7 @@ def one_choice_arrivals(
     space, and a single ``np.bincount`` counts the arrivals of the whole
     ensemble.  This is the one-choice update shared by the plain batched
     process and the ``d = 1`` degenerate case of batched Greedy[d]; with
-    ``R == 1`` it consumes the generator exactly like the sequential
+    ``R == 1`` it consumes the generator exactly like the single-replica
     simulators.
     """
     destinations = rng.integers(0, n_bins, size=int(counts.sum()))
@@ -495,10 +495,10 @@ class BatchedLoadProcess:
     def rng(self) -> np.random.Generator:
         """The process' generator — the stream between-segment edits draw from.
 
-        The scenario interpreter applies its state edits with this stream
-        so that an ``R == 1`` scenario run through the numpy kernel stays
-        stream-equal to the sequential engine (which passes the very same
-        generator object through its rebuilds).
+        The scenario interpreter applies its state edits with this stream,
+        so an ``R == 1`` scenario run through the numpy kernel stays
+        stream-equal to a hand-segmented single-replica run that applies
+        the same edits with the simulator's own generator.
         """
         return self._rng
 
@@ -616,8 +616,7 @@ class BatchedLoadProcess:
         """Reference window loop; returns ``(max_seen, min_empty, kernel)``.
 
         Delegates to the shared implementation in
-        :func:`repro.metrics.window.run_window` — the same loop the
-        sequential ensemble engine runs through its ``R == 1`` view.
+        :func:`repro.metrics.window.run_window`.
         """
         max_seen, min_empty, _, _ = run_window(
             self,

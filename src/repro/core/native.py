@@ -36,7 +36,8 @@ reference implementations.
 
 Thread-count resolution (:func:`resolve_n_threads`) has the precedence
 explicit ``n_threads`` argument > ``REPRO_NATIVE_THREADS`` environment
-variable > available CPU count, clamped to the replica count and forced
+variable (read by :func:`env_n_threads`, which treats an empty value as
+unset) > available CPU count, clamped to the replica count and forced
 to 1 when the compiled kernel has no threading backend.  Results are
 bit-identical for every thread count, so this is purely a performance
 knob.
@@ -77,6 +78,7 @@ __all__ = [
     "get_kernel",
     "native_status",
     "native_threading",
+    "env_n_threads",
     "resolve_n_threads",
     "available_cpu_count",
     "sanitize_mode",
@@ -487,6 +489,19 @@ def available_cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def env_n_threads() -> Optional[int]:
+    """``REPRO_NATIVE_THREADS`` as an integer; ``None`` when unset or empty."""
+    env = os.environ.get("REPRO_NATIVE_THREADS", "").strip()
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigurationError(
+            f"REPRO_NATIVE_THREADS must be an integer, got {env!r}"
+        ) from None
+
+
 def resolve_n_threads(
     n_threads: Optional[int] = None,
     n_replicas: Optional[int] = None,
@@ -503,16 +518,9 @@ def resolve_n_threads(
     knob and is deliberately *not* part of :class:`EnsembleSpec`.
     """
     if n_threads is None:
-        env = os.environ.get("REPRO_NATIVE_THREADS", "").strip()
-        if env:
-            try:
-                n_threads = int(env)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_NATIVE_THREADS must be an integer, got {env!r}"
-                ) from None
-        else:
-            n_threads = available_cpu_count()
+        n_threads = env_n_threads()
+    if n_threads is None:
+        n_threads = available_cpu_count()
     n_threads = int(n_threads)
     if n_threads < 1:
         raise ConfigurationError(f"n_threads must be >= 1, got {n_threads}")

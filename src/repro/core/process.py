@@ -30,8 +30,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
-from .observers import ObserverList
 from ..errors import ConfigurationError, SimulationError
+from ..metrics.base import BatchedObserverList
 from ..rng import as_generator
 from ..types import LoadVector, SeedLike
 
@@ -208,7 +208,7 @@ class RepeatedBallsIntoBins:
         """
         if rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-        obs = ObserverList.coerce(observers)
+        obs = BatchedObserverList.coerce(observers)
         threshold = legitimacy_threshold(self._n_bins, beta)
 
         max_load_seen = 0

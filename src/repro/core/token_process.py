@@ -29,9 +29,9 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
-from .observers import ObserverList
 from .queueing import QueueDiscipline, get_discipline
 from ..errors import ConfigurationError, SimulationError
+from ..metrics.base import BatchedObserverList
 from ..rng import as_generator
 from ..types import LoadVector, SeedLike
 
@@ -324,7 +324,7 @@ class TokenRepeatedBallsIntoBins:
             raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
         if stop_when_covered and not self._track_visits:
             raise ConfigurationError("stop_when_covered requires track_visits=True")
-        obs = ObserverList.coerce(observers)
+        obs = BatchedObserverList.coerce(observers)
 
         max_load_seen = self.max_load
         min_empty_seen = self.num_empty_bins

@@ -9,9 +9,8 @@ extension of [18].
 The pure load-vector ensembles — the repeated-process sides of E10/E11, the
 ``m != n`` sweep of E12, the adversarial sweep of E9, and the Greedy[d]
 ablation A2 — run through :func:`~repro.parallel.ensemble.run_ensemble` (or
-the batched fault injector) and accept an ``engine`` parameter; the
-remaining experiments use process classes with per-ball or per-token state
-and stay on the per-trial path.
+the batched fault injector); the remaining experiments use process classes
+with per-ball or per-token state and stay on the per-trial path.
 
 The multi-point E9/A2 families are *generated from* declarative sweep
 specs (:func:`repro.sweeps.catalog.e9_sweep_spec` /
@@ -32,17 +31,16 @@ import numpy as np
 
 from .spec import ExperimentResult, ExperimentSpec
 from ..adversary.batched import BatchedFaultyProcess
-from ..adversary.faulty_process import FaultSchedule, FaultyProcess
+from ..adversary.faulty_process import FaultSchedule
 from ..analysis.fitting import fit_power_law
 from ..analysis.negative_association import empirical_zero_zero_probability
 from ..analysis.statistics import summarize_trials
 from ..baselines.birth_death import IndependentThrowsProcess, sqrt_t_envelope
 from ..baselines.d_choices import (
     batched_one_shot_d_choices_max_load,
-    one_shot_d_choices_max_load,
     theoretical_d_choices_max_load,
 )
-from ..baselines.one_shot import one_shot_max_load, theoretical_one_shot_max_load
+from ..baselines.one_shot import theoretical_one_shot_max_load
 from ..core.config import LoadConfiguration
 from ..core.tetris import ProbabilisticTetris, TetrisProcess
 from ..core.token_process import TokenRepeatedBallsIntoBins
@@ -164,6 +162,9 @@ def _e9_batched_point(n, fault_period, trials, rounds, adversary, seed):
     )
     outcome = process.run(rounds)
     recoveries = outcome.flat_recoveries().tolist()
+    # a fault too close to the end of the run has no chance to recover
+    # regardless of the process' behaviour; Theorem 1 only promises
+    # recovery within O(n) rounds, so judge only "eligible" faults.
     eligible = [
         fault_index
         for fault_index, fault_round in enumerate(outcome.fault_rounds)
@@ -181,44 +182,6 @@ def _e9_batched_point(n, fault_period, trials, rounds, adversary, seed):
     )
 
 
-def _e9_sequential_point(n, fault_period, trials, rounds, adversary, rng):
-    """One sweep-point of the family through per-trial :class:`FaultyProcess` runs."""
-    recoveries = []
-    fault_count = 0
-    recovered_count = 0
-    eligible_count = 0
-    eligible_recovered = 0
-    max_loads = []
-    schedule = (
-        FaultSchedule.never()
-        if fault_period is None
-        else FaultSchedule.every(fault_period)
-    )
-    for _ in range(trials):
-        process = FaultyProcess(n, adversary=adversary, schedule=schedule, seed=rng)
-        outcome = process.run(rounds)
-        max_loads.append(outcome.max_load_seen)
-        recoveries.extend(r for r in outcome.recovery_times if r >= 0)
-        fault_count += len(outcome.fault_rounds)
-        recovered_count += sum(1 for r in outcome.recovery_times if r >= 0)
-        # a fault too close to the end of the run has no chance to recover
-        # regardless of the process' behaviour; Theorem 1 only promises
-        # recovery within O(n) rounds, so judge only "eligible" faults.
-        for fault_round, recovery in zip(outcome.fault_rounds, outcome.recovery_times):
-            if fault_round <= rounds - 5 * n:
-                eligible_count += 1
-                if recovery >= 0:
-                    eligible_recovered += 1
-    return (
-        recoveries,
-        fault_count,
-        recovered_count,
-        eligible_count,
-        eligible_recovered,
-        max_loads,
-    )
-
-
 def run_e9_adversarial(spec: ExperimentSpec, params: Dict[str, Any], seed) -> ExperimentResult:
     result = ExperimentResult(spec=spec, params=params)
     n = params["n"]
@@ -226,7 +189,6 @@ def run_e9_adversarial(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Ex
     trials = params["trials"]
     rounds_factor = params["rounds_factor"]
     adversary = params["adversary"]
-    engine = params["engine"]
 
     # The family's points (fault cadence grid) and their seeds are generated
     # by the sweep planner: point i's stream is independent of how many
@@ -248,30 +210,16 @@ def run_e9_adversarial(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Ex
         sweep_point = point_by_period[fault_period_for_gamma(gamma, n)]
         rounds = sweep_point.config["rounds"]
         period = sweep_point.config["fault_period"]
-        point_seed = sweep_point.seed(root)
-        if engine == "sequential":
-            (
-                recoveries,
-                fault_count,
-                recovered_count,
-                eligible_count,
-                eligible_recovered,
-                max_loads,
-            ) = _e9_sequential_point(
-                n, period, trials, rounds, adversary,
-                np.random.default_rng(point_seed),
-            )
-        else:
-            (
-                recoveries,
-                fault_count,
-                recovered_count,
-                eligible_count,
-                eligible_recovered,
-                max_loads,
-            ) = _e9_batched_point(
-                n, period, trials, rounds, adversary, point_seed
-            )
+        (
+            recoveries,
+            fault_count,
+            recovered_count,
+            eligible_count,
+            eligible_recovered,
+            max_loads,
+        ) = _e9_batched_point(
+            n, period, trials, rounds, adversary, sweep_point.seed(root)
+        )
         rec_summary = summarize_trials(recoveries) if recoveries else None
         result.add_row(
             n=n,
@@ -305,25 +253,20 @@ def run_e10_one_shot(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Expe
     sizes = params["sizes"]
     trials = params["trials"]
     window_factor = params["window_factor"]
-    engine = params["engine"]
     rng = as_generator(seed)
     seed_children = as_seed_sequence(seed).spawn(len(sizes))
 
     for point, n in enumerate(sizes):
         rounds = max(int(window_factor * n), 1)
-        if engine == "sequential":
-            one_shot = [one_shot_max_load(n, seed=rng) for _ in range(trials)]
-        else:
-            # one flat (R, m) draw instead of `trials` Python-level throws
-            one_shot = batched_one_shot_d_choices_max_load(
-                n, trials, d=1, seed=rng
-            ).tolist()
+        # one flat (R, m) draw instead of `trials` Python-level throws
+        one_shot = batched_one_shot_d_choices_max_load(
+            n, trials, d=1, seed=rng
+        ).tolist()
         ensemble = run_ensemble(
             EnsembleSpec(
                 n_bins=n, n_replicas=trials, rounds=rounds, start="random_uniform"
             ),
             seed=seed_children[point],
-            engine=engine,
         )
         repeated = ensemble.max_load_seen.astype(float)
         one_summary = summarize_trials(one_shot)
@@ -355,7 +298,6 @@ def run_e11_sqrt_t(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Experi
     n = params["n"]
     window_factors = params["window_factors"]
     trials = params["trials"]
-    engine = params["engine"]
     rng = as_generator(seed)
     seed_children = as_seed_sequence(seed).spawn(len(window_factors))
 
@@ -364,7 +306,6 @@ def run_e11_sqrt_t(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Experi
         ensemble = run_ensemble(
             EnsembleSpec(n_bins=n, n_replicas=trials, rounds=rounds, start="balanced"),
             seed=seed_children[point],
-            engine=engine,
         )
         rbb_maxima = ensemble.max_load_seen.astype(float)
         surrogate_maxima = []
@@ -399,7 +340,6 @@ def run_e12_m_balls(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Exper
     ratios = params["ratios"]
     trials = params["trials"]
     rounds_factor = params["rounds_factor"]
-    engine = params["engine"]
     seed_children = as_seed_sequence(seed).spawn(len(ratios))
 
     log_n = max(math.log(n), 1.0)
@@ -411,7 +351,6 @@ def run_e12_m_balls(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Exper
                 n_bins=n, n_replicas=trials, rounds=rounds, n_balls=m, start="balanced"
             ),
             seed=seed_children[point],
-            engine=engine,
         )
         maxima = ensemble.max_load_seen.astype(float)
         summary = summarize_trials(maxima)
@@ -594,7 +533,6 @@ def run_e16_graph_ensembles(
     trials = params["trials"]
     rounds_factor = params["rounds_factor"]
     observe_every = params["observe_every"]
-    engine = params["engine"]
 
     sweep = graph_topologies_sweep_spec(
         topologies=topologies,
@@ -604,7 +542,7 @@ def run_e16_graph_ensembles(
     )
     plan = expand_sweep(sweep)
     store = ResultStore.in_memory()
-    run_sweep(sweep, store, seed=seed, engine=engine)
+    run_sweep(sweep, store, seed=seed)
     point_by_topology = {p.config["topology"]: p for p in plan.points}
 
     for topo_spec in topologies:
@@ -685,7 +623,6 @@ def run_a2_d_choices(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Expe
     d_values = params["d_values"]
     trials = params["trials"]
     rounds_factor = params["rounds_factor"]
-    engine = params["engine"]
 
     # The whole (size x d) family is generated from a declarative sweep
     # spec and executed by the sweep scheduler into an (ephemeral) result
@@ -697,7 +634,7 @@ def run_a2_d_choices(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Expe
     )
     plan = expand_sweep(sweep)
     store = ResultStore.in_memory()
-    run_sweep(sweep, store, seed=seed, engine=engine)
+    run_sweep(sweep, store, seed=seed)
     point_by_nd = {
         (p.config["n_bins"], p.config["d"]): p for p in plan.points
     }
@@ -714,19 +651,9 @@ def run_a2_d_choices(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Expe
             # the two never collide
             one_shot_seq = trial_seed(seed, plan.n_points + point)
             point += 1
-            if engine == "sequential":
-                one_shot_rng = np.random.default_rng(one_shot_seq)
-                one_shot = np.asarray(
-                    [
-                        one_shot_d_choices_max_load(n, d=d, seed=one_shot_rng)
-                        for _ in range(trials)
-                    ],
-                    dtype=float,
-                )
-            else:
-                one_shot = batched_one_shot_d_choices_max_load(
-                    n, trials, d=d, seed=np.random.default_rng(one_shot_seq)
-                ).astype(float)
+            one_shot = batched_one_shot_d_choices_max_load(
+                n, trials, d=d, seed=np.random.default_rng(one_shot_seq)
+            ).astype(float)
             one_summary = summarize_trials(one_shot)
             result.add_row(
                 n=n,

@@ -40,7 +40,6 @@ E17_SPEC = ExperimentSpec(
             "staged_adversary:switch=129,every=32,until=192",
         ],
         "observe_every": 16,
-        "engine": "batched",
     },
     expected_shape=(
         "window max spikes with each disruption but final max load and "
@@ -57,14 +56,13 @@ def run_e17_scenarios(
     ``"none"`` requests a plain static run (the baseline row); every
     other entry is any spelling
     :func:`~repro.scenarios.catalog.resolve_scenario` accepts and runs
-    through the scenario interpreter on the same engine coordinate and
-    seed, so the rows are directly comparable.
+    through the scenario interpreter with the same seed, so the rows are
+    directly comparable.
     """
     result = ExperimentResult(spec=spec, params=params)
     n = int(params["n"])
     trials = int(params["trials"])
     rounds = int(params["rounds"])
-    engine = params["engine"]
     log_n = max(math.log(n), 1.0)
 
     for entry in params["scenarios"]:
@@ -80,7 +78,6 @@ def run_e17_scenarios(
                 observe_every=int(params["observe_every"]),
             ),
             seed=seed,
-            engine=engine,
         )
         label = "none" if scenario is None else resolve_scenario(entry).name or "inline"
         n_events = (

@@ -78,24 +78,15 @@ def report_scale_params(experiment_id: str) -> dict:
     return dict(_REPORT_PARAMS.get(experiment_id.upper(), {}))
 
 
-def _with_engine(experiment_id: str, params: dict, engine: Optional[str]) -> dict:
-    """Apply an engine override to experiments that route through run_ensemble."""
-    if engine is not None and "engine" in registry.get(experiment_id).spec.default_params:
-        params = dict(params)
-        params["engine"] = engine
-    return params
-
-
 def run_report_experiments(
     experiment_ids: Optional[Iterable[str]] = None,
     seed: SeedLike = 0,
-    engine: Optional[str] = None,
 ) -> List[ExperimentResult]:
     """Run the selected experiments (default: all) at report scale."""
     ids = list(experiment_ids) if experiment_ids is not None else registry.all_ids()
     results = []
     for experiment_id in ids:
-        params = _with_engine(experiment_id, report_scale_params(experiment_id), engine)
+        params = report_scale_params(experiment_id)
         results.append(run_experiment(experiment_id, params=params or None, seed=seed))
     return results
 
@@ -139,7 +130,6 @@ def generate_full_report(
     experiment_ids: Optional[Iterable[str]] = None,
     seed: SeedLike = 0,
     preamble: Optional[str] = None,
-    engine: Optional[str] = None,
 ) -> str:
     """Run the experiments and render the report in one call (used by the script)."""
     ids = list(experiment_ids) if experiment_ids is not None else registry.all_ids()
@@ -147,7 +137,7 @@ def generate_full_report(
     elapsed: Dict[str, float] = {}
     for experiment_id in ids:
         start = time.perf_counter()
-        params = _with_engine(experiment_id, report_scale_params(experiment_id), engine)
+        params = report_scale_params(experiment_id)
         result = run_experiment(experiment_id, params=params or None, seed=seed)
         elapsed[result.experiment_id] = time.perf_counter() - start
         results.append(result)

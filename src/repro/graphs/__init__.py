@@ -6,7 +6,7 @@ forwards at most one token per round.  The paper conjectures (but does not
 prove) that the maximum load stays logarithmic on every regular graph; this
 package provides the topologies (addressable through the JSON-scalar spec
 language of :func:`~repro.graphs.generators.parse_topology_spec`), the
-sequential constrained-walk simulator, and the batched ``(R, n)`` walk
+single-replica constrained-walk simulator, and the batched ``(R, n)`` walk
 ensemble :class:`~repro.graphs.batched.BatchedConstrainedWalks` needed to
 probe that conjecture empirically (experiments E13 and E16) and to compare
 against the ``O(sqrt(t))`` bound known for regular graphs.

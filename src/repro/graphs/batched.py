@@ -20,9 +20,9 @@ Both walk modes are supported:
     one-token-per-round constraint.
 
 With ``R == 1`` and the same seed the trajectory is **stream-equal** to
-the sequential simulator in either mode: the flat index order (row-major
-over ``(R, n)``) visits the single replica's nodes exactly as
-``np.flatnonzero`` / ``np.repeat`` do sequentially, and
+the single-replica simulator in either mode: the flat index order
+(row-major over ``(R, n)``) visits the single replica's nodes exactly as
+``np.flatnonzero`` / ``np.repeat`` do, and
 :meth:`Topology.sample_neighbors` consumes one ``rng.random`` draw per
 token in both paths.
 

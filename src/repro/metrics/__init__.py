@@ -2,23 +2,22 @@
 
 The paper's claims are statements about *trajectories* — the max-load
 window ``M(t)`` of Theorem 1, the per-round empty-bin counts of
-Lemmas 1–2, legitimacy hitting times — so observation must not be a
-privilege of the slow sequential path.  This package defines one observer
-pipeline that the sequential simulators, the batched ``(R, n)`` engines
-(including the native C kernel, which executes in segments between
-observation points), and the sweep scheduler all share:
+Lemmas 1–2, legitimacy hitting times — so this package defines one
+observer pipeline that the batched ``(R, n)`` engine (including the
+native C kernels, which execute in segments between observation points or
+fuse observation into their round loop), the sweep scheduler, and the
+single-replica simulators all share:
 
 ``process → observers → reducers → store``
 
 * :mod:`~repro.metrics.base` — the batched observer protocol
   (``observe(round_index, loads)`` with ``(R, n)`` loads; a 1-D load
-  vector is the ``R == 1`` view), fan-out lists, and adapters for legacy
-  sequential observers.
-* :mod:`~repro.metrics.trackers` — replica-aware ports of the six
-  sequential trackers, reducing as they observe (memory ``O(R)``, not
-  ``O(R·T)``, when series recording is off).
-* :mod:`~repro.metrics.window` — the shared window-metric run loop that
-  replaced the three hand-rolled copies in the engines.
+  vector is the ``R == 1`` view) and fan-out lists.
+* :mod:`~repro.metrics.trackers` — replica-aware trackers, reducing as
+  they observe (memory ``O(R)``, not ``O(R·T)``, when series recording is
+  off).
+* :mod:`~repro.metrics.window` — the shared window-metric run loop of the
+  batched processes.
 * :mod:`~repro.metrics.payload` / :mod:`~repro.metrics.registry` — the
   containers and validated names through which ``EnsembleSpec.metrics``
   requests observation and results carry it.
@@ -26,10 +25,6 @@ observation points), and the sweep scheduler all share:
   :class:`~repro.store.streaming.StreamingMoments` /
   :class:`~repro.store.streaming.TailCounter` directly from the engine
   (loaded lazily: the store itself depends on this package).
-
-The sequential trackers of :mod:`repro.core.metrics` remain the ``R == 1``
-reference implementations and are re-exported here so this package is the
-one-stop import for observation machinery.
 """
 
 from __future__ import annotations
@@ -37,9 +32,7 @@ from __future__ import annotations
 from .base import (
     BatchedCallbackObserver,
     BatchedObserverList,
-    SequentialObserverAdapter,
     TRACE_ELEMENT_BUDGET,
-    as_batched,
     as_load_matrix,
 )
 from .fused import FusedSegmentStats, fused_needs_moments, supports_fused
@@ -54,23 +47,13 @@ from .trackers import (
     BatchedMaxLoadTracker,
     BatchedTraceRecorder,
 )
-from .window import SingleReplicaView, run_replica_window, run_window
-from ..core.metrics import (
-    BinEmptyingTracker,
-    EmptyBinsTracker,
-    LegitimacyTracker,
-    LoadHistogramTracker,
-    MaxLoadTracker,
-    TraceRecorder,
-)
+from .window import run_window
 
 __all__ = [
     # protocol + plumbing
     "as_load_matrix",
-    "as_batched",
     "BatchedObserverList",
     "BatchedCallbackObserver",
-    "SequentialObserverAdapter",
     "TRACE_ELEMENT_BUDGET",
     # batched trackers
     "BatchedMaxLoadTracker",
@@ -84,17 +67,8 @@ __all__ = [
     "FusedSegmentStats",
     "supports_fused",
     "fused_needs_moments",
-    # sequential (R == 1) reference trackers
-    "MaxLoadTracker",
-    "EmptyBinsTracker",
-    "LegitimacyTracker",
-    "LoadHistogramTracker",
-    "TraceRecorder",
-    "BinEmptyingTracker",
     # shared window loop
     "run_window",
-    "run_replica_window",
-    "SingleReplicaView",
     # payloads + registry
     "MetricPayload",
     "concatenate_payload_maps",

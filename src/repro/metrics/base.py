@@ -1,14 +1,13 @@
 """Observer plumbing for the unified (replica-aware) observation layer.
 
-Every engine in the repository — the sequential simulators, the batched
-``(R, n)`` processes, and the sweep scheduler on top of them — reports its
-state through one protocol: ``observer.observe(round_index, loads)`` where
-``loads`` is an ``(R, n)`` load matrix.  The sequential observer protocol of
-:mod:`repro.core.observers` is the ``R == 1`` view of this one: the helpers
-here normalize a 1-D load vector into a ``(1, n)`` matrix, so the batched
-trackers in :mod:`repro.metrics.trackers` can be attached unchanged to a
-sequential simulator, and :func:`as_batched` adapts a legacy sequential
-observer to a batched ``R == 1`` run.
+Every engine in the repository — the batched ``(R, n)`` processes, the
+sweep scheduler on top of them, and the single-replica simulators kept as
+library objects and test oracles — reports its state through one
+protocol: ``observer.observe(round_index, loads)`` where ``loads`` is an
+``(R, n)`` load matrix.  A 1-D load vector is the ``R == 1`` view: the
+helpers here normalize it into a ``(1, n)`` matrix, so the batched
+trackers in :mod:`repro.metrics.trackers` attach unchanged to a
+single-replica simulator.
 
 Observers must treat the arrays they receive as read-only (the engines pass
 views of their internal buffers for efficiency).
@@ -21,14 +20,11 @@ from typing import Callable, Iterable, List, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..types import Observer
 
 __all__ = [
     "as_load_matrix",
-    "as_batched",
     "BatchedCallbackObserver",
     "BatchedObserverList",
-    "SequentialObserverAdapter",
     "TRACE_ELEMENT_BUDGET",
     "check_trace_budget",
 ]
@@ -42,7 +38,7 @@ TRACE_ELEMENT_BUDGET = 50_000_000
 def as_load_matrix(loads) -> np.ndarray:
     """Normalize a load vector or matrix into an ``(R, n)`` matrix view.
 
-    A 1-D length-``n`` vector (the sequential protocol) becomes a
+    A 1-D length-``n`` vector (a single-replica simulator's state) becomes a
     ``(1, n)`` view of the same data; a 2-D matrix passes through.
 
     >>> as_load_matrix(np.array([1, 0, 2])).shape
@@ -61,11 +57,7 @@ def as_load_matrix(loads) -> np.ndarray:
 
 
 def resolve_trace_budget(max_elements) -> int:
-    """Validate and default a trace recorder's element budget.
-
-    Shared by :class:`repro.core.metrics.TraceRecorder` and its batched
-    port so the budget policy lives in one place.
-    """
+    """Validate and default a trace recorder's element budget."""
     if max_elements is None:
         return TRACE_ELEMENT_BUDGET
     if max_elements < 1:
@@ -96,40 +88,6 @@ class BatchedCallbackObserver:
 
     def observe(self, round_index: int, loads: np.ndarray) -> None:
         self._callback(round_index, loads)
-
-
-class SequentialObserverAdapter:
-    """Present a sequential observer as a batched one (``R == 1`` only).
-
-    The wrapped observer receives the single replica's 1-D load vector, so
-    legacy :class:`repro.core.metrics` trackers can ride on a batched
-    ``R == 1`` run and produce byte-identical output to a sequential run of
-    the same stream.
-    """
-
-    def __init__(self, observer: Observer) -> None:
-        if not hasattr(observer, "observe"):
-            raise ConfigurationError(
-                f"sequential observer must implement .observe(t, loads), got {observer!r}"
-            )
-        self.observer = observer
-
-    def observe(self, round_index: int, loads: np.ndarray) -> None:
-        matrix = as_load_matrix(loads)
-        if matrix.shape[0] != 1:
-            raise ConfigurationError(
-                "a sequential observer can only be attached to a single-replica "
-                f"(R == 1) run; got R = {matrix.shape[0]}"
-            )
-        self.observer.observe(round_index, matrix[0])
-
-
-def as_batched(observer) -> SequentialObserverAdapter:
-    """Wrap a sequential observer/callable for use on an ``R == 1`` batched run."""
-    if callable(observer) and not hasattr(observer, "observe"):
-        observer = BatchedCallbackObserver(observer)
-        # the callback sees the 1-D vector, like a sequential callback would
-    return SequentialObserverAdapter(observer)
 
 
 class BatchedObserverList:

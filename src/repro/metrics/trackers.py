@@ -1,17 +1,17 @@
-"""Replica-aware (batched) ports of the per-round metric trackers.
+"""Replica-aware (batched) per-round metric trackers.
 
-Each tracker here is the vectorized counterpart of one
-:mod:`repro.core.metrics` tracker: it implements the batched observer
-protocol ``observe(round_index, loads)`` with ``loads`` an ``(R, n)``
-matrix — or a plain length-``n`` vector, which is treated as ``R == 1``,
-so the same tracker instance works on a sequential simulator unchanged.
+Each tracker implements the batched observer protocol
+``observe(round_index, loads)`` with ``loads`` an ``(R, n)`` matrix — or a
+plain length-``n`` vector, which is treated as ``R == 1``, so the same
+tracker instance works on a single-replica simulator unchanged.
 
 All trackers reduce as they observe: with series recording disabled the
 max-load and empty-bins trackers keep ``O(R)`` state, the legitimacy and
 bin-emptying trackers keep ``O(R)`` / ``O(R·n)`` state, and the histogram
-keeps ``O(R·K)`` — never ``O(R·T)`` over a ``T``-round run.  At ``R == 1``
-every tracker produces the same series and summaries as its sequential
-counterpart on the same trajectory (covered by the stream-equality tests).
+keeps ``O(R·K)`` — never ``O(R·T)`` over a ``T``-round run.  A tracker
+fed by a single-replica simulator produces the same series and summaries
+as one fed by the batched numpy process at ``R == 1`` on the same seed
+(covered by the stream-equality tests).
 
 Trackers observe at whatever cadence the engine drives them (see
 ``observe_every`` on the batched ``run`` methods); window-style summaries

@@ -1,14 +1,10 @@
 """The shared window-metric run loop.
 
-Before this module existed, the same per-round reduction — running max
-load, running min empty-bin count, first legitimate round, optional
-per-replica early stop — was hand-rolled three times: in the sequential
-ensemble engine's ``_window_record``, in the batched reference loop of
-:class:`~repro.core.batched.BatchedLoadProcess`, and (specialized) in the
-streaming store reducers.  :func:`run_window` is now the single
-implementation; the batched processes call it directly and the sequential
-engine calls it through :class:`SingleReplicaView`, the ``R == 1`` adapter
-that presents a sequential simulator as a batched one.
+:func:`run_window` is the batched reference loop: the one implementation
+of the per-round reduction — running max load, running min empty-bin
+count, first legitimate round, optional per-replica early stop — that
+every batched process runs on its numpy kernel (the native kernels
+compute the same reductions in C).
 
 The loop also drives observers: every ``observe_every`` executed rounds
 (and after the final executed round) the attached
@@ -24,57 +20,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .base import BatchedObserverList
-from ..core.config import DEFAULT_BETA, legitimacy_threshold
 from ..errors import ConfigurationError
 
-__all__ = ["run_window", "run_replica_window", "SingleReplicaView"]
-
-
-class SingleReplicaView:
-    """Adapt a sequential load process to the ``(1, n)`` batched-run surface.
-
-    Works for any simulator exposing ``step() -> loads``, ``loads``,
-    ``n_bins`` and ``round_index`` (``RepeatedBallsIntoBins``,
-    ``DChoicesProcess``, ...).  The view owns the single replica's activity
-    flag, so the shared loop's early-stop freezing applies to sequential
-    runs too.
-    """
-
-    def __init__(self, process) -> None:
-        self._process = process
-        self._active = np.ones(1, dtype=bool)
-
-    @property
-    def process(self):
-        return self._process
-
-    @property
-    def n_bins(self) -> int:
-        return int(self._process.n_bins)
-
-    @property
-    def n_replicas(self) -> int:
-        return 1
-
-    @property
-    def loads(self) -> np.ndarray:
-        return np.asarray(self._process.loads).reshape(1, -1)
-
-    @property
-    def rounds_completed(self) -> np.ndarray:
-        return np.asarray([self._process.round_index], dtype=np.int64)
-
-    @property
-    def active(self) -> np.ndarray:
-        return self._active.copy()
-
-    def step(self) -> np.ndarray:
-        if self._active[0]:
-            self._process.step()
-        return self.loads
-
-    def deactivate(self, mask) -> None:
-        self._active[np.asarray(mask, dtype=bool)] = False
+__all__ = ["run_window"]
 
 
 def run_window(
@@ -89,8 +37,7 @@ def run_window(
     """Advance ``process`` up to ``rounds`` rounds, reducing window metrics.
 
     ``process`` exposes the batched stepping surface (``step``, ``loads``,
-    ``active``, ``rounds_completed``, ``deactivate``); use
-    :class:`SingleReplicaView` for sequential simulators.  ``first_legit``
+    ``active``, ``rounds_completed``, ``deactivate``).  ``first_legit``
     may be a pre-seeded ``(R,)`` vector (the batched pre-check writes into
     it); it is updated in place.
 
@@ -134,66 +81,3 @@ def run_window(
         ):
             obs.observe(int(process.rounds_completed.max()), loads)
     return max_seen, min_empty, first_legit, executed
-
-
-def run_replica_window(
-    process,
-    rounds: int,
-    beta: float = DEFAULT_BETA,
-    stop_when_legitimate: bool = False,
-    warmup_rounds: int = 0,
-    observers=None,
-    observe_every: int = 1,
-) -> dict:
-    """Window record of one sequential replica through the shared loop.
-
-    This is what one trial of the sequential ensemble engine runs; the
-    returned dict matches the per-trial record schema
-    (``rounds`` / ``window_max_load`` / ``min_empty_bins`` /
-    ``first_legitimate_round`` / ``final_loads``).
-
-    Mirroring ``run_until_legitimate``, a ``stop_when_legitimate`` run
-    whose post-warmup configuration is already legitimate executes zero
-    rounds — and reports the *observed* current max load and empty-bin
-    count (not zeros) for its window metrics.
-    """
-    if warmup_rounds < 0:
-        raise ConfigurationError(
-            f"warmup_rounds must be >= 0, got {warmup_rounds}"
-        )
-    threshold = legitimacy_threshold(process.n_bins, beta)
-    for _ in range(warmup_rounds):
-        process.step()
-
-    def current_record() -> dict:
-        loads = np.asarray(process.loads)
-        return {
-            "rounds": 0,
-            "window_max_load": int(loads.max()),
-            "min_empty_bins": int(np.count_nonzero(loads == 0)),
-            "first_legitimate_round": int(process.round_index),
-            "final_loads": np.array(loads, copy=True),
-        }
-
-    if stop_when_legitimate and int(np.asarray(process.loads).max()) <= threshold:
-        return current_record()
-    view = SingleReplicaView(process)
-    max_seen, min_empty, first_legit, executed = run_window(
-        view,
-        rounds,
-        threshold,
-        stop_when_legitimate=stop_when_legitimate,
-        observers=observers,
-        observe_every=observe_every,
-    )
-    if executed == 0:
-        record = current_record()
-        record["first_legitimate_round"] = -1
-        return record
-    return {
-        "rounds": executed,
-        "window_max_load": int(max_seen[0]),
-        "min_empty_bins": int(min_empty[0]),
-        "first_legitimate_round": int(first_legit[0]),
-        "final_loads": np.array(process.loads, copy=True),
-    }

@@ -90,10 +90,11 @@ def aggregate_records(records: Sequence[Mapping[str, float]]) -> TrialAggregate:
 def aggregate_ensemble(result: EnsembleResult) -> TrialAggregate:
     """Column-oriented view of a batched :class:`EnsembleResult`.
 
-    Each replica becomes one "trial"; the columns match the per-trial
-    records produced by the sequential ensemble engine, so summaries are
-    comparable across engines.  ``first_legitimate_round`` keeps the ``-1``
-    sentinel for replicas that never converged (filter on ``converged``).
+    Each replica becomes one "trial" of the :class:`TrialAggregate` that
+    :func:`aggregate_records` also builds, so ensembles and per-trial
+    records share one summary interface.  ``first_legitimate_round``
+    keeps the ``-1`` sentinel for replicas that never converged (filter
+    on ``converged``).
 
     Observed metric payloads (``result.metrics``, collected when the spec
     requested ``metrics=``) contribute one extra column per per-replica

@@ -1,24 +1,19 @@
-"""Engine selection for Monte-Carlo ensembles of the paper's processes.
+"""The ensemble engine: Monte-Carlo ensembles of the paper's processes.
 
 This module is the single entry point experiments use to run "R independent
 replicas" workloads.  An :class:`EnsembleSpec` describes the ensemble
 declaratively (process family, size, start family, budget, early stop);
-:func:`run_ensemble` executes it through one of two engines:
+:func:`run_ensemble` executes it as one batched process (see
+:mod:`repro.core.batched`) that advances every replica per round with flat
+numpy kernels — or, where one exists, a compiled native kernel.  With
+``n_workers > 1`` very large ensembles are *sharded*: each worker process
+simulates a contiguous slice of replicas with its own spawned seed and the
+shard results are concatenated.
 
-``engine="batched"`` (default)
-    One batched process (see :mod:`repro.core.batched`) advances every
-    replica per round with flat numpy kernels — or, for the plain repeated
-    balls-into-bins process, the compiled native kernel.  With
-    ``n_workers > 1`` very large ensembles are *sharded*: each worker
-    process simulates a contiguous slice of replicas with its own spawned
-    seed and the shard results are concatenated.
-``engine="sequential"``
-    The legacy per-trial path: each replica is an independent
-    single-replica process dispatched through
-    :class:`~repro.parallel.runner.TrialRunner` (and therefore through the
-    process pool when ``n_workers > 1``).  Kept for cross-checking the
-    batched engine and for workloads that are not pure load-vector
-    ensembles.
+The single-replica simulators (:class:`~repro.core.process.RepeatedBallsIntoBins`,
+:class:`~repro.baselines.d_choices.DChoicesProcess`, ...) stay as library
+objects and test oracles: with ``kernel="numpy"`` and ``n_replicas=1`` the
+engine reproduces them stream for stream.
 
 Four process families are supported through the ``process`` selector:
 
@@ -43,16 +38,14 @@ Four process families are supported through the ``process`` selector:
     :func:`repro.graphs.generators.resolve_topology`; the shared CSR
     topology is built once per worker and cached).  ``spec.constrained``
     selects the paper's one-token-per-node mode (default) or the
-    every-token-moves comparison process.  Batched execution runs
-    :class:`~repro.graphs.batched.BatchedConstrainedWalks`; sequential
-    runs one :class:`~repro.graphs.walks.ConstrainedParallelWalks` per
-    trial, stream-equal to the batched engine at ``R == 1``.
+    every-token-moves comparison process.  Execution runs
+    :class:`~repro.graphs.batched.BatchedConstrainedWalks`, stream-equal
+    to :class:`~repro.graphs.walks.ConstrainedParallelWalks` at
+    ``R == 1``.
 
-Both engines return the same :class:`~repro.core.batched.EnsembleResult`
-schema, so callers are engine-agnostic.  Results are deterministic for a
-fixed ``(seed, engine, n_workers, kernel)`` tuple; the two engines draw
-their randomness differently, so they agree in distribution rather than
-trajectory-for-trajectory.
+Every run returns the same :class:`~repro.core.batched.EnsembleResult`
+schema.  Results are deterministic for a fixed ``(seed, n_workers,
+kernel)`` tuple.
 
 Time-varying workloads ride on the same surface: ``spec.scenario`` names a
 :mod:`repro.scenarios` schedule (a catalog name like
@@ -60,22 +53,20 @@ Time-varying workloads ride on the same surface: ``spec.scenario`` names a
 :class:`~repro.scenarios.spec.ScenarioSpec`).  The scenario compiler turns
 the window into engine segments with state edits (bursts, drains, bin
 churn, staged adversaries, topology rewiring, observation-stride changes)
-applied between them; both engines interpret the same compiled program, a
-scenario with no events is bit-identical to the plain static run, and the
-JSON-scalar spelling means sweeps over scenario parameters come free.
+applied between them; a scenario with no events is bit-identical to the
+plain static run, and the JSON-scalar spelling means sweeps over scenario
+parameters come free.
 
-Observation is unified across engines through :mod:`repro.metrics`:
-``spec.metrics`` names trackers (e.g. ``"max_load,legitimacy"``) that both
-engines attach through the shared observer pipeline — the batched engine
-passes them to the vectorized run loop (segmenting the native kernel every
-``spec.observe_every`` rounds), the sequential engine attaches the very
-same tracker objects to its ``R == 1`` runs — and the per-replica
-series/summaries come back on ``EnsembleResult.metrics``.
+Observation goes through :mod:`repro.metrics`: ``spec.metrics`` names
+trackers (e.g. ``"max_load,legitimacy"``) that the engine passes to the
+vectorized run loop (segmenting the native kernel every
+``spec.observe_every`` rounds, or fusing observation into it), and the
+per-replica series/summaries come back on ``EnsembleResult.metrics``.
 
 Example
 -------
 >>> spec = EnsembleSpec(n_bins=8, n_replicas=3, rounds=5)
->>> result = run_ensemble(spec, seed=0, engine="batched", kernel="numpy")
+>>> result = run_ensemble(spec, seed=0, kernel="numpy")
 >>> result.n_replicas
 3
 >>> result.final_loads.sum(axis=1).tolist()
@@ -85,7 +76,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -93,7 +84,7 @@ from .runner import TrialRunner
 from ..adversary.adversaries import get_adversary
 from ..adversary.batched import BatchedFaultyProcess
 from ..adversary.faulty_process import FaultSchedule
-from ..baselines.d_choices import BatchedDChoices, DChoicesProcess
+from ..baselines.d_choices import BatchedDChoices
 from ..core.batched import (
     BatchedLoadProcess,
     BatchedRepeatedBallsIntoBins,
@@ -101,30 +92,22 @@ from ..core.batched import (
     INITIAL_KINDS,
     make_ensemble_initial,
 )
-from ..core.config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
+from ..core.config import DEFAULT_BETA, LoadConfiguration
 from ..core.native import available_cpu_count
-from ..core.process import RepeatedBallsIntoBins
 from ..errors import ConfigurationError
 from ..graphs.batched import BatchedConstrainedWalks
 from ..graphs.generators import parse_topology_spec, resolve_topology
-from ..graphs.walks import ConstrainedParallelWalks
-from ..metrics.payload import MetricPayload, concatenate_payload_maps
 from ..metrics.registry import build_trackers, normalize_metric_names
-from ..metrics.window import SingleReplicaView, run_replica_window, run_window
 from ..rng import as_seed_sequence
 from ..scenarios.catalog import resolve_scenario
-from ..scenarios.engine import (
-    compile_scenario,
-    run_scenario_batched,
-    run_scenario_sequential,
-)
+from ..scenarios.engine import compile_scenario, run_scenario_batched
 from ..scenarios.spec import ScenarioSpec
 from ..types import SeedLike
 
-__all__ = ["EnsembleSpec", "run_ensemble", "ENGINES", "PROCESSES"]
+__all__ = ["EnsembleSpec", "run_ensemble", "check_engine", "ENGINES", "PROCESSES"]
 
 #: Engine names accepted by :func:`run_ensemble` (``"auto"`` = batched).
-ENGINES = ("auto", "batched", "sequential")
+ENGINES = ("auto", "batched")
 
 #: Process families accepted by :class:`EnsembleSpec`.
 PROCESSES = ("rbb", "d_choices", "faulty", "graph_walks")
@@ -188,7 +171,7 @@ class EnsembleSpec:
         Observed metrics collected during the run, as validated names from
         :data:`repro.metrics.METRIC_NAMES` — a sequence, or a
         comma-separated string (the JSON-scalar spelling sweep specs use,
-        e.g. ``"max_load,legitimacy"``).  Both engines attach the
+        e.g. ``"max_load,legitimacy"``).  The engine attaches the
         corresponding batched trackers and the resulting per-replica
         series/summaries ride on ``EnsembleResult.metrics`` through
         aggregation, the store, and the CLI.  Empty by default (no
@@ -337,28 +320,10 @@ class EnsembleSpec:
         return FaultSchedule(period=self.fault_period, offset=self.fault_offset)
 
 
-def _replica_initial(
-    spec: EnsembleSpec, replica_index: int, seed: np.random.SeedSequence
-) -> Union[LoadConfiguration, np.ndarray]:
-    """The starting configuration of one replica (sequential engine)."""
-    start = spec.start
-    if isinstance(start, str):
-        if start == "random_uniform":
-            return LoadConfiguration.random_uniform(
-                spec.n_bins, n_balls=spec.n_balls, seed=np.random.default_rng(seed)
-            )
-        maker = getattr(LoadConfiguration, start)
-        return maker(spec.n_bins, n_balls=spec.n_balls)
-    if isinstance(start, LoadConfiguration):
-        return start
-    arr = np.asarray(start)
-    return arr[replica_index] if arr.ndim == 2 else arr
-
-
 def _shard_initial(
     spec: EnsembleSpec, lo: int, hi: int, seed: np.random.SeedSequence
 ) -> Union[LoadConfiguration, np.ndarray, None]:
-    """The ``(hi - lo, n)`` starting block of one shard (batched engine)."""
+    """The ``(hi - lo, n)`` starting block of one shard."""
     start = spec.start
     if isinstance(start, str):
         if start == "balanced" and spec.n_balls is None:
@@ -373,7 +338,7 @@ def _shard_initial(
 
 
 # ----------------------------------------------------------------------
-# Sequential engine (module-level trial functions: picklable for the pool)
+# Engine (module-level shard function: picklable for the pool)
 # ----------------------------------------------------------------------
 def _spec_trackers(spec: EnsembleSpec, n_replicas: int) -> List[tuple]:
     """The ``(name, tracker)`` pairs this spec's metric selection requests.
@@ -388,179 +353,6 @@ def _spec_trackers(spec: EnsembleSpec, n_replicas: int) -> List[tuple]:
     return trackers
 
 
-def _sequential_ensemble_trial(trial_index, seed, spec: EnsembleSpec) -> dict:
-    init_seq, sim_seq = seed.spawn(2)
-    initial = _replica_initial(spec, trial_index, init_seq)
-    rng = np.random.default_rng(sim_seq)
-    trackers = _spec_trackers(spec, n_replicas=1)
-    observers = [tracker for _, tracker in trackers] or None
-
-    if spec.process == "faulty":
-        record = _sequential_faulty_trial(spec, initial, rng, observers)
-    else:
-        if spec.process == "d_choices":
-            process = DChoicesProcess(
-                spec.n_bins, d=spec.d, initial=initial, seed=rng
-            )
-        elif spec.process == "graph_walks":
-            process = ConstrainedParallelWalks(
-                resolve_topology(spec.topology),
-                initial=initial,
-                constrained=spec.constrained,
-                seed=rng,
-            )
-        else:
-            process = RepeatedBallsIntoBins(
-                spec.n_bins, initial=initial, seed=rng
-            )
-        if spec.scenario is not None:
-            program = compile_scenario(
-                spec.resolved_scenario(), spec.rounds, spec.observe_every
-            )
-            record = run_scenario_sequential(
-                process,
-                program,
-                rng,
-                beta=spec.beta,
-                observers=observers,
-                rebuild=_sequential_rebuild_hook(spec, rng),
-            )
-        else:
-            record = run_replica_window(
-                process,
-                spec.rounds,
-                beta=spec.beta,
-                stop_when_legitimate=spec.stop_when_legitimate,
-                warmup_rounds=spec.warmup_rounds,
-                observers=observers,
-                observe_every=spec.observe_every,
-            )
-    record["metrics"] = {name: tracker.payload() for name, tracker in trackers}
-    return record
-
-
-def _sequential_rebuild_hook(spec: EnsembleSpec, rng: np.random.Generator):
-    """The scenario interpreter's process-rebuild callback (sequential).
-
-    The sequential simulators own their load vectors, so a state edit
-    rebuilds the process around the edited configuration.  None of the
-    constructors draws from the generator when an explicit ``initial`` is
-    given, and passing the *same* generator object continues the stream —
-    so a rebuild is invisible to the random trajectory.
-    """
-
-    def rebuild(process, loads, event):
-        if spec.process == "d_choices":
-            return DChoicesProcess(spec.n_bins, d=spec.d, initial=loads, seed=rng)
-        if spec.process == "graph_walks":
-            topology = (
-                resolve_topology(event.topology)
-                if event is not None
-                else process.topology
-            )
-            return ConstrainedParallelWalks(
-                topology,
-                initial=loads,
-                constrained=spec.constrained,
-                seed=rng,
-            )
-        return RepeatedBallsIntoBins(spec.n_bins, initial=loads, seed=rng)
-
-    return rebuild
-
-
-def _sequential_faulty_trial(
-    spec: EnsembleSpec, initial, rng, observers=None
-) -> dict:
-    """One replica of the faulty process through the shared window loop.
-
-    Mirrors :meth:`BatchedFaultyProcess.run` at ``R == 1``: the adversary
-    reassigns the configuration *before* the normal round executes
-    (``inject_loads``, so the round clock keeps running), the fault-free
-    stretches run as :func:`run_window` segments — the observation stride
-    restarts at each fault, exactly like the batched engine's segment
-    boundaries — and the window maximum includes post-fault
-    configurations.
-    """
-    process = RepeatedBallsIntoBins(spec.n_bins, initial=initial, seed=rng)
-    adversary = get_adversary(spec.adversary)
-    schedule = spec.fault_schedule()
-    threshold = legitimacy_threshold(spec.n_bins, spec.beta)
-    view = SingleReplicaView(process)
-    first_legit = np.full(1, -1, dtype=np.int64)
-    max_seen = process.max_load
-    min_empty = spec.n_bins
-
-    def run_segment(length: int) -> None:
-        nonlocal max_seen, min_empty
-        if length <= 0:
-            return
-        seg_max, seg_min, _, _ = run_window(
-            view,
-            length,
-            threshold,
-            first_legit=first_legit,
-            observers=observers,
-            observe_every=spec.observe_every,
-        )
-        max_seen = max(max_seen, int(seg_max[0]))
-        min_empty = min(min_empty, int(seg_min[0]))
-
-    previous = 1
-    for step in range(1, spec.rounds + 1):
-        if not schedule.is_faulty(step):
-            continue
-        run_segment(step - previous)
-        reassigned = adversary(process.loads, rng)
-        process.inject_loads(reassigned)
-        max_seen = max(max_seen, int(reassigned.max()))
-        previous = step
-    run_segment(spec.rounds - previous + 1)
-
-    return {
-        "rounds": spec.rounds,
-        "window_max_load": max_seen,
-        "min_empty_bins": min_empty if spec.rounds else process.num_empty_bins,
-        "first_legitimate_round": int(first_legit[0]),
-        "final_loads": np.array(process.loads, copy=True),
-    }
-
-
-def _run_sequential(
-    spec: EnsembleSpec, seed: SeedLike, n_workers: int
-) -> EnsembleResult:
-    runner = TrialRunner(n_workers=n_workers)
-    records = runner.run(
-        _sequential_ensemble_trial,
-        spec.n_replicas,
-        seed=seed,
-        kwargs={"spec": spec},
-    )
-    metrics: Dict[str, MetricPayload] = concatenate_payload_maps(
-        [record.pop("metrics", {}) for record in records]
-    )
-    return EnsembleResult(
-        n_bins=spec.n_bins,
-        rounds=np.asarray([r["rounds"] for r in records], dtype=np.int64),
-        final_loads=np.vstack([r["final_loads"] for r in records]),
-        max_load_seen=np.asarray(
-            [r["window_max_load"] for r in records], dtype=np.int64
-        ),
-        min_empty_bins_seen=np.asarray(
-            [r["min_empty_bins"] for r in records], dtype=np.int64
-        ),
-        first_legitimate_round=np.asarray(
-            [r["first_legitimate_round"] for r in records], dtype=np.int64
-        ),
-        beta=spec.beta,
-        kernel="sequential",
-        metrics=metrics,
-    )
-
-
-# ----------------------------------------------------------------------
-# Batched engine (module-level shard function: picklable for the pool)
-# ----------------------------------------------------------------------
 def _make_batched_process(
     spec: EnsembleSpec, n_replicas: int, initial, seed, kernel: str,
     n_threads: Optional[int] = None,
@@ -644,7 +436,7 @@ def _batched_ensemble_shard(
         else:
             if spec.warmup_rounds:
                 # metric tracking (and therefore observation) starts after
-                # the warm-up window, as for the sequential engine
+                # the warm-up window
                 batch.run(spec.warmup_rounds, beta=spec.beta)
             result = batch.run(
                 spec.rounds,
@@ -660,7 +452,7 @@ def _batched_ensemble_shard(
 def _batched_rewire_hook(
     spec: EnsembleSpec, kernel: str, n_threads: Optional[int]
 ):
-    """The scenario interpreter's topology-rewire callback (batched).
+    """The scenario interpreter's topology-rewire callback.
 
     The replacement process carries the current loads, continues the same
     generator, and has its round clock shifted back onto the run's global
@@ -685,13 +477,56 @@ def _batched_rewire_hook(
     return rewire
 
 
-def _run_batched(
+def check_engine(engine: str) -> None:
+    """Validate an ``engine=`` coordinate, naming the replacement of removed ones."""
+    if engine == "sequential":
+        raise ConfigurationError(
+            "engine='sequential' has been removed; use the default engine "
+            "(engine='auto' or 'batched'): with kernel='numpy' and "
+            "n_replicas=1 it reproduces the single-replica simulators "
+            "stream for stream"
+        )
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; expected one of {ENGINES}"
+        )
+
+
+def run_ensemble(
     spec: EnsembleSpec,
-    seed: SeedLike,
-    n_workers: int,
-    kernel: str,
+    seed: SeedLike = None,
+    engine: str = "auto",
+    n_workers: int = 0,
+    kernel: str = "auto",
     n_threads: Optional[int] = None,
 ) -> EnsembleResult:
+    """Run one ensemble through the batched engine.
+
+    Parameters
+    ----------
+    spec:
+        The declarative ensemble description (including the process family).
+    seed:
+        Root seed; per-shard streams are spawned from it, so results are
+        reproducible for a fixed engine configuration.
+    engine:
+        ``"auto"`` or ``"batched"`` (the same engine; the keyword stays
+        because stored sweep headers pin it).
+    n_workers:
+        ``0``/``1`` for in-process execution; ``> 1`` shards the replicas
+        across a process pool.
+    kernel:
+        Kernel selection forwarded to the batched process
+        (``"auto"``/``"numpy"``/``"native"``); the batched Greedy[d]
+        process is numpy-only.
+    n_threads:
+        Native-kernel threads per shard (an execution knob like ``kernel``
+        and ``n_workers``: results are bit-identical for every value).
+        ``None`` defers to ``REPRO_NATIVE_THREADS`` and then to the visible
+        CPU count — except in sharded runs, where the default splits the
+        machine across shards to avoid oversubscription.
+    """
+    check_engine(engine)
     runner = TrialRunner(n_workers=n_workers)
     n_shards = max(min(runner.effective_workers, spec.n_replicas), 1)
     if n_threads is None and n_shards > 1:
@@ -705,7 +540,7 @@ def _run_batched(
     shards = runner.run(
         _batched_ensemble_shard,
         n_shards,
-        seed=seed,
+        seed=as_seed_sequence(seed),
         kwargs={
             "spec": spec,
             "bounds": bounds,
@@ -714,50 +549,3 @@ def _run_batched(
         },
     )
     return EnsembleResult.concatenate(shards)
-
-
-def run_ensemble(
-    spec: EnsembleSpec,
-    seed: SeedLike = None,
-    engine: str = "auto",
-    n_workers: int = 0,
-    kernel: str = "auto",
-    n_threads: Optional[int] = None,
-) -> EnsembleResult:
-    """Run one ensemble through the selected engine.
-
-    Parameters
-    ----------
-    spec:
-        The declarative ensemble description (including the process family).
-    seed:
-        Root seed; per-replica (sequential) or per-shard (batched) streams
-        are spawned from it, so results are reproducible for a fixed
-        engine configuration.
-    engine:
-        ``"batched"``, ``"sequential"``, or ``"auto"`` (batched).
-    n_workers:
-        ``0``/``1`` for in-process execution; ``> 1`` enables the process
-        pool — per-trial for the sequential engine, per-shard for the
-        batched engine.
-    kernel:
-        Kernel selection forwarded to the batched repeated balls-into-bins
-        engine (``"auto"``/``"numpy"``/``"native"``); the batched Greedy[d]
-        process is numpy-only.
-    n_threads:
-        Native-kernel threads per shard (an execution knob like ``kernel``
-        and ``n_workers``: results are bit-identical for every value).
-        ``None`` defers to ``REPRO_NATIVE_THREADS`` and then to the visible
-        CPU count — except in sharded runs, where the default splits the
-        machine across shards to avoid oversubscription.
-    """
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    # normalize to a SeedSequence up front so both engines spawn from the
-    # same root entropy
-    root = as_seed_sequence(seed)
-    if engine == "sequential":
-        return _run_sequential(spec, root, n_workers)
-    return _run_batched(spec, root, n_workers, kernel, n_threads)

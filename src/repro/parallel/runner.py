@@ -1,10 +1,10 @@
-"""Trial execution: sequential or multi-process.
+"""Trial execution: in-process or multi-process.
 
 The runner executes ``trial_fn(trial_index, seed_sequence, **kwargs)`` for
 ``n_trials`` independent trials.  The trial function must be picklable
 (module-level) for process-pool execution; when parallelism was requested
 but the function or its kwargs cannot be pickled, the runner falls back to
-sequential execution and emits a ``RuntimeWarning`` (never silently).
+in-process execution and emits a ``RuntimeWarning`` (never silently).
 Results are returned in trial order regardless of completion order.
 """
 
@@ -48,7 +48,7 @@ class TrialRunner:
     Parameters
     ----------
     n_workers:
-        ``None`` or ``0`` → sequential execution; ``>= 1`` → a process pool
+        ``None`` or ``0`` → in-process execution; ``>= 1`` → a process pool
         with that many workers (capped at the CPU count).
     chunk_size:
         Number of trials submitted per pool task; larger chunks amortize
@@ -97,7 +97,7 @@ class TrialRunner:
                 picklable = False
                 warnings.warn(
                     f"TrialRunner: {' and '.join(unpicklable)} cannot be "
-                    f"pickled; falling back to sequential execution despite "
+                    f"pickled; falling back to in-process execution despite "
                     f"n_workers={self.n_workers} (move the trial function to "
                     "module level to enable the process pool)",
                     RuntimeWarning,

@@ -39,11 +39,10 @@ def trial_seed(seed: SeedLike, trial_index: int) -> np.random.SeedSequence:
     Because the derivation is a pure function of ``(entropy, spawn_key)``
     — it never mutates the root the way ``SeedSequence.spawn`` does — a
     derived seed can be serialized as that pair and reconstructed
-    exactly.  Both the sequential engine's per-trial streams and
+    exactly.  The ensemble engine's per-shard streams, the trial runner's
+    per-trial streams, the sweep planner's per-point streams and
     :mod:`repro.verify`'s per-case/per-horizon streams (including replay
-    from counterexample artifacts) rely on this contract; the worker
-    count of a sharded run never enters the derivation, so sequential
-    ensembles are bit-identical for any ``n_workers``.
+    from counterexample artifacts) all rely on this contract.
     """
     if trial_index < 0:
         raise ConfigurationError(f"trial_index must be >= 0, got {trial_index}")

@@ -11,8 +11,8 @@ runs every point not yet present in the result store:
    in plan order with size-independent per-point seeds, a resumed sweep
    produces a manifest **byte-identical** to an uninterrupted one;
 3. each point executes through
-   :func:`~repro.parallel.ensemble.run_ensemble` (batched engine by
-   default; ``n_workers > 1`` shards replicas across a process pool) and
+   :func:`~repro.parallel.ensemble.run_ensemble` (``n_workers > 1``
+   shards replicas across a process pool) and
    is appended to the store before the next point starts.
 
 Per-point engine time is measured and reported so callers (and
@@ -22,7 +22,6 @@ from simulation time.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -33,9 +32,14 @@ import numpy as np
 
 from .plan import SweepPlan, expand_sweep
 from .spec import SweepSpec
-from ..core.native import available_cpu_count, native_available, resolve_n_threads
+from ..core.native import (
+    available_cpu_count,
+    env_n_threads,
+    native_available,
+    resolve_n_threads,
+)
 from ..errors import ConfigurationError
-from ..parallel.ensemble import run_ensemble
+from ..parallel.ensemble import check_engine, run_ensemble
 from ..rng import as_seed_sequence
 from ..store import ResultStore
 from ..types import SeedLike
@@ -158,7 +162,7 @@ def _cap_threads(n_threads: Optional[int], n_workers: int) -> Optional[int]:
     """
     requested = n_threads
     if requested is None:
-        if os.environ.get("REPRO_NATIVE_THREADS") is None:
+        if env_n_threads() is None:
             return None
         requested = resolve_n_threads()
     workers = max(int(n_workers), 1)
@@ -204,7 +208,8 @@ def run_sweep(
         Forwarded to :func:`run_ensemble` per point.  ``n_workers > 1``
         shards each point's replicas across a process pool.  All three
         are part of the store header: resuming with different values is
-        refused (batched results depend on the shard layout).
+        refused (results depend on the shard layout).  A removed engine
+        is refused before any point runs or the store is touched.
     n_threads:
         Native-kernel threads per shard, forwarded to :func:`run_ensemble`.
         Unlike the header triple above this is an execution knob — results
@@ -218,6 +223,7 @@ def run_sweep(
     progress:
         Optional callable receiving one human-readable line per point.
     """
+    check_engine(engine)
     if max_points is not None and max_points < 0:
         raise ConfigurationError(
             f"max_points must be >= 0, got {max_points}"

@@ -1,8 +1,8 @@
-"""Exact-chain conformance and trace verification of every engine.
+"""Exact-chain conformance and trace verification of the ensemble engine.
 
-The safety net of ROADMAP item 5: at small ``n`` the full configuration
-chain is exactly enumerable (:mod:`repro.markov.small_n`), so every
-engine — sequential, batched numpy, both threaded C kernels, fused and
+At small ``n`` the full configuration chain is exactly enumerable
+(:mod:`repro.markov.small_n`), so every engine coordinate — the numpy
+kernel in-process and sharded, both threaded C kernels, fused and
 segmented observation, every adversary/baseline/walk with an exact
 kernel — can be *confronted* with ground truth instead of merely
 cross-checked against another simulator.
@@ -22,7 +22,7 @@ Three layers:
     failure is one ``repro verify --replay`` away from a local repro.
 :mod:`repro.verify.scenario`
     Scenario-interpreter gates: exact bit-equality of no-op scenarios
-    against static runs on every engine coordinate, event-trace ball
+    against static runs at every engine coordinate, event-trace ball
     accounting, and observation-schedule conformance.
 
 CLI: ``repro verify [--level smoke|full]`` (the smoke tier is a CI

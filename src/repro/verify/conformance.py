@@ -1,4 +1,4 @@
-"""Drive the case catalog and gate every engine against the exact chains.
+"""Drive the case catalog and gate each engine coordinate against exact chains.
 
 One :func:`run_conformance` call expands a level's catalog, runs each
 case at each horizon under a deterministic seed tree, and pushes five
@@ -17,13 +17,10 @@ replayable counterexample artifacts (see :mod:`repro.verify.artifact`).
 Seeding discipline (the contract the seeding tests pin down): the root
 seed fans out through :func:`repro.parallel.seeding.trial_seed` —
 ``case_seed = trial_seed(root, case_index)``, then
-``run_seed = trial_seed(case_seed, horizon_index)`` — and the engines
-spawn their per-replica/per-shard streams from ``run_seed`` exactly as
-documented in :mod:`repro.parallel.ensemble`.  For the sequential engine
-those per-trial streams depend only on the trial index, never on the
-worker count, so ``n_workers in {1, 2}`` is bit-identical; batched
-sharded runs re-spawn per shard and are therefore checked
-distributionally (the ``*-sharded`` cases).
+``run_seed = trial_seed(case_seed, horizon_index)`` — and the engine
+spawns its per-shard streams from ``run_seed`` exactly as documented in
+:mod:`repro.parallel.ensemble`.  Sharded runs re-spawn per shard and are
+therefore checked distributionally (the ``*-sharded`` cases).
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .artifact import CounterexampleArtifact, write_artifact
-from .cases import ConformanceCase, build_cases, native_kernel_available
+from .cases import ENGINE, ConformanceCase, build_cases, native_kernel_available
 from .exact import (
     adversary_matrix,
     distribution_after,
@@ -59,7 +56,7 @@ from ..markov.small_n import (
     exact_rbb_transition_matrix,
     exact_walk_transition_matrix,
 )
-from ..parallel.ensemble import EnsembleSpec, run_ensemble
+from ..parallel.ensemble import EnsembleSpec, check_engine, run_ensemble
 from ..parallel.seeding import trial_seed
 from ..rng import as_seed_sequence
 from ..types import SeedLike
@@ -212,7 +209,7 @@ def _ground_truth(spec: EnsembleSpec, horizon: int) -> _GroundTruth:
         return _GroundTruth(P, states, initial, fault_rounds, F)
     if spec.scenario is not None:
         # scenario events fire *before* their round executes — the same
-        # clock as the faulty engine, so the fault-round machinery of the
+        # clock as the faulty process, so the fault-round machinery of the
         # exact layer carries over verbatim for adversary-only scenarios
         expanded = spec.resolved_scenario().expand_events(horizon)
         names = {event.adversary for _, event in expanded}
@@ -291,7 +288,6 @@ def _run_ensemble_case(
         result = run_ensemble(
             spec,
             seed=seed,
-            engine=case.engine,
             n_workers=case.n_workers,
             kernel=case.kernel,
             n_threads=case.n_threads,
@@ -388,7 +384,6 @@ def _check_scenario_noop_case(
         dict(case.spec_config),
         horizon,
         seed,
-        engine=case.engine,
         kernel=case.kernel,
         n_threads=case.n_threads,
         fused=case.fused,
@@ -581,7 +576,7 @@ def _attach_artifact(
         seed_spawn_key=[int(k) for k in seed_seq.spawn_key],
         spec=dict(case.spec_config),
         engine={
-            "engine": case.engine,
+            "engine": ENGINE,
             "kernel": case.kernel,
             "n_threads": case.n_threads,
             "fused": case.fused,
@@ -670,6 +665,7 @@ def replay_artifact(path: str) -> ConformanceReport:
     from . import trace as trace_mod
 
     artifact = load_artifact(path)
+    check_engine(artifact.engine.get("engine", ENGINE))
     if artifact.kind == "invariant":
         return trace_mod.replay_invariant_artifact(artifact)
     try:

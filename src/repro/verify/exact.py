@@ -13,8 +13,7 @@ Everything here is computed from the enumerated small-``n`` chains of
   configuration as well;
 * window empty-bin minima start at ``n`` and fold post-step
   configurations only — injected fault configurations are *not* folded,
-  matching both ``BatchedFaultyProcess`` and the sequential faulty trial
-  runner.
+  matching ``BatchedFaultyProcess``.
 
 Faults follow the engine clock: at a faulty round ``s`` the adversary
 matrix ``F`` applies *before* that round's transition, so the
@@ -189,9 +188,9 @@ def window_max_pmf(
     Fault-free runs fold post-step configurations starting from ``0``
     (the ``run_window`` convention).  Faulty runs seed the accumulator
     from the initial configuration and additionally fold each injected
-    configuration, matching the faulty engines on both counts.
+    configuration, matching the faulty process on both counts.
     ``seed_from_initial`` overrides the seeding convention for runners
-    that fold the configuration at call time (the sequential token
+    that fold the configuration at call time (the single-replica token
     process).
     """
     initial = tuple(int(x) for x in initial)
@@ -225,9 +224,9 @@ def window_min_empty_pmf(
     """Exact distribution of ``min_empty_bins_seen``.
 
     Starts at ``n`` and folds post-step configurations only — injected
-    fault configurations are deliberately *not* folded, matching both
-    faulty engines.  ``seed_from_initial`` starts the accumulator at the
-    initial configuration's empty-bin count instead (the sequential
+    fault configurations are deliberately *not* folded, matching the
+    faulty process.  ``seed_from_initial`` starts the accumulator at the
+    initial configuration's empty-bin count instead (the single-replica
     token-process convention).
     """
     initial = tuple(int(x) for x in initial)

@@ -82,8 +82,8 @@ def render_verification_doc() -> str:
         "     Regenerate with: python scripts/generate_verification_matrix.py",
         "     CI fails if this file is stale. -->",
         "",
-        "`repro verify` cross-validates every engine coordinate (engine x",
-        "kernel x thread count x observation fusion x worker count) against",
+        "`repro verify` cross-validates every engine coordinate (kernel x",
+        "thread count x observation fusion x worker count) against",
         "the exactly enumerated small-`n` Markov chains of",
         "`repro.markov.small_n` and the Lemma 5 absorbing chain of",
         "`repro.markov.absorbing`.  Empirical distributions over `R`",

@@ -5,11 +5,11 @@ Two machine-checked contracts gate the scenario interpreter
 
 no-op equality
     A scenario with zero events must be *bit-equal* to the plain static
-    run on every engine coordinate — same final configurations, window
-    statistics, legitimacy rounds, and metric payloads.  The compiler
-    guarantees this by construction (an event-free scenario compiles to
-    the single static engine call); :func:`run_noop_equality` is the
-    harness that enforces it stays true.
+    run at every kernel/thread/fusion/worker coordinate — same final
+    configurations, window statistics, legitimacy rounds, and metric
+    payloads.  The compiler guarantees this by construction (an
+    event-free scenario compiles to the single static engine call);
+    :func:`run_noop_equality` is the harness that enforces it stays true.
 equality-breaking events leave invariants intact
     :func:`check_scenario_event_invariants` replays a scenario run's
     full trace at ``observe_every=1`` and walks the per-replica ball
@@ -121,7 +121,6 @@ def run_noop_equality(
     horizon: int,
     seed,
     *,
-    engine: str = "batched",
     kernel: str = "numpy",
     n_threads: Optional[int] = None,
     fused: bool = True,
@@ -145,7 +144,6 @@ def run_noop_equality(
                 run_ensemble(
                     spec,
                     seed=fresh_seed(seed),
-                    engine=engine,
                     n_workers=n_workers,
                     kernel=kernel,
                     n_threads=n_threads,
@@ -166,7 +164,6 @@ def check_scenario_event_invariants(
     spec_config: Mapping[str, Any],
     seed,
     *,
-    engine: str = "batched",
     kernel: str = "numpy",
     n_threads: Optional[int] = None,
 ) -> List[str]:
@@ -186,7 +183,7 @@ def check_scenario_event_invariants(
             "check_scenario_event_invariants needs a spec with a scenario"
         )
     result = run_ensemble(
-        spec, seed=fresh_seed(seed), engine=engine, kernel=kernel, n_threads=n_threads
+        spec, seed=fresh_seed(seed), kernel=kernel, n_threads=n_threads
     )
     payload = result.metrics["trace"]
     trace = np.asarray(payload.series["trace"])  # (T, R, n)
@@ -224,7 +221,6 @@ def check_observation_schedule(
     spec_config: Mapping[str, Any],
     seed,
     *,
-    engine: str = "batched",
     kernel: str = "numpy",
     n_threads: Optional[int] = None,
 ) -> List[str]:
@@ -244,7 +240,7 @@ def check_observation_schedule(
         )
     program = compile_scenario(scenario, spec.rounds, spec.observe_every)
     result = run_ensemble(
-        spec, seed=fresh_seed(seed), engine=engine, kernel=kernel, n_threads=n_threads
+        spec, seed=fresh_seed(seed), kernel=kernel, n_threads=n_threads
     )
     expected = [int(r) for r in program.observation_rounds]
     violations: List[str] = []

@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from .artifact import CounterexampleArtifact, write_artifact
+from .cases import ENGINE
 from .conformance import CheckOutcome, ConformanceReport, _fusion_env
 from .stats import GofResult
 from ..core.config import LoadConfiguration, legitimacy_threshold
@@ -187,7 +188,6 @@ def _first_bad(mask: np.ndarray) -> Tuple[int, int]:
 def check_trace_invariants(
     spec_config: Dict[str, Any],
     seed: SeedLike = 0,
-    engine: str = "batched",
     kernel: str = "numpy",
     n_threads: Optional[int] = None,
     fused: bool = True,
@@ -215,7 +215,7 @@ def check_trace_invariants(
         )
     root = as_seed_sequence(seed)
     engine_coords = {
-        "engine": engine,
+        "engine": ENGINE,
         "kernel": kernel,
         "n_threads": n_threads,
         "fused": fused,
@@ -224,7 +224,7 @@ def check_trace_invariants(
     }
     with _fusion_env(fused):
         result = run_ensemble(
-            spec, seed=root, engine=engine, kernel=kernel, n_threads=n_threads
+            spec, seed=root, kernel=kernel, n_threads=n_threads
         )
     check = TraceCheckResult(
         spec=spec,
@@ -415,7 +415,7 @@ def fused_vs_segmented(
         )
         with _fusion_env(fused):
             results[fused] = run_ensemble(
-                spec, seed=run_seed, engine="batched", kernel="native", n_threads=n_threads
+                spec, seed=run_seed, kernel="native", n_threads=n_threads
             )
     violations: List[InvariantViolation] = []
 
@@ -470,7 +470,6 @@ def replay_invariant_artifact(artifact: CounterexampleArtifact) -> ConformanceRe
     check = check_trace_invariants(
         spec,
         seed=artifact.seed_sequence(),
-        engine=engine.get("engine", "batched"),
         kernel=engine.get("kernel", "numpy"),
         n_threads=engine.get("n_threads"),
         fused=engine.get("fused", True),
@@ -478,7 +477,7 @@ def replay_invariant_artifact(artifact: CounterexampleArtifact) -> ConformanceRe
     outcomes = [
         CheckOutcome(
             case=artifact.case,
-            engine_label=engine.get("engine", "batched"),
+            engine_label=engine.get("engine", ENGINE),
             check=violation.invariant,
             horizon=violation.round_index,
             gof=GofResult(float("inf"), 0, 0.0, 1, 1, 1.0, 1.0),
@@ -491,7 +490,7 @@ def replay_invariant_artifact(artifact: CounterexampleArtifact) -> ConformanceRe
         outcomes = [
             CheckOutcome(
                 case=artifact.case,
-                engine_label=engine.get("engine", "batched"),
+                engine_label=engine.get("engine", ENGINE),
                 check=artifact.check,
                 horizon=-1,
                 gof=GofResult(0.0, 0, 1.0, 1, 1, 0.0, 0.0),

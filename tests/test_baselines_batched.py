@@ -31,7 +31,7 @@ SEED_GRID = list(range(24))
 
 
 # ----------------------------------------------------------------------
-# R = 1 equivalence with the sequential Greedy[d] simulator
+# R = 1 equivalence with the single-replica Greedy[d] simulator
 # ----------------------------------------------------------------------
 class TestSequentialEquivalence:
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -151,24 +151,44 @@ class TestBatchedOneShot:
 # ----------------------------------------------------------------------
 class TestEnsembleRouting:
     def test_engines_share_schema_d_choices(self):
+        # "auto" and "batched" name the same engine
         spec = EnsembleSpec(
             n_bins=32, n_replicas=10, rounds=40, process="d_choices", d=2
         )
+        auto = run_ensemble(spec, seed=0, engine="auto")
         batched = run_ensemble(spec, seed=0, engine="batched")
-        sequential = run_ensemble(spec, seed=0, engine="sequential")
-        for result in (batched, sequential):
+        for result in (auto, batched):
             assert result.n_replicas == 10
             assert (result.n_balls == 32).all()
             assert result.max_load_seen.shape == (10,)
+        assert np.array_equal(auto.final_loads, batched.final_loads)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_single_replica_matches_simulator(self, d, single_replica_rng):
+        spec = EnsembleSpec(
+            n_bins=24, n_replicas=1, rounds=60, process="d_choices", d=d
+        )
+        result = run_ensemble(spec, seed=7, kernel="numpy")
+        process = DChoicesProcess(24, d=d, seed=single_replica_rng(7))
+        outcome = process.run(60)
+        # balanced start: the simulator's window (which folds the max load
+        # of the call-time configuration, 1) agrees with the engine's
+        assert outcome.max_load_seen == result.max_load_seen[0]
+        assert np.array_equal(result.final_loads[0], process.loads)
 
     def test_engines_agree_distributionally_d_choices(self):
+        # the engine vs independent single-replica simulators
         spec = EnsembleSpec(
             n_bins=32, n_replicas=50, rounds=64, process="d_choices", d=2
         )
-        batched = run_ensemble(spec, seed=1, engine="batched")
-        sequential = run_ensemble(spec, seed=1, engine="sequential")
+        batched = run_ensemble(spec, seed=1)
+        rng = np.random.default_rng(1)
+        single = [
+            DChoicesProcess(32, d=2, seed=rng).run(64).max_load_seen
+            for _ in range(50)
+        ]
         mean_b = batched.max_load_seen.mean()
-        mean_s = sequential.max_load_seen.mean()
+        mean_s = float(np.mean(single))
         assert abs(mean_b - mean_s) < 0.25 * max(mean_b, mean_s) + 0.5
 
     def test_engines_share_schema_faulty(self):
@@ -180,9 +200,10 @@ class TestEnsembleRouting:
             adversary="concentrate",
             fault_period=20,
         )
+        auto = run_ensemble(spec, seed=2, engine="auto", kernel="numpy")
         batched = run_ensemble(spec, seed=2, engine="batched", kernel="numpy")
-        sequential = run_ensemble(spec, seed=2, engine="sequential")
-        for result in (batched, sequential):
+        assert np.array_equal(auto.final_loads, batched.final_loads)
+        for result in (auto, batched):
             assert result.n_replicas == 8
             assert (result.n_balls == 32).all()
             # concentrate spikes the whole ball count into one bin

@@ -33,7 +33,7 @@ needs_native = pytest.mark.skipif(
 
 
 # ----------------------------------------------------------------------
-# R = 1 equivalence with the sequential simulator (numpy kernel)
+# R = 1 equivalence with the single-replica simulator (numpy kernel)
 # ----------------------------------------------------------------------
 class TestSequentialEquivalence:
     @pytest.mark.parametrize(
@@ -335,31 +335,78 @@ class TestNativeKernel:
 # ----------------------------------------------------------------------
 class TestRunEnsemble:
     def test_engines_share_schema(self):
+        # "auto" and "batched" name the same engine
         spec = EnsembleSpec(n_bins=32, n_replicas=12, rounds=64, start="random_uniform")
+        auto = run_ensemble(spec, seed=0, engine="auto", kernel="numpy")
         batched = run_ensemble(spec, seed=0, engine="batched", kernel="numpy")
-        sequential = run_ensemble(spec, seed=0, engine="sequential")
-        for result in (batched, sequential):
+        for result in (auto, batched):
             assert result.n_replicas == 12
             assert result.max_load_seen.shape == (12,)
             assert (result.n_balls == 32).all()
-        assert batched.kernel == "numpy"
-        assert sequential.kernel == "sequential"
+            assert result.kernel == "numpy"
+        assert np.array_equal(auto.final_loads, batched.final_loads)
+        assert np.array_equal(auto.max_load_seen, batched.max_load_seen)
 
     def test_engines_agree_distributionally(self):
+        # the engine vs independent single-replica simulators
+        n = 64
         spec = EnsembleSpec(
-            n_bins=64,
+            n_bins=n,
             n_replicas=60,
-            rounds=20 * 64,
+            rounds=20 * n,
             start="all_in_one",
             stop_when_legitimate=True,
         )
-        batched = run_ensemble(spec, seed=1, engine="batched", kernel="numpy")
-        sequential = run_ensemble(spec, seed=1, engine="sequential")
+        batched = run_ensemble(spec, seed=1, kernel="numpy")
+        rng = np.random.default_rng(1)
+        hits = [
+            RepeatedBallsIntoBins(
+                n, initial=LoadConfiguration.all_in_one(n), seed=rng
+            ).run_until_legitimate(20 * n)
+            for _ in range(60)
+        ]
         assert batched.converged_fraction == 1.0
-        assert sequential.converged_fraction == 1.0
+        assert all(hit is not None for hit in hits)
         mean_b = batched.first_legitimate_round.mean()
-        mean_s = sequential.first_legitimate_round.mean()
+        mean_s = float(np.mean(hits))
         assert abs(mean_b - mean_s) < 0.35 * max(mean_b, mean_s)
+
+    @pytest.mark.parametrize("start", ["balanced", "all_in_one"])
+    @pytest.mark.parametrize("stop_when_legitimate", [False, True])
+    def test_single_replica_matches_simulator(
+        self, start, stop_when_legitimate, single_replica_rng
+    ):
+        # kernel="numpy" at n_replicas=1 reproduces RepeatedBallsIntoBins
+        # stream for stream
+        n, rounds = 32, 200
+        spec = EnsembleSpec(
+            n_bins=n,
+            n_replicas=1,
+            rounds=rounds,
+            start=start,
+            stop_when_legitimate=stop_when_legitimate,
+        )
+        result = run_ensemble(spec, seed=21, kernel="numpy")
+        process = RepeatedBallsIntoBins(
+            n,
+            initial=getattr(LoadConfiguration, start)(n),
+            seed=single_replica_rng(21),
+        )
+        if stop_when_legitimate and process.is_legitimate():
+            expected_rounds, first = 0, 0  # the pre-check stops at once
+        else:
+            outcome = process.run(rounds, stop_when_legitimate=stop_when_legitimate)
+            assert outcome.max_load_seen == result.max_load_seen[0]
+            assert outcome.min_empty_bins_seen == result.min_empty_bins_seen[0]
+            expected_rounds = outcome.rounds
+            first = (
+                -1
+                if outcome.first_legitimate_round is None
+                else outcome.first_legitimate_round
+            )
+        assert result.rounds[0] == expected_rounds
+        assert result.first_legitimate_round[0] == first
+        assert np.array_equal(result.final_loads[0], process.loads)
 
     def test_warmup_rounds(self):
         spec = EnsembleSpec(
@@ -381,9 +428,7 @@ class TestRunEnsemble:
         start = make_ensemble_initial("random_uniform", 16, 5, seed=4)
         spec = EnsembleSpec(n_bins=16, n_replicas=5, rounds=10, start=start)
         batched = run_ensemble(spec, seed=5, engine="batched", kernel="numpy")
-        sequential = run_ensemble(spec, seed=5, engine="sequential")
         assert np.array_equal(batched.n_balls, start.sum(axis=1))
-        assert np.array_equal(sequential.n_balls, start.sum(axis=1))
 
     def test_sharded_pool_runs(self):
         spec = EnsembleSpec(n_bins=16, n_replicas=9, rounds=20)
@@ -398,3 +443,8 @@ class TestRunEnsemble:
         spec = EnsembleSpec(n_bins=4, n_replicas=1, rounds=1)
         with pytest.raises(ConfigurationError):
             run_ensemble(spec, engine="quantum")
+
+    def test_removed_sequential_engine_names_replacement(self):
+        spec = EnsembleSpec(n_bins=4, n_replicas=1, rounds=1)
+        with pytest.raises(ConfigurationError, match="removed.*kernel='numpy'"):
+            run_ensemble(spec, engine="sequential")

@@ -93,34 +93,18 @@ class TestMain:
         assert main(["run", "E1", "-p", "bogus=1"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_run_with_engine_flag(self, capsys):
-        code = main(
-            [
-                "run",
-                "E1",
-                "-p",
-                "sizes=[16]",
-                "-p",
-                "trials=2",
-                "-p",
-                "rounds_factor=1.0",
-                "--engine",
-                "sequential",
-            ]
-        )
-        assert code == 0
-        assert "mean_window_max" in capsys.readouterr().out
-
-    def test_engine_flag_ignored_for_non_ensemble_experiment(self, capsys):
-        code = main(
-            ["run", "E14", "-p", "mc_sizes=[2]", "-p", "mc_trials=100", "--engine", "batched"]
-        )
-        assert code == 0
-        assert "--engine ignored" in capsys.readouterr().err
-
     def test_engine_flag_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "E1", "--engine", "quantum"])
+        # one ensemble engine: no command takes --engine
+        parser = build_parser()
+        for argv in (
+            ["run", "E1"],
+            ["report"],
+            ["sweep", "run", "smoke", "--store", "s"],
+            ["scenario", "run", "burst_recovery"],
+        ):
+            for engine in ("quantum", "batched", "sequential"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv + ["--engine", engine])
 
 
 class TestSweepCli:
@@ -318,3 +302,22 @@ class TestVerifyCommand:
     def test_verify_replay_missing_artifact_errors(self, capsys):
         assert main(["verify", "--replay", "/nonexistent/artifact.json"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_verify_replay_of_sequential_artifact_exits_2(self, capsys, tmp_path):
+        from repro.verify import CounterexampleArtifact, write_artifact
+
+        path = write_artifact(
+            CounterexampleArtifact(
+                kind="invariant",
+                case="trace-rbb",
+                check="ball_conservation",
+                seed_entropy=1,
+                spec={"n_bins": 4, "n_replicas": 8, "rounds": 12},
+                engine={"engine": "sequential", "kernel": "numpy"},
+            ),
+            str(tmp_path),
+        )
+        assert main(["verify", "--replay", path]) == 2
+        err = capsys.readouterr().err
+        assert "engine='sequential' has been removed" in err
+        assert "kernel='numpy'" in err

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import LoadConfiguration
-from repro.core.metrics import EmptyBinsTracker, MaxLoadTracker
 from repro.core.process import RepeatedBallsIntoBins
 from repro.errors import ConfigurationError
+from repro.metrics import BatchedEmptyBinsTracker, BatchedMaxLoadTracker
 
 
 class TestConstruction:
@@ -118,12 +118,13 @@ class TestRun:
 
     def test_observers_called_every_round(self):
         process = RepeatedBallsIntoBins(16, seed=0)
-        tracker = MaxLoadTracker()
-        empties = EmptyBinsTracker()
+        tracker = BatchedMaxLoadTracker()
+        empties = BatchedEmptyBinsTracker()
         process.run(25, observers=[tracker, empties])
         assert tracker.rounds_observed == 25
         assert empties.rounds_observed == 25
         assert len(tracker.series) == 25
+        assert tracker.rounds == list(range(1, 26))
 
     def test_callable_observer(self):
         seen = []

@@ -17,6 +17,7 @@ from repro.graphs import (
     resolve_topology,
     star_graph,
 )
+from repro.metrics import BatchedEmptyBinsTracker, BatchedMaxLoadTracker
 from repro.parallel.ensemble import EnsembleSpec, PROCESSES, run_ensemble
 from repro.store import ResultStore
 from repro.sweeps import expand_sweep, graph_topologies_sweep_spec, run_sweep
@@ -94,7 +95,7 @@ class TestTopologySpecs:
 
 
 # ----------------------------------------------------------------------
-# R = 1 stream equality vs the sequential simulator (numpy kernel)
+# R = 1 stream equality vs the single-replica simulator (numpy kernel)
 # ----------------------------------------------------------------------
 class TestStreamEquality:
     @pytest.mark.parametrize("spec", TOPOLOGY_SPECS)
@@ -186,9 +187,12 @@ class TestEnsembleRouting:
 
     @pytest.mark.parametrize("spec_str", TOPOLOGY_SPECS)
     @pytest.mark.parametrize("constrained", [True, False])
-    def test_engines_stream_equal_at_single_replica(self, spec_str, constrained):
-        # acceptance: run_ensemble at R = 1 is stream-equal across engines
-        # for every catalogued topology (same spawned seed, numpy kernel)
+    def test_engines_stream_equal_at_single_replica(
+        self, spec_str, constrained, single_replica_rng
+    ):
+        # acceptance: run_ensemble at R = 1 (numpy kernel) is stream-equal to
+        # ConstrainedParallelWalks on the shard's stream, for every
+        # catalogued topology
         n = parse_topology_spec(spec_str).num_nodes
         spec = EnsembleSpec(
             n_bins=n,
@@ -198,33 +202,19 @@ class TestEnsembleRouting:
             topology=spec_str,
             constrained=constrained,
         )
-        sequential = run_ensemble(spec, seed=11, engine="sequential")
         batched = run_ensemble(spec, seed=11, engine="batched", kernel="numpy")
-        assert np.array_equal(sequential.final_loads, batched.final_loads)
-        assert np.array_equal(sequential.max_load_seen, batched.max_load_seen)
-        assert np.array_equal(
-            sequential.min_empty_bins_seen, batched.min_empty_bins_seen
-        )
-
-    def test_sequential_engine_matches_hand_driven_walks(self):
-        # the sequential engine's trial really is ConstrainedParallelWalks:
-        # rebuild trial 0's seeding (trial_seed -> spawn(2)) and compare
-        from repro.parallel.seeding import trial_seed
-
-        spec = EnsembleSpec(
-            n_bins=16,
-            n_replicas=1,
-            rounds=30,
-            process="graph_walks",
-            topology="cycle:16",
-        )
-        result = run_ensemble(spec, seed=5, engine="sequential")
-        _, sim_seq = trial_seed(5, 0).spawn(2)
         walks = ConstrainedParallelWalks(
-            resolve_topology("cycle:16"), seed=np.random.default_rng(sim_seq)
+            resolve_topology(spec_str),
+            constrained=constrained,
+            seed=single_replica_rng(11),
         )
-        walks.run(30)
-        assert np.array_equal(result.final_loads[0], walks.loads)
+        max_load = BatchedMaxLoadTracker()
+        empty_bins = BatchedEmptyBinsTracker()
+        walks.run(40, observers=[max_load, empty_bins])
+        assert np.array_equal(walks.loads, batched.final_loads[0])
+        # the trackers fold post-step configurations, like the engine window
+        assert np.array_equal(max_load.window_max, batched.max_load_seen)
+        assert np.array_equal(empty_bins.window_min, batched.min_empty_bins_seen)
 
     def test_metrics_pipeline_observes_walks(self):
         spec = EnsembleSpec(
@@ -236,14 +226,13 @@ class TestEnsembleRouting:
             metrics="max_load,empty_bins",
             observe_every=4,
         )
-        for engine in ("batched", "sequential"):
-            result = run_ensemble(spec, seed=2, engine=engine, kernel="numpy")
-            payload = result.metrics["max_load"]
-            assert payload.summaries["window_max"].shape == (3,)
-            series = payload.series["max_load"]
-            assert series.shape[1] == 3
-            # the star hub shows up in the observed series too
-            assert payload.summaries["window_max"].max() > 4
+        result = run_ensemble(spec, seed=2, kernel="numpy")
+        payload = result.metrics["max_load"]
+        assert payload.summaries["window_max"].shape == (3,)
+        series = payload.series["max_load"]
+        assert series.shape[1] == 3
+        # the star hub shows up in the observed series too
+        assert payload.summaries["window_max"].max() > 4
 
     def test_start_families_apply_to_walks(self):
         spec = EnsembleSpec(

@@ -27,8 +27,12 @@ from repro import (
 from repro.analysis.bounds import log_bound, sqrt_window_bound
 from repro.analysis.fitting import fit_log_growth, fit_power_law
 from repro.baselines.one_shot import one_shot_max_load
-from repro.core.metrics import EmptyBinsTracker, LegitimacyTracker, MaxLoadTracker
 from repro.experiments import format_table, run_experiment, save_result_json, load_result_json
+from repro.metrics import (
+    BatchedEmptyBinsTracker,
+    BatchedLegitimacyTracker,
+    BatchedMaxLoadTracker,
+)
 from repro.parallel.aggregate import aggregate_records
 from repro.parallel.runner import run_trials
 from repro.traversal.progress import progress_statistics
@@ -40,18 +44,18 @@ class TestTheoremOneStory:
     def test_convergence_then_stability(self):
         n = 256
         process = RepeatedBallsIntoBins(n, initial=LoadConfiguration.all_in_one(n), seed=0)
-        legitimacy = LegitimacyTracker()
-        empties = EmptyBinsTracker()
-        max_load = MaxLoadTracker(record_series=False)
+        legitimacy = BatchedLegitimacyTracker()
+        empties = BatchedEmptyBinsTracker()
+        max_load = BatchedMaxLoadTracker(record_series=False)
         process.run(8 * n, observers=[legitimacy, empties, max_load])
 
         # convergence within O(n): well inside the 8n window
-        assert legitimacy.converged
-        assert legitimacy.first_legitimate_round <= 4 * n
+        assert legitimacy.converged[0]
+        assert legitimacy.first_legitimate_round[0] <= 4 * n
         # once legitimate it stays legitimate for the rest of the window
-        assert legitimacy.stable_after_convergence
+        assert legitimacy.stable_after_convergence[0]
         # empty bins: at least n/4 once the initial pile has drained
-        assert empties.window_min >= 0
+        assert empties.window_min[0] >= 0
         # the window max load is dominated by the initial pile, but the final
         # configuration is logarithmic
         assert process.max_load <= 2 * log_bound(n)

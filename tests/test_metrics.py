@@ -7,19 +7,14 @@ import pytest
 
 from repro.adversary.batched import BatchedFaultyProcess
 from repro.adversary.faulty_process import FaultSchedule, FaultyProcess
+from repro.baselines.birth_death import IndependentThrowsProcess
 from repro.baselines.d_choices import BatchedDChoices, DChoicesProcess
 from repro.core.batched import BatchedRepeatedBallsIntoBins, EnsembleResult
-from repro.core.config import DEFAULT_BETA, legitimacy_threshold
-from repro.core.metrics import (
-    BinEmptyingTracker,
-    EmptyBinsTracker,
-    LegitimacyTracker,
-    LoadHistogramTracker,
-    MaxLoadTracker,
-    TraceRecorder,
-)
+from repro.core.config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
 from repro.core.native import native_available
 from repro.core.process import RepeatedBallsIntoBins
+from repro.core.tetris import TetrisProcess
+from repro.core.token_process import TokenRepeatedBallsIntoBins
 from repro.errors import ConfigurationError
 from repro.metrics import (
     METRIC_NAMES,
@@ -32,11 +27,9 @@ from repro.metrics import (
     BatchedTraceRecorder,
     MetricPayload,
     StreamingMomentsObserver,
-    as_batched,
     as_load_matrix,
     build_trackers,
     normalize_metric_names,
-    run_replica_window,
     summarize_payloads,
 )
 from repro.parallel.aggregate import aggregate_ensemble
@@ -47,17 +40,6 @@ from repro.sweeps import SweepSpec, run_sweep
 needs_native = pytest.mark.skipif(
     not native_available(), reason="native kernel unavailable"
 )
-
-
-def _sequential_trackers():
-    return {
-        "max_load": MaxLoadTracker(),
-        "empty_bins": EmptyBinsTracker(),
-        "legitimacy": LegitimacyTracker(),
-        "histogram": LoadHistogramTracker(),
-        "trace": TraceRecorder(),
-        "bin_emptying": BinEmptyingTracker(),
-    }
 
 
 def _batched_trackers():
@@ -71,33 +53,19 @@ def _batched_trackers():
     }
 
 
-def _assert_stream_equal(seq, bat):
-    """Sequential trackers vs batched trackers at R == 1: identical output."""
-    assert seq["max_load"].series == [int(v) for v in bat["max_load"].as_array()[:, 0]]
-    assert seq["max_load"].window_max == int(bat["max_load"].window_max[0])
-    assert seq["empty_bins"].series == [
-        int(v) for v in bat["empty_bins"].as_array()[:, 0]
-    ]
-    assert seq["empty_bins"].window_min == int(bat["empty_bins"].window_min[0])
-    leg_seq, leg_bat = seq["legitimacy"], bat["legitimacy"]
-    expected_first = -1 if leg_seq.first_legitimate_round is None else leg_seq.first_legitimate_round
-    assert expected_first == int(leg_bat.first_legitimate_round[0])
-    assert leg_seq.violations == int(leg_bat.violations[0])
-    assert leg_seq.converged == bool(leg_bat.converged[0])
-    assert leg_seq.stable_after_convergence == bool(
-        leg_bat.stable_after_convergence[0]
-    )
-    assert np.array_equal(seq["histogram"].counts, bat["histogram"].counts[0])
-    assert seq["histogram"].overflow == int(bat["histogram"].overflow[0])
-    assert seq["histogram"].mean_load() == pytest.approx(
-        float(bat["histogram"].mean_load()[0])
-    )
-    assert np.array_equal(seq["trace"].as_matrix(), bat["trace"].as_matrix()[:, 0, :])
-    assert seq["trace"].rounds == bat["trace"].snapshot_rounds
-    assert np.array_equal(
-        seq["bin_emptying"].first_empty_round,
-        bat["bin_emptying"].first_empty_round[0],
-    )
+def _assert_stream_equal(single, batched):
+    """Trackers fed by a single-replica simulator vs by the batched R == 1
+    process: identical payloads, bit for bit."""
+    assert single.keys() == batched.keys()
+    for name in single:
+        a, b = single[name].payload(), batched[name].payload()
+        assert np.array_equal(a.rounds, b.rounds), name
+        for slot in ("series", "summaries", "arrays"):
+            mine, theirs = getattr(a, slot), getattr(b, slot)
+            assert mine.keys() == theirs.keys(), (name, slot)
+            for key in mine:
+                assert np.array_equal(mine[key], theirs[key]), (name, slot, key)
+    assert single["max_load"].rounds_observed > 0
 
 
 # ----------------------------------------------------------------------
@@ -122,14 +90,6 @@ class TestBase:
         with pytest.raises(ConfigurationError):
             BatchedObserverList.coerce(42)
 
-    def test_as_batched_adapter(self):
-        seq = MaxLoadTracker()
-        adapter = as_batched(seq)
-        adapter.observe(1, np.array([[3, 0]]))
-        assert seq.series == [3]
-        with pytest.raises(ConfigurationError):
-            adapter.observe(2, np.zeros((2, 2), dtype=np.int64))
-
     def test_tracker_shape_rebind_rejected(self):
         tracker = BatchedMaxLoadTracker()
         tracker.observe(1, np.zeros((2, 4), dtype=np.int64))
@@ -138,43 +98,43 @@ class TestBase:
 
 
 # ----------------------------------------------------------------------
-# Stream equality at R == 1 (satellite: rbb, d_choices, faulty)
+# Stream equality at R == 1: single-replica simulator vs batched process
 # ----------------------------------------------------------------------
 class TestStreamEquality:
     ROUNDS = 120
 
     def test_rbb(self):
-        seq_proc = RepeatedBallsIntoBins(32, seed=11)
-        seq = _sequential_trackers()
-        seq_proc.run(self.ROUNDS, observers=list(seq.values()))
+        single_proc = RepeatedBallsIntoBins(32, seed=11)
+        single = _batched_trackers()
+        single_proc.run(self.ROUNDS, observers=list(single.values()))
 
         bat_proc = BatchedRepeatedBallsIntoBins(32, 1, seed=11, kernel="numpy")
         bat = _batched_trackers()
         bat_proc.run(self.ROUNDS, observers=list(bat.values()))
-        _assert_stream_equal(seq, bat)
+        _assert_stream_equal(single, bat)
 
     def test_d_choices(self):
-        seq_proc = DChoicesProcess(32, d=2, seed=12)
-        seq = _sequential_trackers()
-        seq_proc.run(self.ROUNDS, observers=list(seq.values()))
+        single_proc = DChoicesProcess(32, d=2, seed=12)
+        single = _batched_trackers()
+        single_proc.run(self.ROUNDS, observers=list(single.values()))
 
         bat_proc = BatchedDChoices(32, 1, d=2, seed=12)
         bat = _batched_trackers()
         bat_proc.run(self.ROUNDS, observers=list(bat.values()))
-        _assert_stream_equal(seq, bat)
+        _assert_stream_equal(single, bat)
 
     def test_faulty(self):
         """With one shared generator and a single-draw adversary, the
         batched fault injector is stream-compatible with FaultyProcess."""
         schedule = FaultSchedule.every(25)
-        seq_proc = FaultyProcess(
+        single_proc = FaultyProcess(
             32,
             adversary="concentrate",
             schedule=schedule,
             seed=np.random.default_rng(13),
         )
-        seq = _sequential_trackers()
-        seq_proc.run(self.ROUNDS, observers=list(seq.values()))
+        single = _batched_trackers()
+        single_proc.run(self.ROUNDS, observers=list(single.values()))
 
         gen = np.random.default_rng(13)
         inner = BatchedRepeatedBallsIntoBins(32, 1, seed=gen, kernel="numpy")
@@ -188,48 +148,74 @@ class TestStreamEquality:
         )
         bat = _batched_trackers()
         bat_proc.run(self.ROUNDS, observers=list(bat.values()))
-        _assert_stream_equal(seq, bat)
+        _assert_stream_equal(single, bat)
 
-    def test_sequential_observer_rides_batched_run(self):
-        """A legacy sequential tracker wrapped with as_batched sees the
-        same stream as its batched counterpart on one R == 1 run."""
-        seq = MaxLoadTracker()
-        bat = BatchedMaxLoadTracker()
-        process = BatchedRepeatedBallsIntoBins(16, 1, seed=14, kernel="numpy")
-        process.run(50, observers=[as_batched(seq), bat])
-        assert seq.series == [int(v) for v in bat.as_array()[:, 0]]
+
+class TestSimulatorWindows:
+    """Processes without a batched twin: the trackers' window values must
+    match the simulator's own result, from starts where the simulator's
+    window convention (which folds the call-time configuration) and the
+    trackers' (post-step configurations only) agree."""
+
+    def test_tetris_max_load_and_emptying(self):
+        # balanced start: no bin is empty at call time, and every post-step
+        # max load is >= 1, so both conventions coincide
+        tetris = TetrisProcess(32, initial=LoadConfiguration.balanced(32), seed=15)
+        max_load = BatchedMaxLoadTracker()
+        emptying = BatchedBinEmptyingTracker()
+        result = tetris.run(200, observers=[max_load, emptying])
+        assert result.all_bins_emptied_by is not None  # Lemma 4 at 5n rounds
+        assert int(max_load.window_max[0]) == result.max_load_seen
+        assert int(emptying.last_first_empty[0]) == result.all_bins_emptied_by
+
+    def test_token_process_max_load(self):
+        process = TokenRepeatedBallsIntoBins(32, seed=16)  # balanced start
+        tracker = BatchedMaxLoadTracker()
+        result = process.run(100, observers=[tracker])
+        assert int(tracker.window_max[0]) == result.max_load_seen
+
+    def test_token_process_min_empty(self):
+        # all-in-one start: its n - 1 empty bins bound every later count
+        process = TokenRepeatedBallsIntoBins(
+            32, initial=LoadConfiguration.all_in_one(32), seed=17
+        )
+        tracker = BatchedEmptyBinsTracker()
+        result = process.run(100, observers=[tracker])
+        assert int(tracker.window_min[0]) == result.min_empty_seen
+
+    def test_independent_throws_max_load(self):
+        process = IndependentThrowsProcess(
+            32, initial=LoadConfiguration.balanced(32), seed=18
+        )
+        tracker = BatchedMaxLoadTracker()
+        result = process.run(100, observers=[tracker])
+        assert int(tracker.window_max[0]) == result.max_load_seen
 
 
 # ----------------------------------------------------------------------
 # Engine-level metrics= collection
 # ----------------------------------------------------------------------
 class TestEnsembleMetrics:
-    def test_both_engines_share_payload_schema(self):
+    def test_payload_schema(self):
         spec = EnsembleSpec(
             n_bins=32,
             n_replicas=5,
             rounds=30,
             metrics="max_load,empty_bins,legitimacy,histogram,bin_emptying",
         )
-        for engine, kwargs in (
-            ("batched", {"kernel": "numpy"}),
-            ("sequential", {}),
-        ):
-            result = run_ensemble(spec, seed=0, engine=engine, **kwargs)
-            assert set(result.metrics) == set(spec.metrics)
-            payload = result.metrics["max_load"]
-            assert payload.series["max_load"].shape == (30, 5)
-            assert payload.rounds.tolist() == list(range(1, 31))
-            # tracker window agrees with the engine's exact window at stride 1
-            assert np.array_equal(
-                payload.summaries["window_max"], result.max_load_seen
-            )
-            assert result.metrics["histogram"].arrays["counts"].shape == (5, 257)
-            assert result.metrics["bin_emptying"].arrays[
-                "first_empty_round"
-            ].shape == (5, 32)
+        result = run_ensemble(spec, seed=0, kernel="numpy")
+        assert set(result.metrics) == set(spec.metrics)
+        payload = result.metrics["max_load"]
+        assert payload.series["max_load"].shape == (30, 5)
+        assert payload.rounds.tolist() == list(range(1, 31))
+        # tracker window agrees with the engine's exact window at stride 1
+        assert np.array_equal(payload.summaries["window_max"], result.max_load_seen)
+        assert result.metrics["histogram"].arrays["counts"].shape == (5, 257)
+        assert result.metrics["bin_emptying"].arrays[
+            "first_empty_round"
+        ].shape == (5, 32)
 
-    def test_faulty_engines_share_observation_grid(self):
+    def test_faulty_observation_grid_restarts_at_faults(self):
         spec = EnsembleSpec(
             n_bins=32,
             n_replicas=3,
@@ -240,15 +226,15 @@ class TestEnsembleMetrics:
             metrics="max_load",
             observe_every=4,
         )
-        grids = []
-        for engine, kwargs in (
-            ("batched", {"kernel": "numpy"}),
-            ("sequential", {}),
-        ):
-            result = run_ensemble(spec, seed=1, engine=engine, **kwargs)
-            grids.append(result.metrics["max_load"].rounds.tolist())
-        # the observation stride restarts at each fault in both engines
-        assert grids[0] == grids[1]
+        result = run_ensemble(spec, seed=1, kernel="numpy")
+        # the observation stride restarts at each fault (rounds 20 and 40):
+        # every fault-free stretch is its own observed segment
+        assert result.metrics["max_load"].rounds.tolist() == [
+            4, 8, 12, 16, 19,
+            23, 27, 31, 35, 39,
+            43, 47, 51, 55, 59,
+            60,
+        ]
 
     def test_sharded_batched_concatenates_payloads(self):
         spec = EnsembleSpec(n_bins=16, n_replicas=7, rounds=20, metrics="max_load")
@@ -293,8 +279,7 @@ class TestEnsembleMetrics:
         built = build_trackers("legitimacy", beta=3.0)
         assert built[0][0] == "legitimacy" and built[0][1].beta == 3.0
 
-    @pytest.mark.parametrize("engine", ["sequential", "batched"])
-    def test_zero_round_run_keeps_replica_shaped_payloads(self, engine):
+    def test_zero_round_run_keeps_replica_shaped_payloads(self):
         """Every replica passes the early-stop pre-check: trackers never
         observe, yet payload summaries must stay (R,)-shaped."""
         spec = EnsembleSpec(
@@ -304,7 +289,7 @@ class TestEnsembleMetrics:
             stop_when_legitimate=True,  # balanced start is already legitimate
             metrics="max_load,legitimacy",
         )
-        result = run_ensemble(spec, seed=12, engine=engine, kernel="numpy")
+        result = run_ensemble(spec, seed=12, kernel="numpy")
         assert (result.rounds == 0).all()
         agg = aggregate_ensemble(result)
         assert agg.column("max_load_window_max").shape == (4,)
@@ -384,8 +369,7 @@ class TestPreCheckReportsObservedValue:
         assert loads.sum() == n_bins
         return loads
 
-    @pytest.mark.parametrize("engine", ["sequential", "batched"])
-    def test_already_legitimate_reports_observed_max(self, engine):
+    def test_already_legitimate_reports_observed_max(self):
         n = 64
         threshold = legitimacy_threshold(n, DEFAULT_BETA)
         at_threshold = self._boundary_config(n, int(threshold))
@@ -396,7 +380,7 @@ class TestPreCheckReportsObservedValue:
             start=np.tile(at_threshold, (3, 1)),
             stop_when_legitimate=True,
         )
-        result = run_ensemble(spec, seed=5, engine=engine, kernel="numpy")
+        result = run_ensemble(spec, seed=5, kernel="numpy")
         assert (result.rounds == 0).all()
         assert (result.first_legitimate_round == 0).all()
         # the fixed behavior: the observed max load, not 0
@@ -405,8 +389,7 @@ class TestPreCheckReportsObservedValue:
             result.min_empty_bins_seen == (at_threshold == 0).sum()
         ).all()
 
-    @pytest.mark.parametrize("engine", ["sequential", "batched"])
-    def test_just_above_threshold_runs(self, engine):
+    def test_just_above_threshold_runs(self):
         n = 64
         threshold = legitimacy_threshold(n, DEFAULT_BETA)
         above = self._boundary_config(n, int(threshold) + 1)
@@ -417,7 +400,7 @@ class TestPreCheckReportsObservedValue:
             start=np.tile(above, (2, 1)),
             stop_when_legitimate=True,
         )
-        result = run_ensemble(spec, seed=6, engine=engine, kernel="numpy")
+        result = run_ensemble(spec, seed=6, kernel="numpy")
         assert (result.rounds > 0).all()
         assert (result.max_load_seen > 0).all()
 
@@ -428,23 +411,14 @@ class TestPreCheckReportsObservedValue:
 
         assert not hasattr(ensemble_module, "_window_record")
 
-    def test_run_replica_window_matches_process_run(self):
-        a = RepeatedBallsIntoBins(32, seed=8)
-        b = RepeatedBallsIntoBins(32, seed=8)
-        outcome = a.run(40)
-        record = run_replica_window(b, 40)
-        assert record["window_max_load"] == outcome.max_load_seen
-        assert record["min_empty_bins"] == outcome.min_empty_bins_seen
-        assert np.array_equal(record["final_loads"], np.asarray(a.loads))
-
 
 # ----------------------------------------------------------------------
 # Trace memory guard (satellite)
 # ----------------------------------------------------------------------
 class TestTraceMemoryGuard:
-    def test_sequential_guard(self):
-        recorder = TraceRecorder(max_elements=16)
-        loads = np.ones(8, dtype=np.int64)
+    def test_single_replica_guard(self):
+        recorder = BatchedTraceRecorder(max_elements=16)
+        loads = np.ones(8, dtype=np.int64)  # a 1-D vector is the R == 1 view
         recorder.observe(0, loads)
         recorder.observe(1, loads)
         with pytest.raises(ConfigurationError, match="element budget"):
@@ -469,8 +443,6 @@ class TestTraceMemoryGuard:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             BatchedTraceRecorder(max_elements=0)
-        with pytest.raises(ConfigurationError):
-            TraceRecorder(max_elements=0)
         with pytest.raises(ConfigurationError):
             BatchedTraceRecorder(stride=0)
 

@@ -290,6 +290,17 @@ class TestResolveNThreads:
         monkeypatch.delenv("REPRO_NATIVE_THREADS", raising=False)
         assert resolve_n_threads(n_replicas=1) == 1
 
+    def test_empty_env_counts_as_unset(self, monkeypatch):
+        from repro.core.native import env_n_threads
+
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", " ")
+        assert env_n_threads() is None
+        blank = resolve_n_threads(n_replicas=1000)
+        monkeypatch.delenv("REPRO_NATIVE_THREADS")
+        assert blank == resolve_n_threads(n_replicas=1000)
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", "3")
+        assert env_n_threads() == 3
+
     def test_rejects_bad_values(self, monkeypatch):
         with pytest.raises(ConfigurationError):
             resolve_n_threads(0)
@@ -383,6 +394,16 @@ class TestSweepOversubscriptionGuard:
             report = run_sweep(self.SWEEP, tmp_path, seed=1, n_threads=1)
         assert report.finished
         assert report.store.read_header()["n_threads"] == 1
+
+    def test_empty_env_is_not_an_explicit_request(self, monkeypatch):
+        # an empty REPRO_NATIVE_THREADS reads as unset, as in
+        # resolve_n_threads: no oversubscription warning, nothing capped
+        from repro.sweeps.scheduler import _cap_threads
+
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", "")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _cap_threads(None, 2) is None
 
     def test_default_header_omits_threads_and_resumes(self, tmp_path):
         report = run_sweep(self.SWEEP, tmp_path, seed=1, max_points=1)

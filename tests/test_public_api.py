@@ -36,8 +36,6 @@ MODULES = [
     "repro.core.coupling",
     "repro.core.queueing",
     "repro.core.token_process",
-    "repro.core.metrics",
-    "repro.core.observers",
     "repro.markov.chain",
     "repro.markov.absorbing",
     "repro.markov.small_n",

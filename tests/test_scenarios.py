@@ -4,11 +4,11 @@ Covers the four layers of :mod:`repro.scenarios` — spec validation and
 JSON round-trips, the segment compiler's observation-grid invariance,
 vectorized event application (conservation where required), and the
 interpreter contracts: no-op bit-equality against static runs, ``R = 1``
-stream equality between the batched and sequential drivers under
-events, and the observation clock staying put when events fire between
-grid points.  Also pins the `EnsembleSpec` constructor guards that ride
-along: the fault-schedule-past-window check and the scenario
-compatibility rules.
+stream equality between the interpreter and a hand-segmented
+single-replica run under events, and the observation clock staying put
+when events fire between grid points.  Also pins the `EnsembleSpec`
+constructor guards that ride along: the fault-schedule-past-window check
+and the scenario compatibility rules.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import pytest
 
 from repro.core.batched import BatchedRepeatedBallsIntoBins
 from repro.core.native import native_available
+from repro.core.process import RepeatedBallsIntoBins
 from repro.errors import ConfigurationError, ScenarioError
+from repro.graphs import ConstrainedParallelWalks, resolve_topology
 from repro.parallel.ensemble import EnsembleSpec, run_ensemble
 from repro.scenarios import (
     ScenarioEvent,
@@ -34,6 +36,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.engine import Run
 from repro.scenarios.events import apply_bin_churn, apply_burst, apply_drain
+from repro.scenarios.spec import CONSERVING_KINDS
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="native kernel unavailable (no C compiler)"
@@ -379,6 +382,42 @@ EVENTFUL_SCENARIO = (
 )
 
 
+def _hand_segmented_rbb(n_bins, rounds, scenario, rng):
+    """A scenario window hand-driven on one ``RepeatedBallsIntoBins``.
+
+    Direct ``process.run`` segments between event rounds plus
+    ``apply_event`` edits drawn from the simulator's own generator — the
+    work the interpreter does, without the interpreter.  Window folds
+    follow the engine's: post-step configurations, plus each edited
+    configuration for the maximum.
+    """
+    process = RepeatedBallsIntoBins(n_bins, seed=rng)
+    max_seen, min_empty, first_legit, cursor = 0, n_bins, -1, 0
+
+    def run_until(stop):
+        nonlocal max_seen, min_empty, first_legit, cursor
+        if stop <= cursor:
+            return
+        offset = cursor - process.round_index  # edits restart the clock
+        outcome = process.run(stop - cursor)
+        max_seen = max(max_seen, outcome.max_load_seen)
+        min_empty = min(min_empty, outcome.min_empty_bins_seen)
+        if first_legit < 0 and outcome.first_legitimate_round is not None:
+            first_legit = outcome.first_legitimate_round + offset
+        cursor = stop
+
+    for when, event in resolve_scenario(scenario).expand_events(rounds):
+        run_until(when - 1)
+        edited = apply_event(event, np.array(process.loads).reshape(1, -1), rng)[0]
+        max_seen = max(max_seen, int(edited.max()))
+        if event.kind in CONSERVING_KINDS:
+            process.inject_loads(edited)
+        else:
+            process.reset(initial=edited)
+    run_until(rounds)
+    return process.loads, max_seen, min_empty, first_legit
+
+
 class TestInterpreter:
     def test_noop_scenario_bit_equal_to_static_run(self):
         config = dict(
@@ -407,7 +446,7 @@ class TestInterpreter:
             for key, series in static.metrics[name].series.items():
                 assert np.array_equal(series, noop.metrics[name].series[key])
 
-    def test_r1_stream_equality_with_events(self):
+    def test_r1_stream_equality_with_events(self, single_replica_rng):
         config = dict(
             n_bins=6,
             n_replicas=1,
@@ -418,17 +457,13 @@ class TestInterpreter:
         batched = run_ensemble(
             EnsembleSpec(**config), seed=11, engine="batched", kernel="numpy"
         )
-        sequential = run_ensemble(
-            EnsembleSpec(**config), seed=11, engine="sequential"
+        loads, max_seen, min_empty, first_legit = _hand_segmented_rbb(
+            6, 12, EVENTFUL_SCENARIO, single_replica_rng(11)
         )
-        assert np.array_equal(batched.final_loads, sequential.final_loads)
-        assert np.array_equal(batched.max_load_seen, sequential.max_load_seen)
-        assert np.array_equal(
-            batched.min_empty_bins_seen, sequential.min_empty_bins_seen
-        )
-        assert np.array_equal(
-            batched.first_legitimate_round, sequential.first_legitimate_round
-        )
+        assert np.array_equal(batched.final_loads[0], loads)
+        assert batched.max_load_seen[0] == max_seen
+        assert batched.min_empty_bins_seen[0] == min_empty
+        assert batched.first_legitimate_round[0] == first_legit
 
     def test_ball_accounting_across_events(self):
         spec = EnsembleSpec(
@@ -462,7 +497,7 @@ class TestInterpreter:
             12,
         )
 
-    def test_rewire_scenario_switches_topology(self):
+    def test_rewire_scenario_switches_topology(self, single_replica_rng):
         spec = EnsembleSpec(
             n_bins=4,
             n_replicas=2,
@@ -476,9 +511,10 @@ class TestInterpreter:
             ),
         )
         batched = run_ensemble(spec, seed=5, engine="batched", kernel="numpy")
-        sequential = run_ensemble(spec, seed=5, engine="sequential")
+        assert batched.final_loads.shape == (2, 4)
         assert np.all(batched.final_loads.sum(axis=1) == 4)
-        # R>1 rewire keeps per-replica streams going; the R=1 slice agrees
+        # at R = 1 the rewire equals a hand-segmented run: the same stream
+        # continues on the new topology from the current loads
         spec1 = EnsembleSpec(
             n_bins=4,
             n_replicas=1,
@@ -488,9 +524,14 @@ class TestInterpreter:
             scenario=spec.scenario,
         )
         b1 = run_ensemble(spec1, seed=5, engine="batched", kernel="numpy")
-        s1 = run_ensemble(spec1, seed=5, engine="sequential")
-        assert np.array_equal(b1.final_loads, s1.final_loads)
-        assert sequential.final_loads.shape == (2, 4)
+        rng = single_replica_rng(5)
+        walks = ConstrainedParallelWalks(resolve_topology("cycle:4"), seed=rng)
+        walks.run(3)
+        walks = ConstrainedParallelWalks(
+            resolve_topology("star:4"), initial=walks.loads, seed=rng
+        )
+        walks.run(5)
+        assert np.array_equal(b1.final_loads[0], walks.loads)
 
 
 def _process_builders():
@@ -599,9 +640,6 @@ class TestObservationClock:
 
     def test_batched_numpy(self):
         assert self._rounds(engine="batched", kernel="numpy") == self.EXPECTED
-
-    def test_sequential(self):
-        assert self._rounds(engine="sequential") == self.EXPECTED
 
     @needs_native
     def test_native_fused(self):

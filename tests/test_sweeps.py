@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -238,6 +239,25 @@ class TestScheduler:
         report = resume_sweep(store_dir)
         assert report.finished and report.n_run == 2
         assert sweep_status(store_dir).finished
+
+    def test_removed_sequential_engine_refused_before_any_point(self, tmp_path):
+        store_dir = tmp_path / "store"
+        with pytest.raises(ConfigurationError, match="removed.*kernel='numpy'"):
+            run_sweep(tiny_spec(), store_dir, seed=1, engine="sequential")
+        assert not store_dir.exists()  # refused before the store was created
+
+    def test_resume_of_sequential_store_refused(self, tmp_path):
+        store_dir = tmp_path / "store"
+        run_sweep(tiny_spec(), store_dir, seed=1, kernel="numpy", max_points=1)
+        header_path = store_dir / ResultStore.HEADER_NAME
+        header = json.loads(header_path.read_text())
+        header["engine"] = "sequential"  # a store written by the removed engine
+        header_path.write_text(json.dumps(header, sort_keys=True) + "\n")
+        manifest = (store_dir / ResultStore.MANIFEST_NAME).read_bytes()
+        with pytest.raises(ConfigurationError, match="removed.*kernel='numpy'"):
+            resume_sweep(store_dir)
+        # no point ran: the manifest is untouched
+        assert (store_dir / ResultStore.MANIFEST_NAME).read_bytes() == manifest
 
     def test_resume_requires_header(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -79,7 +79,6 @@ class TestCatalog:
 
     def test_every_engine_coordinate_is_covered_in_smoke(self):
         labels = {c.engine_label for c in build_cases("smoke")}
-        assert "sequential" in labels
         assert "batched/numpy" in labels
         assert "batched/numpy/w2" in labels
         assert any(l.startswith("batched/native") and l.endswith("fused") for l in labels)
@@ -91,11 +90,11 @@ class TestCatalog:
         with pytest.raises(ConfigurationError):
             build_cases("bogus")
         with pytest.raises(ConfigurationError):
-            case_by_name("rbb-sequential", level="bogus")
+            case_by_name("rbb-batched-numpy", level="bogus")
 
     def test_case_by_name_round_trips(self):
         case = case_by_name("rbb-batched-numpy", level="smoke")
-        assert case.engine == "batched"
+        assert case.engine_label == "batched/numpy"
         with pytest.raises(ConfigurationError):
             case_by_name("no-such-case", level="smoke")
 
@@ -109,7 +108,6 @@ def _tiny_case(R: int = 300, horizons=(2,), name: str = "tiny-rbb") -> Conforman
             "rounds": max(horizons),
             "start": "all_in_one",
         },
-        engine="batched",
         kernel="numpy",
         horizons=horizons,
         checks=DEFAULT_CHECKS,
@@ -215,6 +213,20 @@ class TestArtifactRoundTrip:
         data = json.loads(open(path).read())
         assert data["format_version"] == 1
 
+    def test_replay_of_sequential_artifact_names_replacement(self, tmp_path):
+        artifact = CounterexampleArtifact(
+            kind="conformance",
+            case="rbb-sequential",
+            check="state@t=4",
+            seed_entropy=1,
+            spec={"n_bins": 3, "n_replicas": 600, "rounds": 4},
+            engine={"engine": "sequential", "kernel": "numpy", "n_workers": 1},
+            violation={"alpha": 1e-6},
+        )
+        path = write_artifact(artifact, str(tmp_path))
+        with pytest.raises(ConfigurationError, match="removed.*kernel='numpy'"):
+            replay_artifact(path)
+
     def test_unknown_format_version_rejected(self, tmp_path):
         artifact = CounterexampleArtifact(
             kind="conformance",
@@ -235,29 +247,11 @@ class TestArtifactRoundTrip:
 class TestShardedSeeding:
     """Satellite: verifier streams match engine streams across shard counts.
 
-    The sequential engine derives one stream per *trial* from
-    ``trial_seed(root, i)``, so worker count is purely an execution knob:
-    results are bit-identical for n_workers in {1, 2}.  The batched
-    engine derives one stream per *shard*, so different worker counts
+    The engine derives one stream per *shard*, so different worker counts
     give different (distributionally equal) draws — which is exactly why
     the catalog distribution-tests the sharded coordinate instead of
     bit-comparing it.
     """
-
-    def test_sequential_engine_bit_identical_across_worker_counts(self):
-        from repro.parallel.ensemble import EnsembleSpec, run_ensemble
-
-        spec = EnsembleSpec(
-            n_bins=3, n_replicas=16, rounds=4, start="all_in_one"
-        )
-        one = run_ensemble(spec, seed=123, engine="sequential", n_workers=1)
-        two = run_ensemble(spec, seed=123, engine="sequential", n_workers=2)
-        assert np.array_equal(one.final_loads, two.final_loads)
-        assert np.array_equal(one.max_load_seen, two.max_load_seen)
-        assert np.array_equal(one.min_empty_bins_seen, two.min_empty_bins_seen)
-        assert np.array_equal(
-            one.first_legitimate_round, two.first_legitimate_round
-        )
 
     def test_trial_seed_matches_spawn_and_survives_reconstruction(self):
         from repro.parallel.seeding import trial_seed
@@ -290,7 +284,6 @@ class TestShardedSeeding:
                 "rounds": 2,
                 "start": "all_in_one",
             },
-            engine="batched",
             kernel="numpy",
             n_workers=2,
             horizons=(2,),

@@ -47,15 +47,6 @@ class TestNoopEquality:
         )
         assert diffs == []
 
-    def test_equality_holds_on_sequential(self):
-        diffs = run_noop_equality(
-            {"n_bins": 3, "n_replicas": 8, "start": "all_in_one"},
-            4,
-            seed=9,
-            engine="sequential",
-        )
-        assert diffs == []
-
     def test_noop_differences_reports_mismatches(self):
         from repro.parallel.ensemble import run_ensemble
 

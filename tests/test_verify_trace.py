@@ -37,10 +37,6 @@ class TestInvariantsHold:
         result = check_trace_invariants(BASE_SPEC, seed=0)
         assert result.passed, [v.describe() for v in result.violations]
 
-    def test_sequential(self):
-        result = check_trace_invariants(BASE_SPEC, seed=1, engine="sequential")
-        assert result.passed, [v.describe() for v in result.violations]
-
     @needs_native
     def test_batched_native_two_threads(self):
         result = check_trace_invariants(
