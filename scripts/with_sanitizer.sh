@@ -11,7 +11,10 @@
 # defaults, and then — before running anything — asserts that both
 # kernels actually load instrumented.  A sanitizer leg that silently
 # fell back to the numpy kernels would test nothing, so the fallback is
-# an error here, never a skip.
+# an error here, never a skip.  Under tsan it also asserts that both
+# kernels thread through pthreads: an OpenMP build would hide its
+# fork/join edges from the race detector (stock libgomp is not
+# TSan-instrumented), so the loader never builds one for tsan.
 #
 # The probe and the command both run as children of a small Python
 # driver rather than directly from this shell: TSan's startup is
@@ -75,12 +78,16 @@ if runtime:
     env["LD_PRELOAD"] = f"{runtime}:{tail}" if tail else runtime
 
 probe = (
-    "from repro.core.native import native_available, native_status, sanitize_mode\n"
+    "from repro.core.native import (\n"
+    "    native_available, native_status, native_threading, sanitize_mode)\n"
     "mode = sanitize_mode()\n"
     "for kernel in ('rbb', 'walks'):\n"
     "    status = native_status(kernel)\n"
     "    assert native_available(kernel), f'{kernel}: {status}'\n"
     "    assert f'[sanitize={mode}]' in status, f'{kernel}: {status}'\n"
+    "    if mode == 'tsan':\n"
+    "        threading = native_threading(kernel)\n"
+    "        assert threading == 'pthreads', f'{kernel}: {threading}: {status}'\n"
     "    print(f'[with_sanitizer] {kernel}: {status}', flush=True)\n"
 )
 rc = subprocess.run([sys.executable, "-c", probe], env=env).returncode

@@ -176,7 +176,11 @@ class BatchedFaultyProcess:
             self._rng = seed
             process_seq: SeedLike = seed
         else:
-            adversary_seq, process_seq = as_seed_sequence(seed).spawn(2)
+            # function-level: repro.parallel imports this module
+            from ..parallel.seeding import trial_seed
+
+            root = as_seed_sequence(seed)
+            adversary_seq, process_seq = trial_seed(root, 0), trial_seed(root, 1)
             self._rng = np.random.default_rng(adversary_seq)
         if process is not None:
             if n_balls is not None or initial is not None:

@@ -20,6 +20,12 @@
  * handed out dynamically (one replica at a time) in both threaded
  * backends, so early-stopped replicas do not leave threads idle.
  *
+ * ThreadSanitizer builds never compile the OpenMP backend: stock libgomp
+ * is not TSan-instrumented, so the race detector cannot see a parallel
+ * region's fork/join edges.  The loader skips -fopenmp under
+ * REPRO_SANITIZE=tsan, and TSan builds thread through the pthreads pool,
+ * whose create/join edges TSan understands.
+ *
  * Determinism: a replica's trajectory depends only on its own RNG state,
  * never on which thread ran it or how many threads exist, so results are
  * bit-identical for every n_threads value.
@@ -108,20 +114,6 @@ static inline uint32_t bounded(lanes_t *L, uint32_t d, uint32_t lim)
 #define REPRO_THREAD_MODEL 0
 #endif
 
-#if defined(__SANITIZE_THREAD__)
-#define REPRO_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define REPRO_TSAN 1
-#endif
-#endif
-#ifndef REPRO_TSAN
-#define REPRO_TSAN 0
-#endif
-#if REPRO_TSAN
-#include <stdatomic.h>
-#endif
-
 /* Hard cap on worker threads (bounds the fixed-size thread tables). */
 #define REPRO_MAX_THREADS 256
 
@@ -135,24 +127,6 @@ REPRO_ABI int repro_threading_model(void)
 /* fn(ctx, r, tid): advance replica r; tid < n_threads identifies the
  * executing thread so per-thread scratch can be sliced. */
 typedef void (*repro_replica_fn)(void *ctx, int64_t r, int tid);
-
-#if REPRO_TSAN && REPRO_THREAD_MODEL == 2
-/* TSan-visible OpenMP dispatch (see repro_for_each_replica below).
- * Workers locate the region descriptor through a file-scope atomic so
- * that their first read of main-thread-written memory is an acquire
- * load; a spinlock serializes concurrent callers' use of that static. */
-typedef struct {
-    void *ctx;
-    repro_replica_fn fn;
-    int64_t R;
-    atomic_int_fast64_t cursor; /* next replica to hand out */
-    atomic_int team;            /* actual team size (master writes it) */
-    atomic_int exited;          /* threads done touching this struct */
-} repro_tsan_region_t;
-
-static _Atomic(repro_tsan_region_t *) repro_tsan_region;
-static atomic_flag repro_tsan_region_lock = ATOMIC_FLAG_INIT;
-#endif
 
 #if REPRO_THREAD_MODEL == 1
 typedef struct {
@@ -189,75 +163,10 @@ static void repro_for_each_replica(void *ctx, repro_replica_fn fn, int64_t R,
         n_threads = 1;
 #if REPRO_THREAD_MODEL == 2
     if (n_threads > 1) {
-#if REPRO_TSAN
-        /* Stock libgomp is not built with TSan support, so every
-         * synchronization edge of a parallel region — the fork, the
-         * join barrier, and the reads of the compiler-generated shared
-         * struct at region entry — is invisible to the race detector,
-         * and every main-thread access to the buffers before or after
-         * the region (numpy allocation, result reads, the final free)
-         * reports as racing with worker writes inside it.
-         *
-         * This block rebuilds the same edges out of TSan-visible C11
-         * atomics.  The region body references ONLY the file-scope
-         * `repro_tsan_region` static (so gcc's outlined function gets
-         * no shared-struct argument whose unsynchronized reads would
-         * themselves report as races): a worker's first read of
-         * main-written memory is the acquire load of the descriptor
-         * pointer, pairing with the caller's release store (fork edge);
-         * a worker's LAST access to the descriptor is its release
-         * increment of `exited`, and the caller's acquire spin on
-         * `exited == team` pairs with those (join edge), ordering even
-         * the final empty `cursor` probe before the caller reuses the
-         * stack.  The spin never actually waits — GOMP_parallel has
-         * already joined by then.  The atomic `cursor` reproduces
-         * schedule(dynamic).  Worker-vs-worker races in the replica
-         * bodies remain fully detectable; fast builds compile the
-         * plain parallel-for below instead. */
-        repro_tsan_region_t region;
-        region.ctx = ctx;
-        region.fn = fn;
-        region.R = R;
-        atomic_init(&region.cursor, 0);
-        atomic_init(&region.team, 1);
-        atomic_init(&region.exited, 0);
-        while (atomic_flag_test_and_set_explicit(&repro_tsan_region_lock,
-                                                 memory_order_acquire))
-            ;
-        atomic_store_explicit(&repro_tsan_region, &region,
-                              memory_order_release);
-#pragma omp parallel num_threads(n_threads)
-        {
-            repro_tsan_region_t *s = atomic_load_explicit(
-                &repro_tsan_region, memory_order_acquire);
-            const int tid = omp_get_thread_num();
-            if (tid == 0) /* the master IS the caller (same thread) */
-                atomic_store_explicit(&s->team, omp_get_num_threads(),
-                                      memory_order_relaxed);
-            for (;;) {
-                const int64_t r = atomic_fetch_add_explicit(
-                    &s->cursor, 1, memory_order_relaxed);
-                if (r >= s->R)
-                    break;
-                s->fn(s->ctx, r, tid);
-            }
-            atomic_fetch_add_explicit(&s->exited, 1, memory_order_release);
-        }
-        {
-            const int team =
-                atomic_load_explicit(&region.team, memory_order_relaxed);
-            while (atomic_load_explicit(&region.exited,
-                                        memory_order_acquire) < team)
-                ;
-        }
-        atomic_flag_clear_explicit(&repro_tsan_region_lock,
-                                   memory_order_release);
-#else
         int64_t r;
 #pragma omp parallel for schedule(dynamic) num_threads(n_threads)
         for (r = 0; r < R; r++)
             fn(ctx, r, omp_get_thread_num());
-#endif
         return;
     }
 #elif REPRO_THREAD_MODEL == 1

@@ -12,10 +12,12 @@ provides the batched-process layer those ensembles run on:
 :class:`BatchedLoadProcess`
     The shared machinery — state validation, per-replica round counters and
     freeze masks, the window-metric ``run`` loop, ball-conservation checks,
-    and fault injection via :meth:`~BatchedLoadProcess.inject_loads`.
-    Subclasses implement one method (:meth:`~BatchedLoadProcess._advance`)
-    to define their round dynamics; ``repro.baselines.d_choices`` uses this
-    to batch the Greedy[d] allocator.
+    fault injection via :meth:`~BatchedLoadProcess.inject_loads`, and the
+    one native-kernel call path.  Subclasses implement one method
+    (:meth:`~BatchedLoadProcess._advance`) to define their numpy round
+    dynamics; ``repro.baselines.d_choices`` uses this to batch the
+    Greedy[d] allocator.  A subclass with a compiled kernel names it in
+    ``native_kernel``.
 :class:`BatchedRepeatedBallsIntoBins`
     The paper's process.  A round advances **all** replicas with a single
     flat random draw plus one ``np.bincount`` over the combined index space
@@ -30,16 +32,23 @@ Two kernels drive the repeated balls-into-bins update:
     the same seed it consumes the generator identically and reproduces the
     single-replica trajectory step for step.
 ``native`` (fast)
-    A small C kernel (see ``rbb_kernel.c``) compiled on demand and driven
-    through :mod:`ctypes`; each replica owns an independent xoshiro256++
+    A small C kernel (see ``rbb_kernel.c``) compiled on demand by
+    :mod:`repro.core.native`; each replica owns an independent xoshiro256++
     stream seeded from the same root seed.  Trajectories differ from the
     numpy kernel (different generator) but follow the same distribution;
     whole ``run()`` calls collapse into a single FFI call, which is where
     the order-of-magnitude ensemble speedups come from.
 
 ``kernel="auto"`` (the default) uses the native kernel when a C compiler is
-available and falls back to numpy silently otherwise.  Set the environment
-variable ``REPRO_NATIVE=0`` to force the numpy kernel everywhere.
+available and the state fits its int32 representation, and falls back to
+numpy silently otherwise (``EnsembleResult.kernel`` says which ran).  Set
+the environment variable ``REPRO_NATIVE=0`` to force the numpy kernel
+everywhere.
+
+Every native kernel — this module's ``rbb`` and the graph walks' ``walks`` —
+runs through :class:`BatchedLoadProcess`: the kernel choice, the int32
+guard, fused or segmented observation, and one call whose arguments are
+built by C parameter name (:func:`repro.core.native.kernel_args`).
 
 Example
 -------
@@ -56,7 +65,6 @@ vector:
 
 from __future__ import annotations
 
-import ctypes
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Union, runtime_checkable
@@ -64,7 +72,7 @@ from typing import Dict, List, Optional, Protocol, Union, runtime_checkable
 import numpy as np
 
 from .config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
-from .native import get_kernel, native_status, resolve_n_threads
+from .native import get_kernel, kernel_args, native_status, resolve_n_threads
 from ..errors import ConfigurationError, SimulationError
 from ..metrics.base import BatchedObserverList
 from ..metrics.fused import FusedSegmentStats, fused_needs_moments, supports_fused
@@ -339,11 +347,13 @@ class BatchedLoadProcess:
     """Shared machinery for vectorized ensembles of load-level processes.
 
     Holds the ``(R, n)`` load matrix, per-replica round counters and
-    activity masks, the window-metric ``run`` loop, and the
-    ball-conservation invariant.  Subclasses define one round of dynamics by
-    implementing :meth:`_advance`; :class:`BatchedRepeatedBallsIntoBins`
-    additionally overrides :meth:`_run_window` to dispatch to the compiled
-    kernel.
+    activity masks, the window-metric ``run`` loop, the
+    ball-conservation invariant, and the one native-kernel call path.
+    Subclasses define one round of dynamics by implementing
+    :meth:`_advance` (the numpy reference kernel); a subclass with a
+    compiled kernel names it in :attr:`native_kernel` and may add
+    kernel-specific arguments through :meth:`_native_extra_args` and
+    size guards through :meth:`_native_supported`.
 
     Parameters
     ----------
@@ -361,6 +371,10 @@ class BatchedLoadProcess:
     seed:
         Seed-like value; an existing :class:`numpy.random.Generator` is
         used as-is, anything else is normalized through ``SeedSequence``.
+    kernel:
+        ``"numpy"`` (reference), ``"native"`` (compiled; raises when the
+        subclass has no native kernel or it cannot load), or ``"auto"``
+        (native when possible, numpy otherwise).
     n_threads:
         Worker threads for native-kernel calls (replica-axis
         parallelism).  ``None`` defers to ``REPRO_NATIVE_THREADS`` and
@@ -380,6 +394,10 @@ class BatchedLoadProcess:
     #: Kernel label reported in :class:`EnsembleResult` by the generic loop.
     kernel_name = "numpy"
 
+    #: Name of the compiled kernel in :mod:`repro.core.native` that can
+    #: advance this process, or ``None`` for a numpy-only process.
+    native_kernel: Optional[str] = None
+
     def __init__(
         self,
         n_bins: int,
@@ -387,8 +405,23 @@ class BatchedLoadProcess:
         n_balls: Optional[int] = None,
         initial: Union[LoadConfiguration, np.ndarray, None] = None,
         seed: SeedLike = None,
+        kernel: str = "auto",
         n_threads: Optional[int] = None,
     ) -> None:
+        if kernel not in ("auto", "numpy", "native"):
+            raise ConfigurationError(
+                f"kernel must be 'auto', 'numpy' or 'native', got {kernel!r}"
+            )
+        if kernel == "native":
+            if self.native_kernel is None:
+                raise ConfigurationError(
+                    f"{type(self).__name__} has no native kernel"
+                )
+            if get_kernel(self.native_kernel) is None:
+                raise ConfigurationError(
+                    f"native {self.native_kernel!r} kernel requested but "
+                    f"unavailable ({native_status(self.native_kernel)})"
+                )
         if n_bins < 1:
             raise ConfigurationError(f"n_bins must be >= 1, got {n_bins}")
         if n_replicas < 1:
@@ -413,6 +446,7 @@ class BatchedLoadProcess:
             self._seed_seq = as_seed_sequence(seed)
             self._rng = np.random.default_rng(self._seed_seq)
         self._row_base = np.arange(n_replicas, dtype=np.int64) * n_bins
+        self._kernel = kernel
         self._native_state: Optional[np.ndarray] = None
 
     def _coerce_initial(self, initial, n_balls: Optional[int]) -> np.ndarray:
@@ -613,63 +647,62 @@ class BatchedLoadProcess:
         self, rounds, threshold, stop_when_legitimate, first_legit, observers,
         observe_every,
     ):
-        """Reference window loop; returns ``(max_seen, min_empty, kernel)``.
+        """Advance the window; returns ``(max_seen, min_empty, kernel)``.
 
-        Delegates to the shared implementation in
-        :func:`repro.metrics.window.run_window`.
+        Runs the native kernel when :attr:`native_kernel` names one that
+        loads, the ``kernel=`` choice allows it, and the state fits the
+        kernel's int32 representation; otherwise the numpy reference loop
+        in :func:`repro.metrics.window.run_window`.  ``kernel="native"``
+        refuses a state that does not fit instead of downgrading.
         """
-        max_seen, min_empty, _, _ = run_window(
-            self,
-            rounds,
-            threshold,
-            stop_when_legitimate=stop_when_legitimate,
-            first_legit=first_legit,
-            observers=observers,
-            observe_every=observe_every,
-        )
-        return max_seen, min_empty, self.kernel_name
-
-    def _run_window_native(
-        self, kernel, rounds, threshold, stop_when_legitimate, first_legit,
-        observers, observe_every,
-    ):
-        """Drive a subclass's ``_run_native`` through the shared
-        observed-segmentation loop.
-
-        Unobserved runs collapse into a single kernel call.  Observed runs
-        prefer *fused* observation: when every attached observer can
-        ingest in-kernel partials (see :mod:`repro.metrics.fused`), the
-        kernel records the per-observation-point reductions itself and
-        the whole window is still one FFI call.  Otherwise the run
-        advances ``observe_every`` rounds per FFI call and observers see
-        the state between segments; every native kernel consumes its
-        per-replica streams round by round, so segmented, fused, and
-        whole-window runs follow the exact same trajectory.  Shared by
-        the rbb and walk kernels so this logic exists exactly once.
-        """
-        if observers is None or observers.is_empty:
-            max_seen, min_empty = self._run_native(
-                kernel, rounds, threshold, stop_when_legitimate, first_legit
+        kernel = None
+        if self.native_kernel is not None and self._kernel != "numpy":
+            kernel = get_kernel(self.native_kernel)
+        if kernel is not None and not self._native_supported():
+            if self._kernel == "native":
+                raise ConfigurationError(
+                    f"native {self.native_kernel!r} kernel requested but the "
+                    "state does not fit its int32 representation (sizes and "
+                    "per-replica ball counts must stay below 2**31)"
+                )
+            kernel = None
+        if kernel is None:
+            max_seen, min_empty, _, _ = run_window(
+                self,
+                rounds,
+                threshold,
+                stop_when_legitimate=stop_when_legitimate,
+                first_legit=first_legit,
+                observers=observers,
+                observe_every=observe_every,
             )
-            return max_seen, min_empty, "native"
-        if self._fusable(observers, rounds, stop_when_legitimate):
+            return max_seen, min_empty, self.kernel_name
+        observed = not observers.is_empty
+        if observed and self._fusable(observers, rounds, stop_when_legitimate):
             return self._run_native_fused(
                 kernel, rounds, threshold, first_legit, observers,
                 observe_every,
             )
+        # Segmented loop: observed runs advance ``observe_every`` rounds per
+        # kernel call and observers see the state between segments; an
+        # unobserved run is one segment.  Every native kernel consumes its
+        # per-replica streams round by round, so segmented, fused and
+        # whole-window runs follow the exact same trajectory.
+        stride = observe_every if observed else rounds
         R, n = self._n_replicas, self._n_bins
         max_seen = np.zeros(R, dtype=np.int64)
         min_empty = np.full(R, n, dtype=np.int64)
         done = 0
         while done < rounds and self._active.any():
-            segment = min(observe_every, rounds - done)
+            segment = min(stride, rounds - done)
             seg_max, seg_min = self._run_native(
                 kernel, segment, threshold, stop_when_legitimate, first_legit
             )
             np.maximum(max_seen, seg_max, out=max_seen)
             np.minimum(min_empty, seg_min, out=min_empty)
             done += segment
-            observers.observe(int(self._rounds_done.max()), self.loads)
+            if observed:
+                observers.observe(int(self._rounds_done.max()), self.loads)
         return max_seen, min_empty, "native"
 
     def _fusable(self, observers, rounds, stop_when_legitimate) -> bool:
@@ -738,16 +771,62 @@ class BatchedLoadProcess:
             observer.ingest_fused(stats)
         return max_seen, min_empty, "native"
 
+    def _native_supported(self) -> bool:
+        """Whether the state fits the native kernels' int32 representation."""
+        return bool(self._n_bins < 2**31 and (self._n_balls < 2**31 - 1).all())
+
+    def _native_extra_args(self, n_threads: int) -> Dict[str, object]:
+        """Kernel arguments beyond the shared state, by C parameter name."""
+        return {}
+
     def _run_native(
         self, kernel, rounds, threshold, stop_when_legitimate, first_legit,
         obs=None,
     ):
-        """One native-kernel call advancing up to ``rounds`` rounds
-        (kernel-owning subclasses implement this).  ``obs`` is ``None``
-        or a ``(observe_every, obs_max, obs_empty, obs_sum, obs_sumsq)``
-        tuple of fused-observation output buffers (the moment buffers may
-        be ``None``)."""
-        raise NotImplementedError
+        """One native-kernel call advancing up to ``rounds`` rounds.
+
+        ``obs`` is ``None`` or a ``(observe_every, obs_max, obs_empty,
+        obs_sum, obs_sumsq)`` tuple of fused-observation output buffers
+        (the moment buffers may be ``None``).  The loads round-trip
+        through an int32 copy; the round counters and ``first_legit`` are
+        written in place.  Returns the window's ``(max_seen, min_empty)``.
+        """
+        R = self._n_replicas
+        loads32 = np.ascontiguousarray(self._loads, dtype=np.int32)
+        max_seen = np.zeros(R, dtype=np.int32)
+        min_empty = np.full(R, self._n_bins, dtype=np.int32)
+        active8 = np.ascontiguousarray(self._active, dtype=np.uint8)
+        n_threads = resolve_n_threads(
+            self._n_threads, R, kernel=self.native_kernel
+        )
+        observe_every, obs_max, obs_empty, obs_sum, obs_sumsq = (
+            (1, None, None, None, None) if obs is None else obs
+        )
+        kernel(*kernel_args(self.native_kernel, {
+            "loads": loads32,
+            "R": R,
+            "n": self._n_bins,
+            "rounds": rounds,
+            "rng_state": self._native_states(),
+            "threshold": threshold,
+            "stop_when_legitimate": stop_when_legitimate,
+            "max_seen": max_seen,
+            "min_empty_seen": min_empty,
+            "first_legit": first_legit,
+            "rounds_done": self._rounds_done,
+            "active": active8,
+            "n_threads": n_threads,
+            "observe_every": observe_every,
+            "n_obs": 0 if obs_max is None else obs_max.shape[0],
+            "obs_max": obs_max,
+            "obs_empty": obs_empty,
+            "obs_sum": obs_sum,
+            "obs_sumsq": obs_sumsq,
+            **self._native_extra_args(n_threads),
+        }))
+        self._loads[...] = loads32
+        self._active[...] = active8.astype(bool)
+        return max_seen.astype(np.int64), min_empty.astype(np.int64)
 
     # ------------------------------------------------------------------
     # Conveniences
@@ -862,17 +941,23 @@ class BatchedLoadProcess:
         """Per-replica xoshiro256++ states, seeded once per instance.
 
         Shared by every native kernel (`rbb_kernel.c`, `walk_kernel.c`):
-        each replica's 4-word state comes from its own spawned
-        ``SeedSequence`` child, so a replica's native trajectory depends
-        only on its seed words, not on the batch size.
+        replica ``r``'s 4-word state comes from ``trial_seed(seed, r)``, so
+        a replica's native trajectory depends only on the seed and its
+        index — not on the batch size, and not on whether the seed object
+        was used before (``SeedSequence.spawn`` would advance it).
         """
         if self._native_state is None:
+            # function-level: repro.parallel imports this module
+            from ..parallel.seeding import trial_seed
+
             R = self._n_replicas
             if self._seed_seq is not None:
-                children = self._seed_seq.spawn(R)
-                state = np.stack(
-                    [c.generate_state(4, dtype=np.uint64) for c in children]
-                )
+                state = np.stack([
+                    trial_seed(self._seed_seq, r).generate_state(
+                        4, dtype=np.uint64
+                    )
+                    for r in range(R)
+                ])
             else:  # seeded from a caller-provided Generator
                 state = self._rng.integers(
                     0, np.iinfo(np.uint64).max, size=(R, 4), dtype=np.uint64,
@@ -902,45 +987,13 @@ class BatchedLoadProcess:
 class BatchedRepeatedBallsIntoBins(BatchedLoadProcess):
     """Vectorized ensemble of ``R`` independent repeated balls-into-bins runs.
 
-    Parameters
-    ----------
-    n_bins, n_replicas, n_balls, initial:
-        As for :class:`BatchedLoadProcess`.
-    seed:
-        Seed-like value; with ``R == 1`` and the numpy kernel the trajectory
-        matches :class:`~repro.core.process.RepeatedBallsIntoBins` under the
-        same seed, step for step.
-    kernel:
-        ``"numpy"`` (reference), ``"native"`` (compiled; raises when no C
-        compiler is available), or ``"auto"`` (native when possible).
-    n_threads:
-        Worker threads for native-kernel calls; see
-        :class:`BatchedLoadProcess`.  Never changes results.
+    Parameters are those of :class:`BatchedLoadProcess`.  With ``R == 1``
+    and the numpy kernel the trajectory matches
+    :class:`~repro.core.process.RepeatedBallsIntoBins` under the same seed,
+    step for step; the native kernel is ``rbb_kernel.c``.
     """
 
-    def __init__(
-        self,
-        n_bins: int,
-        n_replicas: int,
-        n_balls: Optional[int] = None,
-        initial: Union[LoadConfiguration, np.ndarray, None] = None,
-        seed: SeedLike = None,
-        kernel: str = "auto",
-        n_threads: Optional[int] = None,
-    ) -> None:
-        if kernel not in ("auto", "numpy", "native"):
-            raise ConfigurationError(
-                f"kernel must be 'auto', 'numpy' or 'native', got {kernel!r}"
-            )
-        if kernel == "native" and get_kernel() is None:
-            raise ConfigurationError(
-                f"native kernel requested but unavailable ({native_status()})"
-            )
-        super().__init__(
-            n_bins, n_replicas, n_balls=n_balls, initial=initial, seed=seed,
-            n_threads=n_threads,
-        )
-        self._kernel = kernel
+    native_kernel = "rbb"
 
     # ------------------------------------------------------------------
     # Dynamics — numpy reference kernel
@@ -965,94 +1018,3 @@ class BatchedRepeatedBallsIntoBins(BatchedLoadProcess):
             loads += one_choice_arrivals(
                 self._rng, self._row_base, counts, self._n_replicas, self._n_bins
             )
-
-    def _run_window(
-        self, rounds, threshold, stop_when_legitimate, first_legit, observers,
-        observe_every,
-    ):
-        kernel = get_kernel() if self._kernel in ("auto", "native") else None
-        if kernel is not None and not self._native_supported():
-            if self._kernel == "native":
-                raise ConfigurationError(
-                    "native kernel requested but the state does not fit its "
-                    "int32 load representation (n_bins and per-replica ball "
-                    "counts must stay below 2**31)"
-                )
-            kernel = None
-        if kernel is None:
-            return super()._run_window(
-                rounds, threshold, stop_when_legitimate, first_legit, observers,
-                observe_every,
-            )
-        return self._run_window_native(
-            kernel, rounds, threshold, stop_when_legitimate, first_legit,
-            observers, observe_every,
-        )
-
-    # ------------------------------------------------------------------
-    # Dynamics — native kernel
-    # ------------------------------------------------------------------
-    def _native_supported(self) -> bool:
-        return bool(
-            self._n_bins < 2**31
-            and (self._n_balls < 2**31 - 1).all()
-        )
-
-    def _run_native(
-        self, kernel, rounds, threshold, stop_when_legitimate, first_legit,
-        obs=None,
-    ):
-        R = self._n_replicas
-        loads32 = np.ascontiguousarray(self._loads, dtype=np.int32)
-        states = self._native_states()
-        max_seen = np.zeros(R, dtype=np.int32)
-        min_empty = np.full(R, self._n_bins, dtype=np.int32)
-        active8 = np.ascontiguousarray(self._active, dtype=np.uint8)
-        rounds_done = np.ascontiguousarray(self._rounds_done)
-        first64 = np.ascontiguousarray(first_legit)
-        n_threads = resolve_n_threads(self._n_threads, R, kernel="rbb")
-        if obs is None:
-            observe_every, n_obs = 1, 0
-            obs_max = obs_empty = obs_sum = obs_sumsq = None
-        else:
-            observe_every, obs_max, obs_empty, obs_sum, obs_sumsq = obs
-            n_obs = int(obs_max.shape[0])
-
-        def ptr(arr, ctype):
-            if arr is None:
-                return None  # NULL: kernel skips the optional output
-            return arr.ctypes.data_as(ctypes.POINTER(ctype))
-
-        kernel(
-            ptr(loads32, ctypes.c_int32),
-            ctypes.c_int64(R),
-            ctypes.c_int64(self._n_bins),
-            ctypes.c_int64(rounds),
-            ptr(states, ctypes.c_uint64),
-            ctypes.c_double(threshold),
-            ctypes.c_int(1 if stop_when_legitimate else 0),
-            ptr(max_seen, ctypes.c_int32),
-            ptr(min_empty, ctypes.c_int32),
-            ptr(first64, ctypes.c_int64),
-            ptr(rounds_done, ctypes.c_int64),
-            ptr(active8, ctypes.c_uint8),
-            ctypes.c_int32(n_threads),
-            ctypes.c_int64(observe_every),
-            ctypes.c_int64(n_obs),
-            ptr(obs_max, ctypes.c_int32),
-            ptr(obs_empty, ctypes.c_int32),
-            ptr(obs_sum, ctypes.c_int64),
-            ptr(obs_sumsq, ctypes.c_int64),
-        )
-        self._loads[...] = loads32
-        self._rounds_done[...] = rounds_done
-        self._active[...] = active8.astype(bool)
-        first_legit[...] = first64
-        return max_seen.astype(np.int64), min_empty.astype(np.int64)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"BatchedRepeatedBallsIntoBins(n_bins={self._n_bins}, "
-            f"n_replicas={self._n_replicas}, kernel={self._kernel!r}, "
-            f"rounds<= {self.round_index})"
-        )

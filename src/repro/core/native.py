@@ -43,18 +43,23 @@ bit-identical for every thread count, so this is purely a performance
 knob.
 
 Sanitizer builds (``REPRO_SANITIZE=asan|ubsan|tsan``) compile every flag
-variant with the matching ``-fsanitize=...`` flags appended (and
-``-march=native`` dropped under TSan, whose instrumentation does not mix
-well with aggressively vectorized code).  Sanitized binaries live under
-their own cache fingerprints *and* mode-tagged file names, so they can
-never shadow — or be shadowed by — the fast binaries.  Loading an
-ASan/TSan ``.so`` into a stock CPython requires the sanitizer runtime to
-be preloaded; ``scripts/with_sanitizer.sh`` sets that up.
+variant with the matching ``-fsanitize=...`` flags appended.  Under TSan
+``-march=native`` is dropped (its instrumentation does not mix well with
+aggressively vectorized code) and the OpenMP variants are skipped (stock
+libgomp hides its fork/join edges from the race detector), so a TSan
+build threads through pthreads, which TSan understands natively.
+Sanitized binaries live under their own cache fingerprints *and*
+mode-tagged file names, so they can never shadow — or be shadowed by —
+the fast binaries.  Loading an ASan/TSan ``.so`` into a stock CPython
+requires the sanitizer runtime to be preloaded;
+``scripts/with_sanitizer.sh`` sets that up.
 
 The ``ctypes`` signature of every exported kernel symbol is declared
-once, as data, in :data:`KERNEL_ABI`; the loader applies it to the
-loaded library and ``repro.lint.abi`` cross-checks it against the C
-declarations themselves (arity, argument order, integer widths), so the
+once, as data, in :data:`KERNEL_ABI`: each parameter's C name next to
+its type.  The loader applies the types to the loaded library,
+:func:`kernel_args` builds every kernel call's argument list by name,
+and ``repro.lint.abi`` cross-checks names and types against the C
+declarations themselves (arity, parameter names, integer widths), so the
 hand-maintained mirror cannot silently drift.
 """
 
@@ -69,7 +74,9 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..errors import ConfigurationError
 
@@ -83,6 +90,7 @@ __all__ = [
     "available_cpu_count",
     "sanitize_mode",
     "kernel_abi",
+    "kernel_args",
     "SymbolABI",
     "KERNEL_ABI",
     "KERNEL_NAMES",
@@ -104,85 +112,88 @@ class SymbolABI:
     """The declared ``ctypes`` signature of one exported kernel symbol.
 
     This is the Python side of the C ABI, kept as *data* so that the
-    loader (:func:`get_kernel`) and the static cross-checker
-    (:mod:`repro.lint.abi`) share one source of truth.  ``source`` names
-    the C file whose ``REPRO_ABI``-marked definition must agree with it.
+    loader (:func:`get_kernel`), the argument helper (:func:`kernel_args`)
+    and the static cross-checker (:mod:`repro.lint.abi`) share one source
+    of truth.  ``params`` pairs each C parameter name with its ``ctypes``
+    type, in declared order; ``source`` names the C file whose
+    ``REPRO_ABI``-marked definition must agree with it.
     """
 
     name: str
-    argtypes: Tuple[object, ...]
+    params: Tuple[Tuple[str, object], ...]
     restype: Optional[object]
     source: Path
 
-
-def _obs_tail() -> Tuple[object, ...]:
-    """Argtypes shared by both kernels' fused-observation ABI tail."""
-    return (
-        ctypes.c_int32,  # n_threads
-        ctypes.c_int64,  # observe_every
-        ctypes.c_int64,  # n_obs
-        ctypes.POINTER(ctypes.c_int32),  # obs_max (n_obs, R) or None
-        ctypes.POINTER(ctypes.c_int32),  # obs_empty (n_obs, R) or None
-        ctypes.POINTER(ctypes.c_int64),  # obs_sum (n_obs, R) or None
-        ctypes.POINTER(ctypes.c_int64),  # obs_sumsq (n_obs, R) or None
-    )
+    @property
+    def argtypes(self) -> Tuple[object, ...]:
+        """The parameters' ``ctypes`` types, in declared order."""
+        return tuple(tp for _, tp in self.params)
 
 
-_RBB_SOURCE = _PACKAGE_ROOT / "core" / "rbb_kernel.c"
-_WALKS_SOURCE = _PACKAGE_ROOT / "graphs" / "walk_kernel.c"
+#: Parameters shared by both kernels' fused-observation ABI tail; the
+#: ``(n_obs, R)`` buffers may be NULL.
+_OBS_TAIL: Tuple[Tuple[str, object], ...] = (
+    ("n_threads", ctypes.c_int32),
+    ("observe_every", ctypes.c_int64),
+    ("n_obs", ctypes.c_int64),
+    ("obs_max", ctypes.POINTER(ctypes.c_int32)),
+    ("obs_empty", ctypes.POINTER(ctypes.c_int32)),
+    ("obs_sum", ctypes.POINTER(ctypes.c_int64)),
+    ("obs_sumsq", ctypes.POINTER(ctypes.c_int64)),
+)
 
 _RBB_ABI = SymbolABI(
     name="rbb_run",
-    argtypes=(
-        ctypes.POINTER(ctypes.c_int32),  # loads (R, n)
-        ctypes.c_int64,  # R
-        ctypes.c_int64,  # n
-        ctypes.c_int64,  # rounds
-        ctypes.POINTER(ctypes.c_uint64),  # rng_state (R, 4)
-        ctypes.c_double,  # threshold
-        ctypes.c_int,  # stop_when_legitimate
-        ctypes.POINTER(ctypes.c_int32),  # max_seen (R,)
-        ctypes.POINTER(ctypes.c_int32),  # min_empty_seen (R,)
-        ctypes.POINTER(ctypes.c_int64),  # first_legit (R,)
-        ctypes.POINTER(ctypes.c_int64),  # rounds_done (R,)
-        ctypes.POINTER(ctypes.c_uint8),  # active (R,)
+    params=(
+        ("loads", ctypes.POINTER(ctypes.c_int32)),  # (R, n)
+        ("R", ctypes.c_int64),
+        ("n", ctypes.c_int64),
+        ("rounds", ctypes.c_int64),
+        ("rng_state", ctypes.POINTER(ctypes.c_uint64)),  # (R, 4)
+        ("threshold", ctypes.c_double),
+        ("stop_when_legitimate", ctypes.c_int),
+        ("max_seen", ctypes.POINTER(ctypes.c_int32)),  # (R,)
+        ("min_empty_seen", ctypes.POINTER(ctypes.c_int32)),  # (R,)
+        ("first_legit", ctypes.POINTER(ctypes.c_int64)),  # (R,)
+        ("rounds_done", ctypes.POINTER(ctypes.c_int64)),  # (R,)
+        ("active", ctypes.POINTER(ctypes.c_uint8)),  # (R,)
     )
-    + _obs_tail(),
+    + _OBS_TAIL,
     restype=None,
-    source=_RBB_SOURCE,
+    source=_PACKAGE_ROOT / "core" / "rbb_kernel.c",
 )
 
 _WALKS_ABI = SymbolABI(
     name="walks_run",
-    argtypes=(
-        ctypes.POINTER(ctypes.c_int32),  # loads (R, n)
-        ctypes.c_int64,  # R
-        ctypes.c_int64,  # n
-        ctypes.POINTER(ctypes.c_int32),  # neighbors (E,)
-        ctypes.POINTER(ctypes.c_int64),  # offsets (n + 1,)
-        ctypes.POINTER(ctypes.c_int32),  # degrees (n,)
-        ctypes.POINTER(ctypes.c_uint32),  # lims (n,)
-        ctypes.c_int64,  # rounds
-        ctypes.POINTER(ctypes.c_uint64),  # rng_state (R, 4)
-        ctypes.c_double,  # threshold
-        ctypes.c_int,  # stop_when_legitimate
-        ctypes.c_int,  # constrained
-        ctypes.POINTER(ctypes.c_int32),  # max_seen (R,)
-        ctypes.POINTER(ctypes.c_int32),  # min_empty_seen (R,)
-        ctypes.POINTER(ctypes.c_int64),  # first_legit (R,)
-        ctypes.POINTER(ctypes.c_int64),  # rounds_done (R,)
-        ctypes.POINTER(ctypes.c_uint8),  # active (R,)
-        ctypes.POINTER(ctypes.c_int32),  # scratch (n_threads, n)
-        ctypes.POINTER(ctypes.c_int32),  # sources (n_threads, n)
+    params=(
+        ("loads", ctypes.POINTER(ctypes.c_int32)),  # (R, n)
+        ("R", ctypes.c_int64),
+        ("n", ctypes.c_int64),
+        ("neighbors", ctypes.POINTER(ctypes.c_int32)),  # (E,)
+        ("offsets", ctypes.POINTER(ctypes.c_int64)),  # (n + 1,)
+        ("degrees", ctypes.POINTER(ctypes.c_int32)),  # (n,)
+        ("lims", ctypes.POINTER(ctypes.c_uint32)),  # (n,)
+        ("rounds", ctypes.c_int64),
+        ("rng_state", ctypes.POINTER(ctypes.c_uint64)),  # (R, 4)
+        ("threshold", ctypes.c_double),
+        ("stop_when_legitimate", ctypes.c_int),
+        ("constrained", ctypes.c_int),
+        ("max_seen", ctypes.POINTER(ctypes.c_int32)),  # (R,)
+        ("min_empty_seen", ctypes.POINTER(ctypes.c_int32)),  # (R,)
+        ("first_legit", ctypes.POINTER(ctypes.c_int64)),  # (R,)
+        ("rounds_done", ctypes.POINTER(ctypes.c_int64)),  # (R,)
+        ("active", ctypes.POINTER(ctypes.c_uint8)),  # (R,)
+        ("scratch", ctypes.POINTER(ctypes.c_int32)),  # (n_threads, n)
+        ("sources", ctypes.POINTER(ctypes.c_int32)),  # (n_threads, n)
     )
-    + _obs_tail(),
+    + _OBS_TAIL,
     restype=None,
-    source=_WALKS_SOURCE,
+    source=_PACKAGE_ROOT / "graphs" / "walk_kernel.c",
 )
 
 _PROBE_ABI = SymbolABI(
     name="repro_threading_model",
-    argtypes=(),
+    params=(),
     restype=ctypes.c_int,
     source=_COMMON_HEADER,
 )
@@ -200,6 +211,71 @@ def kernel_abi() -> Dict[str, SymbolABI]:
     return dict(KERNEL_ABI)
 
 
+#: Kernel name -> the entry point its shared library exports.
+_KERNELS: Dict[str, SymbolABI] = {"rbb": _RBB_ABI, "walks": _WALKS_ABI}
+
+#: Names of the compiled kernels this module can load.
+KERNEL_NAMES: Tuple[str, ...] = tuple(_KERNELS)
+
+
+def _converter(name: str, tp) -> Callable[[object], object]:
+    """The conversion of one named argument to its declared ``ctypes`` type.
+
+    Scalars convert through the type itself.  A pointer parameter takes a
+    numpy array that is already C-contiguous with the pointee's dtype —
+    the kernel writes through it, so a silent copy would lose its writes —
+    or ``None``, which passes NULL (the kernel skips that buffer).
+    """
+    if not (isinstance(tp, type) and issubclass(tp, ctypes._Pointer)):
+        return tp
+    dtype = np.dtype(tp._type_)
+
+    def pointer(value):
+        if value is None:
+            return None
+        if not isinstance(value, np.ndarray):
+            got = type(value).__name__
+        elif value.dtype != dtype:
+            got = f"a {value.dtype} array"
+        elif not value.flags.c_contiguous:
+            got = "a non-contiguous array"
+        else:
+            return value.ctypes.data_as(tp)
+        raise ConfigurationError(
+            f"kernel argument {name!r} must be a C-contiguous {dtype} "
+            f"array, got {got}"
+        )
+
+    return pointer
+
+
+#: Kernel name -> each parameter's converter, in declared order.
+_CONVERTERS: Dict[str, Dict[str, Callable[[object], object]]] = {
+    kernel: {name: _converter(name, tp) for name, tp in abi.params}
+    for kernel, abi in _KERNELS.items()
+}
+
+
+def kernel_args(kernel: str, values: Mapping[str, object]) -> List[object]:
+    """The argument list of one call to a native kernel's entry point.
+
+    ``values`` maps every C parameter name in the kernel's
+    :class:`SymbolABI` to its value; the result is in declared order, each
+    value converted by its parameter's type (see :func:`_converter`).  A
+    missing name, an extra name, or an array of the wrong dtype or layout
+    raises :class:`~repro.errors.ConfigurationError`.  The converters are
+    built once per kernel, so a call costs one dictionary pass.
+    """
+    converters = _CONVERTERS[kernel]
+    if values.keys() != converters.keys():
+        raise ConfigurationError(
+            f"{_KERNELS[kernel].name} arguments do not match its declared "
+            f"parameters: missing {sorted(converters.keys() - values.keys())}, "
+            f"unexpected {sorted(values.keys() - converters.keys())}"
+        )
+    return [convert(values[name]) for name, convert in converters.items()]
+
+
 def _declare(lib: ctypes.CDLL, abi: SymbolABI):
     """Apply one symbol's declared signature to a loaded library.
 
@@ -213,13 +289,6 @@ def _declare(lib: ctypes.CDLL, abi: SymbolABI):
 
 
 @dataclass(frozen=True)
-class _KernelSpec:
-    source: Path
-    abi: SymbolABI
-    headers: Tuple[Path, ...] = (_COMMON_HEADER,)
-
-
-@dataclass(frozen=True)
 class _LoadedKernel:
     """A resolved kernel: its entry point (or None) plus diagnostics."""
 
@@ -227,14 +296,6 @@ class _LoadedKernel:
     status: str
     threading: str  # "openmp" | "pthreads" | "serial" | "unavailable"
 
-
-_KERNELS: Dict[str, _KernelSpec] = {
-    "rbb": _KernelSpec(source=_RBB_SOURCE, abi=_RBB_ABI),
-    "walks": _KernelSpec(source=_WALKS_SOURCE, abi=_WALKS_ABI),
-}
-
-#: Names of the compiled kernels this module can load.
-KERNEL_NAMES: Tuple[str, ...] = tuple(_KERNELS)
 
 _CACHE: Dict[Tuple[str, Optional[str]], _LoadedKernel] = {}
 
@@ -301,10 +362,13 @@ def _variant_ladder(mode: Optional[str]) -> Tuple[Tuple[str, ...], ...]:
     """The flag-variant ladder for one sanitize mode (best first).
 
     Sanitized variants append the mode's ``-fsanitize=...`` flags to every
-    fast variant; under TSan ``-march=native`` is dropped (TSan's
+    fast variant.  Under TSan ``-march=native`` is dropped (TSan's
     instrumentation of aggressively vectorized code is a known source of
-    false positives and miscompiles on older toolchains).  Duplicates
-    created by the drop collapse, preserving order.
+    false positives and miscompiles on older toolchains), and so are the
+    OpenMP variants: stock libgomp is not TSan-instrumented, so its
+    fork/join edges are invisible to the race detector, while pthreads
+    are understood natively.  Duplicates created by the drop collapse,
+    preserving order.
     """
     if mode is None:
         return _FLAG_VARIANTS
@@ -312,6 +376,8 @@ def _variant_ladder(mode: Optional[str]) -> Tuple[Tuple[str, ...], ...]:
     ladder: List[Tuple[str, ...]] = []
     for flags in _FLAG_VARIANTS:
         if mode == "tsan":
+            if "-fopenmp" in flags:
+                continue
             flags = tuple(f for f in flags if f != "-march=native")
         variant = tuple(flags) + extra
         if variant not in ladder:
@@ -319,7 +385,7 @@ def _variant_ladder(mode: Optional[str]) -> Tuple[Tuple[str, ...], ...]:
     return tuple(ladder)
 
 
-def _fingerprint(spec: _KernelSpec, cc: str, flags: Tuple[str, ...]) -> str:
+def _fingerprint(abi: SymbolABI, cc: str, flags: Tuple[str, ...]) -> str:
     """Cache key for one (kernel, compiler, flag-variant, host) binary.
 
     The exact flag list is part of the key, so changing the variant
@@ -330,9 +396,8 @@ def _fingerprint(spec: _KernelSpec, cc: str, flags: Tuple[str, ...]) -> str:
     portable across CPUs (e.g. a shared ``$HOME`` on a heterogeneous
     cluster).
     """
-    digest = hashlib.sha256(spec.source.read_bytes())
-    for header in spec.headers:
-        digest.update(header.read_bytes())
+    digest = hashlib.sha256(abi.source.read_bytes())
+    digest.update(_COMMON_HEADER.read_bytes())
     digest.update(cc.encode())
     digest.update("\x1f".join(flags).encode())
     digest.update(platform.machine().encode())
@@ -342,16 +407,14 @@ def _fingerprint(spec: _KernelSpec, cc: str, flags: Tuple[str, ...]) -> str:
 
 
 def _compile(
-    spec: _KernelSpec, out: Path, cc: str, flags: Tuple[str, ...]
+    abi: SymbolABI, out: Path, cc: str, flags: Tuple[str, ...]
 ) -> None:
     """Compile one flag variant of the kernel into ``out`` (atomically)."""
     out.parent.mkdir(parents=True, exist_ok=True)
-    include_dirs = sorted({str(h.parent) for h in spec.headers})
     cmd = (
         [cc, "-O3", "-shared", "-fPIC"]
         + list(flags)
-        + [f"-I{d}" for d in include_dirs]
-        + [str(spec.source), "-o"]
+        + [f"-I{_COMMON_HEADER.parent}", str(abi.source), "-o"]
     )
     with tempfile.NamedTemporaryFile(
         dir=out.parent, suffix=".so", delete=False
@@ -377,22 +440,11 @@ def _describe_error(exc: BaseException) -> str:
     return str(exc)
 
 
-def _probe_threading(lib: ctypes.CDLL) -> str:
-    """Which threading backend the loaded binary was compiled with."""
-    try:
-        probe = _declare(lib, _PROBE_ABI)
-    except AttributeError:  # pre-header binaries lack the symbol
-        return "serial"
-    return THREAD_MODELS.get(int(probe()), "serial")
-
-
 def _load(name: str, mode: Optional[str]) -> _LoadedKernel:
-    spec = _KERNELS[name]
+    abi = _KERNELS[name]
     if os.environ.get("REPRO_NATIVE", "").strip() == "0":
         return _LoadedKernel(None, "disabled via REPRO_NATIVE=0", "unavailable")
-    missing = [
-        p for p in (spec.source, *spec.headers) if not p.exists()
-    ]
+    missing = [p for p in (abi.source, _COMMON_HEADER) if not p.exists()]
     if missing:
         return _LoadedKernel(
             None, f"kernel source missing: {missing[0]}", "unavailable"
@@ -406,8 +458,8 @@ def _load(name: str, mode: Optional[str]) -> _LoadedKernel:
         )
     last_error = "no flag variant compiled"
     for flags in _variant_ladder(mode):
-        fingerprint = _fingerprint(spec, cc, flags)
-        stem = spec.source.stem if mode is None else f"{spec.source.stem}-{mode}"
+        fingerprint = _fingerprint(abi, cc, flags)
+        stem = abi.source.stem if mode is None else f"{abi.source.stem}-{mode}"
         lib_path = _cache_dir() / f"{stem}-{fingerprint}.so"
         marker = lib_path.with_suffix(".failed")
         # Compilation can fail (CalledProcessError/TimeoutExpired) and a
@@ -420,7 +472,7 @@ def _load(name: str, mode: Optional[str]) -> _LoadedKernel:
             if not lib_path.exists():
                 if marker.exists():
                     continue  # this variant is known not to compile here
-                _compile(spec, lib_path, cc, flags)
+                _compile(abi, lib_path, cc, flags)
             lib = ctypes.CDLL(str(lib_path))
         except (subprocess.SubprocessError, OSError) as exc:
             last_error = _describe_error(exc)
@@ -430,8 +482,8 @@ def _load(name: str, mode: Optional[str]) -> _LoadedKernel:
             except OSError:
                 pass
             continue
-        kernel = _declare(lib, spec.abi)
-        threading = _probe_threading(lib)
+        kernel = _declare(lib, abi)
+        threading = THREAD_MODELS[int(_declare(lib, _PROBE_ABI)())]
         flag_label = " ".join(flags) if flags else "(base flags)"
         sanitize_label = "" if mode is None else f" [sanitize={mode}]"
         return _LoadedKernel(

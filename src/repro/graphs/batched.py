@@ -34,7 +34,10 @@ streams that collapses a whole ``run()`` into one FFI call — the source
 of the order-of-magnitude ensemble speedups
 (``benchmarks/bench_batched.py`` enforces them).  ``kernel="auto"`` (the
 default) uses the native kernel when a C compiler is available and falls
-back to numpy silently; ``REPRO_NATIVE=0`` forces numpy everywhere.
+back to numpy silently; ``REPRO_NATIVE=0`` forces numpy everywhere.  The
+native call itself is :class:`~repro.core.batched.BatchedLoadProcess`'s;
+this class adds only the kernel's topology, walk-mode and scratch
+arguments and its edge-count guard.
 
 Example
 -------
@@ -52,16 +55,13 @@ length-``R`` vector:
 
 from __future__ import annotations
 
-import ctypes
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from .topology import Topology
 from ..core.batched import BatchedLoadProcess
 from ..core.config import LoadConfiguration
-from ..core.native import get_kernel, native_status, resolve_n_threads
-from ..errors import ConfigurationError
 from ..types import SeedLike
 
 __all__ = ["BatchedConstrainedWalks"]
@@ -101,6 +101,8 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
         results.
     """
 
+    native_kernel = "walks"
+
     def __init__(
         self,
         topology: Topology,
@@ -112,27 +114,18 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
         kernel: str = "auto",
         n_threads: Optional[int] = None,
     ) -> None:
-        if kernel not in ("auto", "numpy", "native"):
-            raise ConfigurationError(
-                f"kernel must be 'auto', 'numpy' or 'native', got {kernel!r}"
-            )
-        if kernel == "native" and get_kernel("walks") is None:
-            raise ConfigurationError(
-                "native walk kernel requested but unavailable "
-                f"({native_status('walks')})"
-            )
         super().__init__(
             topology.num_nodes,
             n_replicas,
             n_balls=n_tokens,
             initial=initial,
             seed=seed,
+            kernel=kernel,
             n_threads=n_threads,
         )
         self._topology = topology
         self._constrained = bool(constrained)
-        self._kernel = kernel
-        self._csr_cache: Optional[tuple] = None
+        self._csr_cache: Optional[Dict[str, np.ndarray]] = None
         self._scratch_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
@@ -198,129 +191,40 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
             loads[active] = arrivals[active]
 
     # ------------------------------------------------------------------
-    # Dynamics — native kernel
+    # Native kernel arguments (the call itself is BatchedLoadProcess's)
     # ------------------------------------------------------------------
     def _native_supported(self) -> bool:
         neighbors, _ = self._topology.csr()
-        return bool(
-            self._n_bins < 2**31
-            and neighbors.size < 2**31
-            and (self._n_balls < 2**31 - 1).all()
-        )
+        return super()._native_supported() and neighbors.size < 2**31
 
-    def _native_csr(self) -> tuple:
-        """Kernel-ready CSR arrays (int32 neighbors/degrees, Lemire limits)."""
+    def _native_extra_args(self, n_threads: int) -> Dict[str, object]:
+        """The topology in kernel form, the walk mode, and per-thread
+        scratch: ``(n_threads, n)`` arrivals rows (all-zero between calls —
+        the kernel restores the invariant) and source-compaction rows,
+        resized when the thread count grows."""
         if self._csr_cache is None:
             neighbors, offsets = self._topology.csr()
             degrees = np.ascontiguousarray(np.diff(offsets), dtype=np.int32)
             # Lemire rejection threshold (2**32 - d) % d, one per node
             d64 = degrees.astype(np.uint64)
-            lims = ((np.uint64(2**32) - d64) % d64).astype(np.uint32)
-            self._csr_cache = (
-                np.ascontiguousarray(neighbors, dtype=np.int32),
-                np.ascontiguousarray(offsets, dtype=np.int64),
-                degrees,
-                np.ascontiguousarray(lims),
-            )
-        return self._csr_cache
-
-    def _native_scratch(self, n_threads: int) -> tuple:
-        """Per-thread kernel work buffers, resized when the thread count
-        grows: ``(n_threads, n)`` arrivals rows (all-zero between calls —
-        the kernel restores the invariant) and source-compaction rows."""
+            self._csr_cache = {
+                "neighbors": np.ascontiguousarray(neighbors, dtype=np.int32),
+                "offsets": np.ascontiguousarray(offsets, dtype=np.int64),
+                "degrees": degrees,
+                "lims": ((np.uint64(2**32) - d64) % d64).astype(np.uint32),
+            }
         if self._scratch_cache is None or self._scratch_cache[0] < n_threads:
             self._scratch_cache = (
                 n_threads,
                 np.zeros((n_threads, self._n_bins), dtype=np.int32),
                 np.empty((n_threads, self._n_bins), dtype=np.int32),
             )
-        return self._scratch_cache[1], self._scratch_cache[2]
-
-    def _run_window(
-        self, rounds, threshold, stop_when_legitimate, first_legit, observers,
-        observe_every,
-    ):
-        kernel = get_kernel("walks") if self._kernel in ("auto", "native") else None
-        if kernel is not None and not self._native_supported():
-            if self._kernel == "native":
-                raise ConfigurationError(
-                    "native walk kernel requested but the state does not fit "
-                    "its int32 representation (node, edge, and per-replica "
-                    "token counts must stay below 2**31)"
-                )
-            kernel = None
-        if kernel is None:
-            return super()._run_window(
-                rounds, threshold, stop_when_legitimate, first_legit, observers,
-                observe_every,
-            )
-        # the walk kernel's lane buffer resets at round boundaries, so the
-        # shared observed-segmentation loop is trajectory-exact here too
-        return self._run_window_native(
-            kernel, rounds, threshold, stop_when_legitimate, first_legit,
-            observers, observe_every,
-        )
-
-    def _run_native(
-        self, kernel, rounds, threshold, stop_when_legitimate, first_legit,
-        obs=None,
-    ):
-        R = self._n_replicas
-        loads32 = np.ascontiguousarray(self._loads, dtype=np.int32)
-        neighbors, offsets, degrees, lims = self._native_csr()
-        states = self._native_states()
-        max_seen = np.zeros(R, dtype=np.int32)
-        min_empty = np.full(R, self._n_bins, dtype=np.int32)
-        active8 = np.ascontiguousarray(self._active, dtype=np.uint8)
-        rounds_done = np.ascontiguousarray(self._rounds_done)
-        first64 = np.ascontiguousarray(first_legit)
-        n_threads = resolve_n_threads(self._n_threads, R, kernel="walks")
-        scratch, sources = self._native_scratch(n_threads)
-        if obs is None:
-            observe_every, n_obs = 1, 0
-            obs_max = obs_empty = obs_sum = obs_sumsq = None
-        else:
-            observe_every, obs_max, obs_empty, obs_sum, obs_sumsq = obs
-            n_obs = int(obs_max.shape[0])
-
-        def ptr(arr, ctype):
-            if arr is None:
-                return None  # NULL: kernel skips the optional output
-            return arr.ctypes.data_as(ctypes.POINTER(ctype))
-
-        kernel(
-            ptr(loads32, ctypes.c_int32),
-            ctypes.c_int64(R),
-            ctypes.c_int64(self._n_bins),
-            ptr(neighbors, ctypes.c_int32),
-            ptr(offsets, ctypes.c_int64),
-            ptr(degrees, ctypes.c_int32),
-            ptr(lims, ctypes.c_uint32),
-            ctypes.c_int64(rounds),
-            ptr(states, ctypes.c_uint64),
-            ctypes.c_double(threshold),
-            ctypes.c_int(1 if stop_when_legitimate else 0),
-            ctypes.c_int(1 if self._constrained else 0),
-            ptr(max_seen, ctypes.c_int32),
-            ptr(min_empty, ctypes.c_int32),
-            ptr(first64, ctypes.c_int64),
-            ptr(rounds_done, ctypes.c_int64),
-            ptr(active8, ctypes.c_uint8),
-            ptr(scratch, ctypes.c_int32),
-            ptr(sources, ctypes.c_int32),
-            ctypes.c_int32(n_threads),
-            ctypes.c_int64(observe_every),
-            ctypes.c_int64(n_obs),
-            ptr(obs_max, ctypes.c_int32),
-            ptr(obs_empty, ctypes.c_int32),
-            ptr(obs_sum, ctypes.c_int64),
-            ptr(obs_sumsq, ctypes.c_int64),
-        )
-        self._loads[...] = loads32
-        self._rounds_done[...] = rounds_done
-        self._active[...] = active8.astype(bool)
-        first_legit[...] = first64
-        return max_seen.astype(np.int64), min_empty.astype(np.int64)
+        return {
+            **self._csr_cache,
+            "constrained": self._constrained,
+            "scratch": self._scratch_cache[1],
+            "sources": self._scratch_cache[2],
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "constrained" if self._constrained else "independent"

@@ -9,14 +9,18 @@ symbol:
 
 * **presence** — every declared symbol exists in its source file, and
   every marked C export has a Python declaration;
-* **arity and argument order** — parameter-by-parameter;
+* **arity and parameter names** — parameter-by-parameter, so swapping
+  two parameters of the same type (``R`` and ``n`` are both ``int64_t``)
+  fires too; kernel calls are built by these names
+  (:func:`repro.core.native.kernel_args`);
 * **integer widths and signedness** — ``int64_t`` vs ``int32_t`` vs
   ``uint8_t`` etc., including pointee types of pointer parameters.
 
 Types compare through a normalized descriptor (pointer-ness, kind,
 width), so aliases that are genuinely the same ABI (``int`` vs
 ``int32_t`` on the supported platforms) do not false-positive, while a
-drifted width (``int32_t *`` vs ``int64_t *``) always fires.
+drifted width (``int32_t *`` vs ``int64_t *``) always fires.  Each
+drifted parameter is one finding, naming every way it drifted.
 """
 
 from __future__ import annotations
@@ -210,7 +214,7 @@ def compare_symbol(cfunc: CFunction, abi) -> List[Finding]:
     """Cross-check one C definition against its ``SymbolABI`` mirror.
 
     ``abi`` is a :class:`repro.core.native.SymbolABI` (duck-typed:
-    ``name``/``argtypes``/``restype``).
+    ``name``/``params``/``restype``).
     """
     findings: List[Finding] = []
 
@@ -219,33 +223,36 @@ def compare_symbol(cfunc: CFunction, abi) -> List[Finding]:
             Finding(cfunc.path, cfunc.line, "ABI", "abi-drift", message)
         )
 
-    if len(cfunc.params) != len(abi.argtypes):
+    if len(cfunc.params) != len(abi.params):
         flag(
             f"{cfunc.name}: C declares {len(cfunc.params)} parameter(s), "
-            f"ctypes argtypes declares {len(abi.argtypes)}"
+            f"ctypes argtypes declares {len(abi.params)}"
         )
         return findings  # positional comparison is meaningless past this
-    for index, (param, argtype) in enumerate(zip(cfunc.params, abi.argtypes)):
+    for index, (param, (name, argtype)) in enumerate(
+        zip(cfunc.params, abi.params)
+    ):
+        drift = []
+        if name != param.name:
+            drift.append(f"ctypes side names it {name!r}")
         c_desc = _desc_of_c(param.type)
         py_desc = _desc_of_ctypes(argtype)
         if c_desc is None:
-            flag(
-                f"{cfunc.name} parameter {index} ({param.name!r}): "
-                f"unrecognized C type {param.type!r} — teach "
-                "repro.lint.abi about it"
+            drift.append(
+                f"unrecognized C type {param.type!r} — teach repro.lint.abi "
+                "about it"
             )
-            continue
-        if py_desc is None:
-            flag(
-                f"{cfunc.name} parameter {index} ({param.name!r}): "
-                f"unrecognized ctypes argtype {argtype!r}"
-            )
-            continue
-        if c_desc != py_desc:
-            flag(
-                f"{cfunc.name} parameter {index} ({param.name!r}): C side is "
-                f"{c_desc.render()} ({param.type}), ctypes side is "
+        elif py_desc is None:
+            drift.append(f"unrecognized ctypes argtype {argtype!r}")
+        elif c_desc != py_desc:
+            drift.append(
+                f"C side is {c_desc.render()} ({param.type}), ctypes side is "
                 f"{py_desc.render()}"
+            )
+        if drift:
+            flag(
+                f"{cfunc.name} parameter {index} ({param.name!r}): "
+                + "; ".join(drift)
             )
     c_ret = _desc_of_c(cfunc.return_type)
     py_ret = _desc_of_ctypes(abi.restype)

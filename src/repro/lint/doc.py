@@ -66,13 +66,18 @@ silently.
 """
 
 _ABI_PROSE = """\
-The kernels' exported C signatures are hand-mirrored as `ctypes`
-`argtypes`/`restype` declarations in `repro.core.native.KERNEL_ABI`.  A
-drifted arity, argument order, or integer width corrupts memory instead
-of failing loudly, so `repro.lint.abi` parses every `REPRO_ABI`-marked
-definition out of the C sources and cross-checks, per symbol:
+The kernels' exported C signatures are hand-mirrored in
+`repro.core.native.KERNEL_ABI`: each parameter's C name next to its
+`ctypes` type, plus the `restype`.  Every kernel call is built by those
+names (`repro.core.native.kernel_args`), and a drifted arity, parameter
+order, or integer width corrupts memory instead of failing loudly, so
+`repro.lint.abi` parses every `REPRO_ABI`-marked definition out of the C
+sources and cross-checks, per symbol:
 
-- **arity** — parameter count matches `len(argtypes)`;
+- **arity** — parameter count matches the declared parameter list;
+- **parameter names** — each position's C name matches the declared
+  name, so swapping two parameters of the same type (`R`, `n` and
+  `rounds` are all `int64_t`) fires too;
 - **argument order** — each position's pointer-ness and scalar kind
   match;
 - **integer widths** — `int32_t` vs `int64_t` drift fires even when
@@ -81,6 +86,8 @@ definition out of the C sources and cross-checks, per symbol:
 - **coverage** — every non-`static` C export carries `REPRO_ABI` and a
   ctypes declaration, and every declared symbol has a marked
   definition.
+
+Each drifted parameter is one finding that names every way it drifted.
 """
 
 _SANITIZER_PROSE = """\
@@ -103,13 +110,14 @@ layout (CI additionally lowers `vm.mmap_rnd_bits` to 28 for TSan).
 
 Under TSan, `-march=native` is dropped (its instrumentation of
 aggressively vectorized code is a known source of false positives), and
-the OpenMP dispatch in `_kernel_common.h` switches to a
-`__SANITIZE_THREAD__`-gated path built from C11 atomics: stock libgomp
-is not TSan-instrumented, so the fork/join edges of a parallel region
-are otherwise invisible and every main-thread access before/after the
-region would report as a race.  The gated path keeps worker-vs-worker
-races in the replica bodies fully detectable; fast builds compile the
-plain OpenMP parallel-for.
+so are the `-fopenmp` variants: stock libgomp is not TSan-instrumented,
+so the fork/join edges of a parallel region would be invisible and every
+main-thread access before or after the region would report as a race.
+TSan builds therefore take the pthreads variant
+(`-DREPRO_PTHREADS -pthread`), whose thread create/join edges TSan
+understands, and the replica bodies — the same code every backend
+runs — stay fully checked for worker-vs-worker races.
+`with_sanitizer.sh` asserts that a TSan leg loaded the pthreads backend.
 
 CI legs (`sanitizers` job):
 
@@ -151,7 +159,7 @@ def _abi_table() -> List[str]:
     ]
     for name in sorted(kernel_abi()):
         abi = kernel_abi()[name]
-        sig = ", ".join(_ctype_name(t) for t in abi.argtypes) or "void"
+        sig = ", ".join(f"{_ctype_name(t)} {p}" for p, t in abi.params) or "void"
         lines.append(
             f"| `{name}({sig})` | {len(abi.argtypes)} | "
             f"`{_ctype_name(abi.restype)}` | `{abi.source.name}` |"
@@ -163,16 +171,19 @@ def _sanitizer_table() -> List[str]:
     from ..core.native import SANITIZE_MODES, _variant_ladder
 
     lines = [
-        "| mode | flags appended | `-march=native` | build variants |",
-        "| ---- | -------------- | --------------- | -------------- |",
+        "| mode | flags appended | `-march=native` | `-fopenmp` | build variants |",
+        "| ---- | -------------- | --------------- | ---------- | -------------- |",
     ]
     for mode in sorted(SANITIZE_MODES):
         flags = " ".join(f"`{f}`" for f in SANITIZE_MODES[mode])
         ladder = _variant_ladder(mode)
-        native_march = any("-march=native" in v for v in ladder)
+        kept = {
+            flag: "kept" if any(flag in v for v in ladder) else "dropped"
+            for flag in ("-march=native", "-fopenmp")
+        }
         lines.append(
-            f"| {mode} | {flags} | {'kept' if native_march else 'dropped'} | "
-            f"{len(ladder)} |"
+            f"| {mode} | {flags} | {kept['-march=native']} | "
+            f"{kept['-fopenmp']} | {len(ladder)} |"
         )
     return lines
 

@@ -109,11 +109,13 @@ RULES: Tuple[RuleInfo, ...] = (
         slug="abi-drift",
         title="C kernel declarations match the ctypes mirror in core/native.py",
         rationale=(
-            "The kernels' exported signatures are hand-mirrored as ctypes "
-            "`argtypes`/`restype`; a drifted arity, argument order, or integer "
-            "width corrupts memory instead of failing loudly.  Every "
-            "`REPRO_ABI`-marked C definition is parsed and cross-checked "
-            "against `repro.core.native.KERNEL_ABI`."
+            "The kernels' exported signatures are hand-mirrored as named "
+            "ctypes parameters plus a `restype`, and kernel calls are built "
+            "by those names; a drifted arity, parameter name or order, or "
+            "integer width corrupts memory instead of failing loudly.  Every "
+            "`REPRO_ABI`-marked C definition is parsed and cross-checked, "
+            "name and type per parameter, against "
+            "`repro.core.native.KERNEL_ABI`."
         ),
         suppressible=False,
     ),

@@ -7,7 +7,7 @@ declaratively (process family, size, start family, budget, early stop);
 :mod:`repro.core.batched`) that advances every replica per round with flat
 numpy kernels — or, where one exists, a compiled native kernel.  With
 ``n_workers > 1`` very large ensembles are *sharded*: each worker process
-simulates a contiguous slice of replicas with its own spawned seed and the
+simulates a contiguous slice of replicas with its own derived seed and the
 shard results are concatenated.
 
 The single-replica simulators (:class:`~repro.core.process.RepeatedBallsIntoBins`,
@@ -76,11 +76,12 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
 from .runner import TrialRunner
+from .seeding import trial_seed
 from ..adversary.adversaries import get_adversary
 from ..adversary.batched import BatchedFaultyProcess
 from ..adversary.faulty_process import FaultSchedule
@@ -109,8 +110,18 @@ __all__ = ["EnsembleSpec", "run_ensemble", "check_engine", "ENGINES", "PROCESSES
 #: Engine names accepted by :func:`run_ensemble` (``"auto"`` = batched).
 ENGINES = ("auto", "batched")
 
+#: Process family -> the batched class that simulates it (``"faulty"``
+#: runs the plain process inside a :class:`BatchedFaultyProcess`).  A
+#: class's ``native_kernel`` names the compiled kernel the family uses.
+BATCHED_CLASSES: Mapping[str, Type[BatchedLoadProcess]] = {
+    "rbb": BatchedRepeatedBallsIntoBins,
+    "d_choices": BatchedDChoices,
+    "faulty": BatchedRepeatedBallsIntoBins,
+    "graph_walks": BatchedConstrainedWalks,
+}
+
 #: Process families accepted by :class:`EnsembleSpec`.
-PROCESSES = ("rbb", "d_choices", "faulty", "graph_walks")
+PROCESSES = tuple(BATCHED_CLASSES)
 
 StartLike = Union[str, LoadConfiguration, np.ndarray]
 
@@ -359,7 +370,8 @@ def _make_batched_process(
 ) -> BatchedLoadProcess:
     """Build the batched process a shard simulates."""
     n_balls = spec.n_balls if initial is None else None
-    if spec.process == "d_choices":
+    cls = BATCHED_CLASSES[spec.process]
+    if cls is BatchedDChoices:
         # numpy-only process: no native kernel, nothing to thread
         return BatchedDChoices(
             spec.n_bins,
@@ -369,7 +381,7 @@ def _make_batched_process(
             initial=initial,
             seed=seed,
         )
-    if spec.process == "graph_walks":
+    if cls is BatchedConstrainedWalks:
         return BatchedConstrainedWalks(
             resolve_topology(spec.topology),
             n_replicas,
@@ -396,7 +408,7 @@ def _batched_ensemble_shard(
     n_threads: Optional[int] = None,
 ) -> EnsembleResult:
     lo, hi = bounds[shard_index]
-    init_seq, sim_seq = seed.spawn(2)
+    init_seq, sim_seq = trial_seed(seed, 0), trial_seed(seed, 1)
     initial = _shard_initial(spec, lo, hi, init_seq)
     trackers = _spec_trackers(spec, n_replicas=hi - lo)
     observers = [tracker for _, tracker in trackers] or None
@@ -507,8 +519,9 @@ def run_ensemble(
     spec:
         The declarative ensemble description (including the process family).
     seed:
-        Root seed; per-shard streams are spawned from it, so results are
-        reproducible for a fixed engine configuration.
+        Root seed; per-shard streams are derived from it without advancing
+        it, so results are reproducible for a fixed engine configuration,
+        also when the same seed object is passed again.
     engine:
         ``"auto"`` or ``"batched"`` (the same engine; the keyword stays
         because stored sweep headers pin it).

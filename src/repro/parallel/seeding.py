@@ -1,10 +1,12 @@
 """Deterministic per-trial seeding.
 
-Trials receive :class:`numpy.random.SeedSequence` children spawned from a
-single root seed.  Because spawning is a pure function of the root entropy
-and the spawn key, trial ``i`` sees the same stream whether the experiment
-runs on 1 worker or 32 — the property the HPC guides call "reproducible
-regardless of schedule".
+Trials receive :class:`numpy.random.SeedSequence` children derived from a
+single root seed.  Child ``i`` is a pure function of the root's entropy and
+spawn key plus ``i``, so trial ``i`` sees the same stream whether the
+experiment runs on 1 worker or 32 — the property the HPC guides call
+"reproducible regardless of schedule" — and whether or not the root
+object was used before (``SeedSequence.spawn`` advances its root, so a
+second call would hand out different children).
 """
 
 from __future__ import annotations
@@ -21,17 +23,23 @@ __all__ = ["trial_seeds", "trial_seed"]
 
 
 def trial_seeds(seed: SeedLike, n_trials: int) -> List[np.random.SeedSequence]:
-    """Spawn one independent seed sequence per trial."""
+    """One independent seed sequence per trial: ``trial_seed(seed, i)``.
+
+    These equal the children ``SeedSequence.spawn`` gives a fresh root, but
+    the root is left untouched, so the same seed object yields the same
+    children every time.
+    """
     if n_trials < 0:
         raise ConfigurationError(f"n_trials must be >= 0, got {n_trials}")
-    return list(as_seed_sequence(seed).spawn(n_trials))
+    root = as_seed_sequence(seed)
+    return [trial_seed(root, i) for i in range(n_trials)]
 
 
 def trial_seed(seed: SeedLike, trial_index: int) -> np.random.SeedSequence:
     """The seed sequence of a single trial, without spawning the whole list.
 
-    ``trial_seed(s, i)`` equals ``trial_seeds(s, n)[i]`` for every ``n > i``
-    (for a root that has not spawned children through other means).  The
+    ``trial_seed(s, i)`` equals ``trial_seeds(s, n)[i]`` for every ``n > i``,
+    and ``s.spawn(n)[i]`` for a root that has not spawned before.  The
     root's own ``spawn_key`` is part of the derivation, so two distinct
     spawned children of one ancestor yield *independent* trial streams —
     not copies of each other.

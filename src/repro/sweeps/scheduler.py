@@ -39,7 +39,7 @@ from ..core.native import (
     resolve_n_threads,
 )
 from ..errors import ConfigurationError
-from ..parallel.ensemble import check_engine, run_ensemble
+from ..parallel.ensemble import BATCHED_CLASSES, check_engine, run_ensemble
 from ..rng import as_seed_sequence
 from ..store import ResultStore
 from ..types import SeedLike
@@ -104,20 +104,17 @@ def _resolve_kernel(kernel: str, plan: SweepPlan) -> str:
     ``run_ensemble``) instead of silently mixing streams.
 
     Resolution consults the compiled kernels the plan's process families
-    actually dispatch to (``"rbb"`` for the balls-into-bins updates,
-    ``"walks"`` for the graph walks): ``"native"`` is pinned only when
-    every required kernel is available, matching the silent per-process
-    fallback ``kernel="auto"`` performs everywhere else.
+    actually dispatch to — the ``native_kernel`` of each family's batched
+    class: ``"native"`` is pinned only when every required kernel is
+    available, matching the silent per-process fallback ``kernel="auto"``
+    performs everywhere else.
     """
     if kernel != "auto":
         return kernel
-    required = set()
-    for point in plan:
-        process = point.config.get("process", "rbb")
-        if process in ("rbb", "faulty"):
-            required.add("rbb")
-        elif process == "graph_walks":
-            required.add("walks")
+    required = {
+        BATCHED_CLASSES[point.config.get("process", "rbb")].native_kernel
+        for point in plan
+    } - {None}
     if required and all(native_available(name) for name in required):
         return "native"
     return "numpy"

@@ -5,7 +5,8 @@ same seed, the numpy kernel of :class:`BatchedRepeatedBallsIntoBins` must
 reproduce :class:`RepeatedBallsIntoBins` step for step (identical generator
 consumption).  On top of that sit ball-conservation and distributional
 sanity checks at ``R > 1``, the per-replica early stop, the native kernel
-(when a C compiler is available), and the engine-selection surface.
+(when a C compiler is available), the engine-selection surface, and
+results that do not depend on whether a seed object was used before.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary.batched import BatchedFaultyProcess
 from repro.core.batched import (
     BatchedRepeatedBallsIntoBins,
     EnsembleResult,
@@ -24,6 +26,8 @@ from repro.core.config import DEFAULT_BETA, LoadConfiguration, legitimacy_thresh
 from repro.core.native import native_available
 from repro.core.process import RepeatedBallsIntoBins
 from repro.errors import ConfigurationError
+from repro.graphs.batched import BatchedConstrainedWalks
+from repro.graphs.generators import resolve_topology
 from repro.parallel.aggregate import aggregate_ensemble
 from repro.parallel.ensemble import EnsembleSpec, run_ensemble
 
@@ -320,14 +324,70 @@ class TestNativeKernel:
         assert (result.first_legitimate_round > 0).all()
         assert (result.first_legitimate_round < 20 * 64).all()
 
-    def test_oversized_state_rejected_not_downgraded(self):
+    @pytest.mark.parametrize("process", ["rbb", "walks"])
+    def test_oversized_state_rejected_not_downgraded(self, process):
+        if not native_available(process):
+            pytest.skip(f"native {process} kernel unavailable")
         initial = np.zeros((1, 4), dtype=np.int64)
         initial[0, 0] = 2**31  # does not fit the kernel's int32 loads
-        batched = BatchedRepeatedBallsIntoBins(
-            4, 1, initial=initial, seed=14, kernel="native"
-        )
+
+        def build(kernel):
+            if process == "walks":
+                return BatchedConstrainedWalks(
+                    resolve_topology("cycle:4"), 1, initial=initial, seed=14,
+                    kernel=kernel,
+                )
+            return BatchedRepeatedBallsIntoBins(
+                4, 1, initial=initial, seed=14, kernel=kernel
+            )
+
         with pytest.raises(ConfigurationError, match="int32"):
-            batched.run(1)
+            build("native").run(1)
+        # "auto" falls back to the numpy reference and says so
+        result = build("auto").run(1)
+        assert result.kernel == "numpy"
+        assert result.n_balls.tolist() == [2**31]
+
+
+# ----------------------------------------------------------------------
+# Reusing a seed object repeats the run
+# ----------------------------------------------------------------------
+KERNELS = ["numpy", pytest.param("native", marks=needs_native)]
+
+
+class TestSeedObjectReuse:
+    """``SeedSequence.spawn`` advances its root; no seed path may use it."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_run_ensemble_twice(self, kernel):
+        ss = np.random.SeedSequence(7)
+        spec = EnsembleSpec(n_bins=16, n_replicas=4, rounds=16)
+        first = run_ensemble(spec, seed=ss, kernel=kernel)
+        second = run_ensemble(spec, seed=ss, kernel=kernel)
+        fresh = run_ensemble(spec, seed=7, kernel=kernel)
+        assert np.array_equal(first.max_load_seen, second.max_load_seen)
+        assert np.array_equal(first.final_loads, second.final_loads)
+        assert np.array_equal(first.final_loads, fresh.final_loads)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_process_built_twice(self, kernel):
+        ss = np.random.SeedSequence(7)
+        runs = [
+            BatchedRepeatedBallsIntoBins(64, 4, seed=ss, kernel=kernel).run(32)
+            for _ in range(2)
+        ]
+        assert np.array_equal(runs[0].final_loads, runs[1].final_loads)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_faulty_process_built_twice(self, kernel):
+        ss = np.random.SeedSequence(7)
+        runs = [
+            BatchedFaultyProcess.with_gamma(
+                16, 4, gamma=1.0, adversary="shuffle", seed=ss, kernel=kernel
+            ).run(40)
+            for _ in range(2)
+        ]
+        assert np.array_equal(runs[0].final_loads, runs[1].final_loads)
 
 
 # ----------------------------------------------------------------------

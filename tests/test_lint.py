@@ -252,9 +252,12 @@ class TestContracts:
 # ---------------------------------------------------------------------
 def _bad_symbols(**entries):
     return {
-        name: SymbolABI(name=name, argtypes=argtypes, restype=restype, source=BAD_KERNEL)
-        for name, (argtypes, restype) in entries.items()
+        name: SymbolABI(name=name, params=params, restype=restype, source=BAD_KERNEL)
+        for name, (params, restype) in entries.items()
     }
+
+
+I32P = ctypes.POINTER(ctypes.c_int32)
 
 
 class TestABI:
@@ -272,11 +275,7 @@ class TestABI:
     def test_good_fixture_symbol_is_clean(self):
         symbols = _bad_symbols(
             good_fn=(
-                (
-                    ctypes.POINTER(ctypes.c_int32),
-                    ctypes.c_int64,
-                    ctypes.c_int64,
-                ),
+                (("loads", I32P), ("n", ctypes.c_int64), ("rounds", ctypes.c_int64)),
                 None,
             ),
         )
@@ -289,7 +288,7 @@ class TestABI:
         by_name = {f.name: f for f in good}
         abi = SymbolABI(
             name="width_fn",
-            argtypes=(ctypes.POINTER(ctypes.c_int32), ctypes.c_longlong),
+            params=(("loads", I32P), ("n", ctypes.c_longlong)),
             restype=None,
             source=BAD_KERNEL,
         )
@@ -298,7 +297,7 @@ class TestABI:
 
     def test_arity_drift(self):
         symbols = _bad_symbols(
-            arity_fn=((ctypes.POINTER(ctypes.c_int32), ctypes.c_int64), None),
+            arity_fn=((("loads", I32P), ("n", ctypes.c_int64)), None),
         )
         findings = [f for f in check_abi(symbols) if "arity_fn" in f.message]
         assert len(findings) == 1
@@ -307,7 +306,10 @@ class TestABI:
 
     def test_width_drift(self):
         symbols = _bad_symbols(
-            width_fn=((ctypes.POINTER(ctypes.c_int64), ctypes.c_int64), None),
+            width_fn=(
+                (("loads", ctypes.POINTER(ctypes.c_int64)), ("n", ctypes.c_int64)),
+                None,
+            ),
         )
         findings = [f for f in check_abi(symbols) if "width_fn" in f.message]
         assert len(findings) == 1
@@ -317,12 +319,28 @@ class TestABI:
     def test_argument_order_drift(self):
         # C order is (int64_t n, int32_t *loads); mirror declares the swap
         symbols = _bad_symbols(
-            order_fn=((ctypes.POINTER(ctypes.c_int32), ctypes.c_int64), None),
+            order_fn=((("loads", I32P), ("n", ctypes.c_int64)), None),
         )
         findings = [f for f in check_abi(symbols) if "order_fn" in f.message]
         assert len(findings) == 2
         assert any("parameter 0" in f.message for f in findings)
         assert any("parameter 1" in f.message for f in findings)
+
+    def test_same_typed_swap_drift(self):
+        # C declares (int32_t *loads, int64_t n, int64_t rounds); swapping
+        # the two int64_t parameters keeps every type right, so only the
+        # names can catch it — one finding per drifted parameter
+        symbols = _bad_symbols(
+            good_fn=(
+                (("loads", I32P), ("rounds", ctypes.c_int64), ("n", ctypes.c_int64)),
+                None,
+            ),
+        )
+        findings = [f for f in check_abi(symbols) if "good_fn" in f.message]
+        assert len(findings) == 2
+        assert "parameter 1 ('n')" in findings[0].message
+        assert "'rounds'" in findings[0].message
+        assert "parameter 2 ('rounds')" in findings[1].message
 
     def test_restype_drift(self):
         symbols = _bad_symbols(ret_fn=((), ctypes.c_int64))
@@ -351,7 +369,7 @@ class TestABI:
         symbols = {
             "gone": SymbolABI(
                 name="gone",
-                argtypes=(),
+                params=(),
                 restype=None,
                 source=FIXTURES / "does_not_exist.c",
             )

@@ -7,13 +7,14 @@ streams, so the parallelization axis cannot reorder any arithmetic) — and
 the fused in-kernel observation path is indistinguishable from the
 segmented Python-side observer loop on every registered metric.
 
-Also covered here: the flag-aware binary cache key, thread-count
-resolution precedence, the exact-moments tracker, and the sweep
-scheduler's oversubscription guard.
+Also covered here: the flag-aware binary cache key, the by-name kernel
+argument helper, thread-count resolution precedence, the exact-moments
+tracker, and the sweep scheduler's oversubscription guard.
 """
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 
 import numpy as np
@@ -21,7 +22,9 @@ import pytest
 
 from repro.core.batched import BatchedRepeatedBallsIntoBins
 from repro.core.native import (
+    KERNEL_ABI,
     available_cpu_count,
+    kernel_args,
     native_available,
     resolve_n_threads,
 )
@@ -323,17 +326,89 @@ class TestBinaryCacheKey:
         assert _fingerprint(spec, "cc", ("-fopenmp",)) == with_omp
         assert _fingerprint(spec, "gcc", ("-fopenmp",)) != with_omp
 
-    def test_header_is_part_of_the_key(self):
+    def test_header_is_part_of_the_key(self, monkeypatch, tmp_path):
         """The shared header is compiled in, so it must be hashed too."""
-        import dataclasses
+        from repro.core import native
 
-        from repro.core.native import _KERNELS, _fingerprint
+        spec = native._KERNELS["rbb"]
+        before = native._fingerprint(spec, "cc", ())
+        edited = tmp_path / "_kernel_common.h"
+        edited.write_bytes(native._COMMON_HEADER.read_bytes() + b"\n")
+        monkeypatch.setattr(native, "_COMMON_HEADER", edited)
+        assert native._fingerprint(spec, "cc", ()) != before
 
-        spec = _KERNELS["rbb"]
-        without_header = dataclasses.replace(spec, headers=())
-        assert _fingerprint(spec, "cc", ()) != _fingerprint(
-            without_header, "cc", ()
-        )
+
+class TestKernelArgs:
+    """The one place kernel argument lists are built: by C parameter name."""
+
+    @staticmethod
+    def _values(R=3, n=5):
+        return {
+            "loads": np.zeros((R, n), dtype=np.int32),
+            "R": R,
+            "n": n,
+            "rounds": 4,
+            "rng_state": np.ones((R, 4), dtype=np.uint64),
+            "threshold": 2.0,
+            "stop_when_legitimate": False,
+            "max_seen": np.zeros(R, dtype=np.int32),
+            "min_empty_seen": np.zeros(R, dtype=np.int32),
+            "first_legit": np.full(R, -1, dtype=np.int64),
+            "rounds_done": np.zeros(R, dtype=np.int64),
+            "active": np.ones(R, dtype=np.uint8),
+            "n_threads": 1,
+            "observe_every": 1,
+            "n_obs": 0,
+            "obs_max": None,
+            "obs_empty": None,
+            "obs_sum": None,
+            "obs_sumsq": None,
+        }
+
+    def test_declared_order_and_types(self):
+        values = self._values()
+        args = kernel_args("rbb", dict(reversed(list(values.items()))))
+        params = KERNEL_ABI["rbb_run"].params
+        assert len(args) == len(params)
+        for (name, ctype), arg in zip(params, args):
+            if values[name] is None:
+                assert arg is None  # NULL
+            elif isinstance(values[name], np.ndarray):
+                assert ctypes.addressof(arg.contents) == values[name].ctypes.data
+            else:
+                assert isinstance(arg, ctype)
+                assert arg.value == values[name]
+
+    def test_wrong_dtype_refused(self):
+        values = self._values()
+        values["loads"] = values["loads"].astype(np.int64)
+        with pytest.raises(ConfigurationError, match="'loads'.*int32"):
+            kernel_args("rbb", values)
+
+    def test_non_contiguous_array_refused(self):
+        # a copy would silently drop the kernel's writes
+        values = self._values()
+        values["max_seen"] = np.zeros(6, dtype=np.int32)[::2]
+        with pytest.raises(ConfigurationError, match="'max_seen'.*non-contiguous"):
+            kernel_args("rbb", values)
+
+    def test_non_array_refused(self):
+        values = self._values()
+        values["active"] = [1, 1, 1]
+        with pytest.raises(ConfigurationError, match="'active'.*list"):
+            kernel_args("rbb", values)
+
+    def test_missing_name_refused(self):
+        values = self._values()
+        del values["n_obs"]
+        with pytest.raises(ConfigurationError, match=r"missing \['n_obs'\]"):
+            kernel_args("rbb", values)
+
+    def test_extra_name_refused(self):
+        values = self._values()
+        values["constrained"] = True  # a walks parameter, not an rbb one
+        with pytest.raises(ConfigurationError, match=r"unexpected \['constrained'\]"):
+            kernel_args("rbb", values)
 
 
 # ---------------------------------------------------------------------

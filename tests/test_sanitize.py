@@ -107,6 +107,21 @@ class TestLadder:
         ladder = _variant_ladder("tsan")
         assert len(ladder) == len(set(ladder))
 
+    def test_tsan_threads_through_pthreads_not_openmp(self):
+        # stock libgomp hides its fork/join edges from TSan
+        ladder = _variant_ladder("tsan")
+        assert all("-fopenmp" not in flags for flags in ladder)
+        assert "-DREPRO_PTHREADS" in ladder[0]
+
+    def test_fast_ladder_is_openmp_then_pthreads_then_serial(self):
+        backends = [
+            "openmp" if "-fopenmp" in flags
+            else "pthreads" if "-DREPRO_PTHREADS" in flags
+            else "serial"
+            for flags in _FLAG_VARIANTS
+        ]
+        assert backends == ["openmp", "pthreads", "serial"] * 2
+
 
 class TestCacheIsolation:
     def test_fingerprints_differ_per_flag_variant(self):
