@@ -343,7 +343,7 @@ def measure(scale: Scale = FULL) -> Dict[str, dict]:
 
     # --- Greedy[2] (numpy-only) -------------------------------------
     d_per_replica = baseline("d_choices", scale.dchoices_rounds)
-    db = _timed(_spec(scale, scale.native_replicas, "d_choices"))
+    db = _timed(_spec(scale, scale.native_replicas, "d_choices"), "numpy")
     cases["greedy2_batched"] = _case(
         db,
         scale.native_replicas,

@@ -8,11 +8,11 @@
 # The script exports REPRO_SANITIZE (selecting the instrumented build
 # variant in repro.core.native), resolves the sanitizer runtime that a
 # stock CPython needs preloaded (ASan/TSan), sets sane *SAN_OPTIONS
-# defaults, and then — before running anything — asserts that both
-# kernels actually load instrumented.  A sanitizer leg that silently
+# defaults, and then — before running anything — asserts that every
+# kernel actually loads instrumented.  A sanitizer leg that silently
 # fell back to the numpy kernels would test nothing, so the fallback is
-# an error here, never a skip.  Under tsan it also asserts that both
-# kernels thread through pthreads: an OpenMP build would hide its
+# an error here, never a skip.  Under tsan it also asserts that every
+# kernel threads through pthreads: an OpenMP build would hide its
 # fork/join edges from the race detector (stock libgomp is not
 # TSan-instrumented), so the loader never builds one for tsan.
 #
@@ -78,10 +78,10 @@ if runtime:
     env["LD_PRELOAD"] = f"{runtime}:{tail}" if tail else runtime
 
 probe = (
-    "from repro.core.native import (\n"
-    "    native_available, native_status, native_threading, sanitize_mode)\n"
+    "from repro.core.native import (KERNEL_NAMES, native_available,\n"
+    "    native_status, native_threading, sanitize_mode)\n"
     "mode = sanitize_mode()\n"
-    "for kernel in ('rbb', 'walks'):\n"
+    "for kernel in KERNEL_NAMES:\n"
     "    status = native_status(kernel)\n"
     "    assert native_available(kernel), f'{kernel}: {status}'\n"
     "    assert f'[sanitize={mode}]' in status, f'{kernel}: {status}'\n"

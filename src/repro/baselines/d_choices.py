@@ -13,17 +13,19 @@ Two implementations cover the two workload shapes: :class:`DChoicesProcess`
 simulates one replica with per-ball sequential placements, and
 :class:`BatchedDChoices` simulates ``R`` replicas as one ``(R, n)`` load
 matrix — placements stay sequential *within* each replica (that is the
-Greedy[d] semantics) but the ``k``-th placement of every replica happens in
-one vectorized operation, so the Python-level loop count drops from
-``sum_r h_r`` to ``max_r h_r`` per round.  With ``R == 1`` and the same
-seed the batched process is stream-compatible with the single-replica one.
+Greedy[d] semantics).  Its numpy reference kernel performs the ``k``-th
+placement of every replica in one vectorized operation, so the
+Python-level loop count drops from ``sum_r h_r`` to ``max_r h_r`` per
+round; its native kernel (``greedy_kernel.c``) runs a whole window in one
+C call.  With ``R == 1``, the same seed and ``kernel="numpy"`` the batched
+process is stream-compatible with the single-replica one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -262,26 +264,30 @@ class BatchedDChoices(BatchedLoadProcess):
     Each round extracts one ball from every non-empty bin of every replica
     and replaces the extracted balls sequentially *within* each replica,
     each into the least loaded of ``d`` uniformly random candidate bins.
-    The ``k``-th placement of all replicas is performed as one vectorized
-    operation, so a round costs ``max_r h_r`` small array operations instead
-    of ``sum_r h_r`` Python iterations (``h_r`` = non-empty bins of replica
-    ``r``).
+    The numpy kernel performs the ``k``-th placement of all replicas as one
+    vectorized operation, so a round costs ``max_r h_r`` small array
+    operations instead of ``sum_r h_r`` Python iterations (``h_r`` =
+    non-empty bins of replica ``r``); the native kernel is
+    ``greedy_kernel.c``.
 
     With ``d == 1`` the allocator degenerates to the plain repeated
-    balls-into-bins update and a round collapses to one flat draw plus one
-    ``np.bincount``, exactly like
+    balls-into-bins update: the numpy kernel's round collapses to one flat
+    draw plus one ``np.bincount``, exactly like
     :class:`~repro.core.batched.BatchedRepeatedBallsIntoBins`'s numpy
-    kernel.  With ``R == 1`` and the same seed the trajectory matches
+    kernel, and the native kernel follows the native rbb trajectory.  With
+    ``R == 1``, the same seed and ``kernel="numpy"`` the trajectory matches
     :class:`DChoicesProcess` step for step (identical generator
     consumption), for every ``d``.
 
     Parameters
     ----------
-    n_bins, n_replicas, n_balls, initial, seed:
+    n_bins, n_replicas, n_balls, initial, seed, kernel, n_threads:
         As for :class:`~repro.core.batched.BatchedLoadProcess`.
     d:
         Number of candidate bins per placement.
     """
+
+    native_kernel = "greedy_d"
 
     def __init__(
         self,
@@ -291,11 +297,19 @@ class BatchedDChoices(BatchedLoadProcess):
         n_balls: Optional[int] = None,
         initial: Union[LoadConfiguration, np.ndarray, None] = None,
         seed: SeedLike = None,
+        kernel: str = "auto",
+        n_threads: Optional[int] = None,
     ) -> None:
         if d < 1:
             raise ConfigurationError(f"d must be >= 1, got {d}")
         super().__init__(
-            n_bins, n_replicas, n_balls=n_balls, initial=initial, seed=seed
+            n_bins,
+            n_replicas,
+            n_balls=n_balls,
+            initial=initial,
+            seed=seed,
+            kernel=kernel,
+            n_threads=n_threads,
         )
         self._d = int(d)
         self._rows = np.arange(n_replicas)
@@ -303,6 +317,9 @@ class BatchedDChoices(BatchedLoadProcess):
     @property
     def d(self) -> int:
         return self._d
+
+    def _native_extra_args(self, n_threads: int) -> Dict[str, object]:
+        return {"d": self._d}
 
     def _advance(self) -> None:
         loads = self._loads

@@ -45,10 +45,11 @@ numpy silently otherwise (``EnsembleResult.kernel`` says which ran).  Set
 the environment variable ``REPRO_NATIVE=0`` to force the numpy kernel
 everywhere.
 
-Every native kernel — this module's ``rbb`` and the graph walks' ``walks`` —
-runs through :class:`BatchedLoadProcess`: the kernel choice, the int32
-guard, fused or segmented observation, and one call whose arguments are
-built by C parameter name (:func:`repro.core.native.kernel_args`).
+Every native kernel — this module's ``rbb``, the graph walks' ``walks`` and
+Greedy[d]'s ``greedy_d`` — runs through :class:`BatchedLoadProcess`: the
+kernel choice, the int32 guard, fused or segmented observation, and one
+call whose arguments are built by C parameter name
+(:func:`repro.core.native.kernel_args`).
 
 Example
 -------
@@ -940,11 +941,12 @@ class BatchedLoadProcess:
     def _native_states(self) -> np.ndarray:
         """Per-replica xoshiro256++ states, seeded once per instance.
 
-        Shared by every native kernel (`rbb_kernel.c`, `walk_kernel.c`):
-        replica ``r``'s 4-word state comes from ``trial_seed(seed, r)``, so
-        a replica's native trajectory depends only on the seed and its
-        index — not on the batch size, and not on whether the seed object
-        was used before (``SeedSequence.spawn`` would advance it).
+        Shared by every native kernel (`rbb_kernel.c`, `walk_kernel.c`,
+        `greedy_kernel.c`): replica ``r``'s 4-word state comes from
+        ``trial_seed(seed, r)``, so a replica's native trajectory depends
+        only on the seed and its index — not on the batch size, and not on
+        whether the seed object was used before (``SeedSequence.spawn``
+        would advance it).
         """
         if self._native_state is None:
             # function-level: repro.parallel imports this module

@@ -1,6 +1,6 @@
 """On-demand compilation and loading of the native batched kernels.
 
-Two C kernels ship with the package and are compiled once per source
+Three C kernels ship with the package and are compiled once per source
 version into shared libraries under the user's cache directory, then
 loaded through :mod:`ctypes`:
 
@@ -10,9 +10,12 @@ loaded through :mod:`ctypes`:
 ``"walks"``
     ``graphs/walk_kernel.c`` — the topology-constrained parallel-walk
     update driven by :class:`~repro.graphs.batched.BatchedConstrainedWalks`.
+``"greedy_d"``
+    ``baselines/greedy_kernel.c`` — the repeated Greedy[d] update driven
+    by :class:`~repro.baselines.d_choices.BatchedDChoices`.
 
-Both kernels share ``_kernel_common.h`` (RNG + replica-axis threading) and
-are compiled against a ladder of flag variants, best first::
+Every kernel shares ``_kernel_common.h`` (RNG + replica-axis threading)
+and is compiled against a ladder of flag variants, best first::
 
     -O3 -march=native -funroll-loops -fopenmp        (OpenMP threading)
     -O3 -march=native -funroll-loops -DREPRO_PTHREADS -pthread
@@ -130,7 +133,7 @@ class SymbolABI:
         return tuple(tp for _, tp in self.params)
 
 
-#: Parameters shared by both kernels' fused-observation ABI tail; the
+#: Parameters shared by every kernel's fused-observation ABI tail; the
 #: ``(n_obs, R)`` buffers may be NULL.
 _OBS_TAIL: Tuple[Tuple[str, object], ...] = (
     ("n_threads", ctypes.c_int32),
@@ -191,6 +194,14 @@ _WALKS_ABI = SymbolABI(
     source=_PACKAGE_ROOT / "graphs" / "walk_kernel.c",
 )
 
+#: ``rbb_run``'s parameters with the candidate count ``d`` after ``n``.
+_GREEDY_ABI = SymbolABI(
+    name="greedy_run",
+    params=_RBB_ABI.params[:3] + (("d", ctypes.c_int64),) + _RBB_ABI.params[3:],
+    restype=None,
+    source=_PACKAGE_ROOT / "baselines" / "greedy_kernel.c",
+)
+
 _PROBE_ABI = SymbolABI(
     name="repro_threading_model",
     params=(),
@@ -202,7 +213,7 @@ _PROBE_ABI = SymbolABI(
 #: checker walks this mapping and verifies each entry against the
 #: ``REPRO_ABI``-marked C definition in ``SymbolABI.source``.
 KERNEL_ABI: Dict[str, SymbolABI] = {
-    abi.name: abi for abi in (_RBB_ABI, _WALKS_ABI, _PROBE_ABI)
+    abi.name: abi for abi in (_RBB_ABI, _WALKS_ABI, _GREEDY_ABI, _PROBE_ABI)
 }
 
 
@@ -212,7 +223,11 @@ def kernel_abi() -> Dict[str, SymbolABI]:
 
 
 #: Kernel name -> the entry point its shared library exports.
-_KERNELS: Dict[str, SymbolABI] = {"rbb": _RBB_ABI, "walks": _WALKS_ABI}
+_KERNELS: Dict[str, SymbolABI] = {
+    "rbb": _RBB_ABI,
+    "walks": _WALKS_ABI,
+    "greedy_d": _GREEDY_ABI,
+}
 
 #: Names of the compiled kernels this module can load.
 KERNEL_NAMES: Tuple[str, ...] = tuple(_KERNELS)

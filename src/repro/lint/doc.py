@@ -102,7 +102,7 @@ cache is likewise keyed by `(kernel, mode)`.
 `scripts/with_sanitizer.sh <mode> <command...>` wraps a command with
 the right environment: it resolves the runtime that a stock CPython
 needs preloaded (ASan/TSan; UBSan's runtime links into the `.so`), sets
-default `*SAN_OPTIONS`, and **asserts both kernels load instrumented
+default `*SAN_OPTIONS`, and **asserts every kernel loads instrumented
 before running anything** — a leg that silently fell back to the numpy
 kernels would test nothing.  The command runs from a small Python
 driver because TSan startup is sensitive to the inherited address-space

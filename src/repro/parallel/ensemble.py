@@ -372,7 +372,6 @@ def _make_batched_process(
     n_balls = spec.n_balls if initial is None else None
     cls = BATCHED_CLASSES[spec.process]
     if cls is BatchedDChoices:
-        # numpy-only process: no native kernel, nothing to thread
         return BatchedDChoices(
             spec.n_bins,
             n_replicas,
@@ -380,6 +379,8 @@ def _make_batched_process(
             n_balls=n_balls,
             initial=initial,
             seed=seed,
+            kernel=kernel,
+            n_threads=n_threads,
         )
     if cls is BatchedConstrainedWalks:
         return BatchedConstrainedWalks(
@@ -530,8 +531,8 @@ def run_ensemble(
         across a process pool.
     kernel:
         Kernel selection forwarded to the batched process
-        (``"auto"``/``"numpy"``/``"native"``); the batched Greedy[d]
-        process is numpy-only.
+        (``"auto"``/``"numpy"``/``"native"``); every process family has
+        a native kernel.
     n_threads:
         Native-kernel threads per shard (an execution knob like ``kernel``
         and ``n_workers``: results are bit-identical for every value).

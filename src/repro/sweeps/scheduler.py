@@ -50,7 +50,9 @@ StoreLike = Union[str, Path, ResultStore]
 Progress = Optional[Callable[[str], None]]
 
 #: Store-header schema version (bump on incompatible layout changes).
-HEADER_VERSION = 1
+#: Version 2: a ``d_choices`` point pinned to ``"native"`` runs the
+#: native Greedy[d] kernel; under version 1 it ran numpy.
+HEADER_VERSION = 2
 
 
 @dataclass
@@ -120,6 +122,30 @@ def _resolve_kernel(kernel: str, plan: SweepPlan) -> str:
     return "numpy"
 
 
+def _stored_version(store: ResultStore, plan: SweepPlan) -> int:
+    """The header version a continued store keeps (new stores get the current).
+
+    A version-1 store resumes unchanged unless it pins ``"native"`` for a
+    plan with ``d_choices`` points: those points ran numpy under version
+    1 and would run the native Greedy[d] kernel now, mixing two random
+    streams in one store, so the resume is refused before any point runs.
+    """
+    stored = store.read_header()
+    if stored is None or stored.get("version") != 1:
+        return HEADER_VERSION
+    greedy = any(
+        point.config.get("process", "rbb") == "d_choices" for point in plan
+    )
+    if stored.get("kernel") == "native" and greedy:
+        raise ConfigurationError(
+            "this store has a version-1 header that pins kernel 'native' for "
+            "d_choices points, which ran the numpy kernel before Greedy[d] "
+            "had a native kernel; continuing would mix numpy and native "
+            "streams in one store, so run the sweep into a new store"
+        )
+    return 1
+
+
 def _header(
     spec: SweepSpec,
     seed: SeedLike,
@@ -127,11 +153,12 @@ def _header(
     kernel: str,
     n_workers: int,
     n_threads: Optional[int] = None,
+    version: int = HEADER_VERSION,
 ) -> dict:
     root = as_seed_sequence(seed)
     entropy = root.entropy
     header = {
-        "version": HEADER_VERSION,
+        "version": version,
         "spec": spec.to_dict(),
         "seed_entropy": entropy if isinstance(entropy, int) else list(entropy),
         "seed_spawn_key": [int(k) for k in root.spawn_key],
@@ -229,7 +256,10 @@ def run_sweep(
     plan = expand_sweep(spec)
     kernel = _resolve_kernel(kernel, plan)
     result_store = _coerce_store(store)
-    header = _header(spec, seed, engine, kernel, n_workers, n_threads)
+    header = _header(
+        spec, seed, engine, kernel, n_workers, n_threads,
+        version=_stored_version(result_store, plan),
+    )
     result_store.write_header(header)
     run_threads = _cap_threads(n_threads, n_workers)
 

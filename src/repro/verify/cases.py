@@ -11,21 +11,23 @@ the catalog at two levels:
     with ensemble sizes tuned so the whole tier finishes in well under a
     minute on one core.
 ``full``
-    The pre-merge sweep: the full cross product — both kernels,
-    ``n_threads in {1, 2}``, fused and segmented observation,
-    every adversary with an exact kernel, Greedy[d], the token process,
-    constrained and unconstrained walks on three topologies, and the
-    Lemma 5 absorbing chain — at larger ``R`` and more horizons.
+    The pre-merge sweep: the full cross product — numpy and native
+    kernels, ``n_threads in {1, 2}``, fused and segmented observation,
+    every adversary with an exact kernel, Greedy[d] on the numpy and
+    native kernels, the token process, constrained and unconstrained
+    walks on three topologies, and the Lemma 5 absorbing chain — at
+    larger ``R`` and more horizons.
 
-Native-kernel cases are declared unconditionally; the runner skips them
-(reported, never silently) when no C kernel is loaded, which is exactly
-what the ``REPRO_NATIVE=0`` CI leg exercises.
+Native-kernel cases are declared unconditionally; the runner skips each
+one (reported, never silently) when the C kernel of its process family is
+not loaded, which is exactly what the ``REPRO_NATIVE=0`` CI leg
+exercises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.native import native_available
 from ..errors import ConfigurationError
@@ -158,14 +160,7 @@ def _process_cases(R: int, smoke: bool) -> List[ConformanceCase]:
     cases: List[ConformanceCase] = [
         ConformanceCase(
             name="greedy-d2-batched-numpy",
-            spec_config={
-                "n_bins": 3,
-                "n_replicas": R,
-                "rounds": 3,
-                "start": "all_in_one",
-                "process": "d_choices",
-                "d": 2,
-            },
+            spec_config=_greedy_spec(R, n_bins=3, d=2),
             kernel="numpy",
             horizons=(1, 3) if smoke else (1, 2, 3),
             ground_truth="exact_greedy_d_transition_matrix",
@@ -374,6 +369,48 @@ def _scenario_cases(R: int, smoke: bool) -> List[ConformanceCase]:
     return cases
 
 
+def _greedy_spec(R: int, n_bins: int, d: int, **extra: Any) -> Dict[str, Any]:
+    """A Greedy[d] spec from the all-in-one start, three rounds long."""
+    return {
+        "n_bins": n_bins,
+        "n_replicas": R,
+        "rounds": 3,
+        "start": "all_in_one",
+        "process": "d_choices",
+        "d": d,
+        **extra,
+    }
+
+
+def _greedy_native_cases(R: int, smoke: bool) -> List[ConformanceCase]:
+    """Greedy[d] on native coordinates (after the other cases, so their
+    catalog indices — and hence their seeds — stay put)."""
+    # max_load/empty_bins observers ride along so the fused in-kernel
+    # observation path (and its segmented fallback) is what actually runs
+    observed = {"metrics": ("max_load", "empty_bins")}
+    horizons = (1, 3) if smoke else (1, 2, 3)
+    # (name stem, n_bins, d, n_threads, fused)
+    coordinates = [("greedy-d2", 3, 2, 1, True)]
+    if not smoke:
+        coordinates += [
+            ("greedy-d2", 3, 2, 2, False),
+            ("greedy-n4-d3", 4, 3, 2, True),
+        ]
+    return [
+        ConformanceCase(
+            name=f"{stem}-batched-native-t{n_threads}-"
+            + ("fused" if fused else "segmented"),
+            spec_config=_greedy_spec(R, n_bins, d, **observed),
+            kernel="native",
+            n_threads=n_threads,
+            fused=fused,
+            horizons=horizons,
+            ground_truth="exact_greedy_d_transition_matrix",
+        )
+        for stem, n_bins, d, n_threads, fused in coordinates
+    ]
+
+
 def build_cases(level: str = "smoke") -> List[ConformanceCase]:
     """The catalog at one verification level."""
     if level not in VERIFY_LEVELS:
@@ -386,6 +423,7 @@ def build_cases(level: str = "smoke") -> List[ConformanceCase]:
         _rbb_engine_matrix(R, smoke)
         + _process_cases(R, smoke)
         + _scenario_cases(R, smoke)
+        + _greedy_native_cases(R, smoke)
     )
     names = [case.name for case in cases]
     if len(set(names)) != len(names):  # pragma: no cover - catalog bug guard

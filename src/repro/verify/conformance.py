@@ -56,7 +56,12 @@ from ..markov.small_n import (
     exact_rbb_transition_matrix,
     exact_walk_transition_matrix,
 )
-from ..parallel.ensemble import EnsembleSpec, check_engine, run_ensemble
+from ..parallel.ensemble import (
+    BATCHED_CLASSES,
+    EnsembleSpec,
+    check_engine,
+    run_ensemble,
+)
 from ..parallel.seeding import trial_seed
 from ..rng import as_seed_sequence
 from ..types import SeedLike
@@ -632,20 +637,13 @@ def run_conformance(
         alpha_total=alpha_total,
         alpha_per_test=alpha,
     )
-    native_ok = {
-        "rbb": native_kernel_available("rbb"),
-        "walks": native_kernel_available("walks"),
-    }
     for case_index, case in enumerate(catalog):
         if only is not None and only not in case.name:
             continue
         if case.needs_native:
-            which = (
-                "walks"
-                if dict(case.spec_config).get("process") == "graph_walks"
-                else "rbb"
-            )
-            if not native_ok[which]:
+            process = dict(case.spec_config).get("process", "rbb")
+            which = BATCHED_CLASSES[process].native_kernel
+            if not native_kernel_available(which):
                 report.skipped.append(
                     (case.name, f"native {which} kernel unavailable")
                 )

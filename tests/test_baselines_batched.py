@@ -1,11 +1,12 @@
 """Tests for the batched Greedy[d] baseline (BatchedDChoices + one-shot).
 
-The load-bearing guarantee mirrors the batched engine's: with ``R == 1``
-and the same seed, :class:`BatchedDChoices` must reproduce
-:class:`DChoicesProcess` step for step (identical generator consumption),
-and in particular the max-load distribution over a fixed seed grid must
-match quantile for quantile.  On top of that sit conservation checks at
-``R > 1``, protocol conformance, and the ensemble-engine routing.
+The load-bearing guarantee mirrors the batched engine's: with ``R == 1``,
+the same seed and the numpy kernel, :class:`BatchedDChoices` must
+reproduce :class:`DChoicesProcess` step for step (identical generator
+consumption), and in particular the max-load distribution over a fixed
+seed grid must match quantile for quantile.  On top of that sit
+conservation checks at ``R > 1``, protocol conformance, the native
+Greedy[d] kernel, and the ensemble-engine routing.
 """
 
 from __future__ import annotations
@@ -24,10 +25,16 @@ from repro.core.batched import (
     BatchedRepeatedBallsIntoBins,
     make_ensemble_initial,
 )
+from repro.core import native
 from repro.errors import ConfigurationError
 from repro.parallel.ensemble import EnsembleSpec, run_ensemble
 
 SEED_GRID = list(range(24))
+
+needs_native_greedy = pytest.mark.skipif(
+    not native.native_available("greedy_d"),
+    reason="native greedy_d kernel unavailable (no C compiler)",
+)
 
 
 # ----------------------------------------------------------------------
@@ -49,7 +56,7 @@ class TestSequentialEquivalence:
         for seed in SEED_GRID:
             sequential = DChoicesProcess(n, d=1, seed=seed)
             sequential_max.append(sequential.run(rounds).max_load_seen)
-            batched = BatchedDChoices(n, 1, d=1, seed=seed)
+            batched = BatchedDChoices(n, 1, d=1, seed=seed, kernel="numpy")
             batched_max.append(int(batched.run(rounds).max_load_seen[0]))
         # the numpy paths are stream-equal, so the per-seed values (and
         # hence every quantile of the seed-grid distribution) coincide
@@ -62,7 +69,11 @@ class TestSequentialEquivalence:
         pairs = [
             (
                 DChoicesProcess(n, d=2, seed=seed).run(rounds).max_load_seen,
-                int(BatchedDChoices(n, 1, d=2, seed=seed).run(rounds).max_load_seen[0]),
+                int(
+                    BatchedDChoices(n, 1, d=2, seed=seed, kernel="numpy")
+                    .run(rounds)
+                    .max_load_seen[0]
+                ),
             )
             for seed in SEED_GRID
         ]
@@ -111,6 +122,48 @@ class TestBatchedDChoices:
             BatchedDChoices(0, 2)
         with pytest.raises(ConfigurationError):
             BatchedDChoices(8, 2, seed=0).run(-1)
+
+
+# ----------------------------------------------------------------------
+# The native Greedy[d] kernel
+# ----------------------------------------------------------------------
+class TestNativeKernel:
+    SPEC = EnsembleSpec(
+        n_bins=16, n_replicas=4, rounds=8, process="d_choices", d=2
+    )
+
+    @needs_native_greedy
+    def test_run_ensemble_honours_native(self):
+        result = run_ensemble(self.SPEC, seed=1, kernel="native")
+        assert result.kernel == "native"
+        process = BatchedDChoices(16, 4, d=2, seed=1, kernel="native")
+        assert process.run(8).kernel == "native"
+
+    def test_unavailable_native_kernel_raises(self, monkeypatch):
+        unavailable = native._LoadedKernel(
+            None, "disabled for this test", "unavailable"
+        )
+        monkeypatch.setitem(
+            native._CACHE, ("greedy_d", native.sanitize_mode()), unavailable
+        )
+        with pytest.raises(ConfigurationError, match="greedy_d.*disabled for"):
+            BatchedDChoices(16, 4, d=2, seed=1, kernel="native")
+        with pytest.raises(ConfigurationError, match="greedy_d.*unavailable"):
+            run_ensemble(self.SPEC, seed=1, kernel="native")
+        # "auto" falls back to the numpy reference and says so
+        assert run_ensemble(self.SPEC, seed=1, kernel="auto").kernel == "numpy"
+
+    @needs_native_greedy
+    def test_d1_matches_native_rbb(self):
+        """Greedy[1] consumes the native streams exactly as the rbb kernel
+        does, so the two native trajectories coincide."""
+        if not native.native_available("rbb"):
+            pytest.skip("native rbb kernel unavailable")
+        greedy = BatchedDChoices(16, 6, d=1, seed=5, kernel="native").run(40)
+        plain = BatchedRepeatedBallsIntoBins(16, 6, seed=5, kernel="native").run(40)
+        assert np.array_equal(greedy.final_loads, plain.final_loads)
+        assert np.array_equal(greedy.max_load_seen, plain.max_load_seen)
+        assert np.array_equal(greedy.min_empty_bins_seen, plain.min_empty_bins_seen)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversary.batched import BatchedFaultyProcess
+from repro.baselines.d_choices import BatchedDChoices
 from repro.core.batched import (
     BatchedRepeatedBallsIntoBins,
     EnsembleResult,
@@ -324,7 +325,7 @@ class TestNativeKernel:
         assert (result.first_legitimate_round > 0).all()
         assert (result.first_legitimate_round < 20 * 64).all()
 
-    @pytest.mark.parametrize("process", ["rbb", "walks"])
+    @pytest.mark.parametrize("process", ["rbb", "walks", "greedy_d"])
     def test_oversized_state_rejected_not_downgraded(self, process):
         if not native_available(process):
             pytest.skip(f"native {process} kernel unavailable")
@@ -336,6 +337,10 @@ class TestNativeKernel:
                 return BatchedConstrainedWalks(
                     resolve_topology("cycle:4"), 1, initial=initial, seed=14,
                     kernel=kernel,
+                )
+            if process == "greedy_d":
+                return BatchedDChoices(
+                    4, 1, d=2, initial=initial, seed=14, kernel=kernel
                 )
             return BatchedRepeatedBallsIntoBins(
                 4, 1, initial=initial, seed=14, kernel=kernel

@@ -118,7 +118,7 @@ class TestStreamEquality:
         single = _batched_trackers()
         single_proc.run(self.ROUNDS, observers=list(single.values()))
 
-        bat_proc = BatchedDChoices(32, 1, d=2, seed=12)
+        bat_proc = BatchedDChoices(32, 1, d=2, seed=12, kernel="numpy")
         bat = _batched_trackers()
         bat_proc.run(self.ROUNDS, observers=list(bat.values()))
         _assert_stream_equal(single, bat)

@@ -20,6 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.baselines.d_choices import BatchedDChoices
 from repro.core.batched import BatchedRepeatedBallsIntoBins
 from repro.core.native import (
     KERNEL_ABI,
@@ -48,6 +49,10 @@ needs_native_walks = pytest.mark.skipif(
     not native_available("walks"),
     reason="native walk kernel unavailable (no C compiler)",
 )
+needs_native_greedy = pytest.mark.skipif(
+    not native_available("greedy_d"),
+    reason="native greedy_d kernel unavailable (no C compiler)",
+)
 
 THREAD_COUNTS = (1, 2, max(2, available_cpu_count()))
 
@@ -68,6 +73,20 @@ def _walks(n_threads, **kwargs):
     defaults = dict(seed=42, kernel="native", n_threads=n_threads)
     defaults.update(kwargs)
     return BatchedConstrainedWalks(resolve_topology("cycle:64"), 33, **defaults)
+
+
+def _greedy(n_threads, **kwargs):
+    defaults = dict(seed=42, kernel="native", n_threads=n_threads)
+    defaults.update(kwargs)
+    return BatchedDChoices(96, 33, d=2, **defaults)
+
+
+#: Builders of the processes whose native kernel is rbb-shaped (no
+#: topology): the fused-equality tests run on each.
+RBB_SHAPED = [
+    pytest.param(_rbb, id="rbb"),
+    pytest.param(_greedy, id="greedy_d", marks=needs_native_greedy),
+]
 
 
 def _payloads(spec_metrics, process, run_kwargs):
@@ -174,12 +193,13 @@ class TestThreadInvarianceWalks:
 # ---------------------------------------------------------------------
 @needs_native
 class TestFusedObservation:
+    @pytest.mark.parametrize("build", RBB_SHAPED)
     @pytest.mark.parametrize("observe_every", [1, 7, 16, 1000])
-    def test_rbb_fused_matches_segmented(self, observe_every, monkeypatch):
+    def test_fused_matches_segmented(self, build, observe_every, monkeypatch):
         kwargs = dict(rounds=120, observe_every=observe_every)
-        fused_loads, fused = _payloads(FUSED_METRICS, _rbb(2), kwargs)
+        fused_loads, fused = _payloads(FUSED_METRICS, build(2), kwargs)
         monkeypatch.setenv("REPRO_NATIVE_FUSED", "0")
-        seg_loads, segmented = _payloads(FUSED_METRICS, _rbb(2), kwargs)
+        seg_loads, segmented = _payloads(FUSED_METRICS, build(2), kwargs)
         assert np.array_equal(fused_loads, seg_loads)
         _assert_payloads_equal(fused, segmented, f"stride={observe_every}")
 
@@ -427,6 +447,15 @@ class TestEnsemblePlumbing:
             "fault_period": 60,
             "metrics": "max_load",
         },
+        pytest.param(
+            {
+                "process": "d_choices",
+                "d": 2,
+                "metrics": "max_load,empty_bins",
+                "observe_every": 8,
+            },
+            marks=needs_native_greedy,
+        ),
     ])
     def test_run_ensemble_thread_invariant(self, process_kwargs):
         spec = EnsembleSpec(**self.SPEC, **process_kwargs)

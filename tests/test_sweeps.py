@@ -259,6 +259,62 @@ class TestScheduler:
         # no point ran: the manifest is untouched
         assert (store_dir / ResultStore.MANIFEST_NAME).read_bytes() == manifest
 
+    @staticmethod
+    def _version1_store(store_dir, spec, kernel):
+        """A new store holding a hand-written version-1 header."""
+        ResultStore.create(store_dir).write_header({
+            "version": 1,
+            "spec": spec.to_dict(),
+            "seed_entropy": 1,
+            "seed_spawn_key": [],
+            "engine": "auto",
+            "kernel": kernel,
+            "n_workers": 0,
+        })
+
+    def test_version1_native_store_with_greedy_points_refused(self, tmp_path):
+        """Version-1 stores ran d_choices points on numpy even when they
+        pinned "native"; now those points run native, so continuing such
+        a store would mix two streams."""
+        spec = tiny_spec(grid={"process": ["rbb", "d_choices"], "n_bins": [8]})
+        store_dir = tmp_path / "store"
+        self._version1_store(store_dir, spec, "native")
+        manifest = store_dir / ResultStore.MANIFEST_NAME
+        before = manifest.read_bytes() if manifest.exists() else b""
+        with pytest.raises(ConfigurationError, match="version-1.*mix numpy and native"):
+            resume_sweep(store_dir)
+        with pytest.raises(ConfigurationError, match="version-1.*new store"):
+            run_sweep(spec, store_dir, seed=1, kernel="native")
+        # no point ran: the manifest is untouched
+        after = manifest.read_bytes() if manifest.exists() else b""
+        assert after == before
+
+    @pytest.mark.parametrize("kernel, processes", [
+        ("numpy", ["rbb", "d_choices"]),
+        ("native", ["rbb"]),
+    ])
+    def test_other_version1_stores_resume_unchanged(
+        self, tmp_path, kernel, processes
+    ):
+        from repro.core.native import native_available
+
+        if kernel == "native" and not native_available():
+            pytest.skip("native rbb kernel unavailable")
+        spec = tiny_spec(grid={"process": processes, "n_bins": [8, 16]})
+        store_dir = tmp_path / "store"
+        self._version1_store(store_dir, spec, kernel)
+        header = (store_dir / ResultStore.HEADER_NAME).read_bytes()
+        run_sweep(spec, store_dir, seed=1, kernel=kernel, max_points=1)
+        report = resume_sweep(store_dir)
+        assert report.finished and report.n_run == spec.n_points - 1
+        # the header keeps its version, and the manifest is the one an
+        # uninterrupted run writes
+        assert (store_dir / ResultStore.HEADER_NAME).read_bytes() == header
+        reference = ResultStore.in_memory()
+        run_sweep(spec, reference, seed=1, kernel=kernel)
+        assert reference.read_header()["version"] == 2
+        assert report.store.manifest_bytes() == reference.manifest_bytes()
+
     def test_resume_requires_header(self, tmp_path):
         with pytest.raises(ConfigurationError):
             resume_sweep(tmp_path / "nowhere")
