@@ -5,10 +5,10 @@ compiled kernels.  The baseline runs each single-replica simulator's own
 ``run()`` (``RepeatedBallsIntoBins``, ``DChoicesProcess``,
 ``FaultyProcess``, ``ConstrainedParallelWalks``) once per replica, one seed
 per replica.  That is embarrassingly linear in the replica count, so the
-baseline is *sampled* at a small replica count (``R = 64`` at full scale)
-and extrapolated linearly — timing 4096 Python replicas directly would add
+baseline is *sampled* at a small replica count (``R = 64``) and
+extrapolated linearly — timing 4096 Python replicas directly would add
 minutes of wall clock without changing the answer.  The baseline cases keep
-their historical ``*_sequential_baseline`` ledger names.
+their historical ``*_sequential_baseline`` names.
 
 Scenarios:
 
@@ -48,23 +48,14 @@ Scenarios:
     (speedup >= 0.95), so compiling and folding never become a tax on
     native-kernel segments.
 
-Run standalone::
+Run it as a script; it exits 1 when a floor is missed::
 
     PYTHONPATH=src python benchmarks/bench_batched.py
-
-through pytest::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_batched.py -q
-
-or record the numbers into the committed ledger::
-
-    PYTHONPATH=src python benchmarks/record.py --out benchmarks/BENCH_batched.json
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -86,10 +77,22 @@ N_BINS = 1024
 SEED = 0
 OBSERVE_EVERY = 16
 WALKS_TOPOLOGY = "torus:32x32"
+#: Single-replica sample size; its wall clock is extrapolated linearly.
+BASELINE_REPLICAS = 64
+#: Replica counts for the native-kernel and the numpy-kernel scenarios.
+NATIVE_REPLICAS = 4096
+NUMPY_REPLICAS = 256
+#: Round windows: plain/observed rbb and the scenario, Greedy[2],
+#: adversarial (with its fault period) and graph walks.
+ROUNDS = 2000
+DCHOICES_ROUNDS = 12
+FAULTY_ROUNDS = 1000
+FAULT_PERIOD = 250
+WALKS_ROUNDS = 200
 
-#: Headline target for the threaded rbb kernel (plain and observed) at
-#: full scale, and the per-core floor it is pro-rated against on machines
-#: with fewer than 8 visible cores.
+#: Headline target for the threaded rbb kernel (plain and observed), and
+#: the per-core floor it is pro-rated against on machines with fewer than
+#: 8 visible cores.
 RBB_TARGET = 100.0
 RBB_PER_CORE_FLOOR = 12.5
 #: The threaded walk kernel's raised floor (was 10x) and per-core pro-rate.
@@ -115,78 +118,32 @@ def prorated(full_target: float, per_core_floor: float) -> float:
     return min(full_target, per_core_floor * available_cpu_count())
 
 
-@dataclass(frozen=True)
-class Scale:
-    """One benchmark size: full acceptance scale or the CI smoke scale."""
-
-    name: str
-    baseline_replicas: int  #: single-replica sample size (extrapolated linearly)
-    native_replicas: int  #: replica count for native-kernel scenarios
-    numpy_replicas: int  #: replica count for numpy-kernel scenarios
-    rounds: int
-    dchoices_rounds: int
-    faulty_rounds: int
-    fault_period: int
-    walks_rounds: int
-    enforce: bool  #: assert the speedup floors (full scale only)
-
-
-FULL = Scale(
-    name="full",
-    baseline_replicas=64,
-    native_replicas=4096,
-    numpy_replicas=256,
-    rounds=2000,
-    dchoices_rounds=12,
-    faulty_rounds=1000,
-    fault_period=250,
-    walks_rounds=200,
-    enforce=True,
-)
-
-#: Small enough for a CI smoke job: exercises every scenario end to end
-#: and records relative numbers, but asserts no absolute speedups (shared
-#: CI runners make absolute timing meaningless).
-SMOKE = Scale(
-    name="smoke",
-    baseline_replicas=4,
-    native_replicas=64,
-    numpy_replicas=64,
-    rounds=200,
-    dchoices_rounds=4,
-    faulty_rounds=120,
-    fault_period=40,
-    walks_rounds=60,
-    enforce=False,
-)
-
-
-def _spec(scale: Scale, n_replicas: int, process: str = "rbb") -> EnsembleSpec:
+def _spec(n_replicas: int, process: str = "rbb") -> EnsembleSpec:
     common = dict(n_bins=N_BINS, n_replicas=n_replicas, start="balanced")
     if process == "rbb":
-        return EnsembleSpec(rounds=scale.rounds, **common)
+        return EnsembleSpec(rounds=ROUNDS, **common)
     if process == "rbb_observed":
         return EnsembleSpec(
-            rounds=scale.rounds,
+            rounds=ROUNDS,
             metrics="max_load,legitimacy",
             observe_every=OBSERVE_EVERY,
             **common,
         )
     if process == "d_choices":
         return EnsembleSpec(
-            rounds=scale.dchoices_rounds, process="d_choices", d=2, **common
+            rounds=DCHOICES_ROUNDS, process="d_choices", d=2, **common
         )
     if process == "faulty":
         return EnsembleSpec(
-            rounds=scale.faulty_rounds,
+            rounds=FAULTY_ROUNDS,
             process="faulty",
             adversary="concentrate",
-            fault_period=scale.fault_period,
+            fault_period=FAULT_PERIOD,
             **common,
         )
     if process == "graph_walks":
         return EnsembleSpec(
-            rounds=scale.walks_rounds,
+            rounds=WALKS_ROUNDS,
             process="graph_walks",
             topology=WALKS_TOPOLOGY,
             **common,
@@ -195,8 +152,8 @@ def _spec(scale: Scale, n_replicas: int, process: str = "rbb") -> EnsembleSpec:
         import json
 
         return EnsembleSpec(
-            rounds=scale.rounds,
-            scenario=json.dumps({"events": _scenario_events(scale.rounds)}),
+            rounds=ROUNDS,
+            scenario=json.dumps({"events": _scenario_events(ROUNDS)}),
             **common,
         )
     raise ValueError(process)
@@ -215,7 +172,7 @@ def _scenario_events(rounds: int) -> List[dict]:
     ]
 
 
-def _timed_hand_segmented(scale: Scale, n_replicas: int, kernel: str) -> float:
+def _timed_hand_segmented(n_replicas: int, kernel: str) -> float:
     """The scenario workload hand-coded against the process API directly.
 
     Runs the exact segment/edit sequence the interpreter would issue —
@@ -230,7 +187,7 @@ def _timed_hand_segmented(scale: Scale, n_replicas: int, kernel: str) -> float:
 
     events = [
         (entry["round"], ScenarioEvent.from_dict(entry))
-        for entry in _scenario_events(scale.rounds)
+        for entry in _scenario_events(ROUNDS)
     ]
     start = time.perf_counter()
     process = BatchedRepeatedBallsIntoBins(
@@ -250,11 +207,11 @@ def _timed_hand_segmented(scale: Scale, n_replicas: int, kernel: str) -> float:
             process.inject_loads(edited)
         else:
             process.replace_loads(edited)
-    process.run(scale.rounds - cursor)
+    process.run(ROUNDS - cursor)
     return max(time.perf_counter() - start, 1e-9)
 
 
-def _single_replica(scale: Scale, process: str, seed):
+def _single_replica(process: str, seed):
     """One replica of ``process`` as its single-replica simulator."""
     rng = np.random.default_rng(seed)
     if process == "d_choices":
@@ -263,7 +220,7 @@ def _single_replica(scale: Scale, process: str, seed):
         return FaultyProcess(
             N_BINS,
             adversary="concentrate",
-            schedule=FaultSchedule.every(scale.fault_period),
+            schedule=FaultSchedule.every(FAULT_PERIOD),
             seed=rng,
         )
     if process == "graph_walks":
@@ -271,11 +228,11 @@ def _single_replica(scale: Scale, process: str, seed):
     return RepeatedBallsIntoBins(N_BINS, seed=rng)
 
 
-def _timed_single_replicas(scale: Scale, process: str, rounds: int) -> float:
-    """Run ``baseline_replicas`` replicas one at a time, one seed each."""
+def _timed_single_replicas(process: str, rounds: int) -> float:
+    """Run ``BASELINE_REPLICAS`` replicas one at a time, one seed each."""
     start = time.perf_counter()
-    for replica in range(scale.baseline_replicas):
-        simulator = _single_replica(scale, process, trial_seed(SEED, replica))
+    for replica in range(BASELINE_REPLICAS):
+        simulator = _single_replica(process, trial_seed(SEED, replica))
         assert simulator.run(rounds).rounds == rounds
     return max(time.perf_counter() - start, 1e-9)
 
@@ -297,112 +254,84 @@ def _case(seconds: float, replicas: int, rounds: int, speedup: float) -> dict:
     }
 
 
-def measure(scale: Scale = FULL) -> Dict[str, dict]:
+def measure() -> Dict[str, dict]:
     """Time every scenario and derive speedups vs the extrapolated baseline.
 
     Returns a ``case name -> {seconds, replica_rounds_per_s, speedup}``
-    mapping (the shape ``benchmarks/record.py`` commits to the ledger).
-    Baseline cases carry ``speedup = 1.0`` and the *sampled* wall clock;
-    their extrapolation factor is ``native_replicas / baseline_replicas``.
+    mapping.  Baseline cases carry ``speedup = 1.0`` and the *sampled* wall
+    clock; their extrapolation factor is ``NATIVE_REPLICAS /
+    BASELINE_REPLICAS``.
     """
     cases: Dict[str, dict] = {}
-    base_R = scale.baseline_replicas
 
     def baseline(process: str, rounds: int) -> float:
         """Per-replica single-replica seconds, from a small sampled run."""
-        sample = _timed_single_replicas(scale, process, rounds)
+        sample = _timed_single_replicas(process, rounds)
         cases[f"{process}_sequential_baseline"] = _case(
-            sample, base_R, rounds, 1.0
+            sample, BASELINE_REPLICAS, rounds, 1.0
         )
-        return sample / base_R
+        return sample / BASELINE_REPLICAS
 
     # --- repeated balls-into-bins -----------------------------------
-    seq_per_replica = baseline("rbb", scale.rounds)
-    npy = _timed(_spec(scale, scale.numpy_replicas), "numpy")
+    seq_per_replica = baseline("rbb", ROUNDS)
+    npy = _timed(_spec(NUMPY_REPLICAS), "numpy")
     cases["rbb_numpy"] = _case(
-        npy,
-        scale.numpy_replicas,
-        scale.rounds,
-        seq_per_replica * scale.numpy_replicas / npy,
+        npy, NUMPY_REPLICAS, ROUNDS, seq_per_replica * NUMPY_REPLICAS / npy
     )
     if native_available():
-        nat = _timed(_spec(scale, scale.native_replicas), "native")
+        nat = _timed(_spec(NATIVE_REPLICAS), "native")
         cases["rbb_native"] = _case(
-            nat,
-            scale.native_replicas,
-            scale.rounds,
-            seq_per_replica * scale.native_replicas / nat,
+            nat, NATIVE_REPLICAS, ROUNDS, seq_per_replica * NATIVE_REPLICAS / nat
         )
-        obs = _timed(_spec(scale, scale.native_replicas, "rbb_observed"), "native")
+        obs = _timed(_spec(NATIVE_REPLICAS, "rbb_observed"), "native")
         cases["rbb_native_observed"] = _case(
-            obs,
-            scale.native_replicas,
-            scale.rounds,
-            seq_per_replica * scale.native_replicas / obs,
+            obs, NATIVE_REPLICAS, ROUNDS, seq_per_replica * NATIVE_REPLICAS / obs
         )
 
     # --- Greedy[2] (numpy-only) -------------------------------------
-    d_per_replica = baseline("d_choices", scale.dchoices_rounds)
-    db = _timed(_spec(scale, scale.native_replicas, "d_choices"), "numpy")
+    d_per_replica = baseline("d_choices", DCHOICES_ROUNDS)
+    db = _timed(_spec(NATIVE_REPLICAS, "d_choices"), "numpy")
     cases["greedy2_batched"] = _case(
-        db,
-        scale.native_replicas,
-        scale.dchoices_rounds,
-        d_per_replica * scale.native_replicas / db,
+        db, NATIVE_REPLICAS, DCHOICES_ROUNDS, d_per_replica * NATIVE_REPLICAS / db
     )
 
     # --- adversarial -------------------------------------------------
-    f_per_replica = baseline("faulty", scale.faulty_rounds)
-    fb = _timed(_spec(scale, scale.native_replicas, "faulty"))
+    f_per_replica = baseline("faulty", FAULTY_ROUNDS)
+    fb = _timed(_spec(NATIVE_REPLICAS, "faulty"))
     cases["adversarial_batched"] = _case(
-        fb,
-        scale.native_replicas,
-        scale.faulty_rounds,
-        f_per_replica * scale.native_replicas / fb,
+        fb, NATIVE_REPLICAS, FAULTY_ROUNDS, f_per_replica * NATIVE_REPLICAS / fb
     )
 
     # --- graph walks -------------------------------------------------
-    w_per_replica = baseline("graph_walks", scale.walks_rounds)
-    wn = _timed(_spec(scale, scale.numpy_replicas, "graph_walks"), "numpy")
+    w_per_replica = baseline("graph_walks", WALKS_ROUNDS)
+    wn = _timed(_spec(NUMPY_REPLICAS, "graph_walks"), "numpy")
     cases["walks_numpy"] = _case(
-        wn,
-        scale.numpy_replicas,
-        scale.walks_rounds,
-        w_per_replica * scale.numpy_replicas / wn,
+        wn, NUMPY_REPLICAS, WALKS_ROUNDS, w_per_replica * NUMPY_REPLICAS / wn
     )
     if native_available("walks"):
-        wnat = _timed(_spec(scale, scale.native_replicas, "graph_walks"), "native")
+        wnat = _timed(_spec(NATIVE_REPLICAS, "graph_walks"), "native")
         cases["walks_native"] = _case(
-            wnat,
-            scale.native_replicas,
-            scale.walks_rounds,
-            w_per_replica * scale.native_replicas / wnat,
+            wnat, NATIVE_REPLICAS, WALKS_ROUNDS, w_per_replica * NATIVE_REPLICAS / wnat
         )
 
     # --- scenario interpreter overhead -------------------------------
     kernel = "native" if native_available() else "numpy"
-    scen_R = (
-        scale.native_replicas if kernel == "native" else scale.numpy_replicas
-    )
+    scen_R = NATIVE_REPLICAS if kernel == "native" else NUMPY_REPLICAS
     # best-of-5 interleaved: event application allocates (R, n) matrices,
     # and page-fault / preemption noise on those allocations dwarfs the
     # interpreter overhead being measured at best-of-3
     hand_times, scen_times = [], []
-    for _ in range(5 if scale.enforce else 2):
-        hand_times.append(_timed_hand_segmented(scale, scen_R, kernel))
-        scen_times.append(
-            _timed(_spec(scale, scen_R, "scenario"), kernel)
-        )
+    for _ in range(5):
+        hand_times.append(_timed_hand_segmented(scen_R, kernel))
+        scen_times.append(_timed(_spec(scen_R, "scenario"), kernel))
     hand, scen = min(hand_times), min(scen_times)
-    cases["scenario_hand_segmented"] = _case(hand, scen_R, scale.rounds, 1.0)
-    cases["scenario_interpreter"] = _case(
-        scen, scen_R, scale.rounds, hand / scen
-    )
+    cases["scenario_hand_segmented"] = _case(hand, scen_R, ROUNDS, 1.0)
+    cases["scenario_interpreter"] = _case(scen, scen_R, ROUNDS, hand / scen)
     return cases
 
 
 def check_targets(cases: Dict[str, dict]) -> List[str]:
-    """Evaluate the full-scale speedup floors; returns failure messages."""
+    """Evaluate the speedup floors; returns failure messages."""
     failures: List[str] = []
 
     def check(name: str, target: float, label: str) -> None:
@@ -435,34 +364,18 @@ def check_targets(cases: Dict[str, dict]) -> List[str]:
     return failures
 
 
-def test_batched_engine_speedup():
-    cases = measure(FULL)
-    if "rbb_native" not in cases:
-        import pytest
-
-        pytest.skip(
-            f"native kernel unavailable ({native_status()}); the threaded "
-            "speedup targets require the compiled kernels"
-        )
-    assert "walks_native" in cases, (
-        "a C compiler is available (the rbb kernel compiled) but the walk "
-        f"kernel did not: {native_status('walks')}"
-    )
-    failures = check_targets(cases)
-    assert not failures, "; ".join(failures)
-
-
-def main(scale: Scale = FULL) -> int:
+def main() -> int:
     """Print the throughput table and enforce the speedup floors.
 
-    Returns a non-zero exit code when a full-scale floor is missed, so CI
-    needs only this one invocation.
+    Returns a non-zero exit code when a floor is missed, or when the rbb
+    kernel compiled but the walk kernel did not, so CI needs only this one
+    invocation.
     """
     cores = available_cpu_count()
     print(
-        f"scale={scale.name}: R={scale.native_replicas} native / "
-        f"R={scale.numpy_replicas} numpy / R={scale.baseline_replicas} "
-        f"single-replica sample, n={N_BINS} bins; {cores} visible core(s)"
+        f"R={NATIVE_REPLICAS} native / R={NUMPY_REPLICAS} numpy / "
+        f"R={BASELINE_REPLICAS} single-replica sample, n={N_BINS} bins; "
+        f"{cores} visible core(s)"
     )
     print(
         f"native rbb kernel  : {native_status()} "
@@ -472,14 +385,13 @@ def main(scale: Scale = FULL) -> int:
         f"native walk kernel : {native_status('walks')} "
         f"[threading: {native_threading('walks')}]"
     )
-    if scale.enforce:
-        print(
-            f"enforced floors: rbb {prorated(RBB_TARGET, RBB_PER_CORE_FLOOR):.1f}x "
-            f"(headline {RBB_TARGET:.0f}x), walks "
-            f"{prorated(WALKS_TARGET, WALKS_PER_CORE_FLOOR):.1f}x "
-            f"(headline {WALKS_TARGET:.0f}x)"
-        )
-    cases = measure(scale)
+    print(
+        f"enforced floors: rbb {prorated(RBB_TARGET, RBB_PER_CORE_FLOOR):.1f}x "
+        f"(headline {RBB_TARGET:.0f}x), walks "
+        f"{prorated(WALKS_TARGET, WALKS_PER_CORE_FLOOR):.1f}x "
+        f"(headline {WALKS_TARGET:.0f}x)"
+    )
+    cases = measure()
     print(
         f"{'case':28s} {'wall clock':>12s} {'replica-rounds/s':>18s} "
         f"{'speedup':>9s}"
@@ -489,16 +401,16 @@ def main(scale: Scale = FULL) -> int:
             f"{name:28s} {case['seconds']:10.2f} s "
             f"{case['replica_rounds_per_s']:18,.0f} {case['speedup']:8.1f}x"
         )
-    if not scale.enforce:
-        print("smoke scale: speedup floors not enforced")
-        return 0
     failures = check_targets(cases)
+    if "rbb_native" in cases and "walks_native" not in cases:
+        failures.append(
+            "a C compiler is available (the rbb kernel compiled) but the walk "
+            f"kernel did not: {native_status('walks')}"
+        )
     for failure in failures:
         print(f"FAILED: {failure}")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    import sys
-
-    raise SystemExit(main(SMOKE if "--smoke" in sys.argv[1:] else FULL))
+    raise SystemExit(main())

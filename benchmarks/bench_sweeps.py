@@ -13,13 +13,9 @@ baseline run: overhead is everything in ``elapsed_seconds`` that is not
 engine time, including all store I/O (the store is written to a real
 temporary directory).
 
-Run standalone::
+Run it as a script; it exits 1 when the cap is missed::
 
     PYTHONPATH=src python benchmarks/bench_sweeps.py
-
-or through pytest::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_sweeps.py -q
 """
 
 from __future__ import annotations
@@ -68,15 +64,6 @@ def measure() -> dict:
         "total_s": report.elapsed_seconds,
         "overhead_fraction": overhead / engine if engine else float("inf"),
     }
-
-
-def test_sweep_scheduler_overhead():
-    timings = measure()
-    assert timings["overhead_fraction"] < OVERHEAD_TARGET, (
-        f"scheduler + store overhead {timings['overhead_fraction']:.1%} "
-        f"exceeds the {OVERHEAD_TARGET:.0%} target "
-        f"({timings['overhead_s']:.3f}s on {timings['engine_s']:.3f}s engine)"
-    )
 
 
 def main() -> int:

@@ -13,7 +13,8 @@ from pathlib import Path
 from repro.experiments.report import generate_full_report
 
 PREAMBLE = """\
-This file records a reproduction run of every experiment defined in DESIGN.md for
+This file records a reproduction run of every experiment in the registry
+(`repro.experiments.registry`, catalogued in docs/EXPERIMENTS.md) for
 *Self-stabilizing repeated balls-into-bins* (Becchetti, Clementi, Natale, Pasquale, Posta;
 SPAA 2015 / Distributed Computing 2019).  The paper is purely analytical (no tables or
 figures), so each "experiment" verifies the shape of one theorem/lemma/corollary at finite

@@ -7,7 +7,7 @@ the Lemma 3 coupling, the Lemma 5 absorbing chain), the multi-token
 traversal protocol of Section 4, the adversarial fault model of Section 4.1,
 the baselines it is compared against, and an experiment harness that
 empirically reproduces each theorem/lemma/corollary as a table (see
-DESIGN.md and EXPERIMENTS.md).
+:mod:`repro.experiments.registry` and docs/EXPERIMENTS.md).
 
 Quickstart
 ----------

@@ -5,8 +5,8 @@ uniformly random bins reduces the maximum load from
 ``Theta(log n / log log n)`` to ``log log n / log d + O(1)``
 (Azar–Broder–Karlin–Upfal).  The repeated variant, in which every re-thrown
 ball uses ``d`` choices, is the generalization mentioned among the related
-works ([36]); it serves as a "stronger allocator" baseline in the ablation
-benchmarks — the paper's point being that even the plain 1-choice repeated
+works ([36]); it serves as a "stronger allocator" baseline in the A2
+ablation — the paper's point being that even the plain 1-choice repeated
 process already achieves ``O(log n)``.
 
 Two implementations cover the two workload shapes: :class:`DChoicesProcess`

@@ -24,7 +24,8 @@ from ..core.coupling import CoupledRun
 from ..core.tetris import TetrisProcess
 from ..markov.absorbing import BinLoadChain, absorption_tail_bound
 from ..parallel.ensemble import EnsembleSpec, run_ensemble
-from ..rng import as_generator, as_seed_sequence
+from ..parallel.seeding import trial_seeds
+from ..rng import as_generator
 
 __all__ = [
     "run_e1_stability",
@@ -149,7 +150,7 @@ def run_e3_empty_bins(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Exp
     observe_every = int(params.get("observe_every", 4))
 
     starts = ["balanced", "all_in_one"]
-    seed_children = as_seed_sequence(seed).spawn(len(sizes) * len(starts))
+    seed_children = trial_seeds(seed, len(sizes) * len(starts))
     point = 0
     for n in sizes:
         rounds = max(int(rounds_factor * n), 2)

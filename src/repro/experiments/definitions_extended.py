@@ -56,7 +56,7 @@ from ..graphs.walks import ConstrainedParallelWalks
 from ..markov.small_n import appendix_b_counterexample
 from ..parallel.ensemble import EnsembleSpec, run_ensemble
 from ..parallel.runner import run_trials
-from ..parallel.seeding import trial_seed
+from ..parallel.seeding import trial_seed, trial_seeds
 from ..rng import as_generator, as_seed_sequence
 from ..store import ResultStore
 from ..sweeps import (
@@ -254,7 +254,7 @@ def run_e10_one_shot(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Expe
     trials = params["trials"]
     window_factor = params["window_factor"]
     rng = as_generator(seed)
-    seed_children = as_seed_sequence(seed).spawn(len(sizes))
+    seed_children = trial_seeds(seed, len(sizes))
 
     for point, n in enumerate(sizes):
         rounds = max(int(window_factor * n), 1)
@@ -299,7 +299,7 @@ def run_e11_sqrt_t(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Experi
     window_factors = params["window_factors"]
     trials = params["trials"]
     rng = as_generator(seed)
-    seed_children = as_seed_sequence(seed).spawn(len(window_factors))
+    seed_children = trial_seeds(seed, len(window_factors))
 
     for point, factor in enumerate(window_factors):
         rounds = max(int(factor * n), 1)
@@ -340,7 +340,7 @@ def run_e12_m_balls(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Exper
     ratios = params["ratios"]
     trials = params["trials"]
     rounds_factor = params["rounds_factor"]
-    seed_children = as_seed_sequence(seed).spawn(len(ratios))
+    seed_children = trial_seeds(seed, len(ratios))
 
     log_n = max(math.log(n), 1.0)
     for point, ratio in enumerate(ratios):

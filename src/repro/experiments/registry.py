@@ -3,8 +3,9 @@
 Each entry pairs an :class:`~repro.experiments.spec.ExperimentSpec` (claim,
 default parameters, expected shape) with a runner function.  Default
 parameters are sized so that a full default run of any single experiment
-finishes in seconds on a laptop; the benchmark suite shrinks them further
-and EXPERIMENTS.md records a larger-scale run.
+finishes in seconds on a laptop; ``tests/test_paper_shapes.py`` asserts the
+shape of each table at a comparable scale, and ``repro report`` runs the
+larger report scale listed in ``docs/EXPERIMENTS.md``.
 """
 
 from __future__ import annotations

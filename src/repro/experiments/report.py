@@ -3,8 +3,9 @@
 The report runs a selection of registered experiments and renders, for each
 one, the paper claim, the expected shape, the measured table, and the
 harness notes (fits, pass/fail of shape checks).  ``scripts/
-generate_experiments_report.py`` uses this to regenerate EXPERIMENTS.md; the
-benchmark suite regenerates the same tables at a smaller scale.
+generate_experiments_report.py`` uses this to regenerate EXPERIMENTS.md;
+``tests/test_paper_shapes.py`` regenerates the same tables at a smaller scale
+and asserts their shapes.
 """
 
 from __future__ import annotations
@@ -104,10 +105,11 @@ def generate_report(
     if preamble:
         out.write(preamble.rstrip() + "\n\n")
     out.write(
-        "Each section corresponds to one experiment id from DESIGN.md.  The *claim* is the\n"
-        "paper statement being reproduced, the *expected shape* is what the paper predicts,\n"
-        "the table is the measured result of this run, and the notes report the fitted\n"
-        "growth laws / shape checks computed by the harness.\n\n"
+        "Each section corresponds to one experiment id of the registry (catalogued in\n"
+        "docs/EXPERIMENTS.md).  The *claim* is the paper statement being reproduced, the\n"
+        "*expected shape* is what the paper predicts, the table is the measured result of\n"
+        "this run, and the notes report the fitted growth laws / shape checks computed by\n"
+        "the harness.\n\n"
     )
     for result in results:
         spec = result.spec

@@ -35,7 +35,7 @@ class ExperimentSpec:
         registry chooses values that complete in seconds.
     expected_shape:
         Short prose description of the expected outcome (who wins / growth
-        rate), mirrored in DESIGN.md.
+        rate), listed in ``docs/EXPERIMENTS.md``.
     """
 
     experiment_id: str

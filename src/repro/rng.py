@@ -5,8 +5,9 @@ Every stochastic object in the library accepts a *seed-like* argument — an
 :class:`numpy.random.Generator` — and normalizes it through
 :func:`as_generator`.  Parallel Monte-Carlo trials obtain statistically
 independent streams via :func:`spawn_generators` / :func:`spawn_seeds`,
-which use ``SeedSequence.spawn`` so results are reproducible regardless of
-how many worker processes participate.
+whose child ``i`` is :func:`repro.parallel.seeding.trial_seed` ``(seed, i)``:
+results are reproducible regardless of how many worker processes
+participate, and the seed object is never advanced.
 """
 
 from __future__ import annotations
@@ -59,10 +60,18 @@ def as_seed_sequence(seed: SeedLike = None) -> np.random.SeedSequence:
 
 
 def spawn_seeds(seed: SeedLike, count: int) -> List[np.random.SeedSequence]:
-    """Spawn *count* independent child seed sequences from *seed*."""
+    """Spawn *count* independent child seed sequences from *seed*.
+
+    The children are :func:`~repro.parallel.seeding.trial_seeds`: a fresh
+    root's ``spawn(count)``, without advancing *seed*, so a reused
+    ``SeedSequence`` hands out the same children every time.
+    """
+    # imported here: repro.parallel.seeding itself imports this module
+    from .parallel.seeding import trial_seeds
+
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    return list(as_seed_sequence(seed).spawn(count))
+    return trial_seeds(seed, count)
 
 
 def spawn_generators(seed: SeedLike, count: int) -> List[np.random.Generator]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
@@ -169,7 +170,7 @@ class TestIO:
 class TestRegistry:
     def test_all_experiments_registered(self):
         ids = registry.all_ids()
-        for expected in [f"E{i}" for i in range(1, 16)] + ["A1", "A3"]:
+        for expected in [f"E{i}" for i in range(1, 18)] + ["A1", "A2", "A3"]:
             assert expected in ids
 
     def test_lookup_case_insensitive(self):
@@ -199,7 +200,7 @@ class TestRegistry:
 class TestRunExperimentSmallScale:
     """Run each experiment at a deliberately tiny scale to check the harness
     wiring (rows produced, key columns present).  Shape assertions live in
-    the benchmarks and integration tests."""
+    ``tests/test_paper_shapes.py`` and the integration tests."""
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ExperimentError):
@@ -237,7 +238,7 @@ class TestRunExperimentSmallScale:
         # At n = 32 the 5n bound of Lemma 4 is not yet comfortably w.h.p.
         # (the drain takes ~4n rounds in expectation), so only check the
         # harness wiring here; the Lemma 4 shape check lives in the Tetris
-        # unit tests and the E5 benchmark at larger n.
+        # unit tests and in tests/test_paper_shapes.py at larger n.
         result = run_experiment("E5", params={"sizes": [32], "trials": 2}, seed=0)
         row = result.rows[0]
         assert row["bound_5n"] == 5 * 32
@@ -354,3 +355,22 @@ class TestRunExperimentSmallScale:
             "A3", params={"n": 32, "rhos": [0.5, 1.0], "trials": 2, "rounds_factor": 2.0}, seed=0
         )
         assert len(result.rows) == 2
+
+
+@pytest.mark.parametrize(
+    "experiment_id, params",
+    [
+        ("E3", {"sizes": [32], "trials": 2, "rounds_factor": 2.0}),
+        ("E10", {"sizes": [32, 64], "trials": 2, "window_factor": 1.0}),
+        ("E11", {"n": 32, "window_factors": [1, 2], "trials": 2}),
+        ("E12", {"n": 32, "ratios": [0.5, 1.0], "trials": 2, "rounds_factor": 1.0}),
+    ],
+)
+def test_reused_seed_sequence_gives_the_int_seed_rows(experiment_id, params):
+    """An experiment never advances the caller's seed object: two runs with
+    one ``SeedSequence`` and a run with the equivalent int agree."""
+    root = np.random.SeedSequence(7)
+    first = run_experiment(experiment_id, params=params, seed=root).rows
+    second = run_experiment(experiment_id, params=params, seed=root).rows
+    from_int = run_experiment(experiment_id, params=params, seed=7).rows
+    assert first == second == from_int

@@ -47,6 +47,13 @@ class TestRngHelpers:
         with pytest.raises(ValueError):
             spawn_seeds(0, -1)
 
+    def test_spawn_seeds_leaves_the_seed_object_unadvanced(self):
+        root = np.random.SeedSequence(3)
+        first = [child.generate_state(4).tolist() for child in spawn_seeds(root, 3)]
+        again = [child.generate_state(4).tolist() for child in spawn_seeds(root, 3)]
+        fresh = np.random.SeedSequence(3).spawn(3)
+        assert first == again == [child.generate_state(4).tolist() for child in fresh]
+
     def test_derive_substream_deterministic_and_keyed(self):
         a = derive_substream(5, (1, 2)).integers(0, 2**31)
         b = derive_substream(5, (1, 2)).integers(0, 2**31)
