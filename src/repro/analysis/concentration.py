@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -67,6 +65,8 @@ def binomial_tail_exact(n: int, p: float, threshold: float, upper: bool = True) 
         raise ConfigurationError(f"n must be >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"p must be in [0, 1], got {p}")
+    from scipy import stats  # lazy: keeps scipy out of `import repro`
+
     dist = stats.binom(n, p)
     if upper:
         return float(dist.sf(math.ceil(threshold) - 1))

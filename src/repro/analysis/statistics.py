@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ConfigurationError
 from ..rng import as_generator
@@ -83,6 +82,8 @@ def mean_confidence_interval(
     sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
     if sem == 0.0:
         return mean, mean, mean
+    from scipy import stats  # lazy: keeps scipy out of `import repro`
+
     half = float(stats.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1) * sem)
     return mean, mean - half, mean + half
 
@@ -143,6 +144,8 @@ def empirical_whp_probability(
     if not 0 < confidence < 1:
         raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
     p_hat = successes / trials
+    from scipy import stats  # lazy: keeps scipy out of `import repro`
+
     z = float(stats.norm.ppf(0.5 + confidence / 2.0))
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom

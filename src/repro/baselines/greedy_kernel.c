@@ -14,10 +14,11 @@
  *
  * Layout, threading and fused observation follow rbb_kernel.c: the loop is
  * replica-major, replicas are fanned out by repro_for_each_replica()
- * (core/_kernel_common.h), and when n_obs > 0 the post-round max load and
- * empty-bin count (plus the load sum and sum of squares when the moment
- * buffers are non-NULL) are recorded into (n_obs, R) buffers at every
- * stride boundary and at the window end.
+ * (core/_kernel_common.h), and when n_obs > 0 the shared recorder of that
+ * header writes the post-round max load and empty-bin count into
+ * (n_obs, R) buffers at every stride boundary and at the window end, plus
+ * the load sum and sum of squares and the per-replica load histogram when
+ * those buffers are non-NULL.
  *
  * Randomness: each replica owns an independent xoshiro256++ stream seeded
  * by the caller.  Candidates are drawn with Lemire's unbiased reduction,
@@ -35,7 +36,6 @@
 
 typedef struct {
     int32_t *loads;
-    int64_t R;
     int64_t n;
     int64_t d;
     int64_t rounds;
@@ -48,31 +48,8 @@ typedef struct {
     int64_t *rounds_done;
     uint8_t *active;
     uint32_t lim; /* Lemire rejection threshold for n */
-    int64_t observe_every;
-    int64_t n_obs;
-    int32_t *obs_max;   /* (n_obs, R) or NULL */
-    int32_t *obs_empty; /* (n_obs, R) or NULL */
-    int64_t *obs_sum;   /* (n_obs, R) or NULL: load sums for moments */
-    int64_t *obs_sumsq; /* (n_obs, R) or NULL */
+    repro_obs_t obs;
 } greedy_ctx;
-
-static void greedy_record_obs(const greedy_ctx *c, int64_t r, int64_t k,
-                              int32_t mx, int64_t empty)
-{
-    c->obs_max[k * c->R + r] = mx;
-    c->obs_empty[k * c->R + r] = (int32_t)empty;
-    if (c->obs_sum) {
-        const int32_t *row = c->loads + r * c->n;
-        int64_t s = 0, ss = 0;
-        for (int64_t i = 0; i < c->n; i++) {
-            const int64_t l = row[i];
-            s += l;
-            ss += l * l;
-        }
-        c->obs_sum[k * c->R + r] = s;
-        c->obs_sumsq[k * c->R + r] = ss;
-    }
-}
 
 static void greedy_replica(void *vctx, int64_t r, int tid)
 {
@@ -139,32 +116,14 @@ static void greedy_replica(void *vctx, int64_t r, int tid)
             if (c->stop_when_legitimate)
                 c->active[r] = 0;
         }
-        if (c->n_obs &&
-            ((t + 1) % c->observe_every == 0 || t + 1 == c->rounds)) {
-            greedy_record_obs(c, r, k, mx, empty);
-            k++;
-        }
+        if (repro_obs_due(&c->obs, t, c->rounds))
+            repro_obs_record(&c->obs, r, k++, row, n, mx, empty);
     }
-
-    /* A replica that stopped early (or was frozen on entry) keeps
-     * reporting its final configuration at the remaining observation
-     * points, matching what the Python segmented loop observes. */
-    if (c->n_obs && k < c->n_obs) {
-        int32_t mx = 0;
-        int64_t empty = 0;
-        for (int64_t i = 0; i < n; i++) {
-            const int32_t l = row[i];
-            if (l > mx)
-                mx = l;
-            empty += (l == 0);
-        }
-        for (; k < c->n_obs; k++)
-            greedy_record_obs(c, r, k, mx, empty);
-    }
+    repro_obs_finish(&c->obs, r, k, row, n);
 }
 
-/* Advance the ensemble.  The parameters are rbb_run's (see rbb_kernel.c)
- * plus
+/* Advance the ensemble.  The parameters are rbb_run's (see rbb_kernel.c),
+ * fused-observation and histogram buffers included, plus
  *
  * d              candidate bins per placement (>= 1)
  */
@@ -174,12 +133,12 @@ REPRO_ABI void greedy_run(int32_t *loads, int64_t R, int64_t n, int64_t d,
                 int32_t *min_empty_seen, int64_t *first_legit,
                 int64_t *rounds_done, uint8_t *active, int32_t n_threads,
                 int64_t observe_every, int64_t n_obs, int32_t *obs_max,
-                int32_t *obs_empty, int64_t *obs_sum, int64_t *obs_sumsq)
+                int32_t *obs_empty, int64_t *obs_sum, int64_t *obs_sumsq,
+                int64_t hist_k, int64_t *obs_hist, int64_t *obs_overflow)
 {
     const uint32_t un = (uint32_t)n;
     greedy_ctx c;
     c.loads = loads;
-    c.R = R;
     c.n = n;
     c.d = d < 1 ? 1 : d;
     c.rounds = rounds;
@@ -192,11 +151,8 @@ REPRO_ABI void greedy_run(int32_t *loads, int64_t R, int64_t n, int64_t d,
     c.rounds_done = rounds_done;
     c.active = active;
     c.lim = (uint32_t)(-un) % un;
-    c.observe_every = observe_every < 1 ? 1 : observe_every;
-    c.n_obs = (obs_max && obs_empty) ? n_obs : 0;
-    c.obs_max = obs_max;
-    c.obs_empty = obs_empty;
-    c.obs_sum = obs_sum;
-    c.obs_sumsq = obs_sumsq;
+    c.obs = repro_obs_make(R, observe_every, n_obs, obs_max, obs_empty,
+                           obs_sum, obs_sumsq, hist_k, obs_hist,
+                           obs_overflow);
     repro_for_each_replica(&c, greedy_replica, R, n_threads);
 }

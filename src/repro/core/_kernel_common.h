@@ -1,6 +1,7 @@
 /* Shared runtime for the compiled batched kernels (rbb_kernel.c,
- * graphs/walk_kernel.c): the xoshiro256++ generator, Lemire's unbiased
- * bounded-integer reduction, and the replica-axis threading layer.
+ * graphs/walk_kernel.c, baselines/greedy_kernel.c): the xoshiro256++
+ * generator, Lemire's unbiased bounded-integer reduction, the fused
+ * observation recorder, and the replica-axis threading layer.
  *
  * Threading model
  * ---------------
@@ -98,6 +99,156 @@ static inline uint32_t bounded(lanes_t *L, uint32_t d, uint32_t lim)
         if ((uint32_t)m >= lim)
             return (uint32_t)(m >> 32);
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Fused observation                                                   */
+/* ------------------------------------------------------------------ */
+
+/* The fused-observation outputs of one kernel call.  A `rounds`-round
+ * window has an observation point after every stride boundary
+ * ((t+1) % observe_every == 0) and after its last round.  At point k,
+ * repro_obs_record() writes replica r's post-round max load and empty-bin
+ * count into slot k of the (n_obs, R) blocks, plus the load sum and sum of
+ * squares when those blocks are non-NULL, and adds the configuration to
+ * the replica's load histogram when `hist` is non-NULL.  The histogram
+ * accumulates over the whole call: a load above hist_k lands in bucket
+ * hist_k and is also counted in `overflow`.  Every value is an integer the
+ * Python trackers would compute from the load matrix themselves, so fused
+ * and segmented observation agree bit for bit.  Each replica writes only
+ * its own slots and rows, so replicas can run on any thread. */
+typedef struct {
+    int64_t R;
+    int64_t observe_every;
+    int64_t n_obs;     /* 0 disables observation */
+    int32_t *max;      /* (n_obs, R) post-round max load */
+    int32_t *empty;    /* (n_obs, R) post-round empty-bin count */
+    int64_t *sum;      /* (n_obs, R) load sum, or NULL to skip moments */
+    int64_t *sumsq;    /* (n_obs, R) load sum of squares, or NULL */
+    int64_t hist_k;    /* histogram cap */
+    int64_t *hist;     /* (R, hist_k + 1) bucket counts, or NULL */
+    int64_t *overflow; /* (R,) loads above hist_k; set iff hist is */
+} repro_obs_t;
+
+/* The recorder for a kernel's observation parameters.  Observation is off
+ * unless both scalar blocks are given, and the histogram is off unless
+ * both of its outputs are. */
+static repro_obs_t repro_obs_make(int64_t R, int64_t observe_every,
+                                  int64_t n_obs, int32_t *obs_max,
+                                  int32_t *obs_empty, int64_t *obs_sum,
+                                  int64_t *obs_sumsq, int64_t hist_k,
+                                  int64_t *obs_hist, int64_t *obs_overflow)
+{
+    const int hist = obs_hist && obs_overflow && hist_k >= 0;
+    repro_obs_t o;
+    o.R = R;
+    o.observe_every = observe_every < 1 ? 1 : observe_every;
+    o.n_obs = (obs_max && obs_empty) ? n_obs : 0;
+    o.max = obs_max;
+    o.empty = obs_empty;
+    o.sum = obs_sum;
+    o.sumsq = obs_sumsq;
+    o.hist_k = hist_k;
+    o.hist = hist ? obs_hist : (int64_t *)0;
+    o.overflow = hist ? obs_overflow : (int64_t *)0;
+    return o;
+}
+
+/* Whether round t (0-based) of a `rounds`-round window ends on an
+ * observation point. */
+static inline int repro_obs_due(const repro_obs_t *o, int64_t t,
+                                int64_t rounds)
+{
+    return o->n_obs && ((t + 1) % o->observe_every == 0 || t + 1 == rounds);
+}
+
+/* Loads below this are counted in per-lane local counters. */
+#define REPRO_HIST_SMALL 16
+#define REPRO_HIST_LANES 4
+
+/* Count one load: a small one in a lane's local counter, a large one
+ * straight into its (clipped) bucket and, above the cap, the overflow. */
+static inline void repro_hist_count(uint32_t *lane, int64_t *hist, int64_t K,
+                                    int64_t *over, int32_t l)
+{
+    if (l < REPRO_HIST_SMALL) {
+        lane[l]++;
+    } else {
+        hist[l < K ? l : K]++;
+        *over += l > K;
+    }
+}
+
+/* Add one configuration to replica r's histogram.  Runs of equal small
+ * loads would serialize on one memory increment, so loads below
+ * REPRO_HIST_SMALL go to REPRO_HIST_LANES interleaved local counters that
+ * are merged into the buckets once per row (a lane counts at most n < 2^31
+ * bins, so uint32 cannot wrap). */
+static void repro_obs_histogram(const repro_obs_t *o, int64_t r,
+                                const int32_t *row, int64_t n)
+{
+    const int64_t K = o->hist_k;
+    int64_t *hist = o->hist + r * (K + 1);
+    uint32_t small[REPRO_HIST_LANES][REPRO_HIST_SMALL] = {{0}};
+    int64_t over = 0;
+    int64_t i = 0;
+    for (; i + REPRO_HIST_LANES <= n; i += REPRO_HIST_LANES)
+        for (int u = 0; u < REPRO_HIST_LANES; u++)
+            repro_hist_count(small[u], hist, K, &over, row[i + u]);
+    for (; i < n; i++)
+        repro_hist_count(small[0], hist, K, &over, row[i]);
+    for (int64_t v = 0; v < REPRO_HIST_SMALL; v++) {
+        int64_t count = 0;
+        for (int u = 0; u < REPRO_HIST_LANES; u++)
+            count += small[u][v];
+        hist[v < K ? v : K] += count;
+        if (v > K)
+            over += count;
+    }
+    o->overflow[r] += over;
+}
+
+/* Record observation point k of replica r, whose configuration `row` has
+ * maximum mx and `empty` empty bins. */
+static void repro_obs_record(const repro_obs_t *o, int64_t r, int64_t k,
+                             const int32_t *row, int64_t n, int32_t mx,
+                             int64_t empty)
+{
+    const int64_t slot = k * o->R + r;
+    o->max[slot] = mx;
+    o->empty[slot] = (int32_t)empty;
+    if (o->sum) {
+        int64_t s = 0, ss = 0;
+        for (int64_t i = 0; i < n; i++) {
+            const int64_t l = row[i];
+            s += l;
+            ss += l * l;
+        }
+        o->sum[slot] = s;
+        o->sumsq[slot] = ss;
+    }
+    if (o->hist)
+        repro_obs_histogram(o, r, row, n);
+}
+
+/* Fill replica r's observation points from k on with its current
+ * configuration.  A replica that stopped early (or was frozen on entry)
+ * keeps reporting its final state, as the Python segmented loop sees it. */
+static void repro_obs_finish(const repro_obs_t *o, int64_t r, int64_t k,
+                             const int32_t *row, int64_t n)
+{
+    if (k >= o->n_obs)
+        return;
+    int32_t mx = 0;
+    int64_t empty = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t l = row[i];
+        if (l > mx)
+            mx = l;
+        empty += (l == 0);
+    }
+    for (; k < o->n_obs; k++)
+        repro_obs_record(o, r, k, row, n, mx, empty);
 }
 
 /* ------------------------------------------------------------------ */

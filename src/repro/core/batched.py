@@ -76,7 +76,12 @@ from .config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
 from .native import get_kernel, kernel_args, native_status, resolve_n_threads
 from ..errors import ConfigurationError, SimulationError
 from ..metrics.base import BatchedObserverList
-from ..metrics.fused import FusedSegmentStats, fused_needs_moments, supports_fused
+from ..metrics.fused import (
+    FusedSegmentStats,
+    fused_histogram_cap,
+    fused_needs_moments,
+    supports_fused,
+)
 from ..metrics.payload import MetricPayload, concatenate_payload_maps
 from ..metrics.window import run_window
 from ..rng import as_seed_sequence
@@ -89,6 +94,26 @@ __all__ = [
     "EnsembleResult",
     "make_ensemble_initial",
 ]
+
+#: The fused-observation arguments of an unobserved kernel call: no
+#: observation points, every output buffer NULL.
+_UNOBSERVED: Dict[str, object] = {
+    "observe_every": 1,
+    "n_obs": 0,
+    "obs_max": None,
+    "obs_empty": None,
+    "obs_sum": None,
+    "obs_sumsq": None,
+    "hist_k": 0,
+    "obs_hist": None,
+    "obs_overflow": None,
+}
+
+
+def _histogram_caps(observers) -> set:
+    """The distinct bucket caps of the observers' fused histogram blocks."""
+    return {fused_histogram_cap(o) for o in observers} - {None}
+
 
 #: Initial-configuration families understood by :func:`make_ensemble_initial`.
 INITIAL_KINDS = (
@@ -710,13 +735,14 @@ class BatchedLoadProcess:
         """Whether this observed run can use in-kernel (fused) observation.
 
         Fusion requires every observer to accept
-        :class:`~repro.metrics.fused.FusedSegmentStats`, and a window
-        where the observation schedule is statically known: no
-        ``stop_when_legitimate`` early exit, every replica active, and
-        all replicas at the same global round (so all share one
-        observation-round vector).  The environment variable
-        ``REPRO_NATIVE_FUSED=0`` forces the segmented reference loop —
-        the escape hatch the fused-equality tests exercise.
+        :class:`~repro.metrics.fused.FusedSegmentStats`, every histogram
+        observer to share one bucket cap (the kernel fills one set of
+        histogram blocks), and a window where the observation schedule
+        is statically known: no ``stop_when_legitimate`` early exit,
+        every replica active, and all replicas at the same global round
+        (so all share one observation-round vector).  The environment
+        variable ``REPRO_NATIVE_FUSED=0`` forces the segmented reference
+        loop — the escape hatch the fused-equality tests exercise.
         """
         if stop_when_legitimate or rounds <= 0:
             return False
@@ -726,6 +752,8 @@ class BatchedLoadProcess:
             return False
         if not (self._rounds_done == self._rounds_done[0]).all():
             return False
+        if len(_histogram_caps(observers)) > 1:
+            return False
         return all(supports_fused(observer) for observer in observers)
 
     def _run_native_fused(
@@ -734,26 +762,39 @@ class BatchedLoadProcess:
         """One fused kernel call: simulate *and* observe in C.
 
         The kernel fills ``(n_obs, R)`` buffers with the post-round max
-        load and empty-bin count at every stride boundary (plus the load
-        sum / sum of squares when a moments consumer asks); the buffers
-        are handed to each observer's ``ingest_fused``.  All recorded
-        values are integers the Python trackers would have computed from
-        the matrices themselves, so the resulting tracker state is
+        load and empty-bin count at every stride boundary, plus the load
+        sum / sum of squares when a moments consumer asks, and adds every
+        observed configuration to ``(R, K + 1)`` histogram counts and an
+        overflow vector when a histogram consumer asks; the buffers are
+        handed to each observer's ``ingest_fused``.  All recorded values
+        are integers the Python trackers would have computed from the
+        matrices themselves, so the resulting tracker state is
         bit-identical to the segmented loop's.
         """
         R, n = self._n_replicas, self._n_bins
         n_obs = -(-rounds // observe_every)  # ceil division
-        need_moments = any(fused_needs_moments(o) for o in observers)
-        obs_max = np.zeros((n_obs, R), dtype=np.int32)
-        obs_empty = np.zeros((n_obs, R), dtype=np.int32)
-        obs_sum = np.zeros((n_obs, R), dtype=np.int64) if need_moments else None
-        obs_sumsq = (
-            np.zeros((n_obs, R), dtype=np.int64) if need_moments else None
-        )
+        moments = any(fused_needs_moments(o) for o in observers)
+        caps = _histogram_caps(observers)
+        histogram = bool(caps)
+        hist_k = caps.pop() if caps else 0
+
+        def block(shape, dtype, wanted=True):
+            return np.zeros(shape, dtype=dtype) if wanted else None
+
+        obs = {
+            "observe_every": observe_every,
+            "n_obs": n_obs,
+            "obs_max": block((n_obs, R), np.int32),
+            "obs_empty": block((n_obs, R), np.int32),
+            "obs_sum": block((n_obs, R), np.int64, moments),
+            "obs_sumsq": block((n_obs, R), np.int64, moments),
+            "hist_k": hist_k,
+            "obs_hist": block((R, hist_k + 1), np.int64, histogram),
+            "obs_overflow": block(R, np.int64, histogram),
+        }
         start = int(self._rounds_done[0])
         max_seen, min_empty = self._run_native(
-            kernel, rounds, threshold, False, first_legit,
-            obs=(observe_every, obs_max, obs_empty, obs_sum, obs_sumsq),
+            kernel, rounds, threshold, False, first_legit, obs=obs
         )
         # observation k happens after round (k+1) * observe_every, capped
         # at the window end — the same schedule the segmented loop drives
@@ -762,11 +803,13 @@ class BatchedLoadProcess:
         )
         stats = FusedSegmentStats(
             rounds=obs_rounds,
-            max_load=obs_max.astype(np.int64),
-            empty_bins=obs_empty.astype(np.int64),
+            max_load=obs["obs_max"].astype(np.int64),
+            empty_bins=obs["obs_empty"].astype(np.int64),
             n_bins=n,
-            load_sum=obs_sum,
-            load_sumsq=obs_sumsq,
+            load_sum=obs["obs_sum"],
+            load_sumsq=obs["obs_sumsq"],
+            hist_counts=obs["obs_hist"],
+            hist_overflow=obs["obs_overflow"],
         )
         for observer in observers:
             observer.ingest_fused(stats)
@@ -786,11 +829,11 @@ class BatchedLoadProcess:
     ):
         """One native-kernel call advancing up to ``rounds`` rounds.
 
-        ``obs`` is ``None`` or a ``(observe_every, obs_max, obs_empty,
-        obs_sum, obs_sumsq)`` tuple of fused-observation output buffers
-        (the moment buffers may be ``None``).  The loads round-trip
-        through an int32 copy; the round counters and ``first_legit`` are
-        written in place.  Returns the window's ``(max_seen, min_empty)``.
+        ``obs`` is ``None`` or the fused-observation arguments by C
+        parameter name (``observe_every`` through ``obs_overflow``; an
+        unrequested buffer is ``None``).  The loads round-trip through an
+        int32 copy; the round counters and ``first_legit`` are written in
+        place.  Returns the window's ``(max_seen, min_empty)``.
         """
         R = self._n_replicas
         loads32 = np.ascontiguousarray(self._loads, dtype=np.int32)
@@ -799,9 +842,6 @@ class BatchedLoadProcess:
         active8 = np.ascontiguousarray(self._active, dtype=np.uint8)
         n_threads = resolve_n_threads(
             self._n_threads, R, kernel=self.native_kernel
-        )
-        observe_every, obs_max, obs_empty, obs_sum, obs_sumsq = (
-            (1, None, None, None, None) if obs is None else obs
         )
         kernel(*kernel_args(self.native_kernel, {
             "loads": loads32,
@@ -817,12 +857,7 @@ class BatchedLoadProcess:
             "rounds_done": self._rounds_done,
             "active": active8,
             "n_threads": n_threads,
-            "observe_every": observe_every,
-            "n_obs": 0 if obs_max is None else obs_max.shape[0],
-            "obs_max": obs_max,
-            "obs_empty": obs_empty,
-            "obs_sum": obs_sum,
-            "obs_sumsq": obs_sumsq,
+            **(_UNOBSERVED if obs is None else obs),
             **self._native_extra_args(n_threads),
         }))
         self._loads[...] = loads32

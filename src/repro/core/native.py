@@ -14,8 +14,8 @@ loaded through :mod:`ctypes`:
     ``baselines/greedy_kernel.c`` — the repeated Greedy[d] update driven
     by :class:`~repro.baselines.d_choices.BatchedDChoices`.
 
-Every kernel shares ``_kernel_common.h`` (RNG + replica-axis threading)
-and is compiled against a ladder of flag variants, best first::
+Every kernel shares ``_kernel_common.h`` (RNG, the fused-observation
+recorder, replica-axis threading) and is compiled against a ladder of flag variants, best first::
 
     -O3 -march=native -funroll-loops -fopenmp        (OpenMP threading)
     -O3 -march=native -funroll-loops -DREPRO_PTHREADS -pthread
@@ -134,7 +134,7 @@ class SymbolABI:
 
 
 #: Parameters shared by every kernel's fused-observation ABI tail; the
-#: ``(n_obs, R)`` buffers may be NULL.
+#: ``(n_obs, R)`` buffers and the histogram outputs may be NULL.
 _OBS_TAIL: Tuple[Tuple[str, object], ...] = (
     ("n_threads", ctypes.c_int32),
     ("observe_every", ctypes.c_int64),
@@ -143,6 +143,9 @@ _OBS_TAIL: Tuple[Tuple[str, object], ...] = (
     ("obs_empty", ctypes.POINTER(ctypes.c_int32)),
     ("obs_sum", ctypes.POINTER(ctypes.c_int64)),
     ("obs_sumsq", ctypes.POINTER(ctypes.c_int64)),
+    ("hist_k", ctypes.c_int64),
+    ("obs_hist", ctypes.POINTER(ctypes.c_int64)),  # (R, hist_k + 1)
+    ("obs_overflow", ctypes.POINTER(ctypes.c_int64)),  # (R,)
 )
 
 _RBB_ABI = SymbolABI(

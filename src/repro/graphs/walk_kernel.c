@@ -19,9 +19,10 @@
  *
  * Fused observation: when n_obs > 0 the kernel records, at every stride
  * boundary ((t+1) % observe_every == 0) and at the window end, the
- * post-round max load and empty-node count — plus the load sum and sum of
- * squares when the moment buffers are non-NULL — into (n_obs, R) output
- * buffers, mirroring rbb_kernel.c.
+ * post-round max load and empty-node count into (n_obs, R) output buffers,
+ * plus the load sum and sum of squares and the per-replica load histogram
+ * when those buffers are non-NULL, through the shared recorder of
+ * core/_kernel_common.h, exactly as rbb_kernel.c does.
  *
  * Randomness: each replica owns an independent xoshiro256++ stream whose
  * 4-word state is seeded by the caller (from a numpy SeedSequence), exactly
@@ -39,7 +40,6 @@
 
 typedef struct {
     int32_t *loads;
-    int64_t R;
     int64_t n;
     const int32_t *neighbors;
     const int64_t *offsets;
@@ -57,31 +57,8 @@ typedef struct {
     uint8_t *active;
     int32_t *scratch; /* (n_threads, n) arrivals, all-zero rows */
     int32_t *sources; /* (n_threads, n) non-empty-node compaction */
-    int64_t observe_every;
-    int64_t n_obs;
-    int32_t *obs_max;   /* (n_obs, R) or NULL */
-    int32_t *obs_empty; /* (n_obs, R) or NULL */
-    int64_t *obs_sum;   /* (n_obs, R) or NULL */
-    int64_t *obs_sumsq; /* (n_obs, R) or NULL */
+    repro_obs_t obs;
 } walks_ctx;
-
-static void walks_record_obs(const walks_ctx *c, int64_t r, int64_t k,
-                             int32_t mx, int64_t empty)
-{
-    c->obs_max[k * c->R + r] = mx;
-    c->obs_empty[k * c->R + r] = (int32_t)empty;
-    if (c->obs_sum) {
-        const int32_t *row = c->loads + r * c->n;
-        int64_t s = 0, ss = 0;
-        for (int64_t i = 0; i < c->n; i++) {
-            const int64_t l = row[i];
-            s += l;
-            ss += l * l;
-        }
-        c->obs_sum[k * c->R + r] = s;
-        c->obs_sumsq[k * c->R + r] = ss;
-    }
-}
 
 static void walks_replica(void *vctx, int64_t r, int tid)
 {
@@ -178,28 +155,10 @@ static void walks_replica(void *vctx, int64_t r, int tid)
             if (c->stop_when_legitimate)
                 c->active[r] = 0;
         }
-        if (c->n_obs &&
-            ((t + 1) % c->observe_every == 0 || t + 1 == c->rounds)) {
-            walks_record_obs(c, r, k, mx, empty);
-            k++;
-        }
+        if (repro_obs_due(&c->obs, t, c->rounds))
+            repro_obs_record(&c->obs, r, k++, row, n, mx, empty);
     }
-
-    /* A replica that stopped early (or was frozen on entry) keeps
-     * reporting its final configuration at the remaining observation
-     * points, matching what the Python segmented loop observes. */
-    if (c->n_obs && k < c->n_obs) {
-        int32_t mx = 0;
-        int64_t empty = 0;
-        for (int64_t i = 0; i < n; i++) {
-            const int32_t l = row[i];
-            if (l > mx)
-                mx = l;
-            empty += (l == 0);
-        }
-        for (; k < c->n_obs; k++)
-            walks_record_obs(c, r, k, mx, empty);
-    }
+    repro_obs_finish(&c->obs, r, k, row, n);
 }
 
 /* Advance the walk ensemble.
@@ -227,6 +186,11 @@ static void walks_replica(void *vctx, int64_t r, int tid)
  * obs_empty      (n_obs, R) int32 empty-node count per slot, or NULL
  * obs_sum        (n_obs, R) int64 load sum per slot, or NULL to skip moments
  * obs_sumsq      (n_obs, R) int64 load sum-of-squares per slot, or NULL
+ * hist_k         load histogram cap: loads above it share bucket hist_k
+ * obs_hist       (R, hist_k + 1) int64 node-load counts over every
+ *                observation point, added to in place, or NULL to skip
+ * obs_overflow   (R,) int64 count of observed loads above hist_k, added to
+ *                in place, or NULL
  */
 REPRO_ABI void walks_run(int32_t *loads, int64_t R, int64_t n, const int32_t *neighbors,
                const int64_t *offsets, const int32_t *degrees,
@@ -236,11 +200,11 @@ REPRO_ABI void walks_run(int32_t *loads, int64_t R, int64_t n, const int32_t *ne
                int64_t *first_legit, int64_t *rounds_done, uint8_t *active,
                int32_t *scratch, int32_t *sources, int32_t n_threads,
                int64_t observe_every, int64_t n_obs, int32_t *obs_max,
-               int32_t *obs_empty, int64_t *obs_sum, int64_t *obs_sumsq)
+               int32_t *obs_empty, int64_t *obs_sum, int64_t *obs_sumsq,
+               int64_t hist_k, int64_t *obs_hist, int64_t *obs_overflow)
 {
     walks_ctx c;
     c.loads = loads;
-    c.R = R;
     c.n = n;
     c.neighbors = neighbors;
     c.offsets = offsets;
@@ -258,11 +222,8 @@ REPRO_ABI void walks_run(int32_t *loads, int64_t R, int64_t n, const int32_t *ne
     c.active = active;
     c.scratch = scratch;
     c.sources = sources;
-    c.observe_every = observe_every < 1 ? 1 : observe_every;
-    c.n_obs = (obs_max && obs_empty) ? n_obs : 0;
-    c.obs_max = obs_max;
-    c.obs_empty = obs_empty;
-    c.obs_sum = obs_sum;
-    c.obs_sumsq = obs_sumsq;
+    c.obs = repro_obs_make(R, observe_every, n_obs, obs_max, obs_empty,
+                           obs_sum, obs_sumsq, hist_k, obs_hist,
+                           obs_overflow);
     repro_for_each_replica(&c, walks_replica, R, n_threads);
 }

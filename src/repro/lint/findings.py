@@ -49,8 +49,9 @@ RULES: Tuple[RuleInfo, ...] = (
             "Every random stream must derive from `parallel.seeding.trial_seed` "
             "so runs are bit-reproducible regardless of schedule.  Zero-argument "
             "`np.random.default_rng()`, any `np.random.seed(...)` (global-state "
-            "seeding), and the stdlib `random` module all create streams the "
-            "seeding contract cannot see."
+            "seeding), the stdlib `random` module, and any `.spawn(...)` call "
+            "(`SeedSequence.spawn` and `Generator.spawn` advance their parent) "
+            "all create streams the seeding contract cannot see."
         ),
         suppressible=True,
     ),

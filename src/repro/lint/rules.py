@@ -212,6 +212,14 @@ def check_unseeded_rng(
                 "from parallel.seeding.trial_seed instead",
             )
     for call in _iter_calls(tree):
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "spawn":
+            flag(
+                call.lineno,
+                ".spawn() derives child seeds outside the seeding contract "
+                "(SeedSequence.spawn also advances its parent); use "
+                "parallel.seeding.trial_seed",
+            )
+            continue
         target = _qualify(call.func, imports)
         if target is None:
             continue

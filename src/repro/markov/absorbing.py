@@ -23,7 +23,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ConfigurationError
 from ..rng import as_generator
@@ -65,6 +64,8 @@ class BinLoadChain:
         if self._arrivals < 0:
             raise ConfigurationError(f"arrivals must be >= 0, got {self._arrivals}")
         self._p = 1.0 / n_bins
+        from scipy import stats  # lazy: keeps scipy out of `import repro`
+
         # Per-round arrival pmf, truncated where negligible.
         dist = stats.binom(self._arrivals, self._p)
         upper = int(dist.ppf(1.0 - 1e-15)) + 1

@@ -35,7 +35,12 @@ from .base import (
     TRACE_ELEMENT_BUDGET,
     as_load_matrix,
 )
-from .fused import FusedSegmentStats, fused_needs_moments, supports_fused
+from .fused import (
+    FusedSegmentStats,
+    fused_histogram_cap,
+    fused_needs_moments,
+    supports_fused,
+)
 from .payload import MetricPayload, concatenate_payload_maps
 from .registry import METRIC_NAMES, build_trackers, make_tracker, normalize_metric_names
 from .trackers import (
@@ -67,6 +72,7 @@ __all__ = [
     "FusedSegmentStats",
     "supports_fused",
     "fused_needs_moments",
+    "fused_histogram_cap",
     # shared window loop
     "run_window",
     # payloads + registry

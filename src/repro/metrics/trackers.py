@@ -66,6 +66,9 @@ class _BatchedTracker:
     supports_fused_ingest = False
     #: Whether fused ingestion needs the load sum / sum-of-squares blocks.
     fused_needs_moments = False
+    #: Whether fused ingestion needs the histogram blocks, capped at the
+    #: tracker's ``max_tracked_load``.
+    fused_needs_histogram = False
 
     def __init__(self) -> None:
         self.n_replicas: Optional[int] = None
@@ -474,10 +477,14 @@ class BatchedLoadHistogramTracker(_BatchedTracker):
 
     ``counts[r, k]`` is the number of (observed round, bin) pairs of
     replica ``r`` with load exactly ``k``; loads above ``max_tracked_load``
-    are clipped into the last bucket and counted in ``overflow``.
+    are clipped into the last bucket and counted in ``overflow``.  A
+    native kernel can accumulate both in its round loop
+    (:meth:`ingest_fused`).
     """
 
     metric_name = "histogram"
+    supports_fused_ingest = True
+    fused_needs_histogram = True
 
     def __init__(self, max_tracked_load: int = 256) -> None:
         super().__init__()
@@ -503,6 +510,23 @@ class BatchedLoadHistogramTracker(_BatchedTracker):
         self.counts += np.bincount(
             flat, minlength=self.n_replicas * (K + 1)
         ).reshape(self.n_replicas, K + 1)
+
+    def ingest_fused(self, stats: FusedSegmentStats) -> None:
+        """Add kernel-accumulated bucket counts and overflow.
+
+        The kernel clips and counts every observation point's loads as
+        :meth:`_update` does, so the sums are bit-identical to observing
+        each point.
+        """
+        K = self.max_tracked_load
+        if stats.hist_counts is None or stats.hist_counts.shape[1] != K + 1:
+            raise ConfigurationError(
+                f"histogram tracker needs fused (R, {K + 1}) hist_counts "
+                "and hist_overflow blocks"
+            )
+        self._bind_fused(stats)
+        self.counts += stats.hist_counts
+        self.overflow += stats.hist_overflow
 
     def distribution(self) -> np.ndarray:
         """Row-normalized ``(R, K + 1)`` occupancy distribution."""

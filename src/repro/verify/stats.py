@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..errors import ConfigurationError
 
@@ -159,8 +158,10 @@ def pooled_chi_square(
         p_value = 1.0
         df = 0
     else:
+        from scipy import stats  # lazy: keeps scipy out of `import repro`
+
         statistic = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
-        p_value = float(scipy_stats.chi2.sf(statistic, df))
+        p_value = float(stats.chi2.sf(statistic, df))
     return GofResult(
         statistic=statistic,
         df=df,

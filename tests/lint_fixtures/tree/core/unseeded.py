@@ -13,3 +13,7 @@ def draw():
 
 def seeded_is_fine(seed):
     return np.random.default_rng(seed).integers(0, 10)
+
+
+def children(seq):
+    return seq.spawn(2)  # line 19: R1 (spawn outside the seeding module)

@@ -102,6 +102,7 @@ class TestFixtureTree:
             ("core/unseeded.py", 9, "R1"),
             ("core/unseeded.py", 10, "R1"),
             ("core/unseeded.py", 11, "R1"),
+            ("core/unseeded.py", 19, "R1"),
             ("core/wall_clock.py", 9, "R2"),
             ("core/wall_clock.py", 10, "R2"),
             ("core/wall_clock.py", 11, "R2"),
@@ -159,6 +160,21 @@ class TestAliasResolution:
             "core/x.py",
         )
         assert findings == []
+
+    def test_r1_flags_any_spawn_call(self):
+        # SeedSequence.spawn and Generator.spawn both advance their parent;
+        # the receiver's type is unknown to an AST rule, so any .spawn()
+        # call counts, and a bare attribute read does not
+        source = (
+            "import numpy as np\n"
+            "rng = np.random.default_rng(1)\n"
+            "kids = rng.spawn(2)\n"
+            "seeds = root.seq.spawn(n_children=3)\n"
+            "method = root.spawn\n"
+        )
+        findings = _run_rule(check_unseeded_rng, source, "core/x.py")
+        assert _keys(findings) == {("core/x.py", 3, "R1"), ("core/x.py", 4, "R1")}
+        assert _run_rule(check_unseeded_rng, source, "parallel/seeding.py") == []
 
     def test_r2_sees_renamed_time_import(self):
         findings = _run_rule(

@@ -20,8 +20,9 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.core.batched as batched
 from repro.baselines.d_choices import BatchedDChoices
-from repro.core.batched import BatchedRepeatedBallsIntoBins
+from repro.core.batched import BatchedRepeatedBallsIntoBins, make_ensemble_initial
 from repro.core.native import (
     KERNEL_ABI,
     available_cpu_count,
@@ -34,6 +35,7 @@ from repro.graphs.batched import BatchedConstrainedWalks
 from repro.graphs.generators import resolve_topology
 from repro.metrics import (
     METRIC_NAMES,
+    BatchedLoadHistogramTracker,
     BatchedLoadMomentsTracker,
     FusedSegmentStats,
     build_trackers,
@@ -57,10 +59,9 @@ needs_native_greedy = pytest.mark.skipif(
 THREAD_COUNTS = (1, 2, max(2, available_cpu_count()))
 
 #: Metrics whose trackers ingest in-kernel segment statistics; the rest
-#: (trace, histogram, bin_emptying) need full load matrices, so their
-#: presence in an observer list sends the whole run down the segmented
-#: fallback path.
-FUSED_METRICS = "max_load,empty_bins,legitimacy,moments"
+#: (trace, bin_emptying) need full load matrices, so their presence in an
+#: observer list sends the whole run down the segmented fallback path.
+FUSED_METRICS = "max_load,empty_bins,legitimacy,moments,histogram"
 
 
 def _rbb(n_threads, **kwargs):
@@ -89,6 +90,27 @@ RBB_SHAPED = [
 ]
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The names of the native kernels called, one entry per call."""
+    calls = []
+    get_kernel = batched.get_kernel
+
+    def counting_get_kernel(name):
+        fn = get_kernel(name)
+        if fn is None:
+            return None
+
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(batched, "get_kernel", counting_get_kernel)
+    return calls
+
+
 def _payloads(spec_metrics, process, run_kwargs):
     """(final loads, metric payload map) for one run."""
     trackers = build_trackers(spec_metrics)
@@ -100,21 +122,19 @@ def _payloads(spec_metrics, process, run_kwargs):
 
 
 def _assert_payloads_equal(a, b, context=""):
+    """Every part of every payload is equal: rounds, summaries, series and
+    arrays (the histogram's counts live in ``arrays``)."""
     assert set(a) == set(b)
     for name in a:
         pa, pb = a[name], b[name]
-        assert set(pa.summaries) == set(pb.summaries), (context, name)
-        for key in pa.summaries:
-            assert np.array_equal(pa.summaries[key], pb.summaries[key]), (
-                context,
-                name,
-                key,
-            )
-        assert set(pa.series) == set(pb.series), (context, name)
-        for key in pa.series:
-            assert np.array_equal(
-                np.asarray(pa.series[key]), np.asarray(pb.series[key])
-            ), (context, name, key)
+        assert np.array_equal(pa.rounds, pb.rounds), (context, name, "rounds")
+        for group in ("summaries", "series", "arrays"):
+            ga, gb = getattr(pa, group), getattr(pb, group)
+            assert set(ga) == set(gb), (context, name, group)
+            for key in ga:
+                assert np.array_equal(
+                    np.asarray(ga[key]), np.asarray(gb[key])
+                ), (context, name, group, key)
 
 
 # ---------------------------------------------------------------------
@@ -262,6 +282,154 @@ class TestFusedObservation:
 
 
 # ---------------------------------------------------------------------
+# Fused load histogram == segmented Python histogram
+# ---------------------------------------------------------------------
+#: Bins (nodes) of the histogram grid: above every cap tested, so an
+#: all-in-one pile overflows each of them.
+HIST_N = 300
+
+
+def _all_in_one(kind, n_threads):
+    """A 4-replica native process of one kernel, all balls in one bin."""
+    R = 4
+    common = dict(
+        initial=make_ensemble_initial("all_in_one", HIST_N, R),
+        seed=11,
+        kernel="native",
+        n_threads=n_threads,
+    )
+    if kind == "rbb":
+        return BatchedRepeatedBallsIntoBins(HIST_N, R, **common)
+    if kind == "greedy_d":
+        return BatchedDChoices(HIST_N, R, d=2, **common)
+    return BatchedConstrainedWalks(
+        resolve_topology(f"cycle:{HIST_N}"), R, **common
+    )
+
+
+@needs_native
+class TestFusedHistogram:
+    """The kernels' histogram recorder against the tracker's own update.
+
+    Caps 15, 16 and 17 straddle the recorder's local counters for loads
+    below 16, cap 0 clips every load, and the strides are every round, an
+    uneven stride, and one longer than the run (a single observation, at
+    the window end).
+    """
+
+    ROUNDS = 40
+
+    @pytest.mark.parametrize("kind", [
+        pytest.param("rbb"),
+        pytest.param("greedy_d", marks=needs_native_greedy),
+        pytest.param("walks", marks=needs_native_walks),
+    ])
+    @pytest.mark.parametrize("cap", [0, 15, 16, 17, 256])
+    @pytest.mark.parametrize("observe_every", [1, 7, 50])
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_counts_and_overflow_match_segmented(
+        self, kind, cap, observe_every, n_threads, kernel_calls, monkeypatch
+    ):
+        def run():
+            tracker = BatchedLoadHistogramTracker(max_tracked_load=cap)
+            process = _all_in_one(kind, n_threads)
+            result = process.run(
+                self.ROUNDS, observers=[tracker], observe_every=observe_every
+            )
+            return result.final_loads, tracker
+
+        fused_loads, fused = run()
+        assert len(kernel_calls) == 1  # the histogram rode the fused path
+        monkeypatch.setenv("REPRO_NATIVE_FUSED", "0")
+        seg_loads, segmented = run()
+        assert len(kernel_calls) == 1 + -(-self.ROUNDS // observe_every)
+        assert np.array_equal(fused_loads, seg_loads)
+        assert np.array_equal(fused.counts, segmented.counts)
+        assert np.array_equal(fused.overflow, segmented.overflow)
+        assert fused.rounds_observed == segmented.rounds_observed
+        assert (fused.overflow > 0).all()  # the pile exceeds every cap
+        assert (fused.counts.sum(axis=1) == fused.rounds_observed * HIST_N).all()
+
+    def test_unequal_caps_fall_back_to_segmented(self, kernel_calls):
+        """The kernel fills one set of histogram blocks, so two caps run
+        the segmented loop, with each tracker's own counts."""
+        small, large = (
+            BatchedLoadHistogramTracker(max_tracked_load=cap) for cap in (8, 256)
+        )
+        _all_in_one("rbb", 1).run(20, observers=[small, large], observe_every=5)
+        assert len(kernel_calls) == 4
+        assert small.counts.shape[1] == 9 and large.counts.shape[1] == 257
+        assert (small.overflow > 0).all()
+
+    def test_fused_ingest_requires_histogram_blocks(self):
+        tracker = BatchedLoadHistogramTracker(max_tracked_load=4)
+        stats = FusedSegmentStats(
+            rounds=np.array([1], dtype=np.int64),
+            max_load=np.ones((1, 2), dtype=np.int64),
+            empty_bins=np.zeros((1, 2), dtype=np.int64),
+            n_bins=8,
+        )
+        with pytest.raises(ConfigurationError, match="hist_counts"):
+            tracker.ingest_fused(stats)
+
+    def test_histogram_block_shapes_are_validated(self):
+        def stats(counts, overflow):
+            return FusedSegmentStats(
+                rounds=np.array([1], dtype=np.int64),
+                max_load=np.ones((1, 2), dtype=np.int64),
+                empty_bins=np.zeros((1, 2), dtype=np.int64),
+                n_bins=8,
+                hist_counts=counts,
+                hist_overflow=overflow,
+            )
+
+        ok = stats(np.zeros((2, 5), np.int64), np.zeros(2, np.int64))
+        assert ok.hist_counts.shape == (2, 5)
+        with pytest.raises(ConfigurationError, match="together"):
+            stats(np.zeros((2, 5), np.int64), None)
+        with pytest.raises(ConfigurationError, match="hist_counts"):
+            stats(np.zeros((3, 5), np.int64), np.zeros(2, np.int64))
+        with pytest.raises(ConfigurationError, match="hist_overflow"):
+            stats(np.zeros((2, 5), np.int64), np.zeros(3, np.int64))
+
+
+@needs_native
+class TestFaultyHistogramFusion:
+    """Section 4.1's regime: a histogram-observed adversarial ensemble."""
+
+    SPEC = dict(
+        process="faulty", adversary="concentrate", fault_period=32,
+        n_bins=64, n_replicas=8, rounds=96, metrics="histogram",
+        observe_every=8,
+    )
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_one_kernel_call_per_fault_period(
+        self, n_threads, kernel_calls, monkeypatch
+    ):
+        spec = EnsembleSpec(**self.SPEC)
+        fused = run_ensemble(spec, seed=4, kernel="native", n_threads=n_threads)
+        # faults strike before rounds 32, 64 and 96: four fault-free stretches
+        assert kernel_calls == ["rbb"] * 4
+        monkeypatch.setenv("REPRO_NATIVE_FUSED", "0")
+        segmented = run_ensemble(
+            spec, seed=4, kernel="native", n_threads=n_threads
+        )
+        # 31, 32 and 32 rounds at stride 8, then 1 round
+        assert len(kernel_calls) == 4 + 13
+        for field in (
+            "final_loads", "max_load_seen", "min_empty_bins_seen",
+            "first_legitimate_round",
+        ):
+            assert np.array_equal(
+                getattr(fused, field), getattr(segmented, field)
+            ), field
+        _assert_payloads_equal(fused.metrics, segmented.metrics, "faulty")
+        counts = fused.metrics["histogram"].arrays["counts"]
+        assert (counts.sum(axis=1) == 13 * spec.n_bins).all()
+
+
+# ---------------------------------------------------------------------
 # Exact integer moments tracker
 # ---------------------------------------------------------------------
 class TestMomentsTracker:
@@ -383,6 +551,9 @@ class TestKernelArgs:
             "obs_empty": None,
             "obs_sum": None,
             "obs_sumsq": None,
+            "hist_k": 0,
+            "obs_hist": None,
+            "obs_overflow": None,
         }
 
     def test_declared_order_and_types(self):

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 SUBPACKAGES = [
@@ -149,3 +155,24 @@ class TestQuickstartDocExample:
         )
         hit = process.run_until_legitimate(max_rounds=20 * 1024)
         assert hit is not None and hit <= 20 * 1024
+
+
+class TestImportCost:
+    def test_import_repro_leaves_scipy_unloaded(self):
+        """scipy.stats is imported inside the functions that use it, so a
+        fresh interpreter's ``import repro`` loads no scipy module."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
