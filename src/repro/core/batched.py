@@ -977,24 +977,21 @@ class BatchedLoadProcess:
         """Per-replica xoshiro256++ states, seeded once per instance.
 
         Shared by every native kernel (`rbb_kernel.c`, `walk_kernel.c`,
-        `greedy_kernel.c`): replica ``r``'s 4-word state comes from
-        ``trial_seed(seed, r)``, so a replica's native trajectory depends
-        only on the seed and its index — not on the batch size, and not on
-        whether the seed object was used before (``SeedSequence.spawn``
-        would advance it).
+        `greedy_kernel.c`): row ``r`` of ``trial_states(seed, R)`` is
+        replica ``r``'s 4-word state, ``trial_seed(seed, r)``'s
+        ``generate_state(4, uint64)`` computed for all replicas in one
+        vectorized pass.  So a replica's native trajectory depends only on
+        the seed and its index — not on the batch size, and not on whether
+        the seed object was used before (``SeedSequence.spawn`` would
+        advance it).
         """
         if self._native_state is None:
-            # function-level: repro.parallel imports this module
-            from ..parallel.seeding import trial_seed
-
             R = self._n_replicas
             if self._seed_seq is not None:
-                state = np.stack([
-                    trial_seed(self._seed_seq, r).generate_state(
-                        4, dtype=np.uint64
-                    )
-                    for r in range(R)
-                ])
+                # function-level: repro.parallel imports this module
+                from ..parallel.seeding import trial_states
+
+                state = trial_states(self._seed_seq, R)
             else:  # seeded from a caller-provided Generator
                 state = self._rng.integers(
                     0, np.iinfo(np.uint64).max, size=(R, 4), dtype=np.uint64,

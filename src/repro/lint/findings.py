@@ -47,6 +47,8 @@ RULES: Tuple[RuleInfo, ...] = (
         title="No unseeded randomness outside parallel/seeding.py",
         rationale=(
             "Every random stream must derive from `parallel.seeding.trial_seed` "
+            "(or, for the native kernels' per-replica xoshiro states, its "
+            "vectorized twin `parallel.seeding.trial_states`) "
             "so runs are bit-reproducible regardless of schedule.  Zero-argument "
             "`np.random.default_rng()`, any `np.random.seed(...)` (global-state "
             "seeding), the stdlib `random` module, and any `.spawn(...)` call "

@@ -6,10 +6,18 @@ The runner executes ``trial_fn(trial_index, seed_sequence, **kwargs)`` for
 but the function or its kwargs cannot be pickled, the runner falls back to
 in-process execution and emits a ``RuntimeWarning`` (never silently).
 Results are returned in trial order regardless of completion order.
+
+Pool workers start from a ``forkserver`` context, never a plain ``fork``
+of the caller: once the caller has run an OpenMP region on two or more
+threads (a threaded native kernel), a forked child inherits libgomp's
+thread-pool state without its threads and deadlocks in its next
+parallel region.  The fork server preloads ``repro``, so only the first
+pool of a process pays for starting it and importing the package.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import warnings
@@ -31,6 +39,13 @@ def _execute_trial(payload) -> Any:
     """Module-level worker entry point (must be picklable)."""
     trial_fn, trial_index, seed, kwargs = payload
     return trial_fn(trial_index, seed, **kwargs)
+
+
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """The pool's start context: a fork server that has imported ``repro``."""
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(["repro"])
+    return context
 
 
 def _is_picklable(obj) -> bool:
@@ -109,7 +124,7 @@ class TrialRunner:
 
         payloads = [(trial_fn, i, seeds[i], kwargs) for i in range(n_trials)]
         results: List[Any] = [None] * n_trials
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context()) as pool:
             for i, outcome in enumerate(
                 pool.map(_execute_trial, payloads, chunksize=self.chunk_size)
             ):

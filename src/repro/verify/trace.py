@@ -394,14 +394,18 @@ def fused_vs_segmented(
     Runs the same spec twice with the native kernel — once with in-kernel
     observation, once with ``REPRO_NATIVE_FUSED=0`` forcing the segmented
     reference loop — and demands identical final loads, windows, hitting
-    rounds, and tracker summaries.
+    rounds, and metric payloads (rounds, series, summaries and arrays).
+    The load histogram is always observed, so a wrong fused bucket or
+    overflow count shows up here.
     """
     config = dict(spec_config)
     requested = config.get("metrics", ())
     if isinstance(requested, str):
         requested = tuple(part.strip() for part in requested.split(",") if part.strip())
     config["metrics"] = tuple(
-        dict.fromkeys(tuple(requested) + ("max_load", "empty_bins", "legitimacy"))
+        dict.fromkeys(
+            tuple(requested) + ("max_load", "empty_bins", "legitimacy", "histogram")
+        )
     )
     spec = EnsembleSpec(**config)
     root = as_seed_sequence(seed)
@@ -455,8 +459,11 @@ def fused_vs_segmented(
     )
     for metric_name, payload in fused_result.metrics.items():
         other = seg_result.metrics[metric_name]
-        for key, vector in payload.summaries.items():
-            compare(f"{metric_name}.{key}", vector, other.summaries[key])
+        compare(f"{metric_name}.rounds", payload.rounds, other.rounds)
+        for slot in ("series", "summaries", "arrays"):
+            mine, theirs = getattr(payload, slot), getattr(other, slot)
+            for key in sorted(set(mine) | set(theirs)):
+                compare(f"{metric_name}.{slot}.{key}", mine.get(key), theirs.get(key))
     return violations
 
 

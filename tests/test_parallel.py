@@ -2,17 +2,33 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary.batched import BatchedFaultyProcess
 from repro.adversary.faulty_process import FaultSchedule
+from repro.baselines.d_choices import BatchedDChoices
+from repro.core.batched import BatchedRepeatedBallsIntoBins
+from repro.core.native import available_cpu_count, native_available
 from repro.errors import ConfigurationError
+from repro.graphs.batched import BatchedConstrainedWalks
+from repro.graphs.generators import cycle_graph
 from repro.parallel.aggregate import TrialAggregate, aggregate_ensemble, aggregate_records
 from repro.parallel.ensemble import EnsembleSpec, run_ensemble
 from repro.parallel.runner import TrialRunner, run_trials
-from repro.parallel.seeding import trial_seed, trial_seeds
+from repro.parallel.seeding import trial_seed, trial_seeds, trial_states
 from repro.rng import as_generator, as_seed_sequence, derive_substream, spawn_generators, spawn_seeds
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ----------------------------------------------------------------------
@@ -93,6 +109,78 @@ class TestTrialSeeds:
             trial_seed(0, -1)
 
 
+def _spawned_states(root, n):
+    """Each child's xoshiro state, from SeedSequence itself (a fresh copy's spawn)."""
+    fresh = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key)
+    rows = [child.generate_state(4, dtype=np.uint64) for child in fresh.spawn(n)]
+    return np.array(rows, dtype=np.uint64).reshape(n, 4)
+
+
+def _per_replica_states(seed, n):
+    """The per-replica loop trial_states replaces."""
+    rows = [trial_seed(seed, r).generate_state(4, dtype=np.uint64) for r in range(n)]
+    return np.array(rows, dtype=np.uint64).reshape(n, 4)
+
+
+class TestTrialStates:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        entropy=st.one_of(
+            st.integers(0, 2**128),
+            st.lists(st.integers(0, 2**64), max_size=6),
+            st.none(),  # fresh OS entropy
+        ),
+        spawn_key=st.lists(
+            st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80)),
+            max_size=3,
+        ),
+        n=st.sampled_from([0, 1, 513]),
+    )
+    def test_rows_equal_seed_sequence_children(self, entropy, spawn_key, n):
+        root = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key))
+        states = trial_states(root, n)
+        assert states.dtype == np.uint64
+        assert states.shape == (n, 4)
+        assert states.flags.c_contiguous
+        assert np.array_equal(states, _spawned_states(root, n))
+
+    def test_seed_object_is_not_advanced(self):
+        root = np.random.SeedSequence(5)
+        first = trial_states(root, 8)
+        assert root.n_children_spawned == 0
+        assert root.spawn_key == ()
+        assert np.array_equal(trial_states(root, 8), first)
+        # nor does a root that spawned before hand out other states
+        used = np.random.SeedSequence(5)
+        used.spawn(3)
+        assert np.array_equal(trial_states(used, 8), first)
+
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            trial_states(0, -1)
+        # raised before any allocation: a larger index takes two words
+        with pytest.raises(ConfigurationError, match="2\\*\\*32"):
+            trial_states(0, 2**32 + 1)
+
+    @pytest.mark.parametrize("n_replicas", [1, 3, 512])
+    @pytest.mark.parametrize("process", ["rbb", "walks", "greedy_d", "faulty"])
+    def test_native_states_equal_the_per_replica_stack(self, process, n_replicas):
+        seed = np.random.SeedSequence(31)
+        if process == "rbb":
+            batch = BatchedRepeatedBallsIntoBins(16, n_replicas, seed=seed)
+        elif process == "walks":
+            batch = BatchedConstrainedWalks(cycle_graph(8), n_replicas, seed=seed)
+        elif process == "greedy_d":
+            batch = BatchedDChoices(16, n_replicas, d=2, seed=seed)
+        else:
+            # the adversary draws from child 0, the process from child 1
+            batch = BatchedFaultyProcess(16, n_replicas, seed=seed).process
+            seed = trial_seed(seed, 1)
+        assert np.array_equal(
+            batch._native_states(), _per_replica_states(seed, n_replicas)
+        )
+
+
 # ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
@@ -155,6 +243,41 @@ class TestTrialRunner:
         assert TrialRunner(n_workers=None).effective_workers == 0
         assert TrialRunner(n_workers=0).effective_workers == 0
         assert TrialRunner(n_workers=1).effective_workers == 1
+
+
+#: A sharded native run after a 2-thread in-process one: a pool forked from
+#: a process whose OpenMP runtime already ran a threaded region deadlocks.
+_THREADED_THEN_SHARDED = textwrap.dedent("""
+    import numpy as np
+    from repro.parallel.ensemble import EnsembleSpec, run_ensemble
+
+    spec = EnsembleSpec(n_bins=256, n_replicas=64, rounds=64)
+    run_ensemble(spec, seed=1, kernel="native", n_threads=2)
+    first = run_ensemble(spec, seed=1, kernel="native", n_threads=2, n_workers=2)
+    again = run_ensemble(spec, seed=1, kernel="native", n_threads=2, n_workers=2)
+    assert np.array_equal(first.final_loads, again.final_loads)
+""")
+
+
+@pytest.mark.skipif(available_cpu_count() < 2, reason="needs 2 visible CPUs")
+@pytest.mark.skipif(not native_available(), reason="native kernel unavailable")
+def test_sharded_run_after_threaded_native_run_returns():
+    # its own session, so a hung pool's workers die with the interpreter
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _THREADED_THEN_SHARDED],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        start_new_session=True,
+        text=True,
+    )
+    try:
+        output, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("sharded run after a threaded native run hung for 60 s")
+    assert proc.returncode == 0, output
 
 
 # ----------------------------------------------------------------------

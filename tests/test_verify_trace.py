@@ -7,11 +7,14 @@ leaky kernel must be caught with a minimized, replayable counterexample.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.batched import BatchedRepeatedBallsIntoBins
 from repro.errors import ConfigurationError
+from repro.metrics.trackers import BatchedLoadHistogramTracker
 from repro.verify import (
     check_trace_invariants,
     fused_vs_segmented,
@@ -161,3 +164,18 @@ class TestFusedVsSegmented:
             {**BASE_SPEC, "n_replicas": 16}, seed=2, n_threads=2
         )
         assert violations == [], [v.describe() for v in violations]
+
+    def test_dropped_fused_histogram_overflow_is_caught(self, monkeypatch):
+        ingest = BatchedLoadHistogramTracker.ingest_fused
+
+        def drop_overflow(self, stats):
+            empty = np.zeros_like(stats.hist_overflow)
+            ingest(self, dataclasses.replace(stats, hist_overflow=empty))
+
+        monkeypatch.setattr(BatchedLoadHistogramTracker, "ingest_fused", drop_overflow)
+        # 256 balls per bin on average: many loads overflow the 0..256 buckets
+        spec = {**BASE_SPEC, "n_replicas": 16, "n_balls": 1024}
+        violations = fused_vs_segmented(spec, seed=3)
+        assert [v.invariant for v in violations] == [
+            "fused_equal:histogram.summaries.overflow"
+        ]
