@@ -110,6 +110,12 @@ _UNOBSERVED: Dict[str, object] = {
 }
 
 
+#: The largest threshold a kernel is handed.  The kernels cast the
+#: threshold to int32, which is undefined above this value; no int32 load
+#: exceeds it, so clamping leaves every legitimacy comparison unchanged.
+_THRESHOLD_CAP = float(2**31 - 1)
+
+
 def _histogram_caps(observers) -> set:
     """The distinct bucket caps of the observers' fused histogram blocks."""
     return {fused_histogram_cap(o) for o in observers} - {None}
@@ -849,7 +855,7 @@ class BatchedLoadProcess:
             "n": self._n_bins,
             "rounds": rounds,
             "rng_state": self._native_states(),
-            "threshold": threshold,
+            "threshold": min(threshold, _THRESHOLD_CAP),
             "stop_when_legitimate": stop_when_legitimate,
             "max_seen": max_seen,
             "min_empty_seen": min_empty,

@@ -40,7 +40,7 @@ def legitimacy_threshold(n_bins: int, beta: float = DEFAULT_BETA) -> float:
     """
     if n_bins < 1:
         raise ConfigurationError(f"n_bins must be >= 1, got {n_bins}")
-    if beta <= 0:
+    if not beta > 0:  # also refuses NaN
         raise ConfigurationError(f"beta must be positive, got {beta}")
     return beta * max(math.log(n_bins), 1.0)
 

@@ -352,10 +352,14 @@ _FLAG_VARIANTS: Tuple[Tuple[str, ...], ...] = tuple(
 
 #: ``REPRO_SANITIZE`` modes -> the flags appended to every variant.
 #: ``-fno-omit-frame-pointer`` keeps sanitizer stack traces readable.
+#: GCC's ``-fsanitize=undefined`` leaves out ``float-cast-overflow``, so
+#: an out-of-range double-to-int cast would pass the ubsan build unless
+#: it is named.
 SANITIZE_MODES: Dict[str, Tuple[str, ...]] = {
     "asan": ("-fsanitize=address", "-fno-omit-frame-pointer"),
     "ubsan": (
         "-fsanitize=undefined",
+        "-fsanitize=float-cast-overflow",
         "-fno-sanitize-recover=all",
         "-fno-omit-frame-pointer",
     ),

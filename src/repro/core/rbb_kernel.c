@@ -15,6 +15,41 @@
  * depends only on its own xoshiro256++ state, so results are bit-identical
  * for every thread count.
  *
+ * Round structure: a round is three passes over the row.  The first and
+ * the last are plain loops the compiler vectorizes.
+ *
+ *   1. departures, row[i] -= row[i] > 0.  The number of balls that leave,
+ *      cnt, is n minus the empty count of the previous round's pass 3 (one
+ *      count pass at entry seeds the first round), so this pass reduces
+ *      nothing.
+ *   2. arrivals, in blocks of at most RBB_BLOCK destinations held on the
+ *      stack: draw whole xoshiro words into a lane buffer, map both 32-bit
+ *      lanes of every word through Lemire's reduction in a separate loop
+ *      that also flags any rejected lane, recompact the block's accepted
+ *      lanes in order if one was flagged (a lane is rejected with
+ *      probability below n / 2^32), drop the round's one possible surplus
+ *      lane, and scatter row[dst]++.
+ *   3. the post-round max and empty count, one int32 pass.  They feed the
+ *      window metrics, the early stop and the fused recorder.
+ *
+ * The xoshiro state lives in a local for the whole call, so the draw loop
+ * keeps it in registers; it is written back once, at the end.
+ *
+ * Never over-drawing: the stream is defined lane by lane.  A round takes
+ * lanes in order, low lane of a word first, skips rejected ones, and ends at
+ * its cnt-th accepted lane; if that is a low lane, the high lane of the
+ * same word is discarded, and the next round starts on a fresh word.  A
+ * block that still needs `need` destinations draws at most ceil(need / 2)
+ * words, which the lane-by-lane loop would have to draw anyway, since a
+ * word yields at most two accepted lanes.  So a block yields at most
+ * need + 1 accepted lanes, and need + 1 only when need is odd and none of
+ * its lanes was rejected; the surplus is then the high lane of its last
+ * word, the very lane the lane-by-lane loop discards.  Every round
+ * therefore consumes exactly the words, and places exactly the balls, of
+ * the lane-by-lane definition.  baselines/greedy_kernel.c still consumes the
+ * stream lane by lane, and at d = 1 it reproduces this kernel's
+ * trajectories, which the tests check.
+ *
  * Fused observation: when n_obs > 0 the kernel records, at every stride
  * boundary ((t+1) % observe_every == 0) and at the window end, the
  * post-round max load and empty-bin count into (n_obs, R) output buffers,
@@ -37,6 +72,10 @@
 
 #include "_kernel_common.h"
 
+/* Destinations per arrival block.  The lane and destination buffers take
+ * 2 * 4 * RBB_BLOCK bytes (4 KB) of stack per thread. */
+#define RBB_BLOCK 512
+
 typedef struct {
     int32_t *loads;
     int64_t n;
@@ -53,6 +92,44 @@ typedef struct {
     repro_obs_t obs;
 } rbb_ctx;
 
+/* Draw `words` words into lane[0, 2 * words), low lane first. */
+static inline void rbb_draw(rng_t *g, uint32_t *lane, int64_t words)
+{
+    for (int64_t i = 0; i < words; i++) {
+        const uint64_t w = next64(g);
+        lane[2 * i] = (uint32_t)w;
+        lane[2 * i + 1] = (uint32_t)(w >> 32);
+    }
+}
+
+/* Map lanes [0, m) to bins by Lemire's reduction; nonzero iff any lane is
+ * rejected (its destination would be biased, so the block recompacts). */
+static inline uint32_t rbb_map(const uint32_t *lane, uint32_t *dst, int64_t m,
+                               uint32_t un, uint32_t lim)
+{
+    uint32_t rejected = 0;
+    for (int64_t i = 0; i < m; i++) {
+        const uint64_t p = (uint64_t)lane[i] * un;
+        dst[i] = (uint32_t)(p >> 32);
+        rejected |= (uint32_t)p < lim;
+    }
+    return rejected;
+}
+
+/* The destinations of the accepted lanes among [0, m), in lane order, at
+ * the front of dst; returns their count. */
+static int64_t rbb_accepted(const uint32_t *lane, uint32_t *dst, int64_t m,
+                            uint32_t un, uint32_t lim)
+{
+    int64_t a = 0;
+    for (int64_t i = 0; i < m; i++) {
+        const uint64_t p = (uint64_t)lane[i] * un;
+        dst[a] = (uint32_t)(p >> 32);
+        a += (uint32_t)p >= lim;
+    }
+    return a;
+}
+
 static void rbb_replica(void *vctx, int64_t r, int tid)
 {
     rbb_ctx *c = (rbb_ctx *)vctx;
@@ -61,63 +138,55 @@ static void rbb_replica(void *vctx, int64_t r, int tid)
     const uint32_t lim = c->lim;
     const int32_t thr = c->thr;
     int32_t *row = c->loads + r * n;
-    rng_t *g = (rng_t *)(c->rng_state + 4 * r);
+    uint64_t *state = c->rng_state + 4 * r;
+    rng_t g = {{state[0], state[1], state[2], state[3]}};
+    uint32_t lane[RBB_BLOCK], dst[RBB_BLOCK];
     int64_t k = 0; /* next fused observation slot */
     (void)tid;
+
+    int32_t empty = 0; /* empty bins after the previous round */
+    for (int64_t i = 0; i < n; i++)
+        empty += row[i] == 0;
 
     for (int64_t t = 0; t < c->rounds; t++) {
         if (!c->active[r])
             break;
 
-        /* departures: every non-empty bin loses one ball.  The same pass
-         * collects the ball count, the post-departure max, and the
-         * post-departure empty count, so no separate metrics scan is
-         * needed: departures cannot create a new maximum, and arrivals
-         * below track the running max / fill-ins incrementally. */
-        int64_t cnt = 0;
-        int32_t mx = 0;
-        int64_t empty = 0;
-        for (int64_t i = 0; i < n; i++) {
-            const int32_t l0 = row[i];
-            const int32_t ne = l0 > 0;
-            const int32_t l = l0 - ne;
-            row[i] = l;
-            cnt += ne;
-            if (l > mx)
-                mx = l;
-            empty += (l == 0);
+        /* 1. departures: every non-empty bin loses one ball */
+        const int64_t cnt = n - empty;
+        for (int64_t i = 0; i < n; i++)
+            row[i] -= row[i] > 0;
+
+        /* 2. arrivals: cnt uniform throws, one block at a time */
+        for (int64_t j = 0; j < cnt;) {
+            const int64_t need = cnt - j;
+            const int64_t words =
+                need < RBB_BLOCK ? (need + 1) / 2 : RBB_BLOCK / 2;
+            rbb_draw(&g, lane, words);
+            int64_t got = 2 * words;
+            if (rbb_map(lane, dst, got, un, lim))
+                got = rbb_accepted(lane, dst, got, un, lim);
+            if (got > need)
+                got = need; /* the high lane of the round's last word */
+            for (int64_t i = 0; i < got; i++)
+                row[dst[i]]++;
+            j += got;
         }
 
-        /* arrivals: cnt uniform throws, two 32-bit lanes per draw; the
-         * running max and empty count absorb each landing as it happens */
-        int64_t j = 0;
-        while (j < cnt) {
-            const uint64_t w = next64(g);
-            const uint64_t m0 = (uint64_t)(uint32_t)w * un;
-            if ((uint32_t)m0 >= lim) {
-                const int32_t v = ++row[m0 >> 32];
-                empty -= (v == 1);
-                if (v > mx)
-                    mx = v;
-                j++;
-            }
-            if (j < cnt) {
-                const uint64_t m1 = (uint64_t)(uint32_t)(w >> 32) * un;
-                if ((uint32_t)m1 >= lim) {
-                    const int32_t v = ++row[m1 >> 32];
-                    empty -= (v == 1);
-                    if (v > mx)
-                        mx = v;
-                    j++;
-                }
-            }
+        /* 3. the post-round max and empty count */
+        int32_t mx = 0;
+        empty = 0;
+        for (int64_t i = 0; i < n; i++) {
+            const int32_t l = row[i];
+            mx = l > mx ? l : mx;
+            empty += l == 0;
         }
 
         c->rounds_done[r]++;
         if (mx > c->max_seen[r])
             c->max_seen[r] = mx;
-        if ((int32_t)empty < c->min_empty_seen[r])
-            c->min_empty_seen[r] = (int32_t)empty;
+        if (empty < c->min_empty_seen[r])
+            c->min_empty_seen[r] = empty;
         if (c->first_legit[r] < 0 && mx <= thr) {
             c->first_legit[r] = c->rounds_done[r];
             if (c->stop_when_legitimate)
@@ -126,6 +195,8 @@ static void rbb_replica(void *vctx, int64_t r, int tid)
         if (repro_obs_due(&c->obs, t, c->rounds))
             repro_obs_record(&c->obs, r, k++, row, n, mx, empty);
     }
+    for (int w = 0; w < 4; w++)
+        state[w] = g.s[w];
     repro_obs_finish(&c->obs, r, k, row, n);
 }
 

@@ -156,7 +156,9 @@ class TestNativeKernel:
     @needs_native_greedy
     def test_d1_matches_native_rbb(self):
         """Greedy[1] consumes the native streams exactly as the rbb kernel
-        does, so the two native trajectories coincide."""
+        does, so the two native trajectories coincide.  The wider grid
+        (block-spanning rounds, rejections, early stop, frozen replicas,
+        fused observation, two threads) is in ``test_native_threads.py``."""
         if not native.native_available("rbb"):
             pytest.skip("native rbb kernel unavailable")
         greedy = BatchedDChoices(16, 6, d=1, seed=5, kernel="native").run(40)

@@ -27,6 +27,11 @@ class TestLegitimacyThreshold:
             legitimacy_threshold(10, beta=0.0)
         with pytest.raises(ConfigurationError):
             legitimacy_threshold(10, beta=-1.0)
+        with pytest.raises(ConfigurationError):
+            legitimacy_threshold(10, beta=float("nan"))
+
+    def test_infinite_beta_is_allowed(self):
+        assert legitimacy_threshold(10, beta=math.inf) == math.inf
 
 
 class TestConstructionAndValidation:

@@ -7,14 +7,19 @@ streams, so the parallelization axis cannot reorder any arithmetic) — and
 the fused in-kernel observation path is indistinguishable from the
 segmented Python-side observer loop on every registered metric.
 
-Also covered here: the flag-aware binary cache key, the by-name kernel
-argument helper, thread-count resolution precedence, the exact-moments
-tracker, and the sweep scheduler's oversubscription guard.
+Also covered here: Greedy[1] against the rbb kernel (the stream
+reference for the rbb kernel's blocked draws), digests that pin every
+kernel's streams, legitimacy thresholds beyond int32, the flag-aware
+binary cache key, the by-name kernel argument helper, thread-count
+resolution precedence, the exact-moments tracker, and the sweep
+scheduler's oversubscription guard.
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -427,6 +432,182 @@ class TestFaultyHistogramFusion:
         _assert_payloads_equal(fused.metrics, segmented.metrics, "faulty")
         counts = fused.metrics["histogram"].arrays["counts"]
         assert (counts.sum(axis=1) == 13 * spec.n_bins).all()
+
+
+# ---------------------------------------------------------------------
+# Greedy[1] == rbb: the lane-by-lane stream reference
+# ---------------------------------------------------------------------
+#: (n, R, rounds, start, options) of the Greedy[1]-vs-rbb runs.  Balanced
+#: starts move n balls in the first round, so the rounds at n = 1000 and
+#: 1024 span several arrival blocks of the rbb kernel.  At n = 4190212,
+#: 2**32 mod n = 4190208, so about one lane in 1 000 is rejected: some
+#: 4 000 in the first round.  The ``frozen`` option deactivates one
+#: replica before the run.
+D1_CASES = [
+    pytest.param(1, 3, 20, "balanced", {}, id="n1"),
+    pytest.param(16, 6, 40, "balanced", {}, id="n16"),
+    pytest.param(1000, 2, 30, "balanced", {}, id="n1000"),
+    pytest.param(1024, 2, 30, "balanced", {}, id="n1024"),
+    pytest.param(4190212, 1, 2, "balanced", {}, id="rejections"),
+    pytest.param(300, 7, 50, "all_in_one", {}, id="R7"),
+    pytest.param(
+        64, 5, 500, "all_in_one", {"stop_when_legitimate": True}, id="stop"
+    ),
+    pytest.param(64, 5, 100, "all_in_one", {"frozen": 2}, id="frozen"),
+    pytest.param(
+        300, 4, 40, "all_in_one",
+        {"metrics": FUSED_METRICS, "observe_every": 7}, id="fused",
+    ),
+]
+
+
+@needs_native
+@needs_native_greedy
+class TestGreedyOneMatchesRbb:
+    """Greedy[1] consumes each replica's stream lane by lane, as the
+    stream is defined; the rbb kernel draws whole blocks of words.  Their
+    trajectories coincide only if the blocks never over-draw and keep
+    every accepted lane in order."""
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("n, R, rounds, start, options", D1_CASES)
+    def test_d1_matches_native_rbb(
+        self, n, R, rounds, start, options, n_threads, kernel_calls
+    ):
+        def run(build):
+            process = build(
+                initial=make_ensemble_initial(start, n, R),
+                seed=5, kernel="native", n_threads=n_threads,
+            )
+            if "frozen" in options:
+                process.deactivate(np.arange(R) == options["frozen"])
+            trackers = build_trackers(options.get("metrics"))
+            result = process.run(
+                rounds,
+                stop_when_legitimate=options.get("stop_when_legitimate", False),
+                observers=[tracker for _, tracker in trackers],
+                observe_every=options.get("observe_every", 1),
+            )
+            assert result.kernel == "native"
+            return result, {name: t.payload() for name, t in trackers}
+
+        plain, plain_payloads = run(
+            lambda **kw: BatchedRepeatedBallsIntoBins(n, R, **kw)
+        )
+        greedy, greedy_payloads = run(lambda **kw: BatchedDChoices(n, R, d=1, **kw))
+        assert kernel_calls == ["rbb", "greedy_d"]  # one call each, also fused
+        for field in (
+            "final_loads", "rounds", "max_load_seen", "min_empty_bins_seen",
+            "first_legitimate_round",
+        ):
+            assert np.array_equal(
+                getattr(greedy, field), getattr(plain, field)
+            ), field
+        _assert_payloads_equal(greedy_payloads, plain_payloads, "d=1")
+        if "frozen" in options:
+            assert plain.rounds[options["frozen"]] == 0
+        if "stop_when_legitimate" in options:
+            assert len(set(plain.rounds.tolist())) > 1  # replicas stopped apart
+
+
+# ---------------------------------------------------------------------
+# Pinned native streams
+# ---------------------------------------------------------------------
+def _pinned_run(kind):
+    """A single-thread native run: one per kernel, plus an rbb run whose
+    rounds reject lanes.  Each starts deterministically (numpy
+    ``Generator`` streams may change between numpy versions; the
+    ``SeedSequence`` hashing that seeds the native streams does not)."""
+    def start(initial, n, R):
+        return dict(
+            initial=make_ensemble_initial(initial, n, R),
+            seed=2024, kernel="native", n_threads=1,
+        )
+
+    if kind == "rbb":
+        return BatchedRepeatedBallsIntoBins(
+            1000, 4, **start("all_in_one", 1000, 4)
+        ).run(1500)
+    if kind == "rbb_rejections":
+        return BatchedRepeatedBallsIntoBins(
+            4190212, 1, **start("balanced", 4190212, 1)
+        ).run(2)
+    if kind == "greedy_d":
+        return BatchedDChoices(
+            1000, 4, d=2, **start("balanced", 1000, 4)
+        ).run(300)
+    return BatchedConstrainedWalks(
+        resolve_topology("cycle:100"), 4, **start("all_in_one", 100, 4)
+    ).run(400)
+
+
+#: SHA-256 of each pinned run's final loads and window vectors.  A change
+#: to any kernel's stream, or to the seeding of the native states, moves
+#: one of them; so does a change that moves rbb and Greedy[1] together,
+#: which the Greedy[1] cross-check cannot see.
+PINNED_DIGESTS = {
+    "rbb": "d304cae4c92260b27e4f6b94d1146453e2776d275abc342198c097d0d6caa292",
+    "rbb_rejections":
+        "2aa1e8c8dfdb96fe98c7f47e32d660271d2530e4a9c95d475bdd10a6eeb56784",
+    "greedy_d":
+        "5a57d9afda5e952a1ee8ec9c2c414ff7919666943b0477965ed273c77028fe6d",
+    "walks": "64e5d30d66c973bd53e998f5bb527eed839a918ecf8ac8bbc336dcd5d05127e2",
+}
+
+
+@needs_native
+@pytest.mark.parametrize("kind", [
+    pytest.param("rbb"),
+    pytest.param("rbb_rejections"),
+    pytest.param("greedy_d", marks=needs_native_greedy),
+    pytest.param("walks", marks=needs_native_walks),
+])
+def test_native_streams_are_pinned(kind):
+    result = _pinned_run(kind)
+    assert result.kernel == "native"
+    digest = hashlib.sha256()
+    for field in (
+        "final_loads", "max_load_seen", "min_empty_bins_seen",
+        "first_legitimate_round", "rounds",
+    ):
+        values = np.ascontiguousarray(getattr(result, field), dtype="<i8")
+        digest.update(f"{field}:{values.shape}".encode())
+        digest.update(values.tobytes())
+    assert digest.hexdigest() == PINNED_DIGESTS[kind]
+
+
+# ---------------------------------------------------------------------
+# Legitimacy thresholds beyond int32
+# ---------------------------------------------------------------------
+@needs_native
+class TestHugeBeta:
+    """beta * ln(n) above 2**31 - 1 makes every configuration legitimate.
+    The kernels take the threshold as int32, so the caller clamps it."""
+
+    @pytest.mark.parametrize("kind", [
+        pytest.param("rbb"),
+        pytest.param("greedy_d", marks=needs_native_greedy),
+        pytest.param("walks", marks=needs_native_walks),
+    ])
+    @pytest.mark.parametrize("beta", [1e9, math.inf])
+    def test_native_matches_numpy(self, kind, beta):
+        def first_legitimate_round(kernel):
+            common = dict(seed=3, kernel=kernel, n_threads=1)
+            if kind == "rbb":
+                process = BatchedRepeatedBallsIntoBins(16, 2, **common)
+            elif kind == "greedy_d":
+                process = BatchedDChoices(16, 2, d=2, **common)
+            else:
+                process = BatchedConstrainedWalks(
+                    resolve_topology("cycle:16"), 2, **common
+                )
+            result = process.run(8, beta=beta)
+            assert result.kernel == kernel
+            return result.first_legitimate_round
+
+        native = first_legitimate_round("native")
+        assert np.array_equal(native, first_legitimate_round("numpy"))
+        assert (native == 1).all()
 
 
 # ---------------------------------------------------------------------
