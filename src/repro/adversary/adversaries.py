@@ -81,7 +81,11 @@ class Adversary(ABC):
         The Section 4.1 constraint is enforced *per replica*: the returned
         matrix must have the same shape, row sums identical to the input's
         (no ball created or destroyed in any replica), and no negative
-        loads.
+        loads.  This check is for direct callers;
+        :class:`~repro.adversary.batched.BatchedFaultyProcess` hands
+        :meth:`reassign_batch`'s output to the process'
+        :meth:`~repro.core.batched.BatchedLoadProcess.inject_loads`, which
+        makes the same checks once.
         """
         loads = np.asarray(loads)
         if loads.ndim != 2:

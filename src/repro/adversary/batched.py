@@ -7,14 +7,19 @@ process (by default a
 native kernel applies) and, at the rounds selected by a
 :class:`~repro.adversary.faulty_process.FaultSchedule`, rewrites **every
 replica's** configuration through the adversary's vectorized
-:meth:`~repro.adversary.adversaries.Adversary.apply_batch` — ball
-conservation is enforced per replica, both by the adversary wrapper and by
-the process' :meth:`~repro.core.batched.BatchedLoadProcess.inject_loads`.
+:meth:`~repro.adversary.adversaries.Adversary.reassign_batch`.  Its output
+goes straight to the process'
+:meth:`~repro.core.batched.BatchedLoadProcess.inject_loads`, the single
+check of a fault (shape, integer values, no negative load, per-replica ball
+conservation), which then writes it into the int32 state in place.
 
 Execution is segmented: the rounds between consecutive faults run as one
-engine call (a single FFI call with the native kernel), so an adversarial
-ensemble costs barely more than a fault-free one.  Recovery times are read
-off each post-fault segment's ``first_legitimate_round`` vector.
+engine call (a single FFI call with the native kernel) through
+:meth:`~repro.core.batched.BatchedLoadProcess.advance_window`, which
+returns only the window vectors; the loads are copied once, into the
+result, at the end.  So an adversarial ensemble costs barely more than a
+fault-free one.  Recovery times are read off each post-fault segment's
+``first_legitimate_round`` vector.
 """
 
 from __future__ import annotations
@@ -291,20 +296,20 @@ class BatchedFaultyProcess:
             if length <= 0:
                 return
             offset = process.rounds_completed
-            result = process.run(
+            window = process.advance_window(
                 length, beta=beta, observers=obs, observe_every=observe_every
             )
-            kernels.add(result.kernel)
-            np.maximum(max_seen, result.max_load_seen, out=max_seen)
+            kernels.add(window.kernel)
+            np.maximum(max_seen, window.max_load_seen, out=max_seen)
             np.minimum(
-                min_empty, result.min_empty_bins_seen, out=min_empty
+                min_empty, window.min_empty_bins_seen, out=min_empty
             )
-            hit = result.first_legitimate_round >= 0
+            hit = window.first_legitimate_round >= 0
             if not hit.any():
                 return
             # translate the engine's global round counter into wrapper rounds
             wrapper_round = (
-                result.first_legitimate_round - offset + start_round - 1
+                window.first_legitimate_round - offset + start_round - 1
             )
             np.copyto(
                 first_legit, wrapper_round, where=hit & (first_legit < 0)
@@ -318,9 +323,10 @@ class BatchedFaultyProcess:
         pending: Optional[int] = None  # fault awaiting recovery
         for index, fault_round in enumerate(fault_rounds):
             run_segment(previous, fault_round - previous, pending)
-            reassigned = self._adversary.apply_batch(process.loads, self._rng)
-            process.inject_loads(reassigned)
-            np.maximum(max_seen, reassigned.max(axis=1), out=max_seen)
+            process.inject_loads(
+                self._adversary.reassign_batch(process.loads, self._rng)
+            )
+            np.maximum(max_seen, process.max_load, out=max_seen)
             previous = fault_round
             pending = index
         run_segment(previous, rounds - previous + 1, pending)
@@ -339,7 +345,7 @@ class BatchedFaultyProcess:
             min_empty_bins_seen=min_empty,
             recovery_times=recovery,
             first_legitimate_round=first_legit,
-            final_loads=process.loads.copy(),
+            final_loads=process.loads.astype(np.int64),
             beta=beta,
             kernel=kernel,
         )

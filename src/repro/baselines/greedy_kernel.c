@@ -70,8 +70,11 @@ static void greedy_replica(void *vctx, int64_t r, int tid)
         lanes_t L = {g, 0, 0};
 
         /* departures: every non-empty bin loses one ball; the same pass
-         * collects the ball count, the max and the empty count (as in
-         * rbb_kernel.c) */
+         * collects the ball count, the max and the empty count.
+         * rbb_kernel.c splits this work instead: its departure pass only
+         * subtracts, the count comes from the previous round's empty
+         * count, and the max and empty count from a pass after the
+         * arrivals. */
         int64_t cnt = 0;
         int32_t mx = 0;
         int64_t empty = 0;

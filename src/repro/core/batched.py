@@ -40,16 +40,27 @@ Two kernels drive the repeated balls-into-bins update:
     the order-of-magnitude ensemble speedups come from.
 
 ``kernel="auto"`` (the default) uses the native kernel when a C compiler is
-available and the state fits its int32 representation, and falls back to
-numpy silently otherwise (``EnsembleResult.kernel`` says which ran).  Set
-the environment variable ``REPRO_NATIVE=0`` to force the numpy kernel
-everywhere.
+available and falls back to numpy silently otherwise
+(``EnsembleResult.kernel`` says which ran).  Set the environment variable
+``REPRO_NATIVE=0`` to force the numpy kernel everywhere.
+
+The state is one C-contiguous int32 ``(R, n)`` array that the process owns
+for its whole life: the numpy kernels update it in place, and the native
+kernels receive it as is and write it in place, so no call copies it.  A
+state that int32 cannot hold (``n >= 2**31``, or a replica with
+``2**31 - 1`` or more balls) is refused with a
+:class:`~repro.errors.ConfigurationError` whatever the kernel — at
+construction, at :meth:`~BatchedLoadProcess.reset` and at
+:meth:`~BatchedLoadProcess.replace_loads` (see :func:`check_state_fits`).
+Results leave the process as int64 (``EnsembleResult.final_loads``).
 
 Every native kernel — this module's ``rbb``, the graph walks' ``walks`` and
 Greedy[d]'s ``greedy_d`` — runs through :class:`BatchedLoadProcess`: the
-kernel choice, the int32 guard, fused or segmented observation, and one
-call whose arguments are built by C parameter name
-(:func:`repro.core.native.kernel_args`).
+kernel choice, fused or segmented observation, and one call whose arguments
+are built by C parameter name (:func:`repro.core.native.kernel_args`).
+Callers that run a window in segments (the fault injector, the scenario
+interpreter) advance through :meth:`~BatchedLoadProcess.advance_window`,
+which returns only the window vectors, and build one result at the end.
 
 Example
 -------
@@ -68,7 +79,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Union, runtime_checkable
+from typing import (
+    Dict, List, NamedTuple, Optional, Protocol, Tuple, Union, runtime_checkable,
+)
 
 import numpy as np
 
@@ -92,6 +105,8 @@ __all__ = [
     "BatchedLoadProcess",
     "BatchedRepeatedBallsIntoBins",
     "EnsembleResult",
+    "WindowStats",
+    "check_state_fits",
     "make_ensemble_initial",
 ]
 
@@ -114,6 +129,33 @@ _UNOBSERVED: Dict[str, object] = {
 #: threshold to int32, which is undefined above this value; no int32 load
 #: exceeds it, so clamping leaves every legitimacy comparison unchanged.
 _THRESHOLD_CAP = float(2**31 - 1)
+
+#: Per-replica ball counts must stay below this, and so must every load.
+_BALL_LIMIT = 2**31 - 1
+
+
+def check_state_fits(n_bins: int, n_balls) -> None:
+    """Refuse a state the int32 ``(R, n)`` loads cannot hold.
+
+    ``n_balls`` is one per-replica ball count or a vector of them.  The
+    state holds ``n_bins < 2**31`` bins and fewer than ``2**31 - 1`` balls
+    per replica; anything larger raises a :class:`ConfigurationError`,
+    whatever the kernel.  This is the one place the limit lives: the
+    batched processes and ``EnsembleSpec`` both call it.
+
+    >>> check_state_fits(1024, 1024)
+    >>> check_state_fits(4, 2**31)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    ...
+    repro.errors.ConfigurationError: the state does not fit its int32 loads: ...
+    """
+    most = int(np.max(n_balls))
+    if n_bins >= 2**31 or most >= _BALL_LIMIT:
+        raise ConfigurationError(
+            "the state does not fit its int32 loads: n_bins must stay below "
+            "2**31 and per-replica ball counts below 2**31 - 1 (got "
+            f"n_bins={n_bins}, up to {most} balls)"
+        )
 
 
 def _histogram_caps(observers) -> set:
@@ -335,6 +377,21 @@ class EnsembleResult:
         }
 
 
+class WindowStats(NamedTuple):
+    """The window vectors of one :meth:`BatchedLoadProcess.advance_window`.
+
+    The fields are those of :class:`EnsembleResult` without the loads: a
+    caller that runs its window in segments folds them into its own
+    window and builds one result at the end.
+    """
+
+    rounds: np.ndarray
+    max_load_seen: np.ndarray
+    min_empty_bins_seen: np.ndarray
+    first_legitimate_round: np.ndarray
+    kernel: str
+
+
 @runtime_checkable
 class BatchedProcess(Protocol):
     """Structural protocol of a vectorized ``R``-replica load process.
@@ -378,7 +435,7 @@ class BatchedProcess(Protocol):
 class BatchedLoadProcess:
     """Shared machinery for vectorized ensembles of load-level processes.
 
-    Holds the ``(R, n)`` load matrix, per-replica round counters and
+    Holds the int32 ``(R, n)`` load matrix, per-replica round counters and
     activity masks, the window-metric ``run`` loop, the
     ball-conservation invariant, and the one native-kernel call path.
     Subclasses define one round of dynamics by implementing
@@ -421,6 +478,9 @@ class BatchedLoadProcess:
     Replicas that reach a legitimate configuration during a
     ``stop_when_legitimate`` run are *frozen*: later rounds skip them, their
     loads stay fixed, and their round counters stop advancing.
+
+    A start that int32 cannot hold raises a :class:`ConfigurationError`
+    (see :func:`check_state_fits`), for every ``kernel=``.
     """
 
     #: Kernel label reported in :class:`EnsembleResult` by the generic loop.
@@ -467,8 +527,10 @@ class BatchedLoadProcess:
         self._n_threads = None if n_threads is None else int(n_threads)
         self._n_bins = n_bins
         self._n_replicas = n_replicas
-        self._loads = self._coerce_initial(initial, n_balls)
-        self._n_balls = self._loads.sum(axis=1)
+        start, self._n_balls = self._checked_start(initial, n_balls)
+        # the state: C-contiguous int32, written in place by every kernel
+        self._loads = np.empty((n_replicas, n_bins), dtype=np.int32)
+        self._loads[...] = start
         self._rounds_done = np.zeros(n_replicas, dtype=np.int64)
         self._active = np.ones(n_replicas, dtype=bool)
         if isinstance(seed, np.random.Generator):
@@ -481,43 +543,68 @@ class BatchedLoadProcess:
         self._kernel = kernel
         self._native_state: Optional[np.ndarray] = None
 
-    def _coerce_initial(self, initial, n_balls: Optional[int]) -> np.ndarray:
+    def _checked_start(
+        self, initial, n_balls: Optional[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """A validated start and its per-replica ball counts.
+
+        The start is one row (broadcast over the replicas when it is
+        written into the state) or an ``(R, n)`` matrix; nothing is
+        written here, so a refused start leaves the state as it was.
+        """
         n, R = self._n_bins, self._n_replicas
         if initial is None:
             m = n if n_balls is None else n_balls
             if m < 0:
                 raise ConfigurationError(f"n_balls must be >= 0, got {m}")
-            return make_ensemble_initial("balanced", n, R, n_balls=m)
-        if isinstance(initial, LoadConfiguration):
-            arr = initial.as_array()
-        else:
-            arr = np.asarray(initial)
-        if arr.ndim == 1:
-            config = LoadConfiguration(arr)  # validates shape and values
-            if config.n_bins != n:
-                raise ConfigurationError(
-                    f"initial configuration has {config.n_bins} bins, expected {n}"
-                )
-            if n_balls is not None and n_balls != config.n_balls:
-                raise ConfigurationError(
-                    f"n_balls={n_balls} contradicts initial configuration "
-                    f"with {config.n_balls} balls"
-                )
-            return np.tile(config.as_array(), (R, 1))
-        if arr.ndim == 2:
-            if arr.shape != (R, n):
-                raise ConfigurationError(
-                    f"initial matrix has shape {arr.shape}, expected ({R}, {n})"
-                )
-            if not np.issubdtype(arr.dtype, np.integer):
-                if not np.all(np.equal(np.mod(arr, 1), 0)):
-                    raise ConfigurationError("initial loads must be integer-valued")
-            if np.any(arr < 0):
-                raise ConfigurationError("initial loads must be non-negative")
-            return np.array(arr, dtype=np.int64, copy=True)
-        raise ConfigurationError(
-            f"initial must be 1-D or 2-D, got ndim={arr.ndim}"
+            check_state_fits(n, m)
+            row = LoadConfiguration.balanced(n, n_balls=m).loads
+            return row, np.full(R, m, dtype=np.int64)
+        arr = initial.loads if isinstance(initial, LoadConfiguration) else (
+            np.asarray(initial)
         )
+        if arr.ndim == 1 and arr.shape != (n,):
+            raise ConfigurationError(
+                f"initial configuration has {arr.shape[0]} bins, expected {n}"
+            )
+        if arr.ndim not in (1, 2):
+            raise ConfigurationError(
+                f"initial must be 1-D or 2-D, got ndim={arr.ndim}"
+            )
+        # a row is checked as the (R, n) state it becomes
+        matrix = np.broadcast_to(arr, (R, n)) if arr.ndim == 1 else arr
+        totals = self._checked_loads(matrix, "initial")
+        if arr.ndim == 1 and n_balls is not None and n_balls != totals[0]:
+            raise ConfigurationError(
+                f"n_balls={n_balls} contradicts initial configuration "
+                f"with {int(totals[0])} balls"
+            )
+        check_state_fits(n, totals)
+        return arr, totals
+
+    def _checked_loads(self, arr: np.ndarray, what: str) -> np.ndarray:
+        """Check ``arr`` as an ``(R, n)`` state; returns its ball counts.
+
+        Refuses a wrong shape, non-integer values, a negative load (naming
+        its replica) and a load int32 cannot hold.  Every load then lies
+        in ``[0, 2**31 - 1)``, so the int64 totals are exact.
+        """
+        shape = (self._n_replicas, self._n_bins)
+        if arr.shape != shape:
+            raise ConfigurationError(
+                f"{what} loads have shape {arr.shape}, expected {shape}"
+            )
+        if not np.issubdtype(arr.dtype, np.integer):
+            if not np.all(np.equal(np.mod(arr, 1), 0)):
+                raise ConfigurationError(f"{what} loads must be integer-valued")
+        if arr.min() < 0:
+            bad = int(np.flatnonzero((arr < 0).any(axis=1))[0])
+            raise ConfigurationError(
+                f"{what} loads must be non-negative; replica {bad} has a "
+                "negative load"
+            )
+        check_state_fits(self._n_bins, arr.max())
+        return arr.sum(axis=1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # State access (vector-valued metric reducers)
@@ -537,7 +624,7 @@ class BatchedLoadProcess:
 
     @property
     def loads(self) -> np.ndarray:
-        """Read-only ``(R, n)`` view of the current load matrix."""
+        """Read-only int32 ``(R, n)`` view of the current load matrix."""
         view = self._loads.view()
         view.setflags(write=False)
         return view
@@ -571,7 +658,7 @@ class BatchedLoadProcess:
     @property
     def max_load(self) -> np.ndarray:
         """Per-replica maximum load of the current configurations."""
-        return self._loads.max(axis=1)
+        return self._loads.max(axis=1).astype(np.int64)
 
     @property
     def num_empty_bins(self) -> np.ndarray:
@@ -636,6 +723,37 @@ class BatchedLoadProcess:
             reasonable strides; the returned window metrics remain exact
             over every simulated round regardless of the stride.
         """
+        window = self.advance_window(
+            rounds, beta, stop_when_legitimate, observers, observe_every
+        )
+        return EnsembleResult(
+            n_bins=self._n_bins,
+            rounds=window.rounds,
+            final_loads=self._loads.astype(np.int64),
+            max_load_seen=window.max_load_seen,
+            min_empty_bins_seen=window.min_empty_bins_seen,
+            first_legitimate_round=window.first_legitimate_round,
+            beta=beta,
+            kernel=window.kernel,
+        )
+
+    def advance_window(
+        self,
+        rounds: int,
+        beta: float = DEFAULT_BETA,
+        stop_when_legitimate: bool = False,
+        observers=None,
+        observe_every: int = 1,
+    ) -> WindowStats:
+        """:meth:`run` without the result: advance, return the window vectors.
+
+        :class:`~repro.adversary.batched.BatchedFaultyProcess` and
+        :func:`~repro.scenarios.engine.run_scenario_batched` step their
+        segments through this call and copy the loads into one result at
+        the end.
+        The parameters are :meth:`run`'s; ball conservation is checked
+        after every call.
+        """
         if rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
         if observe_every < 1:
@@ -664,16 +782,7 @@ class BatchedLoadProcess:
             max_seen[idle] = self.max_load[idle]
             min_empty[idle] = self.num_empty_bins[idle]
         self._check_conservation()
-        return EnsembleResult(
-            n_bins=self._n_bins,
-            rounds=executed,
-            final_loads=self._loads.copy(),
-            max_load_seen=max_seen,
-            min_empty_bins_seen=min_empty,
-            first_legitimate_round=first_legit,
-            beta=beta,
-            kernel=used,
-        )
+        return WindowStats(executed, max_seen, min_empty, first_legit, used)
 
     def _run_window(
         self, rounds, threshold, stop_when_legitimate, first_legit, observers,
@@ -682,10 +791,12 @@ class BatchedLoadProcess:
         """Advance the window; returns ``(max_seen, min_empty, kernel)``.
 
         Runs the native kernel when :attr:`native_kernel` names one that
-        loads, the ``kernel=`` choice allows it, and the state fits the
-        kernel's int32 representation; otherwise the numpy reference loop
-        in :func:`repro.metrics.window.run_window`.  ``kernel="native"``
-        refuses a state that does not fit instead of downgrading.
+        loads and the ``kernel=`` choice allows it; otherwise the numpy
+        reference loop in :func:`repro.metrics.window.run_window`.  Both
+        advance the process's own int32 state in place.  A subclass whose
+        kernel arguments cannot hold its data (:meth:`_native_supported`:
+        the walks' edge count) runs numpy under ``kernel="auto"`` and is
+        refused under ``kernel="native"``.
         """
         kernel = None
         if self.native_kernel is not None and self._kernel != "numpy":
@@ -693,9 +804,9 @@ class BatchedLoadProcess:
         if kernel is not None and not self._native_supported():
             if self._kernel == "native":
                 raise ConfigurationError(
-                    f"native {self.native_kernel!r} kernel requested but the "
-                    "state does not fit its int32 representation (sizes and "
-                    "per-replica ball counts must stay below 2**31)"
+                    f"native {self.native_kernel!r} kernel requested but "
+                    f"this {type(self).__name__} does not fit its int32 "
+                    "arguments"
                 )
             kernel = None
         if kernel is None:
@@ -822,8 +933,12 @@ class BatchedLoadProcess:
         return max_seen, min_empty, "native"
 
     def _native_supported(self) -> bool:
-        """Whether the state fits the native kernels' int32 representation."""
-        return bool(self._n_bins < 2**31 and (self._n_balls < 2**31 - 1).all())
+        """Whether the kernel's arguments can hold this process's data.
+
+        The int32 state always fits (it is refused at construction
+        otherwise); subclasses with further kernel inputs override this.
+        """
+        return True
 
     def _native_extra_args(self, n_threads: int) -> Dict[str, object]:
         """Kernel arguments beyond the shared state, by C parameter name."""
@@ -837,20 +952,19 @@ class BatchedLoadProcess:
 
         ``obs`` is ``None`` or the fused-observation arguments by C
         parameter name (``observe_every`` through ``obs_overflow``; an
-        unrequested buffer is ``None``).  The loads round-trip through an
-        int32 copy; the round counters and ``first_legit`` are written in
-        place.  Returns the window's ``(max_seen, min_empty)``.
+        unrequested buffer is ``None``).  The kernel writes the process's
+        own buffers in place: the int32 loads, the round counters, the
+        activity mask (its bool bytes viewed as uint8) and
+        ``first_legit``.  Returns the window's ``(max_seen, min_empty)``.
         """
         R = self._n_replicas
-        loads32 = np.ascontiguousarray(self._loads, dtype=np.int32)
         max_seen = np.zeros(R, dtype=np.int32)
         min_empty = np.full(R, self._n_bins, dtype=np.int32)
-        active8 = np.ascontiguousarray(self._active, dtype=np.uint8)
         n_threads = resolve_n_threads(
             self._n_threads, R, kernel=self.native_kernel
         )
         kernel(*kernel_args(self.native_kernel, {
-            "loads": loads32,
+            "loads": self._loads,
             "R": R,
             "n": self._n_bins,
             "rounds": rounds,
@@ -861,13 +975,11 @@ class BatchedLoadProcess:
             "min_empty_seen": min_empty,
             "first_legit": first_legit,
             "rounds_done": self._rounds_done,
-            "active": active8,
+            "active": self._active.view(np.uint8),
             "n_threads": n_threads,
             **(_UNOBSERVED if obs is None else obs),
             **self._native_extra_args(n_threads),
         }))
-        self._loads[...] = loads32
-        self._active[...] = active8.astype(bool)
         return max_seen.astype(np.int64), min_empty.astype(np.int64)
 
     # ------------------------------------------------------------------
@@ -882,7 +994,7 @@ class BatchedLoadProcess:
         replica's first legitimate configuration, or ``-1`` where the budget
         of ``max_rounds`` elapsed first.
         """
-        return self.run(
+        return self.advance_window(
             max_rounds, beta=beta, stop_when_legitimate=True
         ).first_legitimate_round
 
@@ -892,28 +1004,21 @@ class BatchedLoadProcess:
         This is the hook the Section 4.1 fault model uses: an adversary may
         reassign balls arbitrarily *between* rounds, but it may not create
         or destroy them, so the per-replica totals must match the current
-        ones exactly.  Round counters and activity masks are untouched.
+        ones exactly.  It is the one check a fault passes: shape, integer
+        values, no negative load, and per-replica conservation, each
+        failure naming what broke it.  The matrix is then written into the
+        state in place; a refused one leaves the state unchanged.  Round
+        counters and activity masks are untouched.
         """
         arr = np.asarray(loads)
-        if arr.shape != (self._n_replicas, self._n_bins):
-            raise ConfigurationError(
-                f"injected loads have shape {arr.shape}, expected "
-                f"({self._n_replicas}, {self._n_bins})"
-            )
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(np.equal(np.mod(arr, 1), 0)):
-                raise ConfigurationError("injected loads must be integer-valued")
-            arr = arr.astype(np.int64)
-        if np.any(arr < 0):
-            raise ConfigurationError("injected loads must be non-negative")
-        totals = arr.sum(axis=1)
+        totals = self._checked_loads(arr, "injected")
         if not np.array_equal(totals, self._n_balls):
             bad = int(np.flatnonzero(totals != self._n_balls)[0])
             raise ConfigurationError(
                 f"injected loads do not conserve balls in replica {bad}: "
                 f"expected {int(self._n_balls[bad])}, got {int(totals[bad])}"
             )
-        self._loads[...] = np.asarray(arr, dtype=np.int64)
+        self._loads[...] = arr
 
     def replace_loads(self, loads: np.ndarray) -> None:
         """Replace the ``(R, n)`` loads *without* requiring ball conservation.
@@ -921,26 +1026,16 @@ class BatchedLoadProcess:
         The scenario hook for events that legitimately change the ball
         count (arrival bursts, drains): the per-replica totals are
         re-baselined so subsequent conservation checks track the new
-        counts.  Round counters and activity masks are untouched — use
+        counts, and a total the int32 state cannot hold is refused.
+        Round counters and activity masks are untouched — use
         :meth:`inject_loads` for conserving edits (it enforces the
         Section 4.1 constraint).
         """
         arr = np.asarray(loads)
-        if arr.shape != (self._n_replicas, self._n_bins):
-            raise ConfigurationError(
-                f"replacement loads have shape {arr.shape}, expected "
-                f"({self._n_replicas}, {self._n_bins})"
-            )
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(np.equal(np.mod(arr, 1), 0)):
-                raise ConfigurationError(
-                    "replacement loads must be integer-valued"
-                )
-            arr = arr.astype(np.int64)
-        if np.any(arr < 0):
-            raise ConfigurationError("replacement loads must be non-negative")
-        self._loads[...] = np.asarray(arr, dtype=np.int64)
-        self._n_balls = self._loads.sum(axis=1)
+        totals = self._checked_loads(arr, "replacement")
+        check_state_fits(self._n_bins, totals)
+        self._loads[...] = arr
+        self._n_balls = totals
 
     def advance_clock(self, rounds: int) -> None:
         """Add ``rounds`` to every replica's global round counter.
@@ -961,21 +1056,19 @@ class BatchedLoadProcess:
 
         Random state is *not* reset: the generator (and any native
         per-replica streams) continue where they left off, mirroring
-        :meth:`RepeatedBallsIntoBins.reset`.
+        :meth:`RepeatedBallsIntoBins.reset`.  The new loads are written
+        into the same int32 state, and refused like a constructor's start.
         """
+        n_balls = None
         if initial is None:
-            m = int(self._n_balls[0])
-            if not (self._n_balls == m).all():
+            n_balls = int(self._n_balls[0])
+            if not (self._n_balls == n_balls).all():
                 raise ConfigurationError(
                     "reset() without an explicit initial requires equal "
                     "per-replica ball counts"
                 )
-            self._loads = make_ensemble_initial(
-                "balanced", self._n_bins, self._n_replicas, n_balls=m
-            )
-        else:
-            self._loads = self._coerce_initial(initial, None)
-        self._n_balls = self._loads.sum(axis=1)
+        start, self._n_balls = self._checked_start(initial, n_balls)
+        self._loads[...] = start
         self._rounds_done[:] = 0
         self._active[:] = True
 
@@ -1009,7 +1102,7 @@ class BatchedLoadProcess:
         return self._native_state
 
     def _check_conservation(self) -> None:
-        totals = self._loads.sum(axis=1)
+        totals = self._loads.sum(axis=1, dtype=np.int64)
         if not np.array_equal(totals, self._n_balls):
             bad = int(np.flatnonzero(totals != self._n_balls)[0])
             raise SimulationError(

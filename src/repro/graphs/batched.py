@@ -194,8 +194,9 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
     # Native kernel arguments (the call itself is BatchedLoadProcess's)
     # ------------------------------------------------------------------
     def _native_supported(self) -> bool:
+        """The kernel indexes the CSR neighbour array with int32."""
         neighbors, _ = self._topology.csr()
-        return super()._native_supported() and neighbors.size < 2**31
+        return neighbors.size < 2**31
 
     def _native_extra_args(self, n_threads: int) -> Dict[str, object]:
         """The topology in kernel form, the walk mode, and per-thread

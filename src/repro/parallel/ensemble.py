@@ -91,6 +91,7 @@ from ..core.batched import (
     BatchedRepeatedBallsIntoBins,
     EnsembleResult,
     INITIAL_KINDS,
+    check_state_fits,
     make_ensemble_initial,
 )
 from ..core.config import DEFAULT_BETA, LoadConfiguration
@@ -136,6 +137,8 @@ class EnsembleSpec:
         System size, ensemble size, and round budget per replica.
     n_balls:
         Balls per replica (``None`` means ``n_bins``, the paper's setting).
+        Refused when negative, and when it or ``n_bins`` is too large for
+        the int32 state (see :func:`~repro.core.batched.check_state_fits`).
     start:
         A named start family (one of :data:`~repro.core.batched.INITIAL_KINDS`),
         a single configuration applied to every replica, or a 2-D
@@ -239,6 +242,13 @@ class EnsembleSpec:
             )
         if self.rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {self.rounds}")
+        if self.n_balls is not None and self.n_balls < 0:
+            raise ConfigurationError(f"n_balls must be >= 0, got {self.n_balls}")
+        # the processes refuse a state their int32 loads cannot hold; refuse
+        # it here too, so a sweep fails at planning, not at its bad point
+        check_state_fits(
+            self.n_bins, self.n_bins if self.n_balls is None else self.n_balls
+        )
         if self.warmup_rounds < 0:
             raise ConfigurationError(
                 f"warmup_rounds must be >= 0, got {self.warmup_rounds}"
@@ -450,7 +460,7 @@ def _batched_ensemble_shard(
             if spec.warmup_rounds:
                 # metric tracking (and therefore observation) starts after
                 # the warm-up window
-                batch.run(spec.warmup_rounds, beta=spec.beta)
+                batch.advance_window(spec.warmup_rounds, beta=spec.beta)
             result = batch.run(
                 spec.rounds,
                 beta=spec.beta,

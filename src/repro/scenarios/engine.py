@@ -200,8 +200,11 @@ def run_scenario_batched(
     """Interpret a compiled program on a batched ``(R, n)`` process.
 
     Each :class:`Run` is one engine call (the native kernels run it as one
-    FFI call, fused observation included); each :class:`Apply` edits the
-    ``(R, n)`` state between calls, drawing from the process' own stream.
+    FFI call, fused observation included) through the process'
+    ``advance_window``, which returns only the window vectors; the loads
+    are copied into the result once, at the end.  Each :class:`Apply`
+    edits the ``(R, n)`` state between calls, drawing from the process'
+    own stream.
     Ball-conserving edits go through ``inject_loads`` (conservation
     enforced), ``burst``/``drain`` through ``replace_loads``.  ``rewire``
     events call the ``rewire(process, event)`` hook, which must return the
@@ -222,20 +225,20 @@ def run_scenario_batched(
     kernels = set()
     for action in program.actions:
         if isinstance(action, Run):
-            result = process.run(
+            window = process.advance_window(
                 action.rounds,
                 beta=beta,
                 observers=obs if action.observed else None,
                 observe_every=action.observe_every,
             )
-            kernels.add(result.kernel)
-            executed += result.rounds
-            np.maximum(max_seen, result.max_load_seen, out=max_seen)
-            np.minimum(min_empty, result.min_empty_bins_seen, out=min_empty)
-            hit = result.first_legitimate_round >= 0
+            kernels.add(window.kernel)
+            executed += window.rounds
+            np.maximum(max_seen, window.max_load_seen, out=max_seen)
+            np.minimum(min_empty, window.min_empty_bins_seen, out=min_empty)
+            hit = window.first_legitimate_round >= 0
             np.copyto(
                 first_legit,
-                result.first_legitimate_round,
+                window.first_legitimate_round,
                 where=hit & (first_legit < 0),
             )
         else:
@@ -262,7 +265,7 @@ def run_scenario_batched(
     return EnsembleResult(
         n_bins=process.n_bins,
         rounds=executed,
-        final_loads=process.loads.copy(),
+        final_loads=process.loads.astype(np.int64),
         max_load_seen=max_seen,
         min_empty_bins_seen=min_empty,
         first_legitimate_round=first_legit,

@@ -23,9 +23,17 @@ from repro.adversary import (
 from repro.baselines.d_choices import BatchedDChoices
 from repro.core.batched import BatchedRepeatedBallsIntoBins, make_ensemble_initial
 from repro.core.config import LoadConfiguration
+from repro.core.native import native_available
 from repro.errors import ConfigurationError
 
 ALL_ADVERSARIES = available_adversaries()
+
+KERNELS = [
+    "numpy",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not native_available(), reason="native kernel unavailable"
+    )),
+]
 
 
 @pytest.fixture
@@ -264,3 +272,57 @@ class TestInjectLoads:
         # integral floats are fine
         batched.inject_loads(np.ones((3, 8), dtype=float))
         assert (batched.loads == 1).all()
+
+
+# ----------------------------------------------------------------------
+# A misbehaving adversary inside the wrapper: inject_loads is the one check
+# ----------------------------------------------------------------------
+class _Recorder(Adversary):
+    """Remembers the state it was handed, then returns ``self.bad(loads)``."""
+
+    name = "recorder"
+
+    def reassign(self, loads, rng):
+        raise AssertionError("the wrapper reassigns whole matrices")
+
+    def reassign_batch(self, loads, rng):
+        self.seen = np.array(loads, copy=True)
+        return self.bad(self.seen.astype(np.int64))
+
+
+class BallEater(_Recorder):
+    @staticmethod
+    def bad(loads):
+        out = loads.copy()
+        out[2] = 0  # replica 2 loses every ball
+        return out
+
+
+class NegativeLoad(_Recorder):
+    @staticmethod
+    def bad(loads):
+        out = loads.copy()
+        out[2, 0] = -1  # replica 2 keeps its total, with a negative bin
+        out[2, 1] += loads[2, 0] + 1
+        return out
+
+
+class TestMisbehavingAdversaryInWrapper:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("adversary, reason", [
+        (BallEater, "conserve balls in replica 2"),
+        (NegativeLoad, "replica 2 has a negative load"),
+    ])
+    def test_refused_and_state_unchanged(self, kernel, adversary, reason):
+        attacker = adversary()
+        faulty = BatchedFaultyProcess(
+            16, 4, adversary=attacker, schedule=FaultSchedule(period=5),
+            seed=3, kernel=kernel,
+        )
+        with pytest.raises(ConfigurationError, match=reason):
+            faulty.run(12)
+        # the refused fault never reached the state: it still holds the
+        # configuration the adversary was handed after round 4
+        assert np.array_equal(faulty.process.loads, attacker.seen)
+        assert faulty.process.rounds_completed.tolist() == [4] * 4
+

@@ -29,6 +29,7 @@ from repro.core.process import RepeatedBallsIntoBins
 from repro.errors import ConfigurationError
 from repro.graphs.batched import BatchedConstrainedWalks
 from repro.graphs.generators import resolve_topology
+from repro.metrics import BatchedMaxLoadTracker
 from repro.parallel.aggregate import aggregate_ensemble
 from repro.parallel.ensemble import EnsembleSpec, run_ensemble
 
@@ -346,12 +347,111 @@ class TestNativeKernel:
                 4, 1, initial=initial, seed=14, kernel=kernel
             )
 
+        # the int32 state refuses it at construction, whatever the kernel:
+        # "auto" no longer drops to numpy
+        for kernel in ("native", "auto", "numpy"):
+            with pytest.raises(ConfigurationError, match="int32"):
+                build(kernel)
+
+
+# ----------------------------------------------------------------------
+# The int32 state: owned by the process, written in place by the kernels
+# ----------------------------------------------------------------------
+def _build_family(family, kernel, **kwargs):
+    if family == "walks":
+        return BatchedConstrainedWalks(
+            resolve_topology("cycle:16"), 4, seed=5, kernel=kernel, **kwargs
+        )
+    if family == "greedy_d":
+        return BatchedDChoices(16, 4, d=2, seed=5, kernel=kernel, **kwargs)
+    return BatchedRepeatedBallsIntoBins(16, 4, seed=5, kernel=kernel, **kwargs)
+
+
+FAMILIES = ["rbb", "walks", "greedy_d"]
+
+
+class TestInt32State:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("kernel", ["numpy", "auto"])
+    def test_state_is_int32_and_results_int64(self, family, kernel):
+        process = _build_family(family, kernel)
+        assert process.loads.dtype == np.int32
+        assert process.loads.flags.c_contiguous
+        result = process.run(8)
+        assert process.loads.dtype == np.int32
+        assert result.final_loads.dtype == np.int64
+        assert np.array_equal(result.final_loads, process.loads)
+        assert process.max_load.dtype == np.int64
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_kernel_writes_the_process_buffer(self, family, monkeypatch):
+        import ctypes
+
+        import repro.core.batched as batched
+
+        if not native_available(family):
+            pytest.skip(f"native {family} kernel unavailable")
+        process = _build_family(family, "native", n_threads=1)
+        before = process.loads.copy()
+        buffer = process.loads.ctypes.data
+        seen = []
+        get_kernel = batched.get_kernel
+
+        def recording_get_kernel(name):
+            kernel = get_kernel(name)
+
+            def call(*args):
+                seen.append(ctypes.cast(args[0], ctypes.c_void_p).value)
+                return kernel(*args)
+
+            return call
+
+        monkeypatch.setattr(batched, "get_kernel", recording_get_kernel)
+        process.run(8)  # one unobserved call
+        process.run(8, observers=lambda t, loads: None, observe_every=4)
+        process.run(8, observers=BatchedMaxLoadTracker(), observe_every=4)
+        assert len(seen) == 4
+        assert set(seen) == {buffer}  # the loads, never a copy
+        assert process.loads.ctypes.data == buffer
+        assert not np.array_equal(process.loads, before)
+
+    def test_wrappers_return_int64_loads(self):
+        from repro.scenarios.engine import compile_scenario, run_scenario_batched
+        from repro.scenarios.spec import ScenarioEvent, ScenarioSpec
+
+        faulty = BatchedFaultyProcess(16, 3, seed=1, kernel="numpy")
+        assert faulty.run(10).final_loads.dtype == np.int64
+        burst = ScenarioSpec(events=(ScenarioEvent(kind="burst", round=3, count=2),))
+        result = run_scenario_batched(
+            BatchedRepeatedBallsIntoBins(16, 3, seed=1, kernel="numpy"),
+            compile_scenario(burst, rounds=6),
+        )
+        assert result.final_loads.dtype == np.int64
+        assert result.final_loads.sum(axis=1).tolist() == [18, 18, 18]
+
+    @pytest.mark.parametrize("kernel", ["numpy", "auto"])
+    def test_reset_and_replace_refuse_oversized_state(self, kernel):
+        process = BatchedRepeatedBallsIntoBins(4, 2, seed=1, kernel=kernel)
+        before = process.loads.copy()
+        huge = np.zeros((2, 4), dtype=np.int64)
+        huge[1, 0] = 2**31
         with pytest.raises(ConfigurationError, match="int32"):
-            build("native").run(1)
-        # "auto" falls back to the numpy reference and says so
-        result = build("auto").run(1)
-        assert result.kernel == "numpy"
-        assert result.n_balls.tolist() == [2**31]
+            process.replace_loads(huge)
+        with pytest.raises(ConfigurationError, match="int32"):
+            process.reset(huge)
+        split = np.zeros((2, 4), dtype=np.int64)
+        split[0] = 2**30  # every load fits; the replica's total does not
+        with pytest.raises(ConfigurationError, match="int32"):
+            process.replace_loads(split)
+        assert np.array_equal(process.loads, before)
+        assert process.n_balls.tolist() == [4, 4]
+
+    def test_spec_refuses_bad_n_balls(self):
+        with pytest.raises(ConfigurationError, match="n_balls must be >= 0"):
+            EnsembleSpec(n_bins=4, n_replicas=1, rounds=1, n_balls=-1)
+        with pytest.raises(ConfigurationError, match="int32"):
+            EnsembleSpec(n_bins=4, n_replicas=1, rounds=1, n_balls=2**31 - 1)
+        EnsembleSpec(n_bins=4, n_replicas=1, rounds=1, n_balls=2**31 - 2)
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.metrics import (
     StreamingMomentsObserver,
     as_load_matrix,
     build_trackers,
+    make_tracker,
     normalize_metric_names,
     summarize_payloads,
 )
@@ -445,6 +446,40 @@ class TestTraceMemoryGuard:
             BatchedTraceRecorder(max_elements=0)
         with pytest.raises(ConfigurationError):
             BatchedTraceRecorder(stride=0)
+
+
+# ----------------------------------------------------------------------
+# int32 observations: the batched processes hold their loads as int32
+# ----------------------------------------------------------------------
+class TestInt32Observations:
+    @staticmethod
+    def _observations():
+        rng = np.random.default_rng(0)
+        frames = []
+        for t in range(4):
+            loads = rng.integers(0, 5, size=(3, 6))
+            # 65536**2 == 2**32: a square or an int32 sum of one overflows
+            loads[t % 3, t] = 65536
+            frames.append(loads)
+        return frames
+
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    def test_payload_matches_int64_observations(self, name):
+        wide, narrow = make_tracker(name), make_tracker(name)
+        for t, loads in enumerate(self._observations(), start=1):
+            wide.observe(t, loads.astype(np.int64))
+            narrow.observe(t, loads.astype(np.int32))
+        a, b = wide.payload(), narrow.payload()
+        assert a.rounds.dtype == b.rounds.dtype
+        assert np.array_equal(a.rounds, b.rounds)
+        for slot in ("series", "summaries", "arrays"):
+            mine, theirs = getattr(a, slot), getattr(b, slot)
+            assert mine.keys() == theirs.keys(), slot
+            for key in mine:
+                assert mine[key].dtype == theirs[key].dtype, (slot, key)
+                assert np.array_equal(mine[key], theirs[key]), (slot, key)
+        if name == "trace":
+            assert b.series["trace"].dtype == np.int64
 
 
 # ----------------------------------------------------------------------

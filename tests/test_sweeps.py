@@ -246,6 +246,23 @@ class TestScheduler:
             run_sweep(tiny_spec(), store_dir, seed=1, engine="sequential")
         assert not store_dir.exists()  # refused before the store was created
 
+    @pytest.mark.parametrize("bad, reason", [
+        (-1, "n_balls must be >= 0"),
+        (2**31, "int32"),
+    ])
+    def test_bad_n_balls_refused_before_any_point(self, tmp_path, bad, reason):
+        """A negative count, or one the int32 state cannot hold, fails
+        planning: before, point 0 ran into the store and point 1 raised."""
+        spec = SweepSpec(
+            name="x",
+            base={"n_bins": 4, "n_replicas": 1, "rounds": 1},
+            grid={"n_balls": [4, bad]},
+        )
+        store_dir = tmp_path / "store"
+        with pytest.raises(ConfigurationError, match=reason):
+            run_sweep(spec, store_dir, seed=1, kernel="numpy")
+        assert not store_dir.exists()  # refused before the store was created
+
     def test_resume_of_sequential_store_refused(self, tmp_path):
         store_dir = tmp_path / "store"
         run_sweep(tiny_spec(), store_dir, seed=1, kernel="numpy", max_points=1)
