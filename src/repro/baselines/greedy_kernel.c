@@ -12,13 +12,15 @@
  * per-replica early stop on legitimacy are maintained in-kernel so a whole
  * `run()` costs a single FFI call.
  *
- * Layout, threading and fused observation follow rbb_kernel.c: the loop is
- * replica-major, replicas are fanned out by repro_for_each_replica()
- * (core/_kernel_common.h), and when n_obs > 0 the shared recorder of that
- * header writes the post-round max load and empty-bin count into
- * (n_obs, R) buffers at every stride boundary and at the window end, plus
- * the load sum and sum of squares and the per-replica load histogram when
- * those buffers are non-NULL.
+ * Threading and fused observation follow rbb_kernel.c, the layout only in
+ * part: the loop is replica-major, each replica running all its rounds
+ * before the next, but with no lockstep replica groups (the cost here is
+ * the dependent placement loop, not the draws).  Replicas are fanned out
+ * by repro_for_each_replica() (core/_kernel_common.h), and when n_obs > 0
+ * the shared recorder of that header writes the post-round max load and
+ * empty-bin count into (n_obs, R) buffers at every stride boundary and at
+ * the window end, plus the load sum and sum of squares and the per-replica
+ * load histogram when those buffers are non-NULL.
  *
  * Randomness: each replica owns an independent xoshiro256++ stream seeded
  * by the caller.  Candidates are drawn with Lemire's unbiased reduction,

@@ -18,8 +18,10 @@
  *
  * Every kernel .so exports repro_threading_model() so the Python loader
  * can report which backend the cached binary actually has.  Work is
- * handed out dynamically (one replica at a time) in both threaded
- * backends, so early-stopped replicas do not leave threads idle.
+ * handed out dynamically, one unit at a time, in both threaded backends,
+ * so early-stopped replicas do not leave threads idle.  A unit is one
+ * replica, except in rbb_kernel.c, whose first units are lockstep groups
+ * of 4 replicas.
  *
  * ThreadSanitizer builds never compile the OpenMP backend: stock libgomp
  * is not TSan-instrumented, so the race detector cannot see a parallel
@@ -275,8 +277,9 @@ REPRO_ABI int repro_threading_model(void)
     return REPRO_THREAD_MODEL;
 }
 
-/* fn(ctx, r, tid): advance replica r; tid < n_threads identifies the
- * executing thread so per-thread scratch can be sliced. */
+/* fn(ctx, r, tid): advance work unit r (replica r in every kernel but
+ * rbb, see above); tid < n_threads identifies the executing thread so
+ * per-thread scratch can be sliced. */
 typedef void (*repro_replica_fn)(void *ctx, int64_t r, int tid);
 
 #if REPRO_THREAD_MODEL == 1
@@ -301,8 +304,8 @@ static void *repro_worker_main(void *varg)
 }
 #endif
 
-/* Run fn over every replica on up to n_threads threads (>= 1 effective;
- * values above R or REPRO_MAX_THREADS are clamped). */
+/* Run fn over the R work units on up to n_threads threads (>= 1
+ * effective; values above R or REPRO_MAX_THREADS are clamped). */
 static void repro_for_each_replica(void *ctx, repro_replica_fn fn, int64_t R,
                                    int n_threads)
 {

@@ -30,7 +30,9 @@ host identity — so changing any flag (or the header) can never reuse a
 stale ``.so``.  A variant that fails to compile leaves a ``.failed``
 marker next to where its binary would live and is skipped on subsequent
 runs.  The loaded library is probed via ``repro_threading_model()`` to
-report which threading backend it actually carries.
+report which threading backend it actually carries, and the rbb kernel
+via ``rbb_lockstep_width()`` to report whether it carries the lockstep
+replica-group path (``[lockstep=4]``) or not (``[lockstep=1]``).
 
 Everything is best-effort: when no C compiler is available, compilation
 fails, or the environment variable ``REPRO_NATIVE=0`` disables the fast
@@ -212,11 +214,21 @@ _PROBE_ABI = SymbolABI(
     source=_COMMON_HEADER,
 )
 
+#: The replicas one lockstep group of the rbb kernel holds: 4, or 1 when
+#: the build's vectors are too narrow for the group path.
+_LOCKSTEP_ABI = SymbolABI(
+    name="rbb_lockstep_width",
+    params=(),
+    restype=ctypes.c_int,
+    source=_PACKAGE_ROOT / "core" / "rbb_kernel.c",
+)
+
 #: Every exported symbol of the compiled kernels, by name.  The lint ABI
 #: checker walks this mapping and verifies each entry against the
 #: ``REPRO_ABI``-marked C definition in ``SymbolABI.source``.
 KERNEL_ABI: Dict[str, SymbolABI] = {
-    abi.name: abi for abi in (_RBB_ABI, _WALKS_ABI, _GREEDY_ABI, _PROBE_ABI)
+    abi.name: abi
+    for abi in (_RBB_ABI, _WALKS_ABI, _GREEDY_ABI, _PROBE_ABI, _LOCKSTEP_ABI)
 }
 
 
@@ -508,10 +520,15 @@ def _load(name: str, mode: Optional[str]) -> _LoadedKernel:
         threading = THREAD_MODELS[int(_declare(lib, _PROBE_ABI)())]
         flag_label = " ".join(flags) if flags else "(base flags)"
         sanitize_label = "" if mode is None else f" [sanitize={mode}]"
+        lockstep = (
+            f" [lockstep={int(_declare(lib, _LOCKSTEP_ABI)())}]"
+            if name == "rbb"
+            else ""
+        )
         return _LoadedKernel(
             kernel,
             f"compiled with {cc} {flag_label} [{threading}]"
-            f"{sanitize_label} -> {lib_path}",
+            f"{sanitize_label} -> {lib_path}{lockstep}",
             threading,
         )
     return _LoadedKernel(
@@ -542,7 +559,12 @@ def get_kernel(kernel: str = "rbb"):
 
 
 def native_status(kernel: str = "rbb") -> str:
-    """Human-readable availability message (for diagnostics and the CLI)."""
+    """Human-readable availability message (for diagnostics and the CLI).
+
+    A loaded kernel's message names the compiler, the flag variant, the
+    threading backend and the binary; the rbb kernel's ends in
+    ``[lockstep=N]``, the replicas per lockstep group of that build.
+    """
     return _resolve(kernel).status
 
 

@@ -8,7 +8,8 @@ the fused in-kernel observation path is indistinguishable from the
 segmented Python-side observer loop on every registered metric.
 
 Also covered here: Greedy[1] against the rbb kernel (the stream
-reference for the rbb kernel's blocked draws), digests that pin every
+reference for the rbb kernel's blocked and lockstep draws), the rbb
+kernel's lockstep width in its status, digests that pin every
 kernel's streams, legitimacy thresholds beyond int32, the flag-aware
 binary cache key, the by-name kernel argument helper, thread-count
 resolution precedence, the exact-moments tracker, and the sweep
@@ -20,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -33,6 +35,7 @@ from repro.core.native import (
     available_cpu_count,
     kernel_args,
     native_available,
+    native_status,
     resolve_n_threads,
 )
 from repro.errors import ConfigurationError
@@ -442,7 +445,16 @@ class TestFaultyHistogramFusion:
 #: 1024 span several arrival blocks of the rbb kernel.  At n = 4190212,
 #: 2**32 mod n = 4190208, so about one lane in 1 000 is rejected: some
 #: 4 000 in the first round.  The ``frozen`` option deactivates one
-#: replica before the run.
+#: replica before the run; ``empty`` starts one replica with no balls.
+#:
+#: Where the build carries the rbb kernel's lockstep path
+#: (``[lockstep=4]`` in ``native_status("rbb")``), replicas run in groups
+#: of 4 while n <= 65536.  ``groups`` runs two groups and a tail replica
+#: over rounds that span blocks; at n = 65026, 2**32 mod n = 65022, so
+#: lockstep blocks reject lanes; a member with no balls makes a group
+#: draw no lockstep words at all; n = 65537 is just above the row budget,
+#: so its group runs replica by replica; and ``groups_fused`` observes
+#: three groups, histogram included.
 D1_CASES = [
     pytest.param(1, 3, 20, "balanced", {}, id="n1"),
     pytest.param(16, 6, 40, "balanced", {}, id="n16"),
@@ -457,6 +469,14 @@ D1_CASES = [
     pytest.param(
         300, 4, 40, "all_in_one",
         {"metrics": FUSED_METRICS, "observe_every": 7}, id="fused",
+    ),
+    pytest.param(1024, 9, 30, "balanced", {}, id="groups"),
+    pytest.param(65026, 9, 40, "balanced", {}, id="group_rejections"),
+    pytest.param(100, 5, 30, "balanced", {"empty": 2}, id="group_empty"),
+    pytest.param(65537, 4, 3, "balanced", {}, id="group_budget"),
+    pytest.param(
+        300, 12, 40, "all_in_one",
+        {"metrics": FUSED_METRICS, "observe_every": 7}, id="groups_fused",
     ),
 ]
 
@@ -475,9 +495,11 @@ class TestGreedyOneMatchesRbb:
         self, n, R, rounds, start, options, n_threads, kernel_calls
     ):
         def run(build):
+            initial = make_ensemble_initial(start, n, R)
+            if "empty" in options:
+                initial[options["empty"]] = 0
             process = build(
-                initial=make_ensemble_initial(start, n, R),
-                seed=5, kernel="native", n_threads=n_threads,
+                initial=initial, seed=5, kernel="native", n_threads=n_threads,
             )
             if "frozen" in options:
                 process.deactivate(np.arange(R) == options["frozen"])
@@ -508,6 +530,15 @@ class TestGreedyOneMatchesRbb:
             assert plain.rounds[options["frozen"]] == 0
         if "stop_when_legitimate" in options:
             assert len(set(plain.rounds.tolist())) > 1  # replicas stopped apart
+        if "empty" in options:
+            assert not plain.final_loads[options["empty"]].any()
+
+
+@needs_native
+def test_rbb_status_reports_lockstep_width():
+    """The rbb kernel's status ends with the replicas per lockstep group:
+    4 where the build's vectors hold four 64-bit lanes, else 1."""
+    assert re.search(r" \[lockstep=[14]\]$", native_status("rbb"))
 
 
 # ---------------------------------------------------------------------
