@@ -76,7 +76,9 @@ static void greedy_replica(void *vctx, int64_t r, int tid)
          * rbb_kernel.c splits this work instead: its departure pass only
          * subtracts, the count comes from the previous round's empty
          * count, and the max and empty count from a pass after the
-         * arrivals. */
+         * arrivals; while few bins are occupied it runs all three over a
+         * list of those bins rather than the row.  Here every round scans
+         * the row, and the recorder is passed no list. */
         int64_t cnt = 0;
         int32_t mx = 0;
         int64_t empty = 0;
@@ -122,7 +124,8 @@ static void greedy_replica(void *vctx, int64_t r, int tid)
                 c->active[r] = 0;
         }
         if (repro_obs_due(&c->obs, t, c->rounds))
-            repro_obs_record(&c->obs, r, k++, row, n, mx, empty);
+            repro_obs_record(&c->obs, r, k++, row, n, mx, empty,
+                             (const int32_t *)0, 0);
     }
     repro_obs_finish(&c->obs, r, k, row, n);
 }

@@ -115,10 +115,14 @@ static inline uint32_t bounded(lanes_t *L, uint32_t d, uint32_t lim)
  * squares when those blocks are non-NULL, and adds the configuration to
  * the replica's load histogram when `hist` is non-NULL.  The histogram
  * accumulates over the whole call: a load above hist_k lands in bucket
- * hist_k and is also counted in `overflow`.  Every value is an integer the
- * Python trackers would compute from the load matrix themselves, so fused
- * and segmented observation agree bit for bit.  Each replica writes only
- * its own slots and rows, so replicas can run on any thread. */
+ * hist_k and is also counted in `overflow`.  A kernel that lists a row's
+ * occupied bins (rbb_kernel.c's sparse rounds) passes the list, and the
+ * moments and histogram are then taken over the listed bins, every other
+ * bin being empty, instead of a scan of the row; the other kernels pass
+ * NULL.  Every value is an integer the Python trackers would compute from
+ * the load matrix themselves, so fused and segmented observation agree bit
+ * for bit.  Each replica writes only its own slots and rows, so replicas
+ * can run on any thread. */
 typedef struct {
     int64_t R;
     int64_t observe_every;
@@ -181,18 +185,31 @@ static inline void repro_hist_count(uint32_t *lane, int64_t *hist, int64_t K,
     }
 }
 
-/* Add one configuration to replica r's histogram.  Runs of equal small
+/* Add one configuration to replica r's histogram.  A listed configuration
+ * (occ non-NULL) adds n - listed zeros to bucket 0 and then the loads of
+ * its `listed` bins.  A scanned one counts every bin; runs of equal small
  * loads would serialize on one memory increment, so loads below
  * REPRO_HIST_SMALL go to REPRO_HIST_LANES interleaved local counters that
  * are merged into the buckets once per row (a lane counts at most n < 2^31
  * bins, so uint32 cannot wrap). */
 static void repro_obs_histogram(const repro_obs_t *o, int64_t r,
-                                const int32_t *row, int64_t n)
+                                const int32_t *row, int64_t n,
+                                const int32_t *occ, int64_t listed)
 {
     const int64_t K = o->hist_k;
     int64_t *hist = o->hist + r * (K + 1);
-    uint32_t small[REPRO_HIST_LANES][REPRO_HIST_SMALL] = {{0}};
     int64_t over = 0;
+    if (occ) {
+        hist[0] += n - listed;
+        for (int64_t i = 0; i < listed; i++) {
+            const int32_t l = row[occ[i]];
+            hist[l < K ? l : K]++;
+            over += l > K;
+        }
+        o->overflow[r] += over;
+        return;
+    }
+    uint32_t small[REPRO_HIST_LANES][REPRO_HIST_SMALL] = {{0}};
     int64_t i = 0;
     for (; i + REPRO_HIST_LANES <= n; i += REPRO_HIST_LANES)
         for (int u = 0; u < REPRO_HIST_LANES; u++)
@@ -211,26 +228,38 @@ static void repro_obs_histogram(const repro_obs_t *o, int64_t r,
 }
 
 /* Record observation point k of replica r, whose configuration `row` has
- * maximum mx and `empty` empty bins. */
+ * maximum mx and `empty` empty bins.  occ, when non-NULL, lists the
+ * `listed` bins that hold balls (in any order; every other bin is empty),
+ * and the moments and histogram are taken over them instead of a scan of
+ * the row. */
 static void repro_obs_record(const repro_obs_t *o, int64_t r, int64_t k,
                              const int32_t *row, int64_t n, int32_t mx,
-                             int64_t empty)
+                             int64_t empty, const int32_t *occ,
+                             int64_t listed)
 {
     const int64_t slot = k * o->R + r;
     o->max[slot] = mx;
     o->empty[slot] = (int32_t)empty;
     if (o->sum) {
         int64_t s = 0, ss = 0;
-        for (int64_t i = 0; i < n; i++) {
-            const int64_t l = row[i];
-            s += l;
-            ss += l * l;
+        if (occ) {
+            for (int64_t i = 0; i < listed; i++) {
+                const int64_t l = row[occ[i]];
+                s += l;
+                ss += l * l;
+            }
+        } else {
+            for (int64_t i = 0; i < n; i++) {
+                const int64_t l = row[i];
+                s += l;
+                ss += l * l;
+            }
         }
         o->sum[slot] = s;
         o->sumsq[slot] = ss;
     }
     if (o->hist)
-        repro_obs_histogram(o, r, row, n);
+        repro_obs_histogram(o, r, row, n, occ, listed);
 }
 
 /* Fill replica r's observation points from k on with its current
@@ -250,7 +279,7 @@ static void repro_obs_finish(const repro_obs_t *o, int64_t r, int64_t k,
         empty += (l == 0);
     }
     for (; k < o->n_obs; k++)
-        repro_obs_record(o, r, k, row, n, mx, empty);
+        repro_obs_record(o, r, k, row, n, mx, empty, (const int32_t *)0, 0);
 }
 
 /* ------------------------------------------------------------------ */

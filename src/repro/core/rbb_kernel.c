@@ -16,11 +16,13 @@
  * floor(R / 4) groups first, then the R mod 4 tail replicas one by one
  * (all R replicas one by one where groups do not run, see below).
  * A replica's trajectory depends only on its own xoshiro256++ state,
- * whichever unit, group or thread runs it, so results are bit-identical
- * for every thread count and either way of running a replica.
+ * whichever unit, group or thread runs it and whether its rounds run
+ * dense or sparse, so results are bit-identical for every thread count and
+ * every way of running a replica.
  *
- * Round structure: a round is three passes over the row.  The first and
- * the last are plain loops the compiler vectorizes.
+ * Round structure: a dense round is three passes over the row (a sparse
+ * one walks a list instead, see below).  The first and the last are plain
+ * loops the compiler vectorizes.
  *
  *   1. departures, row[i] -= row[i] > 0.  The number of balls that leave,
  *      cnt, is n minus the empty count of the previous round's pass 3 (one
@@ -42,9 +44,71 @@
  * a 4 x 64-bit vector gives one word per member.  Each member maps and
  * scatters its lanes as above, finishes its arrivals alone through the
  * same block loop, and runs pass 3 and the bookkeeping alone.  A group
- * runs in lockstep only while all four members are active; from the first
- * round in which one is frozen or stopped early, every member goes on
- * alone.
+ * runs a round in lockstep only while all four members are active and
+ * dense (see sparse rounds below).  A round in which one is frozen,
+ * stopped early or sparse runs each active member alone, and the group
+ * goes back to lockstep once all four are active and dense again.
+ *
+ * Sparse rounds: while few of a row's bins hold balls, its rounds run
+ * over an int32 list of those bins instead of the whole row.
+ *
+ *   1. departures walk the list and drop the bins that empty; the number
+ *      of balls that leave is the list's length.
+ *   2. arrivals draw, map and place through the same block loop, and a
+ *      bin that goes 0 -> 1 is appended to the list.
+ *   3. the max is taken over the list; the empty count is n minus its
+ *      length.  The fused recorder takes the moments and the histogram
+ *      from the list too (n - length zeros, then the listed loads).
+ *
+ * A row goes sparse after a round that leaves at most
+ * max(1, n / RBB_SPARSE_ENTER) bins occupied, and a call starts it sparse
+ * if it has that few; it goes dense again after a round that leaves more
+ * than RBB_SPARSE_EXIT times that many.  The rule reads only the row's
+ * occupancy.  After a concentrate fault the pile releases one ball per
+ * round, so t rounds later at most t + 1 bins are occupied, and a 32-round
+ * fault period at n = 1024 stays sparse throughout; balanced and random
+ * starts stay dense.
+ *
+ * The streams are unchanged: a round's draws depend only on its ball
+ * count cnt, which both paths compute identically (n minus the previous
+ * empty count is the number of occupied bins, which is the list's length),
+ * and both place the destinations in draw order, so the loads and every
+ * output are the same whichever path runs a round.  Nothing read from the
+ * list depends on its order.
+ *
+ * A list is allocated the first time its row goes sparse, with room for
+ * 2 * RBB_SPARSE_EXIT * max(1, n / RBB_SPARSE_ENTER) + 1 bins (a sparse
+ * round starts with at most the exit bound listed and throws one ball per
+ * listed bin), and freed when the row's work unit ends.  If the allocation
+ * fails, the row stays dense for the call, with the same results.
+ * rbb_start() counts the empty bins in one vectorized pass, as a dense
+ * call needs; only a row found sparse is then listed, by a scan that stops
+ * at its last occupied bin.  Listing inside the count pass would need the
+ * list before the count shows the row is sparse, and a store per bin in a
+ * pass that vectorizes today.
+ *
+ * Why these bounds, on the same VM and compiler as the group rules below
+ * (single thread, thread CPU time, 11 interleaved runs, medians, in
+ * bin-updates/s against the kernel without sparse rounds):
+ *
+ *   - a post-fault call (R = 512, n = 1024, 32 rounds from all-in-one,
+ *     histogram every 8 rounds): 4.8 -> 2.4 ms per call (3.5e9 -> 6.9e9;
+ *     9 runs).  Without observation it took 3.3 -> 1.9 ms, so about 40%
+ *     of the saving is the histogram, which no longer scans 1024 bins to
+ *     count a few dozen occupied ones.
+ *   - at n = 1024 and 4 KB per row, dense passes are cheap, and a
+ *     lockstep group draws for 4 rows at once, which sparse rows do not:
+ *     from all-in-one (R = 256), entry at n / 16 ran 0.92x (100 rounds)
+ *     and 0.93x (300 rounds); n / 32 ran 1.03x and 0.97x, and n / 64
+ *     1.08x and 1.00x, both inside the runs' spread.  Over the 2048
+ *     rounds of converge_fused all three read 0.95-1.02x.  n / 32 keeps
+ *     every row of a fault period sparse at the same cost elsewhere.
+ *   - RBB_SPARSE_EXIT = 4 kept rows sparse up to n / 8 occupied bins and
+ *     ran the two all-in-one shapes at 0.83x and 0.92x of 2; 1 read
+ *     0.97-1.07x of 2, inside the spread.  2 leaves a margin, so a row
+ *     near the entry bound does not pay an entry scan every few rounds.
+ *     At n = 4096 (R = 128, 64 rounds from all-in-one, histogram every 8
+ *     rounds) the sparse rounds ran 2.86e9 -> 1.33e10.
  *
  * The xoshiro state lives in a local copy for the whole call, so the draw
  * loop keeps it in registers; it is written back once, at the end.
@@ -112,6 +176,7 @@
 
 #include "_kernel_common.h"
 
+#include <stdlib.h>
 #include <string.h>
 
 /* Destinations per arrival block.  A replica's lane and destination
@@ -130,6 +195,13 @@
 /* Largest n at which a group runs in lockstep: its 4 rows fit in 1 MiB. */
 #define RBB_GROUP_MAX_N 65536
 
+/* A row goes sparse after a round that leaves at most
+ * max(1, n / RBB_SPARSE_ENTER) bins occupied, and dense again after one
+ * that leaves more than RBB_SPARSE_EXIT times that many.  See the header
+ * comment for the measurements that fixed them. */
+#define RBB_SPARSE_ENTER 32
+#define RBB_SPARSE_EXIT 2
+
 typedef struct {
     int32_t *loads;
     int64_t n;
@@ -142,8 +214,10 @@ typedef struct {
     int64_t *first_legit;
     int64_t *rounds_done;
     uint8_t *active;
-    uint32_t lim;   /* Lemire rejection threshold for n */
-    int64_t groups; /* lockstep groups, replicas [0, 4 * groups) */
+    uint32_t lim;       /* Lemire rejection threshold for n */
+    int64_t groups;     /* lockstep groups, replicas [0, 4 * groups) */
+    int32_t sparse_in;  /* rows with at most this many occupied go sparse */
+    int32_t sparse_out; /* sparse rows with more than this many go dense */
     repro_obs_t obs;
 } rbb_ctx;
 
@@ -154,6 +228,9 @@ typedef struct {
     rng_t g;       /* a local copy of its xoshiro state */
     int32_t empty; /* empty bins after the previous round */
     int64_t k;     /* next fused observation slot */
+    int32_t *occ;  /* its occupied bins in any order, NULL until first used */
+    int32_t len;   /* bins in occ while the row is sparse, -1 while dense */
+    int32_t enter; /* sparse_in, or -1 once occ could not be allocated */
 } rbb_rep;
 
 /* Draw `words` words into lane[0, 2 * words), low lane first. */
@@ -194,20 +271,33 @@ static int64_t rbb_accepted(const uint32_t *lane, uint32_t *dst, int64_t m,
     return a;
 }
 
-/* Throw the balls of one block's m lanes into row: its accepted lanes in
- * order, at most `need` of them (the rest is the high lane of the round's
- * last word).  Returns the number placed. */
-static inline int64_t rbb_place(int32_t *row, const uint32_t *lane,
+/* Throw the balls of one block's m lanes into p's row: its accepted lanes
+ * in order, at most `need` of them (the rest is the high lane of the
+ * round's last word).  A sparse row lists every bin that goes 0 -> 1.
+ * Returns the number placed. */
+static inline int64_t rbb_place(rbb_rep *p, const uint32_t *lane,
                                 uint32_t *dst, int64_t m, int64_t need,
                                 uint32_t un, uint32_t lim)
 {
+    int32_t *row = p->row;
     int64_t got = m;
     if (rbb_map(lane, dst, m, un, lim))
         got = rbb_accepted(lane, dst, m, un, lim);
     if (got > need)
         got = need;
-    for (int64_t i = 0; i < got; i++)
-        row[dst[i]]++;
+    if (p->len < 0) {
+        for (int64_t i = 0; i < got; i++)
+            row[dst[i]]++;
+        return got;
+    }
+    int32_t *occ = p->occ;
+    int32_t len = p->len;
+    for (int64_t i = 0; i < got; i++) {
+        const uint32_t d = dst[i];
+        occ[len] = (int32_t)d;
+        len += row[d]++ == 0;
+    }
+    p->len = len;
     return got;
 }
 
@@ -220,6 +310,23 @@ static inline int64_t rbb_depart(rbb_rep *p, int64_t n)
     return n - p->empty;
 }
 
+/* 1, sparse: every listed bin loses one ball, and the bins that empty
+ * leave the list; returns how many balls left, the list's old length. */
+static inline int64_t rbb_depart_listed(rbb_rep *p)
+{
+    int32_t *row = p->row;
+    int32_t *occ = p->occ;
+    const int32_t len = p->len;
+    int32_t kept = 0;
+    for (int32_t i = 0; i < len; i++) {
+        const int32_t b = occ[i];
+        occ[kept] = b;
+        kept += --row[b] > 0;
+    }
+    p->len = kept;
+    return len;
+}
+
 /* 2. arrivals: `need` more uniform throws, one block at a time. */
 static void rbb_arrivals(rbb_rep *p, int64_t need, uint32_t un, uint32_t lim)
 {
@@ -229,17 +336,61 @@ static void rbb_arrivals(rbb_rep *p, int64_t need, uint32_t un, uint32_t lim)
         const int64_t words =
             need < RBB_BLOCK ? (need + 1) / 2 : RBB_BLOCK / 2;
         rbb_draw(&g, lane, words);
-        need -= rbb_place(p->row, lane, dst, 2 * words, need, un, lim);
+        need -= rbb_place(p, lane, dst, 2 * words, need, un, lim);
     }
     p->g = g;
 }
 
-/* 3. the end of round t: the post-round max and empty count, the window
- * metrics, the early stop and the fused recorder. */
+/* Go sparse: list the row's n - empty occupied bins, allocating the list
+ * on first use.  Without memory the row stays dense for the whole call. */
+static void rbb_list(const rbb_ctx *c, rbb_rep *p)
+{
+    if (!p->occ) {
+        /* A sparse round starts with at most sparse_out bins listed and
+         * throws one ball per listed bin, so it lists at most twice as
+         * many; the scatter writes one slot past the last. */
+        p->occ = malloc(sizeof(int32_t) * (2 * (size_t)c->sparse_out + 1));
+        if (!p->occ) {
+            p->enter = -1;
+            return;
+        }
+    }
+    const int32_t *row = p->row;
+    int32_t *occ = p->occ;
+    const int32_t want = (int32_t)c->n - p->empty;
+    int32_t len = 0;
+    for (int32_t i = 0; len < want; i++) {
+        occ[len] = i;
+        len += row[i] != 0;
+    }
+    p->len = len;
+}
+
+/* The end of round t, whose post-round max is mx: the window metrics, the
+ * early stop and the fused recorder (from the list while it is sparse). */
+static inline void rbb_record(rbb_ctx *c, rbb_rep *p, int64_t t, int32_t mx)
+{
+    const int64_t r = p->r;
+    c->rounds_done[r]++;
+    if (mx > c->max_seen[r])
+        c->max_seen[r] = mx;
+    if (p->empty < c->min_empty_seen[r])
+        c->min_empty_seen[r] = p->empty;
+    if (c->first_legit[r] < 0 && mx <= c->thr) {
+        c->first_legit[r] = c->rounds_done[r];
+        if (c->stop_when_legitimate)
+            c->active[r] = 0;
+    }
+    if (repro_obs_due(&c->obs, t, c->rounds))
+        repro_obs_record(&c->obs, r, p->k++, p->row, c->n, mx, p->empty,
+                         p->len < 0 ? (const int32_t *)0 : p->occ, p->len);
+}
+
+/* 3. the end of a dense round t: the post-round max and empty count in one
+ * pass; a row left with few enough occupied bins goes sparse. */
 static void rbb_end_round(rbb_ctx *c, rbb_rep *p, int64_t t)
 {
     const int64_t n = c->n;
-    const int64_t r = p->r;
     const int32_t *row = p->row;
     int32_t mx = 0;
     int32_t empty = 0;
@@ -249,22 +400,46 @@ static void rbb_end_round(rbb_ctx *c, rbb_rep *p, int64_t t)
         empty += l == 0;
     }
     p->empty = empty;
-
-    c->rounds_done[r]++;
-    if (mx > c->max_seen[r])
-        c->max_seen[r] = mx;
-    if (empty < c->min_empty_seen[r])
-        c->min_empty_seen[r] = empty;
-    if (c->first_legit[r] < 0 && mx <= c->thr) {
-        c->first_legit[r] = c->rounds_done[r];
-        if (c->stop_when_legitimate)
-            c->active[r] = 0;
-    }
-    if (repro_obs_due(&c->obs, t, c->rounds))
-        repro_obs_record(&c->obs, r, p->k++, row, n, mx, empty);
+    if (n - empty <= p->enter)
+        rbb_list(c, p);
+    rbb_record(c, p, t, mx);
 }
 
-/* Load replica r's row, stream and empty count. */
+/* 3, sparse: the max over the listed bins; every other bin is empty.  A
+ * row left with too many occupied bins goes dense. */
+static void rbb_end_listed(rbb_ctx *c, rbb_rep *p, int64_t t)
+{
+    const int32_t *row = p->row;
+    const int32_t *occ = p->occ;
+    const int32_t len = p->len;
+    int32_t mx = 0;
+    for (int32_t i = 0; i < len; i++) {
+        const int32_t l = row[occ[i]];
+        mx = l > mx ? l : mx;
+    }
+    p->empty = (int32_t)c->n - len;
+    rbb_record(c, p, t, mx);
+    if (len > c->sparse_out)
+        p->len = -1;
+}
+
+/* Round t of one replica on its own, sparse or dense by its row.  Out of
+ * line on purpose: inlined into both callers, it ran dense rows on the
+ * plain -O3 rung at 0.76-0.94x for n >= 256 (11 interleaved runs). */
+static void rbb_round(rbb_ctx *c, rbb_rep *p, int64_t t)
+{
+    const uint32_t un = (uint32_t)c->n;
+    if (p->len < 0) {
+        rbb_arrivals(p, rbb_depart(p, c->n), un, c->lim);
+        rbb_end_round(c, p, t);
+    } else {
+        rbb_arrivals(p, rbb_depart_listed(p), un, c->lim);
+        rbb_end_listed(c, p, t);
+    }
+}
+
+/* Load replica r's row, stream and empty count; a row that starts with few
+ * enough occupied bins starts sparse. */
 static void rbb_start(const rbb_ctx *c, rbb_rep *p, int64_t r)
 {
     const int64_t n = c->n;
@@ -279,21 +454,22 @@ static void rbb_start(const rbb_ctx *c, rbb_rep *p, int64_t r)
         p->g.s[w] = state[w];
     p->empty = empty;
     p->k = 0;
+    p->occ = (int32_t *)0;
+    p->len = -1;
+    p->enter = c->sparse_in;
+    if (n - empty <= p->enter)
+        rbb_list(c, p);
 }
 
-/* Run one replica's rounds [t, rounds) alone, then store its stream and
- * fill its remaining observation points. */
-static void rbb_solo(rbb_ctx *c, rbb_rep *p, int64_t t)
+/* Store replica p's stream, fill its remaining observation points and
+ * free its list. */
+static void rbb_finish(const rbb_ctx *c, rbb_rep *p)
 {
-    const uint32_t un = (uint32_t)c->n;
-    for (; t < c->rounds && c->active[p->r]; t++) {
-        rbb_arrivals(p, rbb_depart(p, c->n), un, c->lim);
-        rbb_end_round(c, p, t);
-    }
     uint64_t *state = c->rng_state + 4 * p->r;
     for (int w = 0; w < 4; w++)
         state[w] = p->g.s[w];
     repro_obs_finish(&c->obs, p->r, p->k, p->row, c->n);
+    free(p->occ);
 }
 
 #if RBB_LOCKSTEP == 4
@@ -336,52 +512,60 @@ static inline void rbb_draw4(rbb_rep *p, uint32_t lane[4][RBB_BLOCK],
     }
 }
 
-/* Run the group's rounds in lockstep while every member is active;
- * returns the first round it did not run. */
-static int64_t rbb_lockstep(rbb_ctx *c, rbb_rep *p)
+/* Round t of a group in lockstep: every member is active and dense. */
+static void rbb_lockstep(rbb_ctx *c, rbb_rep *p, int64_t t)
 {
     const int64_t n = c->n;
     const uint32_t un = (uint32_t)n;
     const uint32_t lim = c->lim;
     uint32_t lane[4][RBB_BLOCK], dst[RBB_BLOCK];
-    int64_t t = 0;
-    for (; t < c->rounds; t++) {
-        if (!(c->active[p[0].r] && c->active[p[1].r] && c->active[p[2].r] &&
-              c->active[p[3].r]))
-            break;
-        int64_t need[4];
-        int64_t W = n; /* words every member's round consumes anyway */
-        for (int m = 0; m < 4; m++) {
-            need[m] = rbb_depart(&p[m], n);
-            if ((need[m] + 1) / 2 < W)
-                W = (need[m] + 1) / 2;
-        }
-        for (int64_t w = 0; w < W;) {
-            const int64_t words =
-                W - w < RBB_BLOCK / 2 ? W - w : RBB_BLOCK / 2;
-            rbb_draw4(p, lane, words);
-            for (int m = 0; m < 4; m++)
-                need[m] -= rbb_place(p[m].row, lane[m], dst, 2 * words,
-                                     need[m], un, lim);
-            w += words;
-        }
-        for (int m = 0; m < 4; m++) {
-            rbb_arrivals(&p[m], need[m], un, lim);
-            rbb_end_round(c, &p[m], t);
-        }
+    int64_t need[4];
+    int64_t W = n; /* words every member's round consumes anyway */
+    for (int m = 0; m < 4; m++) {
+        need[m] = rbb_depart(&p[m], n);
+        if ((need[m] + 1) / 2 < W)
+            W = (need[m] + 1) / 2;
     }
-    return t;
+    for (int64_t w = 0; w < W;) {
+        const int64_t words = W - w < RBB_BLOCK / 2 ? W - w : RBB_BLOCK / 2;
+        rbb_draw4(p, lane, words);
+        for (int m = 0; m < 4; m++)
+            need[m] -= rbb_place(&p[m], lane[m], dst, 2 * words, need[m],
+                                 un, lim);
+        w += words;
+    }
+    for (int m = 0; m < 4; m++) {
+        rbb_arrivals(&p[m], need[m], un, lim);
+        rbb_end_round(c, &p[m], t);
+    }
 }
 
-/* Replicas [r0, r0 + 4): in lockstep while all are active, then alone. */
+/* Replicas [r0, r0 + 4): a round runs in lockstep while every member is
+ * active and dense; otherwise each active member runs it alone. */
 static void rbb_group(rbb_ctx *c, int64_t r0)
 {
     rbb_rep p[4];
     for (int m = 0; m < 4; m++)
         rbb_start(c, &p[m], r0 + m);
-    const int64_t t = rbb_lockstep(c, p);
+    for (int64_t t = 0; t < c->rounds; t++) {
+        int active = 0, dense = 0;
+        for (int m = 0; m < 4; m++) {
+            const int a = c->active[p[m].r] != 0;
+            active += a;
+            dense += a && p[m].len < 0;
+        }
+        if (!active)
+            break;
+        if (dense == 4) {
+            rbb_lockstep(c, p, t);
+            continue;
+        }
+        for (int m = 0; m < 4; m++)
+            if (c->active[p[m].r])
+                rbb_round(c, &p[m], t);
+    }
     for (int m = 0; m < 4; m++)
-        rbb_solo(c, &p[m], t);
+        rbb_finish(c, &p[m]);
 }
 #endif
 
@@ -399,7 +583,9 @@ static void rbb_unit(void *vctx, int64_t u, int tid)
 #endif
     rbb_rep p;
     rbb_start(c, &p, 4 * c->groups + (u - c->groups));
-    rbb_solo(c, &p, 0);
+    for (int64_t t = 0; t < c->rounds && c->active[p.r]; t++)
+        rbb_round(c, &p, t);
+    rbb_finish(c, &p);
 }
 
 /* The replicas a group of this build holds: 4 when the lockstep path is
@@ -458,6 +644,8 @@ REPRO_ABI void rbb_run(int32_t *loads, int64_t R, int64_t n, int64_t rounds,
     c.active = active;
     c.lim = (uint32_t)(-un) % un;
     c.groups = RBB_LOCKSTEP == 4 && n <= RBB_GROUP_MAX_N ? R / 4 : 0;
+    c.sparse_in = n >= RBB_SPARSE_ENTER ? (int32_t)(n / RBB_SPARSE_ENTER) : 1;
+    c.sparse_out = RBB_SPARSE_EXIT * c.sparse_in;
     c.obs = repro_obs_make(R, observe_every, n_obs, obs_max, obs_empty,
                            obs_sum, obs_sumsq, hist_k, obs_hist,
                            obs_overflow);

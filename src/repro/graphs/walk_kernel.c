@@ -156,7 +156,8 @@ static void walks_replica(void *vctx, int64_t r, int tid)
                 c->active[r] = 0;
         }
         if (repro_obs_due(&c->obs, t, c->rounds))
-            repro_obs_record(&c->obs, r, k++, row, n, mx, empty);
+            repro_obs_record(&c->obs, r, k++, row, n, mx, empty,
+                             (const int32_t *)0, 0);
     }
     repro_obs_finish(&c->obs, r, k, row, n);
 }

@@ -572,4 +572,6 @@ def run_ensemble(
             "n_threads": n_threads,
         },
     )
+    if n_shards == 1:
+        return shards[0]
     return EnsembleResult.concatenate(shards)

@@ -8,12 +8,12 @@ the fused in-kernel observation path is indistinguishable from the
 segmented Python-side observer loop on every registered metric.
 
 Also covered here: Greedy[1] against the rbb kernel (the stream
-reference for the rbb kernel's blocked and lockstep draws), the rbb
-kernel's lockstep width in its status, digests that pin every
-kernel's streams, legitimacy thresholds beyond int32, the flag-aware
-binary cache key, the by-name kernel argument helper, thread-count
-resolution precedence, the exact-moments tracker, and the sweep
-scheduler's oversubscription guard.
+reference for the rbb kernel's blocked and lockstep draws and its sparse
+rounds), the rbb kernel's lockstep width in its status, digests that pin
+every kernel's streams, legitimacy thresholds beyond int32, the
+flag-aware binary cache key, the by-name kernel argument helper,
+thread-count resolution precedence, the exact-moments tracker, and the
+sweep scheduler's oversubscription guard.
 """
 
 from __future__ import annotations
@@ -411,11 +411,20 @@ class TestFaultyHistogramFusion:
         observe_every=8,
     )
 
-    @pytest.mark.parametrize("n_threads", [1, 2])
+    #: At n = 1024 a fault leaves one bin occupied and 32 rounds later at
+    #: most 33 are, so the rbb kernel records every period after the first
+    #: from its occupied-bin lists (it goes sparse at n / 32 = 32 bins and
+    #: dense again above 64).
+    @pytest.mark.parametrize("n_threads, n_bins", [
+        pytest.param(1, 64, id="1"),
+        pytest.param(2, 64, id="2"),
+        pytest.param(1, 1024, id="n1024-1"),
+        pytest.param(2, 1024, id="n1024-2"),
+    ])
     def test_one_kernel_call_per_fault_period(
-        self, n_threads, kernel_calls, monkeypatch
+        self, n_threads, n_bins, kernel_calls, monkeypatch
     ):
-        spec = EnsembleSpec(**self.SPEC)
+        spec = EnsembleSpec(**dict(self.SPEC, n_bins=n_bins))
         fused = run_ensemble(spec, seed=4, kernel="native", n_threads=n_threads)
         # faults strike before rounds 32, 64 and 96: four fault-free stretches
         assert kernel_calls == ["rbb"] * 4
@@ -455,6 +464,16 @@ class TestFaultyHistogramFusion:
 #: draw no lockstep words at all; n = 65537 is just above the row budget,
 #: so its group runs replica by replica; and ``groups_fused`` observes
 #: three groups, histogram included.
+#:
+#: The rbb kernel runs a row's round over a list of its occupied bins
+#: while at most max(1, n / 32) of them are occupied, until more than
+#: twice that many are.  ``sparse_few`` holds 64 balls in 4096 bins, so its
+#: rows never leave the list; ``sparse_groups`` (two groups and a tail)
+#: starts every row sparse and spreads it past the exit bound;
+#: ``sparse_mixed`` starts rows 1 and 3 balanced (option ``balanced``), so
+#: its group runs alone until the two all-in-one rows turn dense and then
+#: rejoins lockstep; ``sparse_fused`` records moments and the histogram
+#: from the lists; ``sparse_stop`` stops sparse rows early.
 D1_CASES = [
     pytest.param(1, 3, 20, "balanced", {}, id="n1"),
     pytest.param(16, 6, 40, "balanced", {}, id="n16"),
@@ -478,6 +497,19 @@ D1_CASES = [
         300, 12, 40, "all_in_one",
         {"metrics": FUSED_METRICS, "observe_every": 7}, id="groups_fused",
     ),
+    pytest.param(4096, 5, 60, "balanced", {"n_balls": 64}, id="sparse_few"),
+    pytest.param(2048, 9, 200, "all_in_one", {}, id="sparse_groups"),
+    pytest.param(
+        1024, 4, 150, "all_in_one", {"balanced": (1, 3)}, id="sparse_mixed"
+    ),
+    pytest.param(
+        1024, 8, 100, "all_in_one",
+        {"metrics": FUSED_METRICS, "observe_every": 7}, id="sparse_fused",
+    ),
+    pytest.param(
+        1024, 5, 300, "all_in_one",
+        {"n_balls": 64, "stop_when_legitimate": True}, id="sparse_stop",
+    ),
 ]
 
 
@@ -495,9 +527,13 @@ class TestGreedyOneMatchesRbb:
         self, n, R, rounds, start, options, n_threads, kernel_calls
     ):
         def run(build):
-            initial = make_ensemble_initial(start, n, R)
+            initial = make_ensemble_initial(
+                start, n, R, n_balls=options.get("n_balls")
+            )
             if "empty" in options:
                 initial[options["empty"]] = 0
+            if "balanced" in options:
+                initial[list(options["balanced"])] = 1
             process = build(
                 initial=initial, seed=5, kernel="native", n_threads=n_threads,
             )
@@ -546,7 +582,8 @@ def test_rbb_status_reports_lockstep_width():
 # ---------------------------------------------------------------------
 def _pinned_run(kind):
     """A single-thread native run: one per kernel, plus an rbb run whose
-    rounds reject lanes.  Each starts deterministically (numpy
+    rounds reject lanes and one whose rows enter and leave the rbb
+    kernel's sparse rounds.  Each starts deterministically (numpy
     ``Generator`` streams may change between numpy versions; the
     ``SeedSequence`` hashing that seeds the native streams does not)."""
     def start(initial, n, R):
@@ -559,6 +596,10 @@ def _pinned_run(kind):
         return BatchedRepeatedBallsIntoBins(
             1000, 4, **start("all_in_one", 1000, 4)
         ).run(1500)
+    if kind == "rbb_sparse":
+        return BatchedRepeatedBallsIntoBins(
+            4096, 4, **start("all_in_one", 4096, 4)
+        ).run(400)
     if kind == "rbb_rejections":
         return BatchedRepeatedBallsIntoBins(
             4190212, 1, **start("balanced", 4190212, 1)
@@ -580,6 +621,8 @@ PINNED_DIGESTS = {
     "rbb": "d304cae4c92260b27e4f6b94d1146453e2776d275abc342198c097d0d6caa292",
     "rbb_rejections":
         "2aa1e8c8dfdb96fe98c7f47e32d660271d2530e4a9c95d475bdd10a6eeb56784",
+    "rbb_sparse":
+        "cdfd93ed00c34c18d1bf27a560793e5831fef2345ba61f0addbb6abf62979101",
     "greedy_d":
         "5a57d9afda5e952a1ee8ec9c2c414ff7919666943b0477965ed273c77028fe6d",
     "walks": "64e5d30d66c973bd53e998f5bb527eed839a918ecf8ac8bbc336dcd5d05127e2",
@@ -590,6 +633,7 @@ PINNED_DIGESTS = {
 @pytest.mark.parametrize("kind", [
     pytest.param("rbb"),
     pytest.param("rbb_rejections"),
+    pytest.param("rbb_sparse"),
     pytest.param("greedy_d", marks=needs_native_greedy),
     pytest.param("walks", marks=needs_native_walks),
 ])
