@@ -23,6 +23,7 @@ from typing import Dict, List, Type
 
 import numpy as np
 
+from ..core.batched import check_pile_bins
 from ..core.config import LoadConfiguration
 from ..errors import ConfigurationError
 from ..types import LoadVector
@@ -121,7 +122,11 @@ class ConcentrateAdversary(Adversary):
 
     The target bin is chosen uniformly at random each fault (a fixed target
     would be equivalent for the anonymous process); in a batch every
-    replica draws its own target.
+    replica draws its own target, through :meth:`pile_targets`.  Because a
+    fault is then fixed by its targets alone,
+    :class:`~repro.adversary.batched.BatchedFaultyProcess` can draw them
+    beforehand and have the native rbb kernel pile the balls itself; a
+    subclass that overrides :meth:`reassign_batch` opts out of that.
     """
 
     name = "concentrate"
@@ -132,13 +137,19 @@ class ConcentrateAdversary(Adversary):
         out[int(rng.integers(0, loads.size))] = int(loads.sum())
         return out
 
+    def pile_targets(
+        self, n_bins: int, n_replicas: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """One fault's pile bin for each replica: ``(R,)`` uniform draws."""
+        return rng.integers(0, n_bins, size=n_replicas)
+
     def reassign_batch(
         self, loads: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         loads = np.asarray(loads)
         R, n = loads.shape
+        targets = check_pile_bins(self.pile_targets(n, R, rng), (R,), n)
         out = np.zeros_like(loads)
-        targets = rng.integers(0, n, size=R)
         out[np.arange(R), targets] = loads.sum(axis=1)
         return out
 

@@ -13,13 +13,30 @@ goes straight to the process'
 check of a fault (shape, integer values, no negative load, per-replica ball
 conservation), which then writes it into the int32 state in place.
 
-Execution is segmented: the rounds between consecutive faults run as one
-engine call (a single FFI call with the native kernel) through
-:meth:`~repro.core.batched.BatchedLoadProcess.advance_window`, which
-returns only the window vectors; the loads are copied once, into the
-result, at the end.  So an adversarial ensemble costs barely more than a
-fault-free one.  Recovery times are read off each post-fault segment's
-``first_legitimate_round`` vector.
+Two paths run a window, with the same results:
+
+* **In the kernel.**  When the adversary is the concentrate adversary (its
+  own :meth:`~repro.adversary.adversaries.ConcentrateAdversary.reassign_batch`,
+  so a fault is fixed by its pile targets) and the process takes the window
+  in one native rbb call
+  (:meth:`~repro.core.batched.BatchedLoadProcess.takes_piles`: every
+  replica active, observers none or fusable), every fault's targets are
+  drawn up front, one
+  :meth:`~repro.adversary.adversaries.ConcentrateAdversary.pile_targets`
+  call per fault in fault order, and the whole window is one
+  :meth:`~repro.core.batched.BatchedLoadProcess.advance_window` call that
+  strikes the faults between rounds inside the kernel.  Recovery times come
+  from the kernel's first legitimate round after each fault.
+* **Segmented**, the reference, for every other adversary, the numpy
+  kernel, matrix observers, ``REPRO_NATIVE_FUSED=0`` and an adversary that
+  shares one ``Generator`` with the process: the rounds between consecutive
+  faults run as one engine call each through ``advance_window``, and each
+  fault's matrix goes through ``inject_loads``.  Recovery times are read
+  off each post-fault segment's ``first_legitimate_round`` vector.
+
+Either way ``advance_window`` returns only the window vectors and the loads
+are copied once, into the result, at the end, so an adversarial ensemble
+costs barely more than a fault-free one.
 """
 
 from __future__ import annotations
@@ -30,12 +47,13 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .adversaries import Adversary, get_adversary
+from .adversaries import Adversary, ConcentrateAdversary, get_adversary
 from .faulty_process import FaultSchedule
 from ..core.batched import (
     BatchedLoadProcess,
     BatchedRepeatedBallsIntoBins,
     EnsembleResult,
+    PileFaults,
 )
 from ..core.config import DEFAULT_BETA, LoadConfiguration
 from ..errors import ConfigurationError
@@ -267,12 +285,14 @@ class BatchedFaultyProcess:
         In a faulty round the adversary reassigns every replica's
         configuration *before* the normal round executes (so the process
         immediately starts recovering from the adversarial state), exactly
-        as in :meth:`FaultyProcess.run`.  Rounds between consecutive faults
-        execute as one engine call, so the native kernel's whole-window FFI
-        speedup carries over to adversarial ensembles.
+        as in :meth:`FaultyProcess.run`.  Concentrate faults strike inside
+        one native kernel call for the whole window where the process
+        takes it; otherwise the rounds between consecutive faults execute
+        as one engine call each (see the module docstring).  Both paths
+        give the same result, bit for bit.
 
-        ``observers`` / ``observe_every`` are forwarded to every segment's
-        engine call (see :meth:`BatchedLoadProcess.run`); observers see
+        ``observers`` / ``observe_every`` are forwarded to the engine
+        calls (see :meth:`BatchedLoadProcess.run`); observers see
         post-step configurations only (not the injected pre-step states),
         with round indexes counted on the wrapped process' global clock,
         and the observation stride restarts at each fault.
@@ -281,13 +301,94 @@ class BatchedFaultyProcess:
             raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
         obs = BatchedObserverList.coerce(observers)
         process = self._process
-        R = process.n_replicas
         fault_rounds = [
             t for t in range(1, rounds + 1) if self._schedule.is_faulty(t)
         ]
+        start_max = process.max_load.astype(np.int64)
+        run = (
+            self._run_in_kernel
+            if self._piles_in_kernel(rounds, obs)
+            else self._run_segmented
+        )
+        max_seen, min_empty, recovery, first_legit, kernel = run(
+            rounds, beta, obs, observe_every, fault_rounds
+        )
+        return BatchedFaultyResult(
+            n_bins=process.n_bins,
+            rounds=rounds,
+            fault_rounds=fault_rounds,
+            max_load_seen=np.maximum(start_max, max_seen),
+            min_empty_bins_seen=min_empty,
+            recovery_times=recovery,
+            first_legitimate_round=first_legit,
+            final_loads=process.loads.astype(np.int64),
+            beta=beta,
+            kernel=kernel,
+        )
+
+    def _piles_in_kernel(self, rounds: int, observers) -> bool:
+        """Whether this run's faults can strike inside one kernel call.
+
+        The adversary's ``reassign_batch`` must be the concentrate
+        adversary's own, so a fault is fixed by its pile targets; the
+        adversary must not share its stream with the process, whose first
+        kernel call would draw the native states from it between two
+        faults' targets; and the process must take the window
+        (:meth:`~repro.core.batched.BatchedLoadProcess.takes_piles`).
+        """
+        return (
+            type(self._adversary).reassign_batch
+            is ConcentrateAdversary.reassign_batch
+            and self._process.rng is not self._rng
+            and self._process.takes_piles(rounds, observers)
+        )
+
+    def _run_in_kernel(self, rounds, beta, observers, observe_every, fault_rounds):
+        """The whole window as one kernel call, the faults struck inside it.
+
+        Returns ``(max_seen, min_empty, recovery, first_legit, kernel)``.
+        """
+        process = self._process
+        n, R = process.n_bins, process.n_replicas
+        # one draw per fault, in fault order, as reassign_batch draws them
+        # (one draw of F * R values could differ: numpy's bounded 32-bit
+        # draws buffer half-words within a call)
+        bins = [self._adversary.pile_targets(n, R, self._rng) for _ in fault_rounds]
+        at = np.asarray(fault_rounds, dtype=np.int64)
+        piles = PileFaults(
+            rounds=at - 1,
+            bins=np.stack(bins) if bins else np.zeros((0, R), dtype=np.int64),
+        )
+        offset = process.rounds_completed
+        window = process.advance_window(
+            rounds, beta=beta, observers=observers,
+            observe_every=observe_every, piles=piles,
+        )
+        # the kernel reports rounds on the process clock; wrapper round t
+        # is process round offset + t
+        first = window.first_legitimate_round
+        first_legit = np.where(first >= 0, first - offset, -1)
+        recovery = np.where(
+            window.fault_legit >= 0,
+            window.fault_legit - offset - at[:, None],
+            -1,
+        )
+        return (
+            window.max_load_seen, window.min_empty_bins_seen, recovery,
+            first_legit, window.kernel,
+        )
+
+    def _run_segmented(self, rounds, beta, observers, observe_every, fault_rounds):
+        """One engine call per fault-free stretch, each fault injected
+        between them through ``inject_loads``.
+
+        Returns ``(max_seen, min_empty, recovery, first_legit, kernel)``.
+        """
+        process = self._process
+        R = process.n_replicas
         recovery = np.full((len(fault_rounds), R), -1, dtype=np.int64)
         first_legit = np.full(R, -1, dtype=np.int64)
-        max_seen = process.max_load.astype(np.int64)
+        max_seen = np.zeros(R, dtype=np.int64)
         min_empty = np.full(R, process.n_bins, dtype=np.int64)
         kernels = set()
 
@@ -297,7 +398,8 @@ class BatchedFaultyProcess:
                 return
             offset = process.rounds_completed
             window = process.advance_window(
-                length, beta=beta, observers=obs, observe_every=observe_every
+                length, beta=beta, observers=observers,
+                observe_every=observe_every,
             )
             kernels.add(window.kernel)
             np.maximum(max_seen, window.max_load_seen, out=max_seen)
@@ -334,21 +436,10 @@ class BatchedFaultyProcess:
         if rounds == 0:
             min_empty = process.num_empty_bins.astype(np.int64)
         if not kernels:
-            kernel = getattr(self._process, "kernel_name", "numpy")
+            kernel = process.window_kernel()
         else:
             kernel = kernels.pop() if len(kernels) == 1 else "mixed"
-        return BatchedFaultyResult(
-            n_bins=process.n_bins,
-            rounds=rounds,
-            fault_rounds=fault_rounds,
-            max_load_seen=max_seen,
-            min_empty_bins_seen=min_empty,
-            recovery_times=recovery,
-            first_legitimate_round=first_legit,
-            final_loads=process.loads.astype(np.int64),
-            beta=beta,
-            kernel=kernel,
-        )
+        return max_seen, min_empty, recovery, first_legit, kernel
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

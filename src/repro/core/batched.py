@@ -61,6 +61,8 @@ are built by C parameter name (:func:`repro.core.native.kernel_args`).
 Callers that run a window in segments (the fault injector, the scenario
 interpreter) advance through :meth:`~BatchedLoadProcess.advance_window`,
 which returns only the window vectors, and build one result at the end.
+The rbb kernel also applies the concentrate adversary's pile faults
+itself (:class:`PileFaults`), so a faulty window can be one call.
 
 Example
 -------
@@ -105,7 +107,9 @@ __all__ = [
     "BatchedLoadProcess",
     "BatchedRepeatedBallsIntoBins",
     "EnsembleResult",
+    "PileFaults",
     "WindowStats",
+    "check_pile_bins",
     "check_state_fits",
     "make_ensemble_initial",
 ]
@@ -122,6 +126,14 @@ _UNOBSERVED: Dict[str, object] = {
     "hist_k": 0,
     "obs_hist": None,
     "obs_overflow": None,
+}
+
+#: The fault arguments of an rbb kernel call without faults.
+_NO_FAULTS: Dict[str, object] = {
+    "n_faults": 0,
+    "fault_rounds": None,
+    "fault_bins": None,
+    "fault_legit": None,
 }
 
 
@@ -156,6 +168,37 @@ def check_state_fits(n_bins: int, n_balls) -> None:
             "2**31 and per-replica ball counts below 2**31 - 1 (got "
             f"n_bins={n_bins}, up to {most} balls)"
         )
+
+
+def check_pile_bins(bins, shape: Tuple[int, ...], n_bins: int) -> np.ndarray:
+    """``bins`` as an integer array of ``shape`` with values in ``[0, n_bins)``.
+
+    The check every pile target passes, whether the rbb kernel strikes the
+    fault (:class:`PileFaults`) or ``ConcentrateAdversary.reassign_batch``
+    builds its matrix; anything else raises a :class:`ConfigurationError`.
+
+    >>> check_pile_bins([0, 3], (2,), 4).tolist()
+    [0, 3]
+    >>> check_pile_bins([0, -1], (2,), 4)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    ...
+    repro.errors.ConfigurationError: pile bins must lie in [0, 4), ...
+    """
+    bins = np.asarray(bins)
+    if bins.shape != shape:
+        raise ConfigurationError(
+            f"pile bins have shape {bins.shape}, expected {shape}"
+        )
+    if not bins.size:
+        return bins
+    if not np.issubdtype(bins.dtype, np.integer):
+        raise ConfigurationError(f"pile bins must be integers, got {bins.dtype}")
+    if bins.min() < 0 or bins.max() >= n_bins:
+        raise ConfigurationError(
+            f"pile bins must lie in [0, {n_bins}), got values in "
+            f"[{bins.min()}, {bins.max()}]"
+        )
+    return bins
 
 
 def _histogram_caps(observers) -> set:
@@ -217,6 +260,29 @@ def make_ensemble_initial(
         )
     row = makers[kind](n_bins, n_balls=n_balls).as_array()
     return np.tile(row, (n_replicas, 1))
+
+
+def _observation_rounds(
+    rounds: int, observe_every: int, breaks=()
+) -> np.ndarray:
+    """The rounds (1-based, from the window's start) a fused call observes.
+
+    Each stretch between ``breaks`` (0-based rounds at which pile faults
+    strike) is observed after every ``observe_every`` of its rounds and
+    after its last, as the segmented loop observes one call per stretch.
+
+    >>> _observation_rounds(10, 4).tolist()
+    [4, 8, 10]
+    >>> _observation_rounds(10, 4, breaks=[0, 3]).tolist()
+    [3, 7, 10]
+    """
+    edges = [0, *(int(b) for b in breaks if b > 0), rounds]
+    points = []
+    for start, end in zip(edges[:-1], edges[1:]):
+        length = end - start
+        k = np.arange(1, -(-length // observe_every) + 1, dtype=np.int64)
+        points.append(start + np.minimum(k * observe_every, length))
+    return np.concatenate(points)
 
 
 def one_choice_arrivals(
@@ -382,7 +448,10 @@ class WindowStats(NamedTuple):
 
     The fields are those of :class:`EnsembleResult` without the loads: a
     caller that runs its window in segments folds them into its own
-    window and builds one result at the end.
+    window and builds one result at the end.  A window with
+    :class:`PileFaults` also returns ``fault_legit``, the ``(F, R)`` global
+    round at which each replica is first legitimate after each fault and
+    before the next, or ``-1``; ``max_load_seen`` then includes the piles.
     """
 
     rounds: np.ndarray
@@ -390,6 +459,20 @@ class WindowStats(NamedTuple):
     min_empty_bins_seen: np.ndarray
     first_legitimate_round: np.ndarray
     kernel: str
+    fault_legit: Optional[np.ndarray] = None
+
+
+class PileFaults(NamedTuple):
+    """Pile faults for one window, applied inside the native rbb kernel.
+
+    Fault ``f`` strikes before round ``rounds[f]`` (0-based, counted from
+    the window's start; strictly increasing) and moves every ball of
+    replica ``r`` into bin ``bins[f, r]``: the concentrate adversary's
+    fault, with its targets drawn beforehand.
+    """
+
+    rounds: np.ndarray  # (F,) integers in [0, window rounds)
+    bins: np.ndarray  # (F, R) integers in [0, n)
 
 
 @runtime_checkable
@@ -489,6 +572,9 @@ class BatchedLoadProcess:
     #: Name of the compiled kernel in :mod:`repro.core.native` that can
     #: advance this process, or ``None`` for a numpy-only process.
     native_kernel: Optional[str] = None
+
+    #: Whether that kernel applies :class:`PileFaults` itself.
+    native_piles = False
 
     def __init__(
         self,
@@ -744,6 +830,7 @@ class BatchedLoadProcess:
         stop_when_legitimate: bool = False,
         observers=None,
         observe_every: int = 1,
+        piles: Optional[PileFaults] = None,
     ) -> WindowStats:
         """:meth:`run` without the result: advance, return the window vectors.
 
@@ -752,7 +839,10 @@ class BatchedLoadProcess:
         segments through this call and copy the loads into one result at
         the end.
         The parameters are :meth:`run`'s; ball conservation is checked
-        after every call.
+        after every call.  ``piles`` strikes pile faults inside the one
+        kernel call, each restarting the observation stride as a fresh
+        call would; it needs a window :meth:`takes_piles` accepts, and a
+        refused window or fault leaves the state unchanged.
         """
         if rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
@@ -761,6 +851,15 @@ class BatchedLoadProcess:
                 f"observe_every must be >= 1, got {observe_every}"
             )
         obs = BatchedObserverList.coerce(observers)
+        faults = None
+        if piles is not None:
+            if stop_when_legitimate or not self.takes_piles(rounds, obs):
+                raise ConfigurationError(
+                    "pile faults need a native kernel that applies them and "
+                    "a window it runs in one call: no early stop, every "
+                    "replica active, fusable observers"
+                )
+            faults = self._fault_args(piles, rounds)
         threshold = legitimacy_threshold(self._n_bins, beta)
         R = self._n_replicas
         first_legit = np.full(R, -1, dtype=np.int64)
@@ -771,7 +870,8 @@ class BatchedLoadProcess:
 
         start_rounds = self._rounds_done.copy()
         max_seen, min_empty, used = self._run_window(
-            rounds, threshold, stop_when_legitimate, first_legit, obs, observe_every
+            rounds, threshold, stop_when_legitimate, first_legit, obs,
+            observe_every, faults,
         )
 
         executed = self._rounds_done - start_rounds
@@ -782,34 +882,98 @@ class BatchedLoadProcess:
             max_seen[idle] = self.max_load[idle]
             min_empty[idle] = self.num_empty_bins[idle]
         self._check_conservation()
-        return WindowStats(executed, max_seen, min_empty, first_legit, used)
+        return WindowStats(
+            executed, max_seen, min_empty, first_legit, used,
+            None if faults is None else faults["fault_legit"],
+        )
 
-    def _run_window(
-        self, rounds, threshold, stop_when_legitimate, first_legit, observers,
-        observe_every,
-    ):
-        """Advance the window; returns ``(max_seen, min_empty, kernel)``.
+    def window_kernel(self) -> str:
+        """The kernel a window of this process runs: ``"native"`` or
+        :attr:`kernel_name`.
 
-        Runs the native kernel when :attr:`native_kernel` names one that
-        loads and the ``kernel=`` choice allows it; otherwise the numpy
-        reference loop in :func:`repro.metrics.window.run_window`.  Both
-        advance the process's own int32 state in place.  A subclass whose
-        kernel arguments cannot hold its data (:meth:`_native_supported`:
-        the walks' edge count) runs numpy under ``kernel="auto"`` and is
-        refused under ``kernel="native"``.
+        Native when :attr:`native_kernel` names a kernel that loads and the
+        ``kernel=`` choice allows it.  A subclass whose kernel arguments
+        cannot hold its data (:meth:`_native_supported`: the walks' edge
+        count) runs numpy under ``kernel="auto"`` and is refused under
+        ``kernel="native"``.
         """
-        kernel = None
-        if self.native_kernel is not None and self._kernel != "numpy":
-            kernel = get_kernel(self.native_kernel)
-        if kernel is not None and not self._native_supported():
+        if (
+            self.native_kernel is None
+            or self._kernel == "numpy"
+            or get_kernel(self.native_kernel) is None
+        ):
+            return self.kernel_name
+        if not self._native_supported():
             if self._kernel == "native":
                 raise ConfigurationError(
                     f"native {self.native_kernel!r} kernel requested but "
                     f"this {type(self).__name__} does not fit its int32 "
                     "arguments"
                 )
-            kernel = None
-        if kernel is None:
+            return self.kernel_name
+        return "native"
+
+    def takes_piles(self, rounds: int, observers=None) -> bool:
+        """Whether :meth:`advance_window` can strike :class:`PileFaults`
+        inside one kernel call over ``rounds`` rounds watched by
+        ``observers``.
+
+        It can when the native kernel runs (:meth:`window_kernel`) and
+        applies pile faults (:attr:`native_piles`), and the window is one
+        :meth:`_fusable` accepts: every replica active, on one clock, and
+        the observers none or fusable.  ``REPRO_NATIVE_FUSED=0`` therefore
+        refuses it.
+        """
+        return (
+            self.native_piles
+            and self.window_kernel() == "native"
+            and self._fusable(
+                BatchedObserverList.coerce(observers), rounds, False
+            )
+        )
+
+    def _fault_args(self, piles: PileFaults, rounds: int) -> Dict[str, object]:
+        """The kernel's fault arguments for ``piles``, checked.
+
+        The rounds must be strictly increasing integers in ``[0, rounds)``
+        and the bins an integer ``(F, R)`` matrix in ``[0, n)``
+        (:func:`check_pile_bins`); anything else raises a :class:`ConfigurationError` before a round runs.  A
+        pile holds its row's own balls, so the faults conserve them by
+        construction.
+        """
+        R, n = self._n_replicas, self._n_bins
+        at = np.asarray(piles.rounds)
+        if at.ndim != 1 or (at.size and not np.issubdtype(at.dtype, np.integer)):
+            raise ConfigurationError(
+                "pile fault rounds must be a vector of integers"
+            )
+        F = len(at)
+        if F and (at[0] < 0 or at[-1] >= rounds or (np.diff(at) <= 0).any()):
+            raise ConfigurationError(
+                "pile fault rounds must increase strictly within "
+                f"[0, {rounds}), got {at.tolist()}"
+            )
+        bins = check_pile_bins(piles.bins, (F, R), n)
+        return {
+            "n_faults": F,
+            "fault_rounds": np.ascontiguousarray(at, dtype=np.int64),
+            "fault_bins": np.ascontiguousarray(bins, dtype=np.int32),
+            "fault_legit": np.full((F, R), -1, dtype=np.int64),
+        }
+
+    def _run_window(
+        self, rounds, threshold, stop_when_legitimate, first_legit, observers,
+        observe_every, faults=None,
+    ):
+        """Advance the window; returns ``(max_seen, min_empty, kernel)``.
+
+        Runs the kernel :meth:`window_kernel` names: the native one, or
+        the numpy reference loop in :func:`repro.metrics.window.run_window`.
+        Both advance the process's own int32 state in place.  ``faults``
+        (the kernel's fault arguments, checked) runs as one native call.
+        """
+        used = self.window_kernel()
+        if used != "native":
             max_seen, min_empty, _, _ = run_window(
                 self,
                 rounds,
@@ -819,12 +983,15 @@ class BatchedLoadProcess:
                 observers=observers,
                 observe_every=observe_every,
             )
-            return max_seen, min_empty, self.kernel_name
+            return max_seen, min_empty, used
+        kernel = get_kernel(self.native_kernel)
         observed = not observers.is_empty
-        if observed and self._fusable(observers, rounds, stop_when_legitimate):
+        if faults is not None or (
+            observed and self._fusable(observers, rounds, stop_when_legitimate)
+        ):
             return self._run_native_fused(
                 kernel, rounds, threshold, first_legit, observers,
-                observe_every,
+                observe_every, faults,
             )
         # Segmented loop: observed runs advance ``observe_every`` rounds per
         # kernel call and observers see the state between segments; an
@@ -874,7 +1041,8 @@ class BatchedLoadProcess:
         return all(supports_fused(observer) for observer in observers)
 
     def _run_native_fused(
-        self, kernel, rounds, threshold, first_legit, observers, observe_every
+        self, kernel, rounds, threshold, first_legit, observers, observe_every,
+        faults=None,
     ):
         """One fused kernel call: simulate *and* observe in C.
 
@@ -886,10 +1054,19 @@ class BatchedLoadProcess:
         handed to each observer's ``ingest_fused``.  All recorded values
         are integers the Python trackers would have computed from the
         matrices themselves, so the resulting tracker state is
-        bit-identical to the segmented loop's.
+        bit-identical to the segmented loop's.  With ``faults`` (the
+        kernel's fault arguments) the stride restarts at every fault, and
+        an unobserved window records nothing.
         """
+        if observers.is_empty:
+            max_seen, min_empty = self._run_native(
+                kernel, rounds, threshold, False, first_legit, faults=faults
+            )
+            return max_seen, min_empty, "native"
         R, n = self._n_replicas, self._n_bins
-        n_obs = -(-rounds // observe_every)  # ceil division
+        breaks = () if faults is None else faults["fault_rounds"]
+        obs_rounds = _observation_rounds(rounds, observe_every, breaks)
+        n_obs = len(obs_rounds)
         moments = any(fused_needs_moments(o) for o in observers)
         caps = _histogram_caps(observers)
         histogram = bool(caps)
@@ -911,15 +1088,11 @@ class BatchedLoadProcess:
         }
         start = int(self._rounds_done[0])
         max_seen, min_empty = self._run_native(
-            kernel, rounds, threshold, False, first_legit, obs=obs
-        )
-        # observation k happens after round (k+1) * observe_every, capped
-        # at the window end — the same schedule the segmented loop drives
-        obs_rounds = start + np.minimum(
-            np.arange(1, n_obs + 1, dtype=np.int64) * observe_every, rounds
+            kernel, rounds, threshold, False, first_legit, obs=obs,
+            faults=faults,
         )
         stats = FusedSegmentStats(
-            rounds=obs_rounds,
+            rounds=start + obs_rounds,
             max_load=obs["obs_max"].astype(np.int64),
             empty_bins=obs["obs_empty"].astype(np.int64),
             n_bins=n,
@@ -946,16 +1119,17 @@ class BatchedLoadProcess:
 
     def _run_native(
         self, kernel, rounds, threshold, stop_when_legitimate, first_legit,
-        obs=None,
+        obs=None, faults=None,
     ):
         """One native-kernel call advancing up to ``rounds`` rounds.
 
         ``obs`` is ``None`` or the fused-observation arguments by C
         parameter name (``observe_every`` through ``obs_overflow``; an
-        unrequested buffer is ``None``).  The kernel writes the process's
-        own buffers in place: the int32 loads, the round counters, the
-        activity mask (its bool bytes viewed as uint8) and
-        ``first_legit``.  Returns the window's ``(max_seen, min_empty)``.
+        unrequested buffer is ``None``), and ``faults`` ``None`` or the
+        fault arguments (``n_faults`` through ``fault_legit``).  The kernel
+        writes the process's own buffers in place: the int32 loads, the
+        round counters, the activity mask (its bool bytes viewed as uint8)
+        and ``first_legit``.  Returns the window's ``(max_seen, min_empty)``.
         """
         R = self._n_replicas
         max_seen = np.zeros(R, dtype=np.int32)
@@ -979,6 +1153,7 @@ class BatchedLoadProcess:
             "n_threads": n_threads,
             **(_UNOBSERVED if obs is None else obs),
             **self._native_extra_args(n_threads),
+            **({} if faults is None else faults),
         }))
         return max_seen.astype(np.int64), min_empty.astype(np.int64)
 
@@ -1127,6 +1302,11 @@ class BatchedRepeatedBallsIntoBins(BatchedLoadProcess):
     """
 
     native_kernel = "rbb"
+    native_piles = True
+
+    def _native_extra_args(self, n_threads: int) -> Dict[str, object]:
+        """No faults unless :meth:`advance_window` was handed some."""
+        return _NO_FAULTS
 
     # ------------------------------------------------------------------
     # Dynamics — numpy reference kernel

@@ -150,23 +150,39 @@ _OBS_TAIL: Tuple[Tuple[str, object], ...] = (
     ("obs_overflow", ctypes.POINTER(ctypes.c_int64)),  # (R,)
 )
 
+#: The state ``rbb_run`` and ``greedy_run`` share, before Greedy[d]'s ``d``.
+_LOAD_HEAD: Tuple[Tuple[str, object], ...] = (
+    ("loads", ctypes.POINTER(ctypes.c_int32)),  # (R, n)
+    ("R", ctypes.c_int64),
+    ("n", ctypes.c_int64),
+)
+
+#: The window parameters ``rbb_run`` and ``greedy_run`` share, after it.
+_LOAD_WINDOW: Tuple[Tuple[str, object], ...] = (
+    ("rounds", ctypes.c_int64),
+    ("rng_state", ctypes.POINTER(ctypes.c_uint64)),  # (R, 4)
+    ("threshold", ctypes.c_double),
+    ("stop_when_legitimate", ctypes.c_int),
+    ("max_seen", ctypes.POINTER(ctypes.c_int32)),  # (R,)
+    ("min_empty_seen", ctypes.POINTER(ctypes.c_int32)),  # (R,)
+    ("first_legit", ctypes.POINTER(ctypes.c_int64)),  # (R,)
+    ("rounds_done", ctypes.POINTER(ctypes.c_int64)),  # (R,)
+    ("active", ctypes.POINTER(ctypes.c_uint8)),  # (R,)
+)
+
+#: ``rbb_run``'s pile faults: fault ``f`` strikes before round
+#: ``fault_rounds[f]`` of the call.  With ``n_faults == 0`` the buffers
+#: may be NULL.
+_FAULT_TAIL: Tuple[Tuple[str, object], ...] = (
+    ("n_faults", ctypes.c_int64),
+    ("fault_rounds", ctypes.POINTER(ctypes.c_int64)),  # (F,)
+    ("fault_bins", ctypes.POINTER(ctypes.c_int32)),  # (F, R)
+    ("fault_legit", ctypes.POINTER(ctypes.c_int64)),  # (F, R)
+)
+
 _RBB_ABI = SymbolABI(
     name="rbb_run",
-    params=(
-        ("loads", ctypes.POINTER(ctypes.c_int32)),  # (R, n)
-        ("R", ctypes.c_int64),
-        ("n", ctypes.c_int64),
-        ("rounds", ctypes.c_int64),
-        ("rng_state", ctypes.POINTER(ctypes.c_uint64)),  # (R, 4)
-        ("threshold", ctypes.c_double),
-        ("stop_when_legitimate", ctypes.c_int),
-        ("max_seen", ctypes.POINTER(ctypes.c_int32)),  # (R,)
-        ("min_empty_seen", ctypes.POINTER(ctypes.c_int32)),  # (R,)
-        ("first_legit", ctypes.POINTER(ctypes.c_int64)),  # (R,)
-        ("rounds_done", ctypes.POINTER(ctypes.c_int64)),  # (R,)
-        ("active", ctypes.POINTER(ctypes.c_uint8)),  # (R,)
-    )
-    + _OBS_TAIL,
+    params=_LOAD_HEAD + _LOAD_WINDOW + _OBS_TAIL + _FAULT_TAIL,
     restype=None,
     source=_PACKAGE_ROOT / "core" / "rbb_kernel.c",
 )
@@ -199,10 +215,11 @@ _WALKS_ABI = SymbolABI(
     source=_PACKAGE_ROOT / "graphs" / "walk_kernel.c",
 )
 
-#: ``rbb_run``'s parameters with the candidate count ``d`` after ``n``.
+#: ``rbb_run``'s parameters without its faults, with the candidate count
+#: ``d`` after ``n``.
 _GREEDY_ABI = SymbolABI(
     name="greedy_run",
-    params=_RBB_ABI.params[:3] + (("d", ctypes.c_int64),) + _RBB_ABI.params[3:],
+    params=_LOAD_HEAD + (("d", ctypes.c_int64),) + _LOAD_WINDOW + _OBS_TAIL,
     restype=None,
     source=_PACKAGE_ROOT / "baselines" / "greedy_kernel.c",
 )

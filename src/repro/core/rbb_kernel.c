@@ -4,8 +4,10 @@
  * rounds entirely in C: per round and per active replica, one ball leaves
  * every non-empty bin and lands in a bin chosen uniformly at random inside
  * the same replica.  Window metrics (max load, min empty-bin count, first
- * legitimate round) and the per-replica early stop on legitimacy are
- * maintained in-kernel so a whole `run()` costs a single FFI call.
+ * legitimate round), the per-replica early stop on legitimacy and the
+ * concentrate adversary's pile faults (see Faults below) are maintained
+ * in-kernel, so a whole `run()`, with or without pile faults, costs a
+ * single FFI call.
  *
  * Layout and parallelism: the work unit is a group of 4 consecutive
  * replicas that step through their rounds together ("lockstep"), or a
@@ -154,6 +156,30 @@
  *   fast at n = 2^16 and 1.13x at 2^17, but 0.91x at 2^18, 0.78x at 2^19
  *   and 0.61x at 2^20, where the rows leave L2 and the TLB's reach.
  *
+ * Faults: a call may carry n_faults pile faults, the Section 4.1 concentrate
+ * adversary's.  Fault f strikes every active replica r before round
+ * fault_rounds[f]: it zeroes the row (only the listed bins while the row is
+ * sparse) and writes the row's ball count into bin fault_bins[f * R + r].
+ * The pile is then the row's one occupied bin, so the row is listed as that
+ * bin and the following rounds run sparse without an rbb_list() scan (a
+ * row whose list cannot be allocated stays dense, with the same results).
+ * The pile's load is folded into max_seen, as the segmented fault loop
+ * (adversary/batched.py) folds the injected state, and
+ * fault_legit[f * R + r] records the replica's first legitimate round
+ * (global, 1-based) after the fault and before the next, or stays -1.  The
+ * fault draws nothing: the pile bins come from the adversary's own numpy
+ * stream, so every xoshiro stream, every round and every output is the one
+ * the segmented loop gets by injecting each fault between calls.  That
+ * loop restarts the observation stride at each fault, as each fault-free
+ * stretch is a call of its own; here a fault restarts it too, and the
+ * recorder is asked repro_obs_due(o, t - seg_start, seg_len) for the
+ * stretch [seg_start, seg_start + seg_len) between faults (the whole call
+ * when there are none).  A group's members fault together, then run alone
+ * while sparse and rejoin lockstep by the group rule above.
+ * Without faults a round pays one more compare (t against the next fault
+ * round, -1), and a legitimate round one more (its fault_legit slot
+ * against NULL).
+ *
  * Fused observation: when n_obs > 0 the kernel records, at every stride
  * boundary ((t+1) % observe_every == 0) and at the window end, the
  * post-round max load and empty-bin count into (n_obs, R) output buffers,
@@ -219,6 +245,11 @@ typedef struct {
     int32_t sparse_in;  /* rows with at most this many occupied go sparse */
     int32_t sparse_out; /* sparse rows with more than this many go dense */
     repro_obs_t obs;
+    int64_t R;
+    int64_t n_faults;
+    const int64_t *fault_rounds; /* (n_faults,) increasing, in [0, rounds) */
+    const int32_t *fault_bins;   /* (n_faults, R) pile bins, in [0, n) */
+    int64_t *fault_legit;        /* (n_faults, R), or NULL */
 } rbb_ctx;
 
 /* One replica's state within a call. */
@@ -231,6 +262,11 @@ typedef struct {
     int32_t *occ;  /* its occupied bins in any order, NULL until first used */
     int32_t len;   /* bins in occ while the row is sparse, -1 while dense */
     int32_t enter; /* sparse_in, or -1 once occ could not be allocated */
+    int64_t faults;    /* faults it has taken */
+    int64_t fault_at;  /* the round its next fault strikes before, or -1 */
+    int64_t seg_start; /* the first round of its stretch between faults */
+    int64_t seg_len;   /* that stretch's rounds */
+    int64_t *legit;    /* fault_legit slot of its last fault, or NULL */
 } rbb_rep;
 
 /* Draw `words` words into lane[0, 2 * words), low lane first. */
@@ -341,22 +377,28 @@ static void rbb_arrivals(rbb_rep *p, int64_t need, uint32_t un, uint32_t lim)
     p->g = g;
 }
 
-/* Go sparse: list the row's n - empty occupied bins, allocating the list
- * on first use.  Without memory the row stays dense for the whole call. */
-static void rbb_list(const rbb_ctx *c, rbb_rep *p)
+/* p's list, allocated on first use.  Without memory it is NULL and the
+ * row stays dense for the whole call. */
+static int32_t *rbb_occ(const rbb_ctx *c, rbb_rep *p)
 {
     if (!p->occ) {
         /* A sparse round starts with at most sparse_out bins listed and
          * throws one ball per listed bin, so it lists at most twice as
          * many; the scatter writes one slot past the last. */
         p->occ = malloc(sizeof(int32_t) * (2 * (size_t)c->sparse_out + 1));
-        if (!p->occ) {
+        if (!p->occ)
             p->enter = -1;
-            return;
-        }
     }
+    return p->occ;
+}
+
+/* Go sparse: list the row's n - empty occupied bins. */
+static void rbb_list(const rbb_ctx *c, rbb_rep *p)
+{
+    int32_t *occ = rbb_occ(c, p);
+    if (!occ)
+        return;
     const int32_t *row = p->row;
-    int32_t *occ = p->occ;
     const int32_t want = (int32_t)c->n - p->empty;
     int32_t len = 0;
     for (int32_t i = 0; len < want; i++) {
@@ -376,12 +418,16 @@ static inline void rbb_record(rbb_ctx *c, rbb_rep *p, int64_t t, int32_t mx)
         c->max_seen[r] = mx;
     if (p->empty < c->min_empty_seen[r])
         c->min_empty_seen[r] = p->empty;
-    if (c->first_legit[r] < 0 && mx <= c->thr) {
-        c->first_legit[r] = c->rounds_done[r];
-        if (c->stop_when_legitimate)
-            c->active[r] = 0;
+    if (mx <= c->thr) {
+        if (p->legit && *p->legit < 0)
+            *p->legit = c->rounds_done[r];
+        if (c->first_legit[r] < 0) {
+            c->first_legit[r] = c->rounds_done[r];
+            if (c->stop_when_legitimate)
+                c->active[r] = 0;
+        }
     }
-    if (repro_obs_due(&c->obs, t, c->rounds))
+    if (repro_obs_due(&c->obs, t - p->seg_start, p->seg_len))
         repro_obs_record(&c->obs, r, p->k++, p->row, c->n, mx, p->empty,
                          p->len < 0 ? (const int32_t *)0 : p->occ, p->len);
 }
@@ -438,6 +484,45 @@ static void rbb_round(rbb_ctx *c, rbb_rep *p, int64_t t)
     }
 }
 
+/* Before round t, p's next fault: every ball of the row into its pile bin,
+ * which becomes the row's one listed bin, and a new observation stretch
+ * up to the following fault. */
+static void rbb_fault(rbb_ctx *c, rbb_rep *p, int64_t t)
+{
+    const int64_t n = c->n;
+    const int64_t r = p->r;
+    const int64_t f = p->faults++;
+    int32_t *row = p->row;
+    int64_t balls = 0;
+    if (p->len < 0) {
+        for (int64_t i = 0; i < n; i++) {
+            balls += row[i];
+            row[i] = 0;
+        }
+    } else {
+        const int32_t *occ = p->occ;
+        const int32_t len = p->len;
+        for (int32_t i = 0; i < len; i++) {
+            balls += row[occ[i]];
+            row[occ[i]] = 0;
+        }
+    }
+    const int32_t b = c->fault_bins[f * c->R + r];
+    row[b] = (int32_t)balls;
+    p->empty = (int32_t)(n - (balls > 0));
+    if (balls > c->max_seen[r])
+        c->max_seen[r] = (int32_t)balls;
+    p->len = -1;
+    if (p->enter >= 0 && rbb_occ(c, p)) {
+        p->occ[0] = b;
+        p->len = balls > 0;
+    }
+    p->fault_at = p->faults < c->n_faults ? c->fault_rounds[p->faults] : -1;
+    p->seg_start = t;
+    p->seg_len = (p->fault_at < 0 ? c->rounds : p->fault_at) - t;
+    p->legit = c->fault_legit ? c->fault_legit + f * c->R + r : (int64_t *)0;
+}
+
 /* Load replica r's row, stream and empty count; a row that starts with few
  * enough occupied bins starts sparse. */
 static void rbb_start(const rbb_ctx *c, rbb_rep *p, int64_t r)
@@ -457,6 +542,11 @@ static void rbb_start(const rbb_ctx *c, rbb_rep *p, int64_t r)
     p->occ = (int32_t *)0;
     p->len = -1;
     p->enter = c->sparse_in;
+    p->faults = 0;
+    p->fault_at = c->n_faults > 0 ? c->fault_rounds[0] : -1;
+    p->seg_start = 0;
+    p->seg_len = p->fault_at < 0 ? c->rounds : p->fault_at;
+    p->legit = (int64_t *)0;
     if (n - empty <= p->enter)
         rbb_list(c, p);
 }
@@ -541,7 +631,8 @@ static void rbb_lockstep(rbb_ctx *c, rbb_rep *p, int64_t t)
 }
 
 /* Replicas [r0, r0 + 4): a round runs in lockstep while every member is
- * active and dense; otherwise each active member runs it alone. */
+ * active and dense; otherwise each active member runs it alone.  Faults
+ * strike the active members first. */
 static void rbb_group(rbb_ctx *c, int64_t r0)
 {
     rbb_rep p[4];
@@ -551,6 +642,8 @@ static void rbb_group(rbb_ctx *c, int64_t r0)
         int active = 0, dense = 0;
         for (int m = 0; m < 4; m++) {
             const int a = c->active[p[m].r] != 0;
+            if (a && t == p[m].fault_at)
+                rbb_fault(c, &p[m], t);
             active += a;
             dense += a && p[m].len < 0;
         }
@@ -583,8 +676,11 @@ static void rbb_unit(void *vctx, int64_t u, int tid)
 #endif
     rbb_rep p;
     rbb_start(c, &p, 4 * c->groups + (u - c->groups));
-    for (int64_t t = 0; t < c->rounds && c->active[p.r]; t++)
+    for (int64_t t = 0; t < c->rounds && c->active[p.r]; t++) {
+        if (t == p.fault_at)
+            rbb_fault(c, &p, t);
         rbb_round(c, &p, t);
+    }
     rbb_finish(c, &p);
 }
 
@@ -620,6 +716,13 @@ REPRO_ABI int rbb_lockstep_width(void)
  *                point, added to in place, or NULL to skip the histogram
  * obs_overflow   (R,) int64 count of observed loads above hist_k, added to
  *                in place, or NULL
+ * n_faults       number of pile faults; 0 for none (the buffers may be NULL)
+ * fault_rounds   (n_faults,) int64 strictly increasing rounds in [0, rounds):
+ *                fault f strikes before round fault_rounds[f] of this call
+ * fault_bins     (n_faults, R) int32 pile bins in [0, n)
+ * fault_legit    (n_faults, R) int64, -1 on entry; the (1-based, global)
+ *                round at which the replica is first legitimate after fault
+ *                f and before fault f + 1, or -1; may be NULL
  */
 REPRO_ABI void rbb_run(int32_t *loads, int64_t R, int64_t n, int64_t rounds,
              uint64_t *rng_state, double threshold, int stop_when_legitimate,
@@ -627,7 +730,9 @@ REPRO_ABI void rbb_run(int32_t *loads, int64_t R, int64_t n, int64_t rounds,
              int64_t *rounds_done, uint8_t *active, int32_t n_threads,
              int64_t observe_every, int64_t n_obs, int32_t *obs_max,
              int32_t *obs_empty, int64_t *obs_sum, int64_t *obs_sumsq,
-             int64_t hist_k, int64_t *obs_hist, int64_t *obs_overflow)
+             int64_t hist_k, int64_t *obs_hist, int64_t *obs_overflow,
+             int64_t n_faults, const int64_t *fault_rounds,
+             const int32_t *fault_bins, int64_t *fault_legit)
 {
     const uint32_t un = (uint32_t)n;
     rbb_ctx c;
@@ -649,5 +754,10 @@ REPRO_ABI void rbb_run(int32_t *loads, int64_t R, int64_t n, int64_t rounds,
     c.obs = repro_obs_make(R, observe_every, n_obs, obs_max, obs_empty,
                            obs_sum, obs_sumsq, hist_k, obs_hist,
                            obs_overflow);
+    c.R = R;
+    c.n_faults = n_faults > 0 ? n_faults : 0;
+    c.fault_rounds = fault_rounds;
+    c.fault_bins = fault_bins;
+    c.fault_legit = fault_legit;
     repro_for_each_replica(&c, rbb_unit, R - 3 * c.groups, n_threads);
 }

@@ -261,7 +261,7 @@ def run_scenario_batched(
     elif kernels:
         kernel = "mixed"
     else:  # pragma: no cover - a program always holds at least one Run
-        kernel = getattr(process, "kernel_name", "numpy")
+        kernel = process.window_kernel()
     return EnsembleResult(
         n_bins=process.n_bins,
         rounds=executed,

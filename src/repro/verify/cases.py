@@ -207,24 +207,31 @@ def _process_cases(R: int, smoke: bool) -> List[ConformanceCase]:
             )
         )
     if not smoke:
-        cases.append(
-            ConformanceCase(
-                name="faulty-concentrate-batched-native-t2",
-                spec_config={
-                    "n_bins": 3,
-                    "n_replicas": R,
-                    "rounds": 4,
-                    "start": "balanced",
-                    "process": "faulty",
-                    "adversary": "concentrate",
-                    "fault_period": 2,
-                },
-                kernel="native",
-                n_threads=2,
-                horizons=(2, 4),
-                ground_truth="exact_rbb + adversary_matrix",
+        # the rbb kernel strikes the concentrate faults itself; the
+        # segmented case (fused=False) injects them between calls
+        for name, n_threads, fused in (
+            ("faulty-concentrate-batched-native-t2", 2, True),
+            ("faulty-concentrate-batched-native-t1-segmented", 1, False),
+        ):
+            cases.append(
+                ConformanceCase(
+                    name=name,
+                    spec_config={
+                        "n_bins": 3,
+                        "n_replicas": R,
+                        "rounds": 4,
+                        "start": "balanced",
+                        "process": "faulty",
+                        "adversary": "concentrate",
+                        "fault_period": 2,
+                    },
+                    kernel="native",
+                    n_threads=n_threads,
+                    fused=fused,
+                    horizons=(2, 4),
+                    ground_truth="exact_rbb + adversary_matrix",
+                )
             )
-        )
     topologies = ("cycle:3",) if smoke else ("cycle:3", "complete:3", "star:3")
     for topology in topologies:
         for constrained in ((True,) if smoke else (True, False)):

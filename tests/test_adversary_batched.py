@@ -15,6 +15,7 @@ import pytest
 from repro.adversary import (
     Adversary,
     BatchedFaultyProcess,
+    ConcentrateAdversary,
     FaultSchedule,
     FaultyProcess,
     available_adversaries,
@@ -307,11 +308,53 @@ class NegativeLoad(_Recorder):
         return out
 
 
+class PileEater(ConcentrateAdversary):
+    """A concentrate adversary whose own ``reassign_batch`` drops replica
+    2's balls.  Overriding it keeps the faults out of the rbb kernel, so
+    ``inject_loads`` checks each one."""
+
+    def reassign_batch(self, loads, rng):
+        self.seen = np.array(loads, copy=True)
+        out = super().reassign_batch(self.seen.astype(np.int64), rng)
+        out[2] = 0
+        return out
+
+
+class OutOfRangePiles(ConcentrateAdversary):
+    """Piles replica 2's balls into ``bad_bin(n)``: one bin past the last."""
+
+    @staticmethod
+    def bad_bin(n_bins):
+        return n_bins
+
+    def pile_targets(self, n_bins, n_replicas, rng):
+        targets = super().pile_targets(n_bins, n_replicas, rng)
+        targets[2] = self.bad_bin(n_bins)
+        return targets
+
+
+class NegativePiles(OutOfRangePiles):
+    """Piles replica 2's balls into bin -1, which numpy indexing would
+    read as the last bin."""
+
+    @staticmethod
+    def bad_bin(n_bins):
+        return -1
+
+
+class MisshapedPiles(ConcentrateAdversary):
+    """Draws one pile bin too many per fault."""
+
+    def pile_targets(self, n_bins, n_replicas, rng):
+        return super().pile_targets(n_bins, n_replicas + 1, rng)
+
+
 class TestMisbehavingAdversaryInWrapper:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("adversary, reason", [
         (BallEater, "conserve balls in replica 2"),
         (NegativeLoad, "replica 2 has a negative load"),
+        (PileEater, "conserve balls in replica 2"),
     ])
     def test_refused_and_state_unchanged(self, kernel, adversary, reason):
         attacker = adversary()
@@ -326,3 +369,43 @@ class TestMisbehavingAdversaryInWrapper:
         assert np.array_equal(faulty.process.loads, attacker.seen)
         assert faulty.process.rounds_completed.tolist() == [4] * 4
 
+    @pytest.mark.parametrize("kernel, rounds_run", [
+        pytest.param("numpy", 4, id="segmented"),
+        pytest.param("native", 0, id="in_kernel", marks=pytest.mark.skipif(
+            not native_available(), reason="native kernel unavailable"
+        )),
+    ])
+    @pytest.mark.parametrize("adversary, reason", [
+        (OutOfRangePiles, r"pile bins must lie in \[0, 16\)"),
+        (NegativePiles, r"pile bins must lie in \[0, 16\)"),
+        (MisshapedPiles, "pile bins have shape"),
+    ])
+    def test_bad_pile_bins_refused(self, kernel, rounds_run, adversary, reason):
+        """Pile bins pass one check on both fault paths: the segmented loop
+        refuses them at the first fault, after 4 rounds; the rbb kernel,
+        which takes every fault's bins up front, before any round."""
+        def faulty(attacker):
+            return BatchedFaultyProcess(
+                16, 4, adversary=attacker, schedule=FaultSchedule(period=5),
+                seed=3, kernel=kernel,
+            )
+
+        refused = faulty(adversary())
+        with pytest.raises(ConfigurationError, match=reason):
+            refused.run(12)
+        expected = faulty("concentrate").run(rounds_run).final_loads
+        assert np.array_equal(refused.process.loads, expected)
+        assert refused.process.rounds_completed.tolist() == [rounds_run] * 4
+
+
+class TestReportedKernel:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_zero_rounds_report_the_kernel_a_window_runs(self, kernel):
+        faulty = BatchedFaultyProcess(
+            8, 4, schedule=FaultSchedule.every(2), seed=1, kernel=kernel
+        )
+        assert faulty.run(0).kernel == kernel
+        assert faulty.run(3).kernel == kernel
+        plain = BatchedRepeatedBallsIntoBins(8, 4, kernel=kernel)
+        assert plain.run(0).kernel == kernel
+        assert plain.window_kernel() == kernel

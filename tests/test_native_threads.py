@@ -7,9 +7,10 @@ streams, so the parallelization axis cannot reorder any arithmetic) — and
 the fused in-kernel observation path is indistinguishable from the
 segmented Python-side observer loop on every registered metric.
 
-Also covered here: Greedy[1] against the rbb kernel (the stream
-reference for the rbb kernel's blocked and lockstep draws and its sparse
-rounds), the rbb kernel's lockstep width in its status, digests that pin
+Also covered here: concentrate faults struck inside the rbb kernel
+against the segmented fault loop, Greedy[1] against the rbb kernel (the
+stream reference for the rbb kernel's blocked and lockstep draws and its
+sparse rounds), the rbb kernel's lockstep width in its status, digests that pin
 every kernel's streams, legitimacy thresholds beyond int32, the
 flag-aware binary cache key, the by-name kernel argument helper,
 thread-count resolution precedence, the exact-moments tracker, and the
@@ -28,8 +29,13 @@ import numpy as np
 import pytest
 
 import repro.core.batched as batched
+from repro.adversary import BatchedFaultyProcess, FaultSchedule
 from repro.baselines.d_choices import BatchedDChoices
-from repro.core.batched import BatchedRepeatedBallsIntoBins, make_ensemble_initial
+from repro.core.batched import (
+    BatchedRepeatedBallsIntoBins,
+    PileFaults,
+    make_ensemble_initial,
+)
 from repro.core.native import (
     KERNEL_ABI,
     available_cpu_count,
@@ -426,14 +432,15 @@ class TestFaultyHistogramFusion:
     ):
         spec = EnsembleSpec(**dict(self.SPEC, n_bins=n_bins))
         fused = run_ensemble(spec, seed=4, kernel="native", n_threads=n_threads)
-        # faults strike before rounds 32, 64 and 96: four fault-free stretches
-        assert kernel_calls == ["rbb"] * 4
+        # faults strike before rounds 32, 64 and 96, inside the one call
+        assert kernel_calls == ["rbb"]
         monkeypatch.setenv("REPRO_NATIVE_FUSED", "0")
         segmented = run_ensemble(
             spec, seed=4, kernel="native", n_threads=n_threads
         )
-        # 31, 32 and 32 rounds at stride 8, then 1 round
-        assert len(kernel_calls) == 4 + 13
+        # four fault-free stretches: 31, 32 and 32 rounds at stride 8, then
+        # 1 round
+        assert len(kernel_calls) == 1 + 13
         for field in (
             "final_loads", "max_load_seen", "min_empty_bins_seen",
             "first_legitimate_round",
@@ -444,6 +451,186 @@ class TestFaultyHistogramFusion:
         _assert_payloads_equal(fused.metrics, segmented.metrics, "faulty")
         counts = fused.metrics["histogram"].arrays["counts"]
         assert (counts.sum(axis=1) == 13 * spec.n_bins).all()
+
+
+# ---------------------------------------------------------------------
+# Concentrate faults inside the rbb kernel == the segmented fault loop
+# ---------------------------------------------------------------------
+def _faults(*rounds):
+    return FaultSchedule(explicit_rounds=frozenset(rounds))
+
+
+#: (n, R, rounds, schedule, metrics, observe_every, start) of the faulty
+#: runs.  ``first_round`` faults before round 1 and in consecutive rounds;
+#: ``stride`` has a period that is no multiple of the stride; in
+#: ``dense_rejoin`` (n = 256, period 700) the rows leave the sparse rounds
+#: long before the next fault and the groups rejoin lockstep; R = 7, 9 and
+#: 13 run groups of 4 plus a tail.  ``start`` builds the initial
+#: configuration: ``uneven`` empties replica 1 and gives replica 4 three
+#: balls per bin; ``n_balls`` is forwarded.
+FAULT_CASES = [
+    pytest.param(
+        64, 9, 60, _faults(1, 2, 30), "max_load,legitimacy,histogram", 4, {},
+        id="first_round",
+    ),
+    pytest.param(
+        1024, 7, 80, _faults(20, 21, 22, 60), "moments,histogram", 8, {},
+        id="consecutive",
+    ),
+    pytest.param(
+        64, 13, 100, FaultSchedule.every(30), "max_load,legitimacy,histogram",
+        7, {}, id="stride",
+    ),
+    pytest.param(
+        256, 9, 1500, FaultSchedule.every(700),
+        "max_load,legitimacy,histogram", 50, {}, id="dense_rejoin",
+    ),
+    pytest.param(
+        1, 7, 30, FaultSchedule.every(4), "moments,histogram", 3, {}, id="n1",
+    ),
+    pytest.param(3, 13, 40, FaultSchedule.every(3), None, 1, {}, id="n3"),
+    pytest.param(
+        2048, 9, 120, FaultSchedule.every(50),
+        "max_load,legitimacy,histogram", 16, {}, id="n2048",
+    ),
+    pytest.param(
+        64, 7, 70, FaultSchedule.every(20), "moments,histogram", 6,
+        {"uneven": True}, id="uneven",
+    ),
+    pytest.param(
+        1024, 13, 130, FaultSchedule.every(40),
+        "max_load,legitimacy,histogram", 10, {"n_balls": 100}, id="n_balls",
+    ),
+    pytest.param(
+        64, 9, 96, FaultSchedule.every(32), None, 1, {}, id="unobserved",
+    ),
+]
+
+
+def _assert_faulty_equal(a, b):
+    """Every field of two :class:`BatchedFaultyResult` is equal."""
+    assert a.fault_rounds == b.fault_rounds
+    for field in (
+        "recovery_times", "first_legitimate_round", "max_load_seen",
+        "min_empty_bins_seen", "final_loads",
+    ):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.kernel == b.kernel == "native"
+
+
+@needs_native
+class TestFaultsInKernel:
+    """A concentrate fault is fixed by its pile bins, so the rbb kernel
+    strikes a whole window's faults itself, in one call.  The reference is
+    the segmented loop (one call per fault-free stretch, each fault through
+    ``inject_loads``), which ``REPRO_NATIVE_FUSED=0`` forces."""
+
+    @staticmethod
+    def _run(n, R, rounds, schedule, metrics, observe_every, start, **kwargs):
+        if start.get("uneven"):
+            initial = make_ensemble_initial("balanced", n, R)
+            initial[1] = 0
+            initial[4] = 3
+            kwargs["initial"] = initial
+        trackers = build_trackers(metrics)
+        faulty = BatchedFaultyProcess(
+            n, R, schedule=schedule, kernel="native",
+            n_balls=start.get("n_balls"), **kwargs,
+        )
+        result = faulty.run(
+            rounds, observers=[t for _, t in trackers] or None,
+            observe_every=observe_every,
+        )
+        return result, {name: t.payload() for name, t in trackers}
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize(
+        "n, R, rounds, schedule, metrics, observe_every, start", FAULT_CASES
+    )
+    def test_one_call_matches_segmented(
+        self, n, R, rounds, schedule, metrics, observe_every, start, n_threads,
+        kernel_calls, monkeypatch,
+    ):
+        case = (n, R, rounds, schedule, metrics, observe_every, start)
+        in_kernel, in_kernel_payloads = self._run(
+            *case, seed=7, n_threads=n_threads
+        )
+        assert kernel_calls == ["rbb"]
+        monkeypatch.setenv("REPRO_NATIVE_FUSED", "0")
+        segmented, segmented_payloads = self._run(
+            *case, seed=7, n_threads=n_threads
+        )
+        # at least one call for the stretch after each fault
+        assert len(kernel_calls) >= 1 + len(segmented.fault_rounds)
+        _assert_faulty_equal(in_kernel, segmented)
+        _assert_payloads_equal(in_kernel_payloads, segmented_payloads, "faults")
+        assert in_kernel.fault_rounds  # the adversary struck
+        balls = in_kernel.final_loads.sum(axis=1)
+        assert (in_kernel.max_load_seen >= balls).all()  # every pile counted
+        if n == 256:
+            assert (in_kernel.recovery_times >= 0).any()
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_shared_generator_runs_segmented(
+        self, n_threads, kernel_calls, monkeypatch
+    ):
+        """With one ``Generator`` for adversary and process, the process's
+        first kernel call draws the native states from the adversary's
+        stream, between two faults' pile bins, so the faults stay between
+        calls."""
+        def run():
+            return self._run(
+                64, 9, 70, FaultSchedule.every(20), "histogram", 5, {},
+                seed=np.random.default_rng(11), n_threads=n_threads,
+            )
+
+        shared, shared_payloads = run()
+        assert kernel_calls == ["rbb"] * 4
+        monkeypatch.setenv("REPRO_NATIVE_FUSED", "0")
+        segmented, segmented_payloads = run()
+        _assert_faulty_equal(shared, segmented)
+        _assert_payloads_equal(shared_payloads, segmented_payloads, "shared")
+
+    def _process(self, **kwargs):
+        return BatchedRepeatedBallsIntoBins(
+            16, 4, seed=1, kernel="native", **kwargs
+        )
+
+    @pytest.mark.parametrize("rounds_at, bins, reason", [
+        ([2, 5], np.zeros((2, 4), dtype=float), "integers, got float64"),
+        ([2, 5], np.zeros((2, 3), dtype=int), r"shape \(2, 3\), expected \(2, 4\)"),
+        ([2, 5], np.full((2, 4), -1), r"lie in \[0, 16\)"),
+        ([5, 2], np.zeros((2, 4), dtype=int), "increase strictly"),
+        ([2, 2], np.zeros((2, 4), dtype=int), "increase strictly"),
+        ([2, 8], np.zeros((2, 4), dtype=int), r"within \[0, 8\)"),
+        ([2.0, 5.0], np.zeros((2, 4), dtype=int), "vector of integers"),
+    ])
+    def test_bad_piles_refused_before_any_round(self, rounds_at, bins, reason):
+        process = self._process()
+        before = process.loads.copy()
+        with pytest.raises(ConfigurationError, match=reason):
+            process.advance_window(8, piles=PileFaults(np.asarray(rounds_at), bins))
+        assert np.array_equal(process.loads, before)
+        assert process.rounds_completed.tolist() == [0] * 4
+
+    def test_window_the_kernel_cannot_take_refused(self, monkeypatch):
+        piles = PileFaults(np.array([2]), np.zeros((1, 4), dtype=int))
+        with pytest.raises(ConfigurationError, match="early stop"):
+            self._process().advance_window(
+                8, stop_when_legitimate=True, piles=piles
+            )
+        frozen = self._process()
+        frozen.deactivate(np.array([False, True, False, False]))
+        assert not frozen.takes_piles(8)
+        numpy = BatchedRepeatedBallsIntoBins(16, 4, seed=1, kernel="numpy")
+        assert not numpy.takes_piles(8)
+        with pytest.raises(ConfigurationError, match="pile faults need"):
+            numpy.advance_window(8, piles=piles)
+        assert not BatchedDChoices(16, 4, d=2, seed=1).takes_piles(8)
+        assert self._process().takes_piles(8, build_trackers("histogram")[0][1])
+        assert not self._process().takes_piles(8, build_trackers("trace")[0][1])
+        monkeypatch.setenv("REPRO_NATIVE_FUSED", "0")
+        assert not self._process().takes_piles(8)
 
 
 # ---------------------------------------------------------------------
@@ -810,6 +997,10 @@ class TestKernelArgs:
             "hist_k": 0,
             "obs_hist": None,
             "obs_overflow": None,
+            "n_faults": 0,
+            "fault_rounds": None,
+            "fault_bins": None,
+            "fault_legit": None,
         }
 
     def test_declared_order_and_types(self):

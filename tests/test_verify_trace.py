@@ -165,6 +165,23 @@ class TestFusedVsSegmented:
         )
         assert violations == [], [v.describe() for v in violations]
 
+    def test_bit_identical_with_concentrate_faults(self):
+        # fused: the rbb kernel strikes the faults inside one call;
+        # segmented: one call per fault-free stretch, faults injected between
+        spec = {
+            **BASE_SPEC,
+            "n_bins": 16,
+            "n_replicas": 9,
+            "rounds": 40,
+            "process": "faulty",
+            "adversary": "concentrate",
+            "fault_period": 11,
+            "observe_every": 3,
+            "metrics": "moments",
+        }
+        violations = fused_vs_segmented(spec, seed=4, n_threads=2)
+        assert violations == [], [v.describe() for v in violations]
+
     def test_dropped_fused_histogram_overflow_is_caught(self, monkeypatch):
         ingest = BatchedLoadHistogramTracker.ingest_fused
 
