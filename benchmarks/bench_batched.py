@@ -340,7 +340,7 @@ def check_targets(cases: Dict[str, dict]) -> List[str]:
         speedup = cases[name]["speedup"]
         if speedup < target:
             failures.append(
-                f"{label} speedup {speedup:.2f}x < {target:.1f}x target"
+                f"{label} speedup {speedup:.2f}x < {target:.2f}x target"
             )
 
     rbb_floor = prorated(RBB_TARGET, RBB_PER_CORE_FLOOR)

@@ -36,15 +36,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .experiments import (
-    available_experiments,
-    format_table,
-    get_experiment,
-    run_experiment,
-    save_result_csv,
-    save_result_json,
-)
 from .errors import ReproError
+from .experiments.tables import format_table
 
 __all__ = ["main", "build_parser"]
 
@@ -370,6 +363,8 @@ def _parse_overrides(pairs: List[str]) -> dict:
 
 
 def _cmd_list() -> int:
+    from .experiments import available_experiments
+
     rows = [
         {
             "id": spec.experiment_id,
@@ -383,6 +378,8 @@ def _cmd_list() -> int:
 
 
 def _cmd_describe(experiment_id: str) -> int:
+    from .experiments import get_experiment
+
     spec = get_experiment(experiment_id)
     print(f"{spec.experiment_id}: {spec.title}")
     print(f"  claim          : {spec.claim}")
@@ -394,6 +391,8 @@ def _cmd_describe(experiment_id: str) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .experiments import run_experiment, save_result_csv, save_result_json
+
     overrides = _parse_overrides(args.param)
     result = run_experiment(args.experiment_id, params=overrides or None, seed=args.seed)
     style = "markdown" if args.markdown else "text"

@@ -36,14 +36,15 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .topology import Topology
 from ..errors import GraphError
 from ..rng import as_generator
 from ..types import SeedLike
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "complete_graph",
@@ -131,6 +132,8 @@ def random_regular_graph(n: int, degree: int, seed: SeedLike = None) -> Topology
         raise GraphError(f"degree must be in [2, n), got {degree}")
     if (n * degree) % 2 != 0:
         raise GraphError(f"n * degree must be even, got n={n}, degree={degree}")
+    import networkx as nx  # lazy: keeps networkx out of `import repro.graphs`
+
     rng = as_generator(seed)
     for _ in range(32):
         graph = nx.random_regular_graph(degree, n, seed=int(rng.integers(2**31)))
@@ -296,6 +299,8 @@ def from_networkx(graph: "nx.Graph", name: Optional[str] = None) -> Topology:
     """Convert a NetworkX graph (nodes relabelled to 0..n-1) into a Topology."""
     if graph.number_of_nodes() == 0:
         raise GraphError("graph must contain at least one node")
+    import networkx as nx  # lazy: keeps networkx out of `import repro.graphs`
+
     relabelled = nx.convert_node_labels_to_integers(graph, ordering="sorted")
     n = relabelled.number_of_nodes()
     adjacency = [sorted(relabelled.neighbors(u)) for u in range(n)]

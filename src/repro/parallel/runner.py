@@ -11,8 +11,9 @@ Pool workers start from a ``forkserver`` context, never a plain ``fork``
 of the caller: once the caller has run an OpenMP region on two or more
 threads (a threaded native kernel), a forked child inherits libgomp's
 thread-pool state without its threads and deadlocks in its next
-parallel region.  The fork server preloads ``repro``, so only the first
-pool of a process pays for starting it and importing the package.
+parallel region.  The fork server preloads the modules trials run (the
+ensemble engine and the experiment registry), so only the first pool of
+a process pays for starting it and importing them.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ def _execute_trial(payload) -> Any:
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
-    """The pool's start context: a fork server that has imported ``repro``."""
+    """The pool's start context: a fork server that has imported what trials run."""
     context = multiprocessing.get_context("forkserver")
-    context.set_forkserver_preload(["repro"])
+    context.set_forkserver_preload(["repro.parallel.ensemble", "repro.experiments.registry"])
     return context
 
 

@@ -280,6 +280,38 @@ def test_sharded_run_after_threaded_native_run_returns():
     assert proc.returncode == 0, output
 
 
+#: A trial module that imports nothing from repro: unpickling a trial loads
+#: `repro.parallel`, never the experiment registry, so a worker holds the
+#: registry only if the fork server preloaded it.
+_PRELOAD_PROBE = textwrap.dedent("""
+    import sys
+
+    def registry_loaded(trial_index, seed):
+        return "repro.experiments.registry" in sys.modules
+""")
+
+_RUN_PRELOAD_PROBE = textwrap.dedent("""
+    import preload_probe
+    from repro.parallel.runner import run_trials
+
+    print(run_trials(preload_probe.registry_loaded, 2, seed=0, n_workers=2))
+""")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
+def test_pool_workers_start_with_the_experiment_registry_loaded(tmp_path):
+    (tmp_path / "preload_probe.py").write_text(_PRELOAD_PROBE)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_PRELOAD_PROBE],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(tmp_path)])),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[True, True]"
+
+
 # ----------------------------------------------------------------------
 # aggregation
 # ----------------------------------------------------------------------

@@ -157,22 +157,61 @@ class TestQuickstartDocExample:
         assert hit is not None and hit <= 20 * 1024
 
 
+#: Modules none of the entry points below may load: third-party packages
+#: imported inside the functions that use them, and subsystems only their
+#: own calls need (the experiment registry, exact chains, traversal,
+#: conformance harness and linter).
+LAZY_MODULES = (
+    "scipy",
+    "networkx",
+    "repro.experiments.registry",
+    "repro.markov",
+    "repro.traversal",
+    "repro.verify",
+    "repro.lint",
+)
+
+IMPORT_BUDGETS = {
+    "import_repro": ("import repro", LAZY_MODULES),
+    # what perfbench's setup imports before its first op
+    "ensemble_sweep_store": (
+        "import repro.parallel.ensemble, repro.sweeps.scheduler, repro.store",
+        LAZY_MODULES,
+    ),
+    # `repro --help` runs no simulation, so it needs no numpy either
+    "cli_parser": (
+        "from repro.cli import build_parser; build_parser().format_help()",
+        LAZY_MODULES + ("numpy",),
+    ),
+}
+
+
 class TestImportCost:
-    def test_import_repro_leaves_scipy_unloaded(self):
-        """scipy.stats is imported inside the functions that use it, so a
-        fresh interpreter's ``import repro`` loads no scipy module."""
-        env = dict(os.environ, PYTHONPATH=str(SRC))
+    @pytest.mark.parametrize("entry", sorted(IMPORT_BUDGETS))
+    def test_entry_point_leaves_lazy_modules_unloaded(self, entry):
+        """A fresh interpreter running the entry point loads none of them."""
+        code, unloaded = IMPORT_BUDGETS[entry]
+        probe = f"import sys; {code}; print([m for m in {unloaded!r} if m in sys.modules])"
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, repro; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-            ],
+            [sys.executable, "-c", probe],
             capture_output=True,
             text=True,
-            env=env,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestLazyNamespace:
+    def test_star_import_binds_every_public_name(self):
+        namespace: dict = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+
+    def test_dir_lists_every_public_name(self):
+        assert set(repro.__all__) <= set(dir(repro))
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
