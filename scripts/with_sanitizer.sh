@@ -16,6 +16,14 @@
 # fork/join edges from the race detector (stock libgomp is not
 # TSan-instrumented), so the loader never builds one for tsan.
 #
+# Under asan and ubsan it asserts that every kernel reports the same
+# lockstep width ("[lockstep=N]", the rbb and greedy_d kernels) as the
+# unsanitized build.  A leg whose build lost -march=native would run every
+# replica alone, and the tests that compare lockstep groups with the
+# lane-by-lane loop would compare that loop with itself and pass.  TSan
+# builds drop -march=native on purpose (see repro.core.native), so they
+# run every replica alone and are exempt.
+#
 # The probe and the command both run as children of a small Python
 # driver rather than directly from this shell: TSan's startup is
 # sensitive to the address-space layout it inherits, and spawning from a
@@ -77,10 +85,27 @@ if runtime:
     tail = env.get("LD_PRELOAD")
     env["LD_PRELOAD"] = f"{runtime}:{tail}" if tail else runtime
 
+# Each kernel's "[lockstep=N]" suffix, or "" for a kernel without groups.
+widths = (
+    "import json, re\n"
+    "from repro.core.native import KERNEL_NAMES, native_status\n"
+    "print(json.dumps({kernel: ''.join(re.findall(r' \\[lockstep=\\d+\\]$',\n"
+    "    native_status(kernel))) for kernel in KERNEL_NAMES}))\n"
+)
+plain = "{}"
+if env["REPRO_SANITIZE"] != "tsan":
+    plain_env = {k: v for k, v in os.environ.items() if k != "REPRO_SANITIZE"}
+    plain = subprocess.run(
+        [sys.executable, "-c", widths], env=plain_env, capture_output=True,
+        text=True, check=True,
+    ).stdout.strip()
+
 probe = (
+    "import json, sys\n"
     "from repro.core.native import (KERNEL_NAMES, native_available,\n"
     "    native_status, native_threading, sanitize_mode)\n"
     "mode = sanitize_mode()\n"
+    "plain = json.loads(sys.argv[1])\n"
     "for kernel in KERNEL_NAMES:\n"
     "    status = native_status(kernel)\n"
     "    assert native_available(kernel), f'{kernel}: {status}'\n"
@@ -88,9 +113,13 @@ probe = (
     "    if mode == 'tsan':\n"
     "        threading = native_threading(kernel)\n"
     "        assert threading == 'pthreads', f'{kernel}: {threading}: {status}'\n"
+    "    else:\n"
+    "        assert status.endswith(plain[kernel]), (\n"
+    "            f'{kernel}: unsanitized build ends in {plain[kernel]!r}: {status}')\n"
+    "        assert plain[kernel] or '[lockstep=' not in status, f'{kernel}: {status}'\n"
     "    print(f'[with_sanitizer] {kernel}: {status}', flush=True)\n"
 )
-rc = subprocess.run([sys.executable, "-c", probe], env=env).returncode
+rc = subprocess.run([sys.executable, "-c", probe, plain], env=env).returncode
 if rc != 0:
     print("with_sanitizer.sh: instrumented kernels failed to load", file=sys.stderr)
     sys.exit(rc)

@@ -12,23 +12,65 @@
  * per-replica early stop on legitimacy are maintained in-kernel so a whole
  * `run()` costs a single FFI call.
  *
- * Threading and fused observation follow rbb_kernel.c, the layout only in
- * part: the loop is replica-major, each replica running all its rounds
- * before the next, but with no lockstep replica groups (the cost here is
- * the dependent placement loop, not the draws).  Replicas are fanned out
- * by repro_for_each_replica() (core/_kernel_common.h), and when n_obs > 0
- * the shared recorder of that header writes the post-round max load and
- * empty-bin count into (n_obs, R) buffers at every stride boundary and at
- * the window end, plus the load sum and sum of squares and the per-replica
- * load histogram when those buffers are non-NULL.
+ * Layout and parallelism follow rbb_kernel.c: the work unit is a group of
+ * 4 consecutive replicas that step through their rounds together
+ * ("lockstep"), or a single replica, and a unit runs all its rounds before
+ * the next starts.  repro_for_each_replica() (core/_kernel_common.h) hands
+ * out the floor(R / 4) groups first, then the R mod 4 tail replicas one by
+ * one (all R one by one where groups do not run: d = 1, n > 65536, or a
+ * build whose vectors are too narrow; see Lockstep groups in that header).
+ * When n_obs > 0 the shared recorder of that header writes the post-round
+ * max load and empty-bin count into (n_obs, R) buffers at every stride
+ * boundary and at the window end, plus the load sum and sum of squares and
+ * the per-replica load histogram when those buffers are non-NULL.
+ *
+ * A round is a departure pass over the row, which also collects the ball
+ * count cnt, the max and the empty count, then the cnt placements, which
+ * keep the max and the empty count up to date.  A replica alone draws its
+ * d * cnt candidates lane by lane and places each ball into the first
+ * least-loaded candidate, which defines the stream.  A group's round runs
+ * every member's departures, then draws the first W = min over the members
+ * of ceil(d * cnt / 2) words of every member's round at once
+ * (repro_draw4()).  Each member maps its lanes to bins in on-stack blocks
+ * (repro_block_map()), places the balls whose d candidates lie in the
+ * block, carries a ball whose candidates straddle two blocks over to the
+ * next, and then draws its remaining candidates lane by lane.  A group
+ * runs a round in lockstep only while all four members are active; a
+ * round in which one is frozen or stopped early runs each active member
+ * alone.
+ *
+ * Placements that do not wait on their compares: a placement alone does
+ * row[best] = min + 1, a store whose address depends on the compares of
+ * the loads it follows, so the next ball's loads wait for them.  A block's
+ * placements store every candidate's load back instead, last-drawn first,
+ * with 1 added to the first least-loaded one's; a candidate drawn twice is
+ * written last at its first draw, which is the one that can be best, so the
+ * loads are the same.  Every store address is then known when the
+ * candidates are drawn.  d = 2, 3 and 4 run as compile-time constants, any
+ * larger d through a loop (a loop over d gave 0.97-1.08x at d = 3 and 4 in
+ * a scratch build).  Neither half pays alone: at n = 1024, d = 2, lockstep
+ * draws alone ran 1.03x and storing every candidate alone 1.05x as fast as
+ * the lane-by-lane loop, and both together 1.48x.
+ *
+ * Where a ball often shares a candidate with the ball before it (with
+ * probability about d^2 / n), its load waits for that ball's compares, for
+ * any of the d stored candidates rather than only the best, and groups
+ * gain nothing.  Alternating calls of both builds on one thread (2-vCPU
+ * Xeon VM, AVX-512, gcc 12, balanced starts, medians of 15 pairs, group
+ * path against the lane-by-lane loop): at d^2 / n = 1/2 and above the
+ * groups ran 0.88x (n = 16, d = 4), 0.91x (n = 32, d = 4) and 0.95x
+ * (n = 16, d = 3); at 1/4, 1.03x (n = 16, d = 2) and 1.05x (n = 36,
+ * d = 3).  Groups run there anyway: such rows are tiny, and the exact-
+ * chain checks of repro verify (n = 3 and 4) then cover the group path.
  *
  * Randomness: each replica owns an independent xoshiro256++ stream seeded
  * by the caller.  Candidates are drawn with Lemire's unbiased reduction,
- * two 32-bit lanes per 64-bit draw, and the lane buffer is reset at every
- * round boundary, so fused, segmented and whole-window runs follow the
- * exact same trajectory for every thread count.  With d == 1 the draws are
- * consumed exactly as rbb_kernel.c consumes them, so Greedy[1] reproduces
- * the native rbb trajectory.
+ * two 32-bit lanes per 64-bit draw, and every round starts on a fresh word,
+ * so fused, segmented and whole-window runs follow the exact same
+ * trajectory for every thread count, and a group's blocks take exactly the
+ * lanes of the lane-by-lane loop (_kernel_common.h).  With d == 1 the
+ * draws are consumed exactly as rbb_kernel.c consumes them, so Greedy[1]
+ * reproduces the native rbb trajectory.
  *
  * Compiled on demand by repro.core.native via the system C compiler; the
  * pure-numpy kernel in repro.baselines.d_choices is the semantic reference.
@@ -49,85 +91,301 @@ typedef struct {
     int64_t *first_legit;
     int64_t *rounds_done;
     uint8_t *active;
-    uint32_t lim; /* Lemire rejection threshold for n */
+    uint32_t lim;   /* Lemire rejection threshold for n */
+    int64_t groups; /* lockstep groups, replicas [0, 4 * groups) */
     repro_obs_t obs;
 } greedy_ctx;
 
-static void greedy_replica(void *vctx, int64_t r, int tid)
+/* One replica's state within a call, and within the round it is in. */
+typedef struct {
+    int64_t r;
+    int32_t *row;
+    rng_t g;   /* a local copy of its xoshiro state */
+    int64_t k; /* next fused observation slot */
+    int32_t mx;      /* the round's max load so far */
+    int64_t empty;   /* and its empty-bin count */
+    int64_t need;    /* candidates the round has still to take */
+    int64_t seen;    /* candidates of a ball straddling two blocks, or 0 */
+    uint32_t best;   /* that ball's first least-loaded candidate so far */
+    int32_t best_load;
+} greedy_rep;
+
+/* Departures: every non-empty bin loses one ball; the same pass collects
+ * the post-departure max and empty count.  Returns the ball count. */
+static inline int64_t greedy_depart(greedy_rep *p, int64_t n)
 {
-    greedy_ctx *c = (greedy_ctx *)vctx;
+    int32_t *row = p->row;
+    int64_t cnt = 0;
+    int32_t mx = 0;
+    int64_t empty = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t l0 = row[i];
+        const int32_t ne = l0 > 0;
+        const int32_t l = l0 - ne;
+        row[i] = l;
+        cnt += ne;
+        if (l > mx)
+            mx = l;
+        empty += (l == 0);
+    }
+    p->mx = mx;
+    p->empty = empty;
+    return cnt;
+}
+
+/* Count a ball that raised a bin to v into the round's max and empty
+ * count. */
+static inline void greedy_placed(int32_t v, int32_t *mx, int64_t *empty)
+{
+    *empty -= (v == 1);
+    if (v > *mx)
+        *mx = v;
+}
+
+/* Place `balls` balls one at a time, each into the first least-loaded of d
+ * candidates drawn lane by lane from L: the stream's definition.  The
+ * selection is branchless because the compare outcome is random. */
+static inline void greedy_lanes(greedy_rep *p, lanes_t *L, int64_t balls,
+                                int64_t d, uint32_t un, uint32_t lim)
+{
+    int32_t *row = p->row;
+    int32_t mx = p->mx;
+    int64_t empty = p->empty;
+    for (int64_t j = 0; j < balls; j++) {
+        uint32_t best = bounded(L, un, lim);
+        int32_t best_load = row[best];
+        for (int64_t e = 1; e < d; e++) {
+            const uint32_t cand = bounded(L, un, lim);
+            const int32_t l = row[cand];
+            const int better = l < best_load;
+            best = better ? cand : best;
+            best_load = better ? l : best_load;
+        }
+        const int32_t v = best_load + 1;
+        row[best] = v;
+        greedy_placed(v, &mx, &empty);
+    }
+    p->mx = mx;
+    p->empty = empty;
+}
+
+/* The end of round t: the window metrics, the early stop and the fused
+ * recorder. */
+static void greedy_record(greedy_ctx *c, greedy_rep *p, int64_t t)
+{
+    const int64_t r = p->r;
+    c->rounds_done[r]++;
+    if (p->mx > c->max_seen[r])
+        c->max_seen[r] = p->mx;
+    if ((int32_t)p->empty < c->min_empty_seen[r])
+        c->min_empty_seen[r] = (int32_t)p->empty;
+    if (c->first_legit[r] < 0 && p->mx <= c->thr) {
+        c->first_legit[r] = c->rounds_done[r];
+        if (c->stop_when_legitimate)
+            c->active[r] = 0;
+    }
+    if (repro_obs_due(&c->obs, t, c->rounds))
+        repro_obs_record(&c->obs, r, p->k++, p->row, c->n, p->mx, p->empty,
+                         (const int32_t *)0, 0);
+}
+
+/* Round t of one replica on its own, lane by lane. */
+static void greedy_round(greedy_ctx *c, greedy_rep *p, int64_t t)
+{
+    lanes_t L = {&p->g, 0, 0};
+    const int64_t cnt = greedy_depart(p, c->n);
+    greedy_lanes(p, &L, cnt, c->d, (uint32_t)c->n, c->lim);
+    greedy_record(c, p, t);
+}
+
+/* Load replica r's row and stream. */
+static void greedy_start(const greedy_ctx *c, greedy_rep *p, int64_t r)
+{
+    const uint64_t *state = c->rng_state + 4 * r;
+    p->r = r;
+    p->row = c->loads + r * c->n;
+    for (int w = 0; w < 4; w++)
+        p->g.s[w] = state[w];
+    p->k = 0;
+    p->seen = 0;
+}
+
+/* Store replica p's stream and fill its remaining observation points. */
+static void greedy_finish(const greedy_ctx *c, const greedy_rep *p)
+{
+    uint64_t *state = c->rng_state + 4 * p->r;
+    for (int w = 0; w < 4; w++)
+        state[w] = p->g.s[w];
+    repro_obs_finish(&c->obs, p->r, p->k, p->row, c->n);
+}
+
+#if REPRO_LOCKSTEP == 4
+/* Candidate `cand` of the ball whose candidates straddle two blocks; its
+ * last one places it into the first least-loaded of them. */
+static inline void greedy_straddle(greedy_rep *p, uint32_t cand, int64_t d)
+{
+    const int32_t l = p->row[cand];
+    if (p->seen == 0 || l < p->best_load) {
+        p->best = cand;
+        p->best_load = l;
+    }
+    if (++p->seen == d) {
+        const int32_t v = p->best_load + 1;
+        p->row[p->best] = v;
+        greedy_placed(v, &p->mx, &p->empty);
+        p->seen = 0;
+    }
+}
+
+/* Place `balls` balls onto candidates cand[d * j, d * j + d): each stores
+ * every candidate's load back, last-drawn first, the first least-loaded
+ * one's plus 1.  With d a constant up to 4 (the callers pass literals) the
+ * loads stay in registers; a larger d re-reads them, adding 0 to all but
+ * the best. */
+static inline __attribute__((always_inline)) void
+greedy_whole(greedy_rep *p, const uint32_t *cand, int64_t balls,
+             const int64_t d)
+{
+    int32_t *row = p->row;
+    int32_t mx = p->mx;
+    int64_t empty = p->empty;
+    for (int64_t j = 0; j < balls; j++, cand += d) {
+        int32_t l[4];
+        int64_t best = 0;
+        int32_t best_load = row[cand[0]];
+        l[0] = best_load;
+        for (int64_t e = 1; e < d; e++) {
+            const int32_t le = row[cand[e]];
+            const int better = le < best_load;
+            best = better ? e : best;
+            best_load = better ? le : best_load;
+            if (d <= 4)
+                l[e] = le;
+        }
+        for (int64_t e = d - 1; e >= 0; e--) {
+            if (d <= 4)
+                row[cand[e]] = l[e] + (e == best);
+            else
+                row[cand[e]] += e == best;
+        }
+        greedy_placed(best_load + 1, &mx, &empty);
+    }
+    p->mx = mx;
+    p->empty = empty;
+}
+
+/* Take a lockstep block's m lanes into p's round: its accepted lanes in
+ * order, at most p->need of them (the rest is the high lane of the round's
+ * last word).  The ball straddling the previous block is finished first,
+ * then the block's whole balls are placed, and its last, partial one
+ * carries over. */
+static void greedy_block(greedy_rep *p, const uint32_t *lane, uint32_t *cand,
+                         int64_t m, int64_t d, uint32_t un, uint32_t lim)
+{
+    int64_t got = repro_block_map(lane, cand, m, un, lim);
+    if (got > p->need)
+        got = p->need;
+    p->need -= got;
+    int64_t i = 0;
+    while (p->seen && i < got)
+        greedy_straddle(p, cand[i++], d);
+    const int64_t balls = (got - i) / d;
+    switch (d) {
+    case 2:
+        greedy_whole(p, cand + i, balls, 2);
+        break;
+    case 3:
+        greedy_whole(p, cand + i, balls, 3);
+        break;
+    case 4:
+        greedy_whole(p, cand + i, balls, 4);
+        break;
+    default:
+        greedy_whole(p, cand + i, balls, d);
+    }
+    for (i += balls * d; i < got; i++)
+        greedy_straddle(p, cand[i], d);
+}
+
+/* Round t of a group in lockstep: every member is active. */
+static void greedy_lockstep(greedy_ctx *c, greedy_rep *p, int64_t t)
+{
     const int64_t n = c->n;
     const int64_t d = c->d;
     const uint32_t un = (uint32_t)n;
     const uint32_t lim = c->lim;
-    const int32_t thr = c->thr;
-    int32_t *row = c->loads + r * n;
-    rng_t *g = (rng_t *)(c->rng_state + 4 * r);
-    int64_t k = 0; /* next fused observation slot */
-    (void)tid;
-
-    for (int64_t t = 0; t < c->rounds; t++) {
-        if (!c->active[r])
-            break;
-        lanes_t L = {g, 0, 0};
-
-        /* departures: every non-empty bin loses one ball; the same pass
-         * collects the ball count, the max and the empty count.
-         * rbb_kernel.c splits this work instead: its departure pass only
-         * subtracts, the count comes from the previous round's empty
-         * count, and the max and empty count from a pass after the
-         * arrivals; while few bins are occupied it runs all three over a
-         * list of those bins rather than the row.  Here every round scans
-         * the row, and the recorder is passed no list. */
-        int64_t cnt = 0;
-        int32_t mx = 0;
-        int64_t empty = 0;
-        for (int64_t i = 0; i < n; i++) {
-            const int32_t l0 = row[i];
-            const int32_t ne = l0 > 0;
-            const int32_t l = l0 - ne;
-            row[i] = l;
-            cnt += ne;
-            if (l > mx)
-                mx = l;
-            empty += (l == 0);
-        }
-
-        /* placements: one ball at a time into the first least-loaded of
-         * d candidates; the selection is branchless because the compare
-         * outcome is random */
-        for (int64_t j = 0; j < cnt; j++) {
-            uint32_t best = bounded(&L, un, lim);
-            int32_t best_load = row[best];
-            for (int64_t e = 1; e < d; e++) {
-                const uint32_t cand = bounded(&L, un, lim);
-                const int32_t l = row[cand];
-                const int better = l < best_load;
-                best = better ? cand : best;
-                best_load = better ? l : best_load;
-            }
-            const int32_t v = best_load + 1;
-            row[best] = v;
-            empty -= (v == 1);
-            if (v > mx)
-                mx = v;
-        }
-
-        c->rounds_done[r]++;
-        if (mx > c->max_seen[r])
-            c->max_seen[r] = mx;
-        if ((int32_t)empty < c->min_empty_seen[r])
-            c->min_empty_seen[r] = (int32_t)empty;
-        if (c->first_legit[r] < 0 && mx <= thr) {
-            c->first_legit[r] = c->rounds_done[r];
-            if (c->stop_when_legitimate)
-                c->active[r] = 0;
-        }
-        if (repro_obs_due(&c->obs, t, c->rounds))
-            repro_obs_record(&c->obs, r, k++, row, n, mx, empty,
-                             (const int32_t *)0, 0);
+    uint32_t lane[4][REPRO_BLOCK], cand[REPRO_BLOCK];
+    rng_t *const g[4] = {&p[0].g, &p[1].g, &p[2].g, &p[3].g};
+    int64_t W = d * n; /* words every member's round consumes anyway */
+    for (int m = 0; m < 4; m++) {
+        p[m].need = d * greedy_depart(&p[m], n);
+        if ((p[m].need + 1) / 2 < W)
+            W = (p[m].need + 1) / 2;
     }
-    repro_obs_finish(&c->obs, r, k, row, n);
+    for (int64_t w = 0; w < W;) {
+        const int64_t words =
+            W - w < REPRO_BLOCK / 2 ? W - w : REPRO_BLOCK / 2;
+        repro_draw4(g, lane, words);
+        for (int m = 0; m < 4; m++)
+            greedy_block(&p[m], lane[m], cand, 2 * words, d, un, lim);
+        w += words;
+    }
+    for (int m = 0; m < 4; m++) {
+        /* the lockstep words are spent whole, so the rest starts on a
+         * fresh word */
+        lanes_t L = {&p[m].g, 0, 0};
+        while (p[m].seen) {
+            greedy_straddle(&p[m], bounded(&L, un, lim), d);
+            p[m].need--;
+        }
+        greedy_lanes(&p[m], &L, p[m].need / d, d, un, lim);
+        greedy_record(c, &p[m], t);
+    }
+}
+
+/* Replicas [r0, r0 + 4): a round runs in lockstep while every member is
+ * active; otherwise each active member runs it alone. */
+static void greedy_group(greedy_ctx *c, int64_t r0)
+{
+    greedy_rep p[4];
+    for (int m = 0; m < 4; m++)
+        greedy_start(c, &p[m], r0 + m);
+    for (int64_t t = 0; t < c->rounds; t++) {
+        int active = 0;
+        for (int m = 0; m < 4; m++)
+            active += c->active[p[m].r] != 0;
+        if (!active)
+            break;
+        if (active == 4) {
+            greedy_lockstep(c, p, t);
+            continue;
+        }
+        for (int m = 0; m < 4; m++)
+            if (c->active[p[m].r])
+                greedy_round(c, &p[m], t);
+    }
+    for (int m = 0; m < 4; m++)
+        greedy_finish(c, &p[m]);
+}
+#endif
+
+/* Work unit u: group u while u < groups, then the tail replicas one by
+ * one. */
+static void greedy_unit(void *vctx, int64_t u, int tid)
+{
+    greedy_ctx *c = (greedy_ctx *)vctx;
+    (void)tid;
+#if REPRO_LOCKSTEP == 4
+    if (u < c->groups) {
+        greedy_group(c, 4 * u);
+        return;
+    }
+#endif
+    greedy_rep p;
+    greedy_start(c, &p, 4 * c->groups + (u - c->groups));
+    for (int64_t t = 0; t < c->rounds && c->active[p.r]; t++)
+        greedy_round(c, &p, t);
+    greedy_finish(c, &p);
 }
 
 /* Advance the ensemble.  The parameters are rbb_run's (see rbb_kernel.c),
@@ -159,8 +417,11 @@ REPRO_ABI void greedy_run(int32_t *loads, int64_t R, int64_t n, int64_t d,
     c.rounds_done = rounds_done;
     c.active = active;
     c.lim = (uint32_t)(-un) % un;
+    c.groups = REPRO_LOCKSTEP == 4 && c.d >= 2 && n <= REPRO_GROUP_MAX_N
+                   ? R / 4
+                   : 0;
     c.obs = repro_obs_make(R, observe_every, n_obs, obs_max, obs_empty,
                            obs_sum, obs_sumsq, hist_k, obs_hist,
                            obs_overflow);
-    repro_for_each_replica(&c, greedy_replica, R, n_threads);
+    repro_for_each_replica(&c, greedy_unit, R - 3 * c.groups, n_threads);
 }

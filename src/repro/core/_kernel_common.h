@@ -1,7 +1,8 @@
 /* Shared runtime for the compiled batched kernels (rbb_kernel.c,
  * graphs/walk_kernel.c, baselines/greedy_kernel.c): the xoshiro256++
- * generator, Lemire's unbiased bounded-integer reduction, the fused
- * observation recorder, and the replica-axis threading layer.
+ * generator, Lemire's unbiased bounded-integer reduction, the blocked and
+ * lockstep draws of the rbb and Greedy[d] kernels, the fused observation
+ * recorder, and the replica-axis threading layer.
  *
  * Threading model
  * ---------------
@@ -20,8 +21,9 @@
  * can report which backend the cached binary actually has.  Work is
  * handed out dynamically, one unit at a time, in both threaded backends,
  * so early-stopped replicas do not leave threads idle.  A unit is one
- * replica, except in rbb_kernel.c, whose first units are lockstep groups
- * of 4 replicas.
+ * replica in the walk kernel.  In the rbb and Greedy[d] kernels the first
+ * units are lockstep groups of 4 replicas where groups run (see Lockstep
+ * groups below), and the rest are single replicas.
  *
  * ThreadSanitizer builds never compile the OpenMP backend: stock libgomp
  * is not TSan-instrumented, so the race detector cannot see a parallel
@@ -38,6 +40,7 @@
 #define REPRO_KERNEL_COMMON_H
 
 #include <stdint.h>
+#include <string.h>
 
 /* Marks a function as part of the exported C<->ctypes ABI.  The marker
  * expands to nothing; it exists so that `repro lint` (repro.lint.abi)
@@ -102,6 +105,179 @@ static inline uint32_t bounded(lanes_t *L, uint32_t d, uint32_t lim)
             return (uint32_t)(m >> 32);
     }
 }
+
+/* ------------------------------------------------------------------ */
+/* Blocked draws and lockstep groups                                   */
+/* ------------------------------------------------------------------ */
+
+/* The rbb and Greedy[d] kernels define a round's draws lane by lane, as
+ * bounded() takes them: the round starts on a fresh word, takes lanes in
+ * order, low lane of a word first, skips rejected ones, and ends at its
+ * need-th accepted lane (need is the round's ball count in rbb, d times it
+ * in Greedy[d]); if that is a low lane, the high lane of the same word is
+ * discarded.  baselines/greedy_kernel.c runs exactly that loop for d = 1,
+ * for single replicas and where groups do not run, and it is the oracle
+ * the tests compare the blocked paths with.
+ *
+ * The blocked draw takes whole words instead: repro_draw() fills a block
+ * of lanes, and repro_block_map() maps it to bins in a separate loop that
+ * also flags any rejected lane, recompacting the accepted lanes in order
+ * if one was flagged (a lane is rejected with probability below
+ * n / 2^32).  Never over-drawing: a block that still needs `need` lanes
+ * draws at most ceil(need / 2) words, which the lane-by-lane loop would
+ * have to draw anyway, since a word yields at most two accepted lanes.  So
+ * a block yields at most need + 1 accepted lanes, and need + 1 only when
+ * need is odd and none of its lanes was rejected; the surplus is then the
+ * high lane of its last word, the very lane the lane-by-lane loop
+ * discards, and the caller drops it.  Every round therefore consumes
+ * exactly the words, and takes exactly the lanes, of the lane-by-lane
+ * definition.
+ *
+ * Lockstep groups: 4 consecutive replicas step through their rounds
+ * together.  repro_draw4() holds the four xoshiro256++ states side by side
+ * in a 4 x 64-bit vector, and one step of it draws one word per member.  A
+ * group draws W = min over its members of ceil(need / 2) words per round
+ * this way, the words every member's round consumes anyway, so no member
+ * draws ahead of its round, and a member's lockstep blocks end in a
+ * surplus lane only if W equals its ceil(need / 2) and need is odd, on the
+ * last word.  Each member maps its lanes as above and takes the rest of
+ * its round alone.  Two rules keep groups where they pay; the figures are
+ * single-thread bin-updates/s of the rbb kernel against its replica-by-
+ * replica loop on a 2-vCPU Xeon VM with AVX-512, gcc 12.
+ *
+ *   Rule 1, build time: the group path is compiled only where the
+ *   target's vectors hold four 64-bit lanes (__BIGGEST_ALIGNMENT__ >= 32:
+ *   16 on the plain -O3 rung and under TSan, 32 with AVX2, 64 with
+ *   AVX-512), on little-endian targets, whose lane order the 64-bit lane
+ *   stores follow.  It uses GCC/Clang generic vectors, no intrinsics, and
+ *   no function takes or returns a vector by value.  Forced onto the
+ *   plain -O3 rung it ran 0.88-1.3x as fast (n = 16 slowest); with
+ *   -march=haswell (AVX2) 1.08-1.20x; with -march=native (AVX-512)
+ *   1.3x on the converge_fused shape (n = 1024, R = 256, all-in-one
+ *   start) and 1.4x on balanced rounds at n = 1024.
+ *   repro_lockstep_width() reports 4 where the path is compiled in, else 1.
+ *
+ *   Rule 2, run time: a group runs in lockstep only while its 4 rows fit
+ *   in 1 MiB, n <= REPRO_GROUP_MAX_N = 65536; above it every replica runs
+ *   alone.  Without the budget (R = 4, balanced), lockstep ran 1.22x as
+ *   fast at n = 2^16 and 1.13x at 2^17, but 0.91x at 2^18, 0.78x at 2^19
+ *   and 0.61x at 2^20, where the rows leave L2 and the TLB's reach.
+ *
+ * Each kernel adds its own rules on which rounds of a group run in
+ * lockstep (all four members active, and more; see its header).
+ */
+
+/* Lanes per draw block.  A replica's lane and destination buffers take
+ * 2 * 4 * REPRO_BLOCK bytes (4 KB) of stack per thread, and a group's
+ * another 5 * 4 * REPRO_BLOCK bytes (10 KB). */
+#define REPRO_BLOCK 512
+
+/* Replicas per lockstep group: 4 where the target's vectors hold four
+ * 64-bit lanes, else 1 (no group path).  See Rule 1 above. */
+#if __BIGGEST_ALIGNMENT__ >= 32 && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+#define REPRO_LOCKSTEP 4
+#else
+#define REPRO_LOCKSTEP 1
+#endif
+
+/* Largest n at which a group runs in lockstep: its 4 rows fit in 1 MiB. */
+#define REPRO_GROUP_MAX_N 65536
+
+/* The replicas a group of this build holds: 4 when the lockstep path is
+ * compiled in, else 1.  Exported, so the loader can report it. */
+REPRO_ABI int repro_lockstep_width(void)
+{
+    return REPRO_LOCKSTEP;
+}
+
+/* Draw `words` words into lane[0, 2 * words), low lane first. */
+static inline void repro_draw(rng_t *g, uint32_t *lane, int64_t words)
+{
+    for (int64_t i = 0; i < words; i++) {
+        const uint64_t w = next64(g);
+        lane[2 * i] = (uint32_t)w;
+        lane[2 * i + 1] = (uint32_t)(w >> 32);
+    }
+}
+
+/* Map lanes [0, m) to bins by Lemire's reduction; nonzero iff any lane is
+ * rejected (its destination would be biased, so the block recompacts). */
+static inline uint32_t repro_map(const uint32_t *lane, uint32_t *dst,
+                                 int64_t m, uint32_t un, uint32_t lim)
+{
+    uint32_t rejected = 0;
+    for (int64_t i = 0; i < m; i++) {
+        const uint64_t p = (uint64_t)lane[i] * un;
+        dst[i] = (uint32_t)(p >> 32);
+        rejected |= (uint32_t)p < lim;
+    }
+    return rejected;
+}
+
+/* The destinations of the accepted lanes among [0, m), in lane order, at
+ * the front of dst; returns their count. */
+static int64_t repro_accepted(const uint32_t *lane, uint32_t *dst,
+                              int64_t m, uint32_t un, uint32_t lim)
+{
+    int64_t a = 0;
+    for (int64_t i = 0; i < m; i++) {
+        const uint64_t p = (uint64_t)lane[i] * un;
+        dst[a] = (uint32_t)(p >> 32);
+        a += (uint32_t)p >= lim;
+    }
+    return a;
+}
+
+/* The bins of a block's m lanes: its accepted lanes' destinations, in
+ * order, at the front of dst; returns their count. */
+static inline int64_t repro_block_map(const uint32_t *lane, uint32_t *dst,
+                                      int64_t m, uint32_t un, uint32_t lim)
+{
+    if (repro_map(lane, dst, m, un, lim))
+        return repro_accepted(lane, dst, m, un, lim);
+    return m;
+}
+
+#if REPRO_LOCKSTEP == 4
+typedef uint64_t repro_u64x4 __attribute__((vector_size(32)));
+
+/* Draw `words` words from each of four streams, stream m's into
+ * lane[m][0, 2 * words) in repro_draw()'s layout (a little-endian 64-bit
+ * store puts the low lane first): one xoshiro256++ step of the four
+ * states held side by side yields one word per stream. */
+static inline void repro_draw4(rng_t *const g[4],
+                               uint32_t lane[4][REPRO_BLOCK], int64_t words)
+{
+    repro_u64x4 s0, s1, s2, s3;
+    for (int m = 0; m < 4; m++) {
+        s0[m] = g[m]->s[0];
+        s1[m] = g[m]->s[1];
+        s2[m] = g[m]->s[2];
+        s3[m] = g[m]->s[3];
+    }
+    for (int64_t i = 0; i < words; i++) {
+        const repro_u64x4 sum = s0 + s3;
+        const repro_u64x4 w = ((sum << 23) | (sum >> 41)) + s0;
+        const repro_u64x4 t = s1 << 17;
+        s2 ^= s0;
+        s3 ^= s1;
+        s1 ^= s2;
+        s0 ^= s3;
+        s2 ^= t;
+        s3 = (s3 << 45) | (s3 >> 19);
+        for (int m = 0; m < 4; m++) {
+            const uint64_t wm = w[m];
+            memcpy(&lane[m][2 * i], &wm, sizeof wm);
+        }
+    }
+    for (int m = 0; m < 4; m++) {
+        g[m]->s[0] = s0[m];
+        g[m]->s[1] = s1[m];
+        g[m]->s[2] = s2[m];
+        g[m]->s[3] = s3[m];
+    }
+}
+#endif
 
 /* ------------------------------------------------------------------ */
 /* Fused observation                                                   */
@@ -306,8 +482,8 @@ REPRO_ABI int repro_threading_model(void)
     return REPRO_THREAD_MODEL;
 }
 
-/* fn(ctx, r, tid): advance work unit r (replica r in every kernel but
- * rbb, see above); tid < n_threads identifies the executing thread so
+/* fn(ctx, r, tid): advance work unit r (a replica or a lockstep group,
+ * see above); tid < n_threads identifies the executing thread so
  * per-thread scratch can be sliced. */
 typedef void (*repro_replica_fn)(void *ctx, int64_t r, int tid);
 

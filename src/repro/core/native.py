@@ -30,9 +30,10 @@ host identity — so changing any flag (or the header) can never reuse a
 stale ``.so``.  A variant that fails to compile leaves a ``.failed``
 marker next to where its binary would live and is skipped on subsequent
 runs.  The loaded library is probed via ``repro_threading_model()`` to
-report which threading backend it actually carries, and the rbb kernel
-via ``rbb_lockstep_width()`` to report whether it carries the lockstep
-replica-group path (``[lockstep=4]``) or not (``[lockstep=1]``).
+report which threading backend it actually carries, and the rbb and
+Greedy[d] kernels via ``repro_lockstep_width()`` to report whether they
+carry the lockstep replica-group path (``[lockstep=4]``) or not
+(``[lockstep=1]``).
 
 Everything is best-effort: when no C compiler is available, compilation
 fails, or the environment variable ``REPRO_NATIVE=0`` disables the fast
@@ -231,13 +232,13 @@ _PROBE_ABI = SymbolABI(
     source=_COMMON_HEADER,
 )
 
-#: The replicas one lockstep group of the rbb kernel holds: 4, or 1 when
-#: the build's vectors are too narrow for the group path.
+#: The replicas one lockstep group of the rbb and Greedy[d] kernels holds:
+#: 4, or 1 when the build's vectors are too narrow for the group path.
 _LOCKSTEP_ABI = SymbolABI(
-    name="rbb_lockstep_width",
+    name="repro_lockstep_width",
     params=(),
     restype=ctypes.c_int,
-    source=_PACKAGE_ROOT / "core" / "rbb_kernel.c",
+    source=_COMMON_HEADER,
 )
 
 #: Every exported symbol of the compiled kernels, by name.  The lint ABI
@@ -263,6 +264,10 @@ _KERNELS: Dict[str, SymbolABI] = {
 
 #: Names of the compiled kernels this module can load.
 KERNEL_NAMES: Tuple[str, ...] = tuple(_KERNELS)
+
+#: The kernels that run replicas in lockstep groups; their status reports
+#: the group width.
+_GROUPED = ("rbb", "greedy_d")
 
 
 def _converter(name: str, tp) -> Callable[[object], object]:
@@ -539,7 +544,7 @@ def _load(name: str, mode: Optional[str]) -> _LoadedKernel:
         sanitize_label = "" if mode is None else f" [sanitize={mode}]"
         lockstep = (
             f" [lockstep={int(_declare(lib, _LOCKSTEP_ABI)())}]"
-            if name == "rbb"
+            if name in _GROUPED
             else ""
         )
         return _LoadedKernel(
@@ -579,8 +584,8 @@ def native_status(kernel: str = "rbb") -> str:
     """Human-readable availability message (for diagnostics and the CLI).
 
     A loaded kernel's message names the compiler, the flag variant, the
-    threading backend and the binary; the rbb kernel's ends in
-    ``[lockstep=N]``, the replicas per lockstep group of that build.
+    threading backend and the binary; the rbb and ``greedy_d`` kernels'
+    end in ``[lockstep=N]``, the replicas per lockstep group of that build.
     """
     return _resolve(kernel).status
 

@@ -30,26 +30,25 @@
  *      cnt, is n minus the empty count of the previous round's pass 3 (one
  *      count pass at entry seeds the first round), so this pass reduces
  *      nothing.
- *   2. arrivals, in blocks of at most RBB_BLOCK destinations held on the
- *      stack: draw whole xoshiro words into a lane buffer, map both 32-bit
- *      lanes of every word through Lemire's reduction in a separate loop
- *      that also flags any rejected lane, recompact the block's accepted
- *      lanes in order if one was flagged (a lane is rejected with
- *      probability below n / 2^32), drop the round's one possible surplus
- *      lane, and scatter row[dst]++.
+ *   2. arrivals, in blocks of at most REPRO_BLOCK destinations held on
+ *      the stack: draw whole xoshiro words into a lane buffer, map them to
+ *      bins (repro_draw() and repro_block_map() in _kernel_common.h, whose
+ *      blocks never draw ahead of the lane-by-lane stream), drop the
+ *      round's one possible surplus lane, and scatter row[dst]++.
  *   3. the post-round max and empty count, one int32 pass.  They feed the
  *      window metrics, the early stop and the fused recorder.
  *
  * A group's round runs pass 1 for every member, then draws the first
  * W = min over the members of ceil(cnt / 2) words of every member's round
- * at once: one xoshiro256++ step on the four states held side by side in
- * a 4 x 64-bit vector gives one word per member.  Each member maps and
- * scatters its lanes as above, finishes its arrivals alone through the
- * same block loop, and runs pass 3 and the bookkeeping alone.  A group
- * runs a round in lockstep only while all four members are active and
- * dense (see sparse rounds below).  A round in which one is frozen,
- * stopped early or sparse runs each active member alone, and the group
- * goes back to lockstep once all four are active and dense again.
+ * at once (repro_draw4(), one word per member per xoshiro256++ step; see
+ * Lockstep groups in _kernel_common.h, with the rules on the build's
+ * vectors and the n <= 65536 budget).  Each member maps and scatters its
+ * lanes as above, finishes its arrivals alone through the same block loop,
+ * and runs pass 3 and the bookkeeping alone.  A group runs a round in
+ * lockstep only while all four members are active and dense (see sparse
+ * rounds below).  A round in which one is frozen, stopped early or sparse
+ * runs each active member alone, and the group goes back to lockstep once
+ * all four are active and dense again.
  *
  * Sparse rounds: while few of a row's bins hold balls, its rounds run
  * over an int32 list of those bins instead of the whole row.
@@ -89,8 +88,8 @@
  * list before the count shows the row is sparse, and a store per bin in a
  * pass that vectorizes today.
  *
- * Why these bounds, on the same VM and compiler as the group rules below
- * (single thread, thread CPU time, 11 interleaved runs, medians, in
+ * Why these bounds, on the same VM and compiler as the group rules in
+ * _kernel_common.h (single thread, thread CPU time, 11 interleaved runs, medians, in
  * bin-updates/s against the kernel without sparse rounds):
  *
  *   - a post-fault call (R = 512, n = 1024, 32 rounds from all-in-one,
@@ -115,46 +114,12 @@
  * The xoshiro state lives in a local copy for the whole call, so the draw
  * loop keeps it in registers; it is written back once, at the end.
  *
- * Never over-drawing: the stream is defined lane by lane.  A round takes
- * lanes in order, low lane of a word first, skips rejected ones, and ends at
- * its cnt-th accepted lane; if that is a low lane, the high lane of the
- * same word is discarded, and the next round starts on a fresh word.  A
- * block that still needs `need` destinations draws at most ceil(need / 2)
- * words, which the lane-by-lane loop would have to draw anyway, since a
- * word yields at most two accepted lanes.  So a block yields at most
- * need + 1 accepted lanes, and need + 1 only when need is odd and none of
- * its lanes was rejected; the surplus is then the high lane of its last
- * word, the very lane the lane-by-lane loop discards.  The lockstep draw
- * keeps this: W is at most every member's ceil(cnt / 2), the words that
- * member's round consumes anyway, so no member draws ahead of its round,
- * and a member's lockstep blocks end in a surplus lane only if W equals
- * its ceil(cnt / 2) and cnt is odd, on the last word.  Every round
- * therefore consumes exactly the words, and places exactly the balls, of
- * the lane-by-lane definition.  baselines/greedy_kernel.c still consumes the
- * stream lane by lane, and at d = 1 it reproduces this kernel's
- * trajectories, which the tests check.
- *
- * When groups run.  Two rules keep the lockstep path where it pays; the
- * figures are single-thread bin-updates/s against the replica-by-replica
- * kernel on a 2-vCPU Xeon VM with AVX-512, gcc 12.
- *
- *   Rule 1, build time: the group path is compiled only where the
- *   target's vectors hold four 64-bit lanes (__BIGGEST_ALIGNMENT__ >= 32:
- *   16 on the plain -O3 rung and under TSan, 32 with AVX2, 64 with
- *   AVX-512), on little-endian targets, whose lane order the 64-bit lane
- *   stores follow.  It uses GCC/Clang generic vectors, no intrinsics, and
- *   no function takes or returns a vector by value.  Forced onto the
- *   plain -O3 rung it ran 0.88-1.3x as fast (n = 16 slowest); with
- *   -march=haswell (AVX2) 1.08-1.20x; with -march=native (AVX-512)
- *   1.3x on the converge_fused shape (n = 1024, R = 256, all-in-one
- *   start) and 1.4x on balanced rounds at n = 1024.
- *   rbb_lockstep_width() reports 4 where the path is compiled in, else 1.
- *
- *   Rule 2, run time: a group runs in lockstep only while its 4 rows fit
- *   in 1 MiB, n <= RBB_GROUP_MAX_N = 65536; above it every replica runs
- *   alone.  Without the budget (R = 4, balanced), lockstep ran 1.22x as
- *   fast at n = 2^16 and 1.13x at 2^17, but 0.91x at 2^18, 0.78x at 2^19
- *   and 0.61x at 2^20, where the rows leave L2 and the TLB's reach.
+ * Every round consumes exactly the words, and places exactly the balls, of
+ * the lane-by-lane definition in _kernel_common.h (the blocks never draw
+ * ahead, and a round drops only the one surplus lane that definition
+ * discards).  baselines/greedy_kernel.c consumes the stream lane by lane
+ * at d = 1 and reproduces this kernel's trajectories, which the tests
+ * check.
  *
  * Faults: a call may carry n_faults pile faults, the Section 4.1 concentrate
  * adversary's.  Fault f strikes every active replica r before round
@@ -203,23 +168,6 @@
 #include "_kernel_common.h"
 
 #include <stdlib.h>
-#include <string.h>
-
-/* Destinations per arrival block.  A replica's lane and destination
- * buffers take 2 * 4 * RBB_BLOCK bytes (4 KB) of stack per thread, and a
- * group's another 5 * 4 * RBB_BLOCK bytes (10 KB). */
-#define RBB_BLOCK 512
-
-/* Replicas per lockstep group: 4 where the target's vectors hold four
- * 64-bit lanes, else 1 (no group path).  See the header comment. */
-#if __BIGGEST_ALIGNMENT__ >= 32 && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-#define RBB_LOCKSTEP 4
-#else
-#define RBB_LOCKSTEP 1
-#endif
-
-/* Largest n at which a group runs in lockstep: its 4 rows fit in 1 MiB. */
-#define RBB_GROUP_MAX_N 65536
 
 /* A row goes sparse after a round that leaves at most
  * max(1, n / RBB_SPARSE_ENTER) bins occupied, and dense again after one
@@ -269,44 +217,6 @@ typedef struct {
     int64_t *legit;    /* fault_legit slot of its last fault, or NULL */
 } rbb_rep;
 
-/* Draw `words` words into lane[0, 2 * words), low lane first. */
-static inline void rbb_draw(rng_t *g, uint32_t *lane, int64_t words)
-{
-    for (int64_t i = 0; i < words; i++) {
-        const uint64_t w = next64(g);
-        lane[2 * i] = (uint32_t)w;
-        lane[2 * i + 1] = (uint32_t)(w >> 32);
-    }
-}
-
-/* Map lanes [0, m) to bins by Lemire's reduction; nonzero iff any lane is
- * rejected (its destination would be biased, so the block recompacts). */
-static inline uint32_t rbb_map(const uint32_t *lane, uint32_t *dst, int64_t m,
-                               uint32_t un, uint32_t lim)
-{
-    uint32_t rejected = 0;
-    for (int64_t i = 0; i < m; i++) {
-        const uint64_t p = (uint64_t)lane[i] * un;
-        dst[i] = (uint32_t)(p >> 32);
-        rejected |= (uint32_t)p < lim;
-    }
-    return rejected;
-}
-
-/* The destinations of the accepted lanes among [0, m), in lane order, at
- * the front of dst; returns their count. */
-static int64_t rbb_accepted(const uint32_t *lane, uint32_t *dst, int64_t m,
-                            uint32_t un, uint32_t lim)
-{
-    int64_t a = 0;
-    for (int64_t i = 0; i < m; i++) {
-        const uint64_t p = (uint64_t)lane[i] * un;
-        dst[a] = (uint32_t)(p >> 32);
-        a += (uint32_t)p >= lim;
-    }
-    return a;
-}
-
 /* Throw the balls of one block's m lanes into p's row: its accepted lanes
  * in order, at most `need` of them (the rest is the high lane of the
  * round's last word).  A sparse row lists every bin that goes 0 -> 1.
@@ -316,9 +226,7 @@ static inline int64_t rbb_place(rbb_rep *p, const uint32_t *lane,
                                 uint32_t un, uint32_t lim)
 {
     int32_t *row = p->row;
-    int64_t got = m;
-    if (rbb_map(lane, dst, m, un, lim))
-        got = rbb_accepted(lane, dst, m, un, lim);
+    int64_t got = repro_block_map(lane, dst, m, un, lim);
     if (got > need)
         got = need;
     if (p->len < 0) {
@@ -366,12 +274,12 @@ static inline int64_t rbb_depart_listed(rbb_rep *p)
 /* 2. arrivals: `need` more uniform throws, one block at a time. */
 static void rbb_arrivals(rbb_rep *p, int64_t need, uint32_t un, uint32_t lim)
 {
-    uint32_t lane[RBB_BLOCK], dst[RBB_BLOCK];
+    uint32_t lane[REPRO_BLOCK], dst[REPRO_BLOCK];
     rng_t g = p->g; /* kept in registers by the draw loop */
     while (need > 0) {
         const int64_t words =
-            need < RBB_BLOCK ? (need + 1) / 2 : RBB_BLOCK / 2;
-        rbb_draw(&g, lane, words);
+            need < REPRO_BLOCK ? (need + 1) / 2 : REPRO_BLOCK / 2;
+        repro_draw(&g, lane, words);
         need -= rbb_place(p, lane, dst, 2 * words, need, un, lim);
     }
     p->g = g;
@@ -562,53 +470,15 @@ static void rbb_finish(const rbb_ctx *c, rbb_rep *p)
     free(p->occ);
 }
 
-#if RBB_LOCKSTEP == 4
-typedef uint64_t rbb_u64x4 __attribute__((vector_size(32)));
-
-/* Draw `words` words from each member's stream, member m's into
- * lane[m][0, 2 * words) in rbb_draw()'s layout (a little-endian 64-bit
- * store puts the low lane first): one xoshiro256++ step of the four
- * states held side by side yields one word per member. */
-static inline void rbb_draw4(rbb_rep *p, uint32_t lane[4][RBB_BLOCK],
-                             int64_t words)
-{
-    rbb_u64x4 s0, s1, s2, s3;
-    for (int m = 0; m < 4; m++) {
-        s0[m] = p[m].g.s[0];
-        s1[m] = p[m].g.s[1];
-        s2[m] = p[m].g.s[2];
-        s3[m] = p[m].g.s[3];
-    }
-    for (int64_t i = 0; i < words; i++) {
-        const rbb_u64x4 sum = s0 + s3;
-        const rbb_u64x4 w = ((sum << 23) | (sum >> 41)) + s0;
-        const rbb_u64x4 t = s1 << 17;
-        s2 ^= s0;
-        s3 ^= s1;
-        s1 ^= s2;
-        s0 ^= s3;
-        s2 ^= t;
-        s3 = (s3 << 45) | (s3 >> 19);
-        for (int m = 0; m < 4; m++) {
-            const uint64_t wm = w[m];
-            memcpy(&lane[m][2 * i], &wm, sizeof wm);
-        }
-    }
-    for (int m = 0; m < 4; m++) {
-        p[m].g.s[0] = s0[m];
-        p[m].g.s[1] = s1[m];
-        p[m].g.s[2] = s2[m];
-        p[m].g.s[3] = s3[m];
-    }
-}
-
+#if REPRO_LOCKSTEP == 4
 /* Round t of a group in lockstep: every member is active and dense. */
 static void rbb_lockstep(rbb_ctx *c, rbb_rep *p, int64_t t)
 {
     const int64_t n = c->n;
     const uint32_t un = (uint32_t)n;
     const uint32_t lim = c->lim;
-    uint32_t lane[4][RBB_BLOCK], dst[RBB_BLOCK];
+    uint32_t lane[4][REPRO_BLOCK], dst[REPRO_BLOCK];
+    rng_t *const g[4] = {&p[0].g, &p[1].g, &p[2].g, &p[3].g};
     int64_t need[4];
     int64_t W = n; /* words every member's round consumes anyway */
     for (int m = 0; m < 4; m++) {
@@ -617,8 +487,9 @@ static void rbb_lockstep(rbb_ctx *c, rbb_rep *p, int64_t t)
             W = (need[m] + 1) / 2;
     }
     for (int64_t w = 0; w < W;) {
-        const int64_t words = W - w < RBB_BLOCK / 2 ? W - w : RBB_BLOCK / 2;
-        rbb_draw4(p, lane, words);
+        const int64_t words =
+            W - w < REPRO_BLOCK / 2 ? W - w : REPRO_BLOCK / 2;
+        repro_draw4(g, lane, words);
         for (int m = 0; m < 4; m++)
             need[m] -= rbb_place(&p[m], lane[m], dst, 2 * words, need[m],
                                  un, lim);
@@ -668,7 +539,7 @@ static void rbb_unit(void *vctx, int64_t u, int tid)
 {
     rbb_ctx *c = (rbb_ctx *)vctx;
     (void)tid;
-#if RBB_LOCKSTEP == 4
+#if REPRO_LOCKSTEP == 4
     if (u < c->groups) {
         rbb_group(c, 4 * u);
         return;
@@ -682,13 +553,6 @@ static void rbb_unit(void *vctx, int64_t u, int tid)
         rbb_round(c, &p, t);
     }
     rbb_finish(c, &p);
-}
-
-/* The replicas a group of this build holds: 4 when the lockstep path is
- * compiled in, else 1. */
-REPRO_ABI int rbb_lockstep_width(void)
-{
-    return RBB_LOCKSTEP;
 }
 
 /* Advance the ensemble.
@@ -748,7 +612,7 @@ REPRO_ABI void rbb_run(int32_t *loads, int64_t R, int64_t n, int64_t rounds,
     c.rounds_done = rounds_done;
     c.active = active;
     c.lim = (uint32_t)(-un) % un;
-    c.groups = RBB_LOCKSTEP == 4 && n <= RBB_GROUP_MAX_N ? R / 4 : 0;
+    c.groups = REPRO_LOCKSTEP == 4 && n <= REPRO_GROUP_MAX_N ? R / 4 : 0;
     c.sparse_in = n >= RBB_SPARSE_ENTER ? (int32_t)(n / RBB_SPARSE_ENTER) : 1;
     c.sparse_out = RBB_SPARSE_EXIT * c.sparse_in;
     c.obs = repro_obs_make(R, observe_every, n_obs, obs_max, obs_empty,

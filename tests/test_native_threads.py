@@ -10,8 +10,9 @@ segmented Python-side observer loop on every registered metric.
 Also covered here: concentrate faults struck inside the rbb kernel
 against the segmented fault loop, Greedy[1] against the rbb kernel (the
 stream reference for the rbb kernel's blocked and lockstep draws and its
-sparse rounds), the rbb kernel's lockstep width in its status, digests that pin
-every kernel's streams, legitimacy thresholds beyond int32, the
+sparse rounds), the Greedy[d] kernel's lockstep groups against its
+lane-by-lane loop, both kernels' lockstep width in their status, digests that
+pin every kernel's streams, legitimacy thresholds beyond int32, the
 flag-aware binary cache key, the by-name kernel argument helper,
 thread-count resolution precedence, the exact-moments tracker, and the
 sweep scheduler's oversubscription guard.
@@ -27,6 +28,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.batched as batched
 from repro.adversary import BatchedFaultyProcess, FaultSchedule
@@ -36,6 +39,7 @@ from repro.core.batched import (
     PileFaults,
     make_ensemble_initial,
 )
+from repro.core.config import DEFAULT_BETA
 from repro.core.native import (
     KERNEL_ABI,
     available_cpu_count,
@@ -764,13 +768,173 @@ def test_rbb_status_reports_lockstep_width():
     assert re.search(r" \[lockstep=[14]\]$", native_status("rbb"))
 
 
+def _greedy_first_three(n, R, d, rounds, start, n_threads, options):
+    """Replicas 0-2 of a native Greedy[d] run of R replicas: its result
+    fields and its metric payloads, cut to those replicas.  Row r starts as
+    row r of a 12-replica start, so every R starts replicas 0-2 alike."""
+    initial = make_ensemble_initial(start, n, 12, seed=options.get("rows", 0))[:R]
+    if "empty" in options:
+        initial[options["empty"]] = 0
+    process = BatchedDChoices(
+        n, R, d=d, initial=initial, seed=options.get("seed", 5),
+        kernel="native", n_threads=n_threads,
+    )
+    if "frozen" in options:
+        process.deactivate(np.arange(R) == options["frozen"])
+    trackers = build_trackers(options.get("metrics"))
+    result = process.run(
+        rounds,
+        beta=options.get("beta", DEFAULT_BETA),
+        stop_when_legitimate=options.get("stop_when_legitimate", False),
+        observers=[tracker for _, tracker in trackers],
+        observe_every=options.get("observe_every", 1),
+    )
+    assert result.kernel == "native"
+    fields = {
+        field: getattr(result, field)[:3]
+        for field in (
+            "final_loads", "rounds", "max_load_seen", "min_empty_bins_seen",
+            "first_legitimate_round",
+        )
+    }
+    payloads = {}
+    for name, tracker in trackers:
+        payload = tracker.payload()
+        payloads[name] = (
+            payload.rounds,
+            {key: value[:3] for key, value in payload.summaries.items()},
+            {key: value[:, :3] for key, value in payload.series.items()},
+            {key: value[:3] for key, value in payload.arrays.items()},
+        )
+    return fields, payloads
+
+
+def _assert_greedy_groups_match_lanes(n, R, d, rounds, start, n_threads,
+                                      options=None):
+    """Replicas 0-2 of an R = 3 run are tail replicas, run lane by lane;
+    in an R >= 4 run they are members of the first group.  A replica's
+    stream depends only on (seed, r), so the two must agree exactly: every
+    integer the kernel returns.  A float summary (the histogram's mean
+    load) is numpy's matrix product over the (R, K + 1) counts, whose last
+    bit can depend on R, so it is compared to 1e-12 of the integer counts
+    it is computed from, which are compared exactly."""
+    options = options or {}
+    lanes_fields, lanes_payloads = _greedy_first_three(
+        n, 3, d, rounds, start, n_threads, options
+    )
+    group_fields, group_payloads = _greedy_first_three(
+        n, R, d, rounds, start, n_threads, options
+    )
+    for field, value in lanes_fields.items():
+        assert np.array_equal(group_fields[field], value), field
+    assert set(group_payloads) == set(lanes_payloads)
+    for name, (obs_rounds, *groups) in lanes_payloads.items():
+        assert np.array_equal(group_payloads[name][0], obs_rounds), name
+        for got, want in zip(group_payloads[name][1:], groups):
+            assert set(got) == set(want), name
+            for key in want:
+                if np.issubdtype(np.asarray(want[key]).dtype, np.floating):
+                    np.testing.assert_allclose(
+                        got[key], want[key], rtol=1e-12, err_msg=key
+                    )
+                else:
+                    assert np.array_equal(got[key], want[key]), (name, key)
+    return group_fields
+
+
+#: Cases of the Greedy[d] kernel's lockstep groups, run where the build
+#: carries them (``[lockstep=4]`` in ``native_status("greedy_d")``); groups
+#: run at d >= 2 and n <= 65536.  At n = 65026, 2**32 mod n = 65022, so
+#: about one lane in 66 000 is rejected, some inside lockstep blocks.  From
+#: all-in-one at d = 3 every member's first round takes 3 candidates from 2
+#: words, so its block ends in a surplus high lane.  A member with no balls
+#: (option ``empty``) makes W = 0: the group draws no lockstep words.  A
+#: frozen member (option ``frozen``) and members stopped early run the
+#: group's rounds alone; at beta = 0.45 (threshold 2) the stop case's
+#: replicas stop about 100 rounds in and apart, which it checks, so the
+#: group runs in lockstep first and alone after.  ``blocks`` and ``d5`` throw more
+#: candidates per round than a block holds, so balls straddle two blocks
+#: (d = 5 places through the loop that takes any d); n = 65537 is just
+#: above the group budget.
+GROUP_CASES = [
+    pytest.param(65026, 2, 4, "balanced", {}, id="group_rejections"),
+    pytest.param(64, 3, 30, "all_in_one", {}, id="odd_surplus"),
+    pytest.param(100, 2, 30, "balanced", {"empty": 1}, id="group_empty"),
+    pytest.param(100, 4, 30, "balanced", {"frozen": 1}, id="frozen"),
+    pytest.param(
+        100, 2, 300, "all_in_one",
+        {"stop_when_legitimate": True, "beta": 0.45}, id="stop",
+    ),
+    pytest.param(
+        300, 3, 60, "all_in_one",
+        {"metrics": FUSED_METRICS, "observe_every": 7}, id="fused",
+    ),
+    pytest.param(1024, 3, 20, "random_uniform", {"rows": 3}, id="blocks"),
+    pytest.param(1024, 5, 20, "balanced", {}, id="d5"),
+    pytest.param(65537, 2, 2, "balanced", {}, id="group_budget"),
+]
+
+
+@needs_native_greedy
+class TestGreedyGroupsMatchLanes:
+    """The lane-by-lane loop defines the Greedy[d] stream; a lockstep
+    group draws whole words for four replicas at once and places each
+    block's balls by storing every candidate back.  Both must give every
+    replica the same trajectory."""
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("R", [4, 9])
+    @pytest.mark.parametrize("n, d, rounds, start, options", GROUP_CASES)
+    def test_groups_match_lane_by_lane(
+        self, n, d, rounds, start, options, R, n_threads
+    ):
+        fields = _assert_greedy_groups_match_lanes(
+            n, R, d, rounds, start, n_threads, options
+        )
+        if "stop_when_legitimate" in options:
+            assert len(set(fields["rounds"].tolist())) > 1
+        if "frozen" in options:
+            assert fields["rounds"][options["frozen"]] == 0
+        if "empty" in options:
+            assert not fields["final_loads"][options["empty"]].any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=1100),
+        R=st.integers(min_value=4, max_value=12),
+        d=st.integers(min_value=2, max_value=5),
+        rounds=st.integers(min_value=1, max_value=30),
+        start=st.sampled_from(["balanced", "all_in_one", "random_uniform"]),
+        n_threads=st.sampled_from([1, 2]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_property_groups_match_lane_by_lane(
+        self, n, R, d, rounds, start, n_threads, seed
+    ):
+        _assert_greedy_groups_match_lanes(
+            n, R, d, rounds, start, n_threads, {"rows": seed, "seed": seed}
+        )
+
+
+@needs_native_greedy
+def test_greedy_status_reports_lockstep_width():
+    """The Greedy[d] kernel's status ends with the replicas per lockstep
+    group, the same width as the rbb kernel's: both take it from the
+    shared header."""
+    width = re.search(r" \[lockstep=([14])\]$", native_status("greedy_d"))
+    assert width
+    if native_available("rbb"):
+        assert native_status("rbb").endswith(f"[lockstep={width.group(1)}]")
+
+
 # ---------------------------------------------------------------------
 # Pinned native streams
 # ---------------------------------------------------------------------
 def _pinned_run(kind):
     """A single-thread native run: one per kernel, plus an rbb run whose
-    rounds reject lanes and one whose rows enter and leave the rbb
-    kernel's sparse rounds.  Each starts deterministically (numpy
+    rounds reject lanes, one whose rows enter and leave the rbb kernel's
+    sparse rounds, and a Greedy[3] run of one lockstep group and a
+    3-replica tail.  Each starts deterministically (numpy
     ``Generator`` streams may change between numpy versions; the
     ``SeedSequence`` hashing that seeds the native streams does not)."""
     def start(initial, n, R):
@@ -795,6 +959,10 @@ def _pinned_run(kind):
         return BatchedDChoices(
             1000, 4, d=2, **start("balanced", 1000, 4)
         ).run(300)
+    if kind == "greedy_d3":
+        return BatchedDChoices(
+            300, 7, d=3, **start("all_in_one", 300, 7)
+        ).run(600)
     return BatchedConstrainedWalks(
         resolve_topology("cycle:100"), 4, **start("all_in_one", 100, 4)
     ).run(400)
@@ -812,6 +980,8 @@ PINNED_DIGESTS = {
         "cdfd93ed00c34c18d1bf27a560793e5831fef2345ba61f0addbb6abf62979101",
     "greedy_d":
         "5a57d9afda5e952a1ee8ec9c2c414ff7919666943b0477965ed273c77028fe6d",
+    "greedy_d3":
+        "e80608dcdf489e3dac610d55af5f8b063feafaea31de394f95ca08bfb625bd98",
     "walks": "64e5d30d66c973bd53e998f5bb527eed839a918ecf8ac8bbc336dcd5d05127e2",
 }
 
@@ -822,6 +992,7 @@ PINNED_DIGESTS = {
     pytest.param("rbb_rejections"),
     pytest.param("rbb_sparse"),
     pytest.param("greedy_d", marks=needs_native_greedy),
+    pytest.param("greedy_d3", marks=needs_native_greedy),
     pytest.param("walks", marks=needs_native_walks),
 ])
 def test_native_streams_are_pinned(kind):
