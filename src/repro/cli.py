@@ -124,7 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="process-pool workers sharding each point's replicas (default 0 = in-process)",
+        help=(
+            "0 or 1 (default 0); every point runs in process, so run it in "
+            "parallel with --threads"
+        ),
     )
     sweep_run.add_argument(
         "--threads",
@@ -132,9 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "native-kernel threads per shard (default: REPRO_NATIVE_THREADS, "
+            "native-kernel threads per point (default: REPRO_NATIVE_THREADS, "
             "then the visible core count); results are identical for any "
-            "value, and workers x threads is capped to the visible cores"
+            "value, and a request above the visible cores is capped"
         ),
     )
     sweep_run.add_argument(

@@ -11,7 +11,7 @@ ensemble engine.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from ..analysis.fitting import fit_log_growth, fit_power_law
 from ..analysis.statistics import empirical_whp_probability, summarize_trials
 from ..core.config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
 from ..core.coupling import CoupledRun
+from ..errors import ConfigurationError
 from ..core.tetris import TetrisProcess
 from ..markov.absorbing import BinLoadChain, absorption_tail_bound
 from ..parallel.ensemble import EnsembleSpec, run_ensemble
@@ -38,6 +39,18 @@ __all__ = [
 ]
 
 
+def _ensemble_threads(n_workers: Optional[int]) -> Optional[int]:
+    """The ``n_threads`` an ensemble experiment's ``n_workers`` asks for.
+
+    An ensemble runs in parallel on the native kernel's threads, never on
+    a process pool, so ``n_workers`` above 1 becomes the thread count and
+    0 or 1 keep the default.  Neither changes a result.
+    """
+    if n_workers is not None and n_workers < 0:
+        raise ConfigurationError(f"n_workers must be >= 0, got {n_workers}")
+    return n_workers if n_workers and n_workers > 1 else None
+
+
 # ----------------------------------------------------------------------
 # E1 — stability: max load O(log n) over a long window from a legitimate start
 # ----------------------------------------------------------------------
@@ -46,7 +59,7 @@ def run_e1_stability(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Expe
     sizes = params["sizes"]
     trials = params["trials"]
     rounds_factor = params["rounds_factor"]
-    n_workers = params["n_workers"]
+    n_threads = _ensemble_threads(params["n_workers"])
 
     window_maxima = []
     for n in sizes:
@@ -56,7 +69,7 @@ def run_e1_stability(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Expe
                 n_bins=n, n_replicas=trials, rounds=rounds, start="random_uniform"
             ),
             seed=seed,
-            n_workers=n_workers,
+            n_threads=n_threads,
         )
         maxima = ensemble.max_load_seen.astype(float)
         stayed = int(np.count_nonzero(maxima <= legitimacy_threshold(n, DEFAULT_BETA)))
@@ -92,7 +105,7 @@ def run_e2_convergence(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Ex
     sizes = params["sizes"]
     trials = params["trials"]
     budget_factor = params["budget_factor"]
-    n_workers = params["n_workers"]
+    n_threads = _ensemble_threads(params["n_workers"])
 
     mean_times = []
     for n in sizes:
@@ -106,7 +119,7 @@ def run_e2_convergence(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Ex
                 stop_when_legitimate=True,
             ),
             seed=seed,
-            n_workers=n_workers,
+            n_threads=n_threads,
         )
         times = ensemble.first_legitimate_round.astype(float)
         converged = int(np.count_nonzero(times >= 0))

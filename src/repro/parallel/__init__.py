@@ -4,17 +4,18 @@ Experiments are embarrassingly parallel across trials.  Two entry points
 cover the two workload shapes:
 
 * :func:`run_ensemble` — the one ensemble engine: pure load-vector
-  ensembles described by an :class:`EnsembleSpec` and advanced as one
-  batched ``(R, n)`` state by flat numpy / native kernels, optionally
-  sharded across worker processes.
+  ensembles described by an :class:`EnsembleSpec` and advanced in this
+  process as one batched ``(R, n)`` state by flat numpy / native kernels,
+  in parallel on the native kernels' threads.
 * :class:`TrialRunner` / :func:`run_trials` — arbitrary per-trial
-  functions (per-token traversals, coupling runs, ...) and the
-  ensemble engine's shards, executed in-process or in a process pool.
+  functions (per-token traversals, coupling runs, ...), executed
+  in-process or in a process pool.
 
-Both paths spawn independent seed streams from one root seed and feed the
-same column-oriented aggregation helpers.  Ensemble results are
-deterministic for a fixed ``(seed, n_workers, kernel)`` configuration but
-depend on the shard layout, which follows the effective worker count.
+Both paths derive independent seed streams from one root seed and feed the
+same column-oriented aggregation helpers.  An ensemble result is a pure
+function of ``(spec, seed, kernel)``; trial ``i`` of :func:`run_trials`
+gets the same stream for every worker count.  Neither depends on
+``n_workers``, ``n_threads`` or the host's core count.
 """
 
 from .aggregate import TrialAggregate, aggregate_ensemble, aggregate_records

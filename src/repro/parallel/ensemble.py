@@ -5,10 +5,9 @@ replicas" workloads.  An :class:`EnsembleSpec` describes the ensemble
 declaratively (process family, size, start family, budget, early stop);
 :func:`run_ensemble` executes it as one batched process (see
 :mod:`repro.core.batched`) that advances every replica per round with flat
-numpy kernels — or, where one exists, a compiled native kernel.  With
-``n_workers > 1`` very large ensembles are *sharded*: each worker process
-simulates a contiguous slice of replicas with its own derived seed and the
-shard results are concatenated.
+numpy kernels — or, where one exists, a compiled native kernel.  Every
+ensemble runs in this process; its parallelism is the native kernel's
+threads (``n_threads``), which never change a result.
 
 The single-replica simulators (:class:`~repro.core.process.RepeatedBallsIntoBins`,
 :class:`~repro.baselines.d_choices.DChoicesProcess`, ...) stay as library
@@ -36,7 +35,7 @@ Four process families are supported through the ``process`` selector:
     walks on the graph named by ``spec.topology`` (a JSON-scalar spec
     string like ``"torus:32x32"`` resolved through
     :func:`repro.graphs.generators.resolve_topology`; the shared CSR
-    topology is built once per worker and cached).  ``spec.constrained``
+    topology is built once per process and cached).  ``spec.constrained``
     selects the paper's one-token-per-node mode (default) or the
     every-token-moves comparison process.  Execution runs
     :class:`~repro.graphs.batched.BatchedConstrainedWalks`, stream-equal
@@ -44,8 +43,8 @@ Four process families are supported through the ``process`` selector:
     ``R == 1``.
 
 Every run returns the same :class:`~repro.core.batched.EnsembleResult`
-schema.  Results are deterministic for a fixed ``(seed, n_workers,
-kernel)`` tuple.
+schema.  A result is a pure function of ``(spec, seed, kernel)``: the
+thread count, ``n_workers`` and the host's core count do not enter it.
 
 Time-varying workloads ride on the same surface: ``spec.scenario`` names a
 :mod:`repro.scenarios` schedule (a catalog name like
@@ -75,12 +74,12 @@ Example
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
-from .runner import TrialRunner
 from .seeding import trial_seed
 from ..adversary.adversaries import get_adversary
 from ..adversary.batched import BatchedFaultyProcess
@@ -95,7 +94,6 @@ from ..core.batched import (
     make_ensemble_initial,
 )
 from ..core.config import DEFAULT_BETA, LoadConfiguration
-from ..core.native import available_cpu_count
 from ..errors import ConfigurationError
 from ..graphs.batched import BatchedConstrainedWalks
 from ..graphs.generators import parse_topology_spec, resolve_topology
@@ -341,27 +339,24 @@ class EnsembleSpec:
         return FaultSchedule(period=self.fault_period, offset=self.fault_offset)
 
 
-def _shard_initial(
-    spec: EnsembleSpec, lo: int, hi: int, seed: np.random.SeedSequence
+def _initial(
+    spec: EnsembleSpec, seed: np.random.SeedSequence
 ) -> Union[LoadConfiguration, np.ndarray, None]:
-    """The ``(hi - lo, n)`` starting block of one shard."""
+    """The ensemble's starting block (``None``: the constructor's default)."""
     start = spec.start
-    if isinstance(start, str):
-        if start == "balanced" and spec.n_balls is None:
-            return None  # the batched constructor's default
-        return make_ensemble_initial(
-            start, spec.n_bins, hi - lo, n_balls=spec.n_balls, seed=seed
-        )
-    if isinstance(start, LoadConfiguration):
+    if not isinstance(start, str):
         return start
-    arr = np.asarray(start)
-    return arr[lo:hi] if arr.ndim == 2 else arr
+    if start == "balanced" and spec.n_balls is None:
+        return None
+    return make_ensemble_initial(
+        start, spec.n_bins, spec.n_replicas, n_balls=spec.n_balls, seed=seed
+    )
 
 
 # ----------------------------------------------------------------------
-# Engine (module-level shard function: picklable for the pool)
+# Engine
 # ----------------------------------------------------------------------
-def _spec_trackers(spec: EnsembleSpec, n_replicas: int) -> List[tuple]:
+def _spec_trackers(spec: EnsembleSpec) -> List[tuple]:
     """The ``(name, tracker)`` pairs this spec's metric selection requests.
 
     Trackers are bound to their ``(R, n)`` dimensions eagerly so payloads
@@ -370,21 +365,20 @@ def _spec_trackers(spec: EnsembleSpec, n_replicas: int) -> List[tuple]:
     """
     trackers = build_trackers(spec.metrics, beta=spec.beta)
     for _, tracker in trackers:
-        tracker.bind(n_replicas, spec.n_bins)
+        tracker.bind(spec.n_replicas, spec.n_bins)
     return trackers
 
 
 def _make_batched_process(
-    spec: EnsembleSpec, n_replicas: int, initial, seed, kernel: str,
-    n_threads: Optional[int] = None,
+    spec: EnsembleSpec, initial, seed, kernel: str, n_threads: Optional[int]
 ) -> BatchedLoadProcess:
-    """Build the batched process a shard simulates."""
+    """Build the batched process that simulates the ensemble."""
     n_balls = spec.n_balls if initial is None else None
     cls = BATCHED_CLASSES[spec.process]
     if cls is BatchedDChoices:
         return BatchedDChoices(
             spec.n_bins,
-            n_replicas,
+            spec.n_replicas,
             d=spec.d,
             n_balls=n_balls,
             initial=initial,
@@ -395,7 +389,7 @@ def _make_batched_process(
     if cls is BatchedConstrainedWalks:
         return BatchedConstrainedWalks(
             resolve_topology(spec.topology),
-            n_replicas,
+            spec.n_replicas,
             n_tokens=n_balls,
             initial=initial,
             constrained=spec.constrained,
@@ -405,7 +399,7 @@ def _make_batched_process(
         )
     return BatchedRepeatedBallsIntoBins(
         spec.n_bins,
-        n_replicas,
+        spec.n_replicas,
         n_balls=n_balls,
         initial=initial,
         seed=seed,
@@ -414,19 +408,19 @@ def _make_batched_process(
     )
 
 
-def _batched_ensemble_shard(
-    shard_index, seed, spec: EnsembleSpec, bounds, kernel: str,
-    n_threads: Optional[int] = None,
+def _run_batched(
+    spec: EnsembleSpec, seed, kernel: str, n_threads: Optional[int]
 ) -> EnsembleResult:
-    lo, hi = bounds[shard_index]
+    """Run the whole ensemble from one seed: its child 0 draws the start,
+    child 1 the simulation."""
     init_seq, sim_seq = trial_seed(seed, 0), trial_seed(seed, 1)
-    initial = _shard_initial(spec, lo, hi, init_seq)
-    trackers = _spec_trackers(spec, n_replicas=hi - lo)
+    initial = _initial(spec, init_seq)
+    trackers = _spec_trackers(spec)
     observers = [tracker for _, tracker in trackers] or None
     if spec.process == "faulty":
         faulty = BatchedFaultyProcess(
             spec.n_bins,
-            hi - lo,
+            spec.n_replicas,
             adversary=spec.adversary,
             schedule=spec.fault_schedule(),
             n_balls=spec.n_balls if initial is None else None,
@@ -442,9 +436,7 @@ def _batched_ensemble_shard(
             observe_every=spec.observe_every,
         ).to_ensemble_result()
     else:
-        batch = _make_batched_process(
-            spec, hi - lo, initial, sim_seq, kernel, n_threads=n_threads
-        )
+        batch = _make_batched_process(spec, initial, sim_seq, kernel, n_threads)
         if spec.scenario is not None:
             program = compile_scenario(
                 spec.resolved_scenario(), spec.rounds, spec.observe_every
@@ -523,55 +515,48 @@ def run_ensemble(
     kernel: str = "auto",
     n_threads: Optional[int] = None,
 ) -> EnsembleResult:
-    """Run one ensemble through the batched engine.
+    """Run one ensemble through the batched engine, in this process.
 
     Parameters
     ----------
     spec:
         The declarative ensemble description (including the process family).
     seed:
-        Root seed; per-shard streams are derived from it without advancing
-        it, so results are reproducible for a fixed engine configuration,
-        also when the same seed object is passed again.
+        Root seed.  The ensemble's streams come from
+        ``trial_seed(seed, 0)`` without advancing ``seed``, so the result
+        is the same also when the same seed object is passed again.
     engine:
         ``"auto"`` or ``"batched"`` (the same engine; the keyword stays
         because stored sweep headers pin it).
     n_workers:
-        ``0``/``1`` for in-process execution; ``> 1`` shards the replicas
-        across a process pool.
+        Accepted for callers that still pass it; it never changes the
+        result.  ``0`` and ``1`` run in process; a value above 1 also runs
+        in process, with a ``RuntimeWarning`` that points at
+        ``n_threads``.  A negative value is refused.
     kernel:
         Kernel selection forwarded to the batched process
         (``"auto"``/``"numpy"``/``"native"``); every process family has
         a native kernel.
     n_threads:
-        Native-kernel threads per shard (an execution knob like ``kernel``
-        and ``n_workers``: results are bit-identical for every value).
-        ``None`` defers to ``REPRO_NATIVE_THREADS`` and then to the visible
-        CPU count — except in sharded runs, where the default splits the
-        machine across shards to avoid oversubscription.
+        Native-kernel threads, the one way to run an ensemble in
+        parallel (an execution knob: results are bit-identical for
+        every value).  ``None`` defers to ``REPRO_NATIVE_THREADS`` and
+        then to the visible CPU count.
     """
     check_engine(engine)
-    runner = TrialRunner(n_workers=n_workers)
-    n_shards = max(min(runner.effective_workers, spec.n_replicas), 1)
-    if n_threads is None and n_shards > 1:
-        # Sharded run: split the machine between shards so shard-level
-        # processes and kernel-level threads do not oversubscribe cores.
-        # An explicit n_threads (argument or REPRO_NATIVE_THREADS, resolved
-        # inside the kernel launch) overrides this.
-        n_threads = max(1, available_cpu_count() // n_shards)
-    edges = np.linspace(0, spec.n_replicas, n_shards + 1).astype(int)
-    bounds = [(int(edges[s]), int(edges[s + 1])) for s in range(n_shards)]
-    shards = runner.run(
-        _batched_ensemble_shard,
-        n_shards,
-        seed=as_seed_sequence(seed),
-        kwargs={
-            "spec": spec,
-            "bounds": bounds,
-            "kernel": kernel,
-            "n_threads": n_threads,
-        },
+    workers = n_workers or 0
+    if workers < 0:
+        raise ConfigurationError(f"n_workers must be >= 0, got {n_workers}")
+    if workers > 1:
+        warnings.warn(
+            f"run_ensemble: n_workers={n_workers} runs in process; an "
+            "ensemble runs in parallel on the native kernel's threads, so "
+            "pass n_threads instead (neither changes the result)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    # child 0 of the root, so stored sweeps and pinned digests keep
+    # their streams
+    return _run_batched(
+        spec, trial_seed(as_seed_sequence(seed), 0), kernel, n_threads
     )
-    if n_shards == 1:
-        return shards[0]
-    return EnsembleResult.concatenate(shards)

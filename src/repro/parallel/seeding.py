@@ -53,8 +53,9 @@ def trial_seed(seed: SeedLike, trial_index: int) -> np.random.SeedSequence:
     Because the derivation is a pure function of ``(entropy, spawn_key)``
     — it never mutates the root the way ``SeedSequence.spawn`` does — a
     derived seed can be serialized as that pair and reconstructed
-    exactly.  The ensemble engine's per-shard streams, the trial runner's
-    per-trial streams, the sweep planner's per-point streams and
+    exactly.  The ensemble engine's start and simulation streams, the
+    trial runner's per-trial streams, the sweep planner's per-point
+    streams and
     :mod:`repro.verify`'s per-case/per-horizon streams (including replay
     from counterexample artifacts) all rely on this contract.
     """

@@ -10,10 +10,14 @@ runs every point not yet present in the result store:
    a killed sweep re-runs nothing on resume, and because points execute
    in plan order with size-independent per-point seeds, a resumed sweep
    produces a manifest **byte-identical** to an uninterrupted one;
-3. each point executes through
-   :func:`~repro.parallel.ensemble.run_ensemble` (``n_workers > 1``
-   shards replicas across a process pool) and
-   is appended to the store before the next point starts.
+3. each point executes in process through
+   :func:`~repro.parallel.ensemble.run_ensemble` (in parallel on the
+   native kernel's threads, ``n_threads``) and is appended to the store
+   before the next point starts.
+
+A header that pins ``n_workers > 1`` comes from a sweep whose points ran
+sharded across a process pool, with streams that followed the host's core
+count; such a store is not continued (see :func:`resume_sweep`).
 
 Per-point engine time is measured and reported so callers (and
 ``benchmarks/bench_sweeps.py``) can separate scheduler + store overhead
@@ -131,6 +135,7 @@ def _stored_version(store: ResultStore, plan: SweepPlan) -> int:
     streams in one store, so the resume is refused before any point runs.
     """
     stored = store.read_header()
+    _refuse_sharded_store(stored)
     if stored is None or stored.get("version") != 1:
         return HEADER_VERSION
     greedy = any(
@@ -144,6 +149,24 @@ def _stored_version(store: ResultStore, plan: SweepPlan) -> int:
             "streams in one store, so run the sweep into a new store"
         )
     return 1
+
+
+def _refuse_sharded_store(header: Optional[dict]) -> None:
+    """Refuse to continue a store whose points ran sharded.
+
+    Its points drew their streams per shard, and the shard count followed
+    the host's core count; points now run in process, so continuing would
+    mix two derivations in one manifest.
+    """
+    workers = 0 if header is None else int(header.get("n_workers") or 0)
+    if workers > 1:
+        raise ConfigurationError(
+            f"this store's header pins n_workers={workers}: its points ran "
+            "sharded across a process pool, whose streams followed the "
+            "host's core count; points now run in process, so continuing "
+            "would mix two stream derivations in one store; run the sweep "
+            "into a new store"
+        )
 
 
 def _header(
@@ -177,12 +200,13 @@ def _header(
 def _cap_threads(n_threads: Optional[int], n_workers: int) -> Optional[int]:
     """Keep ``workers x threads`` within the visible CPU budget.
 
-    Only an *explicit* thread request (argument or ``REPRO_NATIVE_THREADS``)
-    can oversubscribe: with ``n_threads=None`` and no env override the
-    engine already splits the machine across shards.  When the combined
-    request exceeds the visible cores, warn and reduce the *executed*
-    thread count; the header still pins what was requested, so resumes
-    on bigger machines run unreduced.
+    :func:`run_sweep` runs every point in process (one worker), so this
+    caps the thread count at the visible cores.  Only an *explicit*
+    thread request (argument or ``REPRO_NATIVE_THREADS``) can
+    oversubscribe: with ``n_threads=None`` and no env override the kernel
+    uses the visible cores.  When the request exceeds them, warn and
+    reduce the *executed* thread count; the header still pins what was
+    requested, so resumes on bigger machines run unreduced.
     """
     requested = n_threads
     if requested is None:
@@ -228,19 +252,22 @@ def run_sweep(
     seed:
         Root seed; point ``i`` derives its stream via
         ``trial_seed(seed, i)`` regardless of grid size.
-    engine, kernel, n_workers:
-        Forwarded to :func:`run_ensemble` per point.  ``n_workers > 1``
-        shards each point's replicas across a process pool.  All three
-        are part of the store header: resuming with different values is
-        refused (results depend on the shard layout).  A removed engine
-        is refused before any point runs or the store is touched.
+    engine, kernel:
+        Forwarded to :func:`run_ensemble` per point and pinned in the
+        store header: resuming with different values is refused (the
+        numpy and native kernels draw different streams).  A removed
+        engine is refused before any point runs or the store is touched.
+    n_workers:
+        ``0`` or ``1``; every point runs in process, and the value is
+        pinned in the header.  A value above 1 is refused before the
+        store is created or touched: a sweep runs in parallel on the
+        native kernel's threads (``n_threads``).
     n_threads:
-        Native-kernel threads per shard, forwarded to :func:`run_ensemble`.
-        Unlike the header triple above this is an execution knob — results
-        are bit-identical for any value — but an explicit request is still
-        recorded in the header (and replayed on resume) for provenance.
-        When ``max(n_workers, 1) * n_threads`` exceeds the visible cores
-        the scheduler warns and reduces the executed thread count.
+        Native-kernel threads per point, forwarded to :func:`run_ensemble`.
+        An execution knob — results are bit-identical for any value — but
+        an explicit request is still recorded in the header (and replayed
+        on resume) for provenance.  When it exceeds the visible cores the
+        scheduler warns and reduces the executed thread count.
     max_points:
         Stop after newly running this many points (budgeted execution /
         simulated kill); completed points do not count.
@@ -251,6 +278,12 @@ def run_sweep(
     if max_points is not None and max_points < 0:
         raise ConfigurationError(
             f"max_points must be >= 0, got {max_points}"
+        )
+    if not 0 <= n_workers <= 1:
+        raise ConfigurationError(
+            f"n_workers must be 0 or 1, got {n_workers}: every sweep point "
+            "runs in process, in parallel on the native kernel's threads; "
+            "pass n_threads (--threads) instead"
         )
     started = time.perf_counter()
     plan = expand_sweep(spec)
@@ -316,7 +349,9 @@ def resume_sweep(
     """Continue a stored sweep from its own header (spec, seed, engine).
 
     The header written by :func:`run_sweep` fully determines the
-    remaining work, so resuming needs nothing but the store itself.
+    remaining work, so resuming needs nothing but the store itself.  A
+    header that pins ``n_workers > 1`` is refused before any point runs:
+    its points ran sharded, and the sweep must go into a new store.
     """
     result_store = (
         store if isinstance(store, ResultStore) else ResultStore.open(store)
@@ -326,6 +361,7 @@ def resume_sweep(
         raise ConfigurationError(
             "store has no sweep header; run `repro sweep run` first"
         )
+    _refuse_sharded_store(header)
     entropy = header["seed_entropy"]
     seed = np.random.SeedSequence(
         entropy=entropy if isinstance(entropy, int) else tuple(entropy),

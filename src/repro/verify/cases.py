@@ -113,7 +113,7 @@ def _rbb_engine_matrix(R: int, smoke: bool) -> List[ConformanceCase]:
             kernel="numpy",
             n_workers=2,
             horizons=(4,) if smoke else (1, 4),
-            notes="distribution-tests the per-shard seed spawning",
+            notes="n_workers=2 runs in process, as w1 does",
         ),
     ]
     thread_counts = (1, 2)

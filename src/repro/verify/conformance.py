@@ -18,9 +18,11 @@ Seeding discipline (the contract the seeding tests pin down): the root
 seed fans out through :func:`repro.parallel.seeding.trial_seed` —
 ``case_seed = trial_seed(root, case_index)``, then
 ``run_seed = trial_seed(case_seed, horizon_index)`` — and the engine
-spawns its per-shard streams from ``run_seed`` exactly as documented in
-:mod:`repro.parallel.ensemble`.  Sharded runs re-spawn per shard and are
-therefore checked distributionally (the ``*-sharded`` cases).
+derives its streams from ``run_seed`` exactly as documented in
+:mod:`repro.parallel.ensemble`.  The ``*-sharded`` cases pass
+``n_workers=2``, which runs in process like every other case (with a
+``RuntimeWarning``): they check that the keyword still gives a result
+that passes the same gates.
 """
 
 from __future__ import annotations

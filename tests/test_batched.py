@@ -595,6 +595,13 @@ class TestRunEnsemble:
         batched = run_ensemble(spec, seed=5, engine="batched", kernel="numpy")
         assert np.array_equal(batched.n_balls, start.sum(axis=1))
 
+    def test_start_matrix_with_other_replica_count_refused(self):
+        # a start is one row or the whole (R, n) block, never cut to fit
+        start = make_ensemble_initial("random_uniform", 16, 7, seed=4)
+        spec = EnsembleSpec(n_bins=16, n_replicas=5, rounds=10, start=start)
+        with pytest.raises(ConfigurationError, match=r"shape \(7, 16\)"):
+            run_ensemble(spec, seed=5, kernel="numpy")
+
     def test_sharded_pool_runs(self):
         spec = EnsembleSpec(n_bins=16, n_replicas=9, rounds=20)
         result = run_ensemble(spec, seed=6, engine="batched", n_workers=2)

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,11 @@ from repro.baselines.d_choices import BatchedDChoices
 from repro.core.batched import BatchedRepeatedBallsIntoBins
 from repro.core.native import available_cpu_count, native_available
 from repro.errors import ConfigurationError
+from repro.experiments import run_experiment
 from repro.graphs.batched import BatchedConstrainedWalks
 from repro.graphs.generators import cycle_graph
 from repro.parallel.aggregate import TrialAggregate, aggregate_ensemble, aggregate_records
-from repro.parallel.ensemble import EnsembleSpec, run_ensemble
+from repro.parallel.ensemble import BATCHED_CLASSES, EnsembleSpec, run_ensemble
 from repro.parallel.runner import TrialRunner, run_trials
 from repro.parallel.seeding import trial_seed, trial_seeds, trial_states
 from repro.rng import as_generator, as_seed_sequence, derive_substream, spawn_generators, spawn_seeds
@@ -245,8 +247,9 @@ class TestTrialRunner:
         assert TrialRunner(n_workers=1).effective_workers == 1
 
 
-#: A sharded native run after a 2-thread in-process one: a pool forked from
-#: a process whose OpenMP runtime already ran a threaded region deadlocks.
+#: A native run with ``n_workers=2`` after a 2-thread in-process one.  An
+#: ensemble runs in process at every ``n_workers``, so this starts no pool;
+#: the pool after a threaded kernel is the test below this one.
 _THREADED_THEN_SHARDED = textwrap.dedent("""
     import numpy as np
     from repro.parallel.ensemble import EnsembleSpec, run_ensemble
@@ -262,7 +265,7 @@ _THREADED_THEN_SHARDED = textwrap.dedent("""
 @pytest.mark.skipif(available_cpu_count() < 2, reason="needs 2 visible CPUs")
 @pytest.mark.skipif(not native_available(), reason="native kernel unavailable")
 def test_sharded_run_after_threaded_native_run_returns():
-    # its own session, so a hung pool's workers die with the interpreter
+    # its own session, so a hung run's children die with the interpreter
     proc = subprocess.Popen(
         [sys.executable, "-c", _THREADED_THEN_SHARDED],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -277,6 +280,52 @@ def test_sharded_run_after_threaded_native_run_returns():
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
         pytest.fail("sharded run after a threaded native run hung for 60 s")
+    assert proc.returncode == 0, output
+
+
+#: A trial module for the pool below: a pool pickles its trial function by
+#: name, so the function lives at module level, not in the ``-c`` script.
+_POOL_TRIAL = textwrap.dedent("""
+    import numpy as np
+
+    def draw(trial_index, seed):
+        return int(np.random.default_rng(seed).integers(1 << 30))
+""")
+
+#: E8's pool, ``run_trials(..., n_workers=2)``, after a 2-thread native run:
+#: a pool forked from a process whose OpenMP runtime already ran a threaded
+#: region deadlocks, so the pool must start from its fork server.
+_THREADED_THEN_POOL = textwrap.dedent("""
+    import pool_trial
+    from repro.parallel.ensemble import EnsembleSpec, run_ensemble
+    from repro.parallel.runner import run_trials
+
+    spec = EnsembleSpec(n_bins=256, n_replicas=64, rounds=64)
+    run_ensemble(spec, seed=1, kernel="native", n_threads=2)
+    pooled = run_trials(pool_trial.draw, 4, seed=0, n_workers=2)
+    assert pooled == run_trials(pool_trial.draw, 4, seed=0), pooled
+""")
+
+
+@pytest.mark.skipif(available_cpu_count() < 2, reason="needs 2 visible CPUs")
+@pytest.mark.skipif(not native_available(), reason="native kernel unavailable")
+def test_trial_pool_after_threaded_native_run_returns(tmp_path):
+    (tmp_path / "pool_trial.py").write_text(_POOL_TRIAL)
+    # its own session, so a hung pool's workers die with the interpreter
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _THREADED_THEN_POOL],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(tmp_path)])),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        start_new_session=True,
+        text=True,
+    )
+    try:
+        output, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("trial pool after a threaded native run hung for 60 s")
     assert proc.returncode == 0, output
 
 
@@ -310,6 +359,94 @@ def test_pool_workers_start_with_the_experiment_registry_loaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[True, True]"
+
+
+# ----------------------------------------------------------------------
+# ensemble results do not depend on n_workers
+# ----------------------------------------------------------------------
+#: One small ensemble per process family, each from a drawn start with one
+#: metric tracker.
+_FAMILY_SPECS = {
+    "rbb": {},
+    "d_choices": {"process": "d_choices", "d": 2},
+    "faulty": {
+        "process": "faulty", "adversary": "concentrate", "fault_period": 7,
+    },
+    "graph_walks": {"process": "graph_walks", "topology": "cycle:16"},
+}
+
+
+def _family_kernel_cases():
+    for family, fields in _FAMILY_SPECS.items():
+        yield pytest.param(family, fields, "numpy", id=f"{family}-numpy")
+        native = BATCHED_CLASSES[fields.get("process", "rbb")].native_kernel
+        yield pytest.param(
+            family, fields, "native", id=f"{family}-native",
+            marks=pytest.mark.skipif(
+                not native_available(native),
+                reason=f"native {native} kernel unavailable",
+            ),
+        )
+
+
+def _assert_same_result(got, want):
+    """Every per-replica vector, the final loads and every payload agree."""
+    for field in (
+        "rounds", "final_loads", "max_load_seen", "min_empty_bins_seen",
+        "first_legitimate_round",
+    ):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.kernel == want.kernel
+    assert set(got.metrics) == set(want.metrics)
+    for name, payload in want.metrics.items():
+        other = got.metrics[name]
+        assert np.array_equal(other.rounds, payload.rounds), name
+        for slot in ("series", "summaries", "arrays"):
+            ours, theirs = getattr(other, slot), getattr(payload, slot)
+            assert set(ours) == set(theirs), (name, slot)
+            for key, value in theirs.items():
+                assert np.array_equal(ours[key], value), (name, slot, key)
+
+
+class TestEnsembleWorkerInvariance:
+    """An ensemble result is the same at every ``n_workers``, on any host.
+
+    A split of the replicas by ``min(n_workers, cores)`` shows only on two
+    or more cores, so CI runs this file on two visible cores.
+    """
+
+    @pytest.mark.parametrize("family, fields, kernel", _family_kernel_cases())
+    def test_run_ensemble_ignores_n_workers(self, family, fields, kernel):
+        spec = EnsembleSpec(
+            n_bins=16, n_replicas=6, rounds=24, start="random_uniform",
+            metrics="max_load", **fields,
+        )
+        base = run_ensemble(spec, seed=7, kernel=kernel, n_workers=0)
+        assert base.metrics["max_load"].n_observations == 24
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _assert_same_result(
+                run_ensemble(spec, seed=7, kernel=kernel, n_workers=1), base
+            )
+        for n_workers in (2, 4):
+            with pytest.warns(RuntimeWarning, match="n_threads"):
+                run = run_ensemble(
+                    spec, seed=7, kernel=kernel, n_workers=n_workers
+                )
+            _assert_same_result(run, base)
+
+    def test_negative_n_workers_refused(self):
+        spec = EnsembleSpec(n_bins=4, n_replicas=2, rounds=1)
+        with pytest.raises(ConfigurationError, match="n_workers"):
+            run_ensemble(spec, seed=0, n_workers=-1)
+
+    def test_e2_rows_ignore_n_workers(self):
+        params = {"sizes": [16, 32], "trials": 3, "budget_factor": 20.0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sequential = run_experiment("E2", params={**params, "n_workers": 0}, seed=7)
+            parallel = run_experiment("E2", params={**params, "n_workers": 2}, seed=7)
+        assert sequential.rows == parallel.rows
 
 
 # ----------------------------------------------------------------------

@@ -276,6 +276,39 @@ class TestScheduler:
         # no point ran: the manifest is untouched
         assert (store_dir / ResultStore.MANIFEST_NAME).read_bytes() == manifest
 
+    @pytest.mark.parametrize("n_workers", [2, 4])
+    def test_multi_worker_sweep_refused_before_the_store(self, tmp_path, n_workers):
+        """Every point runs in process; a sweep runs in parallel on threads."""
+        store_dir = tmp_path / "store"
+        with pytest.raises(ConfigurationError, match="n_threads.*--threads"):
+            run_sweep(tiny_spec(), store_dir, seed=1, n_workers=n_workers)
+        assert not store_dir.exists()  # refused before the store was created
+
+    def test_single_worker_store_resumes_byte_identically(self, tmp_path):
+        store_dir = tmp_path / "store"
+        run_sweep(tiny_spec(), store_dir, seed=1, kernel="numpy", n_workers=1,
+                  max_points=2)
+        report = resume_sweep(store_dir)
+        assert report.finished and report.n_run == 2
+        reference = ResultStore.in_memory()
+        run_sweep(tiny_spec(), reference, seed=1, kernel="numpy")
+        assert report.store.manifest_bytes() == reference.manifest_bytes()
+
+    def test_resume_of_sharded_store_refused(self, tmp_path):
+        store_dir = tmp_path / "store"
+        run_sweep(tiny_spec(), store_dir, seed=1, kernel="numpy", max_points=1)
+        header_path = store_dir / ResultStore.HEADER_NAME
+        header = json.loads(header_path.read_text())
+        header["n_workers"] = 2  # a store whose points ran sharded
+        header_path.write_text(json.dumps(header, sort_keys=True) + "\n")
+        manifest = (store_dir / ResultStore.MANIFEST_NAME).read_bytes()
+        with pytest.raises(ConfigurationError, match="ran sharded.*new store"):
+            resume_sweep(store_dir)
+        with pytest.raises(ConfigurationError, match="ran sharded.*new store"):
+            run_sweep(tiny_spec(), store_dir, seed=1, kernel="numpy")
+        # no point ran: the manifest is untouched
+        assert (store_dir / ResultStore.MANIFEST_NAME).read_bytes() == manifest
+
     @staticmethod
     def _version1_store(store_dir, spec, kernel):
         """A new store holding a hand-written version-1 header."""

@@ -245,12 +245,11 @@ class TestArtifactRoundTrip:
 
 
 class TestShardedSeeding:
-    """Satellite: verifier streams match engine streams across shard counts.
+    """Satellite: verifier streams match engine streams at every worker count.
 
-    The engine derives one stream per *shard*, so different worker counts
-    give different (distributionally equal) draws — which is exactly why
-    the catalog distribution-tests the sharded coordinate instead of
-    bit-comparing it.
+    The engine runs every ensemble in process from one derived stream, so
+    every worker count gives the same draws; the catalog's ``*-sharded``
+    cases check that ``n_workers=2`` still passes the exact-chain gates.
     """
 
     def test_trial_seed_matches_spawn_and_survives_reconstruction(self):
