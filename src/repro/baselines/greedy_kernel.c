@@ -24,20 +24,27 @@
  * boundary and at the window end, plus the load sum and sum of squares and
  * the per-replica load histogram when those buffers are non-NULL.
  *
- * A round is a departure pass over the row, which also collects the ball
- * count cnt, the max and the empty count, then the cnt placements, which
- * keep the max and the empty count up to date.  A replica alone draws its
- * d * cnt candidates lane by lane and places each ball into the first
- * least-loaded candidate, which defines the stream.  A group's round runs
- * every member's departures, then draws the first W = min over the members
- * of ceil(d * cnt / 2) words of every member's round at once
- * (repro_draw4()).  Each member maps its lanes to bins in on-stack blocks
- * (repro_block_map()), places the balls whose d candidates lie in the
- * block, carries a ball whose candidates straddle two blocks over to the
- * next, and then draws its remaining candidates lane by lane.  A group
- * runs a round in lockstep only while all four members are active; a
- * round in which one is frozen or stopped early runs each active member
- * alone.
+ * A round has rbb_kernel.c's three steps, through the passes of
+ * _kernel_common.h (Round passes there): the departure pass, whose ball
+ * count cnt is n minus the empty count the previous round left; the cnt
+ * placements, which keep no books; and one pass for the post-round max and
+ * empty count, which feed the window metrics, the early stop and the fused
+ * recorder.  One pass per round costs less than keeping the max and the
+ * empty count up to date ball by ball: against that, it ran 1.06-1.34x at
+ * m = n and 1.15-1.68x at m << n (one thread on the 2-vCPU Xeon VM below,
+ * n = 16 to 65536, d = 2 to 4, medians of 9 alternating pairs, two grids).
+ *
+ * A replica alone draws its d * cnt candidates lane by lane and places
+ * each ball into the first least-loaded candidate, which defines the
+ * stream.  A group's round runs every member's departures, then draws the
+ * first W = min over the members of ceil(d * cnt / 2) words of every
+ * member's round at once (repro_draw4()).  Each member maps its lanes to
+ * bins in on-stack blocks (repro_block_map()), places the balls whose d
+ * candidates lie in the block, carries a ball whose candidates straddle
+ * two blocks over to the next, and then draws its remaining candidates
+ * lane by lane.  A group runs a round in lockstep only while all four
+ * members are active; a round in which one is frozen or stopped early
+ * runs each active member alone.
  *
  * Placements that do not wait on their compares: a placement alone does
  * row[best] = min + 1, a store whose address depends on the compares of
@@ -102,45 +109,12 @@ typedef struct {
     int32_t *row;
     rng_t g;   /* a local copy of its xoshiro state */
     int64_t k; /* next fused observation slot */
-    int32_t mx;      /* the round's max load so far */
-    int64_t empty;   /* and its empty-bin count */
+    int32_t empty;   /* empty bins after the previous round */
     int64_t need;    /* candidates the round has still to take */
     int64_t seen;    /* candidates of a ball straddling two blocks, or 0 */
     uint32_t best;   /* that ball's first least-loaded candidate so far */
     int32_t best_load;
 } greedy_rep;
-
-/* Departures: every non-empty bin loses one ball; the same pass collects
- * the post-departure max and empty count.  Returns the ball count. */
-static inline int64_t greedy_depart(greedy_rep *p, int64_t n)
-{
-    int32_t *row = p->row;
-    int64_t cnt = 0;
-    int32_t mx = 0;
-    int64_t empty = 0;
-    for (int64_t i = 0; i < n; i++) {
-        const int32_t l0 = row[i];
-        const int32_t ne = l0 > 0;
-        const int32_t l = l0 - ne;
-        row[i] = l;
-        cnt += ne;
-        if (l > mx)
-            mx = l;
-        empty += (l == 0);
-    }
-    p->mx = mx;
-    p->empty = empty;
-    return cnt;
-}
-
-/* Count a ball that raised a bin to v into the round's max and empty
- * count. */
-static inline void greedy_placed(int32_t v, int32_t *mx, int64_t *empty)
-{
-    *empty -= (v == 1);
-    if (v > *mx)
-        *mx = v;
-}
 
 /* Place `balls` balls one at a time, each into the first least-loaded of d
  * candidates drawn lane by lane from L: the stream's definition.  The
@@ -149,8 +123,6 @@ static inline void greedy_lanes(greedy_rep *p, lanes_t *L, int64_t balls,
                                 int64_t d, uint32_t un, uint32_t lim)
 {
     int32_t *row = p->row;
-    int32_t mx = p->mx;
-    int64_t empty = p->empty;
     for (int64_t j = 0; j < balls; j++) {
         uint32_t best = bounded(L, un, lim);
         int32_t best_load = row[best];
@@ -161,31 +133,28 @@ static inline void greedy_lanes(greedy_rep *p, lanes_t *L, int64_t balls,
             best = better ? cand : best;
             best_load = better ? l : best_load;
         }
-        const int32_t v = best_load + 1;
-        row[best] = v;
-        greedy_placed(v, &mx, &empty);
+        row[best] = best_load + 1;
     }
-    p->mx = mx;
-    p->empty = empty;
 }
 
-/* The end of round t: the window metrics, the early stop and the fused
- * recorder. */
+/* The end of round t: the post-round max and empty count in one pass,
+ * then the window metrics, the early stop and the fused recorder. */
 static void greedy_record(greedy_ctx *c, greedy_rep *p, int64_t t)
 {
     const int64_t r = p->r;
+    const int32_t mx = repro_max_empty(p->row, c->n, &p->empty);
     c->rounds_done[r]++;
-    if (p->mx > c->max_seen[r])
-        c->max_seen[r] = p->mx;
-    if ((int32_t)p->empty < c->min_empty_seen[r])
-        c->min_empty_seen[r] = (int32_t)p->empty;
-    if (c->first_legit[r] < 0 && p->mx <= c->thr) {
+    if (mx > c->max_seen[r])
+        c->max_seen[r] = mx;
+    if (p->empty < c->min_empty_seen[r])
+        c->min_empty_seen[r] = p->empty;
+    if (c->first_legit[r] < 0 && mx <= c->thr) {
         c->first_legit[r] = c->rounds_done[r];
         if (c->stop_when_legitimate)
             c->active[r] = 0;
     }
     if (repro_obs_due(&c->obs, t, c->rounds))
-        repro_obs_record(&c->obs, r, p->k++, p->row, c->n, p->mx, p->empty,
+        repro_obs_record(&c->obs, r, p->k++, p->row, c->n, mx, p->empty,
                          (const int32_t *)0, 0);
 }
 
@@ -193,12 +162,12 @@ static void greedy_record(greedy_ctx *c, greedy_rep *p, int64_t t)
 static void greedy_round(greedy_ctx *c, greedy_rep *p, int64_t t)
 {
     lanes_t L = {&p->g, 0, 0};
-    const int64_t cnt = greedy_depart(p, c->n);
+    const int64_t cnt = repro_depart(p->row, c->n, p->empty);
     greedy_lanes(p, &L, cnt, c->d, (uint32_t)c->n, c->lim);
     greedy_record(c, p, t);
 }
 
-/* Load replica r's row and stream. */
+/* Load replica r's row, stream and empty count. */
 static void greedy_start(const greedy_ctx *c, greedy_rep *p, int64_t r)
 {
     const uint64_t *state = c->rng_state + 4 * r;
@@ -206,6 +175,7 @@ static void greedy_start(const greedy_ctx *c, greedy_rep *p, int64_t r)
     p->row = c->loads + r * c->n;
     for (int w = 0; w < 4; w++)
         p->g.s[w] = state[w];
+    p->empty = repro_count_empty(p->row, c->n);
     p->k = 0;
     p->seen = 0;
 }
@@ -230,9 +200,7 @@ static inline void greedy_straddle(greedy_rep *p, uint32_t cand, int64_t d)
         p->best_load = l;
     }
     if (++p->seen == d) {
-        const int32_t v = p->best_load + 1;
-        p->row[p->best] = v;
-        greedy_placed(v, &p->mx, &p->empty);
+        p->row[p->best] = p->best_load + 1;
         p->seen = 0;
     }
 }
@@ -247,8 +215,6 @@ greedy_whole(greedy_rep *p, const uint32_t *cand, int64_t balls,
              const int64_t d)
 {
     int32_t *row = p->row;
-    int32_t mx = p->mx;
-    int64_t empty = p->empty;
     for (int64_t j = 0; j < balls; j++, cand += d) {
         int32_t l[4];
         int64_t best = 0;
@@ -268,10 +234,7 @@ greedy_whole(greedy_rep *p, const uint32_t *cand, int64_t balls,
             else
                 row[cand[e]] += e == best;
         }
-        greedy_placed(best_load + 1, &mx, &empty);
     }
-    p->mx = mx;
-    p->empty = empty;
 }
 
 /* Take a lockstep block's m lanes into p's round: its accepted lanes in
@@ -318,7 +281,7 @@ static void greedy_lockstep(greedy_ctx *c, greedy_rep *p, int64_t t)
     rng_t *const g[4] = {&p[0].g, &p[1].g, &p[2].g, &p[3].g};
     int64_t W = d * n; /* words every member's round consumes anyway */
     for (int m = 0; m < 4; m++) {
-        p[m].need = d * greedy_depart(&p[m], n);
+        p[m].need = d * repro_depart(p[m].row, n, p[m].empty);
         if ((p[m].need + 1) / 2 < W)
             W = (p[m].need + 1) / 2;
     }

@@ -1,8 +1,30 @@
 /* Shared runtime for the compiled batched kernels (rbb_kernel.c,
  * graphs/walk_kernel.c, baselines/greedy_kernel.c): the xoshiro256++
  * generator, Lemire's unbiased bounded-integer reduction, the blocked and
- * lockstep draws of the rbb and Greedy[d] kernels, the fused observation
- * recorder, and the replica-axis threading layer.
+ * lockstep draws of the rbb and Greedy[d] kernels, the passes that frame
+ * their rounds, the random_uniform start thrown from numpy's own stream,
+ * the fused observation recorder, and the replica-axis threading layer.
+ *
+ * Round passes
+ * ------------
+ * The rbb and Greedy[d] kernels run a dense round the same way: the
+ * departure pass repro_depart() (row[i] -= row[i] > 0), the round's
+ * placements, and one max/empty pass, repro_max_empty(), before the round
+ * is recorded.  The departure pass reduces nothing: the balls that leave
+ * are the occupied bins, n minus the empty count of the previous round's
+ * max/empty pass, and repro_count_empty() seeds that count when a call
+ * starts.  So the placements keep no books, and both passes are plain
+ * loops the compiler vectorizes.  repro_obs_finish() takes a frozen row's
+ * max and empty count through the same pass.
+ *
+ * Random starts
+ * -------------
+ * repro_uniform_start() throws the random_uniform start of an ensemble
+ * (repro.core.batched.make_ensemble_initial) from a numpy Generator's own
+ * bit generator, ball by ball as Generator.integers(0, n) draws them
+ * (Lemire's rule on next_uint32, the rule of bounded() below), and counts
+ * each ball straight into its int32 row.  The block and the generator's
+ * state after it are those of the numpy reference, one_choice_arrivals().
  *
  * Threading model
  * ---------------
@@ -280,6 +302,88 @@ static inline void repro_draw4(rng_t *const g[4],
 #endif
 
 /* ------------------------------------------------------------------ */
+/* Round passes                                                        */
+/* ------------------------------------------------------------------ */
+
+/* The empty bins of a row: the count pass that seeds a call's first round. */
+static inline int32_t repro_count_empty(const int32_t *row, int64_t n)
+{
+    int32_t empty = 0;
+    for (int64_t i = 0; i < n; i++)
+        empty += row[i] == 0;
+    return empty;
+}
+
+/* Departures: every non-empty bin loses one ball.  Returns how many left,
+ * n minus the row's `empty` bins before the pass. */
+static inline int64_t repro_depart(int32_t *row, int64_t n, int32_t empty)
+{
+    for (int64_t i = 0; i < n; i++)
+        row[i] -= row[i] > 0;
+    return n - empty;
+}
+
+/* The end of a round: the row's max load, and its empty count in *empty,
+ * in one pass. */
+static inline int32_t repro_max_empty(const int32_t *row, int64_t n,
+                                      int32_t *empty)
+{
+    int32_t mx = 0;
+    int32_t e = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t l = row[i];
+        mx = l > mx ? l : mx;
+        e += l == 0;
+    }
+    *empty = e;
+    return mx;
+}
+
+/* ------------------------------------------------------------------ */
+/* Random starts                                                       */
+/* ------------------------------------------------------------------ */
+
+/* numpy's bitgen_t (numpy/random/bitgen.h): the C interface of a numpy
+ * BitGenerator, which Python reaches as bit_generator.ctypes.bit_generator. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} repro_bitgen_t;
+
+/* Throw m balls into each row of the C-contiguous (R, n) int32 block
+ * `loads`, overwriting it, rows in order: each ball goes where
+ * Generator.integers(0, n) would put it, by Lemire's rule on next_uint32
+ * with threshold (2^32 - n) mod n, and at n = 1 nothing is drawn.  So the
+ * block and the bit generator's state after it equal those of the numpy
+ * reference, which draws the R * m destinations in one flat call.  The
+ * caller keeps 1 <= n < 2^31 and m < 2^31 - 1, so no count wraps, and holds
+ * the bit generator's lock. */
+REPRO_ABI void repro_uniform_start(void *bitgen, int32_t *loads, int64_t R,
+                                   int64_t n, int64_t m)
+{
+    repro_bitgen_t *bg = (repro_bitgen_t *)bitgen;
+    const uint32_t un = (uint32_t)n;
+    const uint32_t lim = (uint32_t)(-un) % un;
+    memset(loads, 0, sizeof(int32_t) * (size_t)(R * n));
+    for (int64_t r = 0; r < R; r++) {
+        int32_t *row = loads + r * n;
+        if (n == 1) {
+            row[0] = (int32_t)m;
+            continue;
+        }
+        for (int64_t j = 0; j < m; j++) {
+            uint64_t p = (uint64_t)bg->next_uint32(bg->state) * un;
+            while ((uint32_t)p < lim)
+                p = (uint64_t)bg->next_uint32(bg->state) * un;
+            row[p >> 32]++;
+        }
+    }
+}
+
+/* ------------------------------------------------------------------ */
 /* Fused observation                                                   */
 /* ------------------------------------------------------------------ */
 
@@ -446,14 +550,8 @@ static void repro_obs_finish(const repro_obs_t *o, int64_t r, int64_t k,
 {
     if (k >= o->n_obs)
         return;
-    int32_t mx = 0;
-    int64_t empty = 0;
-    for (int64_t i = 0; i < n; i++) {
-        const int32_t l = row[i];
-        if (l > mx)
-            mx = l;
-        empty += (l == 0);
-    }
+    int32_t empty;
+    const int32_t mx = repro_max_empty(row, n, &empty);
     for (; k < o->n_obs; k++)
         repro_obs_record(o, r, k, row, n, mx, empty, (const int32_t *)0, 0);
 }

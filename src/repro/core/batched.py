@@ -54,6 +54,14 @@ construction, at :meth:`~BatchedLoadProcess.reset` and at
 :meth:`~BatchedLoadProcess.replace_loads` (see :func:`check_state_fits`).
 Results leave the process as int64 (``EnsembleResult.final_loads``).
 
+A ``random_uniform`` start from :func:`make_ensemble_initial` is an
+int32 ``(R, n)`` block too.  Its balls are thrown in C
+(``repro_uniform_start`` in ``_kernel_common.h``) from the numpy
+``Generator``'s own bit generator, one by one as
+``Generator.integers(0, n)`` draws them, so the block equals the numpy
+reference :func:`one_choice_arrivals`; without a kernel library
+(``REPRO_NATIVE=0``, no compiler) that reference draws it.
+
 Every native kernel — this module's ``rbb``, the graph walks' ``walks`` and
 Greedy[d]'s ``greedy_d`` — runs through :class:`BatchedLoadProcess`: the
 kernel choice, fused or segmented observation, and one call whose arguments
@@ -79,6 +87,7 @@ vector:
 
 from __future__ import annotations
 
+import ctypes
 import os
 from dataclasses import dataclass, field
 from typing import (
@@ -88,7 +97,9 @@ from typing import (
 import numpy as np
 
 from .config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
-from .native import get_kernel, kernel_args, native_status, resolve_n_threads
+from .native import (
+    get_kernel, kernel_args, native_status, resolve_n_threads, uniform_start,
+)
 from ..errors import ConfigurationError, SimulationError
 from ..metrics.base import BatchedObserverList
 from ..metrics.fused import (
@@ -227,9 +238,14 @@ def make_ensemble_initial(
 
     Deterministic kinds (``balanced``, ``all_in_one``, ``pyramid``,
     ``legitimate_extreme``) replicate the corresponding
-    :class:`LoadConfiguration` constructor across replicas;
-    ``random_uniform`` throws each replica's balls independently with a
-    single flat draw.
+    :class:`LoadConfiguration` constructor across replicas.
+    ``random_uniform`` throws each replica's balls independently from one
+    ``default_rng(seed)`` stream, replica after replica; the block is
+    int32, thrown in C straight from that stream
+    (:func:`repro.core.native.uniform_start`), and equals
+    :func:`one_choice_arrivals` on the same generator, which draws it when
+    no kernel library loads.  A start int32 cannot hold (see
+    :func:`check_state_fits`) is refused before anything is drawn.
 
     >>> make_ensemble_initial("balanced", 4, 2).tolist()
     [[1, 1, 1, 1], [1, 1, 1, 1]]
@@ -238,16 +254,28 @@ def make_ensemble_initial(
     """
     if n_replicas < 1:
         raise ConfigurationError(f"n_replicas must be >= 1, got {n_replicas}")
+    if n_bins < 1:
+        raise ConfigurationError(f"n_bins must be >= 1, got {n_bins}")
     m = n_bins if n_balls is None else n_balls
     if kind == "random_uniform":
         if m < 0:
             raise ConfigurationError(f"n_balls must be >= 0, got {m}")
+        check_state_fits(n_bins, m)
         rng = np.random.default_rng(as_seed_sequence(seed))
-        row_base = np.arange(n_replicas, dtype=np.int64) * n_bins
-        counts = np.full(n_replicas, m, dtype=np.int64)
-        return one_choice_arrivals(
-            rng, row_base, counts, n_replicas, n_bins
-        ).astype(np.int64)
+        loads = np.empty((n_replicas, n_bins), dtype=np.int32)
+        throw = uniform_start()
+        if throw is None:
+            row_base = np.arange(n_replicas, dtype=np.int64) * n_bins
+            counts = np.full(n_replicas, m, dtype=np.int64)
+            loads[...] = one_choice_arrivals(
+                rng, row_base, counts, n_replicas, n_bins
+            )
+            return loads
+        bitgen = rng.bit_generator
+        out = loads.ctypes.data_as(ctypes.POINTER(ctypes.c_int32))
+        with bitgen.lock:
+            throw(bitgen.ctypes.bit_generator, out, n_replicas, n_bins, m)
+        return loads
     makers = {
         "balanced": LoadConfiguration.balanced,
         "all_in_one": LoadConfiguration.all_in_one,

@@ -14,8 +14,9 @@ loaded through :mod:`ctypes`:
     ``baselines/greedy_kernel.c`` — the repeated Greedy[d] update driven
     by :class:`~repro.baselines.d_choices.BatchedDChoices`.
 
-Every kernel shares ``_kernel_common.h`` (RNG, the fused-observation
-recorder, replica-axis threading) and is compiled against a ladder of flag variants, best first::
+Every kernel shares ``_kernel_common.h`` (RNG, the round passes, the
+fused-observation recorder, replica-axis threading) and is compiled
+against a ladder of flag variants, best first::
 
     -O3 -march=native -funroll-loops -fopenmp        (OpenMP threading)
     -O3 -march=native -funroll-loops -DREPRO_PTHREADS -pthread
@@ -67,6 +68,12 @@ its type.  The loader applies the types to the loaded library,
 and ``repro.lint.abi`` cross-checks names and types against the C
 declarations themselves (arity, parameter names, integer widths), so the
 hand-maintained mirror cannot silently drift.
+
+The shared header also exports ``repro_uniform_start``, which throws a
+``random_uniform`` start from a numpy ``Generator``'s own bit generator
+(see :func:`repro.core.batched.make_ensemble_initial`).  It is fetched
+from the rbb library through :func:`uniform_start`, not
+:func:`get_kernel`, which returns only the simulation kernels.
 """
 
 from __future__ import annotations
@@ -89,6 +96,7 @@ from ..errors import ConfigurationError
 __all__ = [
     "native_available",
     "get_kernel",
+    "uniform_start",
     "native_status",
     "native_threading",
     "env_n_threads",
@@ -241,12 +249,31 @@ _LOCKSTEP_ABI = SymbolABI(
     source=_COMMON_HEADER,
 )
 
+#: Throws ``m`` balls per row of an ``(R, n)`` block from numpy's
+#: ``bitgen_t`` (``Generator.bit_generator.ctypes.bit_generator``), as
+#: ``Generator.integers(0, n)`` draws them.
+_START_ABI = SymbolABI(
+    name="repro_uniform_start",
+    params=(
+        ("bitgen", ctypes.c_void_p),
+        ("loads", ctypes.POINTER(ctypes.c_int32)),  # (R, n), overwritten
+        ("R", ctypes.c_int64),
+        ("n", ctypes.c_int64),
+        ("m", ctypes.c_int64),
+    ),
+    restype=None,
+    source=_COMMON_HEADER,
+)
+
 #: Every exported symbol of the compiled kernels, by name.  The lint ABI
 #: checker walks this mapping and verifies each entry against the
 #: ``REPRO_ABI``-marked C definition in ``SymbolABI.source``.
 KERNEL_ABI: Dict[str, SymbolABI] = {
     abi.name: abi
-    for abi in (_RBB_ABI, _WALKS_ABI, _GREEDY_ABI, _PROBE_ABI, _LOCKSTEP_ABI)
+    for abi in (
+        _RBB_ABI, _WALKS_ABI, _GREEDY_ABI, _PROBE_ABI, _LOCKSTEP_ABI,
+        _START_ABI,
+    )
 }
 
 
@@ -347,6 +374,7 @@ class _LoadedKernel:
     fn: Optional[object]
     status: str
     threading: str  # "openmp" | "pthreads" | "serial" | "unavailable"
+    start: Optional[object] = None  # the library's repro_uniform_start
 
 
 _CACHE: Dict[Tuple[str, Optional[str]], _LoadedKernel] = {}
@@ -552,6 +580,7 @@ def _load(name: str, mode: Optional[str]) -> _LoadedKernel:
             f"compiled with {cc} {flag_label} [{threading}]"
             f"{sanitize_label} -> {lib_path}{lockstep}",
             threading,
+            _declare(lib, _START_ABI),
         )
     return _LoadedKernel(
         None, f"native kernel unavailable: {last_error}", "unavailable"
@@ -578,6 +607,17 @@ def native_available(kernel: str = "rbb") -> bool:
 def get_kernel(kernel: str = "rbb"):
     """The ``ctypes`` entry point of a compiled kernel, or ``None``."""
     return _resolve(kernel).fn
+
+
+def uniform_start():
+    """The rbb library's ``repro_uniform_start``, or ``None``.
+
+    Every kernel library exports it (it lives in the shared header); this
+    takes the rbb one.  It is kept apart from :func:`get_kernel`, whose
+    entry points are the simulation kernels alone, so whatever wraps or
+    counts those calls does not see a start being drawn.
+    """
+    return _resolve("rbb").start
 
 
 def native_status(kernel: str = "rbb") -> str:

@@ -24,7 +24,8 @@
  *
  * Round structure: a dense round is three passes over the row (a sparse
  * one walks a list instead, see below).  The first and the last are plain
- * loops the compiler vectorizes.
+ * loops the compiler vectorizes, shared with greedy_kernel.c (Round passes
+ * in _kernel_common.h).
  *
  *   1. departures, row[i] -= row[i] > 0.  The number of balls that leave,
  *      cnt, is n minus the empty count of the previous round's pass 3 (one
@@ -245,15 +246,6 @@ static inline int64_t rbb_place(rbb_rep *p, const uint32_t *lane,
     return got;
 }
 
-/* 1. departures: every non-empty bin loses one ball; returns how many. */
-static inline int64_t rbb_depart(rbb_rep *p, int64_t n)
-{
-    int32_t *row = p->row;
-    for (int64_t i = 0; i < n; i++)
-        row[i] -= row[i] > 0;
-    return n - p->empty;
-}
-
 /* 1, sparse: every listed bin loses one ball, and the bins that empty
  * leave the list; returns how many balls left, the list's old length. */
 static inline int64_t rbb_depart_listed(rbb_rep *p)
@@ -344,17 +336,8 @@ static inline void rbb_record(rbb_ctx *c, rbb_rep *p, int64_t t, int32_t mx)
  * pass; a row left with few enough occupied bins goes sparse. */
 static void rbb_end_round(rbb_ctx *c, rbb_rep *p, int64_t t)
 {
-    const int64_t n = c->n;
-    const int32_t *row = p->row;
-    int32_t mx = 0;
-    int32_t empty = 0;
-    for (int64_t i = 0; i < n; i++) {
-        const int32_t l = row[i];
-        mx = l > mx ? l : mx;
-        empty += l == 0;
-    }
-    p->empty = empty;
-    if (n - empty <= p->enter)
+    const int32_t mx = repro_max_empty(p->row, c->n, &p->empty);
+    if (c->n - p->empty <= p->enter)
         rbb_list(c, p);
     rbb_record(c, p, t, mx);
 }
@@ -384,7 +367,7 @@ static void rbb_round(rbb_ctx *c, rbb_rep *p, int64_t t)
 {
     const uint32_t un = (uint32_t)c->n;
     if (p->len < 0) {
-        rbb_arrivals(p, rbb_depart(p, c->n), un, c->lim);
+        rbb_arrivals(p, repro_depart(p->row, c->n, p->empty), un, c->lim);
         rbb_end_round(c, p, t);
     } else {
         rbb_arrivals(p, rbb_depart_listed(p), un, c->lim);
@@ -437,15 +420,11 @@ static void rbb_start(const rbb_ctx *c, rbb_rep *p, int64_t r)
 {
     const int64_t n = c->n;
     const uint64_t *state = c->rng_state + 4 * r;
-    int32_t *row = c->loads + r * n;
-    int32_t empty = 0;
-    for (int64_t i = 0; i < n; i++)
-        empty += row[i] == 0;
     p->r = r;
-    p->row = row;
+    p->row = c->loads + r * n;
     for (int w = 0; w < 4; w++)
         p->g.s[w] = state[w];
-    p->empty = empty;
+    p->empty = repro_count_empty(p->row, n);
     p->k = 0;
     p->occ = (int32_t *)0;
     p->len = -1;
@@ -455,7 +434,7 @@ static void rbb_start(const rbb_ctx *c, rbb_rep *p, int64_t r)
     p->seg_start = 0;
     p->seg_len = p->fault_at < 0 ? c->rounds : p->fault_at;
     p->legit = (int64_t *)0;
-    if (n - empty <= p->enter)
+    if (n - p->empty <= p->enter)
         rbb_list(c, p);
 }
 
@@ -482,7 +461,7 @@ static void rbb_lockstep(rbb_ctx *c, rbb_rep *p, int64_t t)
     int64_t need[4];
     int64_t W = n; /* words every member's round consumes anyway */
     for (int m = 0; m < 4; m++) {
-        need[m] = rbb_depart(&p[m], n);
+        need[m] = repro_depart(p[m].row, n, p[m].empty);
         if ((need[m] + 1) / 2 < W)
             W = (need[m] + 1) / 2;
     }

@@ -19,7 +19,6 @@ a process pays for starting it and importing them.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -28,6 +27,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 
 from .seeding import trial_seeds
+from ..core.native import available_cpu_count
 from ..errors import ConfigurationError
 from ..types import SeedLike
 
@@ -65,7 +65,7 @@ class TrialRunner:
     ----------
     n_workers:
         ``None`` or ``0`` → in-process execution; ``>= 1`` → a process pool
-        with that many workers (capped at the CPU count).
+        with that many workers (capped at the CPUs this process may use).
     chunk_size:
         Number of trials submitted per pool task; larger chunks amortize
         inter-process overhead for fast trials.
@@ -85,7 +85,7 @@ class TrialRunner:
         """Resolved worker count (0 means run in-process)."""
         if not self.n_workers:
             return 0
-        return min(self.n_workers, os.cpu_count() or 1)
+        return min(self.n_workers, available_cpu_count())
 
     def run(
         self,

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.adversary.batched import BatchedFaultyProcess
 from repro.baselines.d_choices import BatchedDChoices
 from repro.core.batched import (
+    INITIAL_KINDS,
     BatchedRepeatedBallsIntoBins,
     EnsembleResult,
     make_ensemble_initial,
@@ -233,6 +234,12 @@ class TestEnsembleInitial:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             make_ensemble_initial("spiral", 8, 2)
+
+    @pytest.mark.parametrize("kind", INITIAL_KINDS)
+    @pytest.mark.parametrize("n_bins", [0, -3])
+    def test_refuses_no_bins(self, kind, n_bins):
+        with pytest.raises(ConfigurationError, match="n_bins"):
+            make_ensemble_initial(kind, n_bins, 2, n_balls=0, seed=0)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,9 @@ Also covered here: concentrate faults struck inside the rbb kernel
 against the segmented fault loop, Greedy[1] against the rbb kernel (the
 stream reference for the rbb kernel's blocked and lockstep draws and its
 sparse rounds), the Greedy[d] kernel's lockstep groups against its
-lane-by-lane loop, both kernels' lockstep width in their status, digests that
-pin every kernel's streams, legitimacy thresholds beyond int32, the
+lane-by-lane loop, both kernels' lockstep width in their status, the
+``random_uniform`` start thrown in C against its numpy reference, digests
+that pin every kernel's streams, legitimacy thresholds beyond int32, the
 flag-aware binary cache key, the by-name kernel argument helper,
 thread-count resolution precedence, the exact-moments tracker, and the
 sweep scheduler's oversubscription guard.
@@ -38,6 +39,7 @@ from repro.core.batched import (
     BatchedRepeatedBallsIntoBins,
     PileFaults,
     make_ensemble_initial,
+    one_choice_arrivals,
 )
 from repro.core.config import DEFAULT_BETA
 from repro.core.native import (
@@ -47,6 +49,7 @@ from repro.core.native import (
     native_available,
     native_status,
     resolve_n_threads,
+    uniform_start,
 )
 from repro.errors import ConfigurationError
 from repro.graphs.batched import BatchedConstrainedWalks
@@ -928,18 +931,95 @@ def test_greedy_status_reports_lockstep_width():
 
 
 # ---------------------------------------------------------------------
+# The random_uniform start, thrown in C from numpy's stream
+# ---------------------------------------------------------------------
+#: A numpy reference that draws more balls than this at once takes
+#: hundreds of MB (int64 destinations, their offsets, the counts).
+_START_BALLS_CAP = 2**22
+
+#: (n, R, m) over n in {1, 2, 3, 7, 16, 100, 1000, 1024, 65026, 65537,
+#: 2**20 + 7} (65026 and 2**20 + 7 reject lanes; n = 1 draws nothing),
+#: R in {1, 3, 8} and m in {0, 1, n, 2n + 3}, up to the cap above.
+_START_GRID = [
+    pytest.param(n, R, m, id=f"n{n}-R{R}-m{m}")
+    for n in (1, 2, 3, 7, 16, 100, 1000, 1024, 65026, 65537, 2**20 + 7)
+    for R in (1, 3, 8)
+    for m in (0, 1, n, 2 * n + 3)
+    if R * m <= _START_BALLS_CAP
+]
+
+needs_start = pytest.mark.skipif(
+    uniform_start() is None, reason="no kernel library (no C compiler)"
+)
+
+
+def _reference_start(rng, n, R, m):
+    """The numpy reference: one flat draw of every replica's throws."""
+    return one_choice_arrivals(
+        rng, np.arange(R, dtype=np.int64) * n, np.full(R, m, np.int64), R, n
+    )
+
+
+@needs_start
+class TestUniformStart:
+    """``repro_uniform_start`` draws ``Generator.integers(0, n)``'s balls
+    from the generator's own bit generator, so its block and the
+    generator's state after it equal the numpy reference's."""
+
+    @pytest.mark.parametrize("n, R, m", _START_GRID)
+    def test_equals_the_numpy_reference(self, n, R, m):
+        for seed in (0, 1, 2024):
+            want_rng = np.random.default_rng(seed)
+            want = _reference_start(want_rng, n, R, m)
+            block = make_ensemble_initial(
+                "random_uniform", n, R, n_balls=m, seed=seed
+            )
+            assert block.dtype == np.int32
+            assert block.flags.c_contiguous
+            assert np.array_equal(block, want)
+            rng = np.random.default_rng(seed)
+            loads = np.full((R, n), -1, dtype=np.int32)
+            with rng.bit_generator.lock:
+                uniform_start()(
+                    rng.bit_generator.ctypes.bit_generator,
+                    loads.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
+                    R, n, m,
+                )
+            assert np.array_equal(loads, want)
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_fallback_gives_the_same_block(self, monkeypatch):
+        block = make_ensemble_initial("random_uniform", 100, 3, seed=5)
+        monkeypatch.setattr(batched, "uniform_start", lambda: None)
+        fallback = make_ensemble_initial("random_uniform", 100, 3, seed=5)
+        assert fallback.dtype == np.int32
+        assert np.array_equal(fallback, block)
+
+    @pytest.mark.parametrize("n, m", [(4, 2**31 - 1), (2**31, 1)])
+    def test_refuses_a_start_int32_cannot_hold(self, monkeypatch, n, m):
+        def drawn(*args, **kwargs):
+            raise AssertionError("a refused start was drawn")
+
+        monkeypatch.setattr(batched, "uniform_start", drawn)
+        monkeypatch.setattr(batched, "one_choice_arrivals", drawn)
+        with pytest.raises(ConfigurationError, match="int32"):
+            make_ensemble_initial("random_uniform", n, 2, n_balls=m, seed=0)
+
+
+# ---------------------------------------------------------------------
 # Pinned native streams
 # ---------------------------------------------------------------------
 def _pinned_run(kind):
     """A single-thread native run: one per kernel, plus an rbb run whose
     rounds reject lanes, one whose rows enter and leave the rbb kernel's
-    sparse rounds, and a Greedy[3] run of one lockstep group and a
-    3-replica tail.  Each starts deterministically (numpy
-    ``Generator`` streams may change between numpy versions; the
+    sparse rounds, a Greedy[3] run of one lockstep group and a 3-replica
+    tail, and a Greedy[2] run of mostly-empty rows (64 balls in 4096
+    bins; one group and a 2-replica tail).  Each starts deterministically
+    (numpy ``Generator`` streams may change between numpy versions; the
     ``SeedSequence`` hashing that seeds the native streams does not)."""
-    def start(initial, n, R):
+    def start(initial, n, R, n_balls=None):
         return dict(
-            initial=make_ensemble_initial(initial, n, R),
+            initial=make_ensemble_initial(initial, n, R, n_balls=n_balls),
             seed=2024, kernel="native", n_threads=1,
         )
 
@@ -963,6 +1043,10 @@ def _pinned_run(kind):
         return BatchedDChoices(
             300, 7, d=3, **start("all_in_one", 300, 7)
         ).run(600)
+    if kind == "greedy_sparse":
+        return BatchedDChoices(
+            4096, 6, d=2, **start("balanced", 4096, 6, n_balls=64)
+        ).run(200)
     return BatchedConstrainedWalks(
         resolve_topology("cycle:100"), 4, **start("all_in_one", 100, 4)
     ).run(400)
@@ -982,6 +1066,8 @@ PINNED_DIGESTS = {
         "5a57d9afda5e952a1ee8ec9c2c414ff7919666943b0477965ed273c77028fe6d",
     "greedy_d3":
         "e80608dcdf489e3dac610d55af5f8b063feafaea31de394f95ca08bfb625bd98",
+    "greedy_sparse":
+        "67c1e06171a16db501c8cfac836f62ccdce492a58d38f19f1c522948217cc432",
     "walks": "64e5d30d66c973bd53e998f5bb527eed839a918ecf8ac8bbc336dcd5d05127e2",
 }
 
@@ -993,6 +1079,7 @@ PINNED_DIGESTS = {
     pytest.param("rbb_sparse"),
     pytest.param("greedy_d", marks=needs_native_greedy),
     pytest.param("greedy_d3", marks=needs_native_greedy),
+    pytest.param("greedy_sparse", marks=needs_native_greedy),
     pytest.param("walks", marks=needs_native_walks),
 ])
 def test_native_streams_are_pinned(kind):

@@ -246,6 +246,12 @@ class TestTrialRunner:
         assert TrialRunner(n_workers=0).effective_workers == 0
         assert TrialRunner(n_workers=1).effective_workers == 1
 
+    def test_pool_is_capped_by_the_cpus_the_process_may_use(self, monkeypatch):
+        # a process pinned to one CPU (taskset, a cpuset) on a larger host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert TrialRunner(n_workers=4).effective_workers == 1
+
 
 #: A native run with ``n_workers=2`` after a 2-thread in-process one.  An
 #: ensemble runs in process at every ``n_workers``, so this starts no pool;
@@ -447,6 +453,54 @@ class TestEnsembleWorkerInvariance:
             sequential = run_experiment("E2", params={**params, "n_workers": 0}, seed=7)
             parallel = run_experiment("E2", params={**params, "n_workers": 2}, seed=7)
         assert sequential.rows == parallel.rows
+
+
+@st.composite
+def _small_specs(draw):
+    """A small ``EnsembleSpec``: rbb, Greedy[d] or concentrate faults, from
+    each start family, with or without metrics and early stop."""
+    process = draw(st.sampled_from(["rbb", "d_choices", "faulty"]))
+    rounds = draw(st.integers(1, 60))
+    fields = {}
+    if process == "d_choices":
+        fields["d"] = draw(st.integers(1, 4))
+    if process == "faulty":
+        fields["adversary"] = "concentrate"
+        fields["fault_period"] = draw(st.integers(1, min(rounds, 20)))
+    else:
+        fields["stop_when_legitimate"] = draw(st.booleans())
+    return EnsembleSpec(
+        process=process,
+        n_bins=draw(st.integers(2, 300)),
+        n_replicas=draw(st.integers(1, 9)),
+        rounds=rounds,
+        start=draw(st.sampled_from(["random_uniform", "all_in_one", "balanced"])),
+        metrics=draw(st.sampled_from([None, "max_load", "histogram,moments"])),
+        **fields,
+    )
+
+
+class TestEnsembleExecutionInvariance:
+    """An ensemble result is a function of (spec, seed, kernel) alone: the
+    kernel's thread count, fused observation and whether the seed object
+    was used before change no bit of it.  CI runs this file on two cores
+    with ``REPRO_NATIVE_THREADS=2``."""
+
+    @given(spec=_small_specs(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_execution_knobs_change_no_result(self, spec, seed):
+        used = np.random.SeedSequence(seed)
+        base = run_ensemble(spec, seed=used, n_threads=1)
+        _assert_same_result(
+            run_ensemble(spec, seed=np.random.SeedSequence(seed), n_threads=2),
+            base,
+        )
+        _assert_same_result(run_ensemble(spec, seed=used, n_threads=1), base)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_NATIVE_FUSED", "0")
+            _assert_same_result(
+                run_ensemble(spec, seed=np.random.SeedSequence(seed)), base
+            )
 
 
 # ----------------------------------------------------------------------
