@@ -13,26 +13,25 @@ goes straight to the process'
 check of a fault (shape, integer values, no negative load, per-replica ball
 conservation), which then writes it into the int32 state in place.
 
-Two paths run a window, with the same results:
+Two paths run a window, with the same results, and the process's
+:meth:`~repro.core.batched.BatchedLoadProcess.plan_window` picks one; the
+wrapper hands it two reasons of its own against the first path, an
+adversary without the concentrate adversary's own
+:meth:`~repro.adversary.adversaries.ConcentrateAdversary.reassign_batch`
+and a ``Generator`` shared with the process:
 
-* **In the kernel.**  When the adversary is the concentrate adversary (its
-  own :meth:`~repro.adversary.adversaries.ConcentrateAdversary.reassign_batch`,
-  so a fault is fixed by its pile targets) and the process takes the window
-  in one native rbb call
-  (:meth:`~repro.core.batched.BatchedLoadProcess.takes_piles`: every
-  replica active, observers none or fusable), every fault's targets are
-  drawn up front, one
+* **In the kernel**, when the plan is one fused call.  Every fault's pile
+  targets are drawn up front, one
   :meth:`~repro.adversary.adversaries.ConcentrateAdversary.pile_targets`
   call per fault in fault order, and the whole window is one
   :meth:`~repro.core.batched.BatchedLoadProcess.advance_window` call that
   strikes the faults between rounds inside the kernel.  Recovery times come
   from the kernel's first legitimate round after each fault.
-* **Segmented**, the reference, for every other adversary, the numpy
-  kernel, matrix observers, ``REPRO_NATIVE_FUSED=0`` and an adversary that
-  shares one ``Generator`` with the process: the rounds between consecutive
-  faults run as one engine call each through ``advance_window``, and each
-  fault's matrix goes through ``inject_loads``.  Recovery times are read
-  off each post-fault segment's ``first_legitimate_round`` vector.
+* **Segmented**, the reference, for any plan with fallbacks: the rounds
+  between consecutive faults run as one engine call each through
+  ``advance_window``, and each fault's matrix goes through
+  ``inject_loads``.  Recovery times are read off each post-fault segment's
+  ``first_legitimate_round`` vector.
 
 Either way ``advance_window`` returns only the window vectors and the loads
 are copied once, into the result, at the end, so an adversarial ensemble
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,7 +52,9 @@ from ..core.batched import (
     BatchedLoadProcess,
     BatchedRepeatedBallsIntoBins,
     EnsembleResult,
+    Fallback,
     PileFaults,
+    WindowPlan,
 )
 from ..core.config import DEFAULT_BETA, LoadConfiguration
 from ..errors import ConfigurationError
@@ -89,6 +90,9 @@ class BatchedFaultyResult:
         legitimate configuration, or ``-1``.
     final_loads:
         The ``(R, n)`` configuration after the last round.
+    plan:
+        The :class:`~repro.core.batched.WindowPlan` the run acted on: its
+        kernel, and why the faults did not strike inside one kernel call.
     """
 
     n_bins: int
@@ -99,12 +103,17 @@ class BatchedFaultyResult:
     recovery_times: np.ndarray
     first_legitimate_round: np.ndarray
     final_loads: np.ndarray
+    plan: WindowPlan
     beta: float = field(default=DEFAULT_BETA)
-    kernel: str = "numpy"
 
     @property
     def n_replicas(self) -> int:
         return int(self.final_loads.shape[0])
+
+    @property
+    def kernel(self) -> str:
+        """The kernel that ran: ``"native"`` or ``"numpy"``."""
+        return self.plan.kernel
 
     @property
     def n_faults(self) -> int:
@@ -287,9 +296,9 @@ class BatchedFaultyProcess:
         immediately starts recovering from the adversarial state), exactly
         as in :meth:`FaultyProcess.run`.  Concentrate faults strike inside
         one native kernel call for the whole window where the process
-        takes it; otherwise the rounds between consecutive faults execute
+        plans one; otherwise the rounds between consecutive faults execute
         as one engine call each (see the module docstring).  Both paths
-        give the same result, bit for bit.
+        give the same result, bit for bit, and the result carries the plan.
 
         ``observers`` / ``observe_every`` are forwarded to the engine
         calls (see :meth:`BatchedLoadProcess.run`); observers see
@@ -305,12 +314,9 @@ class BatchedFaultyProcess:
             t for t in range(1, rounds + 1) if self._schedule.is_faulty(t)
         ]
         start_max = process.max_load.astype(np.int64)
-        run = (
-            self._run_in_kernel
-            if self._piles_in_kernel(rounds, obs)
-            else self._run_segmented
-        )
-        max_seen, min_empty, recovery, first_legit, kernel = run(
+        plan = process.plan_window(rounds, obs, piles=self._pile_fallbacks())
+        run = self._run_in_kernel if plan.fused else self._run_segmented
+        max_seen, min_empty, recovery, first_legit = run(
             rounds, beta, obs, observe_every, fault_rounds
         )
         return BatchedFaultyResult(
@@ -322,31 +328,32 @@ class BatchedFaultyProcess:
             recovery_times=recovery,
             first_legitimate_round=first_legit,
             final_loads=process.loads.astype(np.int64),
+            plan=plan,
             beta=beta,
-            kernel=kernel,
         )
 
-    def _piles_in_kernel(self, rounds: int, observers) -> bool:
-        """Whether this run's faults can strike inside one kernel call.
+    def _pile_fallbacks(self) -> Tuple[Fallback, ...]:
+        """This wrapper's reasons against striking its faults in the kernel.
 
-        The adversary's ``reassign_batch`` must be the concentrate
-        adversary's own, so a fault is fixed by its pile targets; the
-        adversary must not share its stream with the process, whose first
-        kernel call would draw the native states from it between two
-        faults' targets; and the process must take the window
-        (:meth:`~repro.core.batched.BatchedLoadProcess.takes_piles`).
+        A fault is fixed by its pile targets only when the adversary's
+        ``reassign_batch`` is the concentrate adversary's own; and an
+        adversary that shares its stream with the process would see the
+        process's first kernel call draw the native states from it between
+        two faults' targets.
         """
-        return (
-            type(self._adversary).reassign_batch
-            is ConcentrateAdversary.reassign_batch
-            and self._process.rng is not self._rng
-            and self._process.takes_piles(rounds, observers)
+        own = (
+            type(self._adversary).reassign_batch is ConcentrateAdversary.reassign_batch
         )
+        checks = {
+            Fallback.NOT_CONCENTRATE: not own,
+            Fallback.SHARED_GENERATOR: self._process.rng is self._rng,
+        }
+        return tuple(reason for reason, hit in checks.items() if hit)
 
     def _run_in_kernel(self, rounds, beta, observers, observe_every, fault_rounds):
         """The whole window as one kernel call, the faults struck inside it.
 
-        Returns ``(max_seen, min_empty, recovery, first_legit, kernel)``.
+        Returns ``(max_seen, min_empty, recovery, first_legit)``.
         """
         process = self._process
         n, R = process.n_bins, process.n_replicas
@@ -375,14 +382,14 @@ class BatchedFaultyProcess:
         )
         return (
             window.max_load_seen, window.min_empty_bins_seen, recovery,
-            first_legit, window.kernel,
+            first_legit,
         )
 
     def _run_segmented(self, rounds, beta, observers, observe_every, fault_rounds):
         """One engine call per fault-free stretch, each fault injected
         between them through ``inject_loads``.
 
-        Returns ``(max_seen, min_empty, recovery, first_legit, kernel)``.
+        Returns ``(max_seen, min_empty, recovery, first_legit)``.
         """
         process = self._process
         R = process.n_replicas
@@ -390,7 +397,6 @@ class BatchedFaultyProcess:
         first_legit = np.full(R, -1, dtype=np.int64)
         max_seen = np.zeros(R, dtype=np.int64)
         min_empty = np.full(R, process.n_bins, dtype=np.int64)
-        kernels = set()
 
         def run_segment(start_round: int, length: int, fault_index: Optional[int]):
             """One fault-free stretch starting at wrapper round ``start_round``."""
@@ -401,7 +407,6 @@ class BatchedFaultyProcess:
                 length, beta=beta, observers=observers,
                 observe_every=observe_every,
             )
-            kernels.add(window.kernel)
             np.maximum(max_seen, window.max_load_seen, out=max_seen)
             np.minimum(
                 min_empty, window.min_empty_bins_seen, out=min_empty
@@ -435,11 +440,7 @@ class BatchedFaultyProcess:
 
         if rounds == 0:
             min_empty = process.num_empty_bins.astype(np.int64)
-        if not kernels:
-            kernel = process.window_kernel()
-        else:
-            kernel = kernels.pop() if len(kernels) == 1 else "mixed"
-        return max_seen, min_empty, recovery, first_legit, kernel
+        return max_seen, min_empty, recovery, first_legit
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -40,9 +40,10 @@ Two kernels drive the repeated balls-into-bins update:
     the order-of-magnitude ensemble speedups come from.
 
 ``kernel="auto"`` (the default) uses the native kernel when a C compiler is
-available and falls back to numpy silently otherwise
-(``EnsembleResult.kernel`` says which ran).  Set the environment variable
-``REPRO_NATIVE=0`` to force the numpy kernel everywhere.
+available and falls back to numpy otherwise (``EnsembleResult.kernel``
+says which ran, each window's :class:`WindowPlan` why).  Set the
+environment variable ``REPRO_NATIVE=0`` to force the numpy kernel
+everywhere.
 
 The state is one C-contiguous int32 ``(R, n)`` array that the process owns
 for its whole life: the numpy kernels update it in place, and the native
@@ -63,12 +64,16 @@ reference :func:`one_choice_arrivals`; without a kernel library
 (``REPRO_NATIVE=0``, no compiler) that reference draws it.
 
 Every native kernel — this module's ``rbb``, the graph walks' ``walks`` and
-Greedy[d]'s ``greedy_d`` — runs through :class:`BatchedLoadProcess`: the
-kernel choice, fused or segmented observation, and one call whose arguments
-are built by C parameter name (:func:`repro.core.native.kernel_args`).
-Callers that run a window in segments (the fault injector, the scenario
-interpreter) advance through :meth:`~BatchedLoadProcess.advance_window`,
-which returns only the window vectors, and build one result at the end.
+Greedy[d]'s ``greedy_d`` — runs through :class:`BatchedLoadProcess`, with
+one call whose arguments are built by C parameter name
+(:func:`repro.core.native.kernel_args`).  One planner,
+:meth:`~BatchedLoadProcess.plan_window`, decides each window's path: one
+fused native call, native calls segmented at each observation point, or
+the numpy reference.  Its :class:`WindowPlan` names every
+:class:`Fallback` that keeps a window from one fused call.  Callers that
+run a window in segments (the fault injector, the scenario interpreter)
+advance through :meth:`~BatchedLoadProcess.advance_window`, which returns
+only the window vectors and the plan, and build one result at the end.
 The rbb kernel also applies the concentrate adversary's pile faults
 itself (:class:`PileFaults`), so a faulty window can be one call.
 
@@ -88,10 +93,12 @@ vector:
 from __future__ import annotations
 
 import ctypes
+import enum
 import os
 from dataclasses import dataclass, field
 from typing import (
-    Dict, List, NamedTuple, Optional, Protocol, Tuple, Union, runtime_checkable,
+    Dict, Iterable, List, NamedTuple, Optional, Protocol, Tuple, Union,
+    runtime_checkable,
 )
 
 import numpy as np
@@ -108,7 +115,7 @@ from ..metrics.fused import (
     fused_needs_moments,
     supports_fused,
 )
-from ..metrics.payload import MetricPayload, concatenate_payload_maps
+from ..metrics.payload import MetricPayload
 from ..metrics.window import run_window
 from ..rng import as_seed_sequence
 from ..types import SeedLike
@@ -118,7 +125,9 @@ __all__ = [
     "BatchedLoadProcess",
     "BatchedRepeatedBallsIntoBins",
     "EnsembleResult",
+    "Fallback",
     "PileFaults",
+    "WindowPlan",
     "WindowStats",
     "check_pile_bins",
     "check_state_fits",
@@ -426,34 +435,6 @@ class EnsembleResult:
             for r in range(self.n_replicas)
         ]
 
-    @staticmethod
-    def concatenate(results: List["EnsembleResult"]) -> "EnsembleResult":
-        """Stack shard results (e.g. from worker processes) along replicas."""
-        if not results:
-            raise ConfigurationError("cannot concatenate zero ensemble results")
-        head = results[0]
-        for other in results[1:]:
-            if other.n_bins != head.n_bins or other.beta != head.beta:
-                raise ConfigurationError(
-                    "ensemble shards disagree on n_bins/beta; refusing to merge"
-                )
-        kernels = {r.kernel for r in results}
-        return EnsembleResult(
-            n_bins=head.n_bins,
-            rounds=np.concatenate([r.rounds for r in results]),
-            final_loads=np.vstack([r.final_loads for r in results]),
-            max_load_seen=np.concatenate([r.max_load_seen for r in results]),
-            min_empty_bins_seen=np.concatenate(
-                [r.min_empty_bins_seen for r in results]
-            ),
-            first_legitimate_round=np.concatenate(
-                [r.first_legitimate_round for r in results]
-            ),
-            beta=head.beta,
-            kernel=kernels.pop() if len(kernels) == 1 else "mixed",
-            metrics=concatenate_payload_maps([r.metrics for r in results]),
-        )
-
     def describe(self) -> Dict[str, float]:
         """Scalar aggregates used in logs and quick sanity checks."""
         converged = self.first_legitimate_round[self.converged]
@@ -471,12 +452,58 @@ class EnsembleResult:
         }
 
 
+class Fallback(enum.Enum):
+    """Why a window is not one fused native call.
+
+    :meth:`BatchedLoadProcess.plan_window` names every reason it finds on
+    the :class:`WindowPlan`.  The first four send the window to the numpy
+    kernel, the next six to the segmented native loop.  The last three
+    keep pile faults out of the kernel (a window with piles is refused,
+    a fault run takes its segmented loop); the last two are the fault
+    wrapper's own.
+    """
+
+    NUMPY_REQUESTED = "kernel='numpy'"
+    NO_NATIVE_KERNEL = "no native kernel"
+    KERNEL_NOT_LOADED = "kernel not loaded"
+    ARGUMENTS_TOO_LARGE = "data too large for the kernel's int32 arguments"
+    EMPTY_WINDOW = "empty window"
+    EARLY_STOP = "early stop"
+    FUSION_OFF = "REPRO_NATIVE_FUSED=0"
+    FROZEN_REPLICA = "a frozen replica"
+    MIXED_HISTOGRAM_CAPS = "histograms with different caps"
+    UNFUSABLE_OBSERVER = "an observer that cannot be fused"
+    NO_KERNEL_PILES = "a kernel that strikes no piles"
+    NOT_CONCENTRATE = "an adversary without ConcentrateAdversary's own reassign_batch"
+    SHARED_GENERATOR = "a Generator shared with the process"
+
+
+@dataclass(frozen=True)
+class WindowPlan:
+    """How one window runs, as :meth:`BatchedLoadProcess.plan_window` decided.
+
+    ``kernel`` is ``"native"`` or ``"numpy"``.  A plan without
+    ``fallbacks`` is one fused native call; a native plan with any runs
+    the segmented loop, and a numpy plan names the one reason it is not
+    native.
+    """
+
+    kernel: str
+    fallbacks: Tuple[Fallback, ...] = ()
+
+    @property
+    def fused(self) -> bool:
+        """Whether the window is one fused native call."""
+        return not self.fallbacks
+
+
 class WindowStats(NamedTuple):
     """The window vectors of one :meth:`BatchedLoadProcess.advance_window`.
 
     The fields are those of :class:`EnsembleResult` without the loads: a
     caller that runs its window in segments folds them into its own
-    window and builds one result at the end.  A window with
+    window and builds one result at the end.  ``plan`` is the
+    :class:`WindowPlan` the window ran on.  A window with
     :class:`PileFaults` also returns ``fault_legit``, the ``(F, R)`` global
     round at which each replica is first legitimate after each fault and
     before the next, or ``-1``; ``max_load_seen`` then includes the piles.
@@ -486,7 +513,7 @@ class WindowStats(NamedTuple):
     max_load_seen: np.ndarray
     min_empty_bins_seen: np.ndarray
     first_legitimate_round: np.ndarray
-    kernel: str
+    plan: WindowPlan
     fault_legit: Optional[np.ndarray] = None
 
 
@@ -593,9 +620,6 @@ class BatchedLoadProcess:
     A start that int32 cannot hold raises a :class:`ConfigurationError`
     (see :func:`check_state_fits`), for every ``kernel=``.
     """
-
-    #: Kernel label reported in :class:`EnsembleResult` by the generic loop.
-    kernel_name = "numpy"
 
     #: Name of the compiled kernel in :mod:`repro.core.native` that can
     #: advance this process, or ``None`` for a numpy-only process.
@@ -832,9 +856,9 @@ class BatchedLoadProcess:
         observe_every:
             Observation stride: observers fire every ``observe_every``
             executed rounds (and after the final executed round).  The
-            native kernel runs in segments of this length between
-            observation points, so its whole-window speedup survives at
-            reasonable strides; the returned window metrics remain exact
+            window runs on the path :meth:`plan_window` picks, one fused
+            native call or native calls segmented at the observation
+            points among them; the returned window metrics remain exact
             over every simulated round regardless of the stride.
         """
         window = self.advance_window(
@@ -848,7 +872,7 @@ class BatchedLoadProcess:
             min_empty_bins_seen=window.min_empty_bins_seen,
             first_legitimate_round=window.first_legitimate_round,
             beta=beta,
-            kernel=window.kernel,
+            kernel=window.plan.kernel,
         )
 
     def advance_window(
@@ -867,10 +891,11 @@ class BatchedLoadProcess:
         segments through this call and copy the loads into one result at
         the end.
         The parameters are :meth:`run`'s; ball conservation is checked
-        after every call.  ``piles`` strikes pile faults inside the one
-        kernel call, each restarting the observation stride as a fresh
-        call would; it needs a window :meth:`takes_piles` accepts, and a
-        refused window or fault leaves the state unchanged.
+        after every call.  The window runs on the path :meth:`plan_window`
+        plans for it, and the returned stats carry that plan.  ``piles``
+        strikes pile faults inside the one kernel call, each restarting the
+        observation stride as a fresh call would; it needs a fused plan,
+        and a refused window or fault leaves the state unchanged.
         """
         if rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
@@ -879,13 +904,16 @@ class BatchedLoadProcess:
                 f"observe_every must be >= 1, got {observe_every}"
             )
         obs = BatchedObserverList.coerce(observers)
+        plan = self.plan_window(
+            rounds, obs, stop_when_legitimate, None if piles is None else ()
+        )
         faults = None
         if piles is not None:
-            if stop_when_legitimate or not self.takes_piles(rounds, obs):
+            if not plan.fused:
                 raise ConfigurationError(
                     "pile faults need a native kernel that applies them and "
-                    "a window it runs in one call: no early stop, every "
-                    "replica active, fusable observers"
+                    "a window it runs in one fused call; this window has "
+                    + ", ".join(reason.value for reason in plan.fallbacks)
                 )
             faults = self._fault_args(piles, rounds)
         threshold = legitimacy_threshold(self._n_bins, beta)
@@ -897,8 +925,8 @@ class BatchedLoadProcess:
             self._active[hit] = False
 
         start_rounds = self._rounds_done.copy()
-        max_seen, min_empty, used = self._run_window(
-            rounds, threshold, stop_when_legitimate, first_legit, obs,
+        max_seen, min_empty = self._run_window(
+            plan, rounds, threshold, stop_when_legitimate, first_legit, obs,
             observe_every, faults,
         )
 
@@ -911,54 +939,83 @@ class BatchedLoadProcess:
             min_empty[idle] = self.num_empty_bins[idle]
         self._check_conservation()
         return WindowStats(
-            executed, max_seen, min_empty, first_legit, used,
+            executed, max_seen, min_empty, first_legit, plan,
             None if faults is None else faults["fault_legit"],
         )
 
-    def window_kernel(self) -> str:
-        """The kernel a window of this process runs: ``"native"`` or
-        :attr:`kernel_name`.
+    def plan_window(
+        self,
+        rounds: int,
+        observers=None,
+        stop_when_legitimate: bool = False,
+        piles: Optional[Iterable[Fallback]] = None,
+    ) -> WindowPlan:
+        """The path a window of ``rounds`` rounds takes, and why.
 
-        Native when :attr:`native_kernel` names a kernel that loads and the
-        ``kernel=`` choice allows it.  A subclass whose kernel arguments
-        cannot hold its data (:meth:`_native_supported`: the walks' edge
-        count) runs numpy under ``kernel="auto"`` and is refused under
-        ``kernel="native"``.
+        This is the one place a window's path is decided:
+        :meth:`advance_window`, the fault wrapper and the scenario
+        interpreter act on the :class:`WindowPlan` it returns.  The
+        kernel is native when ``kernel=`` allows it, :attr:`native_kernel`
+        names a kernel that loads, and that kernel's arguments can hold
+        this process's data (:meth:`_native_supported`: the walks' edge
+        count; under ``kernel="native"`` a process they cannot hold is
+        refused).  Otherwise the window runs the numpy reference loop,
+        and the plan names the first reason.
+
+        A native window is one fused call, which simulates and observes
+        in C, unless a further :class:`Fallback` applies: the window is
+        empty or stops early (its observation rounds are not known up
+        front), ``REPRO_NATIVE_FUSED=0`` asks for the segmented reference
+        loop, a replica is frozen, the observers' histograms have
+        different bucket caps (the kernel fills one set), or an observer
+        cannot ingest :class:`~repro.metrics.fused.FusedSegmentStats`.
+        The segmented loop then calls the kernel once per observation
+        stride, or once in all when nothing observes.
+
+        ``piles`` is ``None`` for a window without pile faults.  A window
+        that strikes :class:`PileFaults` also needs a kernel that applies
+        them (:attr:`native_piles`), and ``piles`` holds the caller's own
+        reasons against striking them in the kernel (the fault wrapper
+        hands in its adversary's).
         """
-        if (
-            self.native_kernel is None
-            or self._kernel == "numpy"
-            or get_kernel(self.native_kernel) is None
-        ):
-            return self.kernel_name
-        if not self._native_supported():
+        if self._kernel == "numpy":
+            reason = Fallback.NUMPY_REQUESTED
+        elif self.native_kernel is None:
+            reason = Fallback.NO_NATIVE_KERNEL
+        elif get_kernel(self.native_kernel) is None:
+            reason = Fallback.KERNEL_NOT_LOADED
+        elif not self._native_supported():
             if self._kernel == "native":
                 raise ConfigurationError(
                     f"native {self.native_kernel!r} kernel requested but "
                     f"this {type(self).__name__} does not fit its int32 "
                     "arguments"
                 )
-            return self.kernel_name
-        return "native"
+            reason = Fallback.ARGUMENTS_TOO_LARGE
+        else:
+            obs = BatchedObserverList.coerce(observers)
+            fusion = os.environ.get("REPRO_NATIVE_FUSED", "").strip()
+            checks = {
+                Fallback.EMPTY_WINDOW: rounds <= 0,
+                Fallback.EARLY_STOP: stop_when_legitimate,
+                Fallback.FUSION_OFF: fusion == "0",
+                Fallback.FROZEN_REPLICA: not self._active.all(),
+                Fallback.MIXED_HISTOGRAM_CAPS: len(_histogram_caps(obs)) > 1,
+                Fallback.UNFUSABLE_OBSERVER: not all(map(supports_fused, obs)),
+                Fallback.NO_KERNEL_PILES: piles is not None and not self.native_piles,
+            }
+            found = (*(piles or ()), *(r for r, hit in checks.items() if hit))
+            return WindowPlan("native", found)
+        return WindowPlan("numpy", (reason,))
+
+    def window_kernel(self) -> str:
+        """The kernel a window of this process runs (see :meth:`plan_window`)."""
+        return self.plan_window(0).kernel
 
     def takes_piles(self, rounds: int, observers=None) -> bool:
-        """Whether :meth:`advance_window` can strike :class:`PileFaults`
-        inside one kernel call over ``rounds`` rounds watched by
-        ``observers``.
-
-        It can when the native kernel runs (:meth:`window_kernel`) and
-        applies pile faults (:attr:`native_piles`), and the window is one
-        :meth:`_fusable` accepts: every replica active, on one clock, and
-        the observers none or fusable.  ``REPRO_NATIVE_FUSED=0`` therefore
-        refuses it.
-        """
-        return (
-            self.native_piles
-            and self.window_kernel() == "native"
-            and self._fusable(
-                BatchedObserverList.coerce(observers), rounds, False
-            )
-        )
+        """Whether :meth:`advance_window` strikes :class:`PileFaults` inside
+        its one kernel call over ``rounds`` rounds watched by ``observers``."""
+        return self.plan_window(rounds, observers, piles=()).fused
 
     def _fault_args(self, piles: PileFaults, rounds: int) -> Dict[str, object]:
         """The kernel's fault arguments for ``piles``, checked.
@@ -990,18 +1047,19 @@ class BatchedLoadProcess:
         }
 
     def _run_window(
-        self, rounds, threshold, stop_when_legitimate, first_legit, observers,
-        observe_every, faults=None,
+        self, plan, rounds, threshold, stop_when_legitimate, first_legit,
+        observers, observe_every, faults=None,
     ):
-        """Advance the window; returns ``(max_seen, min_empty, kernel)``.
+        """Advance the window on ``plan``'s path; returns ``(max_seen, min_empty)``.
 
-        Runs the kernel :meth:`window_kernel` names: the native one, or
-        the numpy reference loop in :func:`repro.metrics.window.run_window`.
-        Both advance the process's own int32 state in place.  ``faults``
-        (the kernel's fault arguments, checked) runs as one native call.
+        A numpy plan runs the reference loop in
+        :func:`repro.metrics.window.run_window`, a fused plan one
+        :meth:`_run_native_fused` call (``faults``, the kernel's fault
+        arguments, checked, ride on it), and any other native plan the
+        segmented loop.  Each advances the process's own int32 state in
+        place.
         """
-        used = self.window_kernel()
-        if used != "native":
+        if plan.kernel != "native":
             max_seen, min_empty, _, _ = run_window(
                 self,
                 rounds,
@@ -1011,12 +1069,9 @@ class BatchedLoadProcess:
                 observers=observers,
                 observe_every=observe_every,
             )
-            return max_seen, min_empty, used
+            return max_seen, min_empty
         kernel = get_kernel(self.native_kernel)
-        observed = not observers.is_empty
-        if faults is not None or (
-            observed and self._fusable(observers, rounds, stop_when_legitimate)
-        ):
+        if plan.fused:
             return self._run_native_fused(
                 kernel, rounds, threshold, first_legit, observers,
                 observe_every, faults,
@@ -1026,6 +1081,7 @@ class BatchedLoadProcess:
         # unobserved run is one segment.  Every native kernel consumes its
         # per-replica streams round by round, so segmented, fused and
         # whole-window runs follow the exact same trajectory.
+        observed = not observers.is_empty
         stride = observe_every if observed else rounds
         R, n = self._n_replicas, self._n_bins
         max_seen = np.zeros(R, dtype=np.int64)
@@ -1041,32 +1097,7 @@ class BatchedLoadProcess:
             done += segment
             if observed:
                 observers.observe(int(self._rounds_done.max()), self.loads)
-        return max_seen, min_empty, "native"
-
-    def _fusable(self, observers, rounds, stop_when_legitimate) -> bool:
-        """Whether this observed run can use in-kernel (fused) observation.
-
-        Fusion requires every observer to accept
-        :class:`~repro.metrics.fused.FusedSegmentStats`, every histogram
-        observer to share one bucket cap (the kernel fills one set of
-        histogram blocks), and a window where the observation schedule
-        is statically known: no ``stop_when_legitimate`` early exit,
-        every replica active, and all replicas at the same global round
-        (so all share one observation-round vector).  The environment
-        variable ``REPRO_NATIVE_FUSED=0`` forces the segmented reference
-        loop — the escape hatch the fused-equality tests exercise.
-        """
-        if stop_when_legitimate or rounds <= 0:
-            return False
-        if os.environ.get("REPRO_NATIVE_FUSED", "").strip() == "0":
-            return False
-        if not self._active.all():
-            return False
-        if not (self._rounds_done == self._rounds_done[0]).all():
-            return False
-        if len(_histogram_caps(observers)) > 1:
-            return False
-        return all(supports_fused(observer) for observer in observers)
+        return max_seen, min_empty
 
     def _run_native_fused(
         self, kernel, rounds, threshold, first_legit, observers, observe_every,
@@ -1082,15 +1113,14 @@ class BatchedLoadProcess:
         handed to each observer's ``ingest_fused``.  All recorded values
         are integers the Python trackers would have computed from the
         matrices themselves, so the resulting tracker state is
-        bit-identical to the segmented loop's.  With ``faults`` (the
-        kernel's fault arguments) the stride restarts at every fault, and
-        an unobserved window records nothing.
+        bit-identical to the segmented loop's.  An unobserved window
+        records nothing.  With ``faults`` (the kernel's fault arguments)
+        the stride restarts at every fault.
         """
         if observers.is_empty:
-            max_seen, min_empty = self._run_native(
+            return self._run_native(
                 kernel, rounds, threshold, False, first_legit, faults=faults
             )
-            return max_seen, min_empty, "native"
         R, n = self._n_replicas, self._n_bins
         breaks = () if faults is None else faults["fault_rounds"]
         obs_rounds = _observation_rounds(rounds, observe_every, breaks)
@@ -1131,7 +1161,7 @@ class BatchedLoadProcess:
         )
         for observer in observers:
             observer.ingest_fused(stats)
-        return max_seen, min_empty, "native"
+        return max_seen, min_empty
 
     def _native_supported(self) -> bool:
         """Whether the kernel's arguments can hold this process's data.

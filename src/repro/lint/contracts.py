@@ -13,8 +13,7 @@ R4
     Every name in :data:`repro.metrics.METRIC_NAMES` builds a tracker
     that actually implements the batched observer protocol:
     ``bind(n_replicas, n_bins)``, ``observe(t, (R, n) loads)``, and a
-    ``payload()`` producing a shard-concatenable
-    :class:`~repro.metrics.payload.MetricPayload`.
+    ``payload()`` producing a :class:`~repro.metrics.payload.MetricPayload`.
 
 Both take their check targets as arguments (defaulting to the real
 registry/catalogs) so the test suite can feed deliberately broken fakes.

@@ -41,7 +41,7 @@ from .fused import (
     fused_needs_moments,
     supports_fused,
 )
-from .payload import MetricPayload, concatenate_payload_maps
+from .payload import MetricPayload
 from .registry import METRIC_NAMES, build_trackers, make_tracker, normalize_metric_names
 from .trackers import (
     BatchedBinEmptyingTracker,
@@ -77,7 +77,6 @@ __all__ = [
     "run_window",
     # payloads + registry
     "MetricPayload",
-    "concatenate_payload_maps",
     "METRIC_NAMES",
     "normalize_metric_names",
     "make_tracker",

@@ -4,9 +4,9 @@ A :class:`MetricPayload` is what one tracker hands back after a run: the
 observed round indexes, optional time-major series, per-replica scalar
 summaries, and per-replica auxiliary arrays.  Payloads are the currency the
 ensemble engine moves around — they ride inside
-:class:`~repro.core.batched.EnsembleResult`, concatenate across worker
-shards, turn into columns in :func:`repro.parallel.aggregate.aggregate_ensemble`,
-and are persisted by :class:`repro.store.store.ResultStore`.
+:class:`~repro.core.batched.EnsembleResult`, turn into columns in
+:func:`repro.parallel.aggregate.aggregate_ensemble`, and are persisted by
+:class:`repro.store.store.ResultStore`.
 
 Array-shape conventions
 -----------------------
@@ -25,23 +25,16 @@ Array-shape conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict
 
 import numpy as np
 
-from ..errors import ConfigurationError
-
-__all__ = ["MetricPayload", "concatenate_payload_maps"]
-
-#: Fill value for series entries of shards that stopped observing before the
-#: longest shard (possible only for zero-observation shards; see
-#: :meth:`MetricPayload.concatenate`).
-SERIES_FILL = -1
+__all__ = ["MetricPayload"]
 
 
 @dataclass
 class MetricPayload:
-    """Observed data of one metric over one run (or one shard of a run)."""
+    """Observed data of one metric over one run."""
 
     name: str
     rounds: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -62,91 +55,3 @@ class MetricPayload:
     @property
     def n_observations(self) -> int:
         return int(np.asarray(self.rounds).size)
-
-    @staticmethod
-    def _pad_series(arr: np.ndarray, target: int) -> np.ndarray:
-        """Extend a time-major series to ``target`` observations.
-
-        Shards stop observing once every replica they own is frozen, at
-        which point their state no longer changes — so repeating the last
-        observed row is exact.  A shard with zero observations has no row
-        to repeat and is padded with :data:`SERIES_FILL`.
-        """
-        arr = np.asarray(arr)
-        have = arr.shape[0]
-        if have >= target:
-            return arr
-        if have == 0:
-            shape = (target,) + arr.shape[1:]
-            return np.full(shape, SERIES_FILL, dtype=arr.dtype)
-        pad = np.repeat(arr[-1:], target - have, axis=0)
-        return np.concatenate([arr, pad], axis=0)
-
-    @staticmethod
-    def concatenate(payloads: Sequence["MetricPayload"]) -> "MetricPayload":
-        """Stack shard payloads of one metric along the replica axis.
-
-        Shards may have observed different numbers of rounds (early-stopped
-        shards freeze and stop observing); shorter series are edge-padded to
-        the longest shard's observation grid, whose round indexes are kept.
-        """
-        if not payloads:
-            raise ConfigurationError("cannot concatenate zero metric payloads")
-        head = payloads[0]
-        for other in payloads[1:]:
-            if other.name != head.name:
-                raise ConfigurationError(
-                    f"cannot concatenate payloads of different metrics: "
-                    f"{head.name!r} vs {other.name!r}"
-                )
-            for slot in ("series", "summaries", "arrays"):
-                if set(getattr(other, slot)) != set(getattr(head, slot)):
-                    raise ConfigurationError(
-                        f"metric {head.name!r} shards disagree on {slot} keys; "
-                        "refusing to merge"
-                    )
-        longest = max(payloads, key=lambda p: p.n_observations)
-        target = longest.n_observations
-        return MetricPayload(
-            name=head.name,
-            rounds=np.array(longest.rounds, dtype=np.int64, copy=True),
-            series={
-                key: np.concatenate(
-                    [MetricPayload._pad_series(p.series[key], target) for p in payloads],
-                    axis=1,
-                )
-                for key in head.series
-            },
-            summaries={
-                key: np.concatenate([np.asarray(p.summaries[key]) for p in payloads])
-                for key in head.summaries
-            },
-            arrays={
-                key: np.concatenate(
-                    [np.asarray(p.arrays[key]) for p in payloads], axis=0
-                )
-                for key in head.arrays
-            },
-        )
-
-
-def concatenate_payload_maps(
-    maps: Sequence[Dict[str, MetricPayload]],
-) -> Dict[str, MetricPayload]:
-    """Merge per-shard ``{metric name: payload}`` dicts along replicas.
-
-    Every shard must carry the same metric names (they come from one
-    :class:`~repro.parallel.ensemble.EnsembleSpec`); an empty input or
-    all-empty maps yield ``{}``.
-    """
-    non_empty: List[Dict[str, MetricPayload]] = [m for m in maps if m]
-    if not non_empty:
-        return {}
-    names = set(non_empty[0])
-    if len(non_empty) != len(maps) or any(set(m) != names for m in non_empty):
-        raise ConfigurationError(
-            "ensemble shards disagree on observed metric names; refusing to merge"
-        )
-    return {
-        name: MetricPayload.concatenate([m[name] for m in maps]) for name in names
-    }

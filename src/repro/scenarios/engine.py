@@ -199,10 +199,11 @@ def run_scenario_batched(
 ) -> EnsembleResult:
     """Interpret a compiled program on a batched ``(R, n)`` process.
 
-    Each :class:`Run` is one engine call (the native kernels run it as one
-    FFI call, fused observation included) through the process'
-    ``advance_window``, which returns only the window vectors; the loads
-    are copied into the result once, at the end.  Each :class:`Apply`
+    Each :class:`Run` is one engine call through the process'
+    ``advance_window``, on the path its plan picks (see
+    :meth:`~repro.core.batched.BatchedLoadProcess.plan_window`), which
+    returns only the window vectors and that plan; the loads are copied
+    into the result once, at the end.  Each :class:`Apply`
     edits the ``(R, n)`` state between calls, drawing from the process'
     own stream.
     Ball-conserving edits go through ``inject_loads`` (conservation
@@ -231,7 +232,7 @@ def run_scenario_batched(
                 observers=obs if action.observed else None,
                 observe_every=action.observe_every,
             )
-            kernels.add(window.kernel)
+            kernels.add(window.plan.kernel)
             executed += window.rounds
             np.maximum(max_seen, window.max_load_seen, out=max_seen)
             np.minimum(min_empty, window.min_empty_bins_seen, out=min_empty)
@@ -256,12 +257,8 @@ def run_scenario_batched(
             else:
                 process.replace_loads(edited)
             np.maximum(max_seen, edited.max(axis=1), out=max_seen)
-    if len(kernels) == 1:
-        kernel = kernels.pop()
-    elif kernels:
-        kernel = "mixed"
-    else:  # pragma: no cover - a program always holds at least one Run
-        kernel = process.window_kernel()
+    # a program always holds a Run; only a rewire can change the kernel
+    kernel = kernels.pop() if len(kernels) == 1 else "mixed"
     return EnsembleResult(
         n_bins=process.n_bins,
         rounds=executed,

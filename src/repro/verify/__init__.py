@@ -2,7 +2,7 @@
 
 At small ``n`` the full configuration chain is exactly enumerable
 (:mod:`repro.markov.small_n`), so every engine coordinate — the numpy
-kernel (also at ``n_workers=2``), both threaded C kernels, fused and
+kernel, both threaded C kernels, fused and
 segmented observation, every adversary/baseline/walk with an exact
 kernel — can be *confronted* with ground truth instead of merely
 cross-checked against another simulator.

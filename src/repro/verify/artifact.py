@@ -79,8 +79,9 @@ class CounterexampleArtifact:
     spec:
         Fully resolved engine-spec field assignment (JSON scalars only).
     engine:
-        Engine coordinates: engine/kernel/n_threads/fused/n_workers plus
-        any runner-specific knobs.
+        Engine coordinates: engine/kernel/n_threads/fused plus any
+        runner-specific knobs.  Replay reads the keys it knows, so an
+        older artifact's extra keys (such as ``n_workers``) still load.
     violation:
         Check-specific evidence: observed vs expected tables for
         statistical gates; ``{round, replica, trace}`` state diffs for

@@ -1,7 +1,7 @@
 """The conformance-case catalog: which engine coordinates face which chain.
 
 A :class:`ConformanceCase` names one *engine coordinate* (kernel, thread
-count, observation fusion, worker count) of the batched ensemble engine
+count, observation fusion) of the batched ensemble engine
 driving one *process specification* at small ``n``, together with the
 exact ground truth it is checked against.  :func:`build_cases` enumerates
 the catalog at two levels:
@@ -59,7 +59,6 @@ class ConformanceCase:
     kernel: str = "numpy"
     n_threads: Optional[int] = None
     fused: bool = True
-    n_workers: int = 1
     runner: str = "ensemble"  # "ensemble" | "token" | "absorbing" | "scenario_noop"
     horizons: Tuple[int, ...] = (1, 2, 4)
     checks: Tuple[str, ...] = DEFAULT_CHECKS
@@ -78,8 +77,6 @@ class ConformanceCase:
         if self.kernel == "native":
             bits.append(f"t{self.n_threads or 1}")
             bits.append("fused" if self.fused else "segmented")
-        if self.n_workers > 1:
-            bits.append(f"w{self.n_workers}")
         return "/".join(bits)
 
 
@@ -106,14 +103,6 @@ def _rbb_engine_matrix(R: int, smoke: bool) -> List[ConformanceCase]:
             spec_config=spec,
             kernel="numpy",
             horizons=horizons,
-        ),
-        ConformanceCase(
-            name="rbb-batched-numpy-sharded",
-            spec_config=spec,
-            kernel="numpy",
-            n_workers=2,
-            horizons=(4,) if smoke else (1, 4),
-            notes="n_workers=2 runs in process, as w1 does",
         ),
     ]
     thread_counts = (1, 2)
@@ -322,14 +311,6 @@ def _scenario_cases(R: int, smoke: bool) -> List[ConformanceCase]:
         ),
     ]
     if not smoke:
-        cases.append(
-            ConformanceCase(
-                name="scenario-noop-batched-numpy-sharded",
-                kernel="numpy",
-                n_workers=2,
-                **noop_kwargs,
-            )
-        )
         cases.append(
             ConformanceCase(
                 name="scenario-noop-walks-cycle3-batched",

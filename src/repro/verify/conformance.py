@@ -19,10 +19,7 @@ seed fans out through :func:`repro.parallel.seeding.trial_seed` —
 ``case_seed = trial_seed(root, case_index)``, then
 ``run_seed = trial_seed(case_seed, horizon_index)`` — and the engine
 derives its streams from ``run_seed`` exactly as documented in
-:mod:`repro.parallel.ensemble`.  The ``*-sharded`` cases pass
-``n_workers=2``, which runs in process like every other case (with a
-``RuntimeWarning``): they check that the keyword still gives a result
-that passes the same gates.
+:mod:`repro.parallel.ensemble`.
 """
 
 from __future__ import annotations
@@ -295,7 +292,6 @@ def _run_ensemble_case(
         result = run_ensemble(
             spec,
             seed=seed,
-            n_workers=case.n_workers,
             kernel=case.kernel,
             n_threads=case.n_threads,
         )
@@ -394,7 +390,6 @@ def _check_scenario_noop_case(
         kernel=case.kernel,
         n_threads=case.n_threads,
         fused=case.fused,
-        n_workers=case.n_workers,
     )
     n = int(dict(case.spec_config).get("n_replicas", 0))
     gof = (
@@ -587,7 +582,6 @@ def _attach_artifact(
             "kernel": case.kernel,
             "n_threads": case.n_threads,
             "fused": case.fused,
-            "n_workers": case.n_workers,
             "runner": case.runner,
         },
         violation={

@@ -83,7 +83,7 @@ def render_verification_doc() -> str:
         "     CI fails if this file is stale. -->",
         "",
         "`repro verify` cross-validates every engine coordinate (kernel x",
-        "thread count x observation fusion x worker count) against",
+        "thread count x observation fusion) against",
         "the exactly enumerated small-`n` Markov chains of",
         "`repro.markov.small_n` and the Lemma 5 absorbing chain of",
         "`repro.markov.absorbing`.  Empirical distributions over `R`",

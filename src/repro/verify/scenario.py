@@ -124,7 +124,6 @@ def run_noop_equality(
     kernel: str = "numpy",
     n_threads: Optional[int] = None,
     fused: bool = True,
-    n_workers: int = 1,
 ) -> List[str]:
     """Run static vs no-op-scenario at one coordinate; list the differences.
 
@@ -144,7 +143,6 @@ def run_noop_equality(
                 run_ensemble(
                     spec,
                     seed=fresh_seed(seed),
-                    n_workers=n_workers,
                     kernel=kernel,
                     n_threads=n_threads,
                 )

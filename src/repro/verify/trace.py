@@ -219,7 +219,6 @@ def check_trace_invariants(
         "kernel": kernel,
         "n_threads": n_threads,
         "fused": fused,
-        "n_workers": 1,
         "runner": "trace",
     }
     with _fusion_env(fused):

@@ -280,13 +280,6 @@ class TestEnsembleResult:
         assert info["n_replicas"] == 6.0
         assert info["mean_window_max_load"] > 0
 
-    def test_concatenate(self, result):
-        merged = EnsembleResult.concatenate([result, result])
-        assert merged.n_replicas == 12
-        assert merged.n_bins == result.n_bins
-        with pytest.raises(ConfigurationError):
-            EnsembleResult.concatenate([])
-
 
 # ----------------------------------------------------------------------
 # Native kernel

@@ -9,7 +9,7 @@ from repro.adversary.batched import BatchedFaultyProcess
 from repro.adversary.faulty_process import FaultSchedule, FaultyProcess
 from repro.baselines.birth_death import IndependentThrowsProcess
 from repro.baselines.d_choices import BatchedDChoices, DChoicesProcess
-from repro.core.batched import BatchedRepeatedBallsIntoBins, EnsembleResult
+from repro.core.batched import BatchedRepeatedBallsIntoBins
 from repro.core.config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
 from repro.core.native import native_available
 from repro.core.process import RepeatedBallsIntoBins
@@ -25,7 +25,6 @@ from repro.metrics import (
     BatchedMaxLoadTracker,
     BatchedObserverList,
     BatchedTraceRecorder,
-    MetricPayload,
     StreamingMomentsObserver,
     as_load_matrix,
     build_trackers,
@@ -480,53 +479,6 @@ class TestInt32Observations:
                 assert np.array_equal(mine[key], theirs[key]), (slot, key)
         if name == "trace":
             assert b.series["trace"].dtype == np.int64
-
-
-# ----------------------------------------------------------------------
-# Payload mechanics
-# ----------------------------------------------------------------------
-class TestMetricPayload:
-    def test_concatenate_pads_shorter_shards(self):
-        a = MetricPayload(
-            name="max_load",
-            rounds=np.array([1, 2, 3]),
-            series={"max_load": np.array([[4], [3], [2]])},
-            summaries={"window_max": np.array([4])},
-        )
-        b = MetricPayload(
-            name="max_load",
-            rounds=np.array([1]),
-            series={"max_load": np.array([[9]])},
-            summaries={"window_max": np.array([9])},
-        )
-        merged = MetricPayload.concatenate([a, b])
-        assert merged.rounds.tolist() == [1, 2, 3]
-        # shard b froze after one observation: its last value is repeated
-        assert merged.series["max_load"].tolist() == [[4, 9], [3, 9], [2, 9]]
-        assert merged.summaries["window_max"].tolist() == [4, 9]
-
-    def test_concatenate_rejects_mismatches(self):
-        a = MetricPayload(name="max_load", summaries={"window_max": np.array([1])})
-        b = MetricPayload(name="empty_bins", summaries={"window_min": np.array([1])})
-        with pytest.raises(ConfigurationError):
-            MetricPayload.concatenate([a, b])
-        with pytest.raises(ConfigurationError):
-            MetricPayload.concatenate([])
-
-    def test_ensemble_concatenate_merges_metrics(self):
-        spec = EnsembleSpec(n_bins=16, n_replicas=2, rounds=10, metrics="max_load")
-        first = run_ensemble(spec, seed=9, engine="batched", kernel="numpy")
-        second = run_ensemble(spec, seed=10, engine="batched", kernel="numpy")
-        merged = EnsembleResult.concatenate([first, second])
-        assert merged.metrics["max_load"].series["max_load"].shape == (10, 4)
-        mismatched = run_ensemble(
-            EnsembleSpec(n_bins=16, n_replicas=2, rounds=10, metrics="empty_bins"),
-            seed=11,
-            engine="batched",
-            kernel="numpy",
-        )
-        with pytest.raises(ConfigurationError):
-            EnsembleResult.concatenate([first, mismatched])
 
 
 # ----------------------------------------------------------------------

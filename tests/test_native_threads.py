@@ -37,6 +37,7 @@ from repro.adversary import BatchedFaultyProcess, FaultSchedule
 from repro.baselines.d_choices import BatchedDChoices
 from repro.core.batched import (
     BatchedRepeatedBallsIntoBins,
+    Fallback,
     PileFaults,
     make_ensemble_initial,
     one_choice_arrivals,
@@ -638,6 +639,154 @@ class TestFaultsInKernel:
         assert not self._process().takes_piles(8, build_trackers("trace")[0][1])
         monkeypatch.setenv("REPRO_NATIVE_FUSED", "0")
         assert not self._process().takes_piles(8)
+
+
+# ---------------------------------------------------------------------
+# The window planner: each fallback named on the plan that ran
+# ---------------------------------------------------------------------
+class _NoNativeKernel(BatchedRepeatedBallsIntoBins):
+    """rbb that names no compiled kernel: its numpy rounds only."""
+
+    native_kernel = None
+
+
+def _pile_start(**kwargs):
+    """64 balls in one of 64 bins, 4 replicas: no replica turns legitimate
+    within 8 rounds, so an early stop freezes none."""
+    initial = make_ensemble_initial("all_in_one", 64, 4)
+    return BatchedRepeatedBallsIntoBins(64, 4, initial=initial, seed=1, **kwargs)
+
+
+def _window(process, rounds=8, observers="max_load", **kwargs):
+    """The plan an 8-round window observed every 2 rounds acted on: one
+    fused call, or 4 segmented ones."""
+    if isinstance(observers, str):
+        observers = [tracker for _, tracker in build_trackers(observers)]
+    return process.advance_window(
+        rounds, observers=observers, observe_every=2, **kwargs
+    ).plan
+
+
+def _fault_run(**kwargs):
+    """The plan an 8-round fault run, struck before rounds 3 and 6, acted
+    on: one call with the faults inside it, or one call per fault-free
+    stretch (3)."""
+    kwargs.setdefault("seed", 1)
+    faulty = BatchedFaultyProcess(64, 4, schedule=FaultSchedule.every(3), **kwargs)
+    return faulty.run(8).plan
+
+
+def _not_loaded(monkeypatch):
+    process = _pile_start()
+    monkeypatch.setattr(batched, "get_kernel", lambda name: None)
+    return _window(process)
+
+
+def _too_large(monkeypatch):
+    process = BatchedConstrainedWalks(resolve_topology("cycle:64"), 4, seed=1)
+    monkeypatch.setattr(process, "_native_supported", lambda: False)
+    return _window(process)
+
+
+def _fusion_off(monkeypatch):
+    monkeypatch.setenv("REPRO_NATIVE_FUSED", "0")
+    return _window(_pile_start())
+
+
+def _frozen(monkeypatch):
+    process = _pile_start()
+    process.deactivate(np.array([False, True, False, False]))
+    return _window(process)
+
+
+def _unequal_caps(monkeypatch):
+    caps = (8, 256)
+    observers = [BatchedLoadHistogramTracker(max_tracked_load=c) for c in caps]
+    return _window(_pile_start(), observers=observers)
+
+
+#: (the fallback, or None for none; run(monkeypatch) -> the plan that ran;
+#: the kernel calls the run made).
+WINDOW_PLANS = [
+    pytest.param(None, lambda mp: _window(_pile_start()), ["rbb"], id="fused"),
+    pytest.param(None, lambda mp: _fault_run(), ["rbb"], id="faults_in_kernel"),
+    pytest.param(
+        Fallback.NUMPY_REQUESTED, lambda mp: _window(_pile_start(kernel="numpy")),
+        [], id="numpy_requested",
+    ),
+    pytest.param(
+        Fallback.NO_NATIVE_KERNEL, lambda mp: _window(_NoNativeKernel(64, 4, seed=1)),
+        [], id="no_native_kernel",
+    ),
+    pytest.param(Fallback.KERNEL_NOT_LOADED, _not_loaded, [], id="not_loaded"),
+    pytest.param(
+        Fallback.ARGUMENTS_TOO_LARGE, _too_large, [], id="too_large",
+        marks=needs_native_walks,
+    ),
+    pytest.param(
+        Fallback.EMPTY_WINDOW, lambda mp: _window(_pile_start(), rounds=0), [],
+        id="empty",
+    ),
+    pytest.param(
+        Fallback.EARLY_STOP,
+        lambda mp: _window(_pile_start(), stop_when_legitimate=True),
+        ["rbb"] * 4, id="early_stop",
+    ),
+    pytest.param(Fallback.FUSION_OFF, _fusion_off, ["rbb"] * 4, id="fusion_off"),
+    pytest.param(Fallback.FROZEN_REPLICA, _frozen, ["rbb"] * 4, id="frozen"),
+    pytest.param(
+        Fallback.MIXED_HISTOGRAM_CAPS, _unequal_caps, ["rbb"] * 4, id="caps",
+    ),
+    pytest.param(
+        Fallback.UNFUSABLE_OBSERVER,
+        lambda mp: _window(_pile_start(), observers="trace"),
+        ["rbb"] * 4, id="unfusable",
+    ),
+    pytest.param(
+        Fallback.NO_KERNEL_PILES,
+        lambda mp: _fault_run(process=BatchedDChoices(64, 4, d=2, seed=1)),
+        ["greedy_d"] * 3, id="no_kernel_piles", marks=needs_native_greedy,
+    ),
+    pytest.param(
+        Fallback.NOT_CONCENTRATE, lambda mp: _fault_run(adversary="shuffle"),
+        ["rbb"] * 3, id="not_concentrate",
+    ),
+    pytest.param(
+        Fallback.SHARED_GENERATOR,
+        lambda mp: _fault_run(seed=np.random.default_rng(1)),
+        ["rbb"] * 3, id="shared_generator",
+    ),
+]
+
+#: The fallbacks that send a window to the numpy kernel.
+NUMPY_FALLBACKS = {
+    Fallback.NUMPY_REQUESTED,
+    Fallback.NO_NATIVE_KERNEL,
+    Fallback.KERNEL_NOT_LOADED,
+    Fallback.ARGUMENTS_TOO_LARGE,
+}
+
+
+def test_every_fallback_is_a_case():
+    named = {param.values[0] for param in WINDOW_PLANS}
+    assert named == {None, *Fallback}
+
+
+@needs_native
+@pytest.mark.parametrize("reason, run, calls", WINDOW_PLANS)
+def test_the_plan_that_ran_names_its_fallback(
+    reason, run, calls, kernel_calls, monkeypatch
+):
+    """Each fallback, triggered alone, is the one reason on the plan the
+    window or the fault run acted on, and the kernel calls show the path
+    it took: none on numpy, one fused call, or one per segment."""
+    plan = run(monkeypatch)
+    assert kernel_calls == calls
+    if reason is None:
+        assert plan.fused and plan.fallbacks == () and plan.kernel == "native"
+        return
+    assert plan.fallbacks == (reason,) and not plan.fused
+    assert plan.kernel == ("numpy" if reason in NUMPY_FALLBACKS else "native")
 
 
 # ---------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.parallel.ensemble import BATCHED_CLASSES, EnsembleSpec, run_ensemble
 from repro.parallel.runner import TrialRunner, run_trials
 from repro.parallel.seeding import trial_seed, trial_seeds, trial_states
 from repro.rng import as_generator, as_seed_sequence, derive_substream, spawn_generators, spawn_seeds
+from repro.scenarios.spec import ScenarioEvent, ScenarioSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -456,22 +457,57 @@ class TestEnsembleWorkerInvariance:
 
 
 @st.composite
+def _scenarios(draw, rounds, n_bins):
+    """One to three events, each of any kind a plain rbb window takes.
+
+    Bursts, churns, adversaries and stride changes may repeat; drains fire
+    once and take at most a third of the starting balls, so no draw can
+    empty a replica below zero."""
+    events = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["burst", "drain", "bin_churn", "adversary", "observe_every"]
+        ))
+        if kind == "adversary":
+            payload = {"adversary": draw(st.sampled_from(["concentrate", "shuffle"]))}
+        elif kind == "observe_every":
+            payload = {"value": draw(st.integers(1, 8))}
+        elif kind == "bin_churn":
+            payload = {"count": draw(st.integers(1, n_bins - 1))}
+        elif kind == "drain":
+            payload = {"count": draw(st.integers(1, max(1, n_bins // 3)))}
+        else:
+            payload = {"count": draw(st.integers(1, n_bins))}
+        every = None if kind == "drain" else draw(st.none() | st.integers(1, rounds))
+        events.append(ScenarioEvent(
+            kind=kind, round=draw(st.integers(1, rounds)), every=every, **payload
+        ))
+    return ScenarioSpec(events=tuple(events))
+
+
+@st.composite
 def _small_specs(draw):
-    """A small ``EnsembleSpec``: rbb, Greedy[d] or concentrate faults, from
-    each start family, with or without metrics and early stop."""
-    process = draw(st.sampled_from(["rbb", "d_choices", "faulty"]))
+    """A small ``EnsembleSpec``: rbb (maybe under a scenario), Greedy[d],
+    or concentrate or shuffle faults, from each start family, with or
+    without metrics and early stop."""
+    process = draw(st.sampled_from(["rbb", "scenario", "d_choices", "faulty"]))
     rounds = draw(st.integers(1, 60))
+    n_bins = draw(st.integers(2, 300))
     fields = {}
     if process == "d_choices":
         fields["d"] = draw(st.integers(1, 4))
     if process == "faulty":
-        fields["adversary"] = "concentrate"
+        fields["adversary"] = draw(st.sampled_from(["concentrate", "shuffle"]))
         fields["fault_period"] = draw(st.integers(1, min(rounds, 20)))
+    elif process == "scenario":
+        # an rbb run; EnsembleSpec refuses a scenario with an early stop
+        process = "rbb"
+        fields["scenario"] = draw(_scenarios(rounds, n_bins))
     else:
         fields["stop_when_legitimate"] = draw(st.booleans())
     return EnsembleSpec(
         process=process,
-        n_bins=draw(st.integers(2, 300)),
+        n_bins=n_bins,
         n_replicas=draw(st.integers(1, 9)),
         rounds=rounds,
         start=draw(st.sampled_from(["random_uniform", "all_in_one", "balanced"])),
