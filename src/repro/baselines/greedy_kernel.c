@@ -36,15 +36,15 @@
  *
  * A replica alone draws its d * cnt candidates lane by lane and places
  * each ball into the first least-loaded candidate, which defines the
- * stream.  A group's round runs every member's departures, then draws the
- * first W = min over the members of ceil(d * cnt / 2) words of every
- * member's round at once (repro_draw4()).  Each member maps its lanes to
- * bins in on-stack blocks (repro_block_map()), places the balls whose d
- * candidates lie in the block, carries a ball whose candidates straddle
- * two blocks over to the next, and then draws its remaining candidates
- * lane by lane.  A group runs a round in lockstep only while all four
- * members are active; a round in which one is frozen or stopped early
- * runs each active member alone.
+ * stream.  A group's round runs every member's departures, then draws
+ * every member's d * cnt candidates together, one on-stack block at a time
+ * (repro_draw4(), masked once a member's block is drawn).  Each member
+ * reads its block's bins straight off the lanes at a power-of-two n
+ * (repro_pow2_shift()) or maps them (repro_block_map()), places the balls
+ * whose d candidates lie in the block, and carries a ball whose candidates
+ * straddle two blocks over to the next.  A group runs a round in lockstep
+ * only while all four members are active; a round in which one is frozen
+ * or stopped early runs each active member alone.
  *
  * Placements that do not wait on their compares: a placement alone does
  * row[best] = min + 1, a store whose address depends on the compares of
@@ -99,6 +99,7 @@ typedef struct {
     int64_t *rounds_done;
     uint8_t *active;
     uint32_t lim;   /* Lemire rejection threshold for n */
+    int shift;      /* repro_pow2_shift(n): 0 unless n is a power of 2 */
     int64_t groups; /* lockstep groups, replicas [0, 4 * groups) */
     repro_obs_t obs;
 } greedy_ctx;
@@ -205,23 +206,23 @@ static inline void greedy_straddle(greedy_rep *p, uint32_t cand, int64_t d)
     }
 }
 
-/* Place `balls` balls onto candidates cand[d * j, d * j + d): each stores
- * every candidate's load back, last-drawn first, the first least-loaded
- * one's plus 1.  With d a constant up to 4 (the callers pass literals) the
- * loads stay in registers; a larger d re-reads them, adding 0 to all but
- * the best. */
+/* Place `balls` balls onto the candidates bin[d * j, d * j + d) >> shift:
+ * each stores every candidate's load back, last-drawn first, the first
+ * least-loaded one's plus 1.  With d a constant up to 4 (the callers pass
+ * literals) the loads stay in registers; a larger d re-reads them, adding
+ * 0 to all but the best. */
 static inline __attribute__((always_inline)) void
-greedy_whole(greedy_rep *p, const uint32_t *cand, int64_t balls,
+greedy_whole(greedy_rep *p, const uint32_t *bin, int shift, int64_t balls,
              const int64_t d)
 {
     int32_t *row = p->row;
-    for (int64_t j = 0; j < balls; j++, cand += d) {
+    for (int64_t j = 0; j < balls; j++, bin += d) {
         int32_t l[4];
         int64_t best = 0;
-        int32_t best_load = row[cand[0]];
+        int32_t best_load = row[bin[0] >> shift];
         l[0] = best_load;
         for (int64_t e = 1; e < d; e++) {
-            const int32_t le = row[cand[e]];
+            const int32_t le = row[bin[e] >> shift];
             const int better = le < best_load;
             best = better ? e : best;
             best_load = better ? le : best_load;
@@ -230,80 +231,83 @@ greedy_whole(greedy_rep *p, const uint32_t *cand, int64_t balls,
         }
         for (int64_t e = d - 1; e >= 0; e--) {
             if (d <= 4)
-                row[cand[e]] = l[e] + (e == best);
+                row[bin[e] >> shift] = l[e] + (e == best);
             else
-                row[cand[e]] += e == best;
+                row[bin[e] >> shift] += e == best;
         }
     }
+}
+
+/* Take `got` candidates, candidate i being bin[i] >> shift (shift is a
+ * literal 0 for mapped bins), into p's round: the ball straddling the
+ * previous block is finished first, then the whole balls are placed, and
+ * the last, partial one carries over. */
+static inline __attribute__((always_inline)) void
+greedy_take(greedy_rep *p, const uint32_t *bin, const int shift, int64_t got,
+            int64_t d)
+{
+    int64_t i = 0;
+    while (p->seen && i < got)
+        greedy_straddle(p, bin[i++] >> shift, d);
+    const int64_t balls = (got - i) / d;
+    switch (d) {
+    case 2:
+        greedy_whole(p, bin + i, shift, balls, 2);
+        break;
+    case 3:
+        greedy_whole(p, bin + i, shift, balls, 3);
+        break;
+    case 4:
+        greedy_whole(p, bin + i, shift, balls, 4);
+        break;
+    default:
+        greedy_whole(p, bin + i, shift, balls, d);
+    }
+    for (i += balls * d; i < got; i++)
+        greedy_straddle(p, bin[i] >> shift, d);
 }
 
 /* Take a lockstep block's m lanes into p's round: its accepted lanes in
  * order, at most p->need of them (the rest is the high lane of the round's
- * last word).  The ball straddling the previous block is finished first,
- * then the block's whole balls are placed, and its last, partial one
- * carries over. */
-static void greedy_block(greedy_rep *p, const uint32_t *lane, uint32_t *cand,
-                         int64_t m, int64_t d, uint32_t un, uint32_t lim)
+ * last word).  A power-of-two row reads its candidates straight off the
+ * lanes; any other maps them into cand first. */
+static void greedy_block(const greedy_ctx *c, greedy_rep *p,
+                         const uint32_t *lane, uint32_t *cand, int64_t m)
 {
-    int64_t got = repro_block_map(lane, cand, m, un, lim);
+    int64_t got = c->shift ? m
+                           : repro_block_map(lane, cand, m, (uint32_t)c->n,
+                                             c->lim);
     if (got > p->need)
         got = p->need;
     p->need -= got;
-    int64_t i = 0;
-    while (p->seen && i < got)
-        greedy_straddle(p, cand[i++], d);
-    const int64_t balls = (got - i) / d;
-    switch (d) {
-    case 2:
-        greedy_whole(p, cand + i, balls, 2);
-        break;
-    case 3:
-        greedy_whole(p, cand + i, balls, 3);
-        break;
-    case 4:
-        greedy_whole(p, cand + i, balls, 4);
-        break;
-    default:
-        greedy_whole(p, cand + i, balls, d);
-    }
-    for (i += balls * d; i < got; i++)
-        greedy_straddle(p, cand[i], d);
+    if (c->shift)
+        greedy_take(p, lane, c->shift, got, c->d);
+    else
+        greedy_take(p, cand, 0, got, c->d);
 }
 
-/* Round t of a group in lockstep: every member is active. */
+/* Round t of a group in lockstep: every member is active.  Each block
+ * draws every member's next repro_block_words() at once, until every
+ * member's round is drawn. */
 static void greedy_lockstep(greedy_ctx *c, greedy_rep *p, int64_t t)
 {
-    const int64_t n = c->n;
-    const int64_t d = c->d;
-    const uint32_t un = (uint32_t)n;
-    const uint32_t lim = c->lim;
     uint32_t lane[4][REPRO_BLOCK], cand[REPRO_BLOCK];
     rng_t *const g[4] = {&p[0].g, &p[1].g, &p[2].g, &p[3].g};
-    int64_t W = d * n; /* words every member's round consumes anyway */
-    for (int m = 0; m < 4; m++) {
-        p[m].need = d * repro_depart(p[m].row, n, p[m].empty);
-        if ((p[m].need + 1) / 2 < W)
-            W = (p[m].need + 1) / 2;
-    }
-    for (int64_t w = 0; w < W;) {
-        const int64_t words =
-            W - w < REPRO_BLOCK / 2 ? W - w : REPRO_BLOCK / 2;
+    int64_t words[4];
+    for (int m = 0; m < 4; m++)
+        p[m].need = c->d * repro_depart(p[m].row, c->n, p[m].empty);
+    for (;;) {
+        int64_t drawn = 0;
+        for (int m = 0; m < 4; m++)
+            drawn += words[m] = repro_block_words(p[m].need);
+        if (!drawn)
+            break;
         repro_draw4(g, lane, words);
         for (int m = 0; m < 4; m++)
-            greedy_block(&p[m], lane[m], cand, 2 * words, d, un, lim);
-        w += words;
+            greedy_block(c, &p[m], lane[m], cand, 2 * words[m]);
     }
-    for (int m = 0; m < 4; m++) {
-        /* the lockstep words are spent whole, so the rest starts on a
-         * fresh word */
-        lanes_t L = {&p[m].g, 0, 0};
-        while (p[m].seen) {
-            greedy_straddle(&p[m], bounded(&L, un, lim), d);
-            p[m].need--;
-        }
-        greedy_lanes(&p[m], &L, p[m].need / d, d, un, lim);
+    for (int m = 0; m < 4; m++)
         greedy_record(c, &p[m], t);
-    }
 }
 
 /* Replicas [r0, r0 + 4): a round runs in lockstep while every member is
@@ -380,6 +384,7 @@ REPRO_ABI void greedy_run(int32_t *loads, int64_t R, int64_t n, int64_t d,
     c.rounds_done = rounds_done;
     c.active = active;
     c.lim = (uint32_t)(-un) % un;
+    c.shift = repro_pow2_shift(n);
     c.groups = REPRO_LOCKSTEP == 4 && c.d >= 2 && n <= REPRO_GROUP_MAX_N
                    ? R / 4
                    : 0;

@@ -146,25 +146,36 @@ static inline uint32_t bounded(lanes_t *L, uint32_t d, uint32_t lim)
  * also flags any rejected lane, recompacting the accepted lanes in order
  * if one was flagged (a lane is rejected with probability below
  * n / 2^32).  Never over-drawing: a block that still needs `need` lanes
- * draws at most ceil(need / 2) words, which the lane-by-lane loop would
- * have to draw anyway, since a word yields at most two accepted lanes.  So
- * a block yields at most need + 1 accepted lanes, and need + 1 only when
- * need is odd and none of its lanes was rejected; the surplus is then the
- * high lane of its last word, the very lane the lane-by-lane loop
- * discards, and the caller drops it.  Every round therefore consumes
- * exactly the words, and takes exactly the lanes, of the lane-by-lane
- * definition.
+ * draws repro_block_words(need) words, at most ceil(need / 2), which the
+ * lane-by-lane loop would have to draw anyway, since a word yields at most
+ * two accepted lanes.  So a block yields at most need + 1 accepted lanes,
+ * and need + 1 only when need is odd and none of its lanes was rejected;
+ * the surplus is then the high lane of its last word, the very lane the
+ * lane-by-lane loop discards, and the caller drops it.  Every round
+ * therefore consumes exactly the words, and takes exactly the lanes, of
+ * the lane-by-lane definition.
+ *
+ * Power-of-two rows: at n = 2^k with k >= 1, Lemire's (lane * n) >> 32 is
+ * lane >> (32 - k), and the threshold (2^32 - n) mod n is 0, so no lane is
+ * rejected (Lemire, "Fast Random Integer Generation in an Interval", ACM
+ * TOMACS 2019).  The kernels then read a block's bins straight off its
+ * lanes, lane >> repro_pow2_shift(n): no map pass into a buffer and no
+ * rejection flag.  Any other n maps through repro_block_map(), n = 1
+ * included (its shift would be 32, undefined on 32 bits).  Both give the
+ * bins bounded() gives.  Every rbb and Greedy[d] size of the experiment
+ * registry and the sweep catalog is a power of two.
  *
  * Lockstep groups: 4 consecutive replicas step through their rounds
  * together.  repro_draw4() holds the four xoshiro256++ states side by side
- * in a 4 x 64-bit vector, and one step of it draws one word per member.  A
- * group draws W = min over its members of ceil(need / 2) words per round
- * this way, the words every member's round consumes anyway, so no member
- * draws ahead of its round, and a member's lockstep blocks end in a
- * surplus lane only if W equals its ceil(need / 2) and need is odd, on the
- * last word.  Each member maps its lanes as above and takes the rest of
- * its round alone.  Two rules keep groups where they pay; the figures are
- * single-thread bin-updates/s of the rbb kernel against its replica-by-
+ * in a 4 x 64-bit vector, and one step of it draws one word per member.
+ * It takes one word count per member: the states step together up to the
+ * smallest count, and every later step is masked, so a member whose count
+ * is reached keeps its state.  A group draws each member's whole round
+ * this way, block by block: every block draws repro_block_words() of each
+ * member's remaining need, the words that member's own blocked draw would
+ * take, so no member draws past its own round, and each maps and places
+ * its lanes as above.  Two rules keep groups where they pay; the figures
+ * are single-thread bin-updates/s of the rbb kernel against its replica-by-
  * replica loop on a 2-vCPU Xeon VM with AVX-512, gcc 12.
  *
  *   Rule 1, build time: the group path is compiled only where the
@@ -210,6 +221,22 @@ static inline uint32_t bounded(lanes_t *L, uint32_t d, uint32_t lim)
 REPRO_ABI int repro_lockstep_width(void)
 {
     return REPRO_LOCKSTEP;
+}
+
+/* The words of a block that still needs `need` lanes: ceil(need / 2), at
+ * most REPRO_BLOCK / 2. */
+static inline int64_t repro_block_words(int64_t need)
+{
+    return need < REPRO_BLOCK ? (need + 1) / 2 : REPRO_BLOCK / 2;
+}
+
+/* The shift that maps a lane to its bin when n is a power of two >= 2,
+ * 32 - log2 n, else 0.  See Power-of-two rows above. */
+static inline int repro_pow2_shift(int64_t n)
+{
+    if (n < 2 || (n & (n - 1)))
+        return 0;
+    return 32 - __builtin_ctzll((unsigned long long)n);
 }
 
 /* Draw `words` words into lane[0, 2 * words), low lane first. */
@@ -263,41 +290,61 @@ static inline int64_t repro_block_map(const uint32_t *lane, uint32_t *dst,
 #if REPRO_LOCKSTEP == 4
 typedef uint64_t repro_u64x4 __attribute__((vector_size(32)));
 
-/* Draw `words` words from each of four streams, stream m's into
- * lane[m][0, 2 * words) in repro_draw()'s layout (a little-endian 64-bit
- * store puts the low lane first): one xoshiro256++ step of the four
- * states held side by side yields one word per stream. */
-static inline void repro_draw4(rng_t *const g[4],
-                               uint32_t lane[4][REPRO_BLOCK], int64_t words)
+/* One xoshiro256++ step of four states held side by side, s[0..3] the
+ * state words: one word per stream into lane[m][2 * i] in repro_draw()'s
+ * layout (a little-endian 64-bit store puts the low lane first). */
+static inline __attribute__((always_inline)) void
+repro_step4(repro_u64x4 s[4], uint32_t lane[4][REPRO_BLOCK], int64_t i)
 {
-    repro_u64x4 s0, s1, s2, s3;
+    const repro_u64x4 sum = s[0] + s[3];
+    const repro_u64x4 w = ((sum << 23) | (sum >> 41)) + s[0];
+    const repro_u64x4 t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = (s[3] << 45) | (s[3] >> 19);
     for (int m = 0; m < 4; m++) {
-        s0[m] = g[m]->s[0];
-        s1[m] = g[m]->s[1];
-        s2[m] = g[m]->s[2];
-        s3[m] = g[m]->s[3];
+        const uint64_t wm = w[m];
+        memcpy(&lane[m][2 * i], &wm, sizeof wm);
     }
-    for (int64_t i = 0; i < words; i++) {
-        const repro_u64x4 sum = s0 + s3;
-        const repro_u64x4 w = ((sum << 23) | (sum >> 41)) + s0;
-        const repro_u64x4 t = s1 << 17;
-        s2 ^= s0;
-        s3 ^= s1;
-        s1 ^= s2;
-        s0 ^= s3;
-        s2 ^= t;
-        s3 = (s3 << 45) | (s3 >> 19);
-        for (int m = 0; m < 4; m++) {
-            const uint64_t wm = w[m];
-            memcpy(&lane[m][2 * i], &wm, sizeof wm);
-        }
+}
+
+/* Draw words[m] words from stream m into lane[m][0, 2 * words[m]), each
+ * at most REPRO_BLOCK / 2.  The four states step together up to the
+ * smallest count; after it each step is masked, so a stream whose count
+ * is reached keeps its state (the lanes stored past its count are never
+ * read). */
+static inline void repro_draw4(rng_t *const g[4],
+                               uint32_t lane[4][REPRO_BLOCK],
+                               const int64_t words[4])
+{
+    const repro_u64x4 want = {(uint64_t)words[0], (uint64_t)words[1],
+                              (uint64_t)words[2], (uint64_t)words[3]};
+    repro_u64x4 s[4];
+    for (int k = 0; k < 4; k++)
+        s[k] = (repro_u64x4){g[0]->s[k], g[1]->s[k], g[2]->s[k], g[3]->s[k]};
+    int64_t lo = words[0], hi = words[0];
+    for (int m = 1; m < 4; m++) {
+        lo = words[m] < lo ? words[m] : lo;
+        hi = words[m] > hi ? words[m] : hi;
     }
-    for (int m = 0; m < 4; m++) {
-        g[m]->s[0] = s0[m];
-        g[m]->s[1] = s1[m];
-        g[m]->s[2] = s2[m];
-        g[m]->s[3] = s3[m];
+    int64_t i = 0;
+    for (; i < lo; i++)
+        repro_step4(s, lane, i);
+    for (; i < hi; i++) {
+        const repro_u64x4 at = {(uint64_t)i, (uint64_t)i, (uint64_t)i,
+                                (uint64_t)i};
+        const repro_u64x4 live = (repro_u64x4)(at < want);
+        repro_u64x4 next[4] = {s[0], s[1], s[2], s[3]};
+        repro_step4(next, lane, i);
+        for (int k = 0; k < 4; k++)
+            s[k] ^= (next[k] ^ s[k]) & live;
     }
+    for (int m = 0; m < 4; m++)
+        for (int k = 0; k < 4; k++)
+            g[m]->s[k] = s[k][m];
 }
 #endif
 

@@ -31,25 +31,26 @@
  *      cnt, is n minus the empty count of the previous round's pass 3 (one
  *      count pass at entry seeds the first round), so this pass reduces
  *      nothing.
- *   2. arrivals, in blocks of at most REPRO_BLOCK destinations held on
- *      the stack: draw whole xoshiro words into a lane buffer, map them to
- *      bins (repro_draw() and repro_block_map() in _kernel_common.h, whose
- *      blocks never draw ahead of the lane-by-lane stream), drop the
- *      round's one possible surplus lane, and scatter row[dst]++.
+ *   2. arrivals, in blocks of at most REPRO_BLOCK lanes held on the
+ *      stack: draw whole xoshiro words into a lane buffer (repro_draw() in
+ *      _kernel_common.h, whose blocks never draw ahead of the lane-by-lane
+ *      stream), drop the round's one possible surplus lane, and scatter
+ *      row[bin]++.  At a power-of-two n a lane's bin is the lane shifted
+ *      right (repro_pow2_shift()), read straight off the lane buffer; any
+ *      other n maps the block into a bin buffer first (repro_block_map()).
  *   3. the post-round max and empty count, one int32 pass.  They feed the
  *      window metrics, the early stop and the fused recorder.
  *
- * A group's round runs pass 1 for every member, then draws the first
- * W = min over the members of ceil(cnt / 2) words of every member's round
- * at once (repro_draw4(), one word per member per xoshiro256++ step; see
+ * A group's round runs pass 1 for every member, then draws every member's
+ * whole round together, one block at a time (repro_draw4(), one word per
+ * member per xoshiro256++ step, masked once a member's block is drawn; see
  * Lockstep groups in _kernel_common.h, with the rules on the build's
- * vectors and the n <= 65536 budget).  Each member maps and scatters its
- * lanes as above, finishes its arrivals alone through the same block loop,
- * and runs pass 3 and the bookkeeping alone.  A group runs a round in
- * lockstep only while all four members are active and dense (see sparse
- * rounds below).  A round in which one is frozen, stopped early or sparse
- * runs each active member alone, and the group goes back to lockstep once
- * all four are active and dense again.
+ * vectors and the n <= 65536 budget).  Each member places its block's
+ * lanes as above, and runs pass 3 and the bookkeeping alone.  A group runs
+ * a round in lockstep only while all four members are active and dense
+ * (see sparse rounds below).  A round in which one is frozen, stopped
+ * early or sparse runs each active member alone, and the group goes back
+ * to lockstep once all four are active and dense again.
  *
  * Sparse rounds: while few of a row's bins hold balls, its rounds run
  * over an int32 list of those bins instead of the whole row.
@@ -190,6 +191,7 @@ typedef struct {
     int64_t *rounds_done;
     uint8_t *active;
     uint32_t lim;       /* Lemire rejection threshold for n */
+    int shift;          /* repro_pow2_shift(n): 0 unless n is a power of 2 */
     int64_t groups;     /* lockstep groups, replicas [0, 4 * groups) */
     int32_t sparse_in;  /* rows with at most this many occupied go sparse */
     int32_t sparse_out; /* sparse rows with more than this many go dense */
@@ -218,31 +220,45 @@ typedef struct {
     int64_t *legit;    /* fault_legit slot of its last fault, or NULL */
 } rbb_rep;
 
-/* Throw the balls of one block's m lanes into p's row: its accepted lanes
- * in order, at most `need` of them (the rest is the high lane of the
- * round's last word).  A sparse row lists every bin that goes 0 -> 1.
- * Returns the number placed. */
-static inline int64_t rbb_place(rbb_rep *p, const uint32_t *lane,
-                                uint32_t *dst, int64_t m, int64_t need,
-                                uint32_t un, uint32_t lim)
+/* Throw `got` balls into p's row, ball i into bin bin[i] >> shift (shift
+ * is a literal 0 for mapped bins).  A sparse row lists every bin that goes
+ * 0 -> 1. */
+static inline __attribute__((always_inline)) void
+rbb_scatter(rbb_rep *p, const uint32_t *bin, const int shift, int64_t got)
 {
     int32_t *row = p->row;
-    int64_t got = repro_block_map(lane, dst, m, un, lim);
-    if (got > need)
-        got = need;
     if (p->len < 0) {
         for (int64_t i = 0; i < got; i++)
-            row[dst[i]]++;
-        return got;
+            row[bin[i] >> shift]++;
+        return;
     }
     int32_t *occ = p->occ;
     int32_t len = p->len;
     for (int64_t i = 0; i < got; i++) {
-        const uint32_t d = dst[i];
+        const uint32_t d = bin[i] >> shift;
         occ[len] = (int32_t)d;
         len += row[d]++ == 0;
     }
     p->len = len;
+}
+
+/* Throw the balls of one block's m lanes into p's row: its accepted lanes
+ * in order, at most `need` of them (the rest is the high lane of the
+ * round's last word).  A power-of-two row reads its bins straight off the
+ * lanes; any other maps them into dst first.  Returns the number placed. */
+static inline int64_t rbb_place(const rbb_ctx *c, rbb_rep *p,
+                                const uint32_t *lane, uint32_t *dst,
+                                int64_t m, int64_t need)
+{
+    int64_t got = c->shift ? m
+                           : repro_block_map(lane, dst, m, (uint32_t)c->n,
+                                             c->lim);
+    if (got > need)
+        got = need;
+    if (c->shift)
+        rbb_scatter(p, lane, c->shift, got);
+    else
+        rbb_scatter(p, dst, 0, got);
     return got;
 }
 
@@ -263,16 +279,15 @@ static inline int64_t rbb_depart_listed(rbb_rep *p)
     return len;
 }
 
-/* 2. arrivals: `need` more uniform throws, one block at a time. */
-static void rbb_arrivals(rbb_rep *p, int64_t need, uint32_t un, uint32_t lim)
+/* 2. arrivals: `need` uniform throws, one block at a time. */
+static void rbb_arrivals(const rbb_ctx *c, rbb_rep *p, int64_t need)
 {
     uint32_t lane[REPRO_BLOCK], dst[REPRO_BLOCK];
     rng_t g = p->g; /* kept in registers by the draw loop */
     while (need > 0) {
-        const int64_t words =
-            need < REPRO_BLOCK ? (need + 1) / 2 : REPRO_BLOCK / 2;
+        const int64_t words = repro_block_words(need);
         repro_draw(&g, lane, words);
-        need -= rbb_place(p, lane, dst, 2 * words, need, un, lim);
+        need -= rbb_place(c, p, lane, dst, 2 * words, need);
     }
     p->g = g;
 }
@@ -365,12 +380,11 @@ static void rbb_end_listed(rbb_ctx *c, rbb_rep *p, int64_t t)
  * plain -O3 rung at 0.76-0.94x for n >= 256 (11 interleaved runs). */
 static void rbb_round(rbb_ctx *c, rbb_rep *p, int64_t t)
 {
-    const uint32_t un = (uint32_t)c->n;
     if (p->len < 0) {
-        rbb_arrivals(p, repro_depart(p->row, c->n, p->empty), un, c->lim);
+        rbb_arrivals(c, p, repro_depart(p->row, c->n, p->empty));
         rbb_end_round(c, p, t);
     } else {
-        rbb_arrivals(p, rbb_depart_listed(p), un, c->lim);
+        rbb_arrivals(c, p, rbb_depart_listed(p));
         rbb_end_listed(c, p, t);
     }
 }
@@ -450,34 +464,29 @@ static void rbb_finish(const rbb_ctx *c, rbb_rep *p)
 }
 
 #if REPRO_LOCKSTEP == 4
-/* Round t of a group in lockstep: every member is active and dense. */
+/* Round t of a group in lockstep: every member is active and dense.  Each
+ * block draws every member's next repro_block_words() at once, until every
+ * member's round is drawn. */
 static void rbb_lockstep(rbb_ctx *c, rbb_rep *p, int64_t t)
 {
-    const int64_t n = c->n;
-    const uint32_t un = (uint32_t)n;
-    const uint32_t lim = c->lim;
     uint32_t lane[4][REPRO_BLOCK], dst[REPRO_BLOCK];
     rng_t *const g[4] = {&p[0].g, &p[1].g, &p[2].g, &p[3].g};
-    int64_t need[4];
-    int64_t W = n; /* words every member's round consumes anyway */
-    for (int m = 0; m < 4; m++) {
-        need[m] = repro_depart(p[m].row, n, p[m].empty);
-        if ((need[m] + 1) / 2 < W)
-            W = (need[m] + 1) / 2;
-    }
-    for (int64_t w = 0; w < W;) {
-        const int64_t words =
-            W - w < REPRO_BLOCK / 2 ? W - w : REPRO_BLOCK / 2;
+    int64_t need[4], words[4];
+    for (int m = 0; m < 4; m++)
+        need[m] = repro_depart(p[m].row, c->n, p[m].empty);
+    for (;;) {
+        int64_t drawn = 0;
+        for (int m = 0; m < 4; m++)
+            drawn += words[m] = repro_block_words(need[m]);
+        if (!drawn)
+            break;
         repro_draw4(g, lane, words);
         for (int m = 0; m < 4; m++)
-            need[m] -= rbb_place(&p[m], lane[m], dst, 2 * words, need[m],
-                                 un, lim);
-        w += words;
+            need[m] -= rbb_place(c, &p[m], lane[m], dst, 2 * words[m],
+                                 need[m]);
     }
-    for (int m = 0; m < 4; m++) {
-        rbb_arrivals(&p[m], need[m], un, lim);
+    for (int m = 0; m < 4; m++)
         rbb_end_round(c, &p[m], t);
-    }
 }
 
 /* Replicas [r0, r0 + 4): a round runs in lockstep while every member is
@@ -591,6 +600,7 @@ REPRO_ABI void rbb_run(int32_t *loads, int64_t R, int64_t n, int64_t rounds,
     c.rounds_done = rounds_done;
     c.active = active;
     c.lim = (uint32_t)(-un) % un;
+    c.shift = repro_pow2_shift(n);
     c.groups = REPRO_LOCKSTEP == 4 && n <= REPRO_GROUP_MAX_N ? R / 4 : 0;
     c.sparse_in = n >= RBB_SPARSE_ENTER ? (int32_t)(n / RBB_SPARSE_ENTER) : 1;
     c.sparse_out = RBB_SPARSE_EXIT * c.sparse_in;
