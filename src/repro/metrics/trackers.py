@@ -537,9 +537,17 @@ class BatchedLoadHistogramTracker(_BatchedTracker):
         return self.counts / safe
 
     def mean_load(self) -> np.ndarray:
-        """Per-replica mean of the empirical occupancy distribution."""
-        dist = self.distribution()
-        return dist @ np.arange(dist.shape[1])
+        """Per-replica mean of the empirical occupancy distribution.
+
+        Each row's weighted count is an exact integer sum, divided once by
+        its total, so a replica's mean depends on its own counts alone, not
+        on how many rows the tracker holds.
+        """
+        if self.counts is None:
+            return np.zeros(self.n_replicas or 0)
+        totals = self.counts.sum(axis=1)
+        weighted = (self.counts * np.arange(self.counts.shape[1])).sum(axis=1)
+        return weighted / np.where(totals == 0, 1, totals)
 
     def payload(self) -> MetricPayload:
         R = self.n_replicas or 0

@@ -966,10 +966,7 @@ def _assert_greedy_groups_match_lanes(n, R, d, rounds, start, n_threads,
     """Replicas 0-2 of an R = 3 run are tail replicas, run lane by lane;
     in an R >= 4 run they are members of the first group.  A replica's
     stream depends only on (seed, r), so the two must agree exactly: every
-    integer the kernel returns.  A float summary (the histogram's mean
-    load) is numpy's matrix product over the (R, K + 1) counts, whose last
-    bit can depend on R, so it is compared to 1e-12 of the integer counts
-    it is computed from, which are compared exactly."""
+    integer the kernel returns, and every summary computed from them."""
     options = options or {}
     lanes_fields, lanes_payloads = _greedy_first_three(
         n, 3, d, rounds, start, n_threads, options
@@ -985,12 +982,7 @@ def _assert_greedy_groups_match_lanes(n, R, d, rounds, start, n_threads,
         for got, want in zip(group_payloads[name][1:], groups):
             assert set(got) == set(want), name
             for key in want:
-                if np.issubdtype(np.asarray(want[key]).dtype, np.floating):
-                    np.testing.assert_allclose(
-                        got[key], want[key], rtol=1e-12, err_msg=key
-                    )
-                else:
-                    assert np.array_equal(got[key], want[key]), (name, key)
+                assert np.array_equal(got[key], want[key]), (name, key)
     return group_fields
 
 
