@@ -803,10 +803,15 @@ def test_the_plan_that_ran_names_its_fallback(
 #: (``[lockstep=4]`` in ``native_status("rbb")``), replicas run in groups
 #: of 4 while n <= 65536.  ``groups`` runs two groups and a tail replica
 #: over rounds that span blocks; at n = 65026, 2**32 mod n = 65022, so
-#: lockstep blocks reject lanes; a member with no balls makes a group
-#: draw no lockstep words at all; n = 65537 is just above the row budget,
-#: so its group runs replica by replica; and ``groups_fused`` observes
-#: three groups, histogram included.
+#: lockstep blocks reject lanes; a member with no balls draws no words
+#: while the others draw their whole rounds; n = 65537 is just above the
+#: row budget, so its group runs replica by replica; and ``groups_fused``
+#: observes three groups, histogram included.
+#: ``uneven`` starts row 0 balanced among rows of n / 8 balls, so its
+#: rounds span blocks past the others' one and the masked tail runs on.
+#: ``pow2_n2`` and ``pow2_n65536`` run groups at the smallest and the
+#: largest power of two a group takes (a shift by 31 and by 16), and
+#: ``group_n1`` a group at n = 1, which maps its lanes by the multiply.
 #:
 #: The rbb kernel runs a row's round over a list of its occupied bins
 #: while at most max(1, n / 32) of them are occupied, until more than
@@ -840,6 +845,13 @@ D1_CASES = [
         300, 12, 40, "all_in_one",
         {"metrics": FUSED_METRICS, "observe_every": 7}, id="groups_fused",
     ),
+    pytest.param(
+        4096, 5, 30, "random_uniform", {"n_balls": 512, "balanced": (0,)},
+        id="uneven",
+    ),
+    pytest.param(2, 9, 40, "balanced", {}, id="pow2_n2"),
+    pytest.param(65536, 9, 4, "balanced", {}, id="pow2_n65536"),
+    pytest.param(1, 9, 20, "balanced", {}, id="group_n1"),
     pytest.param(4096, 5, 60, "balanced", {"n_balls": 64}, id="sparse_few"),
     pytest.param(2048, 9, 200, "all_in_one", {}, id="sparse_groups"),
     pytest.param(
@@ -856,6 +868,61 @@ D1_CASES = [
 ]
 
 
+def _assert_greedy_one_matches_rbb(initial, rounds, n_threads, options):
+    """Run rbb and Greedy[1] from the same (R, n) start and seed, and
+    assert equal result fields and metric payloads; returns rbb's result."""
+    R, n = initial.shape
+
+    def run(build):
+        process = build(
+            initial=initial, seed=options.get("seed", 5), kernel="native",
+            n_threads=n_threads,
+        )
+        if "frozen" in options:
+            process.deactivate(np.arange(R) == options["frozen"])
+        trackers = build_trackers(options.get("metrics"))
+        result = process.run(
+            rounds,
+            stop_when_legitimate=options.get("stop_when_legitimate", False),
+            observers=[tracker for _, tracker in trackers],
+            observe_every=options.get("observe_every", 1),
+        )
+        assert result.kernel == "native"
+        return result, {name: t.payload() for name, t in trackers}
+
+    plain, plain_payloads = run(
+        lambda **kw: BatchedRepeatedBallsIntoBins(n, R, **kw)
+    )
+    greedy, greedy_payloads = run(lambda **kw: BatchedDChoices(n, R, d=1, **kw))
+    for field in (
+        "final_loads", "rounds", "max_load_seen", "min_empty_bins_seen",
+        "first_legitimate_round",
+    ):
+        assert np.array_equal(
+            getattr(greedy, field), getattr(plain, field)
+        ), field
+    _assert_payloads_equal(greedy_payloads, plain_payloads, "d=1")
+    return plain
+
+
+#: Row starts the rbb lockstep property mixes: rows with n, about 0.63 n
+#: and about n / 10 occupied bins are dense but need different numbers of
+#: blocks, and an all-in-one row stays sparse for its first rounds.
+_MIXED_STARTS = ("balanced", "random_uniform", "tenth", "all_in_one")
+
+
+def _mixed_start(kinds, n, seed):
+    """One row per kind: ``tenth`` throws max(1, n // 10) balls at random."""
+    rows = []
+    for r, kind in enumerate(kinds):
+        balls = max(1, n // 10) if kind == "tenth" else None
+        start = "random_uniform" if kind == "tenth" else kind
+        rows.append(
+            make_ensemble_initial(start, n, 1, n_balls=balls, seed=seed + r)[0]
+        )
+    return np.ascontiguousarray(rows, dtype=np.int32)
+
+
 @needs_native
 @needs_native_greedy
 class TestGreedyOneMatchesRbb:
@@ -869,48 +936,49 @@ class TestGreedyOneMatchesRbb:
     def test_d1_matches_native_rbb(
         self, n, R, rounds, start, options, n_threads, kernel_calls
     ):
-        def run(build):
-            initial = make_ensemble_initial(
-                start, n, R, n_balls=options.get("n_balls")
-            )
-            if "empty" in options:
-                initial[options["empty"]] = 0
-            if "balanced" in options:
-                initial[list(options["balanced"])] = 1
-            process = build(
-                initial=initial, seed=5, kernel="native", n_threads=n_threads,
-            )
-            if "frozen" in options:
-                process.deactivate(np.arange(R) == options["frozen"])
-            trackers = build_trackers(options.get("metrics"))
-            result = process.run(
-                rounds,
-                stop_when_legitimate=options.get("stop_when_legitimate", False),
-                observers=[tracker for _, tracker in trackers],
-                observe_every=options.get("observe_every", 1),
-            )
-            assert result.kernel == "native"
-            return result, {name: t.payload() for name, t in trackers}
-
-        plain, plain_payloads = run(
-            lambda **kw: BatchedRepeatedBallsIntoBins(n, R, **kw)
+        initial = make_ensemble_initial(
+            start, n, R, n_balls=options.get("n_balls"), seed=0
         )
-        greedy, greedy_payloads = run(lambda **kw: BatchedDChoices(n, R, d=1, **kw))
+        if "empty" in options:
+            initial[options["empty"]] = 0
+        if "balanced" in options:
+            initial[list(options["balanced"])] = 1
+        plain = _assert_greedy_one_matches_rbb(
+            initial, rounds, n_threads, options
+        )
         assert kernel_calls == ["rbb", "greedy_d"]  # one call each, also fused
-        for field in (
-            "final_loads", "rounds", "max_load_seen", "min_empty_bins_seen",
-            "first_legitimate_round",
-        ):
-            assert np.array_equal(
-                getattr(greedy, field), getattr(plain, field)
-            ), field
-        _assert_payloads_equal(greedy_payloads, plain_payloads, "d=1")
         if "frozen" in options:
             assert plain.rounds[options["frozen"]] == 0
         if "stop_when_legitimate" in options:
             assert len(set(plain.rounds.tolist())) > 1  # replicas stopped apart
         if "empty" in options:
             assert not plain.final_loads[options["empty"]].any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.one_of(
+            st.integers(min_value=1, max_value=16).map(lambda k: 2**k),
+            st.integers(min_value=1, max_value=66_000),
+        ),
+        kinds=st.lists(
+            st.sampled_from(_MIXED_STARTS), min_size=4, max_size=12
+        ),
+        rounds=st.integers(min_value=1, max_value=40),
+        observe_every=st.integers(min_value=1, max_value=8),
+        n_threads=st.sampled_from([1, 2]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_property_groups_match_lane_by_lane(
+        self, n, kinds, rounds, observe_every, n_threads, seed
+    ):
+        """R = len(kinds) in 4..12: rbb's groups (rows 0 to 4 * (R // 4)),
+        whose members' rounds span different numbers of blocks, and its
+        tail equal Greedy[1]'s lane-by-lane run, fused payloads included."""
+        _assert_greedy_one_matches_rbb(
+            _mixed_start(kinds, n, seed), rounds, n_threads,
+            {"seed": seed, "metrics": FUSED_METRICS,
+             "observe_every": observe_every},
+        )
 
 
 @needs_native
@@ -927,6 +995,8 @@ def _greedy_first_three(n, R, d, rounds, start, n_threads, options):
     initial = make_ensemble_initial(start, n, 12, seed=options.get("rows", 0))[:R]
     if "empty" in options:
         initial[options["empty"]] = 0
+    if "balanced" in options:
+        initial[list(options["balanced"])] = 1
     process = BatchedDChoices(
         n, R, d=d, initial=initial, seed=options.get("seed", 5),
         kernel="native", n_threads=n_threads,
@@ -992,7 +1062,7 @@ def _assert_greedy_groups_match_lanes(n, R, d, rounds, start, n_threads,
 #: about one lane in 66 000 is rejected, some inside lockstep blocks.  From
 #: all-in-one at d = 3 every member's first round takes 3 candidates from 2
 #: words, so its block ends in a surplus high lane.  A member with no balls
-#: (option ``empty``) makes W = 0: the group draws no lockstep words.  A
+#: (option ``empty``) draws no words while the others draw their rounds.  A
 #: frozen member (option ``frozen``) and members stopped early run the
 #: group's rounds alone; at beta = 0.45 (threshold 2) the stop case's
 #: replicas stop about 100 rounds in and apart, which it checks, so the
@@ -1000,6 +1070,12 @@ def _assert_greedy_groups_match_lanes(n, R, d, rounds, start, n_threads,
 #: candidates per round than a block holds, so balls straddle two blocks
 #: (d = 5 places through the loop that takes any d); n = 65537 is just
 #: above the group budget.
+#: ``uneven`` starts row 0 balanced among all-in-one rows (option
+#: ``balanced``), so its rounds span blocks past the others' one and the
+#: masked tail runs on.
+#: ``pow2_n2`` and ``pow2_n65536`` run groups at the smallest and the
+#: largest power of two a group takes (a shift by 31 and by 16), and
+#: ``group_n1`` a group at n = 1, which maps its lanes by the multiply.
 GROUP_CASES = [
     pytest.param(65026, 2, 4, "balanced", {}, id="group_rejections"),
     pytest.param(64, 3, 30, "all_in_one", {}, id="odd_surplus"),
@@ -1016,6 +1092,10 @@ GROUP_CASES = [
     pytest.param(1024, 3, 20, "random_uniform", {"rows": 3}, id="blocks"),
     pytest.param(1024, 5, 20, "balanced", {}, id="d5"),
     pytest.param(65537, 2, 2, "balanced", {}, id="group_budget"),
+    pytest.param(4096, 2, 20, "all_in_one", {"balanced": (0,)}, id="uneven"),
+    pytest.param(2, 3, 30, "balanced", {}, id="pow2_n2"),
+    pytest.param(65536, 2, 3, "balanced", {}, id="pow2_n65536"),
+    pytest.param(1, 2, 20, "balanced", {}, id="group_n1"),
 ]
 
 
