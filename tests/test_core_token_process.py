@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -224,3 +227,63 @@ class TestRun:
         result = process.run(5)
         assert result.min_empty_seen <= start_empty
         assert result.max_load_seen >= start_max
+
+
+#: (n, m, start, rounds) of each pinned stream; ``rounds=None`` runs with
+#: ``track_visits=True`` until every ball has visited every bin.
+PINNED_SHAPES = {
+    "n2_m2": (2, 2, None, 200),
+    "n16_m40_all_in_one": (16, 40, "all_in_one", 200),
+    "n37_m5": (37, 5, None, 200),
+    "n64_covered": (64, 64, None, None),
+}
+
+#: SHA-256 of each (discipline, shape) stream, see ``_stream_digest``.
+PINNED_STREAMS = {
+    ("fifo", "n2_m2"): "743ba42f1acd578b430e9e26c36f3791abdee0dd90b92761b4263b4d5204e984",
+    ("fifo", "n16_m40_all_in_one"): "04f8ae56696bf053308147b33fe2b74b261a8e97b01b1a510a7e83374a344b9b",
+    ("fifo", "n37_m5"): "9813230c13dc22036c65f8ba18ff90e4f14b6da88d860c55e2dadc77364ce77b",
+    ("fifo", "n64_covered"): "1acf4010963c48ce76f9ed72d5a816d9ebc51c21894db3bb2abd9fe2060ad647",
+    ("lifo", "n2_m2"): "7f762446bc3f447cfba7bace3b36038ce44e59a34e724d295a71223a1b0e33c6",
+    ("lifo", "n16_m40_all_in_one"): "749afce8e55109012d31e6342f40a87cc715e65e66633e2b62e9e27127d6abfe",
+    ("lifo", "n37_m5"): "19b31724f029fe01ba8d98629e41aede7938ba56996f4777b4d7a36e0d5bacb1",
+    ("lifo", "n64_covered"): "8b8bc60e06b92f3adfe40910e8631ac43be5717cee1b794c810c8f9a6af23ff9",
+    ("random", "n2_m2"): "c4c738a8c250e64c09e61f2037d671f7d60be664b0139bae2f95def3b308ecc7",
+    ("random", "n16_m40_all_in_one"): "75e9acca06804c5605ecd73c485ae4b7b2af8ea35efdc4b55750f84497a564ad",
+    ("random", "n37_m5"): "7d7f023fe95c32bc964eec10916e990281b4d5cff8c9e99d354269f54e04dab2",
+    ("random", "n64_covered"): "a23abf25ba1f64969f905630dc122d71c4bdbc80cef8e763a5144695a6841b74",
+    ("smallest_id", "n2_m2"): "0af491e4b2378175800fc306240575ae59e08e05a68746b074ac64b8cecb8a58",
+    ("smallest_id", "n16_m40_all_in_one"): "f51a104211739facc85c43e1fd771061be3c1f0e18ba6b9718769613fa5007dc",
+    ("smallest_id", "n37_m5"): "728345f6b5e7ca69a19b9379040322cf06cc20892244464f3e2f9b40b5e03db3",
+    ("smallest_id", "n64_covered"): "4e58e8697edd94ce96e5fec266fbd2b243c68f8f8f3c93712e27826ede808346",
+}
+
+
+def _stream_digest(discipline, shape):
+    """SHA-256 of a run's per-ball state, loads, cover times and the state
+    of the ``Generator`` passed in as ``seed``."""
+    n, m, start, rounds = PINNED_SHAPES[shape]
+    rng = np.random.default_rng(2024)
+    initial = LoadConfiguration.all_in_one(n, m) if start == "all_in_one" else None
+    track = rounds is None
+    process = TokenRepeatedBallsIntoBins(
+        n, n_balls=m, discipline=discipline, initial=initial,
+        track_visits=track, seed=rng,
+    )
+    result = process.run(100_000 if track else rounds, stop_when_covered=track)
+    arrays = [process.ball_bins, process.moves, process.waiting_rounds, process.loads]
+    if track:
+        assert result.cover_time is not None
+        arrays.append(result.ball_cover_times)
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype="<i8").tobytes())
+    digest.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("discipline, shape", sorted(PINNED_STREAMS))
+def test_stream_is_pinned(discipline, shape):
+    """Which ball leaves each bin, where it goes and every draw made for it
+    stay the same across rewrites of the step."""
+    assert _stream_digest(discipline, shape) == PINNED_STREAMS[discipline, shape]
