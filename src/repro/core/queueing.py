@@ -6,15 +6,23 @@ FIFO discipline (under FIFO no ball waits longer than the load it found on
 arrival).  The token-level simulator therefore takes a pluggable
 :class:`QueueDiscipline`; the ablation A1 compares them.
 
-A discipline sees the bin's queue as an ordered list of ball identifiers
-(position 0 is the oldest resident) and returns the *position* of the ball
-to extract this round.
+A discipline is two rules, applied to every non-empty bin at once:
+
+* its queue :attr:`~QueueDiscipline.order` — ``"arrival"`` (position 0 is
+  the oldest resident) or ``"id"`` (position 0 is the smallest ball id);
+* :meth:`~QueueDiscipline.positions`, which maps the queue lengths of the
+  non-empty bins, in bin order, to the position of the ball each bin
+  releases this round.
+
+FIFO, LIFO and random keep arrival order and take the front, the back, or
+one uniform draw per bin that holds two or more balls; smallest-id keeps id
+order and takes the front.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Sequence, Type
+from typing import Dict, List, Type
 
 import numpy as np
 
@@ -36,12 +44,16 @@ class QueueDiscipline(ABC):
 
     #: Registry key used by :func:`get_discipline`.
     name: str = "abstract"
+    #: How a bin's queue is ordered: ``"arrival"`` or ``"id"``.
+    order: str = "arrival"
 
     @abstractmethod
-    def select(self, queue: Sequence[int], rng: np.random.Generator) -> int:
-        """Return the index (position in *queue*) of the ball to extract.
+    def positions(self, lengths: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Return the position of the departing ball in each queue.
 
-        *queue* is guaranteed non-empty.  Implementations must not mutate it.
+        *lengths* holds the queue length (``>= 1``) of every non-empty bin,
+        in bin order; the result is an ``int64`` array of the same shape
+        with ``0 <= positions < lengths``.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -53,8 +65,8 @@ class FIFODiscipline(QueueDiscipline):
 
     name = "fifo"
 
-    def select(self, queue: Sequence[int], rng: np.random.Generator) -> int:
-        return 0
+    def positions(self, lengths: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return np.zeros_like(lengths)
 
 
 class LIFODiscipline(QueueDiscipline):
@@ -62,20 +74,23 @@ class LIFODiscipline(QueueDiscipline):
 
     name = "lifo"
 
-    def select(self, queue: Sequence[int], rng: np.random.Generator) -> int:
-        return len(queue) - 1
+    def positions(self, lengths: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return lengths - 1
 
 
 class RandomDiscipline(QueueDiscipline):
-    """Extract a ball chosen uniformly at random from the queue."""
+    """Extract a ball chosen uniformly at random from the queue.
+
+    A bin with one ball draws nothing; the others draw in bin order.
+    """
 
     name = "random"
 
-    def select(self, queue: Sequence[int], rng: np.random.Generator) -> int:
-        length = len(queue)
-        if length == 1:
-            return 0
-        return int(rng.integers(0, length))
+    def positions(self, lengths: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        positions = np.zeros_like(lengths)
+        longer = lengths > 1
+        positions[longer] = rng.integers(0, lengths[longer])
+        return positions
 
 
 class SmallestIDDiscipline(QueueDiscipline):
@@ -89,15 +104,10 @@ class SmallestIDDiscipline(QueueDiscipline):
     """
 
     name = "smallest_id"
+    order = "id"
 
-    def select(self, queue: Sequence[int], rng: np.random.Generator) -> int:
-        best_pos = 0
-        best_id = queue[0]
-        for pos in range(1, len(queue)):
-            if queue[pos] < best_id:
-                best_id = queue[pos]
-                best_pos = pos
-        return best_pos
+    def positions(self, lengths: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return np.zeros_like(lengths)
 
 
 _REGISTRY: Dict[str, Type[QueueDiscipline]] = {

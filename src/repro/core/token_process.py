@@ -5,26 +5,32 @@ load statement of the paper, but Section 4 (multi-token traversal) reasons
 about *individual balls*: how many steps of its own random walk a ball has
 performed ("progress"), how long it waits inside queues ("delay"), and when
 every ball has visited every bin ("parallel cover time").  This module keeps
-ball identities, per-bin queues ordered by arrival, and a pluggable
+ball identities, per-bin queues and a pluggable
 :class:`~repro.core.queueing.QueueDiscipline`.
 
-The state is a hybrid representation chosen for speed:
+The state is two per-ball ``int64`` arrays:
 
-* ``ball_bin`` — an ``int64`` array mapping ball id → current bin;
-* ``queues``  — a list of Python lists, one per bin, holding ball ids in
-  arrival order (index 0 = oldest resident);
-* optional per-ball bookkeeping arrays (moves, waiting rounds, visited
-  bitmap) updated with vectorized NumPy operations on the set of balls that
-  moved this round.
+* ``ball_bin`` — ball id → current bin;
+* ``stamp``    — ball id → arrival stamp.  A ball's stamp is its id at
+  construction; each round the arriving balls take the next ``h`` stamps,
+  in the order of that round's ``rng.permutation(h)`` (a random tie-break
+  among simultaneous arrivals).  Within a bin, ascending stamps are arrival
+  order.
 
-Only the queue-selection loop iterates over non-empty bins in Python; the
-rest of a round is array work.
+A bin's queue is never stored.  Each round one sort of all balls by bin and
+then by the discipline's key (the stamp for ``order == "arrival"``, the
+ball id for ``order == "id"``) lays every queue out contiguously, and the
+discipline's vectorized :meth:`~repro.core.queueing.QueueDiscipline.positions`
+picks each non-empty bin's departing ball from it.  Per-ball bookkeeping
+(moves, the visited bitmap) is updated with array operations on the balls
+that moved, and waiting rounds are ``round_index - moves``, so a round has
+no Python loop over bins or balls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -140,13 +146,11 @@ class TokenRepeatedBallsIntoBins:
             ball_bin = np.repeat(np.arange(n_bins, dtype=np.int64), config.loads)
 
         self._ball_bin = ball_bin
-        self._queues: List[List[int]] = [[] for _ in range(n_bins)]
-        for ball in range(m):
-            self._queues[int(ball_bin[ball])].append(ball)
+        self._stamp = np.arange(m, dtype=np.int64)
+        self._next_stamp = m
 
         self._loads = np.bincount(ball_bin, minlength=n_bins).astype(np.int64)
         self._moves = np.zeros(m, dtype=np.int64)
-        self._waiting_rounds = np.zeros(m, dtype=np.int64)
 
         if self._track_visits:
             self._visited = np.zeros((m, n_bins), dtype=bool)
@@ -154,6 +158,7 @@ class TokenRepeatedBallsIntoBins:
                 self._visited[np.arange(m), ball_bin] = True
             self._visited_counts = self._visited.sum(axis=1).astype(np.int64)
             self._ball_cover_time = np.where(self._visited_counts >= n_bins, 0, -1).astype(np.int64)
+            self._n_uncovered = int(np.count_nonzero(self._ball_cover_time < 0))
         else:
             self._visited = None
             self._visited_counts = None
@@ -200,10 +205,14 @@ class TokenRepeatedBallsIntoBins:
 
     @property
     def waiting_rounds(self) -> np.ndarray:
-        """Read-only view: total rounds each ball spent waiting (not selected)."""
-        view = self._waiting_rounds.view()
-        view.setflags(write=False)
-        return view
+        """Total rounds each ball spent waiting (not selected).
+
+        In every round a ball either moves or waits, so this is
+        ``round_index - moves``.
+        """
+        waiting = self._round - self._moves
+        waiting.setflags(write=False)
+        return waiting
 
     @property
     def visited_counts(self) -> Optional[np.ndarray]:
@@ -233,14 +242,14 @@ class TokenRepeatedBallsIntoBins:
         """Whether every ball has visited every bin (requires ``track_visits``)."""
         if self._ball_cover_time is None:
             raise ConfigurationError("cover tracking disabled; construct with track_visits=True")
-        return bool(np.all(self._ball_cover_time >= 0))
+        return self._n_uncovered == 0
 
     @property
     def cover_time(self) -> Optional[int]:
         """Round at which the last ball completed coverage, or ``None``."""
         if self._ball_cover_time is None:
             raise ConfigurationError("cover tracking disabled; construct with track_visits=True")
-        if not np.all(self._ball_cover_time >= 0):
+        if self._n_uncovered:
             return None
         return int(self._ball_cover_time.max())
 
@@ -251,37 +260,34 @@ class TokenRepeatedBallsIntoBins:
         """Advance the token-level process by one synchronous round."""
         n = self._n_bins
         rng = self._rng
-        queues = self._queues
-        discipline = self._discipline
+        ball_bin = self._ball_bin
 
-        nonempty_bins = np.flatnonzero(self._loads > 0)
+        nonempty_bins = self._loads.nonzero()[0]
         h = nonempty_bins.size
         if h == 0:
             self._round += 1
             return self.loads
 
-        # --- select one ball per non-empty bin (based on start-of-round state)
-        selected = np.empty(h, dtype=np.int64)
-        for i, bin_index in enumerate(nonempty_bins):
-            queue = queues[bin_index]
-            pos = discipline.select(queue, rng)
-            selected[i] = queue.pop(pos)
-
-        # waiting balls accumulate one round of delay
-        self._waiting_rounds += 1
-        self._waiting_rounds[selected] -= 1
+        # --- select one ball per non-empty bin (based on start-of-round state):
+        # sorted by bin and then by the discipline's key, every bin's queue
+        # is one contiguous run of ``queues``, in bin order
+        key = self._stamp if self._discipline.order == "arrival" else np.arange(self._n_balls)
+        queues = np.lexsort((key, ball_bin))
+        lengths = self._loads[nonempty_bins]
+        fronts = lengths.cumsum() - lengths
+        selected = queues[fronts + self._discipline.positions(lengths, rng)]
 
         # --- re-assign selected balls uniformly at random ----------------
         destinations = rng.integers(0, n, size=h)
-        self._ball_bin[selected] = destinations
+        ball_bin[selected] = destinations
         self._moves[selected] += 1
 
         # arrival order among simultaneous arrivals: we shuffle so that no
         # bin-index bias leaks into FIFO order (the paper allows arbitrary
         # tie-breaking; a random one is the least structured choice).
         order = rng.permutation(h)
-        for idx in order:
-            queues[int(destinations[idx])].append(int(selected[idx]))
+        self._stamp[selected[order]] = np.arange(self._next_stamp, self._next_stamp + h)
+        self._next_stamp += h
 
         # --- update loads (departures then arrivals) ----------------------
         self._loads[nonempty_bins] -= 1
@@ -299,6 +305,7 @@ class TokenRepeatedBallsIntoBins:
                 finished = movers[self._visited_counts[movers] >= n]
                 pending = finished[self._ball_cover_time[finished] < 0]
                 self._ball_cover_time[pending] = self._round
+                self._n_uncovered -= pending.size
 
         return self.loads
 
@@ -368,9 +375,8 @@ class TokenRepeatedBallsIntoBins:
     def _check_consistency(self) -> None:
         if int(self._loads.sum()) != self._n_balls:
             raise SimulationError("token process lost balls (load sum mismatch)")
-        queue_total = sum(len(q) for q in self._queues)
-        if queue_total != self._n_balls:
-            raise SimulationError("token process queues inconsistent with ball count")
+        if not np.array_equal(np.bincount(self._ball_bin, minlength=self._n_bins), self._loads):
+            raise SimulationError("token process ball positions inconsistent with the loads")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

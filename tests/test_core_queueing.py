@@ -14,6 +14,7 @@ from repro.core.queueing import (
     available_disciplines,
     get_discipline,
 )
+from repro.core.token_process import TokenRepeatedBallsIntoBins
 from repro.errors import ConfigurationError
 
 
@@ -23,34 +24,55 @@ def rng():
 
 
 class TestSelections:
+    """``positions`` maps the queue lengths of the non-empty bins, in bin
+    order, to the position of each bin's departing ball."""
+
     def test_fifo_selects_front(self, rng):
-        assert FIFODiscipline().select([10, 20, 30], rng) == 0
+        assert FIFODiscipline().order == "arrival"
+        assert FIFODiscipline().positions(np.array([3, 1, 5]), rng).tolist() == [0, 0, 0]
 
     def test_lifo_selects_back(self, rng):
-        assert LIFODiscipline().select([10, 20, 30], rng) == 2
+        assert LIFODiscipline().order == "arrival"
+        assert LIFODiscipline().positions(np.array([3, 1, 5]), rng).tolist() == [2, 0, 4]
 
     def test_lifo_single_element(self, rng):
-        assert LIFODiscipline().select([42], rng) == 0
+        assert LIFODiscipline().positions(np.array([1]), rng).tolist() == [0]
 
     def test_random_in_range(self, rng):
         discipline = RandomDiscipline()
-        queue = [1, 2, 3, 4, 5]
-        picks = {discipline.select(queue, rng) for _ in range(200)}
-        assert picks <= set(range(5))
-        assert len(picks) == 5  # all positions eventually chosen
+        assert discipline.order == "arrival"
+        picks = discipline.positions(np.full(200, 5), rng)
+        assert set(picks.tolist()) == set(range(5))  # all positions chosen
 
     def test_random_single_element_fast_path(self, rng):
-        assert RandomDiscipline().select([7], rng) == 0
+        # a one-ball bin draws nothing; the others draw in bin order
+        twin = np.random.default_rng(0)
+        picks = RandomDiscipline().positions(np.array([1, 3, 1, 4]), rng)
+        assert picks[[0, 2]].tolist() == [0, 0]
+        assert picks[[1, 3]].tolist() == [int(twin.integers(0, 3)), int(twin.integers(0, 4))]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert RandomDiscipline().positions(np.array([1, 1]), rng).tolist() == [0, 0]
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_smallest_id(self, rng):
-        assert SmallestIDDiscipline().select([30, 10, 20], rng) == 1
-        assert SmallestIDDiscipline().select([5], rng) == 0
+        discipline = SmallestIDDiscipline()
+        assert discipline.order == "id"
+        assert discipline.positions(np.array([3, 1]), rng).tolist() == [0, 0]
+        # in one bin every departing ball comes straight back to the end of
+        # the arrival order; FIFO cycles through the balls, smallest-id
+        # keeps taking ball 0
+        for name, moves in (("fifo", [2, 2, 2]), ("smallest_id", [6, 0, 0])):
+            process = TokenRepeatedBallsIntoBins(1, n_balls=3, discipline=name, seed=0)
+            process.run(6)
+            assert process.moves.tolist() == moves
 
     def test_disciplines_do_not_mutate_queue(self, rng):
-        queue = [3, 1, 2]
+        lengths = np.array([3, 1, 2])
         for discipline in (FIFODiscipline(), LIFODiscipline(), RandomDiscipline(), SmallestIDDiscipline()):
-            discipline.select(queue, rng)
-            assert queue == [3, 1, 2]
+            picks = discipline.positions(lengths, rng)
+            assert lengths.tolist() == [3, 1, 2]
+            assert picks.dtype == np.int64
+            assert np.all((0 <= picks) & (picks < lengths))
 
 
 class TestRegistry:
