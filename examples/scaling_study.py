@@ -2,16 +2,16 @@
 """Scaling study: how the maximum load and convergence time grow with n.
 
 Reproduces the quantitative heart of the paper on a sweep of system sizes,
-using the parallel Monte-Carlo runner to spread independent trials across
-CPU cores:
+running each size's trials as one batched ensemble (``run_ensemble``, in
+parallel on the native kernel's threads):
 
-* window maximum load from a legitimate start  -> fits c * log n (Theorem 1),
+* window maximum load from a random start      -> fits c * log n (Theorem 1),
   compared against the one-shot balls-into-bins maximum (log n / log log n)
   and the sqrt(t) envelope of the earlier analysis;
 * convergence time from the all-in-one start   -> fits a power law with
   exponent ~ 1 (linear, Theorem 1).
 
-Run with ``python examples/scaling_study.py [--workers K]``.
+Run with ``python examples/scaling_study.py [--threads K] [--trials T]``.
 """
 
 from __future__ import annotations
@@ -21,33 +21,18 @@ import math
 
 import numpy as np
 
-from repro import LoadConfiguration, RepeatedBallsIntoBins, one_shot_max_load
+from repro import EnsembleSpec, one_shot_max_load, run_ensemble
 from repro.analysis.bounds import sqrt_window_bound
 from repro.analysis.fitting import fit_log_growth, fit_power_law
 from repro.experiments import format_table
-from repro.parallel.runner import run_trials
-from repro.rng import as_generator
-
-
-def stability_trial(trial_index: int, seed, n: int, rounds: int) -> dict:
-    """One stability trial: window max load from a one-shot random start."""
-    rng = as_generator(seed)
-    process = RepeatedBallsIntoBins(n, initial=LoadConfiguration.random_uniform(n, seed=rng), seed=rng)
-    result = process.run(rounds)
-    return {"window_max": result.max_load_seen}
-
-
-def convergence_trial(trial_index: int, seed, n: int) -> dict:
-    """One convergence trial: rounds to legitimacy from the all-in-one start."""
-    rng = as_generator(seed)
-    process = RepeatedBallsIntoBins(n, initial=LoadConfiguration.all_in_one(n), seed=rng)
-    hit = process.run_until_legitimate(max_rounds=30 * n)
-    return {"convergence": -1 if hit is None else hit}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=0, help="worker processes (0 = sequential)")
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="native kernel threads (default: REPRO_NATIVE_THREADS, then the visible CPUs)",
+    )
     parser.add_argument("--trials", type=int, default=8, help="Monte-Carlo trials per size")
     args = parser.parse_args()
 
@@ -57,14 +42,21 @@ def main() -> int:
     convergence_means = []
     for n in sizes:
         rounds = 4 * n
-        stability_records = run_trials(
-            stability_trial, args.trials, seed=10 + n, n_workers=args.workers, n=n, rounds=rounds
+        stability = run_ensemble(
+            EnsembleSpec(n_bins=n, n_replicas=args.trials, rounds=rounds, start="random_uniform"),
+            seed=10 + n,
+            n_threads=args.threads,
         )
-        convergence_records = run_trials(
-            convergence_trial, args.trials, seed=20 + n, n_workers=args.workers, n=n
+        convergence_run = run_ensemble(
+            EnsembleSpec(
+                n_bins=n, n_replicas=args.trials, rounds=30 * n,
+                start="all_in_one", stop_when_legitimate=True,
+            ),
+            seed=20 + n,
+            n_threads=args.threads,
         )
-        window_max = float(np.mean([r["window_max"] for r in stability_records]))
-        convergence = float(np.mean([r["convergence"] for r in convergence_records]))
+        window_max = float(np.mean(stability.max_load_seen))
+        convergence = float(np.mean(convergence_run.first_legitimate_round))
         one_shot = float(np.mean([one_shot_max_load(n, seed=s) for s in range(args.trials)]))
         window_maxima.append(window_max)
         convergence_means.append(convergence)

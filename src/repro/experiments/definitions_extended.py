@@ -25,6 +25,7 @@ same family with a durable store.
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Any, Dict
 
 import numpy as np
@@ -44,6 +45,7 @@ from ..baselines.one_shot import theoretical_one_shot_max_load
 from ..core.config import LoadConfiguration
 from ..core.tetris import ProbabilisticTetris, TetrisProcess
 from ..core.token_process import TokenRepeatedBallsIntoBins
+from ..errors import ConfigurationError
 from ..graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -108,12 +110,21 @@ def run_e8_cover_time(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Exp
     trials = params["trials"]
     budget_factor = params["budget_factor"]
     n_workers = params["n_workers"]
+    if n_workers is not None and n_workers < 0:
+        raise ConfigurationError(f"n_workers must be >= 0, got {n_workers}")
+    if n_workers and n_workers > 1:
+        warnings.warn(
+            f"E8: n_workers={n_workers} runs in process; its trials run one "
+            "after another (the value never changes the rows)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     multi_means = []
     for n in sizes:
         log_n = max(math.log(n), 1.0)
         budget = int(budget_factor * n * log_n * log_n) + 16
-        records = run_trials(_e8_trial, trials, seed=seed, n_workers=n_workers, n=n, budget=budget)
+        records = run_trials(_e8_trial, trials, seed=seed, n=n, budget=budget)
         covers = np.asarray([r["cover_time"] for r in records], dtype=float)
         singles = np.asarray([r["single_cover_time"] for r in records], dtype=float)
         completed = covers[covers >= 0]

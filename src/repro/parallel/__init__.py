@@ -1,30 +1,28 @@
 """Parallel Monte-Carlo execution substrate.
 
 Experiments are embarrassingly parallel across trials.  Two entry points
-cover the two workload shapes:
+cover the two workload shapes, and both run in this process:
 
 * :func:`run_ensemble` — the one ensemble engine: pure load-vector
-  ensembles described by an :class:`EnsembleSpec` and advanced in this
-  process as one batched ``(R, n)`` state by flat numpy / native kernels,
-  in parallel on the native kernels' threads.
-* :class:`TrialRunner` / :func:`run_trials` — arbitrary per-trial
-  functions (per-token traversals, coupling runs, ...), executed
-  in-process or in a process pool.
+  ensembles described by an :class:`EnsembleSpec` and advanced as one
+  batched ``(R, n)`` state by flat numpy / native kernels, in parallel on
+  the native kernels' threads (the one way to run in parallel).
+* :func:`run_trials` — arbitrary per-trial functions (per-token
+  traversals, coupling runs, ...), called one trial after another.
 
 Both paths derive independent seed streams from one root seed and feed the
 same column-oriented aggregation helpers.  An ensemble result is a pure
 function of ``(spec, seed, kernel)``; trial ``i`` of :func:`run_trials`
-gets the same stream for every worker count.  Neither depends on
+always gets ``trial_seeds(seed, n)[i]``.  Neither depends on
 ``n_workers``, ``n_threads`` or the host's core count.
 """
 
 from .aggregate import TrialAggregate, aggregate_ensemble, aggregate_records
 from .ensemble import ENGINES, PROCESSES, EnsembleSpec, run_ensemble
-from .runner import TrialRunner, run_trials
+from .runner import run_trials
 from .seeding import trial_seeds
 
 __all__ = [
-    "TrialRunner",
     "run_trials",
     "trial_seeds",
     "TrialAggregate",

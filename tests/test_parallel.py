@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -26,7 +27,7 @@ from repro.graphs.batched import BatchedConstrainedWalks
 from repro.graphs.generators import cycle_graph
 from repro.parallel.aggregate import TrialAggregate, aggregate_ensemble, aggregate_records
 from repro.parallel.ensemble import BATCHED_CLASSES, EnsembleSpec, run_ensemble
-from repro.parallel.runner import TrialRunner, run_trials
+from repro.parallel.runner import run_trials
 from repro.parallel.seeding import trial_seed, trial_seeds, trial_states
 from repro.rng import as_generator, as_seed_sequence, derive_substream, spawn_generators, spawn_seeds
 from repro.scenarios.spec import ScenarioEvent, ScenarioSpec
@@ -187,76 +188,32 @@ class TestTrialStates:
 # ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
-def _picklable_trial(trial_index, seed, scale=1):
-    """Module-level trial function so the process pool can pickle it."""
+def _value_trial(trial_index, seed, scale=1):
+    """One draw from the trial's own stream, scaled."""
     rng = np.random.default_rng(seed)
     return {"index": trial_index, "value": float(rng.random()) * scale}
 
 
 class TestTrialRunner:
     def test_sequential_execution(self):
-        results = run_trials(_picklable_trial, 5, seed=0)
+        results = run_trials(_value_trial, 5, seed=0)
         assert len(results) == 5
         assert [r["index"] for r in results] == [0, 1, 2, 3, 4]
 
-    def test_results_independent_of_worker_count(self):
-        sequential = run_trials(_picklable_trial, 6, seed=1, n_workers=0)
-        parallel = run_trials(_picklable_trial, 6, seed=1, n_workers=2)
-        assert [r["value"] for r in sequential] == pytest.approx(
-            [r["value"] for r in parallel]
-        )
-
     def test_kwargs_forwarded(self):
-        results = run_trials(_picklable_trial, 3, seed=0, scale=10)
+        results = run_trials(_value_trial, 3, seed=0, scale=10)
         assert all(0 <= r["value"] <= 10 for r in results)
 
-    def test_closure_falls_back_to_sequential_with_warning(self):
-        captured = []
-
-        def closure_trial(i, seed):
-            captured.append(i)
-            return i
-
-        runner = TrialRunner(n_workers=4)
-        with pytest.warns(RuntimeWarning, match="cannot be pickled"):
-            results = runner.run(closure_trial, 4, seed=0)
-        assert results == [0, 1, 2, 3]
-        assert captured == [0, 1, 2, 3]
-
-    def test_no_warning_when_sequential_requested(self, recwarn):
-        def closure_trial(i, seed):
-            return i
-
-        results = TrialRunner(n_workers=0).run(closure_trial, 3, seed=0)
-        assert results == [0, 1, 2]
-        assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
-
     def test_zero_trials(self):
-        assert run_trials(_picklable_trial, 0, seed=0) == []
+        assert run_trials(_value_trial, 0, seed=0) == []
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            TrialRunner(n_workers=-1)
-        with pytest.raises(ConfigurationError):
-            TrialRunner(chunk_size=0)
-        with pytest.raises(ConfigurationError):
-            TrialRunner().run(_picklable_trial, -1)
-
-    def test_effective_workers(self):
-        assert TrialRunner(n_workers=None).effective_workers == 0
-        assert TrialRunner(n_workers=0).effective_workers == 0
-        assert TrialRunner(n_workers=1).effective_workers == 1
-
-    def test_pool_is_capped_by_the_cpus_the_process_may_use(self, monkeypatch):
-        # a process pinned to one CPU (taskset, a cpuset) on a larger host
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        assert TrialRunner(n_workers=4).effective_workers == 1
+            run_trials(_value_trial, -1)
 
 
 #: A native run with ``n_workers=2`` after a 2-thread in-process one.  An
-#: ensemble runs in process at every ``n_workers``, so this starts no pool;
-#: the pool after a threaded kernel is the test below this one.
+#: ensemble runs in process at every ``n_workers``, so this starts no pool.
 _THREADED_THEN_SHARDED = textwrap.dedent("""
     import numpy as np
     from repro.parallel.ensemble import EnsembleSpec, run_ensemble
@@ -290,82 +247,43 @@ def test_sharded_run_after_threaded_native_run_returns():
     assert proc.returncode == 0, output
 
 
-#: A trial module for the pool below: a pool pickles its trial function by
-#: name, so the function lives at module level, not in the ``-c`` script.
-_POOL_TRIAL = textwrap.dedent("""
-    import numpy as np
+#: E8 with ``n_workers=2``, as a script fed on stdin: a process pool's
+#: workers re-import the main script, which ``<stdin>`` cannot be, so every
+#: trial must run in this process.
+_E8_FROM_STDIN = textwrap.dedent("""
+    import json
+    import warnings
+    from repro.experiments import run_experiment
 
-    def draw(trial_index, seed):
-        return int(np.random.default_rng(seed).integers(1 << 30))
-""")
-
-#: E8's pool, ``run_trials(..., n_workers=2)``, after a 2-thread native run:
-#: a pool forked from a process whose OpenMP runtime already ran a threaded
-#: region deadlocks, so the pool must start from its fork server.
-_THREADED_THEN_POOL = textwrap.dedent("""
-    import pool_trial
-    from repro.parallel.ensemble import EnsembleSpec, run_ensemble
-    from repro.parallel.runner import run_trials
-
-    spec = EnsembleSpec(n_bins=256, n_replicas=64, rounds=64)
-    run_ensemble(spec, seed=1, kernel="native", n_threads=2)
-    pooled = run_trials(pool_trial.draw, 4, seed=0, n_workers=2)
-    assert pooled == run_trials(pool_trial.draw, 4, seed=0), pooled
-""")
-
-
-@pytest.mark.skipif(available_cpu_count() < 2, reason="needs 2 visible CPUs")
-@pytest.mark.skipif(not native_available(), reason="native kernel unavailable")
-def test_trial_pool_after_threaded_native_run_returns(tmp_path):
-    (tmp_path / "pool_trial.py").write_text(_POOL_TRIAL)
-    # its own session, so a hung pool's workers die with the interpreter
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _THREADED_THEN_POOL],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(tmp_path)])),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        start_new_session=True,
-        text=True,
-    )
-    try:
-        output, _ = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("trial pool after a threaded native run hung for 60 s")
-    assert proc.returncode == 0, output
-
-
-#: A trial module that imports nothing from repro: unpickling a trial loads
-#: `repro.parallel`, never the experiment registry, so a worker holds the
-#: registry only if the fork server preloaded it.
-_PRELOAD_PROBE = textwrap.dedent("""
-    import sys
-
-    def registry_loaded(trial_index, seed):
-        return "repro.experiments.registry" in sys.modules
-""")
-
-_RUN_PRELOAD_PROBE = textwrap.dedent("""
-    import preload_probe
-    from repro.parallel.runner import run_trials
-
-    print(run_trials(preload_probe.registry_loaded, 2, seed=0, n_workers=2))
+    params = {"sizes": [16], "trials": 2}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        asked = run_experiment("E8", params={**params, "n_workers": 2}, seed=0)
+    inline = run_experiment("E8", params={**params, "n_workers": 0}, seed=0)
+    print(json.dumps({
+        "warnings": [
+            str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)
+        ],
+        "asked": asked.rows,
+        "inline": inline.rows,
+    }))
 """)
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
-def test_pool_workers_start_with_the_experiment_registry_loaded(tmp_path):
-    (tmp_path / "preload_probe.py").write_text(_PRELOAD_PROBE)
+def test_e8_with_workers_runs_from_stdin():
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_PRELOAD_PROBE],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(tmp_path)])),
+        [sys.executable, "-"],
+        input=_E8_FROM_STDIN,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[True, True]"
+    outcome = json.loads(proc.stdout)
+    assert len(outcome["warnings"]) == 1
+    assert "n_workers" in outcome["warnings"][0]
+    assert outcome["asked"] == outcome["inline"]
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +503,7 @@ class TestAggregation:
         assert agg.as_dict_of_lists() == {"a": [1.0, 2.0]}
 
     def test_end_to_end_with_runner(self):
-        records = run_trials(_picklable_trial, 8, seed=3)
+        records = run_trials(_value_trial, 8, seed=3)
         agg = aggregate_records(records)
         assert agg.n_trials == 8
         assert 0.0 <= agg.mean("value") <= 1.0

@@ -160,7 +160,8 @@ class TestQuickstartDocExample:
 #: Modules none of the entry points below may load: third-party packages
 #: imported inside the functions that use them, and subsystems only their
 #: own calls need (the experiment registry, exact chains, traversal,
-#: conformance harness and linter).
+#: conformance harness and linter), and the process-pool modules, which
+#: nothing in the package uses.
 LAZY_MODULES = (
     "scipy",
     "networkx",
@@ -169,6 +170,8 @@ LAZY_MODULES = (
     "repro.traversal",
     "repro.verify",
     "repro.lint",
+    "multiprocessing",
+    "concurrent.futures",
 )
 
 IMPORT_BUDGETS = {
