@@ -164,7 +164,13 @@ class TetrisProcess:
         obs = BatchedObserverList.coerce(observers)
 
         max_load_seen = 0
-        first_empty = np.where(self._loads == 0, 0, -1).astype(np.int64)
+        # bins not yet empty in this call; the round the last of them
+        # empties is the round by which every bin has been empty.  A bin
+        # loses at most one ball a round, so none of them can be empty
+        # before ``check_at`` (the round plus their smallest load)
+        pending = self._loads.nonzero()[0]
+        check_at = self._round + (int(self._loads[pending].min()) if pending.size else 0)
+        all_emptied_by = 0
         executed = 0
         for _ in range(rounds):
             loads = self.step()
@@ -172,19 +178,20 @@ class TetrisProcess:
             current_max = int(loads.max())
             if current_max > max_load_seen:
                 max_load_seen = current_max
-            pending = first_empty < 0
-            if pending.any():
-                newly = pending & (loads == 0)
-                first_empty[newly] = self._round
+            if pending.size and self._round >= check_at:
+                pending = pending[loads[pending] != 0]
+                if pending.size:
+                    check_at = self._round + int(loads[pending].min())
+                else:
+                    all_emptied_by = self._round
             if not obs.is_empty:
                 obs.observe(self._round, loads)
 
-        all_emptied_by = int(first_empty.max()) if np.all(first_empty >= 0) else None
         return TetrisResult(
             rounds=executed,
             final_configuration=self.configuration(),
             max_load_seen=max_load_seen,
-            all_bins_emptied_by=all_emptied_by,
+            all_bins_emptied_by=None if pending.size else all_emptied_by,
         )
 
     def reset(self, initial: Union[LoadConfiguration, np.ndarray, None] = None) -> None:

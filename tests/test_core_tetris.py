@@ -107,6 +107,23 @@ class TestTetrisRun:
         # bin 0 needs 4 rounds to drain; the others were empty from the start
         assert result.all_bins_emptied_by == 4
 
+    @pytest.mark.parametrize("start", ["balanced", "all_in_one", "pyramid"])
+    @pytest.mark.parametrize("arrivals", [None, 32])
+    def test_all_bins_emptied_by_matches_a_per_round_scan(self, start, arrivals):
+        n = 32
+        initial = getattr(LoadConfiguration, start)(n)
+        tetris = TetrisProcess(n, arrivals_per_round=arrivals, initial=initial, seed=5)
+        for rounds in (7, 0, 3, 40, 400):
+            # the reference: every round, each bin's first empty round
+            first = np.where(tetris.loads == 0, 0, -1)
+
+            def scan(t, loads):
+                first[(first < 0) & (loads == 0)] = t
+
+            result = tetris.run(rounds, observers=scan)
+            expected = int(first.max()) if np.all(first >= 0) else None
+            assert result.all_bins_emptied_by == expected
+
     def test_max_load_stays_logarithmic(self):
         # Lemma 6 at small scale
         n = 512
