@@ -195,6 +195,8 @@ def _value_trial(trial_index, seed, scale=1):
 
 
 class TestTrialRunner:
+    """``run_trials``, the in-process trial loop."""
+
     def test_sequential_execution(self):
         results = run_trials(_value_trial, 5, seed=0)
         assert len(results) == 5
@@ -247,9 +249,9 @@ def test_sharded_run_after_threaded_native_run_returns():
     assert proc.returncode == 0, output
 
 
-#: E8 with ``n_workers=2``, as a script fed on stdin: a process pool's
-#: workers re-import the main script, which ``<stdin>`` cannot be, so every
-#: trial must run in this process.
+#: E8 with ``n_workers=2``, as a script fed on stdin.  A process pool's
+#: workers would re-import the main script, which ``<stdin>`` is not, so
+#: this runs only where every trial runs in the calling process.
 _E8_FROM_STDIN = textwrap.dedent("""
     import json
     import warnings
@@ -284,6 +286,11 @@ def test_e8_with_workers_runs_from_stdin():
     assert len(outcome["warnings"]) == 1
     assert "n_workers" in outcome["warnings"][0]
     assert outcome["asked"] == outcome["inline"]
+
+
+def test_e8_refuses_negative_workers():
+    with pytest.raises(ConfigurationError, match="n_workers"):
+        run_experiment("E8", params={"sizes": [16], "trials": 1, "n_workers": -1}, seed=0)
 
 
 # ----------------------------------------------------------------------
