@@ -310,9 +310,7 @@ class BatchedFaultyProcess:
             raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
         obs = BatchedObserverList.coerce(observers)
         process = self._process
-        fault_rounds = [
-            t for t in range(1, rounds + 1) if self._schedule.is_faulty(t)
-        ]
+        fault_rounds = self._schedule.fault_rounds(rounds)
         start_max = process.max_load.astype(np.int64)
         plan = process.plan_window(rounds, obs, piles=self._pile_fallbacks())
         run = self._run_in_kernel if plan.fused else self._run_segmented

@@ -1,11 +1,15 @@
-"""Fault injection around a load-level process.
+"""Fault injection around the repeated balls-into-bins process.
 
-:class:`FaultyProcess` wraps a :class:`~repro.core.process.RepeatedBallsIntoBins`
-(or any object with the same ``step``/``loads`` surface plus a ``reset``)
+:class:`FaultyProcess` runs a :class:`~repro.core.process.RepeatedBallsIntoBins`
 and applies an :class:`~repro.adversary.adversaries.Adversary` at rounds
 chosen by a :class:`FaultSchedule`.  This is the Section 4.1 model: faulty
 rounds at frequency at most once every ``gamma * n`` rounds leave the
 cover-time/self-stabilization guarantees intact up to constants.
+
+It is one run of :class:`~repro.adversary.batched.BatchedFaultyProcess`:
+the ``R == 1`` fault injector over the one-replica batched process behind
+its :attr:`~FaultyProcess.process`, with one ``Generator`` shared by the
+adversary and the process.
 """
 
 from __future__ import annotations
@@ -16,11 +20,10 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .adversaries import Adversary, get_adversary
-from ..core.config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
+from .adversaries import Adversary
+from ..core.config import DEFAULT_BETA, LoadConfiguration
 from ..core.process import RepeatedBallsIntoBins
 from ..errors import ConfigurationError
-from ..metrics.base import BatchedObserverList
 from ..rng import as_generator
 from ..types import SeedLike
 
@@ -61,6 +64,14 @@ class FaultSchedule:
             return False
         start = self.offset if self.offset is not None else self.period
         return round_index >= start and (round_index - start) % self.period == 0
+
+    def fault_rounds(self, rounds: int) -> List[int]:
+        """The faulty rounds among ``1 .. rounds``, in increasing order."""
+        found = {t for t in self.explicit_rounds if 1 <= t <= rounds}
+        if self.period is not None:
+            start = self.offset if self.offset is not None else self.period
+            found.update(range(start, rounds + 1, self.period))
+        return sorted(found)
 
     @classmethod
     def every(cls, period: int, offset: Optional[int] = None) -> "FaultSchedule":
@@ -123,7 +134,8 @@ class FaultyProcess:
         A :class:`FaultSchedule`; the convenience constructor
         :meth:`with_gamma` builds the paper's ``gamma * n`` periodic schedule.
     initial, n_balls, seed:
-        Forwarded to :class:`~repro.core.process.RepeatedBallsIntoBins`.
+        Forwarded to :class:`~repro.core.process.RepeatedBallsIntoBins`;
+        the adversary draws from the same ``Generator``.
     """
 
     def __init__(
@@ -135,11 +147,17 @@ class FaultyProcess:
         initial: Union[LoadConfiguration, np.ndarray, None] = None,
         seed: SeedLike = None,
     ) -> None:
+        # function-level: the batched injector imports this module
+        from .batched import BatchedFaultyProcess
+
         rng = as_generator(seed)
-        self._process = RepeatedBallsIntoBins(n_bins, n_balls=n_balls, initial=initial, seed=rng)
-        self._adversary = get_adversary(adversary)
-        self._schedule = schedule if schedule is not None else FaultSchedule.never()
-        self._rng = rng
+        self._process = RepeatedBallsIntoBins(
+            n_bins, n_balls=n_balls, initial=initial, seed=rng
+        )
+        self._faulty = BatchedFaultyProcess(
+            n_bins, 1, adversary=adversary, schedule=schedule, seed=rng,
+            process=self._process._batch,
+        )
 
     @classmethod
     def with_gamma(
@@ -158,15 +176,16 @@ class FaultyProcess:
     # ------------------------------------------------------------------
     @property
     def process(self) -> RepeatedBallsIntoBins:
+        """The process under attack: a view over the injector's state."""
         return self._process
 
     @property
     def adversary(self) -> Adversary:
-        return self._adversary
+        return self._faulty.adversary
 
     @property
     def schedule(self) -> FaultSchedule:
-        return self._schedule
+        return self._faulty.schedule
 
     # ------------------------------------------------------------------
     def run(
@@ -179,50 +198,16 @@ class FaultyProcess:
 
         In a faulty round the adversary reassigns the configuration *before*
         the normal process round executes (so the process immediately starts
-        recovering from the adversarial state).
+        recovering from the adversarial state).  Faults go in through
+        :meth:`~repro.core.process.RepeatedBallsIntoBins.inject_loads`, so
+        the process's round counter keeps running.  Observers see the
+        ``(1, n)`` state after every round, with the process's round index.
         """
-        if rounds < 0:
-            raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-        obs = BatchedObserverList.coerce(observers)
-        process = self._process
-        n = process.n_bins
-        threshold = legitimacy_threshold(n, beta)
-
-        fault_rounds: List[int] = []
-        recovery_times: List[int] = []
-        pending_fault_round: Optional[int] = None
-        max_load_seen = process.max_load
-
-        for step in range(1, rounds + 1):
-            if self._schedule.is_faulty(step):
-                reassigned = self._adversary(process.loads, self._rng)
-                process.reset(initial=LoadConfiguration(reassigned))
-                # reset() zeroes the process-internal round counter; the wrapper
-                # keeps its own notion of time via `step`.
-                post_fault_max = int(reassigned.max())
-                if post_fault_max > max_load_seen:
-                    max_load_seen = post_fault_max
-                fault_rounds.append(step)
-                if pending_fault_round is not None:
-                    recovery_times.append(-1)
-                pending_fault_round = step
-            loads = process.step()
-            current_max = int(loads.max())
-            if current_max > max_load_seen:
-                max_load_seen = current_max
-            if not obs.is_empty:
-                obs.observe(step, loads)
-            if pending_fault_round is not None and current_max <= threshold:
-                recovery_times.append(step - pending_fault_round)
-                pending_fault_round = None
-
-        if pending_fault_round is not None:
-            recovery_times.append(-1)
-
+        result = self._faulty.run(rounds, beta=beta, observers=observers)
         return FaultyRunResult(
-            rounds=rounds,
-            fault_rounds=fault_rounds,
-            max_load_seen=max_load_seen,
-            recovery_times=recovery_times,
-            final_configuration=process.configuration(),
+            rounds=result.rounds,
+            fault_rounds=result.fault_rounds,
+            max_load_seen=int(result.max_load_seen[0]),
+            recovery_times=result.recovery_times[:, 0].tolist(),
+            final_configuration=self._process.configuration(),
         )

@@ -9,16 +9,16 @@ works ([36]); it serves as a "stronger allocator" baseline in the A2
 ablation — the paper's point being that even the plain 1-choice repeated
 process already achieves ``O(log n)``.
 
-Two implementations cover the two workload shapes: :class:`DChoicesProcess`
-simulates one replica with per-ball sequential placements, and
-:class:`BatchedDChoices` simulates ``R`` replicas as one ``(R, n)`` load
-matrix — placements stay sequential *within* each replica (that is the
-Greedy[d] semantics).  Its numpy reference kernel performs the ``k``-th
-placement of every replica in one vectorized operation, so the
-Python-level loop count drops from ``sum_r h_r`` to ``max_r h_r`` per
-round; its native kernel (``greedy_kernel.c``) runs a whole window in one
-C call.  With ``R == 1``, the same seed and ``kernel="numpy"`` the batched
-process is stream-compatible with the single-replica one.
+:class:`BatchedDChoices` simulates ``R`` replicas of the repeated process
+as one ``(R, n)`` load matrix — placements stay sequential *within* each
+replica (that is the Greedy[d] semantics).  Its numpy reference kernel
+draws a round's choices in one call and performs the ``k``-th placement
+of every replica in one vectorized operation, so the Python-level loop
+count drops from ``sum_r h_r`` to ``max_r h_r`` per round; at ``R == 1``
+it places the one row's balls one by one.  Its native kernel
+(``greedy_kernel.c``) runs a whole window in one C call.
+:class:`DChoicesProcess` is one run, the ``R == 1`` view of it (see
+:class:`~repro.core.process.ReplicaView`).
 """
 
 from __future__ import annotations
@@ -29,12 +29,17 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from ..core.batched import BatchedLoadProcess, one_choice_arrivals
-from ..core.config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
+from ..core.batched import (
+    BatchedLoadProcess, one_choice_arrivals, one_choice_round,
+)
+from ..core.config import LoadConfiguration
+from ..core.process import ReplicaView
 from ..errors import ConfigurationError
-from ..metrics.base import BatchedObserverList
 from ..rng import as_generator
-from ..types import LoadVector, SeedLike
+from ..types import SeedLike
+
+#: Rows of choices a batched numpy round draws at once (whole placements).
+_CHOICE_CHUNK = 2**16
 
 __all__ = [
     "one_shot_d_choices_max_load",
@@ -126,7 +131,11 @@ def theoretical_d_choices_max_load(n_bins: int, d: int = 2) -> float:
 
 @dataclass
 class DChoicesResult:
-    """Summary of a repeated greedy[d] run (mirrors ``SimulationResult``)."""
+    """Summary of a repeated greedy[d] run (mirrors ``SimulationResult``).
+
+    The window is seeded from the configuration at call time: the max
+    load and the empty-bin count of the starting configuration count too.
+    """
 
     rounds: int
     final_configuration: LoadConfiguration
@@ -134,13 +143,15 @@ class DChoicesResult:
     min_empty_bins_seen: int
 
 
-class DChoicesProcess:
+class DChoicesProcess(ReplicaView):
     """Repeated balls-into-bins where every re-thrown ball uses ``d`` choices.
 
     In each round one ball is extracted from every non-empty bin (anonymous,
     as in the original process); the extracted balls are then placed
     *sequentially in random order*, each into the least loaded of ``d``
     uniformly random candidate bins (ties broken by the first minimum).
+    This is replica 0 of a one-replica :class:`BatchedDChoices` on the
+    numpy kernel (see :class:`~repro.core.process.ReplicaView`).
 
     Parameters
     ----------
@@ -159,102 +170,26 @@ class DChoicesProcess:
         initial: Union[LoadConfiguration, np.ndarray, None] = None,
         seed: SeedLike = None,
     ) -> None:
-        if n_bins < 1:
-            raise ConfigurationError(f"n_bins must be >= 1, got {n_bins}")
-        if d < 1:
-            raise ConfigurationError(f"d must be >= 1, got {d}")
-        self._n_bins = n_bins
-        self._d = int(d)
-        if initial is not None:
-            config = initial if isinstance(initial, LoadConfiguration) else LoadConfiguration(np.asarray(initial))
-            if config.n_bins != n_bins:
-                raise ConfigurationError(
-                    f"initial configuration has {config.n_bins} bins, expected {n_bins}"
-                )
-            self._loads = config.as_array()
-        else:
-            m = n_bins if n_balls is None else int(n_balls)
-            if m < 0:
-                raise ConfigurationError(f"n_balls must be >= 0, got {m}")
-            self._loads = LoadConfiguration.balanced(n_bins, m).as_array()
-        self._n_balls = int(self._loads.sum())
-        self._rng = as_generator(seed)
-        self._round = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def n_bins(self) -> int:
-        return self._n_bins
-
-    @property
-    def n_balls(self) -> int:
-        return self._n_balls
+        super().__init__(
+            BatchedDChoices(
+                n_bins, 1, d=d, n_balls=n_balls, initial=initial,
+                seed=as_generator(seed), kernel="numpy",
+            )
+        )
 
     @property
     def d(self) -> int:
-        return self._d
-
-    @property
-    def round_index(self) -> int:
-        return self._round
-
-    @property
-    def loads(self) -> LoadVector:
-        view = self._loads.view()
-        view.setflags(write=False)
-        return view
-
-    def configuration(self) -> LoadConfiguration:
-        return LoadConfiguration(self._loads)
-
-    @property
-    def max_load(self) -> int:
-        return int(self._loads.max())
-
-    def is_legitimate(self, beta: float = DEFAULT_BETA) -> bool:
-        return self.max_load <= legitimacy_threshold(self._n_bins, beta)
-
-    # ------------------------------------------------------------------
-    def step(self) -> LoadVector:
-        """Advance one round."""
-        loads = self._loads
-        n = self._n_bins
-        rng = self._rng
-        nonempty = loads > 0
-        h = int(np.count_nonzero(nonempty))
-        loads -= nonempty
-        if h:
-            if self._d == 1:
-                destinations = rng.integers(0, n, size=h)
-                loads += np.bincount(destinations, minlength=n)
-            else:
-                choices = rng.integers(0, n, size=(h, self._d))
-                for row in choices:
-                    best = row[np.argmin(loads[row])]
-                    loads[best] += 1
-        self._round += 1
-        return self.loads
+        return self._batch.d
 
     def run(self, rounds: int, observers=None) -> DChoicesResult:
         """Simulate ``rounds`` rounds collecting the standard load metrics."""
-        if rounds < 0:
-            raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-        obs = BatchedObserverList.coerce(observers)
-        max_load_seen = self.max_load
-        min_empty = int(np.count_nonzero(self._loads == 0))
-        executed = 0
-        for _ in range(rounds):
-            loads = self.step()
-            executed += 1
-            max_load_seen = max(max_load_seen, int(loads.max()))
-            min_empty = min(min_empty, int(np.count_nonzero(loads == 0)))
-            if not obs.is_empty:
-                obs.observe(self._round, loads)
+        start_max, start_empty = self.max_load, self.num_empty_bins
+        window = self._window(rounds, observers=observers)
         return DChoicesResult(
-            rounds=executed,
+            rounds=window.rounds,
             final_configuration=self.configuration(),
-            max_load_seen=max_load_seen,
-            min_empty_bins_seen=min_empty,
+            max_load_seen=max(start_max, window.max_load_seen),
+            min_empty_bins_seen=min(start_empty, window.min_empty_bins_seen),
         )
 
 
@@ -274,10 +209,9 @@ class BatchedDChoices(BatchedLoadProcess):
     balls-into-bins update: the numpy kernel's round collapses to one flat
     draw plus one ``np.bincount``, exactly like
     :class:`~repro.core.batched.BatchedRepeatedBallsIntoBins`'s numpy
-    kernel, and the native kernel follows the native rbb trajectory.  With
-    ``R == 1``, the same seed and ``kernel="numpy"`` the trajectory matches
-    :class:`DChoicesProcess` step for step (identical generator
-    consumption), for every ``d``.
+    kernel, and the native kernel follows the native rbb trajectory.  At
+    ``R == 1`` the numpy round places the row's balls one by one from one
+    ``(h, d)`` draw, the same draws as the vectorized placements make.
 
     Parameters
     ----------
@@ -322,9 +256,33 @@ class BatchedDChoices(BatchedLoadProcess):
         return {"d": self._d}
 
     def _advance(self) -> None:
+        """One round for all active replicas (numpy kernel).
+
+        The round's choices are drawn in placement order: the ``k``-th
+        placement of every replica that has one, for ``k = 0, 1, ...``,
+        replicas in index order, a chunk of whole placements per
+        ``rng.integers`` call.  Splitting that draw anywhere draws the same
+        values, so the ``R == 1`` loop, which takes the row's ``h``
+        placements from one ``(h, d)`` draw, and the vectorized one consume
+        the generator alike.
+        """
         loads = self._loads
         active = self._active
-        n = self._n_bins
+        n, d, rng = self._n_bins, self._d, self._rng
+        if self._n_replicas == 1:
+            if not active[0]:
+                return
+            row = loads[0]
+            if d == 1:
+                one_choice_round(row, rng)
+                return
+            departing = np.minimum(row, 1)
+            placements = int(np.count_nonzero(departing))
+            if placements:
+                row -= departing
+                for choices in rng.integers(0, n, size=(placements, d)):
+                    row[choices[np.argmin(row[choices])]] += 1
+            return
         nonempty = loads > 0
         if not active.all():
             nonempty &= active[:, None]
@@ -332,15 +290,26 @@ class BatchedDChoices(BatchedLoadProcess):
         if not counts.any():
             return
         loads -= nonempty
-        if self._d == 1:
+        if d == 1:
             loads += one_choice_arrivals(
-                self._rng, self._row_base, counts, self._n_replicas, n
+                rng, self._row_base, counts, self._n_replicas, n
             )
             return
-        max_h = int(counts.max())
-        for k in range(max_h):
-            placing = self._rows[counts > k]
-            choices = self._rng.integers(0, n, size=(placing.size, self._d))
-            candidates = loads[placing[:, None], choices]
-            best = choices[np.arange(placing.size), np.argmin(candidates, axis=1)]
-            loads[placing, best] += 1
+        # ends[k]: the round's placements up to and including the k-th
+        # ones (the k-th placement is made by every row with more than k)
+        ends = np.cumsum(np.cumsum(np.bincount(counts)[::-1])[::-1][1:])
+        first = drawn = 0
+        while first < ends.size:
+            # the choices of whole placements, up to _CHOICE_CHUNK rows
+            last = max(first + 1, int(np.searchsorted(ends, drawn + _CHOICE_CHUNK)))
+            choices = rng.integers(0, n, size=(int(ends[last - 1]) - drawn, d))
+            drawn = int(ends[last - 1])
+            end = 0
+            for k in range(first, last):
+                placing = self._rows[counts > k]
+                start, end = end, end + placing.size
+                block = choices[start:end]
+                candidates = loads[placing[:, None], block]
+                best = block[np.arange(placing.size), np.argmin(candidates, axis=1)]
+                loads[placing, best] += 1
+            first = last

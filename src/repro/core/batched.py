@@ -345,6 +345,23 @@ def one_choice_arrivals(
     return arrivals.reshape(n_replicas, n_bins)
 
 
+def one_choice_round(row: np.ndarray, rng: np.random.Generator) -> None:
+    """One repeated balls-into-bins round of a single load row, in place.
+
+    One ball leaves every non-empty bin and lands in a uniform bin: the
+    ``R == 1`` form of the batched round, with the same draws as
+    :func:`one_choice_arrivals` for one replica.
+    """
+    departing = np.minimum(row, 1)  # int32, so no casting loop below
+    departures = int(np.count_nonzero(departing))
+    if departures:
+        row -= departing
+        n = row.size
+        arrivals = np.bincount(rng.integers(0, n, size=departures), minlength=n)
+        # an int32 addend adds without numpy's buffered casting loop
+        row += arrivals.astype(np.int32)
+
+
 @dataclass
 class EnsembleResult:
     """Vector-valued summary of one :meth:`BatchedLoadProcess.run`.
@@ -1336,7 +1353,7 @@ class BatchedLoadProcess:
 
     def _check_conservation(self) -> None:
         totals = self._loads.sum(axis=1, dtype=np.int64)
-        if not np.array_equal(totals, self._n_balls):
+        if (totals != self._n_balls).any():
             bad = int(np.flatnonzero(totals != self._n_balls)[0])
             raise SimulationError(
                 f"ball count not conserved in replica {bad}: expected "
@@ -1375,11 +1392,15 @@ class BatchedRepeatedBallsIntoBins(BatchedLoadProcess):
         One flat draw covers all replicas: each replica's departing balls
         receive uniform destinations in ``[0, n)``, offset by ``r * n`` into
         the combined index space, and a single ``np.bincount`` scatters the
-        arrivals of the whole ensemble.  With ``R == 1`` the generator is
-        consumed exactly like :meth:`RepeatedBallsIntoBins.step`.
+        arrivals of the whole ensemble.  At ``R == 1`` the round is
+        :func:`one_choice_round` on the one row, with the same draws.
         """
         loads = self._loads
         active = self._active
+        if self._n_replicas == 1:
+            if active[0]:
+                one_choice_round(loads[0], self._rng)
+            return
         nonempty = loads > 0
         if not active.all():
             nonempty &= active[:, None]

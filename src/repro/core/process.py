@@ -8,6 +8,15 @@ system state is fully described by the load vector, and one round costs a
 single ``rng.integers`` draw plus one ``np.bincount`` — no Python-level loop
 over bins.
 
+:class:`RepeatedBallsIntoBins` is one run of it, seen through
+:class:`ReplicaView`: replica 0 of a one-replica
+:class:`~repro.core.batched.BatchedRepeatedBallsIntoBins` on the numpy
+kernel, whose ``R == 1`` window runs on Python ints.  The state, the
+validation, the round and the window rule are the batched class's; the
+view turns its length-1 vectors into ints and its results into
+:class:`SimulationResult`.  ``DChoicesProcess`` and
+``ConstrainedParallelWalks`` are views of the same kind.
+
 The class also supports the generalization with ``m != n`` balls
 (Section 5's open question) and arbitrary initial configurations
 (self-stabilization experiments).
@@ -25,17 +34,16 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
-from ..errors import ConfigurationError, SimulationError
-from ..metrics.base import BatchedObserverList
+from .batched import BatchedLoadProcess, BatchedRepeatedBallsIntoBins
+from .config import DEFAULT_BETA, LoadConfiguration
 from ..rng import as_generator
 from ..types import LoadVector, SeedLike
 
-__all__ = ["RepeatedBallsIntoBins", "SimulationResult"]
+__all__ = ["ReplicaView", "RepeatedBallsIntoBins", "SimulationResult"]
 
 
 @dataclass
@@ -50,9 +58,11 @@ class SimulationResult:
         The configuration after the last simulated round.
     max_load_seen:
         The largest load observed in any round of this call (the
-        window maximum ``max_t M(t)``).
+        window maximum ``max_t M(t)``); a call that ran no round reports
+        the current configuration's.
     min_empty_bins_seen:
-        The smallest per-round empty-bin count observed in this call.
+        The smallest per-round empty-bin count observed in this call; a
+        call that ran no round reports the current configuration's.
     first_legitimate_round:
         First round index (within this call, 1-based from the caller's
         starting round) whose configuration was legitimate, or ``None``.
@@ -71,8 +81,99 @@ class SimulationResult:
         return self.final_configuration.is_legitimate(self.beta)
 
 
-class RepeatedBallsIntoBins:
-    """Vectorized simulator of the repeated balls-into-bins process.
+class _Window(NamedTuple):
+    """One replica's window, as :meth:`ReplicaView._window` returns it."""
+
+    rounds: int
+    max_load_seen: int
+    min_empty_bins_seen: int
+    first_legitimate_round: Optional[int]
+
+
+class ReplicaView:
+    """One run of a load process, seen as replica 0 of a batched one.
+
+    A view holds one :class:`~repro.core.batched.BatchedLoadProcess` with
+    ``n_replicas=1`` on the numpy kernel, seeded with the ``Generator``
+    the view was given, and keeps nothing of its own: the ``(1, n)`` int32
+    state, the generator, the validation and every round are the batched
+    process's.  The view reads its row as a read-only vector and its
+    length-1 vectors as ints.  Observers attached to a view's ``run`` see
+    the ``(1, n)`` state, as batched observers do.
+    """
+
+    def __init__(self, batch: BatchedLoadProcess) -> None:
+        self._batch = batch
+
+    @property
+    def n_bins(self) -> int:
+        return self._batch.n_bins
+
+    @property
+    def n_balls(self) -> int:
+        return int(self._batch.n_balls[0])
+
+    @property
+    def round_index(self) -> int:
+        """Number of rounds simulated so far."""
+        return self._batch.round_index
+
+    @property
+    def loads(self) -> LoadVector:
+        """Read-only view of the current load vector."""
+        return self._batch.loads[0]
+
+    def configuration(self) -> LoadConfiguration:
+        """Immutable snapshot of the current configuration."""
+        return self._batch.configuration(0)
+
+    @property
+    def max_load(self) -> int:
+        return int(self.loads.max())
+
+    @property
+    def num_empty_bins(self) -> int:
+        return self.n_bins - int(np.count_nonzero(self.loads))
+
+    def is_legitimate(self, beta: float = DEFAULT_BETA) -> bool:
+        """Whether the current configuration is legitimate (max load <= beta*log n)."""
+        return bool(self._batch.is_legitimate(beta)[0])
+
+    def step(self) -> LoadVector:
+        """Advance the process by one round and return the new loads (read-only)."""
+        return self._batch.step()[0]
+
+    def _window(
+        self,
+        rounds: int,
+        beta: float = DEFAULT_BETA,
+        stop_when_legitimate: bool = False,
+        observers=None,
+        observe_every: int = 1,
+    ) -> _Window:
+        """Advance one window of the batched process; its values as ints.
+
+        The window follows the batched rule: its max and empty count cover
+        the rounds it ran, or the current configuration when it ran none,
+        and an early stop is checked before the first round too.  The stop
+        freezes the replica for this window only.
+        """
+        batch = self._batch
+        window = batch.advance_window(
+            rounds, beta, stop_when_legitimate, observers, observe_every
+        )
+        batch._active[0] = True
+        first = int(window.first_legitimate_round[0])
+        return _Window(
+            int(window.rounds[0]),
+            int(window.max_load_seen[0]),
+            int(window.min_empty_bins_seen[0]),
+            None if first < 0 else first,
+        )
+
+
+class RepeatedBallsIntoBins(ReplicaView):
+    """Simulator of the repeated balls-into-bins process.
 
     Parameters
     ----------
@@ -85,12 +186,14 @@ class RepeatedBallsIntoBins:
         Optional starting configuration: a :class:`LoadConfiguration`, an
         integer array, or ``None`` for the balanced one-ball-per-bin start.
     seed:
-        Seed-like value for the internal random generator.
+        Seed-like value for the random generator.
 
     Notes
     -----
-    The simulator mutates an internal ``int64`` buffer; :attr:`loads` returns
-    a read-only view and :meth:`configuration` returns an immutable snapshot.
+    The state is the int32 row of a one-replica
+    :class:`~repro.core.batched.BatchedRepeatedBallsIntoBins` (see
+    :class:`ReplicaView`); :attr:`loads` returns a read-only view and
+    :meth:`configuration` an immutable snapshot.
     """
 
     def __init__(
@@ -100,87 +203,12 @@ class RepeatedBallsIntoBins:
         initial: Union[LoadConfiguration, np.ndarray, None] = None,
         seed: SeedLike = None,
     ) -> None:
-        if n_bins < 1:
-            raise ConfigurationError(f"n_bins must be >= 1, got {n_bins}")
-        if initial is not None:
-            config = initial if isinstance(initial, LoadConfiguration) else LoadConfiguration(np.asarray(initial))
-            if config.n_bins != n_bins:
-                raise ConfigurationError(
-                    f"initial configuration has {config.n_bins} bins, expected {n_bins}"
-                )
-            if n_balls is not None and n_balls != config.n_balls:
-                raise ConfigurationError(
-                    f"n_balls={n_balls} contradicts initial configuration with {config.n_balls} balls"
-                )
-            self._loads = config.as_array()
-        else:
-            m = n_bins if n_balls is None else n_balls
-            if m < 0:
-                raise ConfigurationError(f"n_balls must be >= 0, got {m}")
-            self._loads = LoadConfiguration.balanced(n_bins, m).as_array()
-
-        self._n_bins = n_bins
-        self._n_balls = int(self._loads.sum())
-        self._rng = as_generator(seed)
-        self._round = 0
-
-    # ------------------------------------------------------------------
-    # State access
-    # ------------------------------------------------------------------
-    @property
-    def n_bins(self) -> int:
-        return self._n_bins
-
-    @property
-    def n_balls(self) -> int:
-        return self._n_balls
-
-    @property
-    def round_index(self) -> int:
-        """Number of rounds simulated so far."""
-        return self._round
-
-    @property
-    def loads(self) -> LoadVector:
-        """Read-only view of the current load vector."""
-        view = self._loads.view()
-        view.setflags(write=False)
-        return view
-
-    def configuration(self) -> LoadConfiguration:
-        """Immutable snapshot of the current configuration."""
-        return LoadConfiguration(self._loads)
-
-    @property
-    def max_load(self) -> int:
-        return int(self._loads.max())
-
-    @property
-    def num_empty_bins(self) -> int:
-        return int(np.count_nonzero(self._loads == 0))
-
-    def is_legitimate(self, beta: float = DEFAULT_BETA) -> bool:
-        """Whether the current configuration is legitimate (max load <= beta*log n)."""
-        return self.max_load <= legitimacy_threshold(self._n_bins, beta)
-
-    # ------------------------------------------------------------------
-    # Dynamics
-    # ------------------------------------------------------------------
-    def step(self) -> LoadVector:
-        """Advance the process by one round and return the new loads (read-only).
-
-        One ball leaves every non-empty bin and lands in a bin chosen
-        uniformly at random, independently of everything else.
-        """
-        loads = self._loads
-        nonempty = loads > 0
-        departures = int(np.count_nonzero(nonempty))
-        if departures:
-            loads -= nonempty  # bool array subtracts as 0/1
-            destinations = self._rng.integers(0, self._n_bins, size=departures)
-            loads += np.bincount(destinations, minlength=self._n_bins)
-        self._round += 1
-        return self.loads
+        super().__init__(
+            BatchedRepeatedBallsIntoBins(
+                n_bins, 1, n_balls=n_balls, initial=initial,
+                seed=as_generator(seed), kernel="numpy",
+            )
+        )
 
     def run(
         self,
@@ -198,47 +226,23 @@ class RepeatedBallsIntoBins:
         observers:
             ``None``, a single observer/callable, or a sequence of them; each
             is invoked after every round with ``(round_index, loads)`` where
-            ``round_index`` counts from the process' global round counter.
+            ``round_index`` counts from the process' global round counter
+            and ``loads`` is the ``(1, n)`` state.
         beta:
             Legitimacy constant used for ``first_legitimate_round`` and for
             the optional early stop.
         stop_when_legitimate:
             When ``True``, stop as soon as a legitimate configuration is
-            reached (used by the convergence-time experiments).
+            reached (used by the convergence-time experiments); a call
+            from a legitimate configuration runs no round.
         """
-        if rounds < 0:
-            raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-        obs = BatchedObserverList.coerce(observers)
-        threshold = legitimacy_threshold(self._n_bins, beta)
-
-        max_load_seen = 0
-        min_empty_seen = self._n_bins
-        first_legit: Optional[int] = None
-        executed = 0
-
-        for _ in range(rounds):
-            loads = self.step()
-            executed += 1
-            current_max = int(loads.max())
-            current_empty = int(np.count_nonzero(loads == 0))
-            if current_max > max_load_seen:
-                max_load_seen = current_max
-            if current_empty < min_empty_seen:
-                min_empty_seen = current_empty
-            if not obs.is_empty:
-                obs.observe(self._round, loads)
-            if first_legit is None and current_max <= threshold:
-                first_legit = self._round
-                if stop_when_legitimate:
-                    break
-
-        self._check_conservation()
+        window = self._window(rounds, beta, stop_when_legitimate, observers)
         return SimulationResult(
-            rounds=executed,
+            rounds=window.rounds,
             final_configuration=self.configuration(),
-            max_load_seen=max_load_seen,
-            min_empty_bins_seen=min_empty_seen if executed else self.num_empty_bins,
-            first_legitimate_round=first_legit,
+            max_load_seen=window.max_load_seen,
+            min_empty_bins_seen=window.min_empty_bins_seen,
+            first_legitimate_round=window.first_legitimate_round,
             beta=beta,
         )
 
@@ -252,38 +256,22 @@ class RepeatedBallsIntoBins:
         current configuration is already legitimate, returns the current
         round index without simulating.
         """
-        if self.is_legitimate(beta):
-            return self._round
-        result = self.run(max_rounds, observers=observers, beta=beta, stop_when_legitimate=True)
-        return result.first_legitimate_round
+        return self._window(
+            max_rounds, beta, True, observers
+        ).first_legitimate_round
 
-    # ------------------------------------------------------------------
-    # Utilities
-    # ------------------------------------------------------------------
     def inject_loads(self, loads: Union[LoadConfiguration, np.ndarray]) -> None:
         """Replace the current loads with a ball-conserving configuration.
 
-        The single-replica counterpart of
-        :meth:`~repro.core.batched.BatchedLoadProcess.inject_loads` — the
-        Section 4.1 fault hook: an adversary may reassign balls arbitrarily
-        *between* rounds but may not create or destroy them.  Unlike
-        :meth:`reset`, the round counter keeps running.
+        The Section 4.1 fault hook
+        (:meth:`~repro.core.batched.BatchedLoadProcess.inject_loads`): an
+        adversary may reassign balls arbitrarily *between* rounds but may
+        not create or destroy them.  Unlike :meth:`reset`, the round
+        counter keeps running.
         """
-        config = (
-            loads
-            if isinstance(loads, LoadConfiguration)
-            else LoadConfiguration(np.asarray(loads))
-        )
-        if config.n_bins != self._n_bins:
-            raise ConfigurationError(
-                f"injected configuration has {config.n_bins} bins, expected {self._n_bins}"
-            )
-        if config.n_balls != self._n_balls:
-            raise ConfigurationError(
-                f"injected loads do not conserve balls: expected "
-                f"{self._n_balls}, got {config.n_balls}"
-            )
-        self._loads = config.as_array()
+        if isinstance(loads, LoadConfiguration):
+            loads = loads.loads
+        self._batch.inject_loads(np.asarray(loads)[np.newaxis])
 
     def reset(self, initial: Union[LoadConfiguration, np.ndarray, None] = None) -> None:
         """Reset to ``initial`` (or the balanced start) and zero the round counter.
@@ -291,27 +279,10 @@ class RepeatedBallsIntoBins:
         The random generator state is *not* reset; reuse of a simulator for
         several trials therefore continues the same stream.
         """
-        if initial is None:
-            self._loads = LoadConfiguration.balanced(self._n_bins, self._n_balls).as_array()
-        else:
-            config = initial if isinstance(initial, LoadConfiguration) else LoadConfiguration(np.asarray(initial))
-            if config.n_bins != self._n_bins:
-                raise ConfigurationError(
-                    f"initial configuration has {config.n_bins} bins, expected {self._n_bins}"
-                )
-            self._loads = config.as_array()
-            self._n_balls = int(self._loads.sum())
-        self._round = 0
-
-    def _check_conservation(self) -> None:
-        total = int(self._loads.sum())
-        if total != self._n_balls:
-            raise SimulationError(
-                f"ball count not conserved: expected {self._n_balls}, found {total}"
-            )
+        self._batch.reset(initial)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"RepeatedBallsIntoBins(n_bins={self._n_bins}, n_balls={self._n_balls}, "
-            f"round={self._round}, max_load={self.max_load})"
+            f"RepeatedBallsIntoBins(n_bins={self.n_bins}, n_balls={self.n_balls}, "
+            f"round={self.round_index}, max_load={self.max_load})"
         )

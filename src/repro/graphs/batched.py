@@ -152,11 +152,16 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
         index space; :meth:`Topology.sample_neighbors` draws one uniform
         neighbor per departing token, destinations are shifted back into
         their replica's block, and one ``np.bincount`` scatters the
-        arrivals of the whole ensemble.
+        arrivals of the whole ensemble.  At ``R == 1`` the node indices
+        are the cells themselves, so the round skips the block offsets.
         """
         loads = self._loads
         active = self._active
         n = self._n_bins
+        if self._n_replicas == 1:
+            if active[0]:
+                self._advance_row(loads[0])
+            return
         if self._constrained:
             nonempty = loads > 0
             if not active.all():
@@ -189,6 +194,22 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
                 combined, minlength=self._n_replicas * n
             ).reshape(self._n_replicas, n)
             loads[active] = arrivals[active]
+
+    def _advance_row(self, row: np.ndarray) -> None:
+        """One round of a single replica's row, in place: :meth:`_advance`
+        at ``R == 1``, with the same draws."""
+        if self._constrained:
+            nonempty = row > 0
+            sources = np.flatnonzero(nonempty)
+            if sources.size:
+                row -= nonempty
+                destinations = self._topology.sample_neighbors(sources, self._rng)
+                row += np.bincount(destinations, minlength=row.size).astype(np.int32)
+        else:
+            sources = np.repeat(np.arange(row.size, dtype=np.int64), row)
+            if sources.size:
+                destinations = self._topology.sample_neighbors(sources, self._rng)
+                row[...] = np.bincount(destinations, minlength=row.size)
 
     # ------------------------------------------------------------------
     # Native kernel arguments (the call itself is BatchedLoadProcess's)

@@ -11,6 +11,10 @@ For comparison the simulator can also run the *unconstrained* variant in
 which every token moves independently each round (no queueing): the
 difference between the two quantifies the congestion introduced by the
 constraint, which is the phenomenon the paper studies.
+
+:class:`ConstrainedParallelWalks` is one run: replica 0 of a one-replica
+:class:`~repro.graphs.batched.BatchedConstrainedWalks` on the numpy kernel
+(see :class:`~repro.core.process.ReplicaView`).
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .batched import BatchedConstrainedWalks
 from .topology import Topology
-from ..core.config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
-from ..errors import ConfigurationError
-from ..metrics.base import BatchedObserverList, as_load_matrix
+from ..core.config import LoadConfiguration
+from ..core.process import ReplicaView
 from ..rng import as_generator
-from ..types import LoadVector, SeedLike
+from ..types import SeedLike
 
 __all__ = ["ConstrainedParallelWalks", "GraphWalkResult"]
 
@@ -54,7 +58,7 @@ class GraphWalkResult:
     min_empty_nodes_seen: int
 
 
-class ConstrainedParallelWalks:
+class ConstrainedParallelWalks(ReplicaView):
     """Anonymous (load-level) parallel random walks on a topology.
 
     Parameters
@@ -81,96 +85,34 @@ class ConstrainedParallelWalks:
         constrained: bool = True,
         seed: SeedLike = None,
     ) -> None:
-        self._topology = topology
-        n = topology.num_nodes
-        if initial is not None:
-            config = initial if isinstance(initial, LoadConfiguration) else LoadConfiguration(np.asarray(initial))
-            if config.n_bins != n:
-                raise ConfigurationError(
-                    f"initial configuration has {config.n_bins} nodes, expected {n}"
-                )
-            if n_tokens is not None and n_tokens != config.n_balls:
-                raise ConfigurationError(
-                    f"n_tokens={n_tokens} contradicts initial configuration with {config.n_balls} tokens"
-                )
-            self._loads = config.as_array()
-        else:
-            m = n if n_tokens is None else int(n_tokens)
-            if m < 0:
-                raise ConfigurationError(f"n_tokens must be >= 0, got {m}")
-            self._loads = LoadConfiguration.balanced(n, m).as_array()
-        self._n_tokens = int(self._loads.sum())
-        self._constrained = bool(constrained)
-        self._rng = as_generator(seed)
-        self._round = 0
+        super().__init__(
+            BatchedConstrainedWalks(
+                topology, 1, n_tokens=n_tokens, initial=initial,
+                constrained=constrained, seed=as_generator(seed),
+                kernel="numpy",
+            )
+        )
 
     # ------------------------------------------------------------------
     @property
     def topology(self) -> Topology:
-        return self._topology
+        return self._batch.topology
 
     @property
     def num_nodes(self) -> int:
-        return self._topology.num_nodes
-
-    @property
-    def n_bins(self) -> int:
-        """Alias of :attr:`num_nodes` — the load-process spelling, so the
-        shared window loop and the ensemble engine treat a walk like any
-        other single-replica load process."""
-        return self._topology.num_nodes
+        return self.n_bins
 
     @property
     def n_tokens(self) -> int:
-        return self._n_tokens
+        return self.n_balls
 
     @property
     def constrained(self) -> bool:
-        return self._constrained
-
-    @property
-    def round_index(self) -> int:
-        return self._round
-
-    @property
-    def loads(self) -> LoadVector:
-        view = self._loads.view()
-        view.setflags(write=False)
-        return view
-
-    def configuration(self) -> LoadConfiguration:
-        return LoadConfiguration(self._loads)
-
-    @property
-    def max_load(self) -> int:
-        return int(self._loads.max())
+        return self._batch.constrained
 
     @property
     def num_empty_nodes(self) -> int:
-        return int(np.count_nonzero(self._loads == 0))
-
-    def is_legitimate(self, beta: float = DEFAULT_BETA) -> bool:
-        return self.max_load <= legitimacy_threshold(self.num_nodes, beta)
-
-    # ------------------------------------------------------------------
-    def step(self) -> LoadVector:
-        """Advance one synchronous round."""
-        loads = self._loads
-        n = self.num_nodes
-        if self._constrained:
-            sources = np.flatnonzero(loads > 0)
-            if sources.size:
-                loads[sources] -= 1
-                destinations = self._topology.sample_neighbors(sources, self._rng)
-                loads += np.bincount(destinations, minlength=n)
-        else:
-            # every token moves: expand node indices by multiplicity
-            sources = np.repeat(np.arange(n, dtype=np.int64), loads)
-            if sources.size:
-                destinations = self._topology.sample_neighbors(sources, self._rng)
-                self._loads = np.bincount(destinations, minlength=n).astype(np.int64)
-        self._round += 1
-        return self.loads
+        return self.num_empty_bins
 
     def run(self, rounds: int, observers=None, observe_every: int = 1) -> GraphWalkResult:
         """Simulate ``rounds`` rounds collecting the standard load metrics.
@@ -194,39 +136,20 @@ class ConstrainedParallelWalks:
         so a zero-round call (or a call on a pre-loaded state) reports the
         observed max load and empty-node count rather than zeros.
         """
-        if rounds < 0:
-            raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-        if observe_every < 1:
-            raise ConfigurationError(
-                f"observe_every must be >= 1, got {observe_every}"
-            )
-        obs = BatchedObserverList.coerce(observers)
-        max_load_seen = int(self._loads.max()) if self._loads.size else 0
-        min_empty = int(np.count_nonzero(self._loads == 0))
-        executed = 0
-        for _ in range(rounds):
-            loads = self.step()
-            executed += 1
-            current_max = int(loads.max())
-            if current_max > max_load_seen:
-                max_load_seen = current_max
-            empties = int(np.count_nonzero(loads == 0))
-            if empties < min_empty:
-                min_empty = empties
-            if not obs.is_empty and (
-                executed % observe_every == 0 or executed == rounds
-            ):
-                obs.observe(self._round, as_load_matrix(loads))
+        start_max, start_empty = self.max_load, self.num_empty_bins
+        window = self._window(
+            rounds, observers=observers, observe_every=observe_every
+        )
         return GraphWalkResult(
-            rounds=executed,
-            max_load_seen=max_load_seen,
+            rounds=window.rounds,
+            max_load_seen=max(start_max, window.max_load_seen),
             final_configuration=self.configuration(),
-            min_empty_nodes_seen=min_empty,
+            min_empty_nodes_seen=min(start_empty, window.min_empty_bins_seen),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "constrained" if self._constrained else "independent"
+        mode = "constrained" if self.constrained else "independent"
         return (
-            f"ConstrainedParallelWalks(topology={self._topology.name!r}, "
-            f"tokens={self._n_tokens}, mode={mode}, round={self._round})"
+            f"ConstrainedParallelWalks(topology={self.topology.name!r}, "
+            f"tokens={self.n_tokens}, mode={mode}, round={self.round_index})"
         )

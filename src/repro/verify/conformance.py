@@ -205,10 +205,7 @@ def _ground_truth(spec: EnsembleSpec, horizon: int) -> _GroundTruth:
     else:
         P, states = exact_rbb_transition_matrix(spec.n_bins, m)
     if spec.process == "faulty":
-        schedule = spec.fault_schedule()
-        fault_rounds = tuple(
-            t for t in range(1, horizon + 1) if schedule.is_faulty(t)
-        )
+        fault_rounds = tuple(spec.fault_schedule().fault_rounds(horizon))
         F = adversary_matrix(spec.adversary, states)
         return _GroundTruth(P, states, initial, fault_rounds, F)
     if spec.scenario is not None:

@@ -177,6 +177,14 @@ class TestFaultyProcess:
         assert result.max_load_seen <= 6 * np.log(n)
         assert result.all_recovered
 
+    def test_faults_keep_the_process_clock(self):
+        # faults at rounds 10 and 20 go in through inject_loads, which
+        # leaves the process's round counter running
+        faulty = FaultyProcess(16, schedule=FaultSchedule.every(10), seed=0)
+        result = faulty.run(25)
+        assert result.fault_rounds == [10, 20]
+        assert faulty.process.round_index == 25
+
     def test_observer_sees_wrapper_round_numbers(self):
         rounds_seen = []
         FaultyProcess(16, schedule=FaultSchedule.never(), seed=5).run(

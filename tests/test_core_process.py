@@ -111,6 +111,27 @@ class TestRun:
         assert result.rounds == 0
         assert result.final_configuration == process.configuration()
 
+    def test_zero_round_run_reports_observed_state(self):
+        # a call that runs no round reports the configuration it observed,
+        # as the batched engine does for replicas that ran no round
+        process = RepeatedBallsIntoBins(
+            8, initial=LoadConfiguration.all_in_one(8), seed=0
+        )
+        result = process.run(0)
+        assert result.rounds == 0
+        assert result.max_load_seen == 8
+        assert result.min_empty_bins_seen == 7
+
+    def test_stop_from_legitimate_start_runs_no_round(self):
+        process = RepeatedBallsIntoBins(64, seed=0)
+        process.run(5)
+        result = process.run(100, stop_when_legitimate=True)
+        assert result.rounds == 0
+        assert result.first_legitimate_round == 5
+        assert process.round_index == 5
+        # the stop holds for that call only
+        assert process.run(3).rounds == 3
+
     def test_run_negative_rounds_rejected(self):
         process = RepeatedBallsIntoBins(8, seed=0)
         with pytest.raises(ConfigurationError):
