@@ -82,9 +82,11 @@ def mean_confidence_interval(
     sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
     if sem == 0.0:
         return mean, mean, mean
-    from scipy import stats  # lazy: keeps scipy out of `import repro`
+    # lazy, and scipy.special rather than scipy.stats, whose import takes
+    # longer than many an experiment: stdtrit is the t quantile t.ppf calls
+    from scipy.special import stdtrit
 
-    half = float(stats.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1) * sem)
+    half = float(stdtrit(arr.size - 1, 0.5 + confidence / 2.0) * sem)
     return mean, mean - half, mean + half
 
 
@@ -144,9 +146,9 @@ def empirical_whp_probability(
     if not 0 < confidence < 1:
         raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
     p_hat = successes / trials
-    from scipy import stats  # lazy: keeps scipy out of `import repro`
+    from scipy.special import ndtri  # the normal quantile; see above
 
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p_hat * (1 - p_hat) / trials + z * z / (4 * trials * trials)) / denom
