@@ -1,8 +1,8 @@
 """Batched fault injection: adversarial ensembles as one ``(R, n)`` state.
 
-:class:`BatchedFaultyProcess` is the vectorized counterpart of
-:class:`~repro.adversary.faulty_process.FaultyProcess`: it drives a batched
-process (by default a
+:class:`BatchedFaultyProcess` is the fault injector, and
+:class:`~repro.adversary.faulty_process.FaultyProcess` its ``R == 1``
+view: it drives a batched process (by default a
 :class:`~repro.core.batched.BatchedRepeatedBallsIntoBins`, so the compiled
 native kernel applies) and, at the rounds selected by a
 :class:`~repro.adversary.faulty_process.FaultSchedule`, rewrites **every
@@ -40,7 +40,6 @@ costs barely more than a fault-free one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
@@ -177,10 +176,9 @@ class BatchedFaultyProcess:
         Forwarded to :class:`~repro.core.batched.BatchedRepeatedBallsIntoBins`
         (``seed`` also feeds the adversary's own stream).  Passing an
         existing :class:`numpy.random.Generator` makes the adversary and
-        the process share that one stream — the convention of the
-        single-replica :class:`~repro.adversary.faulty_process.FaultyProcess`,
-        which (with the numpy kernel, ``R == 1`` and a deterministic-draw
-        adversary) makes the two fault injectors stream-compatible.
+        the process share that one stream: the single-replica
+        :class:`~repro.adversary.faulty_process.FaultyProcess` is this
+        class at ``R == 1`` on the numpy kernel with such a shared stream.
     process:
         Optional pre-built batched process to attack instead of a fresh
         :class:`BatchedRepeatedBallsIntoBins` — any
@@ -249,16 +247,8 @@ class BatchedFaultyProcess:
         **kwargs,
     ) -> "BatchedFaultyProcess":
         """Periodic faults every ``gamma * n`` rounds (the Section 4.1 regime)."""
-        if gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {gamma}")
-        period = max(int(math.ceil(gamma * n_bins)), 1)
-        return cls(
-            n_bins,
-            n_replicas,
-            adversary=adversary,
-            schedule=FaultSchedule.every(period),
-            **kwargs,
-        )
+        schedule = FaultSchedule.with_gamma(n_bins, gamma)
+        return cls(n_bins, n_replicas, adversary=adversary, schedule=schedule, **kwargs)
 
     # ------------------------------------------------------------------
     @property

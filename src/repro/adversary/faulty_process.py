@@ -74,6 +74,13 @@ class FaultSchedule:
         return sorted(found)
 
     @classmethod
+    def with_gamma(cls, n_bins: int, gamma: float = 6.0) -> "FaultSchedule":
+        """Faults every ``ceil(gamma * n)`` rounds (the Section 4.1 regime)."""
+        if gamma <= 0:
+            raise ConfigurationError(f"gamma must be positive, got {gamma}")
+        return cls.every(max(int(math.ceil(gamma * n_bins)), 1))
+
+    @classmethod
     def every(cls, period: int, offset: Optional[int] = None) -> "FaultSchedule":
         """Periodic schedule with the given period."""
         return cls(period=period, offset=offset)
@@ -124,18 +131,10 @@ class FaultyRunResult:
 class FaultyProcess:
     """A repeated balls-into-bins process subject to adversarial faults.
 
-    Parameters
-    ----------
-    n_bins:
-        Number of bins.
-    adversary:
-        Adversary name or instance applied at faulty rounds.
-    schedule:
-        A :class:`FaultSchedule`; the convenience constructor
-        :meth:`with_gamma` builds the paper's ``gamma * n`` periodic schedule.
-    initial, n_balls, seed:
-        Forwarded to :class:`~repro.core.process.RepeatedBallsIntoBins`;
-        the adversary draws from the same ``Generator``.
+    The parameters are :class:`~repro.adversary.batched.BatchedFaultyProcess`'s
+    without ``n_replicas``, ``kernel``, ``process`` and ``n_threads``;
+    ``initial``, ``n_balls`` and ``seed`` build :attr:`process`, whose
+    ``Generator`` the adversary shares.
     """
 
     def __init__(
@@ -168,10 +167,8 @@ class FaultyProcess:
         **kwargs,
     ) -> "FaultyProcess":
         """Periodic faults every ``gamma * n`` rounds (the Section 4.1 regime)."""
-        if gamma <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {gamma}")
-        period = max(int(math.ceil(gamma * n_bins)), 1)
-        return cls(n_bins, adversary=adversary, schedule=FaultSchedule.every(period), **kwargs)
+        schedule = FaultSchedule.with_gamma(n_bins, gamma)
+        return cls(n_bins, adversary=adversary, schedule=schedule, **kwargs)
 
     # ------------------------------------------------------------------
     @property
@@ -197,11 +194,9 @@ class FaultyProcess:
         """Simulate ``rounds`` rounds with fault injection.
 
         In a faulty round the adversary reassigns the configuration *before*
-        the normal process round executes (so the process immediately starts
-        recovering from the adversarial state).  Faults go in through
-        :meth:`~repro.core.process.RepeatedBallsIntoBins.inject_loads`, so
-        the process's round counter keeps running.  Observers see the
-        ``(1, n)`` state after every round, with the process's round index.
+        the normal process round executes, through ``inject_loads``, so the
+        process's round counter keeps running.  Observers see the ``(1, n)``
+        state after every round, with the process's round index.
         """
         result = self._faulty.run(rounds, beta=beta, observers=observers)
         return FaultyRunResult(

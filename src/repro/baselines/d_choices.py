@@ -153,13 +153,8 @@ class DChoicesProcess(ReplicaView):
     This is replica 0 of a one-replica :class:`BatchedDChoices` on the
     numpy kernel (see :class:`~repro.core.process.ReplicaView`).
 
-    Parameters
-    ----------
-    n_bins, n_balls, initial, seed:
-        As for :class:`~repro.core.process.RepeatedBallsIntoBins`.
-    d:
-        Number of candidate bins per placement (``d = 1`` degenerates to the
-        original process up to the sequential-placement detail).
+    The parameters are :class:`BatchedDChoices`'s without ``n_replicas``,
+    ``kernel`` and ``n_threads``; ``d = 1`` is the original process.
     """
 
     def __init__(
@@ -183,13 +178,10 @@ class DChoicesProcess(ReplicaView):
 
     def run(self, rounds: int, observers=None) -> DChoicesResult:
         """Simulate ``rounds`` rounds collecting the standard load metrics."""
-        start_max, start_empty = self.max_load, self.num_empty_bins
-        window = self._window(rounds, observers=observers)
+        window = self._window(rounds, observers=observers, seeded=True)
         return DChoicesResult(
-            rounds=window.rounds,
-            final_configuration=self.configuration(),
-            max_load_seen=max(start_max, window.max_load_seen),
-            min_empty_bins_seen=min(start_empty, window.min_empty_bins_seen),
+            window.rounds, window.final_configuration, window.max_load_seen,
+            window.min_empty_bins_seen,
         )
 
 

@@ -27,10 +27,11 @@ provides the batched-process layer those ensembles run on:
 Two kernels drive the repeated balls-into-bins update:
 
 ``numpy`` (reference)
-    Pure-numpy, and **stream-compatible** with
-    :class:`~repro.core.process.RepeatedBallsIntoBins`: with ``R == 1`` and
-    the same seed it consumes the generator identically and reproduces the
-    single-replica trajectory step for step.
+    Pure-numpy.  At ``R == 1`` it advances the one row
+    (:func:`one_choice_round`) with the same draws, and the window loop
+    runs on Python ints; the single-replica
+    :class:`~repro.core.process.RepeatedBallsIntoBins` is this process at
+    ``R == 1`` on this kernel (see :class:`~repro.core.process.ReplicaView`).
 ``native`` (fast)
     A small C kernel (see ``rbb_kernel.c``) compiled on demand by
     :mod:`repro.core.native`; each replica owns an independent xoshiro256++
@@ -181,7 +182,7 @@ def check_state_fits(n_bins: int, n_balls) -> None:
     ...
     repro.errors.ConfigurationError: the state does not fit its int32 loads: ...
     """
-    most = int(np.max(n_balls))
+    most = int(np.asarray(n_balls).max())
     if n_bins >= 2**31 or most >= _BALL_LIMIT:
         raise ConfigurationError(
             "the state does not fit its int32 loads: n_bins must stay below "
@@ -726,9 +727,10 @@ class BatchedLoadProcess:
             raise ConfigurationError(
                 f"initial must be 1-D or 2-D, got ndim={arr.ndim}"
             )
-        # a row is checked as the (R, n) state it becomes
-        matrix = np.broadcast_to(arr, (R, n)) if arr.ndim == 1 else arr
-        totals = self._checked_loads(matrix, "initial")
+        if arr.ndim == 2:
+            totals = self._checked_loads(arr, "initial")
+        else:  # a row is checked once; every replica holds its balls
+            totals = np.repeat(self._checked_values(arr[np.newaxis], "initial"), R)
         if arr.ndim == 1 and n_balls is not None and n_balls != totals[0]:
             raise ConfigurationError(
                 f"n_balls={n_balls} contradicts initial configuration "
@@ -749,7 +751,11 @@ class BatchedLoadProcess:
             raise ConfigurationError(
                 f"{what} loads have shape {arr.shape}, expected {shape}"
             )
-        if not np.issubdtype(arr.dtype, np.integer):
+        return self._checked_values(arr, what)
+
+    def _checked_values(self, arr: np.ndarray, what: str) -> np.ndarray:
+        """:meth:`_checked_loads` without the shape check, for any rows."""
+        if arr.dtype.kind not in "iu":
             if not np.all(np.equal(np.mod(arr, 1), 0)):
                 raise ConfigurationError(f"{what} loads must be integer-valued")
         if arr.min() < 0:
@@ -1262,7 +1268,7 @@ class BatchedLoadProcess:
         """
         arr = np.asarray(loads)
         totals = self._checked_loads(arr, "injected")
-        if not np.array_equal(totals, self._n_balls):
+        if (totals != self._n_balls).any():
             bad = int(np.flatnonzero(totals != self._n_balls)[0])
             raise ConfigurationError(
                 f"injected loads do not conserve balls in replica {bad}: "
@@ -1395,12 +1401,12 @@ class BatchedRepeatedBallsIntoBins(BatchedLoadProcess):
         arrivals of the whole ensemble.  At ``R == 1`` the round is
         :func:`one_choice_round` on the one row, with the same draws.
         """
+        if self._n_replicas == 1:
+            if self._active[0]:
+                one_choice_round(self._loads[0], self._rng)
+            return
         loads = self._loads
         active = self._active
-        if self._n_replicas == 1:
-            if active[0]:
-                one_choice_round(loads[0], self._rng)
-            return
         nonempty = loads > 0
         if not active.all():
             nonempty &= active[:, None]

@@ -8,14 +8,11 @@ system state is fully described by the load vector, and one round costs a
 single ``rng.integers`` draw plus one ``np.bincount`` — no Python-level loop
 over bins.
 
-:class:`RepeatedBallsIntoBins` is one run of it, seen through
-:class:`ReplicaView`: replica 0 of a one-replica
+:class:`RepeatedBallsIntoBins` is one run of it, a :class:`ReplicaView`:
+replica 0 of a one-replica
 :class:`~repro.core.batched.BatchedRepeatedBallsIntoBins` on the numpy
-kernel, whose ``R == 1`` window runs on Python ints.  The state, the
-validation, the round and the window rule are the batched class's; the
-view turns its length-1 vectors into ints and its results into
-:class:`SimulationResult`.  ``DChoicesProcess`` and
-``ConstrainedParallelWalks`` are views of the same kind.
+kernel, whose ``R == 1`` window runs on Python ints.  ``DChoicesProcess``
+and ``ConstrainedParallelWalks`` are views of the same kind.
 
 The class also supports the generalization with ``m != n`` balls
 (Section 5's open question) and arbitrary initial configurations
@@ -34,7 +31,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -81,25 +78,15 @@ class SimulationResult:
         return self.final_configuration.is_legitimate(self.beta)
 
 
-class _Window(NamedTuple):
-    """One replica's window, as :meth:`ReplicaView._window` returns it."""
-
-    rounds: int
-    max_load_seen: int
-    min_empty_bins_seen: int
-    first_legitimate_round: Optional[int]
-
-
 class ReplicaView:
-    """One run of a load process, seen as replica 0 of a batched one.
+    """One run of a load process: replica 0 of a one-replica batched process.
 
     A view holds one :class:`~repro.core.batched.BatchedLoadProcess` with
-    ``n_replicas=1`` on the numpy kernel, seeded with the ``Generator``
-    the view was given, and keeps nothing of its own: the ``(1, n)`` int32
-    state, the generator, the validation and every round are the batched
-    process's.  The view reads its row as a read-only vector and its
-    length-1 vectors as ints.  Observers attached to a view's ``run`` see
-    the ``(1, n)`` state, as batched observers do.
+    ``n_replicas=1`` on the numpy kernel, seeded with ``as_generator(seed)``,
+    and keeps nothing of its own: the ``(1, n)`` int32 state, the
+    generator, the validation and every round are the batched process's.
+    The view reads the state's row as a read-only vector and the window's
+    length-1 vectors as ints; observers see the ``(1, n)`` state.
     """
 
     def __init__(self, batch: BatchedLoadProcess) -> None:
@@ -150,50 +137,40 @@ class ReplicaView:
         stop_when_legitimate: bool = False,
         observers=None,
         observe_every: int = 1,
-    ) -> _Window:
-        """Advance one window of the batched process; its values as ints.
+        seeded: bool = False,
+    ) -> SimulationResult:
+        """Advance one window of the batched process, as a single run's result.
 
         The window follows the batched rule: its max and empty count cover
         the rounds it ran, or the current configuration when it ran none,
-        and an early stop is checked before the first round too.  The stop
-        freezes the replica for this window only.
+        and an early stop is checked before the first round too and
+        freezes the replica for this window only.  ``seeded`` also folds
+        in the configuration at call time.
         """
         batch = self._batch
+        start = (self.max_load, self.num_empty_bins) if seeded else (0, self.n_bins)
         window = batch.advance_window(
             rounds, beta, stop_when_legitimate, observers, observe_every
         )
         batch._active[0] = True
         first = int(window.first_legitimate_round[0])
-        return _Window(
-            int(window.rounds[0]),
-            int(window.max_load_seen[0]),
-            int(window.min_empty_bins_seen[0]),
-            None if first < 0 else first,
+        return SimulationResult(
+            rounds=int(window.rounds[0]),
+            final_configuration=self.configuration(),
+            max_load_seen=max(start[0], int(window.max_load_seen[0])),
+            min_empty_bins_seen=min(start[1], int(window.min_empty_bins_seen[0])),
+            first_legitimate_round=None if first < 0 else first,
+            beta=beta,
         )
 
 
 class RepeatedBallsIntoBins(ReplicaView):
     """Simulator of the repeated balls-into-bins process.
 
-    Parameters
-    ----------
-    n_bins:
-        Number of bins ``n``.
-    n_balls:
-        Number of balls ``m``; defaults to ``n_bins`` (the paper's setting).
-        Ignored when ``initial`` is given (the ball count is inferred).
-    initial:
-        Optional starting configuration: a :class:`LoadConfiguration`, an
-        integer array, or ``None`` for the balanced one-ball-per-bin start.
-    seed:
-        Seed-like value for the random generator.
-
-    Notes
-    -----
-    The state is the int32 row of a one-replica
-    :class:`~repro.core.batched.BatchedRepeatedBallsIntoBins` (see
-    :class:`ReplicaView`); :attr:`loads` returns a read-only view and
-    :meth:`configuration` an immutable snapshot.
+    ``n_balls`` defaults to ``n_bins`` (the paper's setting) and is
+    inferred from ``initial``, a :class:`LoadConfiguration`, an integer
+    array, or ``None`` for the balanced start; see
+    :class:`~repro.core.batched.BatchedLoadProcess`.
     """
 
     def __init__(
@@ -219,32 +196,15 @@ class RepeatedBallsIntoBins(ReplicaView):
     ) -> SimulationResult:
         """Simulate ``rounds`` rounds, optionally stopping early.
 
-        Parameters
-        ----------
-        rounds:
-            Maximum number of rounds to simulate in this call.
-        observers:
-            ``None``, a single observer/callable, or a sequence of them; each
-            is invoked after every round with ``(round_index, loads)`` where
-            ``round_index`` counts from the process' global round counter
-            and ``loads`` is the ``(1, n)`` state.
-        beta:
-            Legitimacy constant used for ``first_legitimate_round`` and for
-            the optional early stop.
-        stop_when_legitimate:
-            When ``True``, stop as soon as a legitimate configuration is
-            reached (used by the convergence-time experiments); a call
-            from a legitimate configuration runs no round.
+        ``observers`` (``None``, one observer/callable or a sequence) see
+        ``(round_index, loads)`` after every round, with the global round
+        index and the ``(1, n)`` state.  ``beta`` is the legitimacy
+        constant of ``first_legitimate_round`` and of the early stop:
+        ``stop_when_legitimate`` stops at the first legitimate
+        configuration (the convergence-time experiments), and a call from
+        a legitimate configuration runs no round.
         """
-        window = self._window(rounds, beta, stop_when_legitimate, observers)
-        return SimulationResult(
-            rounds=window.rounds,
-            final_configuration=self.configuration(),
-            max_load_seen=window.max_load_seen,
-            min_empty_bins_seen=window.min_empty_bins_seen,
-            first_legitimate_round=window.first_legitimate_round,
-            beta=beta,
-        )
+        return self._window(rounds, beta, stop_when_legitimate, observers)
 
     def run_until_legitimate(
         self, max_rounds: int, beta: float = DEFAULT_BETA, observers=None
@@ -256,9 +216,7 @@ class RepeatedBallsIntoBins(ReplicaView):
         current configuration is already legitimate, returns the current
         round index without simulating.
         """
-        return self._window(
-            max_rounds, beta, True, observers
-        ).first_legitimate_round
+        return self.run(max_rounds, observers, beta, True).first_legitimate_round
 
     def inject_loads(self, loads: Union[LoadConfiguration, np.ndarray]) -> None:
         """Replace the current loads with a ball-conserving configuration.

@@ -19,12 +19,14 @@ Both walk modes are supported:
     gap between the two modes quantifies the congestion introduced by the
     one-token-per-round constraint.
 
-With ``R == 1`` and the same seed the trajectory is **stream-equal** to
-the single-replica simulator in either mode: the flat index order
-(row-major over ``(R, n)``) visits the single replica's nodes exactly as
-``np.flatnonzero`` / ``np.repeat`` do, and
-:meth:`Topology.sample_neighbors` consumes one ``rng.random`` draw per
-token in both paths.
+At ``R == 1`` the numpy round advances the one row without the replica
+offsets, with the same draws: the flat index order (row-major over
+``(R, n)``) visits the nodes as ``np.flatnonzero`` / ``np.repeat`` over
+the row do, and :meth:`Topology.sample_neighbors` consumes one
+``rng.random`` draw per token in both paths.  The single-replica
+:class:`~repro.graphs.walks.ConstrainedParallelWalks` is that one-replica
+process on the numpy kernel, seen through
+:class:`~repro.core.process.ReplicaView`.
 
 Like :class:`~repro.core.batched.BatchedRepeatedBallsIntoBins`, two
 kernels drive the update: the pure-numpy reference above, and a compiled
@@ -88,10 +90,9 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
         ``True`` (default) forwards one token per non-empty node per
         round; ``False`` moves every token independently.
     seed:
-        Seed-like value; with ``R == 1`` and the numpy kernel the
-        trajectory matches
-        :class:`~repro.graphs.walks.ConstrainedParallelWalks` under the
-        same seed, step for step.
+        Seed-like value; an existing ``Generator`` is used as is (the
+        :class:`~repro.graphs.walks.ConstrainedParallelWalks` view hands
+        in its own).
     kernel:
         ``"numpy"`` (reference), ``"native"`` (compiled; raises when no C
         compiler is available), or ``"auto"`` (native when possible).

@@ -61,20 +61,11 @@ class GraphWalkResult:
 class ConstrainedParallelWalks(ReplicaView):
     """Anonymous (load-level) parallel random walks on a topology.
 
-    Parameters
-    ----------
-    topology:
-        The graph to walk on.
-    n_tokens:
-        Number of tokens (default: one per node).
-    initial:
-        Optional initial load configuration over the nodes.
-    constrained:
-        ``True`` (default) forwards one token per non-empty node per round —
-        the paper's model.  ``False`` moves every token independently every
-        round (no queueing), the idealized comparison process.
-    seed:
-        Seed-like value.
+    The parameters are
+    :class:`~repro.graphs.batched.BatchedConstrainedWalks`'s without
+    ``n_replicas``, ``kernel`` and ``n_threads``: ``constrained=True``
+    (default) forwards one token per non-empty node per round, the paper's
+    model, and ``False`` moves every token every round.
     """
 
     def __init__(
@@ -93,58 +84,33 @@ class ConstrainedParallelWalks(ReplicaView):
             )
         )
 
-    # ------------------------------------------------------------------
+    # the walk spellings of the load-process properties
+    num_nodes = ReplicaView.n_bins
+    n_tokens = ReplicaView.n_balls
+    num_empty_nodes = ReplicaView.num_empty_bins
+
     @property
     def topology(self) -> Topology:
         return self._batch.topology
 
     @property
-    def num_nodes(self) -> int:
-        return self.n_bins
-
-    @property
-    def n_tokens(self) -> int:
-        return self.n_balls
-
-    @property
     def constrained(self) -> bool:
         return self._batch.constrained
-
-    @property
-    def num_empty_nodes(self) -> int:
-        return self.num_empty_bins
 
     def run(self, rounds: int, observers=None, observe_every: int = 1) -> GraphWalkResult:
         """Simulate ``rounds`` rounds collecting the standard load metrics.
 
-        Parameters
-        ----------
-        rounds:
-            Number of rounds for this call.
-        observers:
-            ``None``, a single observer/callable, or a sequence of them,
-            coerced through the unified
-            :class:`~repro.metrics.base.BatchedObserverList` pipeline —
-            the same trackers that attach to the batched engine attach
-            here, seeing the state as a ``(1, n)`` load matrix.
-        observe_every:
-            Observation stride: observers fire every ``observe_every``
-            executed rounds (and after the final one).  Window statistics
-            stay exact at any stride.
-
-        The window statistics are seeded from the *current* configuration,
-        so a zero-round call (or a call on a pre-loaded state) reports the
-        observed max load and empty-node count rather than zeros.
+        Observers see the ``(1, n)`` state every ``observe_every`` rounds
+        and after the last; the window statistics stay exact at any stride
+        and fold in the configuration at call time.
         """
-        start_max, start_empty = self.max_load, self.num_empty_bins
         window = self._window(
-            rounds, observers=observers, observe_every=observe_every
+            rounds, observers=observers, observe_every=observe_every,
+            seeded=True,
         )
         return GraphWalkResult(
-            rounds=window.rounds,
-            max_load_seen=max(start_max, window.max_load_seen),
-            final_configuration=self.configuration(),
-            min_empty_nodes_seen=min(start_empty, window.min_empty_bins_seen),
+            window.rounds, window.max_load_seen, window.final_configuration,
+            window.min_empty_bins_seen,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

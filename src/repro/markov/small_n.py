@@ -117,12 +117,14 @@ def _greedy_transition_distribution(
 ) -> Dict[Configuration, float]:
     """Exact one-round transition distribution of Greedy[d] out of ``config``.
 
-    Mirrors :meth:`repro.baselines.d_choices.DChoicesProcess.step` exactly:
-    every non-empty bin removes one ball first, then the re-throws are placed
-    *sequentially* in increasing bin order, each choosing the least-loaded of
-    ``d`` independent uniform candidate bins against the **current** loads,
-    with ties broken by the first occurrence in the candidate tuple
-    (``row[np.argmin(loads[row])]``).
+    Mirrors the numpy round of
+    :class:`repro.baselines.d_choices.BatchedDChoices` (which
+    :class:`~repro.baselines.d_choices.DChoicesProcess` runs at ``R == 1``)
+    exactly: every non-empty bin removes one ball first, then the re-throws
+    are placed *sequentially* in increasing bin order, each choosing the
+    least-loaded of ``d`` independent uniform candidate bins against the
+    **current** loads, with ties broken by the first occurrence in the
+    candidate tuple (``choices[np.argmin(row[choices])]``).
     """
     loads = np.asarray(config, dtype=np.int64)
     nonempty = np.flatnonzero(loads > 0)

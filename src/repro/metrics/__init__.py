@@ -6,7 +6,8 @@ Lemmas 1–2, legitimacy hitting times — so this package defines one
 observer pipeline that the batched ``(R, n)`` engine (including the
 native C kernels, which execute in segments between observation points or
 fuse observation into their round loop), the sweep scheduler, and the
-single-replica simulators all share:
+single-replica simulators (``R == 1`` views of the batched processes) all
+share:
 
 ``process → observers → reducers → store``
 
@@ -17,7 +18,7 @@ single-replica simulators all share:
   they observe (memory ``O(R)``, not ``O(R·T)``, when series recording is
   off).
 * :mod:`~repro.metrics.window` — the shared window-metric run loop of the
-  batched processes.
+  batched processes, on Python ints at ``R == 1``.
 * :mod:`~repro.metrics.payload` / :mod:`~repro.metrics.registry` — the
   containers and validated names through which ``EnsembleSpec.metrics``
   requests observation and results carry it.

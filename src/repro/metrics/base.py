@@ -1,13 +1,14 @@
 """Observer plumbing for the unified (replica-aware) observation layer.
 
 Every engine in the repository — the batched ``(R, n)`` processes, the
-sweep scheduler on top of them, and the single-replica simulators kept as
-library objects and test oracles — reports its state through one
-protocol: ``observer.observe(round_index, loads)`` where ``loads`` is an
-``(R, n)`` load matrix.  A 1-D load vector is the ``R == 1`` view: the
-helpers here normalize it into a ``(1, n)`` matrix, so the batched
-trackers in :mod:`repro.metrics.trackers` attach unchanged to a
-single-replica simulator.
+sweep scheduler on top of them, and the single-replica simulators, which
+are ``R == 1`` views of the batched processes and hand their observers
+the ``(1, n)`` state — reports its state through one protocol:
+``observer.observe(round_index, loads)`` where ``loads`` is an ``(R, n)``
+load matrix.  A 1-D load vector is the ``R == 1`` view: the helpers here
+normalize it into a ``(1, n)`` matrix, so the batched trackers in
+:mod:`repro.metrics.trackers` also attach unchanged to a process that
+still observes with a vector (the Tetris and token processes).
 
 Observers must treat the arrays they receive as read-only (the engines pass
 views of their internal buffers for efficiency).

@@ -10,9 +10,10 @@ ensemble runs in this process; its parallelism is the native kernel's
 threads (``n_threads``), which never change a result.
 
 The single-replica simulators (:class:`~repro.core.process.RepeatedBallsIntoBins`,
-:class:`~repro.baselines.d_choices.DChoicesProcess`, ...) stay as library
-objects and test oracles: with ``kernel="numpy"`` and ``n_replicas=1`` the
-engine reproduces them stream for stream.
+:class:`~repro.baselines.d_choices.DChoicesProcess`, ...) are ``R == 1``
+views of the same batched processes on the numpy kernel, so with
+``kernel="numpy"`` and ``n_replicas=1`` the engine reproduces them stream
+for stream.
 
 Four process families are supported through the ``process`` selector:
 
@@ -38,9 +39,8 @@ Four process families are supported through the ``process`` selector:
     topology is built once per process and cached).  ``spec.constrained``
     selects the paper's one-token-per-node mode (default) or the
     every-token-moves comparison process.  Execution runs
-    :class:`~repro.graphs.batched.BatchedConstrainedWalks`, stream-equal
-    to :class:`~repro.graphs.walks.ConstrainedParallelWalks` at
-    ``R == 1``.
+    :class:`~repro.graphs.batched.BatchedConstrainedWalks`, whose ``R == 1``
+    view is :class:`~repro.graphs.walks.ConstrainedParallelWalks`.
 
 Every run returns the same :class:`~repro.core.batched.EnsembleResult`
 schema.  A result is a pure function of ``(spec, seed, kernel)``: the
