@@ -272,8 +272,9 @@ class BatchedDChoices(BatchedLoadProcess):
             placements = int(np.count_nonzero(departing))
             if placements:
                 row -= departing
-                for choices in rng.integers(0, n, size=(placements, d)):
-                    row[choices[np.argmin(row[choices])]] += 1
+                # min() keeps the first least-loaded candidate, as argmin does
+                for choices in rng.integers(0, n, size=(placements, d)).tolist():
+                    row[min(choices, key=row.__getitem__)] += 1
             return
         nonempty = loads > 0
         if not active.all():

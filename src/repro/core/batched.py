@@ -1415,4 +1415,4 @@ class BatchedRepeatedBallsIntoBins(BatchedLoadProcess):
             loads -= nonempty
             loads += one_choice_arrivals(
                 self._rng, self._row_base, counts, self._n_replicas, self._n_bins
-            )
+            ).astype(np.int32)  # see one_choice_round
