@@ -19,8 +19,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..core.process import RepeatedBallsIntoBins
 from ..core.config import LoadConfiguration
+from ..core.process import RepeatedBallsIntoBins
 from ..errors import ConfigurationError
 from ..rng import as_generator
 from ..types import SeedLike
@@ -80,14 +80,15 @@ def empirical_zero_zero_probability(
     if not 1 <= a < b:
         raise ConfigurationError(f"rounds must satisfy 1 <= a < b, got {rounds}")
 
-    rng = as_generator(seed)
+    # one process, reset to the balanced start for every trial: a reset
+    # draws nothing, so the trials run on one stream as fresh processes would
+    start = LoadConfiguration.balanced(n_bins)
+    process = RepeatedBallsIntoBins(n_bins, initial=start, seed=as_generator(seed))
     count_a0 = 0
     count_b0 = 0
     count_joint = 0
     for _ in range(trials):
-        process = RepeatedBallsIntoBins(
-            n_bins, initial=LoadConfiguration.balanced(n_bins), seed=rng
-        )
+        process.reset(start)
         arrivals_a = arrivals_b = None
         previous = process.loads.copy()
         for t in range(1, b + 1):
@@ -137,12 +138,11 @@ def empirical_arrival_correlation(
         raise ConfigurationError(f"window must be >= 3, got {window}")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    rng = as_generator(seed)
+    start = LoadConfiguration.balanced(n_bins)
+    process = RepeatedBallsIntoBins(n_bins, initial=start, seed=as_generator(seed))
     correlations = []
     for _ in range(trials):
-        process = RepeatedBallsIntoBins(
-            n_bins, initial=LoadConfiguration.balanced(n_bins), seed=rng
-        )
+        process.reset(start)  # as in empirical_zero_zero_probability
         arrivals = np.empty(window, dtype=np.int64)
         previous = process.loads.copy()
         for t in range(window):

@@ -39,7 +39,7 @@ from ..rng import as_generator
 from ..types import SeedLike
 
 #: Rows of choices a batched numpy round draws at once (whole placements).
-_CHOICE_CHUNK = 2**16
+_CHOICE_CHUNK = 2**12
 
 __all__ = [
     "one_shot_d_choices_max_load",

@@ -337,8 +337,8 @@ def one_choice_arrivals(
     space, and a single ``np.bincount`` counts the arrivals of the whole
     ensemble.  This is the one-choice update shared by the plain batched
     process and the ``d = 1`` degenerate case of batched Greedy[d]; with
-    ``R == 1`` it consumes the generator exactly like the single-replica
-    simulators.
+    ``R == 1`` it consumes the generator exactly like
+    :func:`one_choice_round`, which those processes run at ``R == 1``.
     """
     destinations = rng.integers(0, n_bins, size=int(counts.sum()))
     destinations += np.repeat(row_base, counts)
@@ -1415,4 +1415,4 @@ class BatchedRepeatedBallsIntoBins(BatchedLoadProcess):
             loads -= nonempty
             loads += one_choice_arrivals(
                 self._rng, self._row_base, counts, self._n_replicas, self._n_bins
-            ).astype(np.int32)  # see one_choice_round
+            )

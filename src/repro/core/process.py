@@ -167,10 +167,18 @@ class ReplicaView:
 class RepeatedBallsIntoBins(ReplicaView):
     """Simulator of the repeated balls-into-bins process.
 
-    ``n_balls`` defaults to ``n_bins`` (the paper's setting) and is
-    inferred from ``initial``, a :class:`LoadConfiguration`, an integer
-    array, or ``None`` for the balanced start; see
-    :class:`~repro.core.batched.BatchedLoadProcess`.
+    Parameters
+    ----------
+    n_bins:
+        Number of bins ``n``.
+    n_balls:
+        Number of balls ``m``; defaults to ``n_bins`` (the paper's setting).
+        Ignored when ``initial`` is given (the ball count is inferred).
+    initial:
+        Optional starting configuration: a :class:`LoadConfiguration`, an
+        integer array, or ``None`` for the balanced one-ball-per-bin start.
+    seed:
+        Seed-like value for the random generator.
     """
 
     def __init__(

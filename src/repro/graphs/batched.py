@@ -177,7 +177,7 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
             combined = cells - nodes + destinations
             loads += np.bincount(
                 combined, minlength=self._n_replicas * n
-            ).reshape(self._n_replicas, n).astype(np.int32)
+            ).reshape(self._n_replicas, n)
         else:
             if active.all():
                 multiplicities = loads.ravel()
