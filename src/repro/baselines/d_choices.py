@@ -12,11 +12,11 @@ process already achieves ``O(log n)``.
 :class:`BatchedDChoices` simulates ``R`` replicas of the repeated process
 as one ``(R, n)`` load matrix — placements stay sequential *within* each
 replica (that is the Greedy[d] semantics).  Its numpy reference kernel
-draws a round's choices in one call and performs the ``k``-th placement
-of every replica in one vectorized operation, so the Python-level loop
-count drops from ``sum_r h_r`` to ``max_r h_r`` per round; at ``R == 1``
-it places the one row's balls one by one.  Its native kernel
-(``greedy_kernel.c``) runs a whole window in one C call.
+draws a round's choices in chunks of whole placements and performs the
+``k``-th placement of every replica in one vectorized operation, so the
+Python-level loop count drops from ``sum_r h_r`` to ``max_r h_r`` per
+round; at ``R == 1`` it places the one row's balls one by one.  Its
+native kernel (``greedy_kernel.c``) runs a whole window in one C call.
 :class:`DChoicesProcess` is one run, the ``R == 1`` view of it (see
 :class:`~repro.core.process.ReplicaView`).
 """

@@ -156,13 +156,13 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
         arrivals of the whole ensemble.  At ``R == 1`` the node indices
         are the cells themselves, so the round skips the block offsets.
         """
+        if self._n_replicas == 1:
+            if self._active[0]:
+                self._advance_row(self._loads[0])
+            return
         loads = self._loads
         active = self._active
         n = self._n_bins
-        if self._n_replicas == 1:
-            if active[0]:
-                self._advance_row(loads[0])
-            return
         if self._constrained:
             nonempty = loads > 0
             if not active.all():

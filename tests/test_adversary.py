@@ -114,6 +114,22 @@ class TestFaultSchedule:
         with pytest.raises(ConfigurationError):
             FaultSchedule(period=5, offset=0)
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            FaultSchedule.never(),
+            FaultSchedule.every(1),
+            FaultSchedule.every(10),
+            FaultSchedule.every(7, offset=3),
+            FaultSchedule(period=None, explicit_rounds={0, 5, 9, 40}),
+            FaultSchedule(period=6, offset=4, explicit_rounds={1, 4, 11}),
+        ],
+    )
+    def test_fault_rounds_lists_the_faulty_rounds(self, schedule):
+        for rounds in (0, 1, 9, 10, 31):
+            expected = [t for t in range(1, rounds + 1) if schedule.is_faulty(t)]
+            assert schedule.fault_rounds(rounds) == expected
+
 
 class TestFaultyProcess:
     def test_no_faults_matches_plain_process_statistics(self):
