@@ -12,11 +12,11 @@ process already achieves ``O(log n)``.
 :class:`BatchedDChoices` simulates ``R`` replicas of the repeated process
 as one ``(R, n)`` load matrix — placements stay sequential *within* each
 replica (that is the Greedy[d] semantics).  Its numpy reference kernel
-draws a round's choices in chunks of whole placements and performs the
-``k``-th placement of every replica in one vectorized operation, so the
-Python-level loop count drops from ``sum_r h_r`` to ``max_r h_r`` per
-round; at ``R == 1`` it places the one row's balls one by one.  Its
-native kernel (``greedy_kernel.c``) runs a whole window in one C call.
+performs the ``k``-th placement of every replica in one vectorized
+operation, so the Python-level loop count drops from ``sum_r h_r`` to
+``max_r h_r`` per round; at ``R == 1`` it places the one row's balls one
+by one.  Its native kernel (``greedy_kernel.c``) runs a whole window in
+one C call.
 :class:`DChoicesProcess` is one run, the ``R == 1`` view of it (see
 :class:`~repro.core.process.ReplicaView`).
 """
@@ -37,9 +37,6 @@ from ..core.process import ReplicaView
 from ..errors import ConfigurationError
 from ..rng import as_generator
 from ..types import SeedLike
-
-#: Rows of choices a batched numpy round draws at once (whole placements).
-_CHOICE_CHUNK = 2**12
 
 __all__ = [
     "one_shot_d_choices_max_load",
@@ -250,30 +247,28 @@ class BatchedDChoices(BatchedLoadProcess):
     def _advance(self) -> None:
         """One round for all active replicas (numpy kernel).
 
-        The round's choices are drawn in placement order: the ``k``-th
-        placement of every replica that has one, for ``k = 0, 1, ...``,
-        replicas in index order, a chunk of whole placements per
-        ``rng.integers`` call.  Splitting that draw anywhere draws the same
-        values, so the ``R == 1`` loop, which takes the row's ``h``
-        placements from one ``(h, d)`` draw, and the vectorized one consume
-        the generator alike.
+        The ``k``-th placement of every replica that has one draws its
+        ``d`` choices in one ``rng.integers`` call.  At ``R == 1`` the
+        row's ``h`` balls are placed one by one from one ``(h, d)`` draw
+        instead (``d = 1`` is :func:`one_choice_round`): a split of that
+        draw draws the same values, so both consume the generator alike.
         """
         loads = self._loads
         active = self._active
-        n, d, rng = self._n_bins, self._d, self._rng
+        n = self._n_bins
         if self._n_replicas == 1:
+            row = loads[0]
             if not active[0]:
                 return
-            row = loads[0]
-            if d == 1:
-                one_choice_round(row, rng)
+            if self._d == 1:
+                one_choice_round(row, self._rng)
                 return
             departing = np.minimum(row, 1)
-            placements = int(np.count_nonzero(departing))
-            if placements:
+            h = int(np.count_nonzero(departing))
+            if h:
                 row -= departing
                 # min() keeps the first least-loaded candidate, as argmin does
-                for choices in rng.integers(0, n, size=(placements, d)).tolist():
+                for choices in self._rng.integers(0, n, size=(h, self._d)).tolist():
                     row[min(choices, key=row.__getitem__)] += 1
             return
         nonempty = loads > 0
@@ -283,26 +278,15 @@ class BatchedDChoices(BatchedLoadProcess):
         if not counts.any():
             return
         loads -= nonempty
-        if d == 1:
+        if self._d == 1:
             loads += one_choice_arrivals(
-                rng, self._row_base, counts, self._n_replicas, n
+                self._rng, self._row_base, counts, self._n_replicas, n
             )
             return
-        # ends[k]: the round's placements up to and including the k-th
-        # ones (the k-th placement is made by every row with more than k)
-        ends = np.cumsum(np.cumsum(np.bincount(counts)[::-1])[::-1][1:])
-        first = drawn = 0
-        while first < ends.size:
-            # the choices of whole placements, up to _CHOICE_CHUNK rows
-            last = max(first + 1, int(np.searchsorted(ends, drawn + _CHOICE_CHUNK)))
-            choices = rng.integers(0, n, size=(int(ends[last - 1]) - drawn, d))
-            drawn = int(ends[last - 1])
-            end = 0
-            for k in range(first, last):
-                placing = self._rows[counts > k]
-                start, end = end, end + placing.size
-                block = choices[start:end]
-                candidates = loads[placing[:, None], block]
-                best = block[np.arange(placing.size), np.argmin(candidates, axis=1)]
-                loads[placing, best] += 1
-            first = last
+        max_h = int(counts.max())
+        for k in range(max_h):
+            placing = self._rows[counts > k]
+            choices = self._rng.integers(0, n, size=(placing.size, self._d))
+            candidates = loads[placing[:, None], choices]
+            best = choices[np.arange(placing.size), np.argmin(candidates, axis=1)]
+            loads[placing, best] += 1

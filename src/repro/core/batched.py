@@ -182,7 +182,7 @@ def check_state_fits(n_bins: int, n_balls) -> None:
     ...
     repro.errors.ConfigurationError: the state does not fit its int32 loads: ...
     """
-    most = int(np.asarray(n_balls).max())
+    most = int(np.max(n_balls))
     if n_bins >= 2**31 or most >= _BALL_LIMIT:
         raise ConfigurationError(
             "the state does not fit its int32 loads: n_bins must stay below "
@@ -607,8 +607,8 @@ class BatchedLoadProcess:
     n_replicas:
         Number of independent replicas ``R``.
     n_balls:
-        Balls per replica; defaults to ``n_bins``.  Ignored when ``initial``
-        is given (ball counts are inferred per replica).
+        Balls per replica; defaults to ``n_bins``.  With a 1-D ``initial``
+        it must equal its ball count; a 2-D one gives each replica's.
     initial:
         ``None`` for the balanced start, a :class:`LoadConfiguration` or
         1-D array replicated across replicas, or a 2-D ``(R, n)`` array of
@@ -727,10 +727,9 @@ class BatchedLoadProcess:
             raise ConfigurationError(
                 f"initial must be 1-D or 2-D, got ndim={arr.ndim}"
             )
-        if arr.ndim == 2:
-            totals = self._checked_loads(arr, "initial")
-        else:  # a row is checked once; every replica holds its balls
-            totals = np.repeat(self._checked_values(arr[np.newaxis], "initial"), R)
+        # a row is checked as the (R, n) state it becomes
+        matrix = np.broadcast_to(arr, (R, n)) if arr.ndim == 1 else arr
+        totals = self._checked_loads(matrix, "initial")
         if arr.ndim == 1 and n_balls is not None and n_balls != totals[0]:
             raise ConfigurationError(
                 f"n_balls={n_balls} contradicts initial configuration "
@@ -751,11 +750,7 @@ class BatchedLoadProcess:
             raise ConfigurationError(
                 f"{what} loads have shape {arr.shape}, expected {shape}"
             )
-        return self._checked_values(arr, what)
-
-    def _checked_values(self, arr: np.ndarray, what: str) -> np.ndarray:
-        """:meth:`_checked_loads` without the shape check, for any rows."""
-        if arr.dtype.kind not in "iu":
+        if not np.issubdtype(arr.dtype, np.integer):
             if not np.all(np.equal(np.mod(arr, 1), 0)):
                 raise ConfigurationError(f"{what} loads must be integer-valued")
         if arr.min() < 0:
@@ -850,6 +845,10 @@ class BatchedLoadProcess:
     def deactivate(self, mask: np.ndarray) -> None:
         """Freeze the replicas selected by a boolean mask."""
         self._active[np.asarray(mask, dtype=bool)] = False
+
+    def reactivate(self) -> None:
+        """Unfreeze every replica an early stop or :meth:`deactivate` froze."""
+        self._active[:] = True
 
     def run(
         self,
@@ -1076,13 +1075,19 @@ class BatchedLoadProcess:
         """Advance the window on ``plan``'s path; returns ``(max_seen, min_empty)``.
 
         A numpy plan runs the reference loop in
-        :func:`repro.metrics.window.run_window`, a fused plan one
+        :func:`repro.metrics.window.run_window` (at ``R == 1``, its rule on
+        Python ints in :meth:`_run_one_replica`), a fused plan one
         :meth:`_run_native_fused` call (``faults``, the kernel's fault
         arguments, checked, ride on it), and any other native plan the
         segmented loop.  Each advances the process's own int32 state in
         place.
         """
         if plan.kernel != "native":
+            if self._n_replicas == 1:
+                return self._run_one_replica(
+                    rounds, threshold, stop_when_legitimate, first_legit,
+                    observers, observe_every,
+                )
             max_seen, min_empty, _, _ = run_window(
                 self,
                 rounds,
@@ -1121,6 +1126,58 @@ class BatchedLoadProcess:
             if observed:
                 observers.observe(int(self._rounds_done.max()), self.loads)
         return max_seen, min_empty
+
+    def _run_one_replica(
+        self, rounds, threshold, stop_when_legitimate, first_legit, observers,
+        observe_every,
+    ):
+        """:func:`~repro.metrics.window.run_window`'s rule for ``R == 1``, on
+        Python ints; returns ``(max_seen, min_empty)``.
+
+        Each round is one :meth:`_advance` of the state's one row, whose max
+        load and empty-bin count are read as ints, with no per-round vector
+        of counters, masks or axis reductions.  The round counter is
+        written back before each observation and when the window ends, and
+        an early stop freezes the replica as the vector loop does.
+        """
+        n = self._n_bins
+        row = self._loads[0]
+        counter = self._rounds_done
+        done = int(counter[0])
+        max_seen, min_empty, first = 0, n, int(first_legit[0])
+        if not self._active[0]:
+            rounds = 0
+        advance = self._advance
+        observed = not observers.is_empty
+        try:
+            for executed in range(1, rounds + 1):
+                advance()
+                done += 1
+                current = int(np.maximum.reduce(row))  # row.max() without its wrapper
+                empty = n - int(np.count_nonzero(row))
+                if current > max_seen:
+                    max_seen = current
+                if empty < min_empty:
+                    min_empty = empty
+                stop = False
+                if first < 0 and current <= threshold:
+                    first = done
+                    stop = stop_when_legitimate
+                if observed and (
+                    stop or executed % observe_every == 0 or executed == rounds
+                ):
+                    counter[0] = done
+                    observers.observe(done, self.loads)
+                if stop:
+                    self._active[0] = False
+                    break
+        finally:
+            counter[0] = done
+        first_legit[0] = first
+        return (
+            np.array([max_seen], dtype=np.int64),
+            np.array([min_empty], dtype=np.int64),
+        )
 
     def _run_native_fused(
         self, kernel, rounds, threshold, first_legit, observers, observe_every,
@@ -1268,7 +1325,7 @@ class BatchedLoadProcess:
         """
         arr = np.asarray(loads)
         totals = self._checked_loads(arr, "injected")
-        if (totals != self._n_balls).any():
+        if not np.array_equal(totals, self._n_balls):
             bad = int(np.flatnonzero(totals != self._n_balls)[0])
             raise ConfigurationError(
                 f"injected loads do not conserve balls in replica {bad}: "
@@ -1359,7 +1416,7 @@ class BatchedLoadProcess:
 
     def _check_conservation(self) -> None:
         totals = self._loads.sum(axis=1, dtype=np.int64)
-        if (totals != self._n_balls).any():
+        if not np.array_equal(totals, self._n_balls):
             bad = int(np.flatnonzero(totals != self._n_balls)[0])
             raise SimulationError(
                 f"ball count not conserved in replica {bad}: expected "

@@ -61,8 +61,10 @@ class SimulationResult:
         The smallest per-round empty-bin count observed in this call; a
         call that ran no round reports the current configuration's.
     first_legitimate_round:
-        First round index (within this call, 1-based from the caller's
-        starting round) whose configuration was legitimate, or ``None``.
+        The process's round index at the first legitimate configuration
+        this call reached, or ``None``.  With ``stop_when_legitimate`` the
+        starting configuration counts too: a legitimate one reports the
+        round the call started at.
     """
 
     rounds: int
@@ -152,7 +154,7 @@ class ReplicaView:
         window = batch.advance_window(
             rounds, beta, stop_when_legitimate, observers, observe_every
         )
-        batch._active[0] = True
+        batch.reactivate()
         first = int(window.first_legitimate_round[0])
         return SimulationResult(
             rounds=int(window.rounds[0]),
@@ -173,7 +175,7 @@ class RepeatedBallsIntoBins(ReplicaView):
         Number of bins ``n``.
     n_balls:
         Number of balls ``m``; defaults to ``n_bins`` (the paper's setting).
-        Ignored when ``initial`` is given (the ball count is inferred).
+        With ``initial`` it may be left out, and must equal its ball count.
     initial:
         Optional starting configuration: a :class:`LoadConfiguration`, an
         integer array, or ``None`` for the balanced one-ball-per-bin start.

@@ -81,7 +81,7 @@ class BatchedConstrainedWalks(BatchedLoadProcess):
         Number of independent replicas ``R``.
     n_tokens:
         Tokens per replica (default: one per node, the paper's setting).
-        Ignored when ``initial`` is given.
+        With a 1-D ``initial`` it must equal its token count.
     initial:
         ``None`` for the balanced start, a single configuration
         replicated across replicas, or a 2-D ``(R, n)`` matrix of

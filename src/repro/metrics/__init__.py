@@ -18,7 +18,7 @@ share:
   they observe (memory ``O(R)``, not ``O(R·T)``, when series recording is
   off).
 * :mod:`~repro.metrics.window` — the shared window-metric run loop of the
-  batched processes, on Python ints at ``R == 1``.
+  batched processes.
 * :mod:`~repro.metrics.payload` / :mod:`~repro.metrics.registry` — the
   containers and validated names through which ``EnsembleSpec.metrics``
   requests observation and results carry it.

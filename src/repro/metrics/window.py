@@ -11,11 +11,6 @@ The loop also drives observers: every ``observe_every`` executed rounds
 :class:`~repro.metrics.base.BatchedObserverList` sees
 ``(round_index, loads)`` with the engine's current ``(R, n)`` state, where
 ``round_index`` is the global round counter of the most-advanced replica.
-
-A one-replica window — every single-replica simulator is one — runs the
-same rule on Python ints: it calls the process's ``_advance`` directly
-and reduces the one row, with no per-round vector of counters, masks or
-axis reductions.
 """
 
 from __future__ import annotations
@@ -41,12 +36,10 @@ def run_window(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Advance ``process`` up to ``rounds`` rounds, reducing window metrics.
 
-    ``process`` is a :class:`~repro.core.batched.BatchedLoadProcess`: the
-    loop steps it through ``step`` and reads ``loads``, ``active`` and
-    ``rounds_completed``, or, at ``R == 1``, advances its one row through
-    ``_advance`` (see :func:`_run_one_replica`).  ``first_legit`` may be a
-    pre-seeded ``(R,)`` vector (the batched pre-check writes into it); it
-    is updated in place.
+    ``process`` exposes the batched stepping surface (``step``, ``loads``,
+    ``active``, ``rounds_completed``, ``deactivate``).  ``first_legit``
+    may be a pre-seeded ``(R,)`` vector (the batched pre-check writes into
+    it); it is updated in place.
 
     Returns ``(max_seen, min_empty, first_legit, executed)`` where the
     first two are per-replica reductions over the rounds each replica
@@ -63,11 +56,6 @@ def run_window(
     R, n = process.n_replicas, process.n_bins
     if first_legit is None:
         first_legit = np.full(R, -1, dtype=np.int64)
-    if R == 1:
-        return _run_one_replica(
-            process, rounds, threshold, stop_when_legitimate, first_legit,
-            obs, observe_every,
-        )
     max_seen = np.zeros(R, dtype=np.int64)
     min_empty = np.full(R, n, dtype=np.int64)
     executed = 0
@@ -93,56 +81,3 @@ def run_window(
         ):
             obs.observe(int(process.rounds_completed.max()), loads)
     return max_seen, min_empty, first_legit, executed
-
-
-def _run_one_replica(
-    process, rounds, threshold, stop_when_legitimate, first_legit, obs,
-    observe_every,
-):
-    """:func:`run_window`'s loop for ``R == 1``, on Python ints.
-
-    Each round is one ``process._advance()`` on the state's one row, whose
-    max load and empty-bin count are read as ints.  The round counter is
-    written back before each observation and when the window ends, and an
-    early stop freezes the replica as the vector loop does.
-    """
-    n = process.n_bins
-    row = process._loads[0]
-    counter = process._rounds_done
-    start = done = int(counter[0])
-    max_seen, min_empty, first = 0, n, int(first_legit[0])
-    if not process._active[0]:
-        rounds = 0
-    advance = process._advance
-    observed = not obs.is_empty
-    try:
-        for executed in range(1, rounds + 1):
-            advance()
-            done += 1
-            current = int(np.maximum.reduce(row))  # row.max() without its wrapper
-            empty = n - int(np.count_nonzero(row))
-            if current > max_seen:
-                max_seen = current
-            if empty < min_empty:
-                min_empty = empty
-            stop = False
-            if first < 0 and current <= threshold:
-                first = done
-                stop = stop_when_legitimate
-            if observed and (
-                stop or executed % observe_every == 0 or executed == rounds
-            ):
-                counter[0] = done
-                obs.observe(done, process.loads)
-            if stop:
-                process._active[0] = False
-                break
-    finally:
-        counter[0] = done
-    first_legit[0] = first
-    return (
-        np.array([max_seen], dtype=np.int64),
-        np.array([min_empty], dtype=np.int64),
-        first_legit,
-        done - start,
-    )

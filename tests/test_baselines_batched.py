@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import d_choices
 from repro.baselines.d_choices import (
     BatchedDChoices,
     DChoicesProcess,
@@ -115,25 +114,6 @@ class TestBatchedDChoices:
         frozen = batched.loads.copy()
         batched.run(10)
         assert np.array_equal(batched.loads, frozen)
-
-    @pytest.mark.parametrize("chunk", [1, 5, 64])
-    def test_choice_chunks_keep_the_stream(self, chunk, monkeypatch):
-        # a round's choices are drawn in chunks of whole placements; where
-        # the chunks end changes no load and no generator state
-        def run():
-            rng = np.random.default_rng(5)
-            initial = make_ensemble_initial("random_uniform", 24, 7, seed=6)
-            batched = BatchedDChoices(
-                24, 7, d=3, initial=initial, seed=rng, kernel="numpy"
-            )
-            batched.run(15)
-            return batched.loads.copy(), rng.bit_generator.state
-
-        loads, state = run()
-        monkeypatch.setattr(d_choices, "_CHOICE_CHUNK", chunk)
-        chunked_loads, chunked_state = run()
-        assert np.array_equal(chunked_loads, loads)
-        assert chunked_state == state
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,7 +1,8 @@
 """The window rule of the numpy run loop, held against a per-round scan.
 
-``run_window`` reduces a one-replica window on Python ints and a wider
-one on vectors.  Both must report what a scan of every executed round's
+A batched process reduces a one-replica numpy window on Python ints
+(``BatchedLoadProcess._run_one_replica``) and a wider one on vectors
+(``run_window``).  Both must report what a scan of every executed round's
 configuration gives: a twin process with the same seed records each
 round through a stride-1 trace, and the window's max load, min empty-bin
 count, first legitimate round, rounds run and observation rounds are
