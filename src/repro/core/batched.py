@@ -846,9 +846,14 @@ class BatchedLoadProcess:
         """Freeze the replicas selected by a boolean mask."""
         self._active[np.asarray(mask, dtype=bool)] = False
 
-    def reactivate(self) -> None:
-        """Unfreeze every replica an early stop or :meth:`deactivate` froze."""
-        self._active[:] = True
+    def _unfreeze_single(self) -> None:
+        """Unfreeze the replica of a one-replica process after an early stop.
+
+        A :class:`~repro.core.process.ReplicaView`'s stop holds for one call
+        only.  Wider processes have no way back: their unfrozen replicas
+        would run on unequal clocks, which a fused window does not expect.
+        """
+        self._active[0] = True
 
     def run(
         self,

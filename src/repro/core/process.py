@@ -154,7 +154,7 @@ class ReplicaView:
         window = batch.advance_window(
             rounds, beta, stop_when_legitimate, observers, observe_every
         )
-        batch.reactivate()
+        batch._unfreeze_single()
         first = int(window.first_legitimate_round[0])
         return SimulationResult(
             rounds=int(window.rounds[0]),

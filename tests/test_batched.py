@@ -158,14 +158,6 @@ class TestBatchedEnsemble:
         assert np.array_equal(batched.loads, frozen)
         assert np.array_equal(batched.rounds_completed, rounds_before)
 
-    def test_reactivate_unfreezes_stopped_replicas(self):
-        batched = BatchedRepeatedBallsIntoBins(64, 4, seed=6, kernel="numpy")
-        batched.run(10, stop_when_legitimate=True)  # balanced: all stop
-        assert not batched.active.any()
-        batched.reactivate()
-        assert batched.active.all()
-        assert np.array_equal(batched.run(7).rounds, np.full(4, 7))
-
     def test_early_stop_rounds_match_first_legitimate(self):
         initial = make_ensemble_initial("all_in_one", 64, 8)
         batched = BatchedRepeatedBallsIntoBins(
