@@ -182,7 +182,7 @@ def check_state_fits(n_bins: int, n_balls) -> None:
     ...
     repro.errors.ConfigurationError: the state does not fit its int32 loads: ...
     """
-    most = int(np.max(n_balls))
+    most = int(np.asarray(n_balls).max())
     if n_bins >= 2**31 or most >= _BALL_LIMIT:
         raise ConfigurationError(
             "the state does not fit its int32 loads: n_bins must stay below "
@@ -346,6 +346,10 @@ def one_choice_arrivals(
     return arrivals.reshape(n_replicas, n_bins)
 
 
+#: The one-row round's int32 1 (a Python 1 is converted on every call).
+_ONE = np.int32(1)
+
+
 def one_choice_round(row: np.ndarray, rng: np.random.Generator) -> None:
     """One repeated balls-into-bins round of a single load row, in place.
 
@@ -353,7 +357,7 @@ def one_choice_round(row: np.ndarray, rng: np.random.Generator) -> None:
     ``R == 1`` form of the batched round, with the same draws as
     :func:`one_choice_arrivals` for one replica.
     """
-    departing = np.minimum(row, 1)  # int32, so no casting loop below
+    departing = np.minimum(row, _ONE)  # int32, so no casting loop below
     departures = int(np.count_nonzero(departing))
     if departures:
         row -= departing
@@ -750,7 +754,7 @@ class BatchedLoadProcess:
             raise ConfigurationError(
                 f"{what} loads have shape {arr.shape}, expected {shape}"
             )
-        if not np.issubdtype(arr.dtype, np.integer):
+        if arr.dtype.kind not in "iu":
             if not np.all(np.equal(np.mod(arr, 1), 0)):
                 raise ConfigurationError(f"{what} loads must be integer-valued")
         if arr.min() < 0:
@@ -1330,7 +1334,7 @@ class BatchedLoadProcess:
         """
         arr = np.asarray(loads)
         totals = self._checked_loads(arr, "injected")
-        if not np.array_equal(totals, self._n_balls):
+        if (totals != self._n_balls).any():
             bad = int(np.flatnonzero(totals != self._n_balls)[0])
             raise ConfigurationError(
                 f"injected loads do not conserve balls in replica {bad}: "
@@ -1421,7 +1425,7 @@ class BatchedLoadProcess:
 
     def _check_conservation(self) -> None:
         totals = self._loads.sum(axis=1, dtype=np.int64)
-        if not np.array_equal(totals, self._n_balls):
+        if (totals != self._n_balls).any():
             bad = int(np.flatnonzero(totals != self._n_balls)[0])
             raise SimulationError(
                 f"ball count not conserved in replica {bad}: expected "

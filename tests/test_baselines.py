@@ -130,16 +130,10 @@ class TestDChoices:
             DChoicesProcess(8, initial=LoadConfiguration.balanced(4))
         with pytest.raises(ConfigurationError):
             DChoicesProcess(8, n_balls=-1)
+        with pytest.raises(ConfigurationError, match="contradicts"):
+            DChoicesProcess(8, n_balls=5, initial=LoadConfiguration.all_in_one(8))
         with pytest.raises(ConfigurationError):
             DChoicesProcess(8, seed=0).run(-1)
-
-    def test_n_balls_must_match_initial(self):
-        # a ball count that contradicts the start is refused, as for
-        # RepeatedBallsIntoBins and the walks; a matching one is accepted
-        start = LoadConfiguration.all_in_one(8)
-        with pytest.raises(ConfigurationError, match="contradicts"):
-            DChoicesProcess(8, n_balls=5, initial=start)
-        assert DChoicesProcess(8, n_balls=8, initial=start).n_balls == 8
 
 
 class TestIndependentThrows:
