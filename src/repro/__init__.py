@@ -33,8 +33,8 @@ _EXPORTS = {
             "LoadConfiguration", "legitimacy_threshold", "RepeatedBallsIntoBins",
             "SimulationResult", "BatchedProcess", "BatchedLoadProcess",
             "BatchedRepeatedBallsIntoBins", "EnsembleResult", "make_ensemble_initial",
-            "native_available", "TetrisProcess", "ProbabilisticTetris", "CoupledRun",
-            "CouplingResult", "TokenRepeatedBallsIntoBins",
+            "native_available", "TetrisProcess", "ProbabilisticTetris", "BatchedTetris",
+            "CoupledRun", "CouplingResult", "TokenRepeatedBallsIntoBins",
         ),
         "metrics": (
             "METRIC_NAMES", "MetricPayload", "BatchedObserverList",

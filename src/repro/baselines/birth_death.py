@@ -14,6 +14,11 @@ result (experiment E11), this module provides
   state (so arrivals are i.i.d. ``Binomial(n, 1/n)`` per bin, with zero
   expected drift at every bin).  Its maximum load does grow with the window
   length, unlike the real process.
+
+The surrogate is the Tetris process with ``n`` arrivals per round: one run
+of it is a :class:`~repro.core.tetris.TetrisProcess` (an ``R == 1`` view of
+:class:`~repro.core.tetris.BatchedTetris`), and E11 runs its trials as the
+replicas of one ``BatchedTetris(n, R, arrivals_per_round=n)``.
 """
 
 from __future__ import annotations
@@ -80,10 +85,9 @@ class IndependentThrowsProcess(TetrisProcess):
         ``max_load_seen`` includes the configuration at call time, so
         ``run(0)`` reports the starting maximum.
         """
-        start_max = self.max_load
-        result = super().run(rounds, observers)
+        window = self._window(rounds, observers=observers, seeded=True)
         return IndependentThrowsResult(
-            rounds=result.rounds,
-            final_configuration=result.final_configuration,
-            max_load_seen=max(start_max, result.max_load_seen),
+            rounds=window.rounds,
+            final_configuration=window.final_configuration,
+            max_load_seen=window.max_load_seen,
         )

@@ -28,7 +28,7 @@ from .queueing import (
     SmallestIDDiscipline,
     get_discipline,
 )
-from .tetris import ProbabilisticTetris, TetrisProcess
+from .tetris import BatchedTetris, ProbabilisticTetris, TetrisProcess
 from .token_process import TokenProcessResult, TokenRepeatedBallsIntoBins
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "native_status",
     "TetrisProcess",
     "ProbabilisticTetris",
+    "BatchedTetris",
     "CoupledRun",
     "CouplingResult",
     "TokenRepeatedBallsIntoBins",

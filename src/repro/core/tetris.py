@@ -13,11 +13,22 @@ Because arrivals are i.i.d. binomial and independent of the state, standard
 concentration applies; the paper couples the two processes (Lemma 3) so that
 the Tetris maximum load stochastically dominates the original one w.h.p.
 
-:class:`ProbabilisticTetris` implements the follow-up model of
-Berenbrink et al. (PODC 2016, reference [18] in the paper) in which the
-number of new balls per round is ``Binomial(n, lam)`` for an arrival rate
-``lam`` in ``[0, 1]`` — the "leaky bins in batches" process.  It is used by
-experiment E15 to show stability for ``lam`` bounded away from 1.
+The "leaky bins in batches" of Berenbrink et al. (PODC 2016, reference [18]
+in the paper) throw ``Binomial(n, lam)`` new balls per round instead, for
+an arrival rate ``lam`` in ``[0, 1]``; experiment E15 uses them to show
+stability for ``lam`` bounded away from 1.
+
+:class:`BatchedTetris` runs ``R`` replicas of either arrival rule as one
+``(R, n)`` state: a :class:`~repro.core.batched.BatchedLoadProcess` whose
+numpy round is rbb's departure step followed by
+:func:`~repro.core.batched.one_choice_arrivals` with each replica's arrival
+count (there is no native kernel).  The process is open: each replica's
+ball count moves by its arrivals minus its departures, and the
+conservation check follows it.  :class:`TetrisProcess`,
+:class:`ProbabilisticTetris` and
+:class:`~repro.baselines.birth_death.IndependentThrowsProcess` are one run
+each, the ``R == 1`` views of it (see
+:class:`~repro.core.process.ReplicaView`).
 """
 
 from __future__ import annotations
@@ -27,13 +38,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
+from .batched import BatchedLoadProcess, check_state_fits, one_choice_arrivals
+from .config import LoadConfiguration
+from .process import ReplicaView
 from ..errors import ConfigurationError
 from ..metrics.base import BatchedObserverList
 from ..rng import as_generator
-from ..types import LoadVector, SeedLike
+from ..types import SeedLike
 
-__all__ = ["TetrisProcess", "ProbabilisticTetris", "TetrisResult"]
+__all__ = ["BatchedTetris", "TetrisProcess", "ProbabilisticTetris", "TetrisResult"]
 
 
 @dataclass
@@ -47,10 +60,12 @@ class TetrisResult:
     final_configuration:
         Loads after the last round (note: Tetris does *not* conserve balls).
     max_load_seen:
-        Window maximum of the per-round maximum load.
+        Window maximum of the per-round maximum load; a call that ran no
+        round reports the current configuration's.
     all_bins_emptied_by:
         First round by which every bin had been empty at least once during
         this call, or ``None`` if some bin never emptied (Lemma 4 metric).
+        Bins empty at call time count as emptied at round 0.
     """
 
     rounds: int
@@ -59,8 +74,96 @@ class TetrisResult:
     all_bins_emptied_by: Optional[int]
 
 
-class TetrisProcess:
+class BatchedTetris(BatchedLoadProcess):
+    """Vectorized ensemble of ``R`` independent Tetris runs.
+
+    In every round each non-empty bin of every active replica discards one
+    ball, and then each active replica throws its arrival count of new
+    balls uniformly at random: ``arrivals_per_round``, or, given ``lam``,
+    one ``Binomial(n, lam)`` draw per replica, made each round before that
+    round's throws.  A round whose arrivals would take a replica to
+    ``2**31 - 1`` balls is refused (:func:`~repro.core.batched.check_state_fits`)
+    before anything is written.
+
+    Parameters
+    ----------
+    n_bins, n_replicas, initial, seed:
+        As for :class:`~repro.core.batched.BatchedLoadProcess`; the start,
+        and :meth:`reset`'s without one, is one ball per bin.
+    arrivals_per_round:
+        New balls per replica and round; defaults to ``floor(3n/4)`` as in
+        the paper.
+    lam:
+        Arrival rate of the Binomial rule, in ``[0, 1]``.  It replaces
+        ``arrivals_per_round``, which then reads 0.
+    """
+
+    def __init__(
+        self,
+        n_bins: int,
+        n_replicas: int,
+        arrivals_per_round: Optional[int] = None,
+        lam: Optional[float] = None,
+        initial: Union[LoadConfiguration, np.ndarray, None] = None,
+        seed: SeedLike = None,
+    ) -> None:
+        if lam is not None:
+            if arrivals_per_round is not None:
+                raise ConfigurationError("give arrivals_per_round or lam, not both")
+            if not 0.0 <= lam <= 1.0:
+                raise ConfigurationError(f"lam must be in [0, 1], got {lam}")
+            arrivals_per_round = 0
+        elif arrivals_per_round is None:
+            arrivals_per_round = (3 * n_bins) // 4
+        if arrivals_per_round < 0:
+            raise ConfigurationError(
+                f"arrivals_per_round must be >= 0, got {arrivals_per_round}"
+            )
+        super().__init__(n_bins, n_replicas, initial=initial, seed=seed)
+        self._arrivals = int(arrivals_per_round)
+        self._lam = None if lam is None else float(lam)
+
+    @property
+    def arrivals_per_round(self) -> int:
+        return self._arrivals
+
+    @property
+    def lam(self) -> Optional[float]:
+        """The Binomial rule's arrival rate, or ``None`` for a fixed count."""
+        return self._lam
+
+    def _advance(self) -> None:
+        """One round for all active replicas (numpy kernel)."""
+        loads, active = self._loads, self._active
+        R, n = self._n_replicas, self._n_bins
+        nonempty = loads > 0
+        if not active.all():
+            nonempty &= active[:, None]
+        if self._lam is None:
+            arrivals = np.full(R, self._arrivals, dtype=np.int64)
+        else:
+            arrivals = self._rng.binomial(n, self._lam, size=R)
+        arrivals *= active
+        totals = self._n_balls - np.count_nonzero(nonempty, axis=1) + arrivals
+        check_state_fits(n, totals)
+        loads -= nonempty
+        loads += one_choice_arrivals(self._rng, self._row_base, arrivals, R, n)
+        self._n_balls = totals
+
+    def reset(
+        self, initial: Union[LoadConfiguration, np.ndarray, None] = None
+    ) -> None:
+        """:meth:`BatchedLoadProcess.reset`, to one ball per bin by default."""
+        super().reset(
+            LoadConfiguration.balanced(self._n_bins) if initial is None else initial
+        )
+
+
+class TetrisProcess(ReplicaView):
     """The Tetris process with a deterministic number of arrivals per round.
+
+    Replica 0 of a one-replica :class:`BatchedTetris` (see
+    :class:`~repro.core.process.ReplicaView`).
 
     Parameters
     ----------
@@ -82,136 +185,42 @@ class TetrisProcess:
         initial: Union[LoadConfiguration, np.ndarray, None] = None,
         seed: SeedLike = None,
     ) -> None:
-        if n_bins < 1:
-            raise ConfigurationError(f"n_bins must be >= 1, got {n_bins}")
-        if arrivals_per_round is None:
-            arrivals_per_round = (3 * n_bins) // 4
-        if arrivals_per_round < 0:
-            raise ConfigurationError(
-                f"arrivals_per_round must be >= 0, got {arrivals_per_round}"
+        super().__init__(
+            BatchedTetris(
+                n_bins, 1, arrivals_per_round, initial=initial,
+                seed=as_generator(seed),
             )
-        self._n_bins = n_bins
-        self._arrivals = int(arrivals_per_round)
-        if initial is None:
-            self._loads = LoadConfiguration.balanced(n_bins).as_array()
-        else:
-            config = initial if isinstance(initial, LoadConfiguration) else LoadConfiguration(np.asarray(initial))
-            if config.n_bins != n_bins:
-                raise ConfigurationError(
-                    f"initial configuration has {config.n_bins} bins, expected {n_bins}"
-                )
-            self._loads = config.as_array()
-        self._rng = as_generator(seed)
-        self._round = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def n_bins(self) -> int:
-        return self._n_bins
+        )
 
     @property
     def arrivals_per_round(self) -> int:
-        return self._arrivals
-
-    @property
-    def round_index(self) -> int:
-        return self._round
-
-    @property
-    def loads(self) -> LoadVector:
-        view = self._loads.view()
-        view.setflags(write=False)
-        return view
-
-    def configuration(self) -> LoadConfiguration:
-        """Immutable snapshot of the current configuration."""
-        return LoadConfiguration(self._loads)
-
-    @property
-    def max_load(self) -> int:
-        return int(self._loads.max())
-
-    @property
-    def num_empty_bins(self) -> int:
-        return int(np.count_nonzero(self._loads == 0))
-
-    def is_legitimate(self, beta: float = DEFAULT_BETA) -> bool:
-        """Whether the current configuration is legitimate (max load <= beta*log n)."""
-        return self.max_load <= legitimacy_threshold(self._n_bins, beta)
-
-    # ------------------------------------------------------------------
-    def _arrival_count(self) -> int:
-        """Number of new balls this round (constant for the basic process)."""
-        return self._arrivals
-
-    def step(self) -> LoadVector:
-        """Advance one round: discard one ball per non-empty bin, then throw
-        fresh balls uniformly at random."""
-        loads = self._loads
-        nonempty = loads > 0
-        loads -= nonempty
-        arrivals = self._arrival_count()
-        if arrivals:
-            destinations = self._rng.integers(0, self._n_bins, size=arrivals)
-            loads += np.bincount(destinations, minlength=self._n_bins)
-        self._round += 1
-        return self.loads
+        return self._batch.arrivals_per_round
 
     def run(self, rounds: int, observers=None) -> TetrisResult:
-        """Simulate ``rounds`` rounds and collect the Lemma 4 / Lemma 6 metrics."""
-        if rounds < 0:
-            raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-        obs = BatchedObserverList.coerce(observers)
+        """Simulate ``rounds`` rounds and collect the Lemma 4 / Lemma 6 metrics.
 
-        max_load_seen = 0
-        # bins not yet empty in this call; the round the last of them
-        # empties is the round by which every bin has been empty.  A bin
-        # loses at most one ball a round, so none of them can be empty
-        # before ``check_at`` (the round plus their smallest load)
-        pending = self._loads.nonzero()[0]
-        check_at = self._round + (int(self._loads[pending].min()) if pending.size else 0)
-        all_emptied_by = 0
-        executed = 0
-        for _ in range(rounds):
-            loads = self.step()
-            executed += 1
-            current_max = int(loads.max())
-            if current_max > max_load_seen:
-                max_load_seen = current_max
-            if pending.size and self._round >= check_at:
-                pending = pending[loads[pending] != 0]
-                if pending.size:
-                    check_at = self._round + int(loads[pending].min())
-                else:
-                    all_emptied_by = self._round
-            if not obs.is_empty:
-                obs.observe(self._round, loads)
+        ``observers`` see ``(round_index, loads)`` after every round, with
+        the global round index and the ``(1, n)`` state.
+        """
+        # function-level: repro.metrics.trackers imports this package
+        from ..metrics.trackers import BatchedBinEmptyingTracker
 
+        emptying = BatchedBinEmptyingTracker()
+        emptying.observe(0, self._batch.loads)
+        window = self._window(
+            rounds, observers=[emptying, *BatchedObserverList.coerce(observers)]
+        )
+        emptied_by = int(emptying.last_first_empty[0])
         return TetrisResult(
-            rounds=executed,
-            final_configuration=self.configuration(),
-            max_load_seen=max_load_seen,
-            all_bins_emptied_by=None if pending.size else all_emptied_by,
+            rounds=window.rounds,
+            final_configuration=window.final_configuration,
+            max_load_seen=window.max_load_seen,
+            all_bins_emptied_by=None if emptied_by < 0 else emptied_by,
         )
 
     def reset(self, initial: Union[LoadConfiguration, np.ndarray, None] = None) -> None:
         """Reset loads (default: one ball per bin) and zero the round counter."""
-        if initial is None:
-            self._loads = LoadConfiguration.balanced(self._n_bins).as_array()
-        else:
-            config = initial if isinstance(initial, LoadConfiguration) else LoadConfiguration(np.asarray(initial))
-            if config.n_bins != self._n_bins:
-                raise ConfigurationError(
-                    f"initial configuration has {config.n_bins} bins, expected {self._n_bins}"
-                )
-            self._loads = config.as_array()
-        self._round = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{type(self).__name__}(n_bins={self._n_bins}, arrivals={self._arrivals}, "
-            f"round={self._round}, max_load={self.max_load})"
-        )
+        self._batch.reset(initial)
 
 
 class ProbabilisticTetris(TetrisProcess):
@@ -235,14 +244,13 @@ class ProbabilisticTetris(TetrisProcess):
         initial: Union[LoadConfiguration, np.ndarray, None] = None,
         seed: SeedLike = None,
     ) -> None:
-        if not 0.0 <= lam <= 1.0:
-            raise ConfigurationError(f"lam must be in [0, 1], got {lam}")
-        super().__init__(n_bins, arrivals_per_round=0, initial=initial, seed=seed)
-        self._lam = float(lam)
+        ReplicaView.__init__(
+            self,
+            BatchedTetris(
+                n_bins, 1, lam=lam, initial=initial, seed=as_generator(seed)
+            ),
+        )
 
     @property
     def lam(self) -> float:
-        return self._lam
-
-    def _arrival_count(self) -> int:
-        return int(self._rng.binomial(self._n_bins, self._lam))
+        return self._batch.lam

@@ -22,8 +22,9 @@ from ..analysis.statistics import empirical_whp_probability, summarize_trials
 from ..core.config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
 from ..core.coupling import CoupledRun
 from ..errors import ConfigurationError
-from ..core.tetris import TetrisProcess
+from ..core.tetris import BatchedTetris
 from ..markov.absorbing import BinLoadChain, absorption_tail_bound
+from ..metrics.trackers import BatchedBinEmptyingTracker
 from ..parallel.ensemble import EnsembleSpec, run_ensemble
 from ..parallel.seeding import trial_seeds
 from ..rng import as_generator
@@ -263,20 +264,21 @@ def run_e5_tetris_emptying(spec: ExperimentSpec, params: Dict[str, Any], seed) -
 
     for n in sizes:
         bound = tetris_emptying_bound(n)
-        emptied_by = []
-        within_bound = 0
-        for _ in range(trials):
-            tetris = TetrisProcess(n, initial=LoadConfiguration.all_in_one(n), seed=rng)
-            outcome = tetris.run(bound)
-            if outcome.all_bins_emptied_by is not None:
-                emptied_by.append(outcome.all_bins_emptied_by)
-                within_bound += 1
-        summary = summarize_trials(emptied_by) if emptied_by else None
+        tetris = BatchedTetris(
+            n, trials, initial=LoadConfiguration.all_in_one(n), seed=rng
+        )
+        # bins empty at the start count as emptied at round 0
+        emptying = BatchedBinEmptyingTracker()
+        emptying.observe(0, tetris.loads)
+        tetris.run(bound, observers=emptying)
+        emptied_by = emptying.last_first_empty
+        emptied_by = emptied_by[emptied_by >= 0]
+        summary = summarize_trials(emptied_by) if emptied_by.size else None
         result.add_row(
             n=n,
             trials=trials,
             bound_5n=bound,
-            within_bound_fraction=within_bound / trials,
+            within_bound_fraction=emptied_by.size / trials,
             mean_all_emptied_by=summary.mean if summary else None,
             max_all_emptied_by=summary.maximum if summary else None,
             emptied_by_over_n=(summary.mean / n) if summary else None,
@@ -341,12 +343,9 @@ def run_e7_tetris_load(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Ex
     means = []
     for n in sizes:
         rounds = int(rounds_factor * n)
-        maxima = []
-        for _ in range(trials):
-            tetris = TetrisProcess(n, initial=LoadConfiguration.balanced(n), seed=rng)
-            outcome = tetris.run(rounds)
-            maxima.append(outcome.max_load_seen)
-        summary = summarize_trials(maxima)
+        summary = summarize_trials(
+            BatchedTetris(n, trials, seed=rng).run(rounds).max_load_seen
+        )
         means.append(summary.mean)
         result.add_row(
             n=n,

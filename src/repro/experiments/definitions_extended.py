@@ -36,14 +36,13 @@ from ..adversary.faulty_process import FaultSchedule
 from ..analysis.fitting import fit_power_law
 from ..analysis.negative_association import empirical_zero_zero_probability
 from ..analysis.statistics import summarize_trials
-from ..baselines.birth_death import IndependentThrowsProcess, sqrt_t_envelope
+from ..baselines.birth_death import sqrt_t_envelope
 from ..baselines.d_choices import (
     batched_one_shot_d_choices_max_load,
     theoretical_d_choices_max_load,
 )
 from ..baselines.one_shot import theoretical_one_shot_max_load
-from ..core.config import LoadConfiguration
-from ..core.tetris import ProbabilisticTetris, TetrisProcess
+from ..core.tetris import BatchedTetris
 from ..core.token_process import TokenRepeatedBallsIntoBins
 from ..errors import ConfigurationError
 from ..graphs.generators import (
@@ -319,12 +318,9 @@ def run_e11_sqrt_t(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Experi
             seed=seed_children[point],
         )
         rbb_maxima = ensemble.max_load_seen.astype(float)
-        surrogate_maxima = []
-        for _ in range(trials):
-            surrogate = IndependentThrowsProcess(
-                n, initial=LoadConfiguration.balanced(n), seed=rng
-            )
-            surrogate_maxima.append(surrogate.run(rounds).max_load_seen)
+        # the zero-drift surrogate: Tetris with n arrivals per round
+        surrogate = BatchedTetris(n, trials, arrivals_per_round=n, seed=rng)
+        surrogate_maxima = surrogate.run(rounds).max_load_seen
         result.add_row(
             n=n,
             window_rounds=rounds,
@@ -495,14 +491,8 @@ def run_e15_leaky_bins(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Ex
     log_n = max(math.log(n), 1.0)
     rounds = max(int(rounds_factor * n), 1)
     for lam in lams:
-        maxima = []
-        final_totals = []
-        for _ in range(trials):
-            process = ProbabilisticTetris(n, lam=lam, initial=LoadConfiguration.balanced(n), seed=rng)
-            outcome = process.run(rounds)
-            maxima.append(outcome.max_load_seen)
-            final_totals.append(outcome.final_configuration.n_balls)
-        summary = summarize_trials(maxima)
+        outcome = BatchedTetris(n, trials, lam=lam, seed=rng).run(rounds)
+        summary = summarize_trials(outcome.max_load_seen)
         result.add_row(
             n=n,
             lam=lam,
@@ -511,7 +501,7 @@ def run_e15_leaky_bins(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Ex
             mean_window_max=summary.mean,
             max_window_max=summary.maximum,
             window_max_over_log_n=summary.mean / log_n,
-            mean_final_total_balls=float(np.mean(final_totals)),
+            mean_final_total_balls=float(np.mean(outcome.n_balls)),
         )
     result.add_note(
         "The leaky-bins process of [18] stays stable (logarithmic maximum load, bounded total "
@@ -714,13 +704,8 @@ def run_a3_arrival_rate(spec: ExperimentSpec, params: Dict[str, Any], seed) -> E
     log_n = max(math.log(n), 1.0)
     for rho in rhos:
         arrivals = max(int(round(rho * n)), 0)
-        maxima = []
-        for _ in range(trials):
-            tetris = TetrisProcess(
-                n, arrivals_per_round=arrivals, initial=LoadConfiguration.balanced(n), seed=rng
-            )
-            maxima.append(tetris.run(rounds).max_load_seen)
-        summary = summarize_trials(maxima)
+        tetris = BatchedTetris(n, trials, arrivals_per_round=arrivals, seed=rng)
+        summary = summarize_trials(tetris.run(rounds).max_load_seen)
         result.add_row(
             n=n,
             rho=rho,

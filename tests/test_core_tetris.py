@@ -118,7 +118,7 @@ class TestTetrisRun:
             first = np.where(tetris.loads == 0, 0, -1)
 
             def scan(t, loads):
-                first[(first < 0) & (loads == 0)] = t
+                first[(first < 0) & (np.ravel(loads) == 0)] = t
 
             result = tetris.run(rounds, observers=scan)
             expected = int(first.max()) if np.all(first >= 0) else None
