@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import LoadConfiguration
-from repro.core.tetris import ProbabilisticTetris, TetrisProcess
+from repro.core.tetris import BatchedTetris, ProbabilisticTetris, TetrisProcess
 from repro.errors import ConfigurationError
 
 
@@ -170,3 +170,47 @@ class TestProbabilisticTetris:
         process = ProbabilisticTetris(n, lam=0.5, seed=6)
         result = process.run(4 * n)
         assert result.max_load_seen <= 8 * np.log(n)
+
+
+class TestBatchedTetris:
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize(
+        "rule, overflowing",
+        [
+            ({"arrivals_per_round": 5}, {"arrivals_per_round": 2}),
+            ({"lam": 0.6}, {"lam": 1.0}),
+        ],
+        ids=["fixed", "binomial"],
+    )
+    def test_rows_move_by_arrivals_minus_departures(self, R, rule, overflowing):
+        n = 8
+        initial = LoadConfiguration.pyramid(n)
+        process = BatchedTetris(
+            n, R, initial=initial, seed=np.random.default_rng(3), **rule
+        )
+        replay = np.random.default_rng(3)  # the rule's draws, one round at a time
+        for _ in range(40):
+            if "lam" in rule:
+                arrivals = replay.binomial(n, rule["lam"], size=R)
+            else:
+                arrivals = np.full(R, rule["arrivals_per_round"])
+            replay.integers(0, n, size=int(arrivals.sum()))
+            before = process.loads.astype(np.int64)
+            after = process.step().astype(np.int64)
+            thrown = after - before + (before > 0)
+            assert thrown.min() >= 0
+            assert thrown.sum(axis=1).tolist() == arrivals.tolist()
+            assert process.n_balls.tolist() == after.sum(axis=1).tolist()
+        process.run(20)  # the window's open conservation check holds
+
+        # one ball departs and two arrive: the row would hold 2**31 - 1
+        limit = 2**31 - 1
+        big = BatchedTetris(
+            2, R, initial=[limit - 1, 0], seed=np.random.default_rng(4), **overflowing
+        )
+        loads, balls = big.loads.copy(), big.n_balls
+        with pytest.raises(ConfigurationError, match="does not fit"):
+            big.step()
+        assert np.array_equal(big.loads, loads)
+        assert np.array_equal(big.n_balls, balls)
+        assert big.rounds_completed.tolist() == [0] * R

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 from repro.baselines.d_choices import BatchedDChoices
 from repro.core.batched import BatchedRepeatedBallsIntoBins, make_ensemble_initial
 from repro.core.config import legitimacy_threshold
+from repro.core.tetris import BatchedTetris
 from repro.graphs import resolve_topology
 from repro.graphs.batched import BatchedConstrainedWalks
 from repro.metrics import BatchedTraceRecorder
 
-FAMILIES = ("rbb", "greedy1", "greedy2", "cycle", "star")
+FAMILIES = ("rbb", "greedy1", "greedy2", "cycle", "star", "tetris", "leaky")
 
 
 def _process(family, n, R, initial, seed, constrained):
@@ -34,6 +35,10 @@ def _process(family, n, R, initial, seed, constrained):
         return BatchedDChoices(
             n, R, d=int(family[-1]), initial=initial, seed=seed, kernel="numpy"
         )
+    if family == "tetris":  # the fixed floor(3n/4) arrivals
+        return BatchedTetris(n, R, initial=initial, seed=seed)
+    if family == "leaky":  # Binomial(n, 0.7) arrivals
+        return BatchedTetris(n, R, lam=0.7, initial=initial, seed=seed)
     return BatchedConstrainedWalks(
         resolve_topology(f"{family}:{n}"), R, initial=initial,
         constrained=constrained, seed=seed, kernel="numpy",
