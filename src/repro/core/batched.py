@@ -723,24 +723,35 @@ class BatchedLoadProcess:
         arr = initial.loads if isinstance(initial, LoadConfiguration) else (
             np.asarray(initial)
         )
-        if arr.ndim == 1 and arr.shape != (n,):
-            raise ConfigurationError(
-                f"initial configuration has {arr.shape[0]} bins, expected {n}"
-            )
-        if arr.ndim not in (1, 2):
+        if arr.ndim == 2:
+            totals = self._checked_loads(arr, "initial")
+            check_state_fits(n, totals)
+            return arr, totals
+        if arr.ndim != 1:
             raise ConfigurationError(
                 f"initial must be 1-D or 2-D, got ndim={arr.ndim}"
             )
-        # a row is checked as the (R, n) state it becomes
-        matrix = np.broadcast_to(arr, (R, n)) if arr.ndim == 1 else arr
-        totals = self._checked_loads(matrix, "initial")
-        if arr.ndim == 1 and n_balls is not None and n_balls != totals[0]:
+        # a row is checked once, as every replica's start
+        if arr.shape != (n,):
+            raise ConfigurationError(
+                f"initial configuration has {arr.shape[0]} bins, expected {n}"
+            )
+        if arr.dtype.kind not in "iu" and not np.all(np.equal(np.mod(arr, 1), 0)):
+            raise ConfigurationError("initial loads must be integer-valued")
+        if arr.min() < 0:
+            raise ConfigurationError(
+                "initial loads must be non-negative; replica 0 has a negative load"
+            )
+        # below the limit, n loads sum exactly in int64
+        most = int(arr.max())
+        total = int(arr.sum(dtype=np.int64)) if most < _BALL_LIMIT else most
+        check_state_fits(n, total)
+        if n_balls is not None and n_balls != total:
             raise ConfigurationError(
                 f"n_balls={n_balls} contradicts initial configuration "
-                f"with {int(totals[0])} balls"
+                f"with {total} balls"
             )
-        check_state_fits(n, totals)
-        return arr, totals
+        return arr, np.full(R, total, dtype=np.int64)
 
     def _checked_loads(self, arr: np.ndarray, what: str) -> np.ndarray:
         """Check ``arr`` as an ``(R, n)`` state; returns its ball counts.

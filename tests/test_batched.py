@@ -446,6 +446,22 @@ class TestInt32State:
         assert np.array_equal(process.loads, before)
         assert process.n_balls.tolist() == [4, 4]
 
+    def test_a_row_start_is_refused_as_its_matrix_would_be(self):
+        process = BatchedRepeatedBallsIntoBins(4, 3, seed=1, kernel="numpy")
+        before = process.loads.copy()
+        for row, message in [
+            ([1, -1, 2, 2], "replica 0 has a negative load"),
+            ([1.5, 0.5, 1, 1], "integer-valued"),
+            ([2**31 - 1, 0, 0, 0], "int32"),
+            ([2**30, 2**30, 0, 0], "int32"),  # every load fits, the total not
+            ([2**62] * 4, "int32"),  # the int64 total would wrap to 0
+            ([1, 1, 1], "3 bins, expected 4"),
+        ]:
+            with pytest.raises(ConfigurationError, match=message):
+                process.reset(np.array(row))
+        assert np.array_equal(process.loads, before)
+        assert process.n_balls.tolist() == [4, 4, 4]
+
     def test_spec_refuses_bad_n_balls(self):
         with pytest.raises(ConfigurationError, match="n_balls must be >= 0"):
             EnsembleSpec(n_bins=4, n_replicas=1, rounds=1, n_balls=-1)
