@@ -10,15 +10,14 @@ Every adversary operates at two granularities: :meth:`Adversary.reassign`
 rewrites one load vector, and :meth:`Adversary.apply_batch` rewrites a
 whole ``(R, n)`` ensemble matrix at once — each replica is attacked
 independently, with the ball-conservation constraint enforced per replica.
-The concrete strategies override :meth:`Adversary.reassign_batch` with
-fully vectorized implementations; custom subclasses that only implement
-``reassign`` fall back to a row-wise loop and still get the batch
-validation for free.
+The concrete strategies implement only :meth:`Adversary.reassign_batch`,
+vectorized over the replicas, and ``reassign`` is its one-row view;
+custom subclasses that only implement ``reassign`` fall back to a
+row-wise loop and still get the batch validation for free.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Dict, List, Type
 
 import numpy as np
@@ -39,14 +38,32 @@ __all__ = [
 ]
 
 
-class Adversary(ABC):
-    """A ball-conserving reassignment of the current configuration."""
+class Adversary:
+    """A ball-conserving reassignment of the current configuration.
+
+    A subclass implements :meth:`reassign_batch` or :meth:`reassign` (or
+    both); each defaults to the other, and a class that implements
+    neither cannot be instantiated.
+    """
 
     name: str = "abstract"
 
-    @abstractmethod
+    def __new__(cls, *args, **kwargs):
+        if (
+            cls.reassign is Adversary.reassign
+            and cls.reassign_batch is Adversary.reassign_batch
+        ):
+            raise TypeError(
+                f"{cls.__name__} implements neither reassign nor reassign_batch"
+            )
+        return super().__new__(cls)
+
     def reassign(self, loads: LoadVector, rng: np.random.Generator) -> np.ndarray:
-        """Return a new load vector with the same total as ``loads``."""
+        """Return a new load vector with the same total as ``loads``.
+
+        The default is the one-row view of :meth:`reassign_batch`.
+        """
+        return self.reassign_batch(np.asarray(loads)[np.newaxis], rng)[0]
 
     def reassign_batch(
         self, loads: np.ndarray, rng: np.random.Generator
@@ -131,12 +148,6 @@ class ConcentrateAdversary(Adversary):
 
     name = "concentrate"
 
-    def reassign(self, loads: LoadVector, rng: np.random.Generator) -> np.ndarray:
-        loads = np.asarray(loads)
-        out = np.zeros_like(loads)
-        out[int(rng.integers(0, loads.size))] = int(loads.sum())
-        return out
-
     def pile_targets(
         self, n_bins: int, n_replicas: int, rng: np.random.Generator
     ) -> np.ndarray:
@@ -160,11 +171,6 @@ class PyramidAdversary(Adversary):
 
     name = "pyramid"
 
-    def reassign(self, loads: LoadVector, rng: np.random.Generator) -> np.ndarray:
-        loads = np.asarray(loads)
-        total = int(loads.sum())
-        return LoadConfiguration.pyramid(loads.size, total).as_array()
-
     def reassign_batch(
         self, loads: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
@@ -185,10 +191,6 @@ class ShuffleAdversary(Adversary):
     so it perturbs token positions without changing any load statistic."""
 
     name = "shuffle"
-
-    def reassign(self, loads: LoadVector, rng: np.random.Generator) -> np.ndarray:
-        loads = np.asarray(loads)
-        return loads[rng.permutation(loads.size)]
 
     def reassign_batch(
         self, loads: np.ndarray, rng: np.random.Generator
@@ -213,26 +215,6 @@ class TargetHeaviestAdversary(Adversary):
         if not 0.0 < fraction <= 1.0:
             raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
         self.fraction = float(fraction)
-
-    def reassign(self, loads: LoadVector, rng: np.random.Generator) -> np.ndarray:
-        loads = np.array(loads, dtype=np.int64, copy=True)
-        total = int(loads.sum())
-        if total == 0:
-            return loads
-        target = int(np.argmax(loads))
-        to_move = int(self.fraction * total)
-        # harvest balls from the other bins, largest first, until quota met
-        order = np.argsort(loads)[::-1]
-        for bin_index in order:
-            if to_move <= 0:
-                break
-            if bin_index == target:
-                continue
-            take = min(int(loads[bin_index]), to_move)
-            loads[bin_index] -= take
-            loads[target] += take
-            to_move -= take
-        return loads
 
     def reassign_batch(
         self, loads: np.ndarray, rng: np.random.Generator

@@ -69,6 +69,25 @@ class TestAdversaries:
         with pytest.raises(ConfigurationError):
             BrokenAdversary()(np.array([1, 2], dtype=np.int64), rng)
 
+    def test_an_adversary_implementing_neither_method_is_refused(self):
+        class Idle(Adversary):
+            name = "idle"
+
+        with pytest.raises(TypeError, match="neither reassign nor reassign_batch"):
+            Idle()
+        with pytest.raises(TypeError):
+            Adversary()
+
+    @pytest.mark.parametrize("name", ["concentrate", "pyramid", "shuffle", "target_heaviest"])
+    def test_reassign_is_the_one_row_batch(self, name):
+        adversary = get_adversary(name)
+        loads = np.array([3, 0, 1, 4, 0, 2], dtype=np.int64)
+        one, many = np.random.default_rng(9), np.random.default_rng(9)
+        out = adversary.reassign(loads, one)
+        assert np.array_equal(out, adversary.reassign_batch(loads[np.newaxis], many)[0])
+        assert one.bit_generator.state == many.bit_generator.state
+        assert int(out.sum()) == int(loads.sum())
+
     def test_registry(self):
         assert {"concentrate", "pyramid", "shuffle", "target_heaviest"} <= set(
             available_adversaries()
