@@ -13,8 +13,10 @@ seed and run.  Run ``r`` goes parent first when ``r`` is odd and change
 first when it is even, so a drift in the host's load falls on both sides
 alike.  Each child prints one JSON line: the SHA-256 of its rows as
 canonical JSON and the wall time of the ``run_experiment`` call.  The child
-calls it twice and times the second call, so lazy imports fall outside
-the time; the first call's time is printed as ``cold``.
+calls it once cold, then ``WARM_CALLS`` times more, and reports the
+median of the warm calls, so lazy imports and the warm-up of the first
+few calls fall outside the time; the cold call's time is printed as
+``cold``.
 
 At the end one line per experiment says, for each seed, whether every run
 of both sides gave the same rows, and gives each side's median time over
@@ -36,13 +38,18 @@ from typing import Callable, Dict, List, Sequence
 
 SIDES = ("parent", "change")
 
-#: The child: one experiment at registry defaults, run twice in one
-#: interpreter.  The first call pays for the lazy imports (``scipy.stats``
-#: alone takes about 0.8 s) and reports ``cold_seconds``; the second is
-#: timed as ``seconds``.  Rows are hashed as canonical JSON (sorted keys, no
-#: spaces, NumPy values as plain ones) and must match between the calls.
+#: Calls timed after the cold one; their median is an experiment's time.
+#: A short experiment still pays warm-up in its second and third calls
+#: (E12's read 12-25 ms against 4.6 ms from its fourth call on).
+WARM_CALLS = 5
+
+#: The child: one experiment at registry defaults, run ``1 + WARM_CALLS``
+#: times in one interpreter.  The first call pays for the lazy imports and
+#: reports ``cold_seconds``; the median of the others is ``seconds``.  Rows
+#: are hashed as canonical JSON (sorted keys, no spaces, NumPy values as
+#: plain ones) and must match between all the calls.
 CHILD = """
-import hashlib, json, sys, time
+import hashlib, json, statistics, sys, time
 from repro.experiments import run_experiment
 
 def plain(value):
@@ -50,18 +57,21 @@ def plain(value):
         return value.tolist()
     raise TypeError(f"cannot hash {type(value).__name__}")
 
-experiment_id, seed = sys.argv[1], int(sys.argv[2])
-calls = []
-for _ in range(2):
+experiment_id, seed, warm = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+times, digests = [], set()
+for _ in range(1 + warm):
     start = time.perf_counter()
     rows = run_experiment(experiment_id, seed=seed).rows
-    seconds = time.perf_counter() - start
+    times.append(time.perf_counter() - start)
     text = json.dumps(rows, sort_keys=True, separators=(",", ":"), default=plain)
-    calls.append((seconds, hashlib.sha256(text.encode()).hexdigest()))
-(cold, first), (seconds, digest) = calls
-if first != digest:
-    sys.exit(f"{experiment_id} seed {seed}: the two calls gave different rows")
-print(json.dumps({"sha256": digest, "seconds": seconds, "cold_seconds": cold}))
+    digests.add(hashlib.sha256(text.encode()).hexdigest())
+if len(digests) != 1:
+    sys.exit(f"{experiment_id} seed {seed}: the calls gave different rows")
+print(json.dumps({
+    "sha256": digests.pop(),
+    "seconds": statistics.median(times[1:]),
+    "cold_seconds": times[0],
+}))
 """
 
 LIST_IDS = "import json; from repro.experiments.registry import all_ids; print(json.dumps(all_ids()))"
@@ -84,7 +94,7 @@ def _python(checkout: Path, args: Sequence[str]) -> str:
 
 def run_child(checkout: Path, experiment_id: str, seed: int) -> str:
     """The stdout of one child running ``experiment_id`` at ``seed``."""
-    return _python(checkout, ["-c", CHILD, experiment_id, str(seed)])
+    return _python(checkout, ["-c", CHILD, experiment_id, str(seed), str(WARM_CALLS)])
 
 
 def registry_ids(checkout: Path) -> List[str]:
