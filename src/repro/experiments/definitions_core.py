@@ -5,7 +5,8 @@ Every function in this module has the registry runner signature
 ensembles (E1 stability, E2 convergence, E3 empty bins) are expressed as
 :class:`~repro.parallel.ensemble.EnsembleSpec` and routed through
 :func:`~repro.parallel.ensemble.run_ensemble`, the batched ``(R, n)``
-ensemble engine.
+ensemble engine; the Tetris experiments (E5, E7) run each size's trials
+as the replicas of one :class:`~repro.core.tetris.BatchedTetris`.
 """
 
 from __future__ import annotations

@@ -9,8 +9,11 @@ extension of [18].
 The pure load-vector ensembles — the repeated-process sides of E10/E11, the
 ``m != n`` sweep of E12, the adversarial sweep of E9, and the Greedy[d]
 ablation A2 — run through :func:`~repro.parallel.ensemble.run_ensemble` (or
-the batched fault injector); the remaining experiments use process classes
-with per-ball or per-token state and stay on the per-trial path.
+the batched fault injector); the Tetris-family points (E11's zero-drift
+surrogate, E15's leaky bins, A3) run their trials as the replicas of one
+:class:`~repro.core.tetris.BatchedTetris`; the remaining experiments use
+process classes with per-ball or per-token state and stay on the
+per-trial path.
 
 The multi-point E9/A2 families are *generated from* declarative sweep
 specs (:func:`repro.sweeps.catalog.e9_sweep_spec` /

@@ -7,8 +7,8 @@ the ``(1, n)`` state — reports its state through one protocol:
 ``observer.observe(round_index, loads)`` where ``loads`` is an ``(R, n)``
 load matrix.  A 1-D load vector is the ``R == 1`` view: the helpers here
 normalize it into a ``(1, n)`` matrix, so the batched trackers in
-:mod:`repro.metrics.trackers` also attach unchanged to a process that
-still observes with a vector (the Tetris and token processes).
+:mod:`repro.metrics.trackers` also attach unchanged to the one process
+that still observes with a vector, the token process.
 
 Observers must treat the arrays they receive as read-only (the engines pass
 views of their internal buffers for efficiency).
