@@ -19,16 +19,10 @@ an arrival rate ``lam`` in ``[0, 1]``; experiment E15 uses them to show
 stability for ``lam`` bounded away from 1.
 
 :class:`BatchedTetris` runs ``R`` replicas of either arrival rule as one
-``(R, n)`` state: a :class:`~repro.core.batched.BatchedLoadProcess` whose
-numpy round is rbb's departure step followed by
-:func:`~repro.core.batched.one_choice_arrivals` with each replica's arrival
-count (there is no native kernel).  The process is open: each replica's
-ball count moves by its arrivals minus its departures, and the
-conservation check follows it.  :class:`TetrisProcess`,
+open ``(R, n)`` state on the numpy kernel; :class:`TetrisProcess`,
 :class:`ProbabilisticTetris` and
-:class:`~repro.baselines.birth_death.IndependentThrowsProcess` are one run
-each, the ``R == 1`` views of it (see
-:class:`~repro.core.process.ReplicaView`).
+:class:`~repro.baselines.birth_death.IndependentThrowsProcess` are its
+``R == 1`` views (see :class:`~repro.core.process.ReplicaView`).
 """
 
 from __future__ import annotations
@@ -77,13 +71,16 @@ class TetrisResult:
 class BatchedTetris(BatchedLoadProcess):
     """Vectorized ensemble of ``R`` independent Tetris runs.
 
-    In every round each non-empty bin of every active replica discards one
-    ball, and then each active replica throws its arrival count of new
-    balls uniformly at random: ``arrivals_per_round``, or, given ``lam``,
-    one ``Binomial(n, lam)`` draw per replica, made each round before that
-    round's throws.  A round whose arrivals would take a replica to
+    A round is rbb's departure step (each non-empty bin of every active
+    replica discards one ball) followed by
+    :func:`~repro.core.batched.one_choice_arrivals` with each active
+    replica's arrival count: ``arrivals_per_round``, or, given ``lam``, one
+    ``Binomial(n, lam)`` draw per replica, made each round before that
+    round's throws.  The process is open: each replica's ball count moves
+    by its arrivals minus its departures, and the conservation check
+    follows it.  A round whose arrivals would take a replica to
     ``2**31 - 1`` balls is refused (:func:`~repro.core.batched.check_state_fits`)
-    before anything is written.
+    before anything is written.  There is no native kernel.
 
     Parameters
     ----------

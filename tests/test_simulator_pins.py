@@ -251,10 +251,6 @@ FAULTY_PINS = {
 # The Tetris family: TetrisProcess, ProbabilisticTetris,
 # IndependentThrowsProcess
 # ----------------------------------------------------------------------
-def _tetris_start(n, start):
-    return getattr(LoadConfiguration, start)(n)
-
-
 def _tetris_result(result):
     """Every field of a ``TetrisResult`` or ``IndependentThrowsResult``."""
     return [
@@ -265,13 +261,13 @@ def _tetris_result(result):
     ]
 
 
-def _tetris_digest(make, start, op):
-    """Digest of one op on ``make(initial, rng)``: ``run200``, ``steps50``
-    or ``reset_run`` (run, reset to one ball per bin, run, reset to the
+def _tetris_digest(cls, n, start, op, **kwargs):
+    """Digest of one op on ``cls(n, ...)``: ``run200``, ``steps50`` or
+    ``reset_run`` (run, reset to one ball per bin, run, reset to the
     start, run), with a stride-1 trace on every run."""
     rng = np.random.default_rng(SEED)
-    initial = _tetris_start(make.n, start)
-    process = make(initial, rng)
+    initial = getattr(LoadConfiguration, start)(n)
+    process = cls(n, initial=initial, seed=rng, **kwargs)
     trace = BatchedTraceRecorder()
     values = []
     if op == "run200":
@@ -287,14 +283,6 @@ def _tetris_digest(make, start, op):
         values += _tetris_result(process.run(50, observers=trace))
     values += [process.loads, process.round_index, *_trace(trace)]
     return _digest(rng, *values)
-
-
-def _maker(cls, n, **kwargs):
-    def make(initial, rng):
-        return cls(n, initial=initial, seed=rng, **kwargs)
-
-    make.n = n
-    return make
 
 
 def _tetris_arrivals(n, arrivals):
@@ -454,19 +442,20 @@ def test_faulty_stream_is_pinned(adversary):
 
 @pytest.mark.parametrize("n, arrivals, start, op", sorted(TETRIS_PINS))
 def test_tetris_stream_is_pinned(n, arrivals, start, op):
-    make = _maker(
-        TetrisProcess, n, arrivals_per_round=_tetris_arrivals(n, arrivals)
+    arrivals_per_round = _tetris_arrivals(n, arrivals)
+    digest = _tetris_digest(
+        TetrisProcess, n, start, op, arrivals_per_round=arrivals_per_round
     )
-    assert _tetris_digest(make, start, op) == TETRIS_PINS[n, arrivals, start, op]
+    assert digest == TETRIS_PINS[n, arrivals, start, op]
 
 
 @pytest.mark.parametrize("n, lam, op", sorted(LEAKY_PINS))
 def test_probabilistic_tetris_stream_is_pinned(n, lam, op):
-    make = _maker(ProbabilisticTetris, n, lam=lam)
-    assert _tetris_digest(make, "pyramid", op) == LEAKY_PINS[n, lam, op]
+    digest = _tetris_digest(ProbabilisticTetris, n, "pyramid", op, lam=lam)
+    assert digest == LEAKY_PINS[n, lam, op]
 
 
 @pytest.mark.parametrize("n, start", sorted(INDEPENDENT_PINS))
 def test_independent_throws_stream_is_pinned(n, start):
-    make = _maker(IndependentThrowsProcess, n)
-    assert _tetris_digest(make, start, "run200") == INDEPENDENT_PINS[n, start]
+    digest = _tetris_digest(IndependentThrowsProcess, n, start, "run200")
+    assert digest == INDEPENDENT_PINS[n, start]
