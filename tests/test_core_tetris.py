@@ -189,15 +189,20 @@ class TestBatchedTetris:
             n, R, initial=initial, seed=np.random.default_rng(3), **rule
         )
         replay = np.random.default_rng(3)  # the rule's draws, one round at a time
-        for _ in range(40):
+        active = np.ones(R, dtype=bool)
+        for step in range(40):
+            if step == 20:  # a frozen row neither loses nor gains balls
+                active[-1] = False
+                process.deactivate(~active)
             if "lam" in rule:
                 arrivals = replay.binomial(n, rule["lam"], size=R)
             else:
                 arrivals = np.full(R, rule["arrivals_per_round"])
+            arrivals *= active
             replay.integers(0, n, size=int(arrivals.sum()))
             before = process.loads.astype(np.int64)
             after = process.step().astype(np.int64)
-            thrown = after - before + (before > 0)
+            thrown = after - before + ((before > 0) & active[:, None])
             assert thrown.min() >= 0
             assert thrown.sum(axis=1).tolist() == arrivals.tolist()
             assert process.n_balls.tolist() == after.sum(axis=1).tolist()
