@@ -723,29 +723,18 @@ class BatchedLoadProcess:
         arr = initial.loads if isinstance(initial, LoadConfiguration) else (
             np.asarray(initial)
         )
-        if arr.ndim == 2:
-            totals = self._checked_loads(arr, "initial")
-            check_state_fits(n, totals)
-            return arr, totals
-        if arr.ndim != 1:
-            raise ConfigurationError(
-                f"initial must be 1-D or 2-D, got ndim={arr.ndim}"
-            )
-        # a row is checked once, as every replica's start
-        if arr.shape != (n,):
+        if arr.ndim == 1 and arr.shape != (n,):
             raise ConfigurationError(
                 f"initial configuration has {arr.shape[0]} bins, expected {n}"
             )
-        if arr.dtype.kind not in "iu" and not np.all(np.equal(np.mod(arr, 1), 0)):
-            raise ConfigurationError("initial loads must be integer-valued")
-        if arr.min() < 0:
+        if arr.ndim not in (1, 2):
             raise ConfigurationError(
-                "initial loads must be non-negative; replica 0 has a negative load"
+                f"initial must be 1-D or 2-D, got ndim={arr.ndim}"
             )
-        # below the limit, n loads sum exactly in int64
-        most = int(arr.max())
-        total = int(arr.sum(dtype=np.int64)) if most < _BALL_LIMIT else most
-        check_state_fits(n, total)
+        if arr.ndim == 2:
+            return arr, self._checked_loads(arr, "initial")
+        # a row is checked once, as replica 0's start
+        total = int(self._checked_loads(arr[np.newaxis], "initial", rows=1)[0])
         if n_balls is not None and n_balls != total:
             raise ConfigurationError(
                 f"n_balls={n_balls} contradicts initial configuration "
@@ -753,14 +742,16 @@ class BatchedLoadProcess:
             )
         return arr, np.full(R, total, dtype=np.int64)
 
-    def _checked_loads(self, arr: np.ndarray, what: str) -> np.ndarray:
+    def _checked_loads(
+        self, arr: np.ndarray, what: str, rows: Optional[int] = None
+    ) -> np.ndarray:
         """Check ``arr`` as an ``(R, n)`` state; returns its ball counts.
 
-        Refuses a wrong shape, non-integer values, a negative load (naming
-        its replica) and a load int32 cannot hold.  Every load then lies
-        in ``[0, 2**31 - 1)``, so the int64 totals are exact.
+        ``rows`` replaces ``R`` in the expected shape.  Refuses a wrong
+        shape, non-integer values, a negative load (naming its replica),
+        and a load or a total int32 cannot hold.
         """
-        shape = (self._n_replicas, self._n_bins)
+        shape = (self._n_replicas if rows is None else rows, self._n_bins)
         if arr.shape != shape:
             raise ConfigurationError(
                 f"{what} loads have shape {arr.shape}, expected {shape}"
@@ -774,8 +765,11 @@ class BatchedLoadProcess:
                 f"{what} loads must be non-negative; replica {bad} has a "
                 "negative load"
             )
-        check_state_fits(self._n_bins, arr.max())
-        return arr.sum(axis=1, dtype=np.int64)
+        # a load at the limit is refused before a total it may wrap is read
+        most = arr.max()
+        totals = arr.sum(axis=1, dtype=np.int64) if most < _BALL_LIMIT else most
+        check_state_fits(self._n_bins, totals)
+        return totals
 
     # ------------------------------------------------------------------
     # State access (vector-valued metric reducers)
@@ -1366,7 +1360,6 @@ class BatchedLoadProcess:
         """
         arr = np.asarray(loads)
         totals = self._checked_loads(arr, "replacement")
-        check_state_fits(self._n_bins, totals)
         self._loads[...] = arr
         self._n_balls = totals
 
