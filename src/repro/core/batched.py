@@ -80,8 +80,8 @@ itself (:class:`PileFaults`), so a faulty window can be one call.
 
 Example
 -------
-Ball counts are conserved per replica and every metric is a length-``R``
-vector:
+Each replica keeps its own ball count (rbb, a closed process, keeps the
+start's) and every metric is a length-``R`` vector:
 
 >>> ensemble = BatchedRepeatedBallsIntoBins(8, 4, seed=0, kernel="numpy")
 >>> result = ensemble.run(16)
@@ -411,7 +411,7 @@ class EnsembleResult:
 
     @property
     def n_balls(self) -> np.ndarray:
-        """Per-replica ball counts (conserved by the process)."""
+        """Per-replica ball counts of the final configuration."""
         return self.final_loads.sum(axis=1)
 
     @property
@@ -784,7 +784,7 @@ class BatchedLoadProcess:
 
     @property
     def n_balls(self) -> np.ndarray:
-        """Per-replica ball counts (conserved)."""
+        """Per-replica ball counts: the start's, or what an open process's rounds left."""
         return self._n_balls.copy()
 
     @property
