@@ -28,7 +28,7 @@ open ``(R, n)`` state on the numpy kernel; :class:`TetrisProcess`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -39,6 +39,9 @@ from ..errors import ConfigurationError
 from ..metrics.base import BatchedObserverList
 from ..rng import as_generator
 from ..types import SeedLike
+
+if TYPE_CHECKING:
+    from ..metrics.trackers import BatchedBinEmptyingTracker
 
 __all__ = ["BatchedTetris", "TetrisProcess", "ProbabilisticTetris", "TetrisResult"]
 
@@ -129,6 +132,19 @@ class BatchedTetris(BatchedLoadProcess):
         """The Binomial rule's arrival rate, or ``None`` for a fixed count."""
         return self._lam
 
+    def emptying_tracker(self) -> BatchedBinEmptyingTracker:
+        """A bin-emptying tracker that has seen the current state at round 0.
+
+        After the next window its ``last_first_empty`` is each replica's
+        Lemma 4 round, the bins empty now counting as emptied at round 0.
+        """
+        # function-level: repro.metrics.trackers imports this package
+        from ..metrics.trackers import BatchedBinEmptyingTracker
+
+        tracker = BatchedBinEmptyingTracker()
+        tracker.observe(0, self.loads)
+        return tracker
+
     def _advance(self) -> None:
         """One round for all active replicas (numpy kernel)."""
         loads, active = self._loads, self._active
@@ -199,11 +215,7 @@ class TetrisProcess(ReplicaView):
         ``observers`` see ``(round_index, loads)`` after every round, with
         the global round index and the ``(1, n)`` state.
         """
-        # function-level: repro.metrics.trackers imports this package
-        from ..metrics.trackers import BatchedBinEmptyingTracker
-
-        emptying = BatchedBinEmptyingTracker()
-        emptying.observe(0, self._batch.loads)
+        emptying = self._batch.emptying_tracker()
         window = self._window(
             rounds, observers=[emptying, *BatchedObserverList.coerce(observers)]
         )

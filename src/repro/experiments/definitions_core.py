@@ -25,7 +25,6 @@ from ..core.coupling import CoupledRun
 from ..errors import ConfigurationError
 from ..core.tetris import BatchedTetris
 from ..markov.absorbing import BinLoadChain, absorption_tail_bound
-from ..metrics.trackers import BatchedBinEmptyingTracker
 from ..parallel.ensemble import EnsembleSpec, run_ensemble
 from ..parallel.seeding import trial_seeds
 from ..rng import as_generator
@@ -268,9 +267,7 @@ def run_e5_tetris_emptying(spec: ExperimentSpec, params: Dict[str, Any], seed) -
         tetris = BatchedTetris(
             n, trials, initial=LoadConfiguration.all_in_one(n), seed=rng
         )
-        # bins empty at the start count as emptied at round 0
-        emptying = BatchedBinEmptyingTracker()
-        emptying.observe(0, tetris.loads)
+        emptying = tetris.emptying_tracker()
         tetris.run(bound, observers=emptying)
         emptied_by = emptying.last_first_empty
         emptied_by = emptied_by[emptied_by >= 0]
