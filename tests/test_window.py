@@ -76,7 +76,7 @@ def _scan(start, snapshots, start_round, threshold, stop):
     return rounds, max_seen, min_empty, first
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=112, deadline=None)  # about 16 per family
 @given(
     family=st.sampled_from(FAMILIES),
     R=st.sampled_from([1, 2]),
