@@ -35,6 +35,7 @@ _EXPORTS = {
             "BatchedRepeatedBallsIntoBins", "EnsembleResult", "make_ensemble_initial",
             "native_available", "TetrisProcess", "ProbabilisticTetris", "BatchedTetris",
             "CoupledRun", "CouplingResult", "TokenRepeatedBallsIntoBins",
+            "BatchedTokens",
         ),
         "metrics": (
             "METRIC_NAMES", "MetricPayload", "BatchedObserverList",

@@ -29,7 +29,7 @@ from .queueing import (
     get_discipline,
 )
 from .tetris import BatchedTetris, ProbabilisticTetris, TetrisProcess
-from .token_process import TokenProcessResult, TokenRepeatedBallsIntoBins
+from .token_process import BatchedTokens, TokenProcessResult, TokenRepeatedBallsIntoBins
 
 __all__ = [
     "LoadConfiguration",
@@ -48,6 +48,7 @@ __all__ = [
     "BatchedTetris",
     "CoupledRun",
     "CouplingResult",
+    "BatchedTokens",
     "TokenRepeatedBallsIntoBins",
     "TokenProcessResult",
     "QueueDiscipline",

@@ -841,14 +841,20 @@ class BatchedLoadProcess:
     # ------------------------------------------------------------------
     # Dynamics
     # ------------------------------------------------------------------
-    def _advance(self) -> None:
-        """Mutate ``self._loads`` by one round for every *active* replica."""
+    def _advance(self) -> Optional[np.ndarray]:
+        """Mutate ``self._loads`` by one round for every *active* replica.
+
+        May return a mask of replicas that finished in this round; they
+        are frozen once the round counts (a token process's cover stop).
+        """
         raise NotImplementedError
 
     def step(self) -> np.ndarray:
         """Advance every active replica by one round and return the loads."""
-        self._advance()
+        finished = self._advance()
         self._rounds_done += self._active
+        if finished is not None:
+            self._active &= ~finished
         return self.loads
 
     def deactivate(self, mask: np.ndarray) -> None:
@@ -1150,9 +1156,10 @@ class BatchedLoadProcess:
 
         Each round is one :meth:`_advance` of the state's one row, whose max
         load and empty-bin count are read as ints, with no per-round vector
-        of counters, masks or axis reductions.  The round counter is
-        written back before each observation and when the window ends, and
-        an early stop freezes the replica as the vector loop does.
+        of masks or axis reductions.  The round counter is written before
+        each round, so :meth:`_advance` reads the completed rounds as in
+        :meth:`step`, and an early stop (or a finished mask from
+        :meth:`_advance`) freezes the replica as the vector loop does.
         """
         n = self._n_bins
         row = self._loads[0]
@@ -1165,7 +1172,8 @@ class BatchedLoadProcess:
         observed = not observers.is_empty
         try:
             for executed in range(1, rounds + 1):
-                advance()
+                counter[0] = done
+                finished = advance()
                 done += 1
                 current = int(np.maximum.reduce(row))  # row.max() without its wrapper
                 empty = n - int(np.count_nonzero(row))
@@ -1173,10 +1181,10 @@ class BatchedLoadProcess:
                     max_seen = current
                 if empty < min_empty:
                     min_empty = empty
-                stop = False
+                stop = finished is not None and bool(finished[0])
                 if first < 0 and current <= threshold:
                     first = done
-                    stop = stop_when_legitimate
+                    stop = stop or stop_when_legitimate
                 if observed and (
                     stop or executed % observe_every == 0 or executed == rounds
                 ):

@@ -8,40 +8,48 @@ every ball has visited every bin ("parallel cover time").  This module keeps
 ball identities, per-bin queues and a pluggable
 :class:`~repro.core.queueing.QueueDiscipline`.
 
-The state is two per-ball ``int64`` arrays:
+:class:`BatchedTokens` runs ``R`` replicas of ``m`` balls each as one
+``(R, n)`` state on the numpy kernel; :class:`TokenRepeatedBallsIntoBins`
+is its ``R == 1`` view (see :class:`~repro.core.process.ReplicaView`).
+Ball ``b`` of the ``R * m`` belongs to replica ``b // m``, and the books
+are two flat ``int64`` arrays:
 
-* ``ball_bin`` — ball id → current bin;
-* ``stamp``    — ball id → arrival stamp.  A ball's stamp is its id at
-  construction; each round the arriving balls take the next ``h`` stamps,
-  in the order of that round's ``rng.permutation(h)`` (a random tie-break
-  among simultaneous arrivals).  Within a bin, ascending stamps are arrival
-  order.
+* ``cell``  — ball → ``r * n + bin``, its bin offset into the combined
+  index space of its replica ``r``;
+* ``stamp`` — ball → arrival stamp.  A ball's stamp is its id at
+  construction; each round the arriving balls of all replicas take the
+  next ``H`` stamps, in the order of that round's ``rng.permutation(H)``
+  (a random tie-break among simultaneous arrivals).  Within a bin,
+  ascending stamps are arrival order.
 
-A bin's queue is never stored.  Each round one sort of all balls by bin and
-then by the discipline's key (the stamp for ``order == "arrival"``, the
-ball id for ``order == "id"``) lays every queue out contiguously, and the
-discipline's vectorized :meth:`~repro.core.queueing.QueueDiscipline.positions`
-picks each non-empty bin's departing ball from it.  Per-ball bookkeeping
-(moves, the visited bitmap) is updated with array operations on the balls
-that moved, and waiting rounds are ``round_index - moves``, so a round has
-no Python loop over bins or balls.
+A bin's queue is never stored.  Each round one sort of all balls by cell
+and then by the discipline's key (the stamp for ``order == "arrival"``,
+the ball id for ``order == "id"``) lays every queue out contiguously, and
+the discipline's vectorized
+:meth:`~repro.core.queueing.QueueDiscipline.positions` picks each
+non-empty bin's departing ball from it.  Per-ball bookkeeping (moves, the
+visited bitmap) is updated with array operations on the balls that moved,
+and waiting rounds are ``rounds - moves``, so a round has no Python loop
+over bins, balls or replicas.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .config import DEFAULT_BETA, LoadConfiguration, legitimacy_threshold
+from .batched import BatchedLoadProcess, EnsembleResult
+from .config import DEFAULT_BETA, LoadConfiguration
+from .process import ReplicaView
 from .queueing import QueueDiscipline, get_discipline
 from ..errors import ConfigurationError, SimulationError
-from ..metrics.base import BatchedObserverList
 from ..rng import as_generator
-from ..types import LoadVector, SeedLike
+from ..types import SeedLike
 
-__all__ = ["TokenRepeatedBallsIntoBins", "TokenProcessResult"]
+__all__ = ["BatchedTokens", "TokenRepeatedBallsIntoBins", "TokenProcessResult"]
 
 
 @dataclass
@@ -58,9 +66,7 @@ class TokenProcessResult:
     min_empty_seen:
         Window minimum of the empty-bin count, seeded from the
         configuration at call time — the same window convention as
-        ``max_load_seen``, making this result comparable with the other
-        run loops (:class:`~repro.core.process.RepeatedBallsIntoBins`,
-        the graph walks, the batched engines).
+        ``max_load_seen`` and as the graph walks' single-run results.
     cover_time:
         First (global) round at which every ball had visited every bin, or
         ``None`` if coverage was not reached within the simulated window.
@@ -83,8 +89,276 @@ class TokenProcessResult:
     min_moves: int
 
 
-class TokenRepeatedBallsIntoBins:
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
+class BatchedTokens(BatchedLoadProcess):
+    """Vectorized ensemble of ``R`` identity-tracking token processes.
+
+    Every replica holds the same number ``m`` of balls.  A round sorts the
+    ``R * m`` balls once, releases one ball from every non-empty bin of
+    every active replica, draws all their destinations in one
+    ``rng.integers(0, n, size=H)`` (offset into each replica's cells) and
+    their arrival order in one ``rng.permutation(H)``, so each replica sees
+    uniform destinations and a uniform tie order, and ``R == 1`` draws
+    exactly what a single run draws.  There is no native kernel.
+
+    Parameters
+    ----------
+    n_bins, n_replicas, seed:
+        As for :class:`~repro.core.batched.BatchedLoadProcess`.
+    n_balls:
+        Balls per replica (default ``n``).  Without ``initial`` ball ``i``
+        of each replica starts in bin ``i % n``.
+    discipline:
+        Queue discipline name or instance (default FIFO, the paper's choice
+        for the cover-time corollary).
+    initial:
+        Optional start (one row or an ``(R, n)`` matrix with equal
+        per-replica ball counts); each replica's balls are dealt to its
+        bins from bin 0 upward.
+    track_visits:
+        Keep the per-ball visited-bin bitmap needed for cover times.  Costs
+        ``R * m * n`` bytes; leave it off for pure load experiments.
+
+    A cover time is the global round at which a ball (or a replica's last
+    ball) has visited every bin; a replica without balls is covered at
+    round 0.  ``run(..., stop_when_covered=True)`` freezes each replica
+    after the first round at whose end it is covered.  The loads follow
+    the balls, so :meth:`inject_loads` and :meth:`replace_loads` are
+    refused, and :meth:`reset` deals the balls anew.
+    """
+
+    def __init__(
+        self,
+        n_bins: int,
+        n_replicas: int,
+        n_balls: Optional[int] = None,
+        discipline: Union[str, QueueDiscipline] = "fifo",
+        initial: Union[LoadConfiguration, np.ndarray, None] = None,
+        track_visits: bool = False,
+        seed: SeedLike = None,
+    ) -> None:
+        super().__init__(
+            n_bins, n_replicas, n_balls=n_balls, initial=initial, seed=seed,
+            kernel="numpy",
+        )
+        self._discipline = get_discipline(discipline)
+        self._track_visits = bool(track_visits)
+        self._flat = self._loads.reshape(-1)  # a view of the state
+        self._stop_at_cover = False
+        self._deal(initial is None)
+
+    def _checked_start(self, initial, n_balls):
+        start, counts = super()._checked_start(initial, n_balls)
+        if (counts != counts[0]).any():
+            raise ConfigurationError(
+                "every replica of a token process holds the same number of "
+                f"balls; got per-replica counts {counts.tolist()}"
+            )
+        return start, counts
+
+    def _deal(self, balanced: bool) -> None:
+        """Place every replica's balls on its loads, as fresh balls."""
+        R, n = self._n_replicas, self._n_bins
+        m = int(self._n_balls[0])
+        self._m = m
+        if balanced:
+            cells = np.arange(m) % n + self._row_base[:, np.newaxis]
+            self._cell = cells.reshape(-1)
+        else:
+            self._cell = np.repeat(np.arange(R * n), self._flat)
+        self._stamp = np.arange(R * m, dtype=np.int64)
+        self._next_stamp = R * m
+        self._key = (
+            self._stamp if self._discipline.order == "arrival"
+            else np.arange(R * m)
+        )
+        self._moves = np.zeros(R * m, dtype=np.int64)
+        if not self._track_visits:
+            self._visited = self._visited_counts = self._ball_cover = None
+            return
+        self._visited = np.zeros((R * m, n), dtype=bool)
+        self._visited[np.arange(R * m), self._cell % n] = True
+        self._visited_counts = self._visited.sum(axis=1, dtype=np.int64)
+        self._ball_cover = np.where(self._visited_counts >= n, 0, -1)
+        self._uncovered = (self._ball_cover.reshape(R, m) < 0).sum(axis=1)
+
+    # ------------------------------------------------------------------
+    # Per-ball state, each an (R, m) array
+    # ------------------------------------------------------------------
+    @property
+    def discipline(self) -> QueueDiscipline:
+        return self._discipline
+
+    @property
+    def ball_bins(self) -> np.ndarray:
+        """Read-only ``(R, m)``: the current bin of every ball."""
+        cells = self._cell.reshape(self._n_replicas, self._m)
+        return _read_only(cells - self._row_base[:, np.newaxis])
+
+    @property
+    def moves(self) -> np.ndarray:
+        """Read-only ``(R, m)``: random-walk steps per ball (progress)."""
+        return _read_only(self._moves.reshape(self._n_replicas, self._m))
+
+    @property
+    def waiting_rounds(self) -> np.ndarray:
+        """Read-only ``(R, m)``: rounds each ball spent waiting.
+
+        In every round of its replica a ball either moves or waits, so this
+        is the replica's rounds completed minus the ball's moves.
+        """
+        return _read_only(self._rounds_done[:, np.newaxis] - self.moves)
+
+    @property
+    def visited_counts(self) -> Optional[np.ndarray]:
+        """Read-only ``(R, m)`` distinct bins visited per ball (``None``
+        unless ``track_visits``)."""
+        if self._visited_counts is None:
+            return None
+        counts = self._visited_counts.reshape(self._n_replicas, self._m)
+        return _read_only(counts)
+
+    @property
+    def ball_cover_times(self) -> np.ndarray:
+        """Read-only ``(R, m)``: each ball's cover round, or -1."""
+        return _read_only(self._covers().reshape(self._n_replicas, self._m))
+
+    @property
+    def cover_times(self) -> np.ndarray:
+        """Per replica, the round its last ball completed coverage, or -1."""
+        last = self.ball_cover_times.max(axis=1, initial=0)
+        return np.where(self._uncovered == 0, last, -1)
+
+    def _covers(self) -> np.ndarray:
+        if self._ball_cover is None:
+            raise ConfigurationError(
+                "cover tracking disabled; construct with track_visits=True"
+            )
+        return self._ball_cover
+
+    # ------------------------------------------------------------------
+    # Dynamics
+    # ------------------------------------------------------------------
+    def _advance(self) -> Optional[np.ndarray]:
+        """One round for all active replicas (numpy kernel).
+
+        Returns ``None``, or under a cover stop the mask of active
+        replicas that are covered after this round.
+        """
+        flat, n, rng = self._flat, self._n_bins, self._rng
+        active = self._active
+        # every occupied cell, frozen replicas included: their balls stay
+        # in the one sort, so the queue fronts count them
+        occupied = flat.nonzero()[0]
+        lengths = flat[occupied].astype(np.int64)  # int64 sums cast nothing
+        fronts = lengths.cumsum() - lengths
+        if np.count_nonzero(active) < self._n_replicas:
+            moving = active[occupied // n]
+            occupied, lengths, fronts = occupied[moving], lengths[moving], fronts[moving]
+        h = occupied.size
+        if h:
+            queues = np.lexsort((self._key, self._cell))
+            selected = queues[fronts + self._discipline.positions(lengths, rng)]
+            draws = rng.integers(0, n, size=h)
+            destinations = draws
+            if self._n_replicas > 1:
+                destinations = draws + (occupied - occupied % n)
+            self._cell[selected] = destinations
+            self._moves[selected] += 1
+            # arrival order among simultaneous arrivals: we shuffle so that
+            # no bin-index bias leaks into FIFO order (the paper allows
+            # arbitrary tie-breaking; a random one is the least structured)
+            order = rng.permutation(h)
+            stamp = self._next_stamp
+            self._stamp[selected[order]] = np.arange(stamp, stamp + h)
+            self._next_stamp = stamp + h
+            flat[occupied] -= 1
+            # an int32 addend adds without numpy's buffered casting loop
+            flat += np.bincount(destinations, minlength=flat.size).astype(np.int32)
+            if self._visited is not None:
+                self._visit(selected, draws)
+        if self._stop_at_cover:
+            return active & (self._uncovered == 0)
+        return None
+
+    def _visit(self, selected: np.ndarray, bins: np.ndarray) -> None:
+        """Mark the moved balls' new bins and stamp completed coverage."""
+        newly = ~self._visited[selected, bins]
+        if not newly.any():
+            return
+        movers = selected[newly]
+        self._visited[movers, bins[newly]] = True
+        self._visited_counts[movers] += 1
+        # a ball counted to n has just visited its last bin
+        finished = movers[self._visited_counts[movers] >= self._n_bins]
+        if finished.size:
+            replicas = finished // self._m
+            # step() and the one-row loop hold the completed rounds here
+            self._ball_cover[finished] = self._rounds_done[replicas] + 1
+            self._uncovered -= np.bincount(replicas, minlength=self._n_replicas)
+
+    @contextmanager
+    def _cover_stop(self, stop: bool) -> Iterator[None]:
+        """Freeze each replica once it is covered, for one call."""
+        if stop:
+            self._covers()  # refuses an untracked process
+        self._stop_at_cover = stop
+        try:
+            yield
+        finally:
+            self._stop_at_cover = False
+
+    def run(
+        self,
+        rounds: int,
+        beta: float = DEFAULT_BETA,
+        stop_when_legitimate: bool = False,
+        observers=None,
+        observe_every: int = 1,
+        stop_when_covered: bool = False,
+    ) -> EnsembleResult:
+        """:meth:`BatchedLoadProcess.run`; ``stop_when_covered`` (needs
+        ``track_visits``) also freezes each replica at the end of the first
+        round after which it is covered."""
+        with self._cover_stop(stop_when_covered):
+            return super().run(
+                rounds, beta, stop_when_legitimate, observers, observe_every
+            )
+
+    def inject_loads(self, loads: np.ndarray) -> None:
+        """Refused: the loads follow the balls."""
+        raise ConfigurationError(
+            "a token process moves balls, not loads; its loads cannot be replaced"
+        )
+
+    replace_loads = inject_loads
+
+    def reset(
+        self, initial: Union[LoadConfiguration, np.ndarray, None] = None
+    ) -> None:
+        """:meth:`BatchedLoadProcess.reset`, dealing fresh balls onto the start."""
+        super().reset(initial)
+        self._deal(initial is None)
+
+    def _check_conservation(self) -> None:
+        super()._check_conservation()
+        positions = np.bincount(self._cell, minlength=self._flat.size)
+        if not np.array_equal(positions, self._flat):
+            raise SimulationError(
+                "token process ball positions inconsistent with the loads"
+            )
+
+
+class TokenRepeatedBallsIntoBins(ReplicaView):
     """Repeated balls-into-bins with ball identities and per-bin queues.
+
+    Replica 0 of a one-replica :class:`BatchedTokens` (see
+    :class:`~repro.core.process.ReplicaView`).
 
     Parameters
     ----------
@@ -93,15 +367,13 @@ class TokenRepeatedBallsIntoBins:
     n_balls:
         Number of balls ``m`` (default ``n``).
     discipline:
-        Queue discipline name or instance (default FIFO, the paper's choice
-        for the cover-time corollary).
+        Queue discipline name or instance (default FIFO).
     initial:
         Optional initial *load* configuration; balls ``0..m-1`` are dealt to
         bins from bin 0 upward so that the load vector matches.  ``None``
         places ball ``i`` in bin ``i % n``.
     track_visits:
-        Keep the per-ball visited-bin bitmap needed for cover times.  Costs
-        ``O(m * n)`` bits of memory; disable for pure load experiments.
+        Keep the per-ball visited-bin bitmap needed for cover times.
     seed:
         Seed-like value.
     """
@@ -115,199 +387,50 @@ class TokenRepeatedBallsIntoBins:
         track_visits: bool = False,
         seed: SeedLike = None,
     ) -> None:
-        if n_bins < 1:
-            raise ConfigurationError(f"n_bins must be >= 1, got {n_bins}")
-        m = n_bins if n_balls is None else int(n_balls)
-        if m < 0:
-            raise ConfigurationError(f"n_balls must be >= 0, got {m}")
-
-        self._n_bins = n_bins
-        self._n_balls = m
-        self._discipline = get_discipline(discipline)
-        self._rng = as_generator(seed)
-        self._round = 0
-        self._track_visits = bool(track_visits)
-
-        # --- place balls ------------------------------------------------
-        if initial is None:
-            ball_bin = np.arange(m, dtype=np.int64) % n_bins
-        else:
-            config = initial if isinstance(initial, LoadConfiguration) else LoadConfiguration(np.asarray(initial))
-            if config.n_bins != n_bins:
-                raise ConfigurationError(
-                    f"initial configuration has {config.n_bins} bins, expected {n_bins}"
-                )
-            if config.n_balls != m and n_balls is not None:
-                raise ConfigurationError(
-                    f"n_balls={m} contradicts initial configuration with {config.n_balls} balls"
-                )
-            m = config.n_balls
-            self._n_balls = m
-            ball_bin = np.repeat(np.arange(n_bins, dtype=np.int64), config.loads)
-
-        self._ball_bin = ball_bin
-        self._stamp = np.arange(m, dtype=np.int64)
-        self._next_stamp = m
-
-        self._loads = np.bincount(ball_bin, minlength=n_bins).astype(np.int64)
-        self._moves = np.zeros(m, dtype=np.int64)
-
-        if self._track_visits:
-            self._visited = np.zeros((m, n_bins), dtype=bool)
-            if m:
-                self._visited[np.arange(m), ball_bin] = True
-            self._visited_counts = self._visited.sum(axis=1).astype(np.int64)
-            self._ball_cover_time = np.where(self._visited_counts >= n_bins, 0, -1).astype(np.int64)
-            self._n_uncovered = int(np.count_nonzero(self._ball_cover_time < 0))
-        else:
-            self._visited = None
-            self._visited_counts = None
-            self._ball_cover_time = None
-
-    # ------------------------------------------------------------------
-    # State access
-    # ------------------------------------------------------------------
-    @property
-    def n_bins(self) -> int:
-        return self._n_bins
-
-    @property
-    def n_balls(self) -> int:
-        return self._n_balls
-
-    @property
-    def round_index(self) -> int:
-        return self._round
+        super().__init__(
+            BatchedTokens(
+                n_bins, 1, n_balls=n_balls, discipline=discipline,
+                initial=initial, track_visits=track_visits,
+                seed=as_generator(seed),
+            )
+        )
 
     @property
     def discipline(self) -> QueueDiscipline:
-        return self._discipline
-
-    @property
-    def loads(self) -> LoadVector:
-        view = self._loads.view()
-        view.setflags(write=False)
-        return view
+        return self._batch.discipline
 
     @property
     def ball_bins(self) -> np.ndarray:
         """Read-only view: current bin of every ball."""
-        view = self._ball_bin.view()
-        view.setflags(write=False)
-        return view
+        return self._batch.ball_bins[0]
 
     @property
     def moves(self) -> np.ndarray:
         """Read-only view: number of random-walk steps per ball (progress)."""
-        view = self._moves.view()
-        view.setflags(write=False)
-        return view
+        return self._batch.moves[0]
 
     @property
     def waiting_rounds(self) -> np.ndarray:
-        """Total rounds each ball spent waiting (not selected).
-
-        In every round a ball either moves or waits, so this is
-        ``round_index - moves``.
-        """
-        waiting = self._round - self._moves
-        waiting.setflags(write=False)
-        return waiting
+        """Total rounds each ball spent waiting: ``round_index - moves``."""
+        return self._batch.waiting_rounds[0]
 
     @property
     def visited_counts(self) -> Optional[np.ndarray]:
         """Distinct bins visited per ball (``None`` unless ``track_visits``)."""
-        if self._visited_counts is None:
-            return None
-        view = self._visited_counts.view()
-        view.setflags(write=False)
-        return view
-
-    def configuration(self) -> LoadConfiguration:
-        return LoadConfiguration(self._loads)
-
-    @property
-    def max_load(self) -> int:
-        return int(self._loads.max()) if self._n_bins else 0
-
-    @property
-    def num_empty_bins(self) -> int:
-        return int(np.count_nonzero(self._loads == 0))
-
-    def is_legitimate(self, beta: float = DEFAULT_BETA) -> bool:
-        return self.max_load <= legitimacy_threshold(self._n_bins, beta)
+        counts = self._batch.visited_counts
+        return None if counts is None else counts[0]
 
     @property
     def all_covered(self) -> bool:
         """Whether every ball has visited every bin (requires ``track_visits``)."""
-        if self._ball_cover_time is None:
-            raise ConfigurationError("cover tracking disabled; construct with track_visits=True")
-        return self._n_uncovered == 0
+        return self.cover_time is not None
 
     @property
     def cover_time(self) -> Optional[int]:
-        """Round at which the last ball completed coverage, or ``None``."""
-        if self._ball_cover_time is None:
-            raise ConfigurationError("cover tracking disabled; construct with track_visits=True")
-        if self._n_uncovered:
-            return None
-        return int(self._ball_cover_time.max())
-
-    # ------------------------------------------------------------------
-    # Dynamics
-    # ------------------------------------------------------------------
-    def step(self) -> LoadVector:
-        """Advance the token-level process by one synchronous round."""
-        n = self._n_bins
-        rng = self._rng
-        ball_bin = self._ball_bin
-
-        nonempty_bins = self._loads.nonzero()[0]
-        h = nonempty_bins.size
-        if h == 0:
-            self._round += 1
-            return self.loads
-
-        # --- select one ball per non-empty bin (based on start-of-round state):
-        # sorted by bin and then by the discipline's key, every bin's queue
-        # is one contiguous run of ``queues``, in bin order
-        key = self._stamp if self._discipline.order == "arrival" else np.arange(self._n_balls)
-        queues = np.lexsort((key, ball_bin))
-        lengths = self._loads[nonempty_bins]
-        fronts = lengths.cumsum() - lengths
-        selected = queues[fronts + self._discipline.positions(lengths, rng)]
-
-        # --- re-assign selected balls uniformly at random ----------------
-        destinations = rng.integers(0, n, size=h)
-        ball_bin[selected] = destinations
-        self._moves[selected] += 1
-
-        # arrival order among simultaneous arrivals: we shuffle so that no
-        # bin-index bias leaks into FIFO order (the paper allows arbitrary
-        # tie-breaking; a random one is the least structured choice).
-        order = rng.permutation(h)
-        self._stamp[selected[order]] = np.arange(self._next_stamp, self._next_stamp + h)
-        self._next_stamp += h
-
-        # --- update loads (departures then arrivals) ----------------------
-        self._loads[nonempty_bins] -= 1
-        self._loads += np.bincount(destinations, minlength=n)
-
-        self._round += 1
-
-        # --- visit bookkeeping -------------------------------------------
-        if self._track_visits:
-            newly = ~self._visited[selected, destinations]
-            if newly.any():
-                movers = selected[newly]
-                self._visited[movers, destinations[newly]] = True
-                self._visited_counts[movers] += 1
-                finished = movers[self._visited_counts[movers] >= n]
-                pending = finished[self._ball_cover_time[finished] < 0]
-                self._ball_cover_time[pending] = self._round
-                self._n_uncovered -= pending.size
-
-        return self.loads
+        """Round at which the last ball completed coverage, or ``None``
+        (requires ``track_visits``)."""
+        cover = int(self._batch.cover_times[0])
+        return None if cover < 0 else cover
 
     def run(
         self,
@@ -322,46 +445,26 @@ class TokenRepeatedBallsIntoBins:
         rounds:
             Maximum number of rounds for this call.
         observers:
-            Optional observers receiving ``(round_index, loads)`` per round.
+            Optional observers receiving ``(round_index, loads)`` after
+            every round, with the global round index and the ``(1, n)``
+            state.
         stop_when_covered:
-            Stop as soon as every ball has visited every bin (requires
-            ``track_visits=True``).
+            Stop at the end of the first round after which every ball has
+            visited every bin (requires ``track_visits=True``).
         """
-        if rounds < 0:
-            raise ConfigurationError(f"rounds must be >= 0, got {rounds}")
-        if stop_when_covered and not self._track_visits:
-            raise ConfigurationError("stop_when_covered requires track_visits=True")
-        obs = BatchedObserverList.coerce(observers)
-
-        max_load_seen = self.max_load
-        min_empty_seen = self.num_empty_bins
-        executed = 0
-        for _ in range(rounds):
-            loads = self.step()
-            executed += 1
-            current_max = int(loads.max())
-            if current_max > max_load_seen:
-                max_load_seen = current_max
-            current_empty = int(np.count_nonzero(loads == 0))
-            if current_empty < min_empty_seen:
-                min_empty_seen = current_empty
-            if not obs.is_empty:
-                obs.observe(self._round, loads)
-            if stop_when_covered and self.all_covered:
-                break
-
-        self._check_consistency()
-        cover = self.cover_time if self._track_visits else None
-        ball_cover = (
-            np.array(self._ball_cover_time, copy=True) if self._ball_cover_time is not None else None
-        )
-        moves = np.array(self._moves, copy=True)
+        batch = self._batch
+        with batch._cover_stop(stop_when_covered):
+            window = self._window(rounds, observers=observers, seeded=True)
+        tracked = batch.visited_counts is not None
+        moves = np.array(self.moves)
         return TokenProcessResult(
-            rounds=executed,
-            max_load_seen=max_load_seen,
-            min_empty_seen=min_empty_seen,
-            cover_time=cover,
-            ball_cover_times=ball_cover,
+            rounds=window.rounds,
+            max_load_seen=window.max_load_seen,
+            min_empty_seen=window.min_empty_bins_seen,
+            cover_time=self.cover_time if tracked else None,
+            ball_cover_times=(
+                np.array(batch.ball_cover_times[0]) if tracked else None
+            ),
             moves=moves,
             min_moves=int(moves.min()) if moves.size else 0,
         )
@@ -371,15 +474,8 @@ class TokenRepeatedBallsIntoBins:
         result = self.run(max_rounds, observers=observers, stop_when_covered=True)
         return result.cover_time
 
-    # ------------------------------------------------------------------
-    def _check_consistency(self) -> None:
-        if int(self._loads.sum()) != self._n_balls:
-            raise SimulationError("token process lost balls (load sum mismatch)")
-        if not np.array_equal(np.bincount(self._ball_bin, minlength=self._n_bins), self._loads):
-            raise SimulationError("token process ball positions inconsistent with the loads")
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"TokenRepeatedBallsIntoBins(n_bins={self._n_bins}, n_balls={self._n_balls}, "
-            f"discipline={self._discipline.name!r}, round={self._round})"
+            f"TokenRepeatedBallsIntoBins(n_bins={self.n_bins}, n_balls={self.n_balls}, "
+            f"discipline={self.discipline.name!r}, round={self.round_index})"
         )

@@ -11,9 +11,10 @@ The pure load-vector ensembles — the repeated-process sides of E10/E11, the
 ablation A2 — run through :func:`~repro.parallel.ensemble.run_ensemble` (or
 the batched fault injector); the Tetris-family points (E11's zero-drift
 surrogate, E15's leaky bins, A3) run their trials as the replicas of one
-:class:`~repro.core.tetris.BatchedTetris`; the remaining experiments use
-process classes with per-ball or per-token state and stay on the
-per-trial path.
+:class:`~repro.core.tetris.BatchedTetris`, and the token points (E8's
+traversals, A1) as the replicas of one
+:class:`~repro.core.token_process.BatchedTokens`; E13 and E14 still step
+one trial at a time.
 
 The multi-point E9/A2 families are *generated from* declarative sweep
 specs (:func:`repro.sweeps.catalog.e9_sweep_spec` /
@@ -46,7 +47,7 @@ from ..baselines.d_choices import (
 )
 from ..baselines.one_shot import theoretical_one_shot_max_load
 from ..core.tetris import BatchedTetris
-from ..core.token_process import TokenRepeatedBallsIntoBins
+from ..core.token_process import BatchedTokens
 from ..errors import ConfigurationError
 from ..graphs.generators import (
     complete_graph,
@@ -59,7 +60,6 @@ from ..graphs.generators import (
 from ..graphs.walks import ConstrainedParallelWalks
 from ..markov.small_n import appendix_b_counterexample
 from ..parallel.ensemble import EnsembleSpec, run_ensemble
-from ..parallel.runner import run_trials
 from ..parallel.seeding import trial_seed, trial_seeds
 from ..rng import as_generator, as_seed_sequence
 from ..store import ResultStore
@@ -71,7 +71,6 @@ from ..sweeps import (
     graph_topologies_sweep_spec,
     run_sweep,
 )
-from ..traversal.multi_token import MultiTokenTraversal
 from ..traversal.single_token import SingleTokenWalk, expected_single_cover_time
 
 __all__ = [
@@ -93,19 +92,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # E8 — parallel cover time O(n log^2 n) vs single-token Theta(n log n)
 # ----------------------------------------------------------------------
-def _e8_trial(trial_index: int, seed, n: int, budget: int) -> Dict[str, Any]:
-    rng = as_generator(seed)
-    traversal = MultiTokenTraversal(n, seed=rng)
-    outcome = traversal.run(max_rounds=budget)
-    single = SingleTokenWalk(n, seed=rng)
-    single_cover = single.cover_time()
-    return {
-        "cover_time": -1 if outcome.cover_time is None else outcome.cover_time,
-        "max_load": outcome.max_load_seen,
-        "single_cover_time": -1 if single_cover is None else single_cover,
-    }
-
-
 def run_e8_cover_time(spec: ExperimentSpec, params: Dict[str, Any], seed) -> ExperimentResult:
     result = ExperimentResult(spec=spec, params=params)
     sizes = params["sizes"]
@@ -116,19 +102,27 @@ def run_e8_cover_time(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Exp
         raise ConfigurationError(f"n_workers must be >= 0, got {n_workers}")
     if n_workers and n_workers > 1:
         warnings.warn(
-            f"E8: n_workers={n_workers} runs in process; its trials run one "
-            "after another (the value never changes the rows)",
+            f"E8: n_workers={n_workers} runs in process; each size's trials "
+            "run as the replicas of one batched process (the value never "
+            "changes the rows)",
             RuntimeWarning,
             stacklevel=2,
         )
 
+    rng = as_generator(seed)
     multi_means = []
     for n in sizes:
         log_n = max(math.log(n), 1.0)
         budget = int(budget_factor * n * log_n * log_n) + 16
-        records = run_trials(_e8_trial, trials, seed=seed, n=n, budget=budget)
-        covers = np.asarray([r["cover_time"] for r in records], dtype=float)
-        singles = np.asarray([r["single_cover_time"] for r in records], dtype=float)
+        # the point's trials are the replicas of one traversal, each
+        # stopped at its own cover time; the single-token baselines follow
+        traversal = BatchedTokens(n, trials, track_visits=True, seed=rng)
+        traversal.run(budget, stop_when_covered=True)
+        covers = traversal.cover_times.astype(float)
+        singles = np.asarray(
+            [SingleTokenWalk(n, seed=rng).cover_time() for _ in range(trials)],
+            dtype=float,
+        )
         completed = covers[covers >= 0]
         single_ok = singles[singles >= 0]
         multi_summary = summarize_trials(completed) if completed.size else None
@@ -592,14 +586,9 @@ def run_a1_queueing(spec: ExperimentSpec, params: Dict[str, Any], seed) -> Exper
     rounds = max(int(rounds_factor * n), 1)
     log_n = max(math.log(n), 1.0)
     for name in disciplines:
-        maxima = []
-        min_progress = []
-        for _ in range(trials):
-            process = TokenRepeatedBallsIntoBins(n, discipline=name, seed=rng)
-            outcome = process.run(rounds)
-            maxima.append(outcome.max_load_seen)
-            min_progress.append(outcome.min_moves)
-        summary = summarize_trials(maxima)
+        process = BatchedTokens(n, trials, discipline=name, seed=rng)
+        summary = summarize_trials(process.run(rounds).max_load_seen)
+        min_progress = process.moves.min(axis=1)
         result.add_row(
             n=n,
             discipline=name,

@@ -160,7 +160,9 @@ def _process_cases(R: int, smoke: bool) -> List[ConformanceCase]:
             runner="token",
             horizons=(1, 3),
             ground_truth="exact_token_transition_matrix",
-            notes="window stats seeded from the call-time configuration",
+            notes="one BatchedTokens of R replicas; window stats on the "
+            "batched rule (post-round configurations only, not the "
+            "call-time one)",
         ),
         ConformanceCase(
             name="absorbing-bin-load",

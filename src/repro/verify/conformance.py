@@ -46,7 +46,7 @@ from .exact import (
 )
 from .stats import GofResult, bonferroni_alpha, pooled_chi_square
 from ..core.config import LoadConfiguration
-from ..core.token_process import TokenRepeatedBallsIntoBins
+from ..core.token_process import BatchedTokens
 from ..errors import ConfigurationError, ReproError
 from ..graphs.generators import resolve_topology
 from ..markov.absorbing import BinLoadChain
@@ -273,11 +273,11 @@ class _RunSamples:
     final_loads: np.ndarray
     window_max: np.ndarray
     window_min_empty: np.ndarray
-    #: Tri-state window-seeding convention: ``True`` folds the call-time
-    #: configuration (token runner), ``False`` never does (the scenario
-    #: interpreter, which starts its folds from scratch even when events
-    #: fire), ``None`` defers to the exact layer's default (seed from the
-    #: initial configuration exactly when fault rounds exist).
+    #: Window-seeding convention: ``False`` never folds the initial
+    #: configuration (the scenario interpreter, which starts its folds from
+    #: scratch even when events fire), ``None`` defers to the exact layer's
+    #: default (seed from the initial configuration exactly when fault
+    #: rounds exist).
     seed_window_from_initial: Optional[bool] = None
     extra: Dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -312,27 +312,16 @@ def _run_ensemble_case(
     return samples
 
 
-def _run_token_case(
-    case: ConformanceCase, spec_config: dict, horizon: int, seed
-) -> _RunSamples:
-    R = int(spec_config["n_replicas"])
-    n = int(spec_config["n_bins"])
-    finals = np.zeros((R, n), dtype=np.int64)
-    wmax = np.zeros(R, dtype=np.int64)
-    wmin = np.zeros(R, dtype=np.int64)
-    for i in range(R):
-        process = TokenRepeatedBallsIntoBins(
-            n, n_balls=spec_config.get("n_balls"), seed=trial_seed(seed, i)
-        )
-        result = process.run(horizon)
-        finals[i] = process.loads
-        wmax[i] = result.max_load_seen
-        wmin[i] = result.min_empty_seen
+def _run_token_case(spec: EnsembleSpec, seed) -> _RunSamples:
+    """The spec's replicas as one token process, on the batched window rule."""
+    process = BatchedTokens(
+        spec.n_bins, spec.n_replicas, n_balls=spec.n_balls, seed=seed
+    )
+    result = process.run(spec.rounds)
     return _RunSamples(
-        final_loads=finals,
-        window_max=wmax,
-        window_min_empty=wmin,
-        seed_window_from_initial=True,
+        final_loads=result.final_loads,
+        window_max=result.max_load_seen,
+        window_min_empty=result.min_empty_bins_seen,
     )
 
 
@@ -541,12 +530,10 @@ def run_case(
                 _check_scenario_noop_case(case, horizon, run_seed, alpha)
             )
             continue
+        spec = EnsembleSpec(**{**dict(case.spec_config), "rounds": horizon})
         if case.runner == "token":
-            spec_config = dict(case.spec_config)
-            spec = EnsembleSpec(**{**spec_config, "rounds": horizon})
-            samples = _run_token_case(case, spec_config, horizon, run_seed)
+            samples = _run_token_case(spec, run_seed)
         else:
-            spec = EnsembleSpec(**{**dict(case.spec_config), "rounds": horizon})
             samples = _run_ensemble_case(case, spec, run_seed)
         truth = _ground_truth(spec, horizon)
         outcomes.extend(_gates_for_run(case, truth, samples, horizon, alpha))

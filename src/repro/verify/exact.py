@@ -190,8 +190,8 @@ def window_max_pmf(
     from the initial configuration and additionally fold each injected
     configuration, matching the faulty process on both counts.
     ``seed_from_initial`` overrides the seeding convention for runners
-    that fold the configuration at call time (the single-replica token
-    process).
+    that fold the configuration at call time (a single-replica view's
+    seeded window) or never do (the scenario interpreter).
     """
     initial = tuple(int(x) for x in initial)
     faulty = bool(list(fault_rounds))
@@ -226,8 +226,8 @@ def window_min_empty_pmf(
     Starts at ``n`` and folds post-step configurations only — injected
     fault configurations are deliberately *not* folded, matching the
     faulty process.  ``seed_from_initial`` starts the accumulator at the
-    initial configuration's empty-bin count instead (the single-replica
-    token-process convention).
+    initial configuration's empty-bin count instead (a single-replica
+    view's seeded window).
     """
     initial = tuple(int(x) for x in initial)
     n_bins = len(next(iter(states)))
