@@ -842,11 +842,8 @@ class BatchedLoadProcess:
     # Dynamics
     # ------------------------------------------------------------------
     def _advance(self) -> Optional[np.ndarray]:
-        """Mutate ``self._loads`` by one round for every *active* replica.
-
-        May return a mask of replicas that finished in this round; they
-        are frozen once the round counts (a token process's cover stop).
-        """
+        """Mutate ``self._loads`` by one round for every *active* replica;
+        may return a mask of replicas to freeze once the round counts."""
         raise NotImplementedError
 
     def step(self) -> np.ndarray:

@@ -8,29 +8,22 @@ every ball has visited every bin ("parallel cover time").  This module keeps
 ball identities, per-bin queues and a pluggable
 :class:`~repro.core.queueing.QueueDiscipline`.
 
-:class:`BatchedTokens` runs ``R`` replicas of ``m`` balls each as one
-``(R, n)`` state on the numpy kernel; :class:`TokenRepeatedBallsIntoBins`
-is its ``R == 1`` view (see :class:`~repro.core.process.ReplicaView`).
-Ball ``b`` of the ``R * m`` belongs to replica ``b // m``, and the books
-are two flat ``int64`` arrays:
+:class:`BatchedTokens` runs ``R`` replicas of ``m`` balls as one ``(R, n)``
+state on the numpy kernel, and :class:`TokenRepeatedBallsIntoBins` is its
+``R == 1`` view (see :class:`~repro.core.process.ReplicaView`).  Ball ``b``
+belongs to replica ``b // m``, and its books are flat arrays: its cell
+``r * n + bin``, its arrival stamp, its moves and, with ``track_visits``,
+its visited bins.  A ball's stamp is its id at construction; each round
+the arriving balls take the next stamps in the order of one
+``rng.permutation`` (a random tie-break among simultaneous arrivals), so
+within a bin ascending stamps are arrival order.
 
-* ``cell``  — ball → ``r * n + bin``, its bin offset into the combined
-  index space of its replica ``r``;
-* ``stamp`` — ball → arrival stamp.  A ball's stamp is its id at
-  construction; each round the arriving balls of all replicas take the
-  next ``H`` stamps, in the order of that round's ``rng.permutation(H)``
-  (a random tie-break among simultaneous arrivals).  Within a bin,
-  ascending stamps are arrival order.
-
-A bin's queue is never stored.  Each round one sort of all balls by cell
-and then by the discipline's key (the stamp for ``order == "arrival"``,
-the ball id for ``order == "id"``) lays every queue out contiguously, and
-the discipline's vectorized
-:meth:`~repro.core.queueing.QueueDiscipline.positions` picks each
-non-empty bin's departing ball from it.  Per-ball bookkeeping (moves, the
-visited bitmap) is updated with array operations on the balls that moved,
-and waiting rounds are ``rounds - moves``, so a round has no Python loop
-over bins, balls or replicas.
+A queue is never stored.  Each round one sort of all balls by cell and
+then by the discipline's key (the stamp, or the ball id for
+``order == "id"``) lays every queue out contiguously, and the discipline's
+vectorized :meth:`~repro.core.queueing.QueueDiscipline.positions` picks
+each non-empty bin's departing ball from it, so a round has no Python loop
+over bins, balls or replicas.  Waiting rounds are ``rounds - moves``.
 """
 
 from __future__ import annotations
@@ -65,8 +58,7 @@ class TokenProcessResult:
         (a zero-round call reports the observed max, never 0).
     min_empty_seen:
         Window minimum of the empty-bin count, seeded from the
-        configuration at call time — the same window convention as
-        ``max_load_seen`` and as the graph walks' single-run results.
+        configuration at call time, as ``max_load_seen`` is.
     cover_time:
         First (global) round at which every ball had visited every bin, or
         ``None`` if coverage was not reached within the simulated window.
@@ -89,47 +81,26 @@ class TokenProcessResult:
     min_moves: int
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    view = array.view()
-    view.setflags(write=False)
-    return view
-
-
 class BatchedTokens(BatchedLoadProcess):
-    """Vectorized ensemble of ``R`` identity-tracking token processes.
+    """Vectorized ensemble of ``R`` token processes of ``m`` balls each.
 
-    Every replica holds the same number ``m`` of balls.  A round sorts the
-    ``R * m`` balls once, releases one ball from every non-empty bin of
-    every active replica, draws all their destinations in one
-    ``rng.integers(0, n, size=H)`` (offset into each replica's cells) and
-    their arrival order in one ``rng.permutation(H)``, so each replica sees
-    uniform destinations and a uniform tie order, and ``R == 1`` draws
-    exactly what a single run draws.  There is no native kernel.
+    ``n_bins``, ``n_replicas``, ``n_balls`` (per replica), ``initial`` and
+    ``seed`` are :class:`~repro.core.batched.BatchedLoadProcess`'s, and
+    every replica holds the same number of balls.  Without ``initial``
+    ball ``i`` of a replica starts in bin ``i % n``; with one, a replica's
+    balls are dealt to its bins from bin 0 upward.  ``discipline`` picks
+    each bin's departing ball (default FIFO), and ``track_visits`` keeps
+    the ``R * m * n`` visited-bin bitmap that cover times need.
 
-    Parameters
-    ----------
-    n_bins, n_replicas, seed:
-        As for :class:`~repro.core.batched.BatchedLoadProcess`.
-    n_balls:
-        Balls per replica (default ``n``).  Without ``initial`` ball ``i``
-        of each replica starts in bin ``i % n``.
-    discipline:
-        Queue discipline name or instance (default FIFO, the paper's choice
-        for the cover-time corollary).
-    initial:
-        Optional start (one row or an ``(R, n)`` matrix with equal
-        per-replica ball counts); each replica's balls are dealt to its
-        bins from bin 0 upward.
-    track_visits:
-        Keep the per-ball visited-bin bitmap needed for cover times.  Costs
-        ``R * m * n`` bytes; leave it off for pure load experiments.
-
-    A cover time is the global round at which a ball (or a replica's last
-    ball) has visited every bin; a replica without balls is covered at
-    round 0.  ``run(..., stop_when_covered=True)`` freezes each replica
-    after the first round at whose end it is covered.  The loads follow
-    the balls, so :meth:`inject_loads` and :meth:`replace_loads` are
-    refused, and :meth:`reset` deals the balls anew.
+    A round draws every destination in one ``rng.integers(0, n, size=H)``
+    and the arrival order in one ``rng.permutation(H)``, so each replica
+    sees uniform destinations and a uniform tie order, and ``R == 1``
+    draws what a single run draws.  A replica is covered at the round its
+    last ball has visited every bin (at round 0 without balls);
+    ``run(..., stop_when_covered=True)`` freezes it at the end of the
+    first round after which it is covered.  The loads follow the balls:
+    :meth:`inject_loads` and :meth:`replace_loads` are refused, and
+    :meth:`reset` deals fresh balls.  There is no native kernel.
     """
 
     def __init__(
@@ -157,101 +128,82 @@ class BatchedTokens(BatchedLoadProcess):
         if (counts != counts[0]).any():
             raise ConfigurationError(
                 "every replica of a token process holds the same number of "
-                f"balls; got per-replica counts {counts.tolist()}"
+                f"balls, got {counts.tolist()}"
             )
         return start, counts
 
     def _deal(self, balanced: bool) -> None:
-        """Place every replica's balls on its loads, as fresh balls."""
+        """Fresh books for balls placed on the current loads."""
         R, n = self._n_replicas, self._n_bins
-        m = int(self._n_balls[0])
-        self._m = m
+        self._m = m = int(self._n_balls[0])
         if balanced:
-            cells = np.arange(m) % n + self._row_base[:, np.newaxis]
-            self._cell = cells.reshape(-1)
+            self._cell = (np.arange(m) % n + self._row_base[:, np.newaxis]).ravel()
         else:
             self._cell = np.repeat(np.arange(R * n), self._flat)
         self._stamp = np.arange(R * m, dtype=np.int64)
         self._next_stamp = R * m
-        self._key = (
-            self._stamp if self._discipline.order == "arrival"
-            else np.arange(R * m)
-        )
+        by_id = self._discipline.order == "id"
+        self._key = np.arange(R * m) if by_id else self._stamp
         self._moves = np.zeros(R * m, dtype=np.int64)
-        if not self._track_visits:
-            self._visited = self._visited_counts = self._ball_cover = None
-            return
-        self._visited = np.zeros((R * m, n), dtype=bool)
-        self._visited[np.arange(R * m), self._cell % n] = True
-        self._visited_counts = self._visited.sum(axis=1, dtype=np.int64)
-        self._ball_cover = np.where(self._visited_counts >= n, 0, -1)
-        self._uncovered = (self._ball_cover.reshape(R, m) < 0).sum(axis=1)
+        self._visited = self._visited_counts = self._ball_cover = None
+        if self._track_visits:
+            self._visited = np.zeros((R * m, n), dtype=bool)
+            self._visited[np.arange(R * m), self._cell % n] = True
+            self._visited_counts = self._visited.sum(axis=1, dtype=np.int64)
+            self._ball_cover = np.where(self._visited_counts >= n, 0, -1)
+            self._uncovered = (self._ball_cover.reshape(R, m) < 0).sum(axis=1)
 
-    # ------------------------------------------------------------------
-    # Per-ball state, each an (R, m) array
-    # ------------------------------------------------------------------
+    def _rows(self, books: np.ndarray) -> np.ndarray:
+        """A read-only ``(R, m)`` view of flat per-ball books."""
+        rows = books.reshape(self._n_replicas, self._m)
+        rows.setflags(write=False)
+        return rows
+
     @property
     def discipline(self) -> QueueDiscipline:
         return self._discipline
 
     @property
     def ball_bins(self) -> np.ndarray:
-        """Read-only ``(R, m)``: the current bin of every ball."""
-        cells = self._cell.reshape(self._n_replicas, self._m)
-        return _read_only(cells - self._row_base[:, np.newaxis])
+        """Read-only ``(R, m)``: the bin of every ball."""
+        return self._rows(self._cell % self._n_bins)
 
     @property
     def moves(self) -> np.ndarray:
         """Read-only ``(R, m)``: random-walk steps per ball (progress)."""
-        return _read_only(self._moves.reshape(self._n_replicas, self._m))
+        return self._rows(self._moves)
 
     @property
     def waiting_rounds(self) -> np.ndarray:
-        """Read-only ``(R, m)``: rounds each ball spent waiting.
-
-        In every round of its replica a ball either moves or waits, so this
-        is the replica's rounds completed minus the ball's moves.
-        """
-        return _read_only(self._rounds_done[:, np.newaxis] - self.moves)
+        """Read-only ``(R, m)``: each replica's rounds minus each ball's moves."""
+        return self._rows(np.repeat(self._rounds_done, self._m) - self._moves)
 
     @property
     def visited_counts(self) -> Optional[np.ndarray]:
-        """Read-only ``(R, m)`` distinct bins visited per ball (``None``
-        unless ``track_visits``)."""
-        if self._visited_counts is None:
-            return None
-        counts = self._visited_counts.reshape(self._n_replicas, self._m)
-        return _read_only(counts)
+        """Read-only ``(R, m)`` distinct bins visited per ball, or ``None``
+        without ``track_visits``."""
+        counts = self._visited_counts
+        return None if counts is None else self._rows(counts)
 
     @property
     def ball_cover_times(self) -> np.ndarray:
         """Read-only ``(R, m)``: each ball's cover round, or -1."""
-        return _read_only(self._covers().reshape(self._n_replicas, self._m))
-
-    @property
-    def cover_times(self) -> np.ndarray:
-        """Per replica, the round its last ball completed coverage, or -1."""
-        last = self.ball_cover_times.max(axis=1, initial=0)
-        return np.where(self._uncovered == 0, last, -1)
-
-    def _covers(self) -> np.ndarray:
         if self._ball_cover is None:
             raise ConfigurationError(
                 "cover tracking disabled; construct with track_visits=True"
             )
-        return self._ball_cover
+        return self._rows(self._ball_cover)
 
-    # ------------------------------------------------------------------
-    # Dynamics
-    # ------------------------------------------------------------------
+    @property
+    def cover_times(self) -> np.ndarray:
+        """Each replica's cover round, or -1 (needs ``track_visits``)."""
+        last = self.ball_cover_times.max(axis=1, initial=0)
+        return np.where(self._uncovered == 0, last, -1)
+
     def _advance(self) -> Optional[np.ndarray]:
-        """One round for all active replicas (numpy kernel).
-
-        Returns ``None``, or under a cover stop the mask of active
-        replicas that are covered after this round.
-        """
-        flat, n, rng = self._flat, self._n_bins, self._rng
-        active = self._active
+        """One round for all active replicas; under a cover stop, returns
+        the mask of active replicas covered after it."""
+        flat, n, rng, active = self._flat, self._n_bins, self._rng, self._active
         # every occupied cell, frozen replicas included: their balls stay
         # in the one sort, so the queue fronts count them
         occupied = flat.nonzero()[0]
@@ -264,24 +216,19 @@ class BatchedTokens(BatchedLoadProcess):
         if h:
             queues = np.lexsort((self._key, self._cell))
             selected = queues[fronts + self._discipline.positions(lengths, rng)]
-            draws = rng.integers(0, n, size=h)
-            destinations = draws
-            if self._n_replicas > 1:
-                destinations = draws + (occupied - occupied % n)
-            self._cell[selected] = destinations
+            bins = rng.integers(0, n, size=h)
+            cells = bins if self._n_replicas == 1 else bins + occupied - occupied % n
+            self._cell[selected] = cells
             self._moves[selected] += 1
-            # arrival order among simultaneous arrivals: we shuffle so that
-            # no bin-index bias leaks into FIFO order (the paper allows
-            # arbitrary tie-breaking; a random one is the least structured)
-            order = rng.permutation(h)
+            order = rng.permutation(h)  # the tie order of this round's arrivals
             stamp = self._next_stamp
             self._stamp[selected[order]] = np.arange(stamp, stamp + h)
             self._next_stamp = stamp + h
             flat[occupied] -= 1
             # an int32 addend adds without numpy's buffered casting loop
-            flat += np.bincount(destinations, minlength=flat.size).astype(np.int32)
+            flat += np.bincount(cells, minlength=flat.size).astype(np.int32)
             if self._visited is not None:
-                self._visit(selected, draws)
+                self._visit(selected, bins)
         if self._stop_at_cover:
             return active & (self._uncovered == 0)
         return None
@@ -289,24 +236,22 @@ class BatchedTokens(BatchedLoadProcess):
     def _visit(self, selected: np.ndarray, bins: np.ndarray) -> None:
         """Mark the moved balls' new bins and stamp completed coverage."""
         newly = ~self._visited[selected, bins]
-        if not newly.any():
-            return
-        movers = selected[newly]
-        self._visited[movers, bins[newly]] = True
-        self._visited_counts[movers] += 1
-        # a ball counted to n has just visited its last bin
-        finished = movers[self._visited_counts[movers] >= self._n_bins]
-        if finished.size:
-            replicas = finished // self._m
-            # step() and the one-row loop hold the completed rounds here
-            self._ball_cover[finished] = self._rounds_done[replicas] + 1
-            self._uncovered -= np.bincount(replicas, minlength=self._n_replicas)
+        if newly.any():
+            movers = selected[newly]
+            self._visited[movers, bins[newly]] = True
+            self._visited_counts[movers] += 1
+            finished = movers[self._visited_counts[movers] >= self._n_bins]
+            if finished.size:
+                replicas = finished // self._m
+                # step() and the one-row loop hold the completed rounds
+                self._ball_cover[finished] = self._rounds_done[replicas] + 1
+                self._uncovered -= np.bincount(replicas, minlength=self._n_replicas)
 
     @contextmanager
     def _cover_stop(self, stop: bool) -> Iterator[None]:
-        """Freeze each replica once it is covered, for one call."""
-        if stop:
-            self._covers()  # refuses an untracked process
+        """Freeze each replica once it is covered, for the length of a call."""
+        if stop and self._ball_cover is None:
+            raise ConfigurationError("stop_when_covered requires track_visits=True")
         self._stop_at_cover = stop
         try:
             yield
@@ -322,9 +267,8 @@ class BatchedTokens(BatchedLoadProcess):
         observe_every: int = 1,
         stop_when_covered: bool = False,
     ) -> EnsembleResult:
-        """:meth:`BatchedLoadProcess.run`; ``stop_when_covered`` (needs
-        ``track_visits``) also freezes each replica at the end of the first
-        round after which it is covered."""
+        """:meth:`BatchedLoadProcess.run`; ``stop_when_covered`` also
+        freezes each replica once it is covered."""
         with self._cover_stop(stop_when_covered):
             return super().run(
                 rounds, beta, stop_when_legitimate, observers, observe_every
@@ -332,50 +276,30 @@ class BatchedTokens(BatchedLoadProcess):
 
     def inject_loads(self, loads: np.ndarray) -> None:
         """Refused: the loads follow the balls."""
-        raise ConfigurationError(
-            "a token process moves balls, not loads; its loads cannot be replaced"
-        )
+        raise ConfigurationError("a token process's loads follow its balls")
 
     replace_loads = inject_loads
 
     def reset(
         self, initial: Union[LoadConfiguration, np.ndarray, None] = None
     ) -> None:
-        """:meth:`BatchedLoadProcess.reset`, dealing fresh balls onto the start."""
+        """:meth:`BatchedLoadProcess.reset`, with fresh balls on the start."""
         super().reset(initial)
         self._deal(initial is None)
 
     def _check_conservation(self) -> None:
         super()._check_conservation()
-        positions = np.bincount(self._cell, minlength=self._flat.size)
-        if not np.array_equal(positions, self._flat):
-            raise SimulationError(
-                "token process ball positions inconsistent with the loads"
-            )
+        if not np.array_equal(np.bincount(self._cell, minlength=self._flat.size), self._flat):
+            raise SimulationError("token process ball positions inconsistent with the loads")
 
 
 class TokenRepeatedBallsIntoBins(ReplicaView):
     """Repeated balls-into-bins with ball identities and per-bin queues.
 
-    Replica 0 of a one-replica :class:`BatchedTokens` (see
-    :class:`~repro.core.process.ReplicaView`).
-
-    Parameters
-    ----------
-    n_bins:
-        Number of bins ``n``.
-    n_balls:
-        Number of balls ``m`` (default ``n``).
-    discipline:
-        Queue discipline name or instance (default FIFO).
-    initial:
-        Optional initial *load* configuration; balls ``0..m-1`` are dealt to
-        bins from bin 0 upward so that the load vector matches.  ``None``
-        places ball ``i`` in bin ``i % n``.
-    track_visits:
-        Keep the per-ball visited-bin bitmap needed for cover times.
-    seed:
-        Seed-like value.
+    Replica 0 of a one-replica :class:`BatchedTokens`, whose ``n_balls``
+    (default ``n``), ``discipline`` (default FIFO), ``initial`` (ball
+    ``i`` in bin ``i % n`` without one) and ``track_visits`` it takes;
+    ``seed`` is a seed-like value.
     """
 
     def __init__(
@@ -401,17 +325,17 @@ class TokenRepeatedBallsIntoBins(ReplicaView):
 
     @property
     def ball_bins(self) -> np.ndarray:
-        """Read-only view: current bin of every ball."""
+        """Read-only: the bin of every ball."""
         return self._batch.ball_bins[0]
 
     @property
     def moves(self) -> np.ndarray:
-        """Read-only view: number of random-walk steps per ball (progress)."""
+        """Read-only: random-walk steps per ball (progress)."""
         return self._batch.moves[0]
 
     @property
     def waiting_rounds(self) -> np.ndarray:
-        """Total rounds each ball spent waiting: ``round_index - moves``."""
+        """Read-only: rounds each ball spent waiting, ``round_index - moves``."""
         return self._batch.waiting_rounds[0]
 
     @property
@@ -422,40 +346,30 @@ class TokenRepeatedBallsIntoBins(ReplicaView):
 
     @property
     def all_covered(self) -> bool:
-        """Whether every ball has visited every bin (requires ``track_visits``)."""
+        """Whether every ball has visited every bin (needs ``track_visits``)."""
         return self.cover_time is not None
 
     @property
     def cover_time(self) -> Optional[int]:
         """Round at which the last ball completed coverage, or ``None``
-        (requires ``track_visits``)."""
+        (needs ``track_visits``)."""
         cover = int(self._batch.cover_times[0])
         return None if cover < 0 else cover
 
     def run(
-        self,
-        rounds: int,
-        observers=None,
-        stop_when_covered: bool = False,
+        self, rounds: int, observers=None, stop_when_covered: bool = False
     ) -> TokenProcessResult:
         """Simulate up to ``rounds`` rounds.
 
-        Parameters
-        ----------
-        rounds:
-            Maximum number of rounds for this call.
-        observers:
-            Optional observers receiving ``(round_index, loads)`` after
-            every round, with the global round index and the ``(1, n)``
-            state.
-        stop_when_covered:
-            Stop at the end of the first round after which every ball has
-            visited every bin (requires ``track_visits=True``).
+        ``observers`` see ``(round_index, loads)`` after every round, with
+        the global round index and the ``(1, n)`` state.
+        ``stop_when_covered`` (needs ``track_visits=True``) stops at the
+        end of the first round after which every ball has visited every
+        bin.
         """
-        batch = self._batch
-        with batch._cover_stop(stop_when_covered):
+        with self._batch._cover_stop(stop_when_covered):
             window = self._window(rounds, observers=observers, seeded=True)
-        tracked = batch.visited_counts is not None
+        tracked = self.visited_counts is not None
         moves = np.array(self.moves)
         return TokenProcessResult(
             rounds=window.rounds,
@@ -463,7 +377,7 @@ class TokenRepeatedBallsIntoBins(ReplicaView):
             min_empty_seen=window.min_empty_bins_seen,
             cover_time=self.cover_time if tracked else None,
             ball_cover_times=(
-                np.array(batch.ball_cover_times[0]) if tracked else None
+                np.array(self._batch.ball_cover_times[0]) if tracked else None
             ),
             moves=moves,
             min_moves=int(moves.min()) if moves.size else 0,
@@ -471,8 +385,7 @@ class TokenRepeatedBallsIntoBins(ReplicaView):
 
     def run_until_covered(self, max_rounds: int, observers=None) -> Optional[int]:
         """Run until full coverage; return the cover time or ``None`` on timeout."""
-        result = self.run(max_rounds, observers=observers, stop_when_covered=True)
-        return result.cover_time
+        return self.run(max_rounds, observers, stop_when_covered=True).cover_time
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import LoadConfiguration
-from repro.core.token_process import TokenRepeatedBallsIntoBins
+from repro.core.token_process import BatchedTokens, TokenRepeatedBallsIntoBins
 from repro.errors import ConfigurationError
+from repro.traversal import MultiTokenTraversal
 
 
 class TestConstruction:
@@ -162,6 +163,18 @@ class TestCoverTracking:
         process = TokenRepeatedBallsIntoBins(1, track_visits=True, seed=0)
         assert process.all_covered
         assert process.cover_time == 0
+        # a covered process still runs one round before its stop
+        assert process.run(5, stop_when_covered=True).rounds == 1
+
+    def test_no_balls_count_as_covered_at_round_zero(self):
+        process = TokenRepeatedBallsIntoBins(4, n_balls=0, track_visits=True, seed=0)
+        assert process.all_covered
+        assert process.cover_time == 0
+        result = process.run(5, stop_when_covered=True)
+        assert (result.rounds, result.cover_time) == (1, 0)
+        assert result.ball_cover_times.size == 0
+        outcome = MultiTokenTraversal(4, n_tokens=0, seed=0).run(10)
+        assert (outcome.cover_time, outcome.rounds_simulated) == (0, 1)
 
     def test_stop_when_covered_requires_tracking(self):
         process = TokenRepeatedBallsIntoBins(4, seed=0)
@@ -227,6 +240,61 @@ class TestRun:
         result = process.run(5)
         assert result.min_empty_seen <= start_empty
         assert result.max_load_seen >= start_max
+
+
+class TestBatchedTokens:
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_each_replica_freezes_at_its_cover_time(self, R):
+        n, m = 4, 6
+        process, twin = (
+            BatchedTokens(n, R, n_balls=m, track_visits=True, seed=5)
+            for _ in range(2)
+        )
+        seen = []
+
+        def record(round_index, loads):
+            books = (process.ball_bins, process.moves, process._stamp.reshape(R, m))
+            seen.append([np.array(loads), *(np.array(b) for b in books)])
+
+        result = process.run(2000, observers=record, stop_when_covered=True)
+        covers = process.cover_times
+        assert (covers > 0).all()
+        assert result.rounds.tolist() == covers.tolist()
+        assert process.rounds_completed.tolist() == covers.tolist()
+        assert len(seen) == covers.max()
+        for r, cover in enumerate(covers):
+            # loads, ball books and stamps stay as the cover round left them
+            frozen = seen[cover - 1]
+            for later in seen[cover:]:
+                assert all(np.array_equal(a[r], b[r]) for a, b in zip(later, frozen))
+        # the twin runs without the stop; a round-by-round scan of its
+        # visited counts finds each replica's cover round, and the twin
+        # then freezes that replica by hand
+        scanned = np.full(R, -1)
+        while twin.active.any():
+            twin.step()
+            newly = twin.active & (twin.visited_counts == n).all(axis=1)
+            scanned[newly] = twin.rounds_completed[newly]
+            twin.deactivate(newly)
+        assert scanned.tolist() == covers.tolist()
+
+        state = (process.loads.copy(), process.ball_bins.copy(), process.moves.copy())
+        pile = np.tile(LoadConfiguration.all_in_one(n, m).loads, (R, 1))
+        for refused in (process.inject_loads, process.replace_loads):
+            with pytest.raises(ConfigurationError):
+                refused(pile)
+            now = (process.loads, process.ball_bins, process.moves)
+            assert all(np.array_equal(a, b) for a, b in zip(now, state))
+        for start in (pile, None):
+            process.reset(start)
+            assert process.moves.sum() == 0
+            for r in range(R):
+                placed = np.bincount(process.ball_bins[r], minlength=n)
+                assert np.array_equal(placed, process.loads[r])
+
+    def test_unequal_ball_counts_are_refused(self):
+        with pytest.raises(ConfigurationError, match="same number of balls"):
+            BatchedTokens(3, 2, initial=np.array([[1, 1, 1], [2, 0, 0]]))
 
 
 #: (n, m, start, rounds) of each pinned stream; ``rounds=None`` runs with

@@ -19,11 +19,15 @@ from repro.baselines.d_choices import BatchedDChoices
 from repro.core.batched import BatchedRepeatedBallsIntoBins, make_ensemble_initial
 from repro.core.config import legitimacy_threshold
 from repro.core.tetris import BatchedTetris
+from repro.core.token_process import BatchedTokens
 from repro.graphs import resolve_topology
 from repro.graphs.batched import BatchedConstrainedWalks
 from repro.metrics import BatchedTraceRecorder
 
-FAMILIES = ("rbb", "greedy1", "greedy2", "cycle", "star", "tetris", "leaky")
+FAMILIES = (
+    "rbb", "greedy1", "greedy2", "cycle", "star", "tetris", "leaky",
+    "tokens_fifo", "tokens_random",
+)
 
 
 def _process(family, n, R, initial, seed, constrained):
@@ -39,6 +43,10 @@ def _process(family, n, R, initial, seed, constrained):
         return BatchedTetris(n, R, initial=initial, seed=seed)
     if family == "leaky":  # Binomial(n, 0.7) arrivals
         return BatchedTetris(n, R, lam=0.7, initial=initial, seed=seed)
+    if family.startswith("tokens"):
+        return BatchedTokens(
+            n, R, discipline=family[7:], initial=initial, seed=seed
+        )
     return BatchedConstrainedWalks(
         resolve_topology(f"{family}:{n}"), R, initial=initial,
         constrained=constrained, seed=seed, kernel="numpy",
@@ -76,7 +84,7 @@ def _scan(start, snapshots, start_round, threshold, stop):
     return rounds, max_seen, min_empty, first
 
 
-@settings(max_examples=112, deadline=None)  # about 16 per family
+@settings(max_examples=144, deadline=None)  # about 16 per family
 @given(
     family=st.sampled_from(FAMILIES),
     R=st.sampled_from([1, 2]),
