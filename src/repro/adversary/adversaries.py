@@ -78,18 +78,8 @@ class Adversary:
         )
 
     def __call__(self, loads: LoadVector, rng: np.random.Generator) -> np.ndarray:
-        result = np.asarray(self.reassign(loads, rng), dtype=np.int64)
-        if result.shape != np.asarray(loads).shape:
-            raise ConfigurationError(
-                f"{type(self).__name__} changed the number of bins"
-            )
-        if int(result.sum()) != int(np.asarray(loads).sum()):
-            raise ConfigurationError(
-                f"{type(self).__name__} did not conserve the number of balls"
-            )
-        if np.any(result < 0):
-            raise ConfigurationError(f"{type(self).__name__} produced negative loads")
-        return result
+        """Reassign one load vector, validated: the one-row :meth:`apply_batch`."""
+        return self.apply_batch(np.asarray(loads)[np.newaxis], rng)[0]
 
     def apply_batch(
         self, loads: np.ndarray, rng: np.random.Generator
