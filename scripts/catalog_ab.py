@@ -13,9 +13,11 @@ seed and run.  Run ``r`` goes parent first when ``r`` is odd and change
 first when it is even, so a drift in the host's load falls on both sides
 alike.  Each child prints one JSON line: the SHA-256 of its rows as
 canonical JSON and the wall time of the ``run_experiment`` call.  The child
-calls it once cold, then ``WARM_CALLS`` times more, and reports the
-median of the warm calls, so lazy imports and the warm-up of the first
-few calls fall outside the time; the cold call's time is printed as
+calls it once cold, then keeps calling it until it has made at least
+``WARM_CALLS`` warm calls and they took at least ``WARM_SECONDS`` together,
+and reports the median of the warm calls, so lazy imports and the warm-up
+of the first few calls fall outside the time, and a millisecond experiment
+is timed over enough calls to settle; the cold call's time is printed as
 ``cold``.
 
 At the end one line per experiment says, for each seed, whether every run
@@ -38,13 +40,20 @@ from typing import Callable, Dict, List, Sequence
 
 SIDES = ("parent", "change")
 
-#: Calls timed after the cold one; their median is an experiment's time.
-#: A short experiment still pays warm-up in its second and third calls
-#: (E12's read 12-25 ms against 4.6 ms from its fourth call on).
+#: The fewest calls timed after the cold one; their median is an
+#: experiment's time.  A short experiment still pays warm-up in its second
+#: and third calls (E12's read 12-25 ms against 4.6 ms from its fourth
+#: call on).
 WARM_CALLS = 5
 
-#: The child: one experiment at registry defaults, run ``1 + WARM_CALLS``
-#: times in one interpreter.  The first call pays for the lazy imports and
+#: The least time the warm calls take together: a millisecond experiment
+#: makes as many calls as fit (E12's median swapped 8 and 5 ms between
+#: runs of the same code over 5 calls).
+WARM_SECONDS = 1.0
+
+#: The child: one experiment at registry defaults, run once cold and then
+#: warm until at least ``WARM_CALLS`` calls took at least ``WARM_SECONDS``,
+#: in one interpreter.  The cold call pays for the lazy imports and
 #: reports ``cold_seconds``; the median of the others is ``seconds``.  Rows
 #: are hashed as canonical JSON (sorted keys, no spaces, NumPy values as
 #: plain ones) and must match between all the calls.
@@ -57,9 +66,10 @@ def plain(value):
         return value.tolist()
     raise TypeError(f"cannot hash {type(value).__name__}")
 
-experiment_id, seed, warm = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+experiment_id, seed = sys.argv[1], int(sys.argv[2])
+warm, budget = int(sys.argv[3]), float(sys.argv[4])
 times, digests = [], set()
-for _ in range(1 + warm):
+while len(times) < 1 + warm or sum(times[1:]) < budget:
     start = time.perf_counter()
     rows = run_experiment(experiment_id, seed=seed).rows
     times.append(time.perf_counter() - start)
@@ -94,7 +104,10 @@ def _python(checkout: Path, args: Sequence[str]) -> str:
 
 def run_child(checkout: Path, experiment_id: str, seed: int) -> str:
     """The stdout of one child running ``experiment_id`` at ``seed``."""
-    return _python(checkout, ["-c", CHILD, experiment_id, str(seed), str(WARM_CALLS)])
+    return _python(
+        checkout,
+        ["-c", CHILD, experiment_id, str(seed), str(WARM_CALLS), str(WARM_SECONDS)],
+    )
 
 
 def registry_ids(checkout: Path) -> List[str]:
