@@ -5,10 +5,9 @@ sweep scheduler on top of them, and the single-replica simulators, which
 are ``R == 1`` views of the batched processes and hand their observers
 the ``(1, n)`` state — reports its state through one protocol:
 ``observer.observe(round_index, loads)`` where ``loads`` is an ``(R, n)``
-load matrix.  A 1-D load vector is the ``R == 1`` view: the helpers here
-normalize it into a ``(1, n)`` matrix, so the batched trackers in
-:mod:`repro.metrics.trackers` also attach unchanged to the one process
-that still observes with a vector, the token process.
+load matrix.  No engine hands observers a 1-D vector any more; one
+handed in directly is the ``R == 1`` view, which the helpers here
+normalize into a ``(1, n)`` matrix.
 
 Observers must treat the arrays they receive as read-only (the engines pass
 views of their internal buffers for efficiency).

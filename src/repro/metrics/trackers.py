@@ -1,9 +1,10 @@
 """Replica-aware (batched) per-round metric trackers.
 
 Each tracker implements the batched observer protocol
-``observe(round_index, loads)`` with ``loads`` an ``(R, n)`` matrix — or a
-plain length-``n`` vector, which is treated as ``R == 1``, so the same
-tracker instance works on any single-run process unchanged.
+``observe(round_index, loads)`` with ``loads`` an ``(R, n)`` matrix.  Every
+engine, the single-run processes included, hands over its ``(R, n)``
+state; a plain length-``n`` vector passed in by hand is treated as
+``R == 1``.
 
 All trackers reduce as they observe: with series recording disabled the
 max-load and empty-bins trackers keep ``O(R)`` state, the legitimacy and

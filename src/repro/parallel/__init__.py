@@ -7,8 +7,10 @@ cover the two workload shapes, and both run in this process:
   ensembles described by an :class:`EnsembleSpec` and advanced as one
   batched ``(R, n)`` state by flat numpy / native kernels, in parallel on
   the native kernels' threads (the one way to run in parallel).
-* :func:`run_trials` — arbitrary per-trial functions (per-token
-  traversals, coupling runs, ...), called one trial after another.
+* :func:`run_trials` — arbitrary per-trial functions, called one trial
+  after another.  No experiment uses it any more: their per-trial loops
+  (E4's coupling, E13, E14) step in place, and the token experiments run
+  their trials as the replicas of one batched process.
 
 Both paths derive independent seed streams from one root seed and feed the
 same column-oriented aggregation helpers.  An ensemble result is a pure

@@ -4,7 +4,10 @@
 for ``n_trials`` independent trials, one after another, and returns their
 results in trial order.  Trial ``i`` always gets ``trial_seeds(seed,
 n_trials)[i]``, so a trial's result does not depend on how many trials run
-or on which ran before it.
+or on which ran before it.  No experiment of the catalog calls it (the
+token experiments run their trials as the replicas of one
+:class:`~repro.core.token_process.BatchedTokens`); it is the entry point
+for a caller's own per-trial function.
 """
 
 from __future__ import annotations

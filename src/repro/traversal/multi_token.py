@@ -8,9 +8,13 @@ every token has visited every node; Corollary 1 states the cover time is
 baseline.
 
 The implementation delegates the process dynamics to
-:class:`~repro.core.token_process.TokenRepeatedBallsIntoBins` with visit
-tracking enabled, and layers the traversal-specific bookkeeping (time-outs,
-per-token cover times, normalized cover statistics) on top.
+:class:`~repro.core.token_process.TokenRepeatedBallsIntoBins` (the
+``R == 1`` view of :class:`~repro.core.token_process.BatchedTokens`) with
+visit tracking enabled and its cover stop, and layers the
+traversal-specific bookkeeping (time-outs, per-token cover times,
+normalized cover statistics) on top.  Without tokens nothing is left to
+cover: the traversal completes at round 0 and stops after one round.
+Experiment E8 runs its trials as the replicas of one ``BatchedTokens``.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ Theorem 1 implies that, under FIFO, every ball performs ``Omega(t / log n)``
 steps of its own random walk over any window of ``t = poly(n)`` rounds
 (because no ball ever waits more than the maximum load, which is
 ``O(log n)``).  These helpers turn the raw per-ball counters exposed by
-:class:`~repro.core.token_process.TokenRepeatedBallsIntoBins` into the
-summary quantities the experiments report.
+:class:`~repro.core.token_process.TokenRepeatedBallsIntoBins` (one run,
+the ``R == 1`` view of :class:`~repro.core.token_process.BatchedTokens`)
+into summary quantities; ablation A1 reads each replica's minimum
+progress from ``BatchedTokens.moves`` directly.
 """
 
 from __future__ import annotations

@@ -273,11 +273,10 @@ class _RunSamples:
     final_loads: np.ndarray
     window_max: np.ndarray
     window_min_empty: np.ndarray
-    #: Window-seeding convention: ``False`` never folds the initial
-    #: configuration (the scenario interpreter, which starts its folds from
-    #: scratch even when events fire), ``None`` defers to the exact layer's
-    #: default (seed from the initial configuration exactly when fault
-    #: rounds exist).
+    #: Window-max seeding: ``False`` never folds the initial configuration
+    #: (the scenario interpreter, which starts its folds from scratch even
+    #: when events fire), ``None`` defers to the exact layer's default (seed
+    #: from the initial configuration exactly when fault rounds exist).
     seed_window_from_initial: Optional[bool] = None
     extra: Dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -482,7 +481,6 @@ def _gates_for_run(
             horizon,
             fault_rounds=truth.fault_rounds,
             F=truth.F,
-            seed_from_initial=bool(samples.seed_window_from_initial),
         )
         gate(
             "window_min_empty",

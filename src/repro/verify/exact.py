@@ -189,9 +189,8 @@ def window_max_pmf(
     (the ``run_window`` convention).  Faulty runs seed the accumulator
     from the initial configuration and additionally fold each injected
     configuration, matching the faulty process on both counts.
-    ``seed_from_initial`` overrides the seeding convention for runners
-    that fold the configuration at call time (a single-replica view's
-    seeded window) or never do (the scenario interpreter).
+    ``seed_from_initial`` overrides that convention for runners that
+    never seed from it (the scenario interpreter).
     """
     initial = tuple(int(x) for x in initial)
     faulty = bool(list(fault_rounds))
@@ -219,20 +218,15 @@ def window_min_empty_pmf(
     rounds: int,
     fault_rounds: Sequence[int] = (),
     F: np.ndarray | None = None,
-    seed_from_initial: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact distribution of ``min_empty_bins_seen``.
 
     Starts at ``n`` and folds post-step configurations only — injected
     fault configurations are deliberately *not* folded, matching the
-    faulty process.  ``seed_from_initial`` starts the accumulator at the
-    initial configuration's empty-bin count instead (a single-replica
-    view's seeded window).
+    faulty process.
     """
     initial = tuple(int(x) for x in initial)
     n_bins = len(next(iter(states)))
-    empties = sum(1 for x in initial if x == 0)
-    init_value = empties if seed_from_initial else n_bins
     return _window_pmf(
         P,
         states,
@@ -240,7 +234,7 @@ def window_min_empty_pmf(
         rounds,
         stat=lambda c: sum(1 for x in c if x == 0),
         fold=min,
-        init_value=init_value,
+        init_value=n_bins,
         fault_rounds=fault_rounds,
         F=F,
         fold_fault_configs=False,
