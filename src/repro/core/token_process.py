@@ -114,8 +114,7 @@ class BatchedTokens(BatchedLoadProcess):
         seed: SeedLike = None,
     ) -> None:
         super().__init__(
-            n_bins, n_replicas, n_balls=n_balls, initial=initial, seed=seed,
-            kernel="numpy",
+            n_bins, n_replicas, n_balls=n_balls, initial=initial, seed=seed
         )
         self._discipline = get_discipline(discipline)
         self._track_visits = bool(track_visits)
