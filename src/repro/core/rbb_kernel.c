@@ -22,15 +22,14 @@
  * dense or sparse, so results are bit-identical for every thread count and
  * every way of running a replica.
  *
- * Round structure: a dense round is three passes over the row (a sparse
- * one walks a list instead, see below).  The first and the last are plain
- * loops the compiler vectorizes, shared with greedy_kernel.c (Round passes
- * in _kernel_common.h).
+ * Round structure: a dense round has three steps over the row (a sparse
+ * one walks a list instead, see below), and between two rounds the row is
+ * read once: one pass ends round t and takes round t + 1's departures.
  *
  *   1. departures, row[i] -= row[i] > 0.  The number of balls that leave,
- *      cnt, is n minus the empty count of the previous round's pass 3 (one
- *      count pass at entry seeds the first round), so this pass reduces
- *      nothing.
+ *      cnt, is n minus the empty count the previous round's step 3 took
+ *      (one count pass at entry seeds the first round), so departures
+ *      reduce nothing.
  *   2. arrivals, in blocks of at most REPRO_BLOCK lanes held on the
  *      stack: draw whole xoshiro words into a lane buffer (repro_draw() in
  *      _kernel_common.h, whose blocks never draw ahead of the lane-by-lane
@@ -38,19 +37,44 @@
  *      row[bin]++.  At a power-of-two n a lane's bin is the lane shifted
  *      right (repro_pow2_shift()), read straight off the lane buffer; any
  *      other n maps the block into a bin buffer first (repro_block_map()).
- *   3. the post-round max and empty count, one int32 pass.  They feed the
- *      window metrics, the early stop and the fused recorder.
+ *   3. the post-round max and empty count, which feed the window metrics,
+ *      the early stop and the fused recorder.  One int32 pass,
+ *      repro_max_empty_depart() (Round passes in _kernel_common.h), takes
+ *      them and applies the next round's departures, row[i] = l - (l > 0),
+ *      so that round skips step 1 and takes cnt from this empty count.
  *
- * A group's round runs pass 1 for every member, then draws every member's
- * whole round together, one block at a time (repro_draw4(), one word per
- * member per xoshiro256++ step, masked once a member's block is drawn; see
- * Lockstep groups in _kernel_common.h, with the rules on the build's
- * vectors and the n <= 65536 budget).  Each member places its block's
- * lanes as above, and runs pass 3 and the bookkeeping alone.  A group runs
- * a round in lockstep only while all four members are active and dense
- * (see sparse rounds below).  A round in which one is frozen, stopped
- * early or sparse runs each active member alone, and the group goes back
- * to lockstep once all four are active and dense again.
+ * Step 3 is a pass of its own, repro_max_empty(), and step 1 one more, as
+ * in greedy_kernel.c, only where something reads round t's row as the
+ * round left it (rbb_fuses()):
+ *
+ *   - t is the call's last round: the caller gets the row back;
+ *   - a pile fault strikes before round t + 1: it counts the row's balls;
+ *   - round t ends on an observation point that records moments or a
+ *     histogram (the max and the empty count come from the pass itself);
+ *   - under stop_when_legitimate, round t may stop the replica, whose row
+ *     must then stay as round t left it.  A round lowers the max by at
+ *     most one, so only a round whose predecessor's max is within one of
+ *     the threshold can; a call's first round takes that max as 0.
+ *
+ * Reading the row once per boundary removes a pass and makes the kernel
+ * less sensitive to where the (R, n) state sits: the passes are 512-bit
+ * vector loops under -march=native on AVX-512, so a row that starts off a
+ * 64-byte line splits every load.  On the converge_fused shape (n = 1024,
+ * R = 256, 2048 rounds from all-in-one, max observed every 16 rounds; one
+ * pinned thread, thread CPU time, minimum of 10 interleaved calls) two
+ * passes took 212.9 / 228.5 / 227.6 ms with the state at byte offset 0 /
+ * 16 / 48 mod 64, and the fused pass 208.9 / 210.0 / 208.9 ms.
+ *
+ * A group's round runs step 1 for every member that needs it, then draws
+ * every member's whole round together, one block at a time (repro_draw4(),
+ * one word per member per xoshiro256++ step, masked once a member's block
+ * is drawn; see Lockstep groups in _kernel_common.h, with the rules on the
+ * build's vectors and the n <= 65536 budget).  Each member places its
+ * block's lanes as above, and runs step 3 and the bookkeeping alone.  A
+ * group runs a round in lockstep only while all four members are active
+ * and dense (see sparse rounds below).  A round in which one is frozen,
+ * stopped early or sparse runs each active member alone, and the group
+ * goes back to lockstep once all four are active and dense again.
  *
  * Sparse rounds: while few of a row's bins hold balls, its rounds run
  * over an int32 list of those bins instead of the whole row.
@@ -61,16 +85,22 @@
  *      bin that goes 0 -> 1 is appended to the list.
  *   3. the max is taken over the list; the empty count is n minus its
  *      length.  The fused recorder takes the moments and the histogram
- *      from the list too (n - length zeros, then the listed loads).
+ *      from the list too (n - length zeros, then the listed loads).  Where
+ *      a dense round would fuse, the same walk takes the next round's
+ *      departures (step 1), dropping the bins that empty.
  *
  * A row goes sparse after a round that leaves at most
  * max(1, n / RBB_SPARSE_ENTER) bins occupied, and a call starts it sparse
  * if it has that few; it goes dense again after a round that leaves more
  * than RBB_SPARSE_EXIT times that many.  The rule reads only the row's
- * occupancy.  After a concentrate fault the pile releases one ball per
- * round, so t rounds later at most t + 1 bins are occupied, and a 32-round
- * fault period at n = 1024 stays sparse throughout; balanced and random
- * starts stay dense.
+ * occupancy as the round left it, before any fused departures.  A row
+ * that goes sparse after a fused pass is listed from its departed row,
+ * which may hold fewer than those n - empty bins, so the scan stops at the
+ * last of them or at the row's end; a row that goes dense after a fused
+ * walk starts its dense round departed.  After a concentrate fault the pile
+ * releases one ball per round, so t rounds later at most t + 1 bins are
+ * occupied, and a 32-round fault period at n = 1024 stays sparse
+ * throughout; balanced and random starts stay dense.
  *
  * The streams are unchanged: a round's draws depend only on its ball
  * count cnt, which both paths compute identically (n minus the previous
@@ -86,9 +116,9 @@
  * fails, the row stays dense for the call, with the same results.
  * rbb_start() counts the empty bins in one vectorized pass, as a dense
  * call needs; only a row found sparse is then listed, by a scan that stops
- * at its last occupied bin.  Listing inside the count pass would need the
- * list before the count shows the row is sparse, and a store per bin in a
- * pass that vectorizes today.
+ * at its last occupied bin, as after an unfused round.  Listing inside the
+ * count pass would need the list before the count shows the row is
+ * sparse, and a store per bin in a pass that vectorizes today.
  *
  * Why these bounds, on the same VM and compiler as the group rules in
  * _kernel_common.h (single thread, thread CPU time, 11 interleaved runs, medians, in
@@ -196,6 +226,8 @@ typedef struct {
     int32_t sparse_in;  /* rows with at most this many occupied go sparse */
     int32_t sparse_out; /* sparse rows with more than this many go dense */
     repro_obs_t obs;
+    int obs_row;        /* an observation point reads the row: moments or a
+                           histogram */
     int64_t R;
     int64_t n_faults;
     const int64_t *fault_rounds; /* (n_faults,) increasing, in [0, rounds) */
@@ -209,6 +241,9 @@ typedef struct {
     int32_t *row;
     rng_t g;       /* a local copy of its xoshiro state */
     int32_t empty; /* empty bins after the previous round */
+    int32_t mx;    /* max load after it; 0 before a call's first round */
+    int departed;  /* the previous round's end pass took this round's
+                      departures (rbb_fuses()) */
     int64_t k;     /* next fused observation slot */
     int32_t *occ;  /* its occupied bins in any order, NULL until first used */
     int32_t len;   /* bins in occ while the row is sparse, -1 while dense */
@@ -279,6 +314,18 @@ static inline int64_t rbb_depart_listed(rbb_rep *p)
     return len;
 }
 
+/* 1. the departures of p's round, unless the previous round's end pass
+ * took them; returns how many balls leave, n minus the previous round's
+ * empty count either way. */
+static inline int64_t rbb_depart(const rbb_ctx *c, rbb_rep *p)
+{
+    if (p->departed)
+        return c->n - p->empty;
+    if (p->len < 0)
+        return repro_depart(p->row, c->n, p->empty);
+    return rbb_depart_listed(p);
+}
+
 /* 2. arrivals: `need` uniform throws, one block at a time. */
 static void rbb_arrivals(const rbb_ctx *c, rbb_rep *p, int64_t need)
 {
@@ -307,20 +354,41 @@ static int32_t *rbb_occ(const rbb_ctx *c, rbb_rep *p)
     return p->occ;
 }
 
-/* Go sparse: list the row's n - empty occupied bins. */
+/* Go sparse: list the row's occupied bins.  A row as its round left it
+ * holds n - empty of them, and the scan stops at the last; a departed row
+ * may hold fewer (the departures emptied its bins of load 1), and the scan
+ * then runs to its end. */
 static void rbb_list(const rbb_ctx *c, rbb_rep *p)
 {
     int32_t *occ = rbb_occ(c, p);
     if (!occ)
         return;
     const int32_t *row = p->row;
-    const int32_t want = (int32_t)c->n - p->empty;
+    const int32_t n = (int32_t)c->n;
+    const int32_t want = n - p->empty;
     int32_t len = 0;
-    for (int32_t i = 0; len < want; i++) {
+    for (int32_t i = 0; i < n && len < want; i++) {
         occ[len] = i;
         len += row[i] != 0;
     }
     p->len = len;
+}
+
+/* Whether round t ends in the fused pass, which leaves the row with round
+ * t + 1's departures taken.  Not where something reads round t's row as
+ * the round left it: the call ends after it; a fault strikes before round
+ * t + 1; an observation point records moments or a histogram; or, under
+ * the early stop, round t may stop the replica.  A round lowers the max by
+ * at most one, so only a round whose predecessor's max is within one of
+ * the threshold can (a call's first round takes that max as 0). */
+static inline int rbb_fuses(const rbb_ctx *c, const rbb_rep *p, int64_t t)
+{
+    if (t + 1 == c->rounds || t + 1 == p->fault_at)
+        return 0;
+    if (c->stop_when_legitimate && p->mx - 1 <= c->thr)
+        return 0;
+    return !(c->obs_row && repro_obs_due(&c->obs, t - p->seg_start,
+                                         p->seg_len));
 }
 
 /* The end of round t, whose post-round max is mx: the window metrics, the
@@ -328,6 +396,7 @@ static void rbb_list(const rbb_ctx *c, rbb_rep *p)
 static inline void rbb_record(rbb_ctx *c, rbb_rep *p, int64_t t, int32_t mx)
 {
     const int64_t r = p->r;
+    p->mx = mx;
     c->rounds_done[r]++;
     if (mx > c->max_seen[r])
         c->max_seen[r] = mx;
@@ -348,26 +417,45 @@ static inline void rbb_record(rbb_ctx *c, rbb_rep *p, int64_t t, int32_t mx)
 }
 
 /* 3. the end of a dense round t: the post-round max and empty count in one
- * pass; a row left with few enough occupied bins goes sparse. */
+ * pass, which also takes round t + 1's departures where rbb_fuses()
+ * allows; a row left with few enough occupied bins goes sparse. */
 static void rbb_end_round(rbb_ctx *c, rbb_rep *p, int64_t t)
 {
-    const int32_t mx = repro_max_empty(p->row, c->n, &p->empty);
+    p->departed = rbb_fuses(c, p, t);
+    const int32_t mx =
+        p->departed ? repro_max_empty_depart(p->row, c->n, &p->empty)
+                    : repro_max_empty(p->row, c->n, &p->empty);
     if (c->n - p->empty <= p->enter)
         rbb_list(c, p);
     rbb_record(c, p, t, mx);
 }
 
-/* 3, sparse: the max over the listed bins; every other bin is empty.  A
- * row left with too many occupied bins goes dense. */
+/* 3, sparse: the max over the listed bins; every other bin is empty.
+ * Where rbb_fuses() allows, the same walk takes round t + 1's departures,
+ * dropping the bins that empty.  A row left with too many occupied bins
+ * goes dense. */
 static void rbb_end_listed(rbb_ctx *c, rbb_rep *p, int64_t t)
 {
-    const int32_t *row = p->row;
-    const int32_t *occ = p->occ;
+    int32_t *row = p->row;
+    int32_t *occ = p->occ;
     const int32_t len = p->len;
     int32_t mx = 0;
-    for (int32_t i = 0; i < len; i++) {
-        const int32_t l = row[occ[i]];
-        mx = l > mx ? l : mx;
+    p->departed = rbb_fuses(c, p, t);
+    if (p->departed) {
+        int32_t kept = 0;
+        for (int32_t i = 0; i < len; i++) {
+            const int32_t b = occ[i];
+            const int32_t l = row[b];
+            mx = l > mx ? l : mx;
+            occ[kept] = b;
+            kept += (row[b] = l - 1) > 0;
+        }
+        p->len = kept;
+    } else {
+        for (int32_t i = 0; i < len; i++) {
+            const int32_t l = row[occ[i]];
+            mx = l > mx ? l : mx;
+        }
     }
     p->empty = (int32_t)c->n - len;
     rbb_record(c, p, t, mx);
@@ -380,13 +468,11 @@ static void rbb_end_listed(rbb_ctx *c, rbb_rep *p, int64_t t)
  * plain -O3 rung at 0.76-0.94x for n >= 256 (11 interleaved runs). */
 static void rbb_round(rbb_ctx *c, rbb_rep *p, int64_t t)
 {
-    if (p->len < 0) {
-        rbb_arrivals(c, p, repro_depart(p->row, c->n, p->empty));
+    rbb_arrivals(c, p, rbb_depart(c, p));
+    if (p->len < 0)
         rbb_end_round(c, p, t);
-    } else {
-        rbb_arrivals(c, p, rbb_depart_listed(p));
+    else
         rbb_end_listed(c, p, t);
-    }
 }
 
 /* Before round t, p's next fault: every ball of the row into its pile bin,
@@ -415,6 +501,7 @@ static void rbb_fault(rbb_ctx *c, rbb_rep *p, int64_t t)
     const int32_t b = c->fault_bins[f * c->R + r];
     row[b] = (int32_t)balls;
     p->empty = (int32_t)(n - (balls > 0));
+    p->mx = (int32_t)balls;
     if (balls > c->max_seen[r])
         c->max_seen[r] = (int32_t)balls;
     p->len = -1;
@@ -439,6 +526,8 @@ static void rbb_start(const rbb_ctx *c, rbb_rep *p, int64_t r)
     for (int w = 0; w < 4; w++)
         p->g.s[w] = state[w];
     p->empty = repro_count_empty(p->row, n);
+    p->mx = 0;
+    p->departed = 0;
     p->k = 0;
     p->occ = (int32_t *)0;
     p->len = -1;
@@ -473,7 +562,7 @@ static void rbb_lockstep(rbb_ctx *c, rbb_rep *p, int64_t t)
     rng_t *const g[4] = {&p[0].g, &p[1].g, &p[2].g, &p[3].g};
     int64_t need[4], words[4];
     for (int m = 0; m < 4; m++)
-        need[m] = repro_depart(p[m].row, c->n, p[m].empty);
+        need[m] = rbb_depart(c, &p[m]);
     for (;;) {
         int64_t drawn = 0;
         for (int m = 0; m < 4; m++)
@@ -607,6 +696,7 @@ REPRO_ABI void rbb_run(int32_t *loads, int64_t R, int64_t n, int64_t rounds,
     c.obs = repro_obs_make(R, observe_every, n_obs, obs_max, obs_empty,
                            obs_sum, obs_sumsq, hist_k, obs_hist,
                            obs_overflow);
+    c.obs_row = c.obs.sum || c.obs.hist;
     c.R = R;
     c.n_faults = n_faults > 0 ? n_faults : 0;
     c.fault_rounds = fault_rounds;

@@ -12,11 +12,12 @@ against the segmented fault loop, Greedy[1] against the rbb kernel (the
 stream reference for the rbb kernel's blocked and lockstep draws and its
 sparse rounds), the Greedy[d] kernel's lockstep groups against its
 lane-by-lane loop, both kernels' lockstep width in their status, the
-``random_uniform`` start thrown in C against its numpy reference, digests
-that pin every kernel's streams, legitimacy thresholds beyond int32, the
-flag-aware binary cache key, the by-name kernel argument helper,
-thread-count resolution precedence, the exact-moments tracker, and the
-sweep scheduler's oversubscription guard.
+``random_uniform`` start thrown in C against its numpy reference, one rbb
+call of T rounds against T one-round calls (the rbb kernel's fused round
+boundary), digests that pin every kernel's streams, legitimacy thresholds
+beyond int32, the flag-aware binary cache key, the by-name kernel argument
+helper, thread-count resolution precedence, the exact-moments tracker, and
+the sweep scheduler's oversubscription guard.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.core.config import DEFAULT_BETA
 from repro.core.native import (
     KERNEL_ABI,
     available_cpu_count,
+    get_kernel,
     kernel_args,
     native_available,
     native_status,
@@ -1225,6 +1227,167 @@ class TestUniformStart:
         monkeypatch.setattr(batched, "one_choice_arrivals", drawn)
         with pytest.raises(ConfigurationError, match="int32"):
             make_ensemble_initial("random_uniform", n, 2, n_balls=m, seed=0)
+
+
+# ---------------------------------------------------------------------
+# The rbb kernel's fused round boundary
+# ---------------------------------------------------------------------
+def _at_offset(block, offset):
+    """A copy of ``block`` whose data starts ``offset`` bytes past a
+    64-byte line."""
+    raw = np.empty(block.nbytes + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    view = raw[start:start + block.nbytes].view(block.dtype)
+    view = view.reshape(block.shape)
+    view[...] = block
+    return view
+
+
+def _boundary_start(kinds, n, rng):
+    """One row per kind: n balls in bin 0 (sparse, until it spreads), one
+    ball per bin (dense), or one ball more than the rbb kernel's sparse
+    entry bound, max(1, n / 32), in distinct bins (dense, until a round's
+    collision lists it)."""
+    rows = np.zeros((len(kinds), n), dtype=np.int32)
+    for r, kind in enumerate(kinds):
+        if kind == "all_in_one":
+            rows[r, 0] = n
+        elif kind == "balanced":
+            rows[r] = 1
+        else:
+            few = min(n, max(1, n // 32) + 1)
+            rows[r, rng.choice(n, size=few, replace=False)] = 1
+    return rows
+
+
+def _observed_rounds(rounds, observe_every, faults):
+    """The 0-based rounds after which a call records, as the kernel's
+    repro_obs_due() asks for each stretch between faults."""
+    edges = [0, *sorted(f for f in faults if f > 0), rounds]
+    return [
+        t
+        for start, end in zip(edges[:-1], edges[1:])
+        for t in range(start, end)
+        if (t - start + 1) % observe_every == 0 or t == end - 1
+    ]
+
+
+def _rbb_calls(initial, states, calls, threshold, stop, observe,
+               observe_every, n_threads, offset):
+    """Run ``rbb_run`` on one state, a call per ``(rounds, faults, n_obs)``
+    entry of ``calls``: ``faults`` maps a call's 0-based round to a fault's
+    (R,) pile bins, and ``n_obs`` counts its observation points.
+    ``observe`` is None, ``"max"`` (max and empty count alone),
+    ``"moments"`` or ``"histogram"`` (capped at load 3).  Returns every
+    output, the window max and min folded over the calls, and the
+    observation blocks stacked over them."""
+    hist_k = 3
+    R, n = initial.shape
+    out = {
+        "loads": _at_offset(initial, offset),
+        "rng_state": states.copy(),
+        "first_legit": np.full(R, -1, dtype=np.int64),
+        "rounds_done": np.zeros(R, dtype=np.int64),
+        "active": np.ones(R, dtype=np.uint8),
+        "max_seen": np.zeros(R, dtype=np.int32),
+        "min_empty_seen": np.full(R, n, dtype=np.int32),
+    }
+    recorded = {"obs_max": [], "obs_empty": [], "obs_sum": [], "obs_sumsq": []}
+    hist = {
+        "obs_hist": np.zeros((R, hist_k + 1), dtype=np.int64),
+        "obs_overflow": np.zeros(R, dtype=np.int64),
+    } if observe == "histogram" else {"obs_hist": None, "obs_overflow": None}
+    kernel = get_kernel("rbb")
+    for rounds, faults, n_obs in calls:
+        n_obs = n_obs if observe else 0
+        blocks = {
+            "obs_max": np.zeros((n_obs, R), dtype=np.int32),
+            "obs_empty": np.zeros((n_obs, R), dtype=np.int32),
+            "obs_sum": np.zeros((n_obs, R), dtype=np.int64),
+            "obs_sumsq": np.zeros((n_obs, R), dtype=np.int64),
+        } if n_obs else dict.fromkeys(recorded)
+        if observe != "moments":
+            blocks["obs_sum"] = blocks["obs_sumsq"] = None
+        max_seen = np.zeros(R, dtype=np.int32)
+        min_empty = np.full(R, n, dtype=np.int32)
+        kernel(*kernel_args("rbb", {
+            "loads": out["loads"], "R": R, "n": n, "rounds": rounds,
+            "rng_state": out["rng_state"], "threshold": threshold,
+            "stop_when_legitimate": stop, "max_seen": max_seen,
+            "min_empty_seen": min_empty, "first_legit": out["first_legit"],
+            "rounds_done": out["rounds_done"], "active": out["active"],
+            "n_threads": n_threads, "observe_every": observe_every,
+            "n_obs": n_obs, **blocks, "hist_k": hist_k, **hist,
+            "n_faults": len(faults),
+            "fault_rounds": np.array(sorted(faults), dtype=np.int64),
+            "fault_bins": np.array(
+                [faults[f] for f in sorted(faults)], dtype=np.int32
+            ).reshape(len(faults), R),
+            "fault_legit": None,
+        }))
+        np.maximum(out["max_seen"], max_seen, out=out["max_seen"])
+        np.minimum(out["min_empty_seen"], min_empty, out=out["min_empty_seen"])
+        for key, block in blocks.items():
+            if block is not None:
+                recorded[key].append(block)
+    out.update({key: np.concatenate(blocks) if blocks else None
+                for key, blocks in recorded.items()})
+    out.update(hist)
+    return out
+
+
+@needs_native
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(min_value=0, max_value=10).map(lambda k: 2**k),
+        st.integers(min_value=1, max_value=300),
+    ),
+    kinds=st.lists(
+        st.sampled_from(("all_in_one", "balanced", "few")),
+        min_size=1, max_size=11,
+    ).filter(lambda kinds: len(kinds) % 4),
+    rounds=st.integers(min_value=1, max_value=40),
+    fault_at=st.sets(st.integers(min_value=0, max_value=39), max_size=3),
+    threshold=st.integers(min_value=0, max_value=12),
+    stop=st.booleans(),
+    observe=st.sampled_from((None, "max", "moments", "histogram")),
+    observe_every=st.integers(min_value=1, max_value=8),
+    n_threads=st.sampled_from([1, 2]),
+    offset=st.sampled_from(range(0, 64, 4)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_rbb_one_call_equals_one_round_calls(
+    n, kinds, rounds, fault_at, threshold, stop, observe, observe_every,
+    n_threads, offset, seed,
+):
+    """The rbb kernel ends a round with the next round's departures where
+    nothing reads the row in between, and never in a call's last round.  So
+    a call of T rounds, which fuses its boundaries, equals T calls of one
+    round each, which fuse none: loads, streams, round counters, first
+    legitimate rounds, the window max and min, and every observation."""
+    rng = np.random.default_rng(seed)
+    R = len(kinds)
+    initial = _boundary_start(kinds, n, rng)
+    states = rng.integers(0, 2**64, size=(R, 4), dtype=np.uint64)
+    faults = {t: rng.integers(0, n, size=R) for t in fault_at if t < rounds}
+    observed = _observed_rounds(rounds, observe_every, faults)
+    common = dict(
+        threshold=float(threshold), stop=stop, observe=observe,
+        observe_every=observe_every, n_threads=n_threads, offset=offset,
+    )
+    whole = _rbb_calls(
+        initial, states, [(rounds, faults, len(observed))], **common
+    )
+    by_round = _rbb_calls(initial, states, [
+        (1, {0: faults[t]} if t in faults else {}, int(t in observed))
+        for t in range(rounds)
+    ], **common)
+    for key, value in whole.items():
+        if value is None:
+            assert by_round[key] is None, key
+        else:
+            assert np.array_equal(value, by_round[key]), key
 
 
 # ---------------------------------------------------------------------
