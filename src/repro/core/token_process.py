@@ -18,12 +18,13 @@ the arriving balls take the next stamps in the order of one
 ``rng.permutation`` (a random tie-break among simultaneous arrivals), so
 within a bin ascending stamps are arrival order.
 
-A queue is never stored.  Each round one sort of all balls by cell and
-then by the discipline's key (the stamp, or the ball id for
-``order == "id"``) lays every queue out contiguously, and the discipline's
-vectorized :meth:`~repro.core.queueing.QueueDiscipline.positions` picks
-each non-empty bin's departing ball from it, so a round has no Python loop
-over bins, balls or replicas.  Waiting rounds are ``rounds - moves``.
+A queue is never stored.  Each round one sort of the active replicas'
+balls (all of them while none is frozen) by cell and then by the
+discipline's key (the stamp, or the ball id for ``order == "id"``) lays
+every queue out contiguously, and the discipline's vectorized
+:meth:`~repro.core.queueing.QueueDiscipline.positions` picks each
+non-empty bin's departing ball from it, so a round has no Python loop over
+bins, balls or replicas.  Waiting rounds are ``rounds - moves``.
 """
 
 from __future__ import annotations
@@ -203,17 +204,21 @@ class BatchedTokens(BatchedLoadProcess):
         """One round for all active replicas; under a cover stop, returns
         the mask of active replicas covered after it."""
         flat, n, rng, active = self._flat, self._n_bins, self._rng, self._active
-        # every occupied cell, frozen replicas included: their balls stay
-        # in the one sort, so the queue fronts count them
         occupied = flat.nonzero()[0]
-        lengths = flat[occupied].astype(np.int64)  # int64 sums cast nothing
-        fronts = lengths.cumsum() - lengths
+        balls = None  # every ball
         if np.count_nonzero(active) < self._n_replicas:
-            moving = active[occupied // n]
-            occupied, lengths, fronts = occupied[moving], lengths[moving], fronts[moving]
+            # a replica's cells sort apart from every other's, so the
+            # active replicas' balls alone lay out their queues the same
+            occupied = occupied[active[occupied // n]]
+            balls = np.flatnonzero(np.repeat(active, self._m))
         h = occupied.size
         if h:
-            queues = np.lexsort((self._key, self._cell))
+            lengths = flat[occupied].astype(np.int64)  # int64 sums cast nothing
+            fronts = lengths.cumsum() - lengths
+            if balls is None:
+                queues = np.lexsort((self._key, self._cell))
+            else:
+                queues = balls[np.lexsort((self._key[balls], self._cell[balls]))]
             selected = queues[fronts + self._discipline.positions(lengths, rng)]
             bins = rng.integers(0, n, size=h)
             cells = bins if self._n_replicas == 1 else bins + occupied - occupied % n
