@@ -6,6 +6,8 @@ Usage::
     python scripts/perfbench_ab.py PARENT CHANGE --workload sweep_wide --pairs 10
     python scripts/perfbench_ab.py PARENT CHANGE --workload converge_fused \\
         --pairs 6 --mmap-threshold 131072
+    python scripts/perfbench_ab.py PARENT CHANGE --workload converge_fused \\
+        --pairs 10 --cpu 0
 
 Pair i runs ``perfbench/run.py --workload W --seed i --seconds 10 --trace 0``
 from each checkout: the parent first in odd pairs, the change first in even
@@ -22,6 +24,12 @@ glibc then serves every allocation of at least that size from a mapping of
 its own, so an op's large arrays no longer land wherever the heap's history
 puts them.
 
+``--cpu N`` pins every run to CPU N: the child that runs ``run.py`` sets
+its affinity before it starts, and the interpreters ``run.py`` starts (the
+setup timings, ``measure.py``, the host probe) inherit it.  On a 2-vCPU VM
+one ``converge_fused`` op took about 230 ms on one vCPU and about 350 ms
+on the other within a minute, and an unpinned run lands on either.
+
 Each checkout builds its kernels under its own ``.bench_build/``.  The
 script exits 1 when a run fails or reports ``"correct": false``.
 """
@@ -35,7 +43,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 SECONDS = 10
 SIDES = ("parent", "change")
@@ -69,12 +77,18 @@ def parse_result(stdout: str) -> Dict:
     }
 
 
-def run_perfbench(checkout: Path, workload: str, seed: int, env: Dict) -> str:
-    """The stdout of one untraced perfbench run from ``checkout``."""
+def run_perfbench(
+    checkout: Path, workload: str, seed: int, env: Dict,
+    cpu: Optional[int] = None,
+) -> str:
+    """The stdout of one untraced perfbench run from ``checkout``, pinned
+    with its children to ``cpu`` when one is given."""
+    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, env=env, capture_output=True, text=True,
+        preexec_fn=pin,
     )
     if proc.returncode != 0:
         raise RunFailed(
@@ -125,7 +139,7 @@ def summarize(runs: Sequence[Dict], metrics: Sequence[Tuple[str, str]]) -> List[
 
 def main(
     argv=None,
-    run: Callable[[Path, str, int, Dict], str] = run_perfbench,
+    run: Callable[..., str] = run_perfbench,
 ) -> int:
     parser = argparse.ArgumentParser(
         description="alternating perfbench A/B of two checkouts"
@@ -135,9 +149,12 @@ def main(
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--mmap-threshold", type=int, metavar="BYTES")
+    parser.add_argument("--cpu", type=int, metavar="N")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.cpu is not None and args.cpu not in os.sched_getaffinity(0):
+        parser.error(f"--cpu {args.cpu} is not a CPU this process may run on")
 
     env = dict(os.environ)
     if args.mmap_threshold is not None:
@@ -149,7 +166,9 @@ def main(
         order = SIDES if pair % 2 else SIDES[::-1]
         for side in order:
             try:
-                result = parse_result(run(checkouts[side], args.workload, pair, env))
+                result = parse_result(
+                    run(checkouts[side], args.workload, pair, env, cpu=args.cpu)
+                )
             except RunFailed as exc:
                 print(f"error: pair {pair} {side}: {exc}", file=sys.stderr)
                 return 1

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,10 +60,12 @@ class _Canned:
         self.parent = parent
         self.results = results
         self.calls = []
+        self.cpus = []
 
-    def __call__(self, checkout, workload, seed, env):
+    def __call__(self, checkout, workload, seed, env, cpu=None):
         side = "parent" if checkout == self.parent.resolve() else "change"
         self.calls.append((side, workload, seed, env.get("MALLOC_MMAP_THRESHOLD_")))
+        self.cpus.append(cpu)
         return self.results[side][seed - 1]
 
 
@@ -128,3 +133,50 @@ def test_an_incorrect_run_fails_the_ab(tmp_path, capsys):
     )
     assert code == 1
     assert "pair 1 change: correct is false" in capsys.readouterr().err
+
+
+def test_cpu_reaches_the_runner(tmp_path):
+    parent, change = _checkouts(tmp_path)
+    results = {"parent": [_result(100, 1e9)] * 2, "change": [_result(90, 1e9)] * 2}
+    cpu = min(os.sched_getaffinity(0))
+    pinned, unpinned = _Canned(parent, results), _Canned(parent, results)
+    args = [str(parent), str(change), "--workload", "converge_fused", "--pairs", "2"]
+    assert ab.main(args + ["--cpu", str(cpu)], run=pinned) == 0
+    assert ab.main(args, run=unpinned) == 0
+    assert pinned.cpus == [cpu] * 4
+    assert unpinned.cpus == [None] * 4
+
+
+def test_a_cpu_outside_the_affinity_mask_is_refused(tmp_path, capsys):
+    parent, change = _checkouts(tmp_path)
+    outside = max(os.sched_getaffinity(0)) + 1
+    with pytest.raises(SystemExit) as exc:
+        ab.main(
+            [str(parent), str(change), "--workload", "greedy_d", "--pairs", "1",
+             "--cpu", str(outside)],
+            run=_Canned(parent, {}),
+        )
+    assert exc.value.code == 2
+    assert f"--cpu {outside}" in capsys.readouterr().err
+
+
+def test_the_pin_holds_for_run_py_and_its_children(tmp_path):
+    """run_perfbench pins the run.py child, and what that child starts
+    inherits the pin."""
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text(
+        "import json, os, subprocess, sys\n"
+        "child = subprocess.run([sys.executable, '-c', 'import os; "
+        "print(sorted(os.sched_getaffinity(0)))'], capture_output=True, "
+        "text=True).stdout\n"
+        "print(json.dumps({'correct': True, 'metrics': {\n"
+        "    'own': {'value': sorted(os.sched_getaffinity(0))},\n"
+        "    'child': {'value': json.loads(child)}}}))\n"
+    )
+    cpu = max(os.sched_getaffinity(0))
+    env = dict(os.environ)
+    pinned = ab.parse_result(ab.run_perfbench(checkout, "w", 1, env, cpu=cpu))
+    assert pinned["metrics"] == {"own": [cpu], "child": [cpu]}
+    free = ab.parse_result(ab.run_perfbench(checkout, "w", 1, env))
+    assert free["metrics"]["own"] == sorted(os.sched_getaffinity(0))
